@@ -11,4 +11,4 @@ from .formats import (
     save_tasks,
 )
 from .reports import ReportBundle, evaluate, layer_density, magnitude_overlap, write_report
-from .runner import StageError, ablation_suite, recompute_report, run_experiment
+from .runner import StageError, ablation_suite, run_experiment, stage_evaluate

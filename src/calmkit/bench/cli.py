@@ -2,9 +2,12 @@
 
 Subcommands mirror the pipeline stages (gen-tasks, pretrain, finetune,
 sample, merge, eval), plus `ablate` for sweeps and `report` to rebuild
-reports from persisted artifacts. Every config key is also a flag
-(`--family.num_tasks 4`); the CALMKIT_WORKDIR environment variable sets the
-default working directory.
+reports from persisted artifacts. Each stage reads what the stages before it
+persisted in the working directory: `merge` uses the credible sets written by
+`sample`, and `eval` and `report` write the same report files as
+`run_experiment`, except the density and objective traces, which only a
+one-shot run holds. Every config key is also a flag (`--family.num_tasks 4`);
+the CALMKIT_WORKDIR environment variable sets the default working directory.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime/stage failure.
 """
@@ -17,14 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from ..nn import ContractError, bind
+from ..nn import ContractError, ParamVector, bind
 from .config import (
     CONFIG_KEYS,
     ConfigError,
     ExperimentConfig,
     SUITES,
     build_config,
-    config_text,
     default_config_text,
     parse_entries,
 )
@@ -37,7 +39,8 @@ from .runner import (
     PRETRAINED_FILE,
     StageError,
     ablation_suite,
-    recompute_report,
+    load_checkpoints,
+    load_credible,
     stage_evaluate,
     stage_finetune,
     stage_generate,
@@ -45,9 +48,6 @@ from .runner import (
     stage_pretrain,
     stage_sample,
 )
-
-STAGE_COMMANDS = ("gen-tasks", "pretrain", "finetune", "sample", "merge", "eval",
-                  "ablate", "report")
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -76,10 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
         "merge": "merge the fine-tuned models with the configured method",
         "eval": "evaluate the merged model on every task's held-out test set",
         "ablate": "run an ablation suite (one swept axis, shared pipeline)",
-        "report": "recompute reports from persisted artifacts",
+        "report": "rewrite the reports of the merged model from persisted artifacts",
     }
-    for name in STAGE_COMMANDS:
-        p = sub.add_parser(name, help=descriptions[name])
+    for name, description in descriptions.items():
+        p = sub.add_parser(name, help=description)
         _add_common(p)
         if name == "ablate":
             p.add_argument("--suite", required=True,
@@ -101,20 +101,11 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return build_config(entries)
 
 
-def _load_stage_inputs(workdir: Path, need: tuple[str, ...]):
-    out = {}
-    if "tasks" in need:
-        family, tasks = load_tasks(workdir / DATASETS_FILE)
-        out["family"], out["tasks"] = family, tasks
-    if "checkpoints" in need:
-        from ..tasks import Checkpoints
-
-        spec, vectors = load_checkpoint(workdir / CHECKPOINTS_FILE)
-        pretrained = bind(spec, vectors["pretrained"])
-        count = sum(1 for name in vectors if name.startswith("finetuned_"))
-        finetuned = tuple(bind(spec, vectors[f"finetuned_{t:02d}"]) for t in range(count))
-        out["ckpt"] = Checkpoints(spec=spec, pretrained=pretrained, finetuned=finetuned)
-    return out
+def _load_model(path: Path, name: str) -> ParamVector:
+    spec, vectors = load_checkpoint(path)
+    if name not in vectors:
+        raise FormatError(f"{path}: no vector named {name!r}")
+    return bind(spec, vectors[name])
 
 
 def _run_command(args: argparse.Namespace) -> int:
@@ -128,41 +119,36 @@ def _run_command(args: argparse.Namespace) -> int:
     if args.command == "gen-tasks":
         stage_generate(config, workdir)
         print(f"wrote {workdir / DATASETS_FILE}")
-    elif args.command == "pretrain":
-        loaded = _load_stage_inputs(workdir, ("tasks",))
-        stage_pretrain(config, workdir, loaded["tasks"])
-        print(f"wrote {workdir / PRETRAINED_FILE}")
-    elif args.command == "finetune":
-        loaded = _load_stage_inputs(workdir, ("tasks",))
-        spec, vectors = load_checkpoint(workdir / PRETRAINED_FILE)
-        theta_pre = bind(spec, vectors["pretrained"])
-        stage_finetune(config, workdir, loaded["tasks"], theta_pre)
-        print(f"wrote {workdir / CHECKPOINTS_FILE}")
-    elif args.command == "sample":
-        loaded = _load_stage_inputs(workdir, ("tasks", "checkpoints"))
-        stage_sample(config, workdir, loaded["tasks"], loaded["ckpt"])
-        print(f"wrote {workdir / CREDIBLE_FILE}")
-    elif args.command == "merge":
-        loaded = _load_stage_inputs(workdir, ("tasks", "checkpoints"))
-        credible = stage_sample(config, workdir, loaded["tasks"], loaded["ckpt"])
-        stage_merge(config, workdir, loaded["tasks"], loaded["ckpt"], credible)
-        print(f"wrote {workdir / MERGED_FILE}")
-    elif args.command == "eval":
-        loaded = _load_stage_inputs(workdir, ("tasks", "checkpoints"))
-        spec, merged_vectors = load_checkpoint(workdir / MERGED_FILE)
-        merged = bind(spec, merged_vectors["merged"])
-        bundle = stage_evaluate(config, workdir, loaded["tasks"], loaded["ckpt"],
-                                merged, None)
-        print((workdir / "report.txt").read_text(), end="")
-        print(f"average accuracy: {bundle.average_accuracy:.4f}")
-    elif args.command == "ablate":
+        return 0
+    if args.command == "ablate":
         records = ablation_suite(config, args.suite, workdir)
         accs = np.array([r["average_accuracy"] for r in records])
         print((workdir / "summary.csv").read_text(), end="")
         print(f"{len(records)} points, mean accuracy {accs.mean():.4f}")
-    elif args.command == "report":
-        bundle = recompute_report(config, workdir)
+        return 0
+
+    _, tasks = load_tasks(workdir / DATASETS_FILE)
+    if args.command == "pretrain":
+        stage_pretrain(config, workdir, tasks)
+        print(f"wrote {workdir / PRETRAINED_FILE}")
+    elif args.command == "finetune":
+        theta_pre = _load_model(workdir / PRETRAINED_FILE, "pretrained")
+        stage_finetune(config, workdir, tasks, theta_pre)
+        print(f"wrote {workdir / CHECKPOINTS_FILE}")
+    elif args.command == "sample":
+        stage_sample(config, workdir, tasks, load_checkpoints(workdir))
+        print(f"wrote {workdir / CREDIBLE_FILE}")
+    elif args.command == "merge":
+        stage_merge(config, workdir, tasks, load_checkpoints(workdir),
+                    load_credible(config, workdir))
+        print(f"wrote {workdir / MERGED_FILE}")
+    else:  # eval and report: the same report, rebuilt from the persisted artifacts
+        bundle = stage_evaluate(config, workdir, tasks, load_checkpoints(workdir),
+                                _load_model(workdir / MERGED_FILE, "merged"), None,
+                                load_credible(config, workdir))
         print((workdir / "report.txt").read_text(), end="")
+        if args.command == "eval":
+            print(f"average accuracy: {bundle.average_accuracy:.4f}")
     return 0
 
 

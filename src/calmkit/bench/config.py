@@ -3,15 +3,18 @@
 A config is a plain text document of `key = value` lines with `#` comments.
 Keys are dotted paths into the sections below; unknown keys are rejected with
 the list of valid ones. Every key has a documented default, so the empty
-document is a complete default experiment.
+document is a complete default experiment. The `plan.*` and `ties.*` sections
+parse straight into `MergePlan` and `TiesConfig`, so their checks run when the
+config is resolved.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
-from ..calm import MergePlan, STRATEGIES
-from ..nn import ACTIVATIONS, ContractError
+from ..baselines import TiesConfig
+from ..calm import MergePlan, partition
+from ..nn import ContractError
 from ..tasks import TaskFamily, TrainConfig
 
 METHODS = ("avg", "ta", "ties", "calm")
@@ -41,44 +44,18 @@ class SamplingConfig:
             raise ConfigError(f"sampling.objective must be one of {MASK_OBJECTIVES}")
 
 
-@dataclass(frozen=True)
-class PlanConfig:
-    """MergePlan hyperparameters; the task split itself is drawn at run time."""
-
-    num_sequential: int = 2
-    lambda_efficient: float = 0.3
-    l1_weight: float = 1.0
-    iterations_per_task: int = 100
-    batches_per_task: int = 2
-    batch_size: int = 128
-    mask_lr: float = 500.0
-    init_active_fraction: float = 1e-5
-    strategy: str = "both"
-    reinit_mask_per_task: bool = True
-
-    def __post_init__(self):
-        if self.num_sequential < 0:
-            raise ConfigError("plan.num_sequential must be >= 0")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"plan.strategy must be one of {STRATEGIES}")
-
-
-@dataclass(frozen=True)
-class TiesSettings:
-    trim_fraction: float = 0.2
-    scale: float = 0.3
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
+    """A resolved experiment; `build_config` draws the plan's seeded task partition."""
+
     seed: int = 0
     method: str = "calm"
     report: tuple[str, ...] = ("accuracy",)
     family: TaskFamily = field(default_factory=TaskFamily)
     train: TrainConfig = field(default_factory=TrainConfig)
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
-    plan: PlanConfig = field(default_factory=PlanConfig)
-    ties: TiesSettings = field(default_factory=TiesSettings)
+    plan: MergePlan
+    ties: TiesConfig = field(default_factory=TiesConfig)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -88,14 +65,6 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown report token {token!r}; valid: {REPORT_TOKENS}")
         if self.family.num_tasks < 2:
             raise ConfigError("family.num_tasks must be >= 2 for merging experiments")
-        if self.plan.num_sequential > self.family.num_tasks:
-            raise ConfigError("plan.num_sequential cannot exceed family.num_tasks")
-
-    def merge_plan_overrides(self) -> dict[str, Any]:
-        keys = ("lambda_efficient", "l1_weight", "iterations_per_task", "batches_per_task",
-                "batch_size", "mask_lr", "init_active_fraction", "strategy",
-                "reinit_mask_per_task")
-        return {k: getattr(self.plan, k) for k in keys}
 
 
 def _bool(text: str) -> bool:
@@ -200,29 +169,33 @@ def build_config(entries: dict[str, str]) -> ExperimentConfig:
             sections[section][name] = value
     seed = top.get("seed", 0)
     sections["family"].setdefault("seed", seed)
+    built: dict[str, Any] = {}
+    for section, make in (("family", TaskFamily), ("train", TrainConfig),
+                          ("sampling", SamplingConfig), ("ties", TiesConfig)):
+        try:
+            built[section] = make(**sections[section])
+        except ContractError as exc:
+            raise ConfigError(f"{section}: {exc}") from exc
+    plan_fields = sections["plan"]
+    num_sequential = plan_fields.pop("num_sequential", 2)
     try:
-        return ExperimentConfig(
-            seed=seed,
-            method=top.get("method", "calm"),
-            report=top.get("report", ("accuracy",)),
-            family=TaskFamily(**sections["family"]),
-            train=TrainConfig(**sections["train"]),
-            sampling=SamplingConfig(**sections["sampling"]),
-            plan=PlanConfig(**sections["plan"]),
-            ties=TiesSettings(**sections["ties"]),
-        )
+        plan = replace(partition(range(built["family"].num_tasks), num_sequential, seed=seed),
+                       **plan_fields)
     except ContractError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"plan: {exc}") from exc
+    return ExperimentConfig(seed=seed, method=top.get("method", "calm"),
+                            report=top.get("report", ("accuracy",)), plan=plan, **built)
 
 
 def parse_config(text: str) -> ExperimentConfig:
     return build_config(parse_entries(text))
 
 
-def apply_overrides(config: ExperimentConfig, overrides: dict[str, str]) -> ExperimentConfig:
-    """Re-resolve a config with extra `key = value` pairs on top."""
+def apply_overrides(config: ExperimentConfig, overrides: dict[str, Any]) -> ExperimentConfig:
+    """Re-resolve a config with extra `key = value` pairs on top; values may be text or
+    typed, and the plan's partition is drawn again."""
     merged = dict(config_entries(config))
-    merged.update(overrides)
+    merged.update({key: _format_value(value) for key, value in overrides.items()})
     return build_config(merged)
 
 
@@ -251,17 +224,5 @@ def config_text(config: ExperimentConfig) -> str:
 
 
 def default_config_text() -> str:
-    return config_text(ExperimentConfig())
+    return config_text(build_config({}))
 
-
-def plan_for(config: ExperimentConfig) -> MergePlan:
-    """The seeded merge plan this config describes."""
-    from ..calm import partition, plan_with
-
-    plan = partition(range(config.family.num_tasks), config.plan.num_sequential,
-                     seed=config.seed)
-    return plan_with(plan, **config.merge_plan_overrides())
-
-
-def with_entries(config: ExperimentConfig, **pairs: str) -> ExperimentConfig:
-    return apply_overrides(config, {k: v for k, v in pairs.items()})

@@ -1,9 +1,11 @@
 """Evaluation and report emission.
 
 Reports come out twice: comma-separated files (plot-ready) and an aligned
-text summary. Every number is a pure function of persisted artifacts and all
-writers format floats with repr(), so identical runs produce byte-identical
-report files.
+text summary. All writers format floats with repr(), so identical runs produce
+byte-identical report files. Accuracies, the pseudo-label audit, layer
+densities and magnitude overlaps are functions of persisted artifacts; the
+density and objective traces are not persisted, so only a run that merged in
+the same process can report them.
 """
 from __future__ import annotations
 
@@ -95,7 +97,8 @@ def _csv_lines(rows: list[list]) -> str:
 
 
 def write_report(bundle: ReportBundle, directory: Path) -> list[Path]:
-    """Emit report.csv, report.txt, and one CSV per requested diagnostic."""
+    """Emit report.csv, report.txt, and one CSV per diagnostic the bundle holds;
+    a diagnostic CSV left by an earlier report in the directory is removed."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
@@ -117,30 +120,21 @@ def write_report(bundle: ReportBundle, directory: Path) -> list[Path]:
     path.write_text("\n".join(lines) + "\n")
     written.append(path)
 
-    if bundle.layer_densities:
-        rows = [["step", "layer", "density"]]
-        for step, densities in bundle.layer_densities.items():
-            rows += [[step, i, float(v)] for i, v in enumerate(densities)]
-        path = directory / "layer_density.csv"
+    for name, columns, series in (
+        ("layer_density", ("layer", "density"), bundle.layer_densities),
+        ("density_trace", ("iteration", "value"), bundle.density_traces),
+        ("objective_trace", ("iteration", "value"), bundle.objective_traces),
+        ("magnitude_overlap", ("top_percent", "proportion"), bundle.magnitude_overlaps),
+    ):
+        path = directory / f"{name}.csv"
+        if not series:
+            path.unlink(missing_ok=True)
+            continue
+        rows = [["step", *columns]]
+        for step, values in series.items():
+            # overlaps are (k, proportion) pairs; the others hold one value per index
+            pairs = values if name == "magnitude_overlap" else enumerate(values)
+            rows += [[step, a, float(b)] for a, b in pairs]
         path.write_text(_csv_lines(rows))
         written.append(path)
-
-    for name, traces in (("density_trace", bundle.density_traces),
-                         ("objective_trace", bundle.objective_traces)):
-        if traces:
-            rows = [["step", "iteration", "value"]]
-            for step, trace in traces.items():
-                rows += [[step, i, float(v)] for i, v in enumerate(trace)]
-            path = directory / f"{name}.csv"
-            path.write_text(_csv_lines(rows))
-            written.append(path)
-
-    if bundle.magnitude_overlaps:
-        rows = [["step", "top_percent", "proportion"]]
-        for step, pairs in bundle.magnitude_overlaps.items():
-            rows += [[step, float(k), float(p)] for k, p in pairs]
-        path = directory / "magnitude_overlap.csv"
-        path.write_text(_csv_lines(rows))
-        written.append(path)
-
     return written

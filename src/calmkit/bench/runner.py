@@ -8,27 +8,36 @@ suites rebuild the shared pipeline once and sweep a single axis.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from ..baselines import TiesConfig, task_arithmetic, task_vector, ties_merge, weight_average
-from ..calm import BinaryMask, MergePlan, MergeResult, plan_with, sequential_merge
+from ..baselines import task_arithmetic, task_vector, ties_merge, weight_average
+from ..calm import STRATEGIES, BinaryMask, MergeResult, sequential_merge
 from ..nn import ParamVector, bind
 from ..sampling import CredibleSet, audit_accuracy, score_pool, select_cb_ems, select_ems
-from ..tasks import Checkpoints, TaskData, generate_family
-from .config import ExperimentConfig, SUITES, ConfigError, config_text, plan_for, with_entries
+from ..tasks import Checkpoints, TaskData, finetune_all, generate_family, model_spec
+from .config import ExperimentConfig, SUITES, ConfigError, apply_overrides, config_text
 from .formats import (
+    FormatError,
     load_checkpoint,
     load_credible_sets,
-    load_tasks,
+    load_tasks,  # noqa: F401 -- wrapped by name in perfbench/tracing.py HOOKS
     save_checkpoint,
     save_credible_sets,
     save_tasks,
 )
-from .reports import ReportBundle, evaluate, layer_density, magnitude_overlap, write_report
+from .reports import (
+    ReportBundle,
+    _csv_lines,
+    evaluate,
+    layer_density,
+    magnitude_overlap,
+    write_report,
+)
 
 DATASETS_FILE = "datasets.calmdata"
 PRETRAINED_FILE = "pretrained.calmckpt"
@@ -47,38 +56,27 @@ class StageError(RuntimeError):
         self.original = original
 
 
-class _Stage:
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None and not isinstance(exc, StageError):
-            raise StageError(self.name, exc) from exc
-        return False
+@contextmanager
+def _stage(name: str):
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, exc) from exc
 
 
 def stage_generate(config: ExperimentConfig, workdir: Path) -> list[TaskData]:
-    with _Stage("generate"):
+    with _stage("generate"):
         tasks = generate_family(config.family)
         save_tasks(workdir / DATASETS_FILE, config.family, tasks)
     return tasks
 
 
-def _model_spec(config: ExperimentConfig):
-    from ..nn import ModelSpec
-
-    return ModelSpec(config.family.input_dim, config.train.hidden_dims,
-                     config.family.classes_per_task, config.train.activation)
-
-
 def stage_pretrain(config: ExperimentConfig, workdir: Path, tasks: list[TaskData]) -> ParamVector:
+    # looked up at call time, so a wrapper installed on calmkit.tasks.pretrain sees the call
     from ..tasks import pretrain
 
-    with _Stage("pretrain"):
-        spec = _model_spec(config)
+    with _stage("pretrain"):
+        spec = model_spec(config.family, config.train)
         theta_pre = pretrain(spec, tasks, config.train.pretrain_epochs,
                              config.train.pretrain_lr, config.train.batch_size,
                              config.family.seed)
@@ -88,24 +86,9 @@ def stage_pretrain(config: ExperimentConfig, workdir: Path, tasks: list[TaskData
 
 def stage_finetune(config: ExperimentConfig, workdir: Path, tasks: list[TaskData],
                    theta_pre: ParamVector) -> Checkpoints:
-    from ..tasks import accuracy, finetune
-
-    train = config.train
-    with _Stage("finetune"):
-        spec = _model_spec(config)
-        finetuned = []
-        for task in tasks:
-            theta_ft = finetune(spec, theta_pre, task, train.finetune_epochs,
-                                train.finetune_lr, train.batch_size, config.family.seed,
-                                train.head_mode)
-            own = accuracy(spec, theta_ft, task.test)
-            if own < train.accuracy_floor:
-                raise ValueError(
-                    f"task {task.task_id} fine-tuned accuracy {own:.3f} is below the "
-                    f"floor {train.accuracy_floor}"
-                )
-            finetuned.append(theta_ft)
-        ckpt = Checkpoints(spec=spec, pretrained=theta_pre, finetuned=tuple(finetuned))
+    with _stage("finetune"):
+        ckpt = finetune_all(model_spec(config.family, config.train), theta_pre, tasks,
+                            config.train, config.family.seed)
         vectors = {"pretrained": ckpt.pretrained.values}
         for t, ft in enumerate(ckpt.finetuned):
             vectors[f"finetuned_{t:02d}"] = ft.values
@@ -113,15 +96,21 @@ def stage_finetune(config: ExperimentConfig, workdir: Path, tasks: list[TaskData
     return ckpt
 
 
-def stage_train(config: ExperimentConfig, workdir: Path, tasks: list[TaskData]) -> Checkpoints:
-    """Pretraining then fine-tuning; persists both checkpoint files."""
-    theta_pre = stage_pretrain(config, workdir, tasks)
-    return stage_finetune(config, workdir, tasks, theta_pre)
+def load_checkpoints(workdir: Path) -> Checkpoints:
+    """The pretrained and fine-tuned models that stage_finetune persisted."""
+    path = workdir / CHECKPOINTS_FILE
+    spec, vectors = load_checkpoint(path)
+    names = [f"finetuned_{t:02d}" for t in range(len(vectors) - 1)]
+    if sorted(vectors) != sorted(["pretrained", *names]):
+        raise FormatError(f"{path}: expected vectors 'pretrained' and finetuned_00.., "
+                          f"got {sorted(vectors)}")
+    return Checkpoints(spec=spec, pretrained=bind(spec, vectors["pretrained"]),
+                       finetuned=tuple(bind(spec, vectors[name]) for name in names))
 
 
 def stage_sample(config: ExperimentConfig, workdir: Path, tasks: list[TaskData],
                  ckpt: Checkpoints) -> dict[int, CredibleSet]:
-    with _Stage("sample"):
+    with _stage("sample"):
         credible: dict[int, CredibleSet] = {}
         for task in tasks:
             scored = score_pool(ckpt.spec, ckpt.finetuned[task.task_id],
@@ -139,6 +128,19 @@ def stage_sample(config: ExperimentConfig, workdir: Path, tasks: list[TaskData],
     return credible
 
 
+def load_credible(config: ExperimentConfig, workdir: Path) -> dict[int, CredibleSet]:
+    """The credible sets stage_sample persisted; they must match the config's sampling."""
+    path = workdir / CREDIBLE_FILE
+    credible = load_credible_sets(path)
+    for cs in credible.values():
+        if (cs.mode, cs.rate) != (config.sampling.mode, config.sampling.rate):
+            raise FormatError(
+                f"{path}: sampled with mode {cs.mode} rate {cs.rate!r}, but the config asks "
+                f"for mode {config.sampling.mode} rate {config.sampling.rate!r}; run sample again"
+            )
+    return credible
+
+
 def _mask_training_data(config: ExperimentConfig, tasks: list[TaskData],
                         credible: Mapping[int, CredibleSet]):
     """What the mask objective trains on, per the sampling.objective arm."""
@@ -150,44 +152,52 @@ def _mask_training_data(config: ExperimentConfig, tasks: list[TaskData],
 
 
 def merge_with_method(config: ExperimentConfig, tasks: list[TaskData], ckpt: Checkpoints,
-                      credible: Mapping[int, CredibleSet],
-                      plan: MergePlan | None = None) -> tuple[ParamVector, MergeResult | None]:
-    taus = [task_vector(ckpt.finetuned[t], ckpt.pretrained, task_id=t)
-            for t in range(ckpt.num_tasks)]
+                      credible: Mapping[int, CredibleSet]
+                      ) -> tuple[ParamVector, MergeResult | None]:
     if config.method == "avg":
         return weight_average(list(ckpt.finetuned)), None
+    if config.method == "calm":
+        data, objective = _mask_training_data(config, tasks, credible)
+        result = sequential_merge(ckpt, config.plan, data, objective=objective)
+        return result.merged, result
+    taus = [task_vector(ckpt.finetuned[t], ckpt.pretrained, task_id=t)
+            for t in range(ckpt.num_tasks)]
     if config.method == "ta":
         return task_arithmetic(ckpt.pretrained, taus, config.plan.lambda_efficient), None
-    if config.method == "ties":
-        ties_cfg = TiesConfig(config.ties.trim_fraction, config.ties.scale)
-        return ties_merge(ckpt.pretrained, taus, ties_cfg), None
-    data, objective = _mask_training_data(config, tasks, credible)
-    if plan is None:
-        plan = plan_for(config)
-    result = sequential_merge(ckpt, plan, data, objective=objective)
-    return result.merged, result
+    return ties_merge(ckpt.pretrained, taus, config.ties), None
+
+
+def _step_key(index: int, task_id: int) -> str:
+    return f"step{index:02d}_task{task_id:02d}"
 
 
 def stage_merge(config: ExperimentConfig, workdir: Path, tasks: list[TaskData],
-                ckpt: Checkpoints, credible: Mapping[int, CredibleSet],
-                plan: MergePlan | None = None) -> tuple[ParamVector, MergeResult | None]:
-    with _Stage("merge"):
-        merged, result = merge_with_method(config, tasks, ckpt, credible, plan)
+                ckpt: Checkpoints, credible: Mapping[int, CredibleSet]
+                ) -> tuple[ParamVector, MergeResult | None]:
+    """Merge and persist the model; the masks file holds this merge's masks or is absent."""
+    with _stage("merge"):
+        merged, result = merge_with_method(config, tasks, ckpt, credible)
         save_checkpoint(workdir / MERGED_FILE, ckpt.spec, {"merged": merged.values})
         if result is not None and result.steps:
-            masks = {
-                f"step{idx:02d}_task{step.task_id:02d}": step.mask.m
-                for idx, step in enumerate(result.steps)
-            }
+            masks = {_step_key(idx, step.task_id): step.mask.m
+                     for idx, step in enumerate(result.steps)}
             save_checkpoint(workdir / MASKS_FILE, ckpt.spec, masks)
+        else:
+            (workdir / MASKS_FILE).unlink(missing_ok=True)
     return merged, result
 
 
 def stage_evaluate(config: ExperimentConfig, workdir: Path, tasks: list[TaskData],
                    ckpt: Checkpoints, merged: ParamVector,
-                   result: MergeResult | None,
+                   result: MergeResult | None = None,
                    credible: Mapping[int, CredibleSet] | None = None) -> ReportBundle:
-    with _Stage("evaluate"):
+    """Evaluate the merged model and write its reports.
+
+    Mask diagnostics come from `result` when the merge ran in this process and
+    from the persisted masks file otherwise; the density and objective traces
+    exist only in memory, so only the first case reports them.
+    """
+    with _stage("evaluate"):
         per_task, average = evaluate(ckpt.spec, merged, tasks)
         bundle = ReportBundle(
             method=config.method,
@@ -198,23 +208,35 @@ def stage_evaluate(config: ExperimentConfig, workdir: Path, tasks: list[TaskData
         if credible is not None:
             audits = [audit_accuracy(credible[t.task_id], t.audit_labels) for t in tasks]
             bundle.extras["pseudo_label_audit_accuracy"] = float(np.mean(audits))
+        masks: dict[str, tuple[int, BinaryMask]] = {}
         if result is not None:
-            taus = {t: task_vector(ckpt.finetuned[t], ckpt.pretrained, task_id=t)
-                    for t in range(ckpt.num_tasks)}
             for idx, step in enumerate(result.steps):
-                key = f"step{idx:02d}_task{step.task_id:02d}"
-                if "layer_density" in config.report:
-                    bundle.layer_densities[key] = layer_density(step.mask,
-                                                                ckpt.spec.layer_offsets())
+                key = _step_key(idx, step.task_id)
+                masks[key] = (step.task_id, step.mask)
                 if "density_trace" in config.report:
                     bundle.density_traces[key] = step.density_trace
                 if "objective_trace" in config.report:
                     bundle.objective_traces[key] = step.objective_trace
-                if "magnitude_overlap" in config.report:
-                    bundle.magnitude_overlaps[key] = magnitude_overlap(
-                        step.mask, taus[step.task_id].values)
+        elif (workdir / MASKS_FILE).exists():
+            _, vectors = load_checkpoint(workdir / MASKS_FILE)
+            masks = {key: (int(key.rsplit("task", 1)[1]), BinaryMask(vectors[key]))
+                     for key in sorted(vectors)}
+        for key, (task_id, mask) in masks.items():
+            if "layer_density" in config.report:
+                bundle.layer_densities[key] = layer_density(mask, ckpt.spec.layer_offsets())
+            if "magnitude_overlap" in config.report:
+                tau = task_vector(ckpt.finetuned[task_id], ckpt.pretrained, task_id=task_id)
+                bundle.magnitude_overlaps[key] = magnitude_overlap(mask, tau.values)
         write_report(bundle, workdir)
     return bundle
+
+
+def _shared_pipeline(config: ExperimentConfig, workdir: Path):
+    tasks = stage_generate(config, workdir)
+    theta_pre = stage_pretrain(config, workdir, tasks)
+    ckpt = stage_finetune(config, workdir, tasks, theta_pre)
+    credible = stage_sample(config, workdir, tasks, ckpt)
+    return tasks, ckpt, credible
 
 
 def run_experiment(config: ExperimentConfig, workdir: Path) -> ReportBundle:
@@ -222,71 +244,23 @@ def run_experiment(config: ExperimentConfig, workdir: Path) -> ReportBundle:
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     (workdir / "config.resolved.txt").write_text(config_text(config))
-    tasks = stage_generate(config, workdir)
-    ckpt = stage_train(config, workdir, tasks)
-    credible = stage_sample(config, workdir, tasks, ckpt)
+    tasks, ckpt, credible = _shared_pipeline(config, workdir)
     merged, result = stage_merge(config, workdir, tasks, ckpt, credible)
     return stage_evaluate(config, workdir, tasks, ckpt, merged, result, credible)
 
 
-def _load_pipeline(workdir: Path):
-    family, tasks = load_tasks(workdir / DATASETS_FILE)
-    spec, vectors = load_checkpoint(workdir / CHECKPOINTS_FILE)
-    pretrained = bind(spec, vectors["pretrained"])
-    finetuned = tuple(bind(spec, vectors[f"finetuned_{t:02d}"])
-                      for t in range(family.num_tasks))
-    ckpt = Checkpoints(spec=spec, pretrained=pretrained, finetuned=finetuned)
-    return family, tasks, ckpt
-
-
-def recompute_report(config: ExperimentConfig, workdir: Path) -> ReportBundle:
-    """Rebuild the ReportBundle purely from persisted artifacts."""
-    workdir = Path(workdir)
-    with _Stage("report"):
-        family, tasks, ckpt = _load_pipeline(workdir)
-        spec, merged_vectors = load_checkpoint(workdir / MERGED_FILE)
-        merged = bind(spec, merged_vectors["merged"])
-        per_task, average = evaluate(ckpt.spec, merged, tasks)
-        bundle = ReportBundle(
-            method=config.method,
-            task_ids=tuple(t.task_id for t in tasks),
-            per_task_accuracy=per_task,
-            average_accuracy=average,
-        )
-        credible_path = workdir / CREDIBLE_FILE
-        if credible_path.exists():
-            credible = load_credible_sets(credible_path)
-            audits = [audit_accuracy(credible[t.task_id], t.audit_labels) for t in tasks]
-            bundle.extras["pseudo_label_audit_accuracy"] = float(np.mean(audits))
-        masks_path = workdir / MASKS_FILE
-        if masks_path.exists():
-            _, masks = load_checkpoint(masks_path)
-            taus = {t: task_vector(ckpt.finetuned[t], ckpt.pretrained, task_id=t)
-                    for t in range(ckpt.num_tasks)}
-            for key in sorted(masks):
-                mask = BinaryMask(masks[key])
-                task_id = int(key.rsplit("task", 1)[1])
-                if "layer_density" in config.report:
-                    bundle.layer_densities[key] = layer_density(mask, spec.layer_offsets())
-                if "magnitude_overlap" in config.report:
-                    bundle.magnitude_overlaps[key] = magnitude_overlap(mask,
-                                                                       taus[task_id].values)
-        write_report(bundle, workdir)
-    return bundle
-
-
-def _shared_pipeline(config: ExperimentConfig, workdir: Path):
-    tasks = stage_generate(config, workdir)
-    ckpt = stage_train(config, workdir, tasks)
-    credible = stage_sample(config, workdir, tasks, ckpt)
-    return tasks, ckpt, credible
-
-
-def _summary_csv(path: Path, header: list[str], rows: list[list]):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+# one-axis suites: config key, summary.csv columns (the first is the swept value),
+# and the (label, value) points drawn from the base config
+_SWEEPS = {
+    "sampling_rate": ("sampling.rate", ("rate", "average_accuracy", "audit_accuracy"),
+                      lambda c: [(f"rate_{k / 10:.1f}", k / 10) for k in range(1, 11)]),
+    "strategy": ("plan.strategy", ("strategy", "average_accuracy"),
+                 lambda c: [(f"strategy_{s}", s) for s in STRATEGIES]),
+    "reg_coef": ("plan.l1_weight", ("l1_weight", "average_accuracy"),
+                 lambda c: [(f"reg_{v}", v) for v in (0.5, 1.0, 2.0)]),
+    "lr": ("plan.mask_lr", ("mask_lr", "average_accuracy"),
+           lambda c: [(f"lr_{f}", c.plan.mask_lr * f) for f in (0.5, 1.0, 2.0)]),
+}
 
 
 def ablation_suite(config: ExperimentConfig, suite: str, workdir: Path) -> list[dict]:
@@ -295,85 +269,49 @@ def ablation_suite(config: ExperimentConfig, suite: str, workdir: Path) -> list[
         raise ConfigError(f"unknown suite {suite!r}; valid suites: {', '.join(SUITES)}")
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    config = with_entries(config, method="calm")
-    tasks, ckpt, _ = _shared_pipeline(config, workdir)
+    config = apply_overrides(config, {"method": "calm"})
+    tasks, ckpt, credible = _shared_pipeline(config, workdir)
     records: list[dict] = []
 
-    def run_point(point_config: ExperimentConfig, label: str,
-                  plan: MergePlan | None = None) -> dict:
+    def run_point(point_config: ExperimentConfig, label: str) -> dict:
         point_dir = workdir / label
         point_dir.mkdir(parents=True, exist_ok=True)
         (point_dir / "config.resolved.txt").write_text(config_text(point_config))
         credible = stage_sample(point_config, point_dir, tasks, ckpt)
-        merged, result = stage_merge(point_config, point_dir, tasks, ckpt, credible, plan)
+        merged, result = stage_merge(point_config, point_dir, tasks, ckpt, credible)
         bundle = stage_evaluate(point_config, point_dir, tasks, ckpt, merged, result,
                                 credible)
         return {"label": label, "average_accuracy": bundle.average_accuracy,
+                "audit_accuracy": bundle.extras["pseudo_label_audit_accuracy"],
                 "bundle": bundle}
 
-    if suite == "sampling_rate":
-        for rate in [round(0.1 * k, 1) for k in range(1, 11)]:
-            point = with_entries(config, **{"sampling.rate": str(rate)})
-            record = run_point(point, f"rate_{rate:.1f}")
-            record["rate"] = rate
-            record["audit_accuracy"] = record["bundle"].extras["pseudo_label_audit_accuracy"]
+    if suite in _SWEEPS:
+        key, columns, points = _SWEEPS[suite]
+        for label, value in points(config):
+            record = run_point(apply_overrides(config, {key: value}), label)
+            record[columns[0]] = value
             records.append(record)
-        _summary_csv(workdir / "summary.csv", ["rate", "average_accuracy", "audit_accuracy"],
-                     [[r["rate"], r["average_accuracy"], r["audit_accuracy"]] for r in records])
-
-    elif suite == "strategy":
-        for strategy in ("both", "only_mask", "only_complement"):
-            point = with_entries(config, **{"plan.strategy": strategy})
-            record = run_point(point, f"strategy_{strategy}")
-            record["strategy"] = strategy
-            records.append(record)
-        _summary_csv(workdir / "summary.csv", ["strategy", "average_accuracy"],
-                     [[r["strategy"], r["average_accuracy"]] for r in records])
+        rows = [list(columns)] + [[r[c] for c in columns] for r in records]
 
     elif suite == "order":
-        num_sequential = config.plan.num_sequential
-        base_plan = plan_for(config)
         task_ids = range(config.family.num_tasks)
-        for pair in itertools.permutations(task_ids, num_sequential):
+        for pair in itertools.permutations(task_ids, config.plan.num_sequential):
             eff = tuple(t for t in task_ids if t not in pair)
-            plan = plan_with(base_plan, efficient_set=eff, sequential_set=pair)
-            label = "order_" + "_".join(str(t) for t in pair)
-            record = run_point(config, label, plan)
+            point = replace(config, plan=replace(config.plan, efficient_set=eff,
+                                                 sequential_set=pair))
+            record = run_point(point, "order_" + "_".join(str(t) for t in pair))
             record["sequence"] = pair
             records.append(record)
         accs = np.array([r["average_accuracy"] for r in records])
-        rows = [["_".join(str(t) for t in r["sequence"]), r["average_accuracy"]]
-                for r in records]
+        rows = [["sequence", "average_accuracy"]]
+        rows += [["_".join(str(t) for t in r["sequence"]), r["average_accuracy"]]
+                 for r in records]
         rows.append(["mean", float(accs.mean())])
         rows.append(["std", float(accs.std())])
-        _summary_csv(workdir / "summary.csv", ["sequence", "average_accuracy"], rows)
-
-    elif suite == "reg_coef":
-        for coef in (0.5, 1.0, 2.0):
-            point = with_entries(config, **{"plan.l1_weight": str(coef)})
-            record = run_point(point, f"reg_{coef}")
-            record["l1_weight"] = coef
-            records.append(record)
-        _summary_csv(workdir / "summary.csv", ["l1_weight", "average_accuracy"],
-                     [[r["l1_weight"], r["average_accuracy"]] for r in records])
-
-    elif suite == "lr":
-        base_lr = config.plan.mask_lr
-        for factor in (0.5, 1.0, 2.0):
-            lr = base_lr * factor
-            point = with_entries(config, **{"plan.mask_lr": repr(lr)})
-            record = run_point(point, f"lr_{factor}")
-            record["mask_lr"] = lr
-            records.append(record)
-        _summary_csv(workdir / "summary.csv", ["mask_lr", "average_accuracy"],
-                     [[r["mask_lr"], r["average_accuracy"]] for r in records])
 
     else:  # components
-        point = with_entries(config, **{"plan.num_sequential": "1"})
-        credible = stage_sample(point, workdir, tasks, ckpt)
-        plan = plan_for(point)
-        data, objective = _mask_training_data(point, tasks, credible)
-        result = sequential_merge(ckpt, plan, data, objective=objective)
+        point = apply_overrides(config, {"plan.num_sequential": 1})
+        _, result = stage_merge(point, workdir, tasks, ckpt, credible)
         step = result.steps[0]
         j = step.task_id
         pre = ckpt.pretrained.values
@@ -388,7 +326,7 @@ def ablation_suite(config: ExperimentConfig, suite: str, workdir: Path) -> list[
             ("pre+M*tau_seq", pre + mask * tau_seq),
             ("pre+(1-M)*tau_bulk+M*tau_seq", result.merged.values.copy()),
         ]
-        summary_rows = []
+        rows = [["configuration", "average_accuracy", "target_task_accuracy"]]
         for label, values in configurations:
             theta = bind(ckpt.spec, values)
             per_task, average = evaluate(ckpt.spec, theta, tasks)
@@ -399,9 +337,7 @@ def ablation_suite(config: ExperimentConfig, suite: str, workdir: Path) -> list[
                 "target_accuracy": float(per_task[j]),
                 "per_task": per_task,
             })
-            summary_rows.append([label, average, float(per_task[j])])
-        _summary_csv(workdir / "summary.csv",
-                     ["configuration", "average_accuracy", "target_task_accuracy"],
-                     summary_rows)
+            rows.append([label, average, float(per_task[j])])
 
+    (workdir / "summary.csv").write_text(_csv_lines(rows))
     return records

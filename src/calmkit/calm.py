@@ -11,7 +11,7 @@ source.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -63,6 +63,10 @@ class MergePlan:
             raise ContractError("init_active_fraction must lie in [0, 1)")
         if self.strategy not in STRATEGIES:
             raise ContractError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
+
+    @property
+    def num_sequential(self) -> int:
+        return len(self.sequential_set)
 
 
 @dataclass(frozen=True)
@@ -414,8 +418,3 @@ def sequential_merge(checkpoints: Checkpoints, plan: MergePlan,
     merged = ParamVector(theta_pre.values + state.tau_seq.values, theta_pre.spec_hash,
                          theta_pre.layer_offsets)
     return MergeResult(merged=merged, final_tau=state.tau_seq, steps=tuple(steps), plan=plan)
-
-
-def plan_with(plan: MergePlan, **overrides) -> MergePlan:
-    """Copy a plan with some hyperparameters replaced."""
-    return replace(plan, **overrides)

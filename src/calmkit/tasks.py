@@ -259,19 +259,20 @@ def finetune(spec: ModelSpec, theta_pre: ParamVector, task: TaskData, epochs: in
     )
 
 
-def build_checkpoints(family: TaskFamily, config: TrainConfig = TrainConfig(),
-                      tasks: list[TaskData] | None = None) -> tuple[list[TaskData], Checkpoints]:
-    """Full data + training pipeline; verifies each fine-tuned model's own-task floor."""
-    if tasks is None:
-        tasks = generate_family(family)
-    spec = ModelSpec(family.input_dim, config.hidden_dims, family.classes_per_task,
+def model_spec(family: TaskFamily, config: TrainConfig) -> ModelSpec:
+    """The MLP that `config` trains on the tasks of `family`."""
+    return ModelSpec(family.input_dim, config.hidden_dims, family.classes_per_task,
                      config.activation)
-    theta_pre = pretrain(spec, tasks, config.pretrain_epochs, config.pretrain_lr,
-                         config.batch_size, family.seed)
+
+
+def finetune_all(spec: ModelSpec, theta_pre: ParamVector, tasks: list[TaskData],
+                 config: TrainConfig, seed: int) -> Checkpoints:
+    """Fine-tune theta_pre on every task; each model must reach the accuracy floor on
+    its own test split."""
     finetuned = []
     for task in tasks:
         theta_ft = finetune(spec, theta_pre, task, config.finetune_epochs, config.finetune_lr,
-                            config.batch_size, family.seed, config.head_mode)
+                            config.batch_size, seed, config.head_mode)
         own = accuracy(spec, theta_ft, task.test)
         if own < config.accuracy_floor:
             raise ContractError(
@@ -279,4 +280,15 @@ def build_checkpoints(family: TaskFamily, config: TrainConfig = TrainConfig(),
                 f"floor {config.accuracy_floor}; adjust the training config"
             )
         finetuned.append(theta_ft)
-    return tasks, Checkpoints(spec=spec, pretrained=theta_pre, finetuned=tuple(finetuned))
+    return Checkpoints(spec=spec, pretrained=theta_pre, finetuned=tuple(finetuned))
+
+
+def build_checkpoints(family: TaskFamily, config: TrainConfig = TrainConfig(),
+                      tasks: list[TaskData] | None = None) -> tuple[list[TaskData], Checkpoints]:
+    """Full data + training pipeline; verifies each fine-tuned model's own-task floor."""
+    if tasks is None:
+        tasks = generate_family(family)
+    spec = model_spec(family, config)
+    theta_pre = pretrain(spec, tasks, config.pretrain_epochs, config.pretrain_lr,
+                         config.batch_size, family.seed)
+    return tasks, finetune_all(spec, theta_pre, tasks, config, family.seed)

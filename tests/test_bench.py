@@ -1,0 +1,181 @@
+"""Tests of the calm-bench harness: every route to a report writes the same bytes,
+configs are checked when they are resolved, and each stage reads what the stage
+before it persisted."""
+import hashlib
+
+import pytest
+
+from calmkit.bench import cli
+from calmkit.bench import runner
+from calmkit.bench.config import build_config
+from calmkit.bench.formats import load_checkpoint, save_checkpoint
+from calmkit.bench.runner import (
+    CHECKPOINTS_FILE,
+    CREDIBLE_FILE,
+    MASKS_FILE,
+    ablation_suite,
+    run_experiment,
+)
+
+# the small config the benchmark's own tests run on
+TINY = {
+    "family.num_tasks": "3",
+    "family.train_per_task": "40",
+    "family.unlabeled_per_task": "40",
+    "family.test_per_task": "40",
+    "train.pretrain_epochs": "10",
+    "train.finetune_epochs": "10",
+    "train.accuracy_floor": "0.0",
+    "plan.iterations_per_task": "4",
+}
+DIAGNOSTIC_REPORT = "accuracy, layer_density, magnitude_overlap"
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _cli(command: str, workdir, entries=None, *extra: str) -> int:
+    flags = [arg for key, value in (entries or {}).items() for arg in (f"--{key}", value)]
+    return cli.main([command, *flags, "--workdir", str(workdir), *extra])
+
+
+def _staged(workdir, entries=None):
+    for command in ("gen-tasks", "pretrain", "finetune", "sample"):
+        assert _cli(command, workdir, entries) == 0
+
+
+def _reports(directory) -> dict[str, bytes]:
+    paths = [directory / "report.txt", *sorted(directory.glob("*.csv"))]
+    return {path.name: path.read_bytes() for path in paths}
+
+
+@pytest.mark.parametrize("method", ["avg", "ta", "ties", "calm"])
+def test_one_shot_eval_and_report_write_the_same_reports(method, tmp_path):
+    entries = {**TINY, "method": method}
+    run_experiment(build_config(entries), tmp_path / "one")
+    staged = tmp_path / "staged"
+    _staged(staged, entries)
+    assert _cli("merge", staged, entries) == 0
+    assert _cli("eval", staged, entries) == 0
+    evaluated = _reports(staged)
+    assert _cli("report", staged, entries) == 0
+    assert evaluated == _reports(staged) == _reports(tmp_path / "one")
+    assert b"pseudo_label_audit_accuracy" in evaluated["report.txt"]
+
+
+def test_persisted_mask_diagnostics_match_the_one_shot_run(tmp_path):
+    entries = {**TINY, "report": DIAGNOSTIC_REPORT}
+    run_experiment(build_config(entries), tmp_path / "one")
+    staged = tmp_path / "staged"
+    _staged(staged, entries)
+    assert _cli("merge", staged, entries) == 0
+    assert _cli("report", staged, entries) == 0
+    reported = _reports(staged)
+    assert set(reported) == {"report.txt", "report.csv", "layer_density.csv",
+                             "magnitude_overlap.csv"}
+    assert reported == _reports(tmp_path / "one")
+
+
+def test_default_config_staged_reports_keep_their_hashes(tmp_path):
+    # sha256 prefixes of report.csv, as the staged CLI wrote them before the
+    # stages shared one report builder
+    expected = {"avg": "365b306a877fa7d1", "ta": "2b9609b8c585f470",
+                "ties": "dead7c0d119f6258", "calm": "c4c090e8fb432847"}
+    _staged(tmp_path)
+    for method, digest in expected.items():
+        assert _cli("merge", tmp_path, {"method": method}) == 0
+        assert _cli("eval", tmp_path, {"method": method}) == 0
+        assert _sha((tmp_path / "report.csv").read_bytes()) == digest, method
+
+
+def test_default_config_text_keeps_its_hash(tmp_path, capsys):
+    assert _cli("report", tmp_path, None, "--defaults") == 0
+    assert _sha(capsys.readouterr().out.encode()) == "03f9f002a7b88c7e"
+
+
+@pytest.mark.parametrize("key,value", [
+    ("ties.trim_fraction", "0"),
+    ("ties.scale", "-1"),
+    ("plan.lambda_efficient", "0"),
+    ("plan.iterations_per_task", "0"),
+    ("plan.init_active_fraction", "1.5"),
+])
+def test_invalid_plan_and_ties_values_are_config_errors(key, value, tmp_path, capsys):
+    assert _cli("gen-tasks", tmp_path, {key: value}) == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+# sha256 prefixes of summary.csv on TINY, captured before the suites shared one sweep
+SUITE_SUMMARIES = {
+    "sampling_rate": "5775a019a2bccd1d",
+    "strategy": "5e6dded302b84723",
+    "order": "2c5111df5180abf3",
+    "reg_coef": "7d09853fbd5ff6ce",
+    "lr": "5f33b2de8ec33f0b",
+    "components": "f72347932bce4617",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_SUMMARIES))
+def test_suite_summaries_keep_their_bytes(suite, tmp_path):
+    ablation_suite(build_config(TINY), suite, tmp_path)
+    assert _sha((tmp_path / "summary.csv").read_bytes()) == SUITE_SUMMARIES[suite]
+
+
+def test_merge_reads_the_persisted_credible_sets(tmp_path, monkeypatch):
+    _staged(tmp_path, TINY)
+    before = (tmp_path / CREDIBLE_FILE).read_bytes()
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("merge sampled again")
+
+    monkeypatch.setattr(runner, "score_pool", no_sampling)
+    assert _cli("merge", tmp_path, TINY) == 0
+    assert (tmp_path / CREDIBLE_FILE).read_bytes() == before
+
+
+@pytest.mark.parametrize("key,value", [("sampling.rate", "0.5"), ("sampling.mode", "ems")])
+def test_merge_rejects_credible_sets_of_another_sampling_config(key, value, tmp_path, capsys):
+    _staged(tmp_path, TINY)
+    capsys.readouterr()
+    assert _cli("merge", tmp_path, {**TINY, key: value}) == 2
+    assert "run sample again" in capsys.readouterr().err
+
+
+def test_a_merge_without_masks_removes_the_stale_masks(tmp_path):
+    entries = {**TINY, "report": DIAGNOSTIC_REPORT}
+    _staged(tmp_path, entries)
+    assert _cli("merge", tmp_path, entries) == 0
+    assert _cli("report", tmp_path, entries) == 0
+    assert (tmp_path / MASKS_FILE).exists()
+    assert (tmp_path / "layer_density.csv").exists()
+    avg = {**entries, "method": "avg"}
+    assert _cli("merge", tmp_path, avg) == 0
+    assert not (tmp_path / MASKS_FILE).exists()
+    assert _cli("report", tmp_path, avg) == 0
+    assert set(_reports(tmp_path)) == {"report.txt", "report.csv"}
+
+
+def test_finetune_floor_miss_is_a_stage_error(tmp_path, capsys):
+    entries = {**TINY, "train.pretrain_epochs": "0", "train.finetune_epochs": "0",
+               "train.accuracy_floor": "0.9"}
+    for command in ("gen-tasks", "pretrain"):
+        assert _cli(command, tmp_path, entries) == 0
+    capsys.readouterr()
+    assert _cli("finetune", tmp_path, entries) == 2
+    err = capsys.readouterr().err
+    assert "stage 'finetune' failed" in err and "below the floor" in err
+
+
+def test_checkpoints_without_every_finetuned_model_are_a_format_error(tmp_path, capsys):
+    _staged(tmp_path, TINY)
+    path = tmp_path / CHECKPOINTS_FILE
+    spec, vectors = load_checkpoint(path)
+    del vectors["finetuned_01"]
+    save_checkpoint(path, spec, vectors)
+    capsys.readouterr()
+    assert _cli("sample", tmp_path, TINY) == 2
+    assert "finetuned_00" in capsys.readouterr().err
+

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from calmkit.calm import (
     masked_merge,
     optimize_mask,
     partition,
-    plan_with,
     sequential_merge,
     sigmoid,
 )
@@ -335,7 +336,7 @@ class TestSequentialMerge:
 
     def test_every_coordinate_comes_from_a_source(self, mini_pipeline):
         family, tasks, ckpt, credible = mini_pipeline
-        plan = plan_with(partition(range(family.num_tasks), 2, seed=2),
+        plan = replace(partition(range(family.num_tasks), 2, seed=2),
                          iterations_per_task=10)
         result = sequential_merge(ckpt, plan, credible)
         taus = {t: task_vector(ckpt.finetuned[t], ckpt.pretrained, task_id=t)
@@ -352,7 +353,7 @@ class TestSequentialMerge:
 
     def test_bit_reproducible(self, mini_pipeline):
         family, tasks, ckpt, credible = mini_pipeline
-        plan = plan_with(partition(range(family.num_tasks), 1, seed=4),
+        plan = replace(partition(range(family.num_tasks), 1, seed=4),
                          iterations_per_task=8)
         a = sequential_merge(ckpt, plan, credible)
         b = sequential_merge(ckpt, plan, credible)
@@ -363,7 +364,7 @@ class TestSequentialMerge:
 
     def test_missing_credible_set_is_an_error(self, mini_pipeline):
         family, tasks, ckpt, credible = mini_pipeline
-        plan = plan_with(partition(range(family.num_tasks), 1, seed=4),
+        plan = replace(partition(range(family.num_tasks), 1, seed=4),
                          iterations_per_task=2)
         partial = dict(credible)
         del partial[plan.sequential_set[0]]
@@ -378,7 +379,7 @@ class TestSequentialMerge:
 
     def test_density_traces_within_unit_interval(self, mini_pipeline):
         family, tasks, ckpt, credible = mini_pipeline
-        plan = plan_with(partition(range(family.num_tasks), 2, seed=5),
+        plan = replace(partition(range(family.num_tasks), 2, seed=5),
                          iterations_per_task=12)
         result = sequential_merge(ckpt, plan, credible)
         for step in result.steps:
@@ -387,9 +388,9 @@ class TestSequentialMerge:
 
     def test_carry_over_mask_flag(self, mini_pipeline):
         family, tasks, ckpt, credible = mini_pipeline
-        base = plan_with(partition(range(family.num_tasks), 2, seed=6),
+        base = replace(partition(range(family.num_tasks), 2, seed=6),
                          iterations_per_task=5)
-        carried = plan_with(base, reinit_mask_per_task=False)
+        carried = replace(base, reinit_mask_per_task=False)
         a = sequential_merge(ckpt, base, credible)
         b = sequential_merge(ckpt, carried, credible)
         # second step starts from the first step's final mask instead of a fresh init
