@@ -144,8 +144,8 @@ def _run_command(args: argparse.Namespace) -> int:
         print(f"wrote {workdir / MERGED_FILE}")
     else:  # eval and report: the same report, rebuilt from the persisted artifacts
         bundle = stage_evaluate(config, workdir, tasks, load_checkpoints(workdir),
-                                _load_model(workdir / MERGED_FILE, "merged"), None,
-                                load_credible(config, workdir))
+                                _load_model(workdir / MERGED_FILE, "merged"),
+                                credible=load_credible(config, workdir))
         print((workdir / "report.txt").read_text(), end="")
         if args.command == "eval":
             print(f"average accuracy: {bundle.average_accuracy:.4f}")
