@@ -3,11 +3,13 @@
 An experiment runs generate -> pretrain -> finetune -> sample -> merge ->
 evaluate, persisting every stage's artifacts into one working directory. Any
 stage failure is wrapped in StageError carrying the stage name. Ablation
-suites rebuild the shared pipeline once and sweep a single axis.
+suites rebuild the shared pipeline once and sweep a single axis; a point
+samples again only when its sampling section differs from the shared one.
 """
 from __future__ import annotations
 
 import itertools
+import shutil
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -277,10 +279,16 @@ def ablation_suite(config: ExperimentConfig, suite: str, workdir: Path) -> list[
         point_dir = workdir / label
         point_dir.mkdir(parents=True, exist_ok=True)
         (point_dir / "config.resolved.txt").write_text(config_text(point_config))
-        credible = stage_sample(point_config, point_dir, tasks, ckpt)
-        merged, result = stage_merge(point_config, point_dir, tasks, ckpt, credible)
+        if point_config.sampling == config.sampling:
+            # the shared sets; the copy lets `report --workdir <point>` read them
+            with _stage("sample"):
+                shutil.copyfile(workdir / CREDIBLE_FILE, point_dir / CREDIBLE_FILE)
+            point_credible = credible
+        else:
+            point_credible = stage_sample(point_config, point_dir, tasks, ckpt)
+        merged, result = stage_merge(point_config, point_dir, tasks, ckpt, point_credible)
         bundle = stage_evaluate(point_config, point_dir, tasks, ckpt, merged, result,
-                                credible)
+                                point_credible)
         return {"label": label, "average_accuracy": bundle.average_accuracy,
                 "audit_accuracy": bundle.extras["pseudo_label_audit_accuracy"],
                 "bundle": bundle}

@@ -8,6 +8,15 @@ optimization, trained against the summed cross-entropy of every visible
 task's credible samples plus an L1 sparsity term, and rounded once at the
 end, so the final update copies every coordinate verbatim from exactly one
 source.
+
+The data term is one weighted pass over the rows of every visible task's
+batches: each row weighs 1 / (batches of its task * rows of its batch), which
+is the per-task mean over batches of the per-batch mean. The pass runs in
+blocks of ROW_BLOCK rows, so that a block's activations stay in a core's L2
+cache at the larger model sizes: a whole-stack pass of about 1,920 rows makes
+1,920 x 256 float64 temporaries (3.9 MB) at the (256, 256) size, and on a
+host with 2 MiB of L2 per core it ran at 0.88x the speed of one pass per
+128-row batch.
 """
 from __future__ import annotations
 
@@ -17,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .baselines import TaskVector, ordered_sum, task_vector
-from .nn import ContractError, ModelSpec, ParamVector, _backward, _forward_acts, bind, cross_entropy, softmax
+from .nn import ContractError, ModelSpec, ParamVector, _backward, _check_labels, _forward_acts, _loss_and_dlogits
 from .sampling import CredibleSet
 from .seeding import STAGE_MASK_BATCHES, STAGE_MASK_INIT, STAGE_PARTITION, rng_for
 from .tasks import Checkpoints
@@ -26,6 +35,9 @@ STRATEGIES = ("both", "only_mask", "only_complement")
 OBJECTIVES = ("cross_entropy", "entropy")
 
 INIT_MAGNITUDE = 4.595  # sigmoid(+-4.595) ~= 0.99 / 0.01
+# Rows per forward/backward block of the mask objective. Of 128, 384, 640 and
+# 1,920 rows, 384 was fastest or near it at 709, 71k and 1.07M parameters.
+ROW_BLOCK = 384
 
 
 @dataclass(frozen=True)
@@ -216,20 +228,27 @@ def masked_merge(tau_seq: TaskVector, tau_j: TaskVector, mask: RealMask | Binary
 TaskExamples = Mapping[int, tuple[np.ndarray, np.ndarray | None]]
 
 
-def _data_loss_and_dlogits(logits: np.ndarray, labels: np.ndarray | None, objective: str):
-    n = logits.shape[0]
-    if objective == "cross_entropy":
-        if labels is None:
-            raise ContractError("cross_entropy objective needs labels")
-        loss = cross_entropy(logits, labels)
-        dz = softmax(logits)
-        dz[np.arange(n), labels] -= 1.0
-        return loss, dz / n
-    p = softmax(logits)
-    logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    per_row = -np.sum(p * logp, axis=1)
-    dz = -p * (logp + per_row[:, None]) / n
-    return float(np.mean(per_row)), dz
+def _stacked_rows(spec: ModelSpec, visible_tasks: Sequence[int],
+                  task_batches: Mapping[int, Sequence[tuple]], objective: str):
+    """Every visible task's batches as one stack of inputs, labels and row weights."""
+    inputs, labels, weights = [], [], []
+    for t in visible_tasks:
+        if t not in task_batches:
+            raise ContractError(f"no credible data supplied for visible task {t}")
+        batches = task_batches[t]
+        for x, y in batches:
+            if len(x) == 0:
+                raise ContractError(f"visible task {t} has an empty batch")
+            if objective == "cross_entropy" and y is None:
+                raise ContractError("cross_entropy objective needs labels")
+            inputs.append(x)
+            labels.append(y)
+            weights.append(np.full(len(x), 1.0 / (len(batches) * len(x))))
+    x = np.concatenate(inputs).astype(np.float64, copy=False)
+    if objective == "entropy":
+        return x, None, np.concatenate(weights)
+    y = _check_labels(np.concatenate(labels).astype(np.int64, copy=False), spec.num_classes)
+    return x, y, np.concatenate(weights)
 
 
 def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: SequentialState,
@@ -243,14 +262,21 @@ def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: Sequenti
     normalized per coordinate so l1_weight stays meaningful at any parameter
     count; an unnormalized sum would bury the data signal. The gradient chains
     the parameter gradient through the merge direction and sigmoid'(r).
+
+    The data term is one weighted pass over all visible rows, in blocks of
+    ROW_BLOCK rows (see the module docstring for why blocks); row i weighs
+    1 / (batches of its task * rows of its batch). The sums run in another
+    order than a per-batch loop, so results differ from one in the last bits.
     """
     if objective not in OBJECTIVES:
         raise ContractError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     if strategy not in STRATEGIES:
         raise ContractError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    for t in state.visible_tasks:
-        if t not in task_batches:
-            raise ContractError(f"no credible data supplied for visible task {t}")
+    if theta_pre.size != spec.parameter_count:
+        raise ContractError(
+            f"expected {spec.parameter_count} parameters for spec, got {theta_pre.size}"
+        )
+    inputs, labels, weights = _stacked_rows(spec, state.visible_tasks, task_batches, objective)
     m = sigmoid(mask.r)
     if strategy == "both":
         tau_values = (1.0 - m) * state.tau_seq.values + m * tau_j.values
@@ -261,22 +287,17 @@ def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: Sequenti
     else:
         tau_values = (1.0 - m) * state.tau_seq.values + tau_j.values
         direction = -state.tau_seq.values
-    theta = bind(spec, theta_pre.values + tau_values)
+    theta = theta_pre.values + tau_values
 
     data_loss = 0.0
     dtheta = np.zeros(theta_pre.size)
-    for t in state.visible_tasks:
-        batches = task_batches[t]
-        task_loss = 0.0
-        task_grad = np.zeros(theta_pre.size)
-        for inputs, labels in batches:
-            inputs = np.asarray(inputs, dtype=np.float64)
-            acts = _forward_acts(spec, theta.values, inputs)
-            loss_b, dz = _data_loss_and_dlogits(acts[-1], labels, objective)
-            task_loss += loss_b
-            task_grad += _backward(spec, acts, theta.values, dz)
-        data_loss += task_loss / len(batches)
-        dtheta += task_grad / len(batches)
+    for start in range(0, len(inputs), ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        acts = _forward_acts(spec, theta, inputs[rows])
+        losses, dz = _loss_and_dlogits(acts[-1], None if labels is None else labels[rows])
+        data_loss += float(losses @ weights[rows])
+        dz *= weights[rows, None]
+        dtheta += _backward(spec, acts, theta, dz)
 
     n = theta_pre.size
     sig_grad = m * (1.0 - m)
@@ -322,20 +343,18 @@ def optimize_mask(spec: ModelSpec, theta_pre: ParamVector, state: SequentialStat
     objective trace holds the pre-step loss per iteration; the density trace
     holds the rounded-mask density before the first and after every step.
     """
-    for t in state.visible_tasks:
-        if t not in task_data:
-            raise ContractError(f"no credible data supplied for visible task {t}")
     r = init.r.copy()
     objective_trace = np.zeros(plan.iterations_per_task)
     density_trace = np.zeros(plan.iterations_per_task + 1)
     density_trace[0] = float(np.mean(r >= 0.0))
     for it in range(plan.iterations_per_task):
+        # a visible task without data is reported by consensus_objective
         batches = {
             t: [
                 _draw_batch(rng, task_data[t][0], task_data[t][1], plan.batch_size)
                 for _ in range(plan.batches_per_task)
             ]
-            for t in state.visible_tasks
+            for t in state.visible_tasks if t in task_data
         }
         loss, grad_r = consensus_objective(
             spec, theta_pre, state, tau_j, RealMask(r), batches,
@@ -387,9 +406,6 @@ def sequential_merge(checkpoints: Checkpoints, plan: MergePlan,
     carried: RealMask | None = None
     for step_idx, j in enumerate(plan.sequential_set):
         state = SequentialState(state.tau_seq, state.visible_tasks + (j,), step_idx)
-        for t in state.visible_tasks:
-            if t not in task_data:
-                raise ContractError(f"no credible data supplied for visible task {t}")
         if carried is None or plan.reinit_mask_per_task:
             init = init_mask(theta_pre.size, plan.init_active_fraction,
                              rng_for(plan.seed, STAGE_MASK_INIT, step_idx))

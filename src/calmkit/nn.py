@@ -184,19 +184,23 @@ def _layers(spec: ModelSpec, values: np.ndarray):
     return out
 
 
-def _activate(spec: ModelSpec, z: np.ndarray) -> np.ndarray:
-    if spec.activation == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
-
-
 def _forward_acts(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray) -> list[np.ndarray]:
-    """Per-layer post-activation values; acts[0] is the input, acts[-1] the logits."""
+    """Per-layer post-activation values; acts[0] is the input, acts[-1] the logits.
+
+    The bias and the activation are applied in place on the product, so each
+    layer allocates one array; the values are those of `act(a @ w + b)`.
+    """
     acts = [inputs]
     layers = _layers(spec, values)
     for idx, (w, b) in enumerate(layers):
-        z = acts[-1] @ w + b
-        acts.append(z if idx == len(layers) - 1 else _activate(spec, z))
+        z = acts[-1] @ w
+        z += b
+        if idx < len(layers) - 1:
+            if spec.activation == "relu":
+                np.maximum(z, 0.0, out=z)
+            else:
+                np.tanh(z, out=z)
+        acts.append(z)
     return acts
 
 
@@ -223,9 +227,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - np.max(z, axis=-1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ContractError(
+            f"labels must lie in [0, {num_classes}), got range [{labels.min()}, {labels.max()}]"
+        )
+    return labels
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -233,17 +240,12 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim == 1:
         z = z[None, :]
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    labels = _check_labels(np.asarray(labels, dtype=np.int64).reshape(-1), z.shape[1])
     if labels.shape[0] != z.shape[0]:
         raise ContractError(f"{labels.shape[0]} labels for {z.shape[0]} logit rows")
-    if labels.size and (labels.min() < 0 or labels.max() >= z.shape[1]):
-        raise ContractError(
-            f"labels must lie in [0, {z.shape[1]}), got range [{labels.min()}, {labels.max()}]"
-        )
     if not np.all(np.isfinite(z)):
         raise ContractError("cross_entropy requires finite logits")
-    logp = _log_softmax(z)
-    return float(-np.mean(logp[np.arange(z.shape[0]), labels]))
+    return float(np.mean(_loss_and_dlogits(z, labels)[0]))
 
 
 def prediction_entropy(logits: np.ndarray):
@@ -257,6 +259,32 @@ def prediction_entropy(logits: np.ndarray):
     plogp = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
     h = -np.sum(plogp, axis=-1)
     return float(h) if z.ndim == 1 else h
+
+
+def _loss_and_dlogits(logits: np.ndarray, labels: np.ndarray | None
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row loss and its gradient with respect to that row's logits.
+
+    With labels the loss is cross-entropy, -log p[label], with gradient
+    p - onehot(label); with `labels=None` it is the prediction entropy
+    H = -sum p log p, with gradient -p * (log p + H). The softmax is computed
+    once, with the same operations as `softmax`, and log p as the shifted
+    logits minus the log of their exp-sum. Callers scale the gradient rows by
+    their reduction (a mean, or per-row weights).
+    """
+    shifted = logits - np.max(logits, axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = np.sum(e, axis=1, keepdims=True)
+    p = e / total
+    logp = shifted - np.log(total)
+    if labels is None:
+        losses = -np.sum(p * logp, axis=1)
+        p *= logp + losses[:, None]
+        np.negative(p, out=p)
+        return losses, p
+    rows = np.arange(logits.shape[0])
+    p[rows, labels] -= 1.0
+    return -logp[rows, labels], p
 
 
 def _backward(spec: ModelSpec, acts: list[np.ndarray], values: np.ndarray,
@@ -274,12 +302,12 @@ def _backward(spec: ModelSpec, acts: list[np.ndarray], values: np.ndarray,
         grad[start : start + fi * fo] = (a_prev.T @ dz).reshape(-1)
         grad[start + fi * fo : start + (fi + 1) * fo] = dz.sum(axis=0)
         if idx > 0:
-            da = dz @ w.T
+            dz = dz @ w.T
             a = acts[idx]
             if spec.activation == "relu":
-                dz = da * (a > 0.0)
+                dz *= a > 0.0
             else:
-                dz = da * (1.0 - a * a)
+                dz *= 1.0 - a * a
     return grad
 
 
@@ -293,13 +321,10 @@ def loss_and_grad(spec: ModelSpec, params: ParamVector, batch: Batch) -> GradRes
             f"inputs axis 1 has {batch.inputs.shape[1]} features, spec.input_dim is {spec.input_dim}"
         )
     acts = _forward_acts(spec, params.values, batch.inputs)
-    logits = acts[-1]
-    loss = cross_entropy(logits, batch.labels)
-    n = logits.shape[0]
-    dz = softmax(logits)
-    dz[np.arange(n), batch.labels] -= 1.0
-    dz /= n
-    return GradResult(loss, _backward(spec, acts, params.values, dz))
+    losses, dz = _loss_and_dlogits(acts[-1], _check_labels(batch.labels, spec.num_classes))
+    # the mean, not a 1/n row weight: `dz / n` and `dz * (1 / n)` differ in the last bit
+    dz /= len(batch)
+    return GradResult(float(np.mean(losses)), _backward(spec, acts, params.values, dz))
 
 
 def sgd_step(params: ParamVector, grad: np.ndarray, learning_rate: float) -> ParamVector:

@@ -124,6 +124,23 @@ def test_suite_summaries_keep_their_bytes(suite, tmp_path):
     assert _sha((tmp_path / "summary.csv").read_bytes()) == SUITE_SUMMARIES[suite]
 
 
+def test_order_suite_samples_once_and_copies_the_shared_sets(tmp_path, monkeypatch):
+    calls = []
+    score_pool = runner.score_pool
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return score_pool(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "score_pool", counted)
+    records = ablation_suite(build_config(TINY), "order", tmp_path)
+    assert len(calls) == int(TINY["family.num_tasks"])  # one pass, one call per task
+    shared = (tmp_path / CREDIBLE_FILE).read_bytes()
+    assert len(records) == 6
+    for record in records:
+        assert (tmp_path / record["label"] / CREDIBLE_FILE).read_bytes() == shared
+
+
 def test_merge_reads_the_persisted_credible_sets(tmp_path, monkeypatch):
     _staged(tmp_path, TINY)
     before = (tmp_path / CREDIBLE_FILE).read_bytes()

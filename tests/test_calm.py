@@ -5,6 +5,7 @@ import pytest
 
 from calmkit.baselines import TaskVector, task_arithmetic, task_vector
 from calmkit.calm import (
+    ROW_BLOCK,
     BinaryMask,
     MergePlan,
     RealMask,
@@ -19,7 +20,18 @@ from calmkit.calm import (
     sequential_merge,
     sigmoid,
 )
-from calmkit.nn import Batch, ContractError, ModelSpec, bind, cross_entropy, forward, init_params
+from calmkit.nn import (
+    Batch,
+    ContractError,
+    ModelSpec,
+    _backward,
+    _forward_acts,
+    bind,
+    cross_entropy,
+    forward,
+    init_params,
+    softmax,
+)
 from calmkit.sampling import score_pool, select_cb_ems
 from calmkit.tasks import Checkpoints, TaskFamily, TrainConfig, build_checkpoints
 
@@ -40,6 +52,56 @@ def small_setup(seed=0):
     }
     state = SequentialState(tau_seq, (0, 1), 0)
     return theta_pre, state, tau_j, batches
+
+
+def per_batch_objective(spec, theta_pre, state, tau_j, mask, task_batches, l1_weight,
+                        strategy, objective):
+    """The objective as a loop of one forward/backward pass per batch, each
+    batch's mean loss averaged over its task's batches and summed over tasks."""
+    m = sigmoid(mask.r)
+    tau_seq = state.tau_seq.values
+    if strategy == "both":
+        theta = theta_pre.values + (1.0 - m) * tau_seq + m * tau_j.values
+        direction = tau_j.values - tau_seq
+    elif strategy == "only_mask":
+        theta = theta_pre.values + tau_seq + m * tau_j.values
+        direction = tau_j.values
+    else:
+        theta = theta_pre.values + (1.0 - m) * tau_seq + tau_j.values
+        direction = -tau_seq
+    data_loss, dtheta = 0.0, np.zeros(theta.size)
+    for t in state.visible_tasks:
+        batches = task_batches[t]
+        for inputs, labels in batches:
+            acts = _forward_acts(spec, theta, inputs)
+            n = len(inputs)
+            p = softmax(acts[-1])
+            if objective == "cross_entropy":
+                loss = cross_entropy(acts[-1], labels)
+                dz = p.copy()
+                dz[np.arange(n), labels] -= 1.0
+                dz /= n
+            else:
+                logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+                per_row = -np.sum(p * logp, axis=1)
+                loss = float(np.mean(per_row))
+                dz = -p * (logp + per_row[:, None]) / n
+            data_loss += loss / len(batches)
+            dtheta += _backward(spec, acts, theta, dz) / len(batches)
+    sig_grad = m * (1.0 - m)
+    loss = data_loss + l1_weight * float(np.mean(m))
+    return loss, dtheta * direction * sig_grad + (l1_weight / theta.size) * sig_grad
+
+
+# rows per batch of each visible task; the totals straddle one row block
+QUARTER = ROW_BLOCK // 4
+ROW_CASES = {
+    # whole credible sets smaller than batch_size, unequal across tasks
+    "under_one_block": {0: [50, 50], 1: [30, 30]},
+    "one_block": {0: [QUARTER, QUARTER], 1: [ROW_BLOCK - 3 * QUARTER, QUARTER]},
+    "one_block_plus_one_row": {0: [QUARTER, QUARTER], 1: [ROW_BLOCK - 3 * QUARTER + 1, QUARTER]},
+    "several_blocks": {0: [128, 128], 1: [128, 128], 2: [128, 128], 3: [97, 97]},
+}
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +281,37 @@ class TestConsensusObjective:
             numeric[i] = (f(rp) - f(rm)) / (2.0 * h)
         rel = np.abs(grad - numeric) / np.maximum(np.abs(numeric), 1e-6)
         assert rel.max() < 1e-4
+
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    @pytest.mark.parametrize("strategy", ["both", "only_mask", "only_complement"])
+    @pytest.mark.parametrize("objective", ["cross_entropy", "entropy"])
+    def test_stacked_pass_matches_the_per_batch_loop(self, case, strategy, objective):
+        spec = ModelSpec(3, (8, 6), 3, activation="relu")
+        rng = np.random.default_rng(43)
+        theta_pre = init_params(spec, 43)
+        n = spec.parameter_count
+        tau_j = TaskVector(rng.standard_normal(n) * 0.3, task_id=9)
+        sizes = ROW_CASES[case]
+        batches = {t: [(rng.standard_normal((rows, 3)),
+                        rng.integers(0, 3, size=rows) if objective == "cross_entropy" else None)
+                       for rows in per_batch]
+                   for t, per_batch in sizes.items()}
+        state = SequentialState(TaskVector(rng.standard_normal(n) * 0.3, task_id="merged"),
+                                tuple(sizes), 0)
+        mask = RealMask(rng.uniform(-2.0, 2.0, size=n))
+        loss, grad = consensus_objective(spec, theta_pre, state, tau_j, mask, batches, 1.0,
+                                         strategy, objective)
+        ref_loss, ref_grad = per_batch_objective(spec, theta_pre, state, tau_j, mask,
+                                                 batches, 1.0, strategy, objective)
+        np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12)
+
+    def test_row_cases_straddle_one_block(self):
+        totals = {case: sum(map(sum, sizes.values())) for case, sizes in ROW_CASES.items()}
+        assert totals["under_one_block"] < ROW_BLOCK
+        assert totals["one_block"] == ROW_BLOCK
+        assert totals["one_block_plus_one_row"] == ROW_BLOCK + 1
+        assert totals["several_blocks"] > 2 * ROW_BLOCK
 
     def test_missing_task_named_in_error(self):
         theta_pre, state, tau_j, batches = small_setup()

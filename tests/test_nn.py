@@ -43,6 +43,38 @@ def forward_oracle(spec, values, inputs):
     return np.array(out)
 
 
+def mean_reduction_loss_and_grad(spec, values, batch):
+    """The training loss as the mean of -log softmax[label], and its gradient
+    as softmax - onehot, divided by n, through an out-of-place forward and
+    backward pass."""
+    layers, pos = [], 0
+    for fi, fo in spec.layer_dims:
+        layers.append((values[pos : pos + fi * fo].reshape(fi, fo),
+                       values[pos + fi * fo : pos + (fi + 1) * fo]))
+        pos += (fi + 1) * fo
+    acts = [batch.inputs]
+    for idx, (w, b) in enumerate(layers):
+        z = acts[-1] @ w + b
+        if idx < len(layers) - 1:
+            z = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
+        acts.append(z)
+    n = len(batch)
+    shifted = acts[-1] - np.max(acts[-1], axis=1, keepdims=True)
+    logp = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    loss = float(-np.mean(logp[np.arange(n), batch.labels]))
+    dz = softmax(acts[-1])
+    dz[np.arange(n), batch.labels] -= 1.0
+    dz /= n
+    grads = []
+    for idx in range(len(layers) - 1, -1, -1):
+        grads[:0] = [(acts[idx].T @ dz).reshape(-1), dz.sum(axis=0)]
+        if idx > 0:
+            da = dz @ layers[idx][0].T
+            a = acts[idx]
+            dz = da * (a > 0.0) if spec.activation == "relu" else da * (1.0 - a * a)
+    return loss, np.concatenate(grads)
+
+
 def finite_diff(f, x, h=1e-4):
     g = np.zeros_like(x)
     for i in range(x.size):
@@ -258,6 +290,18 @@ class TestLossAndGrad:
         result = loss_and_grad(spec, params, batch)
         direct = cross_entropy(forward(spec, params, batch.inputs), batch.labels)
         assert result.loss == direct
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_gradient_bits_match_the_mean_reduction(self, activation):
+        # 10 rows: dz / n and dz * (1 / n) round differently when n is not a power of two
+        spec = ModelSpec(4, (6, 5), 3, activation=activation)
+        rng = np.random.default_rng(41)
+        params = init_params(spec, 41)
+        batch = Batch(rng.standard_normal((10, 4)), rng.integers(0, 3, size=10))
+        result = loss_and_grad(spec, params, batch)
+        loss, grad = mean_reduction_loss_and_grad(spec, params.values, batch)
+        assert result.loss == loss
+        assert result.param_grad.tobytes() == grad.tobytes()
 
     def test_requires_labels(self):
         spec = ModelSpec(2, (), 2)

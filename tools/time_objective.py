@@ -1,0 +1,163 @@
+"""Time the CALM sequential merge at three model sizes, for one or more source trees.
+
+    python tools/time_objective.py --src parent=/path/to/parent/src --src change=src \
+        --repeats 5 --out BENCH_3.json
+
+For each model size, one worker process per source tree imports calmkit from
+that tree, builds the same pipeline (generate, pretrain, finetune, sample) in
+a temporary directory, and then waits. The main process asks the workers, in an
+order that alternates between repeats, for one timed `sequential_merge` each,
+`--repeats` times, so that slow and fast phases of the host fall on every
+side alike. Every worker runs with one BLAS/OpenMP thread, set before numpy
+loads, and reports numpy's version, its BLAS and `nproc`.
+
+Per size and side the output holds the median and interquartile range of the
+merge wall time, and sha256 prefixes of the fine-tuned checkpoints, of every
+step's binary mask and of the merged parameters, so sides can be compared bit
+for bit. The main process imports neither numpy nor calmkit.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+# hidden_dims -> config entries; the wide models train at lr 0.02, as the
+# default lr 0.05 misses the fine-tune accuracy floor at (256, 256)
+SIZES = {
+    "32": {},
+    "256,256": {"train.pretrain_lr": "0.02", "train.finetune_lr": "0.02"},
+    "1024,1024": {"train.pretrain_lr": "0.02", "train.finetune_lr": "0.02"},
+}
+PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _blas() -> str:
+    import numpy as np
+
+    try:
+        libs = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{libs.get('name')} {libs.get('version')}"
+    except (TypeError, KeyError):
+        return "unknown"
+
+
+def worker(hidden: str):
+    """Build the pipeline, then run one merge per 'run' line read from stdin."""
+    import numpy as np
+
+    from calmkit.bench.config import build_config
+    from calmkit.bench.runner import stage_finetune, stage_generate, stage_pretrain, stage_sample
+    from calmkit.calm import sequential_merge
+
+    config = build_config({"train.hidden_dims": hidden, **SIZES[hidden]})
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        tasks = stage_generate(config, workdir)
+        ckpt = stage_finetune(config, workdir, tasks, stage_pretrain(config, workdir, tasks))
+        credible = stage_sample(config, workdir, tasks, ckpt)
+    print(json.dumps({
+        "parameters": ckpt.spec.parameter_count,
+        "checkpoints_sha": _sha(b"".join(ft.values.tobytes() for ft in ckpt.finetuned)),
+        "numpy": np.__version__, "blas": _blas(), "nproc": os.cpu_count(),
+        "threads": {key: os.environ.get(key) for key in PINNED},
+    }), flush=True)
+    for line in sys.stdin:
+        if line.strip() != "run":
+            break
+        start = perf_counter()
+        result = sequential_merge(ckpt, config.plan, credible)
+        seconds = perf_counter() - start
+        print(json.dumps({
+            "merge_s": seconds,
+            "masks_sha": _sha(b"".join(step.mask.m.tobytes() for step in result.steps)),
+            "merged_sha": _sha(result.merged.values.tobytes()),
+        }), flush=True)
+
+
+def _start(src: str, hidden: str) -> subprocess.Popen:
+    env = {**os.environ, **PINNED, "PYTHONPATH": str(Path(src).resolve())}
+    return subprocess.Popen([sys.executable, __file__, "--worker", hidden], env=env,
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+
+
+def _read(proc: subprocess.Popen) -> dict:
+    line = proc.stdout.readline()
+    if not line:
+        raise RuntimeError(f"worker {proc.args} exited with {proc.wait()}")
+    return json.loads(line)
+
+
+def _quartiles(values: list[float]) -> dict:
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": q2, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
+
+
+def measure(sides: dict[str, str], hidden: str, repeats: int) -> dict:
+    procs, setups = {}, {}
+    try:
+        for name, src in sides.items():  # one at a time: set-up trains a model
+            procs[name] = _start(src, hidden)
+            setups[name] = _read(procs[name])
+        runs = {name: [] for name in sides}
+        names = list(sides)
+        for rep in range(repeats):
+            for name in names if rep % 2 == 0 else names[::-1]:
+                procs[name].stdin.write("run\n")
+                procs[name].stdin.flush()
+                runs[name].append(_read(procs[name]))
+    finally:
+        for proc in procs.values():
+            proc.stdin.close()
+            proc.wait()
+    out = {}
+    for name in sides:
+        outputs = {(r["masks_sha"], r["merged_sha"]) for r in runs[name]}
+        if len(outputs) != 1:
+            raise RuntimeError(f"{name} at {hidden}: merges differ between repeats")
+        (masks_sha, merged_sha), = outputs
+        out[name] = {**setups[name], "masks_sha": masks_sha, "merged_sha": merged_sha,
+                     "merge_s": _quartiles([r["merge_s"] for r in runs[name]])}
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", action="append", required=True, metavar="NAME=DIR",
+                        help="a source tree holding calmkit; give it once per side")
+    parser.add_argument("--sizes", nargs="+", default=list(SIZES), choices=list(SIZES))
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--out", type=Path, help="write the results here as JSON")
+    args = parser.parse_args(argv)
+    if args.repeats < 5:
+        parser.error("--repeats must be at least 5")
+    sides = dict(item.split("=", 1) for item in args.src)
+    results = {}
+    for hidden in args.sizes:
+        results[hidden] = measure(sides, hidden, args.repeats)
+        for name, side in results[hidden].items():
+            merge = side["merge_s"]
+            print(f"({hidden}) {side['parameters']:>9,} params  {name:>8}: merge median "
+                  f"{merge['median']:.3f} s  IQR {merge['iqr']:.3f} s  masks {side['masks_sha']}  "
+                  f"merged {side['merged_sha']}", file=sys.stderr, flush=True)
+    if args.out:
+        args.out.write_text(json.dumps(results, indent=2) + "\n")
+    print(json.dumps(results))
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--worker"]:
+        worker(sys.argv[2])
+    else:
+        main()
