@@ -3,11 +3,12 @@
 Subcommands mirror the pipeline stages (gen-tasks, pretrain, finetune,
 sample, merge, eval), plus `ablate` for sweeps and `report` to rebuild
 reports from persisted artifacts. Each stage reads what the stages before it
-persisted in the working directory: `merge` uses the credible sets written by
-`sample`, and `eval` and `report` write the same report files as
-`run_experiment`, except the density and objective traces, which only a
-one-shot run holds. Every config key is also a flag (`--family.num_tasks 4`);
-the CALMKIT_WORKDIR environment variable sets the default working directory.
+persisted in the working directory and checks its task family and model spec
+against the config: `merge` uses the credible sets written by `sample`, and
+`eval` and `report` write the same report files as `run_experiment`, except
+the density and objective traces, which only a one-shot run holds. Every
+config key is also a flag (`--family.num_tasks 4`); the CALMKIT_WORKDIR
+environment variable sets the default working directory.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime/stage failure.
 """
@@ -21,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from ..nn import ContractError, ParamVector, bind
+from ..tasks import model_spec
 from .config import (
     CONFIG_KEYS,
     ConfigError,
@@ -30,7 +32,7 @@ from .config import (
     default_config_text,
     parse_entries,
 )
-from .formats import FormatError, load_checkpoint, load_tasks
+from .formats import FormatError, check_header, load_checkpoint, load_tasks
 from .runner import (
     CHECKPOINTS_FILE,
     CREDIBLE_FILE,
@@ -101,8 +103,9 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return build_config(entries)
 
 
-def _load_model(path: Path, name: str) -> ParamVector:
+def _load_model(path: Path, name: str, config: ExperimentConfig) -> ParamVector:
     spec, vectors = load_checkpoint(path)
+    check_header(path, "model", spec, model_spec(config.family, config.train))
     if name not in vectors:
         raise FormatError(f"{path}: no vector named {name!r}")
     return bind(spec, vectors[name])
@@ -127,24 +130,25 @@ def _run_command(args: argparse.Namespace) -> int:
         print(f"{len(records)} points, mean accuracy {accs.mean():.4f}")
         return 0
 
-    _, tasks = load_tasks(workdir / DATASETS_FILE)
+    family, tasks = load_tasks(workdir / DATASETS_FILE)
+    check_header(workdir / DATASETS_FILE, "family", family, config.family)
     if args.command == "pretrain":
         stage_pretrain(config, workdir, tasks)
         print(f"wrote {workdir / PRETRAINED_FILE}")
     elif args.command == "finetune":
-        theta_pre = _load_model(workdir / PRETRAINED_FILE, "pretrained")
+        theta_pre = _load_model(workdir / PRETRAINED_FILE, "pretrained", config)
         stage_finetune(config, workdir, tasks, theta_pre)
         print(f"wrote {workdir / CHECKPOINTS_FILE}")
     elif args.command == "sample":
-        stage_sample(config, workdir, tasks, load_checkpoints(workdir))
+        stage_sample(config, workdir, tasks, load_checkpoints(config, workdir))
         print(f"wrote {workdir / CREDIBLE_FILE}")
     elif args.command == "merge":
-        stage_merge(config, workdir, tasks, load_checkpoints(workdir),
+        stage_merge(config, workdir, tasks, load_checkpoints(config, workdir),
                     load_credible(config, workdir))
         print(f"wrote {workdir / MERGED_FILE}")
     else:  # eval and report: the same report, rebuilt from the persisted artifacts
-        bundle = stage_evaluate(config, workdir, tasks, load_checkpoints(workdir),
-                                _load_model(workdir / MERGED_FILE, "merged"),
+        bundle = stage_evaluate(config, workdir, tasks, load_checkpoints(config, workdir),
+                                _load_model(workdir / MERGED_FILE, "merged", config),
                                 credible=load_credible(config, workdir))
         print((workdir / "report.txt").read_text(), end="")
         if args.command == "eval":

@@ -7,8 +7,10 @@ round-trips are bit-exact. Byte layouts are documented in the README.
 """
 from __future__ import annotations
 
+import dataclasses
 import struct
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Mapping
 
@@ -105,6 +107,25 @@ def _read_file(path: Path, magic: bytes) -> _Reader:
     return _Reader(raw[len(magic) + 2 : -4])
 
 
+@contextmanager
+def _decoding(path: Path):
+    """Report any failure to decode a body (a short record, bad UTF-8, array shapes,
+    values the record types reject) as a FormatError that names the file."""
+    try:
+        yield
+    except (ValueError, OverflowError) as exc:
+        raise FormatError(f"{path}: corrupt file: {exc}") from exc
+
+
+def check_header(path: Path, section: str, found, expected):
+    """Reject a file whose header record differs from the one the config makes."""
+    for field in dataclasses.fields(expected):
+        made, asked = getattr(found, field.name), getattr(expected, field.name)
+        if made != asked:
+            raise FormatError(f"{path}: made with {section}.{field.name} = {made!r}, but the "
+                              f"config gives {asked!r}; run the stages before this one again")
+
+
 def _pack_spec(spec: ModelSpec) -> bytes:
     body = struct.pack("<II", spec.input_dim, len(spec.hidden_dims))
     body += struct.pack(f"<{len(spec.hidden_dims)}I", *spec.hidden_dims) if spec.hidden_dims else b""
@@ -121,6 +142,17 @@ def _read_spec(reader: _Reader) -> ModelSpec:
     return ModelSpec(input_dim, tuple(hidden), num_classes, _ACTIVATION_NAMES[act])
 
 
+def _check_vector(spec: ModelSpec, name: str, values: np.ndarray) -> np.ndarray:
+    """A checkpoint vector holds exactly parameter_count finite values."""
+    if values.shape != (spec.parameter_count,):
+        raise FormatError(
+            f"vector {name!r} has shape {values.shape}, expected ({spec.parameter_count},)"
+        )
+    if not np.all(np.isfinite(values)):
+        raise FormatError(f"vector {name!r} contains non-finite values")
+    return values
+
+
 def save_checkpoint(path: Path, spec: ModelSpec, vectors: Mapping[str, np.ndarray]):
     """Named flat float64 vectors bound to one model spec.
 
@@ -130,31 +162,23 @@ def save_checkpoint(path: Path, spec: ModelSpec, vectors: Mapping[str, np.ndarra
     body = _pack_spec(spec)
     body += struct.pack("<I", len(vectors))
     for name, values in vectors.items():
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (spec.parameter_count,):
-            raise FormatError(
-                f"vector {name!r} has shape {values.shape}, expected ({spec.parameter_count},)"
-            )
-        if not np.all(np.isfinite(values)):
-            raise FormatError(f"vector {name!r} contains non-finite values")
+        values = _check_vector(spec, name, np.asarray(values, dtype=np.float64))
         body += _pack_str(name) + _pack_f64(values)
     _write_file(path, MAGIC_CHECKPOINT, body)
 
 
 def load_checkpoint(path: Path) -> tuple[ModelSpec, dict[str, np.ndarray]]:
     reader = _read_file(path, MAGIC_CHECKPOINT)
-    spec = _read_spec(reader)
-    (count,) = reader.unpack("<I")
-    vectors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        name = reader.read_str()
-        values = reader.read_f64()
-        if values.shape != (spec.parameter_count,):
-            raise FormatError(
-                f"vector {name!r} has {values.size} entries, spec expects {spec.parameter_count}"
-            )
-        vectors[name] = values
-    reader.done()
+    with _decoding(path):
+        spec = _read_spec(reader)
+        (count,) = reader.unpack("<I")
+        vectors: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            name = reader.read_str()
+            if name in vectors:
+                raise FormatError(f"vector {name!r} appears twice")
+            vectors[name] = _check_vector(spec, name, reader.read_f64())
+        reader.done()
     return spec, vectors
 
 
@@ -193,20 +217,21 @@ def save_tasks(path: Path, family: TaskFamily, tasks: list[TaskData]):
 
 def load_tasks(path: Path) -> tuple[TaskFamily, list[TaskData]]:
     reader = _read_file(path, MAGIC_DATASET)
-    family = _read_family(reader)
-    d = family.input_dim
-    tasks = []
-    for _ in range(family.num_tasks):
-        (task_id,) = reader.unpack("<I")
-        train_x = reader.read_f64().reshape(-1, d)
-        train_y = reader.read_i64()
-        test_x = reader.read_f64().reshape(-1, d)
-        test_y = reader.read_i64()
-        unlab_x = reader.read_f64().reshape(-1, d)
-        audit = reader.read_i64()
-        tasks.append(TaskData(task_id, Batch(train_x, train_y), Batch(test_x, test_y),
-                              Batch(unlab_x), audit))
-    reader.done()
+    with _decoding(path):
+        family = _read_family(reader)
+        d = family.input_dim
+        tasks = []
+        for _ in range(family.num_tasks):
+            (task_id,) = reader.unpack("<I")
+            train_x = reader.read_f64().reshape(-1, d)
+            train_y = reader.read_i64()
+            test_x = reader.read_f64().reshape(-1, d)
+            test_y = reader.read_i64()
+            unlab_x = reader.read_f64().reshape(-1, d)
+            audit = reader.read_i64()
+            tasks.append(TaskData(task_id, Batch(train_x, train_y), Batch(test_x, test_y),
+                                  Batch(unlab_x), audit))
+        reader.done()
     return family, tasks
 
 
@@ -232,21 +257,26 @@ def save_credible_sets(path: Path, credible: Mapping[int, CredibleSet]):
 
 def load_credible_sets(path: Path) -> dict[int, CredibleSet]:
     reader = _read_file(path, MAGIC_CREDIBLE)
-    mode = reader.read_str()
-    (rate,) = reader.unpack("<d")
-    (count,) = reader.unpack("<I")
-    out: dict[int, CredibleSet] = {}
-    for _ in range(count):
-        (task_id,) = reader.unpack("<I")
-        indices = reader.read_i64()
-        entropies = reader.read_f64()
-        labels = reader.read_i64()
-        (dim,) = reader.unpack("<Q")
-        inputs = reader.read_f64().reshape(-1, dim)
-        samples = tuple(
-            ScoredSample(int(i), float(e), int(l))
-            for i, e, l in zip(indices, entropies, labels)
-        )
-        out[task_id] = CredibleSet(task_id, samples, rate, mode, inputs)
-    reader.done()
+    with _decoding(path):
+        mode = reader.read_str()
+        (rate,) = reader.unpack("<d")
+        (count,) = reader.unpack("<I")
+        out: dict[int, CredibleSet] = {}
+        for _ in range(count):
+            (task_id,) = reader.unpack("<I")
+            if out and task_id <= max(out):
+                raise FormatError(f"credible set {task_id} is out of order")
+            indices = reader.read_i64()
+            entropies = reader.read_f64()
+            labels = reader.read_i64()
+            (dim,) = reader.unpack("<Q")
+            inputs = reader.read_f64().reshape(-1, dim)
+            if not np.all(np.isfinite(inputs)):
+                raise FormatError(f"credible set {task_id} contains non-finite inputs")
+            samples = tuple(
+                ScoredSample(int(i), float(e), int(l))
+                for i, e, l in zip(indices, entropies, labels, strict=True)
+            )
+            out[task_id] = CredibleSet(task_id, samples, rate, mode, inputs)
+        reader.done()
     return out

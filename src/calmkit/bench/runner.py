@@ -25,6 +25,7 @@ from ..tasks import Checkpoints, TaskData, finetune_all, generate_family, model_
 from .config import ExperimentConfig, SUITES, ConfigError, apply_overrides, config_text
 from .formats import (
     FormatError,
+    check_header,
     load_checkpoint,
     load_credible_sets,
     load_tasks,  # noqa: F401 -- wrapped by name in perfbench/tracing.py HOOKS
@@ -98,10 +99,11 @@ def stage_finetune(config: ExperimentConfig, workdir: Path, tasks: list[TaskData
     return ckpt
 
 
-def load_checkpoints(workdir: Path) -> Checkpoints:
-    """The pretrained and fine-tuned models that stage_finetune persisted."""
+def load_checkpoints(config: ExperimentConfig, workdir: Path) -> Checkpoints:
+    """The models that stage_finetune persisted; their spec must be the config's."""
     path = workdir / CHECKPOINTS_FILE
     spec, vectors = load_checkpoint(path)
+    check_header(path, "model", spec, model_spec(config.family, config.train))
     names = [f"finetuned_{t:02d}" for t in range(len(vectors) - 1)]
     if sorted(vectors) != sorted(["pretrained", *names]):
         raise FormatError(f"{path}: expected vectors 'pretrained' and finetuned_00.., "

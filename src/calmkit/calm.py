@@ -11,12 +11,11 @@ source.
 
 The data term is one weighted pass over the rows of every visible task's
 batches: each row weighs 1 / (batches of its task * rows of its batch), which
-is the per-task mean over batches of the per-batch mean. The pass runs in
-blocks of ROW_BLOCK rows, so that a block's activations stay in a core's L2
-cache at the larger model sizes: a whole-stack pass of about 1,920 rows makes
-1,920 x 256 float64 temporaries (3.9 MB) at the (256, 256) size, and on a
-host with 2 MiB of L2 per core it ran at 0.88x the speed of one pass per
-128-row batch.
+is the per-task mean over batches of the per-batch mean. The pass runs
+feature-major, on (features, rows) blocks of ROW_BLOCK rows: the layers are 5
+to 32 features wide at the default size, and numpy's per-call cost on rows
+that narrow, in the bias add, the activation and the loss kernel, outweighed
+their arithmetic; feature-major, each of those calls spans a block's rows.
 """
 from __future__ import annotations
 
@@ -26,7 +25,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .baselines import TaskVector, ordered_sum, task_vector
-from .nn import ContractError, ModelSpec, ParamVector, _backward, _check_labels, _forward_acts, _loss_and_dlogits
+from .nn import (ContractError, ModelSpec, ParamVector, _activate, _activation_grad, _check_labels,
+                 _layers, _loss_and_dlogits)
 from .sampling import CredibleSet
 from .seeding import STAGE_MASK_BATCHES, STAGE_MASK_INIT, STAGE_PARTITION, rng_for
 from .tasks import Checkpoints
@@ -35,9 +35,11 @@ STRATEGIES = ("both", "only_mask", "only_complement")
 OBJECTIVES = ("cross_entropy", "entropy")
 
 INIT_MAGNITUDE = 4.595  # sigmoid(+-4.595) ~= 0.99 / 0.01
-# Rows per forward/backward block of the mask objective. Of 128, 384, 640 and
-# 1,920 rows, 384 was fastest or near it at 709, 71k and 1.07M parameters.
-ROW_BLOCK = 384
+# Rows per block of the mask objective. sequential_merge medians of 5 alternating
+# repeats at 128/384/640/1,024 rows, one BLAS thread: 709 params 0.364/0.248/0.224/
+# 0.222 s, 71k params 6.16/5.77/5.86/5.60 s; at 1.07M params one objective call on
+# 1,792 rows took 0.39 s at 384 rows and 0.33-0.37 s at 1,024.
+ROW_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -263,10 +265,9 @@ def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: Sequenti
     count; an unnormalized sum would bury the data signal. The gradient chains
     the parameter gradient through the merge direction and sigmoid'(r).
 
-    The data term is one weighted pass over all visible rows, in blocks of
-    ROW_BLOCK rows (see the module docstring for why blocks); row i weighs
-    1 / (batches of its task * rows of its batch). The sums run in another
-    order than a per-batch loop, so results differ from one in the last bits.
+    The data term is the feature-major, row-weighted pass of the module
+    docstring. Its sums run in another order than a per-batch loop, so
+    results differ from one in the last bits.
     """
     if objective not in OBJECTIVES:
         raise ContractError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
@@ -289,15 +290,30 @@ def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: Sequenti
         direction = -state.tau_seq.values
     theta = theta_pre.values + tau_values
 
+    layers = _layers(spec, theta)
+    columns = inputs.T  # (features, rows), a view
     data_loss = 0.0
     dtheta = np.zeros(theta_pre.size)
-    for start in range(0, len(inputs), ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        acts = _forward_acts(spec, theta, inputs[rows])
-        losses, dz = _loss_and_dlogits(acts[-1], None if labels is None else labels[rows])
-        data_loss += float(losses @ weights[rows])
-        dz *= weights[rows, None]
-        dtheta += _backward(spec, acts, theta, dz)
+    grads = _layers(spec, dtheta)
+    for start in range(0, columns.shape[1], ROW_BLOCK):
+        cols = slice(start, start + ROW_BLOCK)
+        acts = [columns[:, cols]]
+        for idx, (w, b) in enumerate(layers):
+            z = w.T @ acts[-1]
+            z += b[:, None]
+            if idx < len(layers) - 1:
+                _activate(spec, z)
+            acts.append(z)
+        losses, dz = _loss_and_dlogits(acts[-1], None if labels is None else labels[cols])
+        data_loss += float(losses @ weights[cols])
+        dz *= weights[cols]
+        for idx in range(len(layers) - 1, -1, -1):
+            (w, _), (grad_w, grad_b) = layers[idx], grads[idx]
+            grad_w += acts[idx] @ dz.T
+            grad_b += dz.sum(axis=1)
+            if idx > 0:
+                dz = w @ dz
+                _activation_grad(spec, dz, acts[idx])
 
     n = theta_pre.size
     sig_grad = m * (1.0 - m)

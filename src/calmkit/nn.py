@@ -43,30 +43,30 @@ class ModelSpec:
             raise ContractError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.activation not in ACTIVATIONS:
             raise ContractError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
+        # derived once: the training loop and the merge read these on every step
+        widths = (self.input_dim, *self.hidden_dims, self.num_classes)
+        dims = tuple(zip(widths[:-1], widths[1:]))
+        lengths = [(fi + 1) * fo for fi, fo in dims]
+        starts = [sum(lengths[:i]) for i in range(len(lengths))]
+        key = f"{self.input_dim}|{self.hidden_dims}|{self.num_classes}|{self.activation}"
+        object.__setattr__(self, "_derived", (dims, tuple(zip(starts, lengths)), sum(lengths),
+                                              hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]))
 
     @property
     def layer_dims(self) -> tuple[tuple[int, int], ...]:
         """(fan_in, fan_out) per linear layer, input to output."""
-        widths = (self.input_dim, *self.hidden_dims, self.num_classes)
-        return tuple(zip(widths[:-1], widths[1:]))
+        return self._derived[0]
 
     @property
     def parameter_count(self) -> int:
-        return sum((fi + 1) * fo for fi, fo in self.layer_dims)
+        return self._derived[2]
 
     def layer_offsets(self) -> tuple[tuple[int, int], ...]:
         """(start, length) span of each layer in the flat parameter vector."""
-        spans = []
-        start = 0
-        for fi, fo in self.layer_dims:
-            length = (fi + 1) * fo
-            spans.append((start, length))
-            start += length
-        return tuple(spans)
+        return self._derived[1]
 
     def hash(self) -> str:
-        key = f"{self.input_dim}|{self.hidden_dims}|{self.num_classes}|{self.activation}"
-        return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
+        return self._derived[3]
 
 
 @dataclass(frozen=True)
@@ -184,6 +184,22 @@ def _layers(spec: ModelSpec, values: np.ndarray):
     return out
 
 
+def _activate(spec: ModelSpec, z: np.ndarray):
+    """The hidden activation, in place."""
+    if spec.activation == "relu":
+        np.maximum(z, 0.0, out=z)
+    else:
+        np.tanh(z, out=z)
+
+
+def _activation_grad(spec: ModelSpec, dz: np.ndarray, a: np.ndarray):
+    """dz times the activation's derivative at output a, in place."""
+    if spec.activation == "relu":
+        dz *= a > 0.0
+    else:
+        dz *= 1.0 - a * a
+
+
 def _forward_acts(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray) -> list[np.ndarray]:
     """Per-layer post-activation values; acts[0] is the input, acts[-1] the logits.
 
@@ -196,10 +212,7 @@ def _forward_acts(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray) -> li
         z = acts[-1] @ w
         z += b
         if idx < len(layers) - 1:
-            if spec.activation == "relu":
-                np.maximum(z, 0.0, out=z)
-            else:
-                np.tanh(z, out=z)
+            _activate(spec, z)
         acts.append(z)
     return acts
 
@@ -245,7 +258,7 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
         raise ContractError(f"{labels.shape[0]} labels for {z.shape[0]} logit rows")
     if not np.all(np.isfinite(z)):
         raise ContractError("cross_entropy requires finite logits")
-    return float(np.mean(_loss_and_dlogits(z, labels)[0]))
+    return float(np.mean(_loss_and_dlogits(z.T, labels)[0]))
 
 
 def prediction_entropy(logits: np.ndarray):
@@ -263,51 +276,45 @@ def prediction_entropy(logits: np.ndarray):
 
 def _loss_and_dlogits(logits: np.ndarray, labels: np.ndarray | None
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row loss and its gradient with respect to that row's logits.
+    """Per-column loss and its gradient with respect to that column's logits.
 
-    With labels the loss is cross-entropy, -log p[label], with gradient
+    Logits are class-first, (classes, rows), and every reduction runs over
+    axis 0. With labels the loss is cross-entropy, -log p[label], with gradient
     p - onehot(label); with `labels=None` it is the prediction entropy
     H = -sum p log p, with gradient -p * (log p + H). The softmax is computed
-    once, with the same operations as `softmax`, and log p as the shifted
-    logits minus the log of their exp-sum. Callers scale the gradient rows by
-    their reduction (a mean, or per-row weights).
+    once, with the same operations as `softmax`. A row-major caller passes
+    `z.T`, a view, so the reductions run along z's rows as before, bit for bit.
+    Callers scale the gradient columns by their reduction (a mean, or weights).
     """
-    shifted = logits - np.max(logits, axis=1, keepdims=True)
+    shifted = logits - np.max(logits, axis=0)
     e = np.exp(shifted)
-    total = np.sum(e, axis=1, keepdims=True)
+    total = np.sum(e, axis=0)
     p = e / total
     logp = shifted - np.log(total)
     if labels is None:
-        losses = -np.sum(p * logp, axis=1)
-        p *= logp + losses[:, None]
+        losses = -np.sum(p * logp, axis=0)
+        p *= logp + losses
         np.negative(p, out=p)
         return losses, p
-    rows = np.arange(logits.shape[0])
-    p[rows, labels] -= 1.0
-    return -logp[rows, labels], p
+    cols = np.arange(logits.shape[1])
+    p[labels, cols] -= 1.0
+    return -logp[labels, cols], p
 
 
 def _backward(spec: ModelSpec, acts: list[np.ndarray], values: np.ndarray,
               dlogits: np.ndarray) -> np.ndarray:
     """Reverse-mode gradient of a scalar loss given dL/dlogits."""
     layers = _layers(spec, values)
-    offsets = spec.layer_offsets()
     grad = np.zeros(values.size)
+    grads = _layers(spec, grad)
     dz = dlogits
     for idx in range(len(layers) - 1, -1, -1):
-        w, _ = layers[idx]
-        start, _ = offsets[idx]
-        a_prev = acts[idx]
-        fi, fo = spec.layer_dims[idx]
-        grad[start : start + fi * fo] = (a_prev.T @ dz).reshape(-1)
-        grad[start + fi * fo : start + (fi + 1) * fo] = dz.sum(axis=0)
+        (w, _), (grad_w, grad_b) = layers[idx], grads[idx]
+        grad_w[...] = acts[idx].T @ dz
+        grad_b[...] = dz.sum(axis=0)
         if idx > 0:
             dz = dz @ w.T
-            a = acts[idx]
-            if spec.activation == "relu":
-                dz *= a > 0.0
-            else:
-                dz *= 1.0 - a * a
+            _activation_grad(spec, dz, acts[idx])
     return grad
 
 
@@ -321,7 +328,8 @@ def loss_and_grad(spec: ModelSpec, params: ParamVector, batch: Batch) -> GradRes
             f"inputs axis 1 has {batch.inputs.shape[1]} features, spec.input_dim is {spec.input_dim}"
         )
     acts = _forward_acts(spec, params.values, batch.inputs)
-    losses, dz = _loss_and_dlogits(acts[-1], _check_labels(batch.labels, spec.num_classes))
+    losses, dz = _loss_and_dlogits(acts[-1].T, _check_labels(batch.labels, spec.num_classes))
+    dz = dz.T
     # the mean, not a 1/n row weight: `dz / n` and `dz * (1 / n)` differ in the last bit
     dz /= len(batch)
     return GradResult(float(np.mean(losses)), _backward(spec, acts, params.values, dz))

@@ -161,6 +161,21 @@ def test_merge_rejects_credible_sets_of_another_sampling_config(key, value, tmp_
     assert "run sample again" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,key,value,field", [
+    ("merge", "seed", "3", "family.seed"),
+    ("eval", "family.cluster_sep", "1.7", "family.cluster_sep"),
+    ("sample", "train.hidden_dims", "8", "model.hidden_dims"),
+    ("finetune", "train.activation", "tanh", "model.activation"),
+])
+def test_stages_reject_artifacts_made_under_another_config(command, key, value, field,
+                                                           tmp_path, capsys):
+    _staged(tmp_path, TINY)
+    assert _cli("merge", tmp_path, TINY) == 0
+    capsys.readouterr()
+    assert _cli(command, tmp_path, {**TINY, key: value}) == 2
+    assert f"made with {field} = " in capsys.readouterr().err
+
+
 def test_a_merge_without_masks_removes_the_stale_masks(tmp_path):
     entries = {**TINY, "report": DIAGNOSTIC_REPORT}
     _staged(tmp_path, entries)

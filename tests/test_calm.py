@@ -100,7 +100,8 @@ ROW_CASES = {
     "under_one_block": {0: [50, 50], 1: [30, 30]},
     "one_block": {0: [QUARTER, QUARTER], 1: [ROW_BLOCK - 3 * QUARTER, QUARTER]},
     "one_block_plus_one_row": {0: [QUARTER, QUARTER], 1: [ROW_BLOCK - 3 * QUARTER + 1, QUARTER]},
-    "several_blocks": {0: [128, 128], 1: [128, 128], 2: [128, 128], 3: [97, 97]},
+    "several_blocks": {0: [ROW_BLOCK // 3] * 2, 1: [ROW_BLOCK // 3] * 2,
+                       2: [ROW_BLOCK // 3] * 2, 3: [97, 97]},
 }
 
 
@@ -305,6 +306,36 @@ class TestConsensusObjective:
                                                  batches, 1.0, strategy, objective)
         np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
         np.testing.assert_allclose(grad, ref_grad, rtol=1e-12)
+
+    @pytest.mark.parametrize("objective", ["cross_entropy", "entropy"])
+    @pytest.mark.parametrize("classes", [8, 12])
+    def test_feature_major_pass_matches_the_per_batch_loop_at_many_classes(self, classes,
+                                                                          objective):
+        # from 8 classes the per-batch loop sums each row's classes pairwise, the
+        # feature-major pass left to right; both must give the same objective
+        spec = ModelSpec(12, (16, 10), classes, activation="relu")
+        rng = np.random.default_rng(classes)
+        theta_pre = init_params(spec, classes)
+        n = spec.parameter_count
+        tau_j = TaskVector(rng.standard_normal(n) * 0.3, task_id=9)
+        sizes = ROW_CASES["several_blocks"]
+        batches = {t: [(2.0 * rng.standard_normal((rows, 12)),
+                        rng.integers(0, classes, size=rows)
+                        if objective == "cross_entropy" else None)
+                       for rows in per_batch]
+                   for t, per_batch in sizes.items()}
+        state = SequentialState(TaskVector(rng.standard_normal(n) * 0.3, task_id="merged"),
+                                tuple(sizes), 0)
+        mask = RealMask(rng.uniform(-2.0, 2.0, size=n))
+        loss, grad = consensus_objective(spec, theta_pre, state, tau_j, mask, batches, 1.0,
+                                         "both", objective)
+        ref_loss, ref_grad = per_batch_objective(spec, theta_pre, state, tau_j, mask,
+                                                 batches, 1.0, "both", objective)
+        np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
+        # a coordinate near zero is a sum of cancelling terms: its rounding error is
+        # measured against the gradient's scale, not against its own size
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref_grad).max())
 
     def test_row_cases_straddle_one_block(self):
         totals = {case: sum(map(sum, sizes.values())) for case, sizes in ROW_CASES.items()}

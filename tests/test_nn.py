@@ -303,6 +303,22 @@ class TestLossAndGrad:
         assert result.loss == loss
         assert result.param_grad.tobytes() == grad.tobytes()
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("classes", [8, 17])
+    @pytest.mark.parametrize("rows", [10, 200])
+    def test_class_first_kernel_keeps_the_bits_at_many_classes(self, activation, classes, rows):
+        # from 8 classes numpy sums a contiguous row pairwise, not left to right, so
+        # the kernel must reduce along the same memory as the row-wise oracle
+        spec = ModelSpec(4, (6, 5), classes, activation=activation)
+        rng = np.random.default_rng(classes + rows)
+        params = init_params(spec, 7)
+        batch = Batch(3.0 * rng.standard_normal((rows, 4)), rng.integers(0, classes, size=rows))
+        result = loss_and_grad(spec, params, batch)
+        loss, grad = mean_reduction_loss_and_grad(spec, params.values, batch)
+        assert result.loss == loss
+        assert result.param_grad.tobytes() == grad.tobytes()
+        assert result.loss == cross_entropy(forward(spec, params, batch.inputs), batch.labels)
+
     def test_requires_labels(self):
         spec = ModelSpec(2, (), 2)
         with pytest.raises(ContractError):

@@ -14,7 +14,10 @@ loads, and reports numpy's version, its BLAS and `nproc`.
 Per size and side the output holds the median and interquartile range of the
 merge wall time, and sha256 prefixes of the fine-tuned checkpoints, of every
 step's binary mask and of the merged parameters, so sides can be compared bit
-for bit. The main process imports neither numpy nor calmkit.
+for bit. Each side after the first is also compared with the first: the
+largest relative difference of any `objective_trace` value, and, per step, the
+coordinates where the binary masks differ. The main process imports neither
+numpy nor calmkit.
 """
 from __future__ import annotations
 
@@ -83,6 +86,10 @@ def worker(hidden: str):
             "merge_s": seconds,
             "masks_sha": _sha(b"".join(step.mask.m.tobytes() for step in result.steps)),
             "merged_sha": _sha(result.merged.values.tobytes()),
+            # floats print with repr, so the traces round-trip exactly
+            "objective_traces": [step.objective_trace.tolist() for step in result.steps],
+            "masks_hex": [np.packbits(step.mask.m == 1.0).tobytes().hex()
+                          for step in result.steps],
         }), flush=True)
 
 
@@ -104,6 +111,22 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": q2, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
 
 
+def _compare(first: dict, other: dict) -> dict:
+    """How one side's merge outputs differ from the first side's."""
+    rel = max((abs(b - a) / abs(a) if a else abs(b)
+               for trace_a, trace_b in zip(first["objective_traces"], other["objective_traces"])
+               for a, b in zip(trace_a, trace_b)), default=0.0)
+    coordinates = {}
+    for step, (hex_a, hex_b) in enumerate(zip(first["masks_hex"], other["masks_hex"])):
+        bytes_a, bytes_b = bytes.fromhex(hex_a), bytes.fromhex(hex_b)
+        # packbits is big-endian within a byte: bit 7 holds the byte's first coordinate
+        flipped = [8 * i + bit for i, (x, y) in enumerate(zip(bytes_a, bytes_b)) if x != y
+                   for bit in range(8) if (x ^ y) >> (7 - bit) & 1]
+        if flipped:
+            coordinates[f"step{step:02d}"] = flipped
+    return {"objective_trace_max_rel_diff": rel, "mask_diff_coordinates": coordinates}
+
+
 def measure(sides: dict[str, str], hidden: str, repeats: int) -> dict:
     procs, setups = {}, {}
     try:
@@ -122,6 +145,7 @@ def measure(sides: dict[str, str], hidden: str, repeats: int) -> dict:
             proc.stdin.close()
             proc.wait()
     out = {}
+    first = runs[names[0]][0]
     for name in sides:
         outputs = {(r["masks_sha"], r["merged_sha"]) for r in runs[name]}
         if len(outputs) != 1:
@@ -129,6 +153,8 @@ def measure(sides: dict[str, str], hidden: str, repeats: int) -> dict:
         (masks_sha, merged_sha), = outputs
         out[name] = {**setups[name], "masks_sha": masks_sha, "merged_sha": merged_sha,
                      "merge_s": _quartiles([r["merge_s"] for r in runs[name]])}
+        if name != names[0]:
+            out[name][f"vs_{names[0]}"] = _compare(first, runs[name][0])
     return out
 
 
@@ -151,6 +177,10 @@ def main(argv=None):
             print(f"({hidden}) {side['parameters']:>9,} params  {name:>8}: merge median "
                   f"{merge['median']:.3f} s  IQR {merge['iqr']:.3f} s  masks {side['masks_sha']}  "
                   f"merged {side['merged_sha']}", file=sys.stderr, flush=True)
+            for other, diff in ((k[3:], v) for k, v in side.items() if k.startswith("vs_")):
+                print(f"    vs {other}: objective_trace max rel diff "
+                      f"{diff['objective_trace_max_rel_diff']:.3g}, differing mask coordinates "
+                      f"{diff['mask_diff_coordinates'] or 'none'}", file=sys.stderr, flush=True)
     if args.out:
         args.out.write_text(json.dumps(results, indent=2) + "\n")
     print(json.dumps(results))
