@@ -5,67 +5,4 @@ weight averaging, task arithmetic, ties-merging, or consensus-aware sequential
 mask merging, and benchmarks the results reproducibly.
 """
 
-from .baselines import (
-    TaskVector,
-    TiesConfig,
-    task_arithmetic,
-    task_vector,
-    ties_elect_sign,
-    ties_merge,
-    ties_trim,
-    weight_average,
-)
-from .calm import (
-    BinaryMask,
-    MergePlan,
-    MergeResult,
-    RealMask,
-    SequentialState,
-    binarize,
-    consensus_objective,
-    efficient_merge,
-    init_mask,
-    masked_merge,
-    optimize_mask,
-    partition,
-    sequential_merge,
-    sigmoid,
-)
-from .nn import (
-    Batch,
-    ContractError,
-    GradResult,
-    ModelSpec,
-    ParamVector,
-    bind,
-    cross_entropy,
-    forward,
-    init_params,
-    loss_and_grad,
-    prediction_entropy,
-    sgd_step,
-    softmax,
-    zero_params,
-)
-from .sampling import (
-    CredibleSet,
-    ScoredSample,
-    audit_accuracy,
-    class_entropy_stats,
-    score_pool,
-    select_cb_ems,
-    select_ems,
-)
-from .tasks import (
-    Checkpoints,
-    TaskData,
-    TaskFamily,
-    TrainConfig,
-    accuracy,
-    build_checkpoints,
-    finetune,
-    generate_family,
-    pretrain,
-)
-
 __version__ = "0.1.0"

@@ -41,8 +41,8 @@ class TiesConfig:
     def __post_init__(self):
         if not 0.0 < self.trim_fraction <= 1.0:
             raise ContractError(f"trim_fraction must be in (0, 1], got {self.trim_fraction}")
-        if self.scale <= 0.0:
-            raise ContractError(f"scale must be positive, got {self.scale}")
+        if not 0.0 < self.scale < math.inf:
+            raise ContractError(f"scale must be positive and finite, got {self.scale}")
 
 
 def ordered_sum(arrays) -> np.ndarray:

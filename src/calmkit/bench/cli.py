@@ -95,7 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     entries: dict[str, str] = {}
     if args.config is not None:
-        entries.update(parse_entries(Path(args.config).read_text()))
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config}: not a UTF-8 text file ({exc})") from exc
+        entries.update(parse_entries(text))
     for key in CONFIG_KEYS:
         value = getattr(args, f"cfg:{key}", None)
         if value is not None:

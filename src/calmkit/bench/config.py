@@ -168,6 +168,8 @@ def build_config(entries: dict[str, str]) -> ExperimentConfig:
         else:
             sections[section][name] = value
     seed = top.get("seed", 0)
+    if not 0 <= seed < 2**63:  # the dataset header stores it as an i64
+        raise ConfigError(f"seed must lie in [0, 2^63), got {seed}")
     sections["family"].setdefault("seed", seed)
     built: dict[str, Any] = {}
     for section, make in (("family", TaskFamily), ("train", TrainConfig),
@@ -185,10 +187,6 @@ def build_config(entries: dict[str, str]) -> ExperimentConfig:
         raise ConfigError(f"plan: {exc}") from exc
     return ExperimentConfig(seed=seed, method=top.get("method", "calm"),
                             report=top.get("report", ("accuracy",)), plan=plan, **built)
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    return build_config(parse_entries(text))
 
 
 def apply_overrides(config: ExperimentConfig, overrides: dict[str, Any]) -> ExperimentConfig:

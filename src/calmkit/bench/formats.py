@@ -3,7 +3,21 @@
 All files share the same envelope: an 8-byte ASCII magic, a little-endian u16
 format version, a body, and a trailing CRC32 (u32, little-endian) over every
 preceding byte. Floats are 64-bit little-endian throughout, so save/load
-round-trips are bit-exact. Byte layouts are documented in the README.
+round-trips are bit-exact. Body layouts (integers little-endian; a str is a
+u16 byte length and UTF-8 bytes, an f64[] or i64[] a u64 count and the values):
+
+- spec: u32 input_dim, u32 n, n x u32 hidden_dims, u32 num_classes, u8
+  activation (0 relu, 1 tanh).
+- CALMCKPT: spec, u32 vector count, then per vector a unique str name and an
+  f64[] of parameter_count finite values.
+- CALMDATA: the family (u32 num_tasks, classes_per_task, input_dim; f64
+  cluster_sep, task_offset, noise_sigma, frame_align; u32 train_per_task,
+  unlabeled_per_task, test_per_task; i64 seed), then per task u32 task_id and
+  f64[]/i64[] pairs of train inputs and labels, test inputs and labels, and
+  unlabeled inputs and audit labels (inputs row-major, input_dim columns).
+- CALMCRED: str mode, f64 rate, u32 set count, then per set, by ascending
+  task_id: u32 task_id, i64[] indices, f64[] entropies, i64[] pseudo-labels,
+  u64 input columns, f64[] inputs (row-major, one row per index).
 """
 from __future__ import annotations
 
@@ -17,7 +31,7 @@ from typing import Mapping
 import numpy as np
 
 from ..nn import Batch, ModelSpec
-from ..sampling import CredibleSet, ScoredSample
+from ..sampling import CredibleSet
 from ..tasks import TaskData, TaskFamily
 
 MAGIC_CHECKPOINT = b"CALMCKPT"
@@ -273,10 +287,6 @@ def load_credible_sets(path: Path) -> dict[int, CredibleSet]:
             inputs = reader.read_f64().reshape(-1, dim)
             if not np.all(np.isfinite(inputs)):
                 raise FormatError(f"credible set {task_id} contains non-finite inputs")
-            samples = tuple(
-                ScoredSample(int(i), float(e), int(l))
-                for i, e, l in zip(indices, entropies, labels, strict=True)
-            )
-            out[task_id] = CredibleSet(task_id, samples, rate, mode, inputs)
+            out[task_id] = CredibleSet(task_id, indices, entropies, labels, rate, mode, inputs)
         reader.done()
     return out

@@ -149,7 +149,7 @@ def _mask_training_data(config: ExperimentConfig, tasks: list[TaskData],
                         credible: Mapping[int, CredibleSet]):
     """What the mask objective trains on, per the sampling.objective arm."""
     if config.sampling.objective == "pseudo":
-        return credible, "cross_entropy"
+        return {t: (cs.inputs, cs.pseudo_labels) for t, cs in credible.items()}, "cross_entropy"
     if config.sampling.objective == "supervised":
         return {t.task_id: (t.unlabeled.inputs, t.audit_labels) for t in tasks}, "cross_entropy"
     return {t.task_id: (t.unlabeled.inputs, None) for t in tasks}, "entropy"

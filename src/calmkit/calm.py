@@ -27,7 +27,6 @@ import numpy as np
 from .baselines import TaskVector, ordered_sum, task_vector
 from .nn import (ContractError, ModelSpec, ParamVector, _activate, _activation_grad, _check_labels,
                  _layers, _loss_and_dlogits)
-from .sampling import CredibleSet
 from .seeding import STAGE_MASK_BATCHES, STAGE_MASK_INIT, STAGE_PARTITION, rng_for
 from .tasks import Checkpoints
 
@@ -65,10 +64,12 @@ class MergePlan:
         overlap = set(self.efficient_set) & set(self.sequential_set)
         if overlap:
             raise ContractError(f"efficient and sequential sets overlap on {sorted(overlap)}")
-        if self.lambda_efficient <= 0.0:
-            raise ContractError("lambda_efficient must be positive")
-        if self.l1_weight < 0.0:
-            raise ContractError("l1_weight must be >= 0")
+        if not 0.0 < self.lambda_efficient < np.inf:
+            raise ContractError("lambda_efficient must be positive and finite")
+        if not 0.0 <= self.l1_weight < np.inf:
+            raise ContractError("l1_weight must be >= 0 and finite")
+        if not 0.0 < self.mask_lr < np.inf:
+            raise ContractError("mask_lr must be positive and finite")
         if self.iterations_per_task < 1:
             raise ContractError("iterations_per_task must be >= 1")
         if self.batches_per_task < 1 or self.batch_size < 1:
@@ -85,7 +86,7 @@ class MergePlan:
 
 @dataclass(frozen=True)
 class RealMask:
-    """Trainable real vector r; the soft mask is sigmoid(r)."""
+    """Trainable real vector r, the mask's logits; the soft mask is sigmoid(r)."""
 
     r: np.ndarray
 
@@ -117,11 +118,10 @@ class BinaryMask:
 
 @dataclass(frozen=True)
 class SequentialState:
-    """Current merged task vector, the tasks visible to the objective, and the step count."""
+    """Current merged task vector and the tasks visible to the objective."""
 
     tau_seq: TaskVector
     visible_tasks: tuple[int, ...]
-    step_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -189,19 +189,19 @@ def efficient_merge(theta_pre: ParamVector, bulk: Sequence[TaskVector],
     else:
         values = np.zeros(theta_pre.size)
     visible = tuple(tv.task_id for tv in bulk)
-    return SequentialState(TaskVector(values, task_id="merged"), visible, step_index=0)
+    return SequentialState(TaskVector(values, task_id="merged"), visible)
 
 
-def masked_merge(tau_seq: TaskVector, tau_j: TaskVector, mask: RealMask | BinaryMask,
+def masked_merge(tau_seq: TaskVector, tau_j: TaskVector, mask: BinaryMask,
                  strategy: str = "both") -> TaskVector:
-    """Combine the current merged vector with an incoming task vector under a mask.
+    """Combine the current merged vector with an incoming task vector under a binary mask.
 
     both:            (1 - m) * tau_seq + m * tau_j
     only_mask:       tau_seq + m * tau_j
     only_complement: (1 - m) * tau_seq + tau_j
 
-    With a binary mask and strategy 'both' each output coordinate is copied
-    bit-exactly from one of the two sources.
+    With strategy 'both' each output coordinate is copied bit-exactly from one
+    of the two sources.
     """
     if strategy not in STRATEGIES:
         raise ContractError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
@@ -209,17 +209,11 @@ def masked_merge(tau_seq: TaskVector, tau_j: TaskVector, mask: RealMask | Binary
         raise ContractError(
             f"task vectors have mismatched lengths {tau_seq.size} and {tau_j.size}"
         )
-    m = mask.m if isinstance(mask, BinaryMask) else mask.r
-    if isinstance(mask, RealMask):
-        if np.any((m < 0.0) | (m > 1.0)):
-            raise ContractError("real mask values must lie in [0, 1] when merging")
+    m = mask.m
     if m.shape != tau_seq.values.shape:
         raise ContractError(f"mask length {m.size} does not match task vectors {tau_seq.size}")
     if strategy == "both":
-        if isinstance(mask, BinaryMask):
-            merged = np.where(m == 1.0, tau_j.values, tau_seq.values)
-        else:
-            merged = (1.0 - m) * tau_seq.values + m * tau_j.values
+        merged = np.where(m == 1.0, tau_j.values, tau_seq.values)
     elif strategy == "only_mask":
         merged = tau_seq.values + m * tau_j.values
     else:
@@ -382,26 +376,13 @@ def optimize_mask(spec: ModelSpec, theta_pre: ParamVector, state: SequentialStat
     return MaskOptResult(RealMask(r), objective_trace, density_trace)
 
 
-def _as_examples(credible: Mapping[int, object]) -> dict[int, tuple[np.ndarray, np.ndarray | None]]:
-    out: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
-    for t, entry in credible.items():
-        if isinstance(entry, CredibleSet):
-            out[t] = (entry.inputs, entry.pseudo_labels)
-        else:
-            inputs, labels = entry
-            out[t] = (np.asarray(inputs, dtype=np.float64),
-                      None if labels is None else np.asarray(labels, dtype=np.int64))
-    return out
-
-
-def sequential_merge(checkpoints: Checkpoints, plan: MergePlan,
-                     credible: Mapping[int, object],
+def sequential_merge(checkpoints: Checkpoints, plan: MergePlan, examples: TaskExamples,
                      objective: str = "cross_entropy") -> MergeResult:
     """Run the full merge: bulk task arithmetic, then one mask per sequential task.
 
-    `credible` maps task id to either a CredibleSet or a raw
-    (inputs, labels-or-None) pair. Returns the merged parameters and, per
-    sequential step, the binary mask with its objective and density traces.
+    `examples` maps task id to the (inputs, labels-or-None) arrays the mask
+    objective trains on. Returns the merged parameters and, per sequential
+    step, the binary mask with its objective and density traces.
     """
     spec = checkpoints.spec
     theta_pre = checkpoints.pretrained
@@ -414,21 +395,20 @@ def sequential_merge(checkpoints: Checkpoints, plan: MergePlan,
     taus = {
         t: task_vector(checkpoints.finetuned[t], theta_pre, task_id=t) for t in sorted(all_ids)
     }
-    task_data = _as_examples(credible)
 
     state = efficient_merge(theta_pre, [taus[t] for t in plan.efficient_set],
                             plan.lambda_efficient)
     steps: list[StepArtifact] = []
     carried: RealMask | None = None
     for step_idx, j in enumerate(plan.sequential_set):
-        state = SequentialState(state.tau_seq, state.visible_tasks + (j,), step_idx)
+        state = SequentialState(state.tau_seq, state.visible_tasks + (j,))
         if carried is None or plan.reinit_mask_per_task:
             init = init_mask(theta_pre.size, plan.init_active_fraction,
                              rng_for(plan.seed, STAGE_MASK_INIT, step_idx))
         else:
             init = carried
         result = optimize_mask(
-            spec, theta_pre, state, taus[j], task_data, init, plan,
+            spec, theta_pre, state, taus[j], examples, init, plan,
             rng_for(plan.seed, STAGE_MASK_BATCHES, step_idx), objective,
         )
         carried = result.mask
@@ -445,7 +425,7 @@ def sequential_merge(checkpoints: Checkpoints, plan: MergePlan,
                 tau_seq_before=tau_before,
             )
         )
-        state = SequentialState(new_tau, state.visible_tasks, step_idx + 1)
+        state = SequentialState(new_tau, state.visible_tasks)
 
     merged = ParamVector(theta_pre.values + state.tau_seq.values, theta_pre.spec_hash,
                          theta_pre.layer_offsets)

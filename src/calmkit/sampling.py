@@ -17,109 +17,109 @@ import numpy as np
 from .nn import ContractError, ModelSpec, ParamVector, forward, prediction_entropy
 
 
-@dataclass(frozen=True)
-class ScoredSample:
-    """One unlabeled pool entry: pool index, prediction entropy, pseudo-label."""
+def _read_only(values, dtype) -> np.ndarray:
+    arr = np.ascontiguousarray(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
 
-    index: int
-    entropy: float
-    pseudo_label: int
+
+@dataclass(frozen=True)
+class PoolScores:
+    """Prediction entropy and argmax pseudo-label of every unlabeled pool row."""
+
+    entropies: np.ndarray
+    pseudo_labels: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "entropies", _read_only(self.entropies, np.float64))
+        object.__setattr__(self, "pseudo_labels", _read_only(self.pseudo_labels, np.int64))
+        if self.entropies.ndim != 1 or self.pseudo_labels.shape != self.entropies.shape:
+            raise ContractError("pool scores hold one entropy and one pseudo-label per row")
+
+    def __len__(self) -> int:
+        return len(self.entropies)
 
 
 @dataclass(frozen=True)
 class CredibleSet:
-    """Selected pool samples with their frozen pseudo-labels for one task."""
+    """Selected pool rows (ascending from the selectors) and their frozen pseudo-labels."""
 
     task_id: int
-    samples: tuple[ScoredSample, ...]
+    indices: np.ndarray
+    entropies: np.ndarray
+    pseudo_labels: np.ndarray
     rate: float
     mode: str
     inputs: np.ndarray
 
     def __post_init__(self):
-        inputs = np.ascontiguousarray(self.inputs, dtype=np.float64)
-        if inputs.ndim != 2 or inputs.shape[0] != len(self.samples):
-            raise ContractError("credible inputs must hold one row per selected sample")
-        inputs.flags.writeable = False
-        object.__setattr__(self, "inputs", inputs)
-        for name, dtype in (("indices", np.int64), ("pseudo_labels", np.int64), ("entropies", np.float64)):
-            field = {"indices": "index", "pseudo_labels": "pseudo_label", "entropies": "entropy"}[name]
-            arr = np.array([getattr(s, field) for s in self.samples], dtype=dtype)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        for name, dtype in (("indices", np.int64), ("entropies", np.float64),
+                            ("pseudo_labels", np.int64), ("inputs", np.float64)):
+            object.__setattr__(self, name, _read_only(getattr(self, name), dtype))
+        rows = self.indices.shape[:1]
+        if (self.indices.ndim != 1 or self.entropies.shape != rows
+                or self.pseudo_labels.shape != rows or self.inputs.ndim != 2
+                or self.inputs.shape[:1] != rows):
+            raise ContractError("a credible set holds one entropy, pseudo-label and input "
+                                "row per selected index")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.indices)
 
 
-def score_pool(spec: ModelSpec, params: ParamVector, inputs: np.ndarray) -> list[ScoredSample]:
-    """Entropy and argmax pseudo-label per pool sample; argmax ties go to the lowest class."""
+def score_pool(spec: ModelSpec, params: ParamVector, inputs: np.ndarray) -> PoolScores:
+    """Entropy and argmax pseudo-label per pool row; argmax ties go to the lowest class."""
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] == 0:
         raise ContractError("unlabeled pool must be a nonempty 2-D matrix")
     logits = forward(spec, params, inputs)
-    entropies = prediction_entropy(logits)
-    labels = np.argmax(logits, axis=1)
-    return [
-        ScoredSample(index=i, entropy=float(entropies[i]), pseudo_label=int(labels[i]))
-        for i in range(inputs.shape[0])
-    ]
+    return PoolScores(prediction_entropy(logits), np.argmax(logits, axis=1))
 
 
-def _bottom_k(samples: list[ScoredSample], k: int) -> list[ScoredSample]:
+def _bottom_k(scores: PoolScores, rows: np.ndarray, k: int) -> np.ndarray:
     # entropy ties broken by lower pool index
-    return sorted(samples, key=lambda s: (s.entropy, s.index))[:k]
+    return rows[np.lexsort((rows, scores.entropies[rows]))[:k]]
 
 
-def _build(task_id: int, chosen: list[ScoredSample], rate: float, mode: str,
+def _build(task_id: int, scores: PoolScores, chosen: np.ndarray, rate: float, mode: str,
            pool_inputs: np.ndarray) -> CredibleSet:
-    chosen = sorted(chosen, key=lambda s: s.index)
-    rows = pool_inputs[np.array([s.index for s in chosen], dtype=np.int64)]
-    return CredibleSet(task_id=task_id, samples=tuple(chosen), rate=rate, mode=mode, inputs=rows)
+    rows = np.sort(chosen)
+    return CredibleSet(task_id, rows, scores.entropies[rows], scores.pseudo_labels[rows],
+                       rate, mode, pool_inputs[rows])
 
 
-def select_ems(scored: list[ScoredSample], rate: float, pool_inputs: np.ndarray,
+def select_ems(scores: PoolScores, rate: float, pool_inputs: np.ndarray,
                task_id: int = 0) -> CredibleSet:
-    """The floor(rate * N) lowest-entropy samples of the whole pool."""
+    """The floor(rate * N) lowest-entropy rows of the whole pool."""
     if not 0.0 < rate <= 1.0:
         raise ContractError(f"rate must be in (0, 1], got {rate}")
-    k = math.floor(rate * len(scored))
+    k = math.floor(rate * len(scores))
     if k == 0:
         raise ContractError(
-            f"rate {rate} selects zero of {len(scored)} samples; increase the sampling rate"
+            f"rate {rate} selects zero of {len(scores)} samples; increase the sampling rate"
         )
-    return _build(task_id, _bottom_k(list(scored), k), rate, "ems", pool_inputs)
+    return _build(task_id, scores, _bottom_k(scores, np.arange(len(scores)), k), rate, "ems",
+                  pool_inputs)
 
 
-def select_cb_ems(scored: list[ScoredSample], rate: float, pool_inputs: np.ndarray,
-                  num_classes: int, task_id: int = 0,
-                  group_labels: np.ndarray | None = None) -> CredibleSet:
-    """Per class, the floor(rate * pool_c) lowest-entropy samples; union over classes.
-
-    Grouping uses pseudo-labels. `group_labels` optionally regroups by another
-    label vector (audit labels) for comparison experiments only; the stored
-    pseudo-labels are unaffected.
-    """
+def select_cb_ems(scores: PoolScores, rate: float, pool_inputs: np.ndarray,
+                  num_classes: int, task_id: int = 0) -> CredibleSet:
+    """Per pseudo-class, the floor(rate * pool_c) lowest-entropy rows; union over classes."""
     if not 0.0 < rate <= 1.0:
         raise ContractError(f"rate must be in (0, 1], got {rate}")
-    if group_labels is not None:
-        group_labels = np.asarray(group_labels, dtype=np.int64)
-    chosen: list[ScoredSample] = []
+    picks = [np.empty(0, dtype=np.int64)]
     for c in range(num_classes):
-        if group_labels is None:
-            pool_c = [s for s in scored if s.pseudo_label == c]
-        else:
-            pool_c = [s for s in scored if group_labels[s.index] == c]
-        if not pool_c:
+        rows = np.flatnonzero(scores.pseudo_labels == c)
+        if rows.size == 0:
             warnings.warn(f"class {c} has an empty pool; skipped", stacklevel=2)
             continue
-        k = math.floor(rate * len(pool_c))
-        chosen.extend(_bottom_k(pool_c, k))
-    if not chosen:
+        picks.append(_bottom_k(scores, rows, math.floor(rate * rows.size)))
+    chosen = np.concatenate(picks)
+    if chosen.size == 0:
         raise ContractError(
             f"rate {rate} selects zero samples across all classes; increase the sampling rate"
         )
-    return _build(task_id, chosen, rate, "cb_ems", pool_inputs)
+    return _build(task_id, scores, chosen, rate, "cb_ems", pool_inputs)
 
 
 def audit_accuracy(credible: CredibleSet, true_labels: np.ndarray) -> float:
@@ -128,11 +128,11 @@ def audit_accuracy(credible: CredibleSet, true_labels: np.ndarray) -> float:
     return float(np.mean(credible.pseudo_labels == true_labels[credible.indices]))
 
 
-def class_entropy_stats(scored: list[ScoredSample]) -> dict[int, tuple[float, float, float, float, float]]:
+def class_entropy_stats(scores: PoolScores) -> dict[int, tuple[float, float, float, float, float]]:
     """Five-number entropy summary (min, Q1, median, Q3, max) per pseudo-class."""
     stats: dict[int, tuple[float, float, float, float, float]] = {}
-    for c in sorted({s.pseudo_label for s in scored}):
-        ent = np.array([s.entropy for s in scored if s.pseudo_label == c])
+    for c in np.unique(scores.pseudo_labels):
+        ent = scores.entropies[scores.pseudo_labels == c]
         q = np.percentile(ent, [0.0, 25.0, 50.0, 75.0, 100.0])
-        stats[c] = tuple(float(v) for v in q)
+        stats[int(c)] = tuple(float(v) for v in q)
     return stats

@@ -83,6 +83,7 @@ def test_default_config_staged_reports_keep_their_hashes(tmp_path):
     expected = {"avg": "365b306a877fa7d1", "ta": "2b9609b8c585f470",
                 "ties": "dead7c0d119f6258", "calm": "c4c090e8fb432847"}
     _staged(tmp_path)
+    assert _sha((tmp_path / CREDIBLE_FILE).read_bytes()) == "55054c963f166a27"
     for method, digest in expected.items():
         assert _cli("merge", tmp_path, {"method": method}) == 0
         assert _cli("eval", tmp_path, {"method": method}) == 0
@@ -100,11 +101,30 @@ def test_default_config_text_keeps_its_hash(tmp_path, capsys):
     ("plan.lambda_efficient", "0"),
     ("plan.iterations_per_task", "0"),
     ("plan.init_active_fraction", "1.5"),
+    ("plan.mask_lr", "nan"),
+    ("plan.mask_lr", "0"),
+    ("plan.mask_lr", "-500"),
+    ("plan.l1_weight", "nan"),
+    ("plan.lambda_efficient", "nan"),
+    ("plan.lambda_efficient", "inf"),
+    ("ties.scale", "nan"),
+    ("seed", "-1"),
+    ("seed", "99999999999999999999999"),
 ])
 def test_invalid_plan_and_ties_values_are_config_errors(key, value, tmp_path, capsys):
     assert _cli("gen-tasks", tmp_path, {key: value}) == 1
     assert "configuration error" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"seed = 1\n# \xff\n")
+    workdir = tmp_path / "run"
+    assert _cli("gen-tasks", workdir, None, "--config", str(config)) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(config) in err
+    assert not workdir.exists()
 
 
 # sha256 prefixes of summary.csv on TINY, captured before the suites shared one sweep

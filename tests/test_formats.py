@@ -21,7 +21,7 @@ from calmkit.bench.formats import (
 )
 from calmkit.bench.runner import DATASETS_FILE, PRETRAINED_FILE
 from calmkit.nn import ModelSpec
-from calmkit.sampling import CredibleSet, ScoredSample
+from calmkit.sampling import CredibleSet
 from calmkit.tasks import TaskFamily, generate_family
 
 SPEC = ModelSpec(3, (4, 2), 3, activation="tanh")
@@ -45,10 +45,9 @@ def _credible(path):
     rng = np.random.default_rng(1)
     credible = {}
     for t, rows in ((0, 3), (2, 2)):
-        samples = tuple(ScoredSample(int(i), float(e), int(l)) for i, e, l in
-                        zip(rng.permutation(9)[:rows], rng.uniform(0, 1, rows),
-                            rng.integers(0, 3, rows)))
-        credible[t] = CredibleSet(t, samples, 0.5, "cb_ems", rng.standard_normal((rows, 4)))
+        credible[t] = CredibleSet(t, rng.permutation(9)[:rows], rng.uniform(0, 1, rows),
+                                  rng.integers(0, 3, rows), 0.5, "cb_ems",
+                                  rng.standard_normal((rows, 4)))
     save_credible_sets(path, credible)
 
 

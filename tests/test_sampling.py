@@ -1,13 +1,18 @@
 import itertools
+import math
 import pickle
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calmkit.nn import ContractError, ModelSpec, bind, prediction_entropy, zero_params
 from calmkit.sampling import (
     CredibleSet,
-    ScoredSample,
+    PoolScores,
     audit_accuracy,
     class_entropy_stats,
     score_pool,
@@ -30,35 +35,36 @@ def logit_model(c):
 
 def scored_from_entropy(entropies, labels=None):
     labels = labels if labels is not None else [0] * len(entropies)
-    return [ScoredSample(i, float(e), int(l)) for i, (e, l) in enumerate(zip(entropies, labels))]
+    return PoolScores(entropies, labels)
 
 
 class TestScorePool:
     def test_confident_sample(self):
         spec, params = logit_model(3)
         scored = score_pool(spec, params, np.array([[60.0, 0.0, 0.0]]))
-        assert scored[0].pseudo_label == 0
-        assert scored[0].entropy < 1e-9
+        assert scored.pseudo_labels[0] == 0
+        assert scored.entropies[0] < 1e-9
 
     def test_constant_logits_tie_rule(self):
         spec, params = logit_model(5)
         scored = score_pool(spec, params, np.full((1, 5), 2.0))
-        assert scored[0].pseudo_label == 0
-        assert np.isclose(scored[0].entropy, np.log(5.0), rtol=0, atol=1e-12)
-        assert np.isclose(scored[0].entropy, 1.6094379124341003, rtol=0, atol=1e-12)
+        assert scored.pseudo_labels[0] == 0
+        assert np.isclose(scored.entropies[0], np.log(5.0), rtol=0, atol=1e-12)
+        assert np.isclose(scored.entropies[0], 1.6094379124341003, rtol=0, atol=1e-12)
 
     def test_matches_direct_recomputation(self):
         spec, params = logit_model(4)
         rng = np.random.default_rng(2)
         inputs = rng.standard_normal((30, 4)) * 3.0
         scored = score_pool(spec, params, inputs)
-        for s in scored:
-            z = inputs[s.index]
+        assert len(scored) == 30
+        for i, (entropy, label) in enumerate(zip(scored.entropies, scored.pseudo_labels)):
+            z = inputs[i]
             p = np.exp(z - z.max())
             p /= p.sum()
             direct = -sum(pi * np.log(pi) for pi in p if pi > 0.0)
-            assert abs(s.entropy - direct) <= 1e-12
-            assert s.pseudo_label == int(np.argmax(z))
+            assert abs(entropy - direct) <= 1e-12
+            assert label == int(np.argmax(z))
 
     def test_empty_pool_rejected(self):
         spec, params = logit_model(3)
@@ -112,8 +118,7 @@ class TestSelectEms:
 
 class TestSelectCbEms:
     def test_per_class_sort_oracle(self):
-        scored = [ScoredSample(0, 0.9, 0), ScoredSample(1, 0.2, 0),
-                  ScoredSample(2, 0.5, 1), ScoredSample(3, 0.7, 1)]
+        scored = PoolScores([0.9, 0.2, 0.5, 0.7], [0, 0, 1, 1])
         cset = select_cb_ems(scored, 0.5, np.zeros((4, 2)), num_classes=2)
         assert sorted(cset.indices.tolist()) == [1, 2]
 
@@ -150,16 +155,6 @@ class TestSelectCbEms:
         assert len(cset) == 2
         assert np.all(cset.pseudo_labels == 0)
 
-    def test_group_labels_override_for_comparison_runs(self):
-        scored = scored_from_entropy([0.3, 0.2, 0.1, 0.4], [0, 0, 0, 0])
-        audit = np.array([0, 0, 1, 1])
-        cset = select_cb_ems(scored, 0.5, np.zeros((4, 2)), num_classes=2,
-                             group_labels=audit)
-        # one per audit class: index 1 (class 0) and index 2 (class 1);
-        # stored pseudo-labels stay the argmax predictions
-        assert sorted(cset.indices.tolist()) == [1, 2]
-        assert np.all(cset.pseudo_labels == 0)
-
     def test_per_class_k_is_floor_of_rate_times_pool(self):
         rng = np.random.default_rng(7)
         labels = np.concatenate([np.zeros(7, dtype=int), np.ones(13, dtype=int)])
@@ -181,6 +176,74 @@ class TestSelectCbEms:
             assert np.isclose(chosen.sum(), best, rtol=0, atol=1e-12)
 
 
+@dataclass(frozen=True)
+class ObjectSample:
+    """One pool row as the object sort held it: pool index, entropy, pseudo-label."""
+
+    index: int
+    entropy: float
+    pseudo_label: int
+
+
+def object_sort_selection(entropies, labels, rate, num_classes, mode):
+    """The selection as a sort of one object per pool row, keyed (entropy, index):
+    the reference the array selectors must reproduce, ties and empty classes included."""
+    scored = [ObjectSample(i, float(e), int(l)) for i, (e, l) in enumerate(zip(entropies, labels))]
+
+    def bottom_k(samples, k):
+        return sorted(samples, key=lambda s: (s.entropy, s.index))[:k]
+
+    if mode == "ems":
+        chosen = bottom_k(scored, math.floor(rate * len(scored)))
+    else:
+        chosen = []
+        for c in range(num_classes):
+            pool_c = [s for s in scored if s.pseudo_label == c]
+            if pool_c:
+                chosen.extend(bottom_k(pool_c, math.floor(rate * len(pool_c))))
+    return [s.index for s in sorted(chosen, key=lambda s: s.index)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(["ems", "cb_ems"]),
+       rate=st.sampled_from([0.05, 0.1, 1 / 3, 0.5, 0.7, 0.9, 1.0]),
+       num_classes=st.integers(1, 6))
+def test_selection_matches_the_object_sort(data, mode, rate, num_classes):
+    n = data.draw(st.integers(1, 60))
+    # few distinct entropies, so most rows tie; labels from a prefix of the classes,
+    # so some classes are empty
+    entropies = data.draw(st.lists(st.sampled_from([0.0, 0.125, 0.5, 0.5000000000000001, 1.0]),
+                                   min_size=n, max_size=n))
+    used = data.draw(st.integers(1, num_classes))
+    labels = data.draw(st.lists(st.integers(0, used - 1), min_size=n, max_size=n))
+    expected = object_sort_selection(entropies, labels, rate, num_classes, mode)
+    scores = PoolScores(entropies, labels)
+    pool = np.arange(n, dtype=np.float64)[:, None] * np.ones(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if not expected:
+            with pytest.raises(ContractError, match="increase the sampling rate"):
+                (select_ems(scores, rate, pool) if mode == "ems"
+                 else select_cb_ems(scores, rate, pool, num_classes))
+            return
+        cset = (select_ems(scores, rate, pool) if mode == "ems"
+                else select_cb_ems(scores, rate, pool, num_classes))
+    assert cset.indices.tolist() == expected
+    assert cset.entropies.tolist() == [entropies[i] for i in expected]
+    assert cset.pseudo_labels.tolist() == [labels[i] for i in expected]
+    assert cset.inputs[:, 0].tolist() == expected
+    assert (cset.mode, cset.rate, len(cset)) == (mode, rate, len(expected))
+
+
+def test_credible_set_needs_one_row_per_index():
+    rows = np.zeros((2, 3))
+    with pytest.raises(ContractError):
+        CredibleSet(0, np.array([0, 1]), np.array([0.1]), np.array([0, 1]), 0.5, "ems", rows)
+    with pytest.raises(ContractError):
+        CredibleSet(0, np.array([0, 1]), np.array([0.1, 0.2]), np.array([0, 1]), 0.5, "ems",
+                    rows[:1])
+
+
 class TestCredibleSetImmutability:
     def build(self):
         scored = scored_from_entropy([0.4, 0.1, 0.3, 0.2], [0, 1, 0, 1])
@@ -198,7 +261,7 @@ class TestCredibleSetImmutability:
         before = pickle.dumps(cset.pseudo_labels.tolist())
         # unrelated numerical work must not disturb the frozen labels
         _ = np.square(cset.inputs).sum()
-        stats = class_entropy_stats(list(cset.samples))
+        stats = class_entropy_stats(PoolScores(cset.entropies, cset.pseudo_labels))
         assert stats
         assert pickle.dumps(cset.pseudo_labels.tolist()) == before
 
@@ -222,7 +285,7 @@ class TestAuditAccuracy:
 
 class TestClassEntropyStats:
     def test_single_sample_class(self):
-        stats = class_entropy_stats([ScoredSample(0, 0.37, 2)])
+        stats = class_entropy_stats(PoolScores([0.37], [2]))
         assert stats[2] == (0.37, 0.37, 0.37, 0.37, 0.37)
 
     def test_matches_brute_force_percentiles(self):
@@ -230,7 +293,7 @@ class TestClassEntropyStats:
         scored = scored_from_entropy(rng.uniform(size=41), rng.integers(0, 3, size=41))
         stats = class_entropy_stats(scored)
         for c, observed in stats.items():
-            ent = np.sort([s.entropy for s in scored if s.pseudo_label == c])
+            ent = np.sort([e for e, l in zip(scored.entropies, scored.pseudo_labels) if l == c])
             expected = []
             for q in (0.0, 0.25, 0.5, 0.75, 1.0):
                 # linear interpolation between order statistics
@@ -240,7 +303,6 @@ class TestClassEntropyStats:
             assert np.allclose(observed, expected, rtol=0, atol=1e-12)
 
     def test_disjoint_ranges_give_disjoint_boxes(self):
-        scored = (scored_from_entropy([0.1, 0.15, 0.2], [0, 0, 0])
-                  + [ScoredSample(3, 0.8, 1), ScoredSample(4, 0.9, 1), ScoredSample(5, 1.0, 1)])
+        scored = scored_from_entropy([0.1, 0.15, 0.2, 0.8, 0.9, 1.0], [0, 0, 0, 1, 1, 1])
         stats = class_entropy_stats(scored)
         assert stats[0][4] < stats[1][0]

@@ -69,7 +69,9 @@ def worker(hidden: str):
         workdir = Path(tmp)
         tasks = stage_generate(config, workdir)
         ckpt = stage_finetune(config, workdir, tasks, stage_pretrain(config, workdir, tasks))
-        credible = stage_sample(config, workdir, tasks, ckpt)
+        # (inputs, pseudo-labels) pairs: sequential_merge takes them in every source tree
+        examples = {t: (cs.inputs, cs.pseudo_labels)
+                    for t, cs in stage_sample(config, workdir, tasks, ckpt).items()}
     print(json.dumps({
         "parameters": ckpt.spec.parameter_count,
         "checkpoints_sha": _sha(b"".join(ft.values.tobytes() for ft in ckpt.finetuned)),
@@ -80,7 +82,7 @@ def worker(hidden: str):
         if line.strip() != "run":
             break
         start = perf_counter()
-        result = sequential_merge(ckpt, config.plan, credible)
+        result = sequential_merge(ckpt, config.plan, examples)
         seconds = perf_counter() - start
         print(json.dumps({
             "merge_s": seconds,
