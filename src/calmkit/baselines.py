@@ -51,9 +51,18 @@ def ordered_sum(arrays) -> np.ndarray:
     return np.sum(stacked, axis=0)
 
 
+def check_task_vectors(theta_pre: ParamVector, task_vectors) -> None:
+    """Every task vector has one entry per parameter of theta_pre."""
+    for tv in task_vectors:
+        if tv.size != theta_pre.size:
+            raise ContractError(
+                f"task vector {tv.task_id!r} has {tv.size} entries, expected {theta_pre.size}"
+            )
+
+
 def task_vector(theta_ft: ParamVector, theta_pre: ParamVector, task_id: int | str = "") -> TaskVector:
     """theta_ft - theta_pre, elementwise."""
-    if theta_ft.spec_hash != theta_pre.spec_hash:
+    if theta_ft.spec != theta_pre.spec:
         raise ContractError("fine-tuned and pretrained vectors are bound to different specs")
     return TaskVector(theta_ft.values - theta_pre.values, task_id=task_id)
 
@@ -64,10 +73,10 @@ def weight_average(models: list[ParamVector]) -> ParamVector:
         raise ContractError("weight_average needs at least one model")
     first = models[0]
     for m in models[1:]:
-        if m.spec_hash != first.spec_hash:
+        if m.spec != first.spec:
             raise ContractError("all models must be bound to the same spec")
     mean = ordered_sum([m.values for m in models]) / len(models)
-    return ParamVector(mean, first.spec_hash, first.layer_offsets)
+    return ParamVector(mean, first.spec)
 
 
 def task_arithmetic(theta_pre: ParamVector, task_vectors: list[TaskVector],
@@ -75,15 +84,11 @@ def task_arithmetic(theta_pre: ParamVector, task_vectors: list[TaskVector],
     """theta_pre + scale * sum(task vectors)."""
     if scale <= 0.0:
         raise ContractError(f"scale must be positive, got {scale}")
-    for tv in task_vectors:
-        if tv.size != theta_pre.size:
-            raise ContractError(
-                f"task vector {tv.task_id!r} has {tv.size} entries, expected {theta_pre.size}"
-            )
+    check_task_vectors(theta_pre, task_vectors)
     if not task_vectors:
-        return ParamVector(theta_pre.values.copy(), theta_pre.spec_hash, theta_pre.layer_offsets)
+        return ParamVector(theta_pre.values.copy(), theta_pre.spec)
     total = ordered_sum([tv.values for tv in task_vectors])
-    return ParamVector(theta_pre.values + scale * total, theta_pre.spec_hash, theta_pre.layer_offsets)
+    return ParamVector(theta_pre.values + scale * total, theta_pre.spec)
 
 
 def ties_trim(tv: TaskVector, trim_fraction: float) -> TaskVector:
@@ -123,11 +128,7 @@ def ties_merge(theta_pre: ParamVector, task_vectors: list[TaskVector],
     entries (disjoint merge), and add the scaled result to theta_pre."""
     if not task_vectors:
         raise ContractError("ties_merge needs at least one task vector")
-    for tv in task_vectors:
-        if tv.size != theta_pre.size:
-            raise ContractError(
-                f"task vector {tv.task_id!r} has {tv.size} entries, expected {theta_pre.size}"
-            )
+    check_task_vectors(theta_pre, task_vectors)
     trimmed = [ties_trim(tv, config.trim_fraction) for tv in task_vectors]
     elected = ties_elect_sign(trimmed)
     agree_sum = np.zeros(theta_pre.size)
@@ -139,4 +140,4 @@ def ties_merge(theta_pre: ParamVector, task_vectors: list[TaskVector],
     merged = theta_pre.values.copy()
     touched = agree_count > 0
     merged[touched] += config.scale * (agree_sum[touched] / agree_count[touched])
-    return ParamVector(merged, theta_pre.spec_hash, theta_pre.layer_offsets)
+    return ParamVector(merged, theta_pre.spec)

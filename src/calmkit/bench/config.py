@@ -9,7 +9,7 @@ config is resolved.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Any
 
 from ..baselines import TiesConfig
@@ -87,47 +87,33 @@ def _str_tuple(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-# key -> (section, field, parser); section None targets ExperimentConfig itself
-_KEYS: dict[str, tuple[str | None, str, Any]] = {
-    "seed": (None, "seed", int),
-    "method": (None, "method", str),
-    "report": (None, "report", _str_tuple),
-    "family.num_tasks": ("family", "num_tasks", int),
-    "family.classes_per_task": ("family", "classes_per_task", int),
-    "family.input_dim": ("family", "input_dim", int),
-    "family.cluster_sep": ("family", "cluster_sep", float),
-    "family.task_offset": ("family", "task_offset", float),
-    "family.noise_sigma": ("family", "noise_sigma", float),
-    "family.frame_align": ("family", "frame_align", float),
-    "family.train_per_task": ("family", "train_per_task", int),
-    "family.unlabeled_per_task": ("family", "unlabeled_per_task", int),
-    "family.test_per_task": ("family", "test_per_task", int),
-    "train.hidden_dims": ("train", "hidden_dims", _int_tuple),
-    "train.activation": ("train", "activation", str),
-    "train.pretrain_epochs": ("train", "pretrain_epochs", int),
-    "train.pretrain_lr": ("train", "pretrain_lr", float),
-    "train.finetune_epochs": ("train", "finetune_epochs", int),
-    "train.finetune_lr": ("train", "finetune_lr", float),
-    "train.batch_size": ("train", "batch_size", int),
-    "train.head_mode": ("train", "head_mode", str),
-    "train.accuracy_floor": ("train", "accuracy_floor", float),
-    "sampling.mode": ("sampling", "mode", str),
-    "sampling.rate": ("sampling", "rate", float),
-    "sampling.objective": ("sampling", "objective", str),
-    "plan.num_sequential": ("plan", "num_sequential", int),
-    "plan.lambda_efficient": ("plan", "lambda_efficient", float),
-    "plan.l1_weight": ("plan", "l1_weight", float),
-    "plan.iterations_per_task": ("plan", "iterations_per_task", int),
-    "plan.batches_per_task": ("plan", "batches_per_task", int),
-    "plan.batch_size": ("plan", "batch_size", int),
-    "plan.mask_lr": ("plan", "mask_lr", float),
-    "plan.init_active_fraction": ("plan", "init_active_fraction", float),
-    "plan.strategy": ("plan", "strategy", str),
-    "plan.reinit_mask_per_task": ("plan", "reinit_mask_per_task", _bool),
-    "ties.trim_fraction": ("ties", "trim_fraction", float),
-    "ties.scale": ("ties", "scale", float),
-}
+def _parser(default: Any):
+    """The text parser for a key, chosen by the type of its default."""
+    if isinstance(default, tuple):
+        return _str_tuple if isinstance(default[0], str) else _int_tuple
+    return {bool: _bool, int: int, float: float, str: str}[type(default)]
 
+
+def _schema() -> dict[str, tuple[str | None, str, Any]]:
+    """key -> (section, field, parser); section None targets ExperimentConfig itself.
+
+    The keys are each section's fields that have a default, in field order. The
+    sections' seeds are not keys, as they follow the top-level seed; plan.num_sequential,
+    which sizes the seeded partition, comes first in the plan section.
+    """
+    keys: dict[str, tuple[str | None, str, Any]] = {}
+    for section, cls in ((None, ExperimentConfig), ("family", TaskFamily), ("train", TrainConfig),
+                         ("sampling", SamplingConfig), ("plan", MergePlan), ("ties", TiesConfig)):
+        if section == "plan":
+            keys["plan.num_sequential"] = ("plan", "num_sequential", int)
+        for f in fields(cls):
+            if f.default is not MISSING and not (section and f.name == "seed"):
+                keys[f"{section}.{f.name}" if section else f.name] = (section, f.name,
+                                                                       _parser(f.default))
+    return keys
+
+
+_KEYS = _schema()
 CONFIG_KEYS = tuple(_KEYS)
 
 
@@ -150,9 +136,7 @@ def parse_entries(text: str) -> dict[str, str]:
 
 
 def build_config(entries: dict[str, str]) -> ExperimentConfig:
-    top: dict[str, Any] = {}
-    sections: dict[str, dict[str, Any]] = {"family": {}, "train": {}, "sampling": {},
-                                           "plan": {}, "ties": {}}
+    sections: dict[str | None, dict[str, Any]] = {section: {} for section, _, _ in _KEYS.values()}
     for key, raw in entries.items():
         if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}; valid keys: {', '.join(CONFIG_KEYS)}")
@@ -163,11 +147,8 @@ def build_config(entries: dict[str, str]) -> ExperimentConfig:
             raise
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: cannot parse {raw!r} ({exc})") from exc
-        if section is None:
-            top[name] = value
-        else:
-            sections[section][name] = value
-    seed = top.get("seed", 0)
+        sections[section][name] = value
+    seed = sections[None].get("seed", 0)
     if not 0 <= seed < 2**63:  # the dataset header stores it as an i64
         raise ConfigError(f"seed must lie in [0, 2^63), got {seed}")
     sections["family"].setdefault("seed", seed)
@@ -185,8 +166,7 @@ def build_config(entries: dict[str, str]) -> ExperimentConfig:
                        **plan_fields)
     except ContractError as exc:
         raise ConfigError(f"plan: {exc}") from exc
-    return ExperimentConfig(seed=seed, method=top.get("method", "calm"),
-                            report=top.get("report", ("accuracy",)), plan=plan, **built)
+    return ExperimentConfig(**sections[None], plan=plan, **built)
 
 
 def apply_overrides(config: ExperimentConfig, overrides: dict[str, Any]) -> ExperimentConfig:

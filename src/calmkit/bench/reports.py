@@ -32,18 +32,12 @@ def evaluate(spec: ModelSpec, theta: ParamVector, tasks: Sequence[TaskData]) -> 
     return per_task, float(per_task.mean())
 
 
-def layer_density(mask: BinaryMask, layer_offsets: Sequence[tuple[int, int]]) -> list[float]:
-    """Fraction of ones per layer span; spans must partition the mask."""
-    pos = 0
-    out = []
-    for start, length in layer_offsets:
-        if start != pos:
-            raise ContractError("layer_offsets must partition the mask without gaps")
-        out.append(float(np.mean(mask.m[start : start + length])))
-        pos += length
-    if pos != mask.m.size:
-        raise ContractError(f"layer_offsets cover {pos} of {mask.m.size} mask entries")
-    return out
+def layer_density(mask: BinaryMask, spec: ModelSpec) -> list[float]:
+    """Fraction of ones in each layer's span of a mask over the parameters of `spec`."""
+    if mask.m.size != spec.parameter_count:
+        raise ContractError(f"mask has {mask.m.size} entries, spec has {spec.parameter_count}")
+    return [float(np.mean(mask.m[start : start + length]))
+            for start, length in spec.layer_offsets()]
 
 
 def magnitude_overlap(mask: BinaryMask, tau: np.ndarray,

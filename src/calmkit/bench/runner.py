@@ -227,7 +227,7 @@ def stage_evaluate(config: ExperimentConfig, workdir: Path, tasks: list[TaskData
                      for key in sorted(vectors)}
         for key, (task_id, mask) in masks.items():
             if "layer_density" in config.report:
-                bundle.layer_densities[key] = layer_density(mask, ckpt.spec.layer_offsets())
+                bundle.layer_densities[key] = layer_density(mask, ckpt.spec)
             if "magnitude_overlap" in config.report:
                 tau = task_vector(ckpt.finetuned[task_id], ckpt.pretrained, task_id=task_id)
                 bundle.magnitude_overlaps[key] = magnitude_overlap(mask, tau.values)

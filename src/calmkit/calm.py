@@ -9,13 +9,10 @@ task's credible samples plus an L1 sparsity term, and rounded once at the
 end, so the final update copies every coordinate verbatim from exactly one
 source.
 
-The data term is one weighted pass over the rows of every visible task's
-batches: each row weighs 1 / (batches of its task * rows of its batch), which
-is the per-task mean over batches of the per-batch mean. The pass runs
-feature-major, on (features, rows) blocks of ROW_BLOCK rows: the layers are 5
-to 32 features wide at the default size, and numpy's per-call cost on rows
-that narrow, in the bias add, the activation and the loss kernel, outweighed
-their arithmetic; feature-major, each of those calls spans a block's rows.
+The data term is one weighted pass, `nn.weighted_loss_and_grad`, over the
+rows of every visible task's batches: each row weighs 1 / (batches of its task
+* rows of its batch), which is the per-task mean over batches of the per-batch
+mean.
 """
 from __future__ import annotations
 
@@ -24,9 +21,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .baselines import TaskVector, ordered_sum, task_vector
-from .nn import (ContractError, ModelSpec, ParamVector, _activate, _activation_grad, _check_labels,
-                 _layers, _loss_and_dlogits)
+from .baselines import TaskVector, check_task_vectors, ordered_sum, task_vector
+from .nn import ContractError, ModelSpec, ParamVector, weighted_loss_and_grad
 from .seeding import STAGE_MASK_BATCHES, STAGE_MASK_INIT, STAGE_PARTITION, rng_for
 from .tasks import Checkpoints
 
@@ -34,11 +30,6 @@ STRATEGIES = ("both", "only_mask", "only_complement")
 OBJECTIVES = ("cross_entropy", "entropy")
 
 INIT_MAGNITUDE = 4.595  # sigmoid(+-4.595) ~= 0.99 / 0.01
-# Rows per block of the mask objective. sequential_merge medians of 5 alternating
-# repeats at 128/384/640/1,024 rows, one BLAS thread: 709 params 0.364/0.248/0.224/
-# 0.222 s, 71k params 6.16/5.77/5.86/5.60 s; at 1.07M params one objective call on
-# 1,792 rows took 0.39 s at 384 rows and 0.33-0.37 s at 1,024.
-ROW_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -125,13 +116,6 @@ class SequentialState:
 
 
 @dataclass(frozen=True)
-class MaskOptResult:
-    mask: RealMask
-    objective_trace: np.ndarray
-    density_trace: np.ndarray
-
-
-@dataclass(frozen=True)
 class StepArtifact:
     """Everything recorded at one sequential step."""
 
@@ -179,15 +163,8 @@ def efficient_merge(theta_pre: ParamVector, bulk: Sequence[TaskVector],
     """Task-arithmetic base vector scale * sum(bulk); empty bulk gives the zero vector."""
     if scale <= 0.0:
         raise ContractError("scale must be positive")
-    for tv in bulk:
-        if tv.size != theta_pre.size:
-            raise ContractError(
-                f"task vector {tv.task_id!r} has {tv.size} entries, expected {theta_pre.size}"
-            )
-    if bulk:
-        values = scale * ordered_sum([tv.values for tv in bulk])
-    else:
-        values = np.zeros(theta_pre.size)
+    check_task_vectors(theta_pre, bulk)
+    values = scale * ordered_sum([tv.values for tv in bulk]) if bulk else np.zeros(theta_pre.size)
     visible = tuple(tv.task_id for tv in bulk)
     return SequentialState(TaskVector(values, task_id="merged"), visible)
 
@@ -224,8 +201,8 @@ def masked_merge(tau_seq: TaskVector, tau_j: TaskVector, mask: BinaryMask,
 TaskExamples = Mapping[int, tuple[np.ndarray, np.ndarray | None]]
 
 
-def _stacked_rows(spec: ModelSpec, visible_tasks: Sequence[int],
-                  task_batches: Mapping[int, Sequence[tuple]], objective: str):
+def _stacked_rows(visible_tasks: Sequence[int], task_batches: Mapping[int, Sequence[tuple]],
+                  objective: str):
     """Every visible task's batches as one stack of inputs, labels and row weights."""
     inputs, labels, weights = [], [], []
     for t in visible_tasks:
@@ -243,8 +220,7 @@ def _stacked_rows(spec: ModelSpec, visible_tasks: Sequence[int],
     x = np.concatenate(inputs).astype(np.float64, copy=False)
     if objective == "entropy":
         return x, None, np.concatenate(weights)
-    y = _check_labels(np.concatenate(labels).astype(np.int64, copy=False), spec.num_classes)
-    return x, y, np.concatenate(weights)
+    return x, np.concatenate(labels).astype(np.int64, copy=False), np.concatenate(weights)
 
 
 def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: SequentialState,
@@ -259,19 +235,15 @@ def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: Sequenti
     count; an unnormalized sum would bury the data signal. The gradient chains
     the parameter gradient through the merge direction and sigmoid'(r).
 
-    The data term is the feature-major, row-weighted pass of the module
-    docstring. Its sums run in another order than a per-batch loop, so
-    results differ from one in the last bits.
+    The data term is the row-weighted pass of the module docstring.
     """
     if objective not in OBJECTIVES:
         raise ContractError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     if strategy not in STRATEGIES:
         raise ContractError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    if theta_pre.size != spec.parameter_count:
-        raise ContractError(
-            f"expected {spec.parameter_count} parameters for spec, got {theta_pre.size}"
-        )
-    inputs, labels, weights = _stacked_rows(spec, state.visible_tasks, task_batches, objective)
+    if theta_pre.spec != spec:
+        raise ContractError(f"theta_pre is bound to {theta_pre.spec}, not to {spec}")
+    inputs, labels, weights = _stacked_rows(state.visible_tasks, task_batches, objective)
     m = sigmoid(mask.r)
     if strategy == "both":
         tau_values = (1.0 - m) * state.tau_seq.values + m * tau_j.values
@@ -282,38 +254,11 @@ def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: Sequenti
     else:
         tau_values = (1.0 - m) * state.tau_seq.values + tau_j.values
         direction = -state.tau_seq.values
-    theta = theta_pre.values + tau_values
-
-    layers = _layers(spec, theta)
-    columns = inputs.T  # (features, rows), a view
-    data_loss = 0.0
-    dtheta = np.zeros(theta_pre.size)
-    grads = _layers(spec, dtheta)
-    for start in range(0, columns.shape[1], ROW_BLOCK):
-        cols = slice(start, start + ROW_BLOCK)
-        acts = [columns[:, cols]]
-        for idx, (w, b) in enumerate(layers):
-            z = w.T @ acts[-1]
-            z += b[:, None]
-            if idx < len(layers) - 1:
-                _activate(spec, z)
-            acts.append(z)
-        losses, dz = _loss_and_dlogits(acts[-1], None if labels is None else labels[cols])
-        data_loss += float(losses @ weights[cols])
-        dz *= weights[cols]
-        for idx in range(len(layers) - 1, -1, -1):
-            (w, _), (grad_w, grad_b) = layers[idx], grads[idx]
-            grad_w += acts[idx] @ dz.T
-            grad_b += dz.sum(axis=1)
-            if idx > 0:
-                dz = w @ dz
-                _activation_grad(spec, dz, acts[idx])
-
-    n = theta_pre.size
+    data_loss, dtheta = weighted_loss_and_grad(spec, theta_pre.values + tau_values, inputs,
+                                               labels, weights)
     sig_grad = m * (1.0 - m)
     loss = data_loss + l1_weight * float(np.mean(m))
-    grad_r = dtheta * direction * sig_grad + (l1_weight / n) * sig_grad
-    return loss, grad_r
+    return loss, dtheta * direction * sig_grad + (l1_weight / theta_pre.size) * sig_grad
 
 
 def init_mask(n: int, init_active_fraction: float, seed,
@@ -345,8 +290,8 @@ def _draw_batch(rng: np.random.Generator, inputs: np.ndarray, labels: np.ndarray
 def optimize_mask(spec: ModelSpec, theta_pre: ParamVector, state: SequentialState,
                   tau_j: TaskVector, task_data: TaskExamples, init: RealMask,
                   plan: MergePlan, rng: np.random.Generator,
-                  objective: str = "cross_entropy") -> MaskOptResult:
-    """First-order descent on r.
+                  objective: str = "cross_entropy") -> StepArtifact:
+    """First-order descent on r, then the rounded mask of tau_j's step.
 
     Per iteration, `batches_per_task` batches of at most `batch_size` samples
     are drawn per visible task (the whole set when it is smaller). The
@@ -373,7 +318,9 @@ def optimize_mask(spec: ModelSpec, theta_pre: ParamVector, state: SequentialStat
         objective_trace[it] = loss
         r = r - plan.mask_lr * grad_r
         density_trace[it + 1] = float(np.mean(r >= 0.0))
-    return MaskOptResult(RealMask(r), objective_trace, density_trace)
+    real = RealMask(r)
+    return StepArtifact(tau_j.task_id, binarize(real), real, objective_trace, density_trace,
+                        state.tau_seq.values)
 
 
 def sequential_merge(checkpoints: Checkpoints, plan: MergePlan, examples: TaskExamples,
@@ -407,26 +354,14 @@ def sequential_merge(checkpoints: Checkpoints, plan: MergePlan, examples: TaskEx
                              rng_for(plan.seed, STAGE_MASK_INIT, step_idx))
         else:
             init = carried
-        result = optimize_mask(
+        step = optimize_mask(
             spec, theta_pre, state, taus[j], examples, init, plan,
             rng_for(plan.seed, STAGE_MASK_BATCHES, step_idx), objective,
         )
-        carried = result.mask
-        hard = binarize(result.mask)
-        tau_before = state.tau_seq.values
-        new_tau = masked_merge(state.tau_seq, taus[j], hard, plan.strategy)
-        steps.append(
-            StepArtifact(
-                task_id=j,
-                mask=hard,
-                real_mask=result.mask,
-                objective_trace=result.objective_trace,
-                density_trace=result.density_trace,
-                tau_seq_before=tau_before,
-            )
-        )
-        state = SequentialState(new_tau, state.visible_tasks)
+        steps.append(step)
+        carried = step.real_mask
+        state = SequentialState(masked_merge(state.tau_seq, taus[j], step.mask, plan.strategy),
+                                state.visible_tasks)
 
-    merged = ParamVector(theta_pre.values + state.tau_seq.values, theta_pre.spec_hash,
-                         theta_pre.layer_offsets)
+    merged = ParamVector(theta_pre.values + state.tau_seq.values, spec)
     return MergeResult(merged=merged, final_tau=state.tau_seq, steps=tuple(steps), plan=plan)

@@ -127,12 +127,3 @@ def audit_accuracy(credible: CredibleSet, true_labels: np.ndarray) -> float:
     true_labels = np.asarray(true_labels, dtype=np.int64)
     return float(np.mean(credible.pseudo_labels == true_labels[credible.indices]))
 
-
-def class_entropy_stats(scores: PoolScores) -> dict[int, tuple[float, float, float, float, float]]:
-    """Five-number entropy summary (min, Q1, median, Q3, max) per pseudo-class."""
-    stats: dict[int, tuple[float, float, float, float, float]] = {}
-    for c in np.unique(scores.pseudo_labels):
-        ent = scores.entropies[scores.pseudo_labels == c]
-        q = np.percentile(ent, [0.0, 25.0, 50.0, 75.0, 100.0])
-        stats[int(c)] = tuple(float(v) for v in q)
-    return stats

@@ -114,6 +114,13 @@ class TrainConfig:
             raise ContractError(f"head_mode must be 'shared' or 'per_task', got {self.head_mode!r}")
         if self.batch_size < 1:
             raise ContractError("batch_size must be >= 1")
+        for name, lr in (("pretrain_lr", self.pretrain_lr), ("finetune_lr", self.finetune_lr)):
+            if not 0.0 < lr < np.inf:
+                raise ContractError(f"{name} must be positive and finite, got {lr}")
+        if min(self.pretrain_epochs, self.finetune_epochs) < 0:
+            raise ContractError("pretrain_epochs and finetune_epochs must be >= 0")
+        if not 0.0 <= self.accuracy_floor <= 1.0:
+            raise ContractError(f"accuracy_floor must lie in [0, 1], got {self.accuracy_floor}")
 
 
 @dataclass(frozen=True)
@@ -125,10 +132,7 @@ class Checkpoints:
     finetuned: tuple[ParamVector, ...]
 
     def __post_init__(self):
-        spec_hash = self.spec.hash()
-        if self.pretrained.spec_hash != spec_hash or any(
-            ft.spec_hash != spec_hash for ft in self.finetuned
-        ):
+        if any(p.spec != self.spec for p in (self.pretrained, *self.finetuned)):
             raise ContractError("all checkpoints must be bound to the same spec")
 
     @property
@@ -215,16 +219,20 @@ def _sgd_train(spec: ModelSpec, params: ParamVector, inputs: np.ndarray, labels:
                freeze_head: bool = False) -> ParamVector:
     head_start = spec.layer_offsets()[-1][0]
     n = inputs.shape[0]
-    for _ in range(epochs):
-        perm = rng.permutation(n)
-        for lo in range(0, n, batch_size):
-            idx = perm[lo : lo + batch_size]
-            result = loss_and_grad(spec, params, Batch(inputs[idx], labels[idx]))
-            grad = result.param_grad
-            if freeze_head:
-                grad = grad.copy()
-                grad[head_start:] = 0.0
-            params = sgd_step(params, grad, lr)
+    # numpy's overflow warnings are silenced: a step that goes non-finite leaves every
+    # later one non-finite, so one check after the last step reports the divergence
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            perm = rng.permutation(n)
+            for lo in range(0, n, batch_size):
+                idx = perm[lo : lo + batch_size]
+                _, grad = loss_and_grad(spec, params, Batch(inputs[idx], labels[idx]))
+                if freeze_head:
+                    grad[head_start:] = 0.0
+                params = sgd_step(params, grad, lr)
+    if not np.all(np.isfinite(params.values)):
+        raise ContractError(f"training diverged at learning rate {lr}: the parameters "
+                            "are no longer finite; lower the learning rate")
     return params
 
 
@@ -251,7 +259,7 @@ def finetune(spec: ModelSpec, theta_pre: ParamVector, task: TaskData, epochs: in
     head_mode 'per_task' freezes the classifier head so the task vector only
     touches the backbone, mimicking setups whose heads never fine-tune.
     """
-    if theta_pre.spec_hash != spec.hash():
+    if theta_pre.spec != spec:
         raise ContractError("theta_pre is not bound to this spec")
     return _sgd_train(
         spec, theta_pre, task.train.inputs, task.train.labels, epochs, lr, batch_size,

@@ -13,6 +13,7 @@ from calmkit.bench.runner import (
     CHECKPOINTS_FILE,
     CREDIBLE_FILE,
     MASKS_FILE,
+    PRETRAINED_FILE,
     ablation_suite,
     run_experiment,
 )
@@ -110,6 +111,15 @@ def test_default_config_text_keeps_its_hash(tmp_path, capsys):
     ("ties.scale", "nan"),
     ("seed", "-1"),
     ("seed", "99999999999999999999999"),
+    ("train.pretrain_lr", "nan"),
+    ("train.pretrain_lr", "0"),
+    ("train.finetune_lr", "inf"),
+    ("train.finetune_lr", "-0.05"),
+    ("train.pretrain_epochs", "-1"),
+    ("train.finetune_epochs", "-1"),
+    ("train.accuracy_floor", "nan"),
+    ("train.accuracy_floor", "1.5"),
+    ("train.accuracy_floor", "-0.1"),
 ])
 def test_invalid_plan_and_ties_values_are_config_errors(key, value, tmp_path, capsys):
     assert _cli("gen-tasks", tmp_path, {key: value}) == 1
@@ -219,6 +229,17 @@ def test_finetune_floor_miss_is_a_stage_error(tmp_path, capsys):
     assert _cli("finetune", tmp_path, entries) == 2
     err = capsys.readouterr().err
     assert "stage 'finetune' failed" in err and "below the floor" in err
+
+
+def test_a_diverging_pretrain_is_a_stage_error(tmp_path, capsys):
+    entries = {**TINY, "train.pretrain_lr": "1e300"}  # finite and positive: a valid config
+    assert _cli("gen-tasks", tmp_path, entries) == 0
+    capsys.readouterr()
+    assert _cli("pretrain", tmp_path, entries) == 2
+    err = capsys.readouterr().err
+    assert "stage 'pretrain' failed: training diverged" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / PRETRAINED_FILE).exists()
 
 
 def test_checkpoints_without_every_finetuned_model_are_a_format_error(tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from calmkit.baselines import TaskVector, task_arithmetic, task_vector
 from calmkit.calm import (
-    ROW_BLOCK,
     BinaryMask,
     MergePlan,
     RealMask,
@@ -21,6 +20,7 @@ from calmkit.calm import (
     sigmoid,
 )
 from calmkit.nn import (
+    ROW_BLOCK,
     Batch,
     ContractError,
     ModelSpec,
@@ -358,7 +358,7 @@ class TestOptimizeMask:
         object.__setattr__(plan, "mask_lr", 0.0)  # MergePlan rejects it; optimize_mask does not
         result = optimize_mask(SPEC, theta_pre, state, tau_j, task_data, init, plan,
                                np.random.default_rng(0))
-        assert np.array_equal(result.mask.r, init.r)
+        assert np.array_equal(result.real_mask.r, init.r)
 
     def test_full_batch_objective_non_increasing(self):
         theta_pre, state, tau_j, batches = small_setup(seed=5)

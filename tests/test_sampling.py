@@ -14,7 +14,6 @@ from calmkit.sampling import (
     CredibleSet,
     PoolScores,
     audit_accuracy,
-    class_entropy_stats,
     score_pool,
     select_cb_ems,
     select_ems,
@@ -261,8 +260,6 @@ class TestCredibleSetImmutability:
         before = pickle.dumps(cset.pseudo_labels.tolist())
         # unrelated numerical work must not disturb the frozen labels
         _ = np.square(cset.inputs).sum()
-        stats = class_entropy_stats(PoolScores(cset.entropies, cset.pseudo_labels))
-        assert stats
         assert pickle.dumps(cset.pseudo_labels.tolist()) == before
 
 
@@ -282,27 +279,3 @@ class TestAuditAccuracy:
         cset = select_ems(scored, 1.0, np.zeros((2, 2)))
         assert len(cset) > 0
 
-
-class TestClassEntropyStats:
-    def test_single_sample_class(self):
-        stats = class_entropy_stats(PoolScores([0.37], [2]))
-        assert stats[2] == (0.37, 0.37, 0.37, 0.37, 0.37)
-
-    def test_matches_brute_force_percentiles(self):
-        rng = np.random.default_rng(9)
-        scored = scored_from_entropy(rng.uniform(size=41), rng.integers(0, 3, size=41))
-        stats = class_entropy_stats(scored)
-        for c, observed in stats.items():
-            ent = np.sort([e for e, l in zip(scored.entropies, scored.pseudo_labels) if l == c])
-            expected = []
-            for q in (0.0, 0.25, 0.5, 0.75, 1.0):
-                # linear interpolation between order statistics
-                pos = q * (len(ent) - 1)
-                lo, hi = int(np.floor(pos)), int(np.ceil(pos))
-                expected.append(ent[lo] + (pos - lo) * (ent[hi] - ent[lo]))
-            assert np.allclose(observed, expected, rtol=0, atol=1e-12)
-
-    def test_disjoint_ranges_give_disjoint_boxes(self):
-        scored = scored_from_entropy([0.1, 0.15, 0.2, 0.8, 0.9, 1.0], [0, 0, 0, 1, 1, 1])
-        stats = class_entropy_stats(scored)
-        assert stats[0][4] < stats[1][0]
