@@ -15,7 +15,7 @@ from typing import Any
 from ..baselines import TiesConfig
 from ..calm import MergePlan, partition
 from ..nn import ContractError
-from ..tasks import TaskFamily, TrainConfig
+from ..tasks import TaskFamily, TrainConfig, model_spec
 
 METHODS = ("avg", "ta", "ties", "calm")
 SAMPLING_MODES = ("ems", "cb_ems")
@@ -159,6 +159,10 @@ def build_config(entries: dict[str, str]) -> ExperimentConfig:
             built[section] = make(**sections[section])
         except ContractError as exc:
             raise ConfigError(f"{section}: {exc}") from exc
+    try:  # the model's own checks: hidden widths and activation
+        model_spec(built["family"], built["train"])
+    except ContractError as exc:
+        raise ConfigError(f"train: {exc}") from exc
     plan_fields = sections["plan"]
     num_sequential = plan_fields.pop("num_sequential", 2)
     try:

@@ -3,16 +3,18 @@
 A model is a flat float64 parameter vector bound to a :class:`ModelSpec`, so
 merging code can treat checkpoints as points in R^n; a :class:`ParamVector`
 holds its spec, which gives its length and each layer's span. Every routine
-here is a pure function of its inputs: same spec, parameters, and data give
-bit-identical logits, losses, and gradients.
+here but the in-place `sgd_step` is a pure function of its inputs: same spec,
+parameters, and data give bit-identical logits, losses, and gradients.
 
-Every forward and backward pass lives here. `loss_and_grad` runs row-major, on
-(rows, features) batches. `weighted_loss_and_grad`, the mask objective's data
-term, runs feature-major, on (features, rows) blocks of ROW_BLOCK rows: the
-layers are 5 to 32 features wide at the default size, and numpy's per-call
-cost on rows that narrow, in the bias add, the activation and the loss kernel,
-outweighed their arithmetic; feature-major, each of those calls spans a
-block's rows.
+Every forward and backward pass lives here. `forward` and `loss_and_grad` run
+row-major, on (rows, features) batches, through one kernel with an optional
+task axis, on which `loss_and_grad` trains T models at once: (T, rows,
+features) stacks against (T, P) parameters, one np.matmul per layer.
+`weighted_loss_and_grad`, the mask objective's data term, runs feature-major,
+on (features, rows) blocks of ROW_BLOCK rows: the layers are 5 to 32 features
+wide at the default size, and numpy's per-call cost on rows that narrow, in
+the bias add, the activation and the loss kernel, outweighed their
+arithmetic; feature-major, each of those calls spans a block's rows.
 """
 from __future__ import annotations
 
@@ -130,10 +132,6 @@ def bind(spec: ModelSpec, values: np.ndarray) -> ParamVector:
     return ParamVector(np.array(values, dtype=np.float64), spec)
 
 
-def zero_params(spec: ModelSpec) -> ParamVector:
-    return bind(spec, np.zeros(spec.parameter_count))
-
-
 def init_params(spec: ModelSpec, seed) -> ParamVector:
     """Seeded uniform init in +-sqrt(6/(fan_in+fan_out)) per layer; biases zero."""
     rng = np.random.default_rng(seed)
@@ -144,25 +142,13 @@ def init_params(spec: ModelSpec, seed) -> ParamVector:
     return bind(spec, values)
 
 
-def _check_call(spec: ModelSpec, params: ParamVector, inputs: np.ndarray):
-    """params are bound to spec, and inputs are (batch, spec.input_dim)."""
-    if params.spec != spec:
-        raise ContractError(f"parameter vector is bound to {params.spec}, not to {spec}")
-    if inputs.ndim != 2:
-        raise ContractError(f"inputs must be 2-D (batch, features), got shape {inputs.shape}")
-    if inputs.shape[1] != spec.input_dim:
-        raise ContractError(
-            f"inputs axis 1 has {inputs.shape[1]} features, spec.input_dim is {spec.input_dim}"
-        )
-
-
 def _layers(spec: ModelSpec, values: np.ndarray):
-    """Views of (W, b) per layer; W has shape (fan_in, fan_out)."""
+    """Views of (W, b) per layer, W (fan_in, fan_out); a (T, P) stack gives (T, ...) views."""
     out = []
     pos = 0
     for fi, fo in spec.layer_dims:
-        w = values[pos : pos + fi * fo].reshape(fi, fo)
-        b = values[pos + fi * fo : pos + (fi + 1) * fo]
+        w = values[..., pos : pos + fi * fo].reshape(*values.shape[:-1], fi, fo)
+        b = values[..., pos + fi * fo : pos + (fi + 1) * fo]
         out.append((w, b))
         pos += (fi + 1) * fo
     return out
@@ -194,7 +180,7 @@ def _forward_acts(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray) -> li
     layers = _layers(spec, values)
     for idx, (w, b) in enumerate(layers):
         z = acts[-1] @ w
-        z += b
+        z += b[..., None, :]
         if idx < len(layers) - 1:
             _activate(spec, z)
         acts.append(z)
@@ -204,7 +190,14 @@ def _forward_acts(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray) -> li
 def forward(spec: ModelSpec, params: ParamVector, inputs: np.ndarray) -> np.ndarray:
     """Raw logits (B x num_classes); no softmax applied."""
     inputs = np.asarray(inputs, dtype=np.float64)
-    _check_call(spec, params, inputs)
+    if params.spec != spec:
+        raise ContractError(f"parameter vector is bound to {params.spec}, not to {spec}")
+    if inputs.ndim != 2:
+        raise ContractError(f"inputs must be 2-D (batch, features), got shape {inputs.shape}")
+    if inputs.shape[1] != spec.input_dim:
+        raise ContractError(
+            f"inputs axis 1 has {inputs.shape[1]} features, spec.input_dim is {spec.input_dim}"
+        )
     return _forward_acts(spec, params.values, inputs)[-1]
 
 
@@ -218,7 +211,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
+def check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """`labels`, after checking that every entry lies in [0, num_classes)."""
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ContractError(
             f"labels must lie in [0, {num_classes}), got range [{labels.min()}, {labels.max()}]"
@@ -231,7 +225,7 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim == 1:
         z = z[None, :]
-    labels = _check_labels(np.asarray(labels, dtype=np.int64).reshape(-1), z.shape[1])
+    labels = check_labels(np.asarray(labels, dtype=np.int64).reshape(-1), z.shape[1])
     if labels.shape[0] != z.shape[0]:
         raise ContractError(f"{labels.shape[0]} labels for {z.shape[0]} logit rows")
     if not np.all(np.isfinite(z)):
@@ -256,61 +250,64 @@ def _loss_and_dlogits(logits: np.ndarray, labels: np.ndarray | None
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Per-column loss and its gradient with respect to that column's logits.
 
-    Logits are class-first, (classes, rows), and every reduction runs over
-    axis 0. With labels the loss is cross-entropy, -log p[label], with gradient
-    p - onehot(label); with `labels=None` it is the prediction entropy
-    H = -sum p log p, with gradient -p * (log p + H). The softmax is computed
-    once, with the same operations as `softmax`. A row-major caller passes
-    `z.T`, a view, so the reductions run along z's rows as before, bit for bit.
-    Callers scale the gradient columns by their reduction (a mean, or weights).
+    Logits are class-first, (classes, rows) or (T, classes, rows) with labels
+    (rows,) or (T, rows), and every reduction runs over axis -2. With labels the
+    loss is cross-entropy, -log p[label], with gradient p - onehot(label); with
+    `labels=None` it is the prediction entropy H = -sum p log p, with gradient
+    -p * (log p + H). The softmax is computed once, with the same operations as
+    `softmax`. A row-major caller passes `z.swapaxes(-1, -2)`, a view, so the
+    reductions run along z's rows as before, bit for bit. Callers scale the
+    gradient columns by their reduction (a mean, or weights).
     """
-    shifted = logits - np.max(logits, axis=0)
+    shifted = logits - logits.max(axis=-2, keepdims=True)
     e = np.exp(shifted)
-    total = np.sum(e, axis=0)
+    total = e.sum(axis=-2, keepdims=True)
     p = e / total
     logp = shifted - np.log(total)
     if labels is None:
-        losses = -np.sum(p * logp, axis=0)
+        losses = -np.sum(p * logp, axis=-2, keepdims=True)
         p *= logp + losses
         np.negative(p, out=p)
-        return losses, p
-    cols = np.arange(logits.shape[1])
-    p[labels, cols] -= 1.0
-    return -logp[labels, cols], p
+        return losses[..., 0, :], p
+    *tasks, cols = np.indices(labels.shape, sparse=True)
+    at = (*tasks, labels, cols)
+    p[at] -= 1.0
+    return -logp[at], p
 
 
 def _backward(spec: ModelSpec, acts: list[np.ndarray], values: np.ndarray,
               dlogits: np.ndarray) -> np.ndarray:
-    """Reverse-mode gradient of a scalar loss given dL/dlogits."""
+    """Reverse-mode gradient of a scalar loss given dL/dlogits; a stack gives (T, P)."""
     layers = _layers(spec, values)
-    grad = np.zeros(values.size)
+    grad = np.zeros(values.shape)
     grads = _layers(spec, grad)
     dz = dlogits
     for idx in range(len(layers) - 1, -1, -1):
         (w, _), (grad_w, grad_b) = layers[idx], grads[idx]
-        grad_w[...] = acts[idx].T @ dz
-        grad_b[...] = dz.sum(axis=0)
+        np.matmul(acts[idx].swapaxes(-1, -2), dz, out=grad_w)
+        dz.sum(axis=-2, out=grad_b)
         if idx > 0:
-            dz = dz @ w.T
+            dz = dz @ w.swapaxes(-1, -2)
             _activation_grad(spec, dz, acts[idx])
     return grad
 
 
-def loss_and_grad(spec: ModelSpec, params: ParamVector, batch: Batch) -> tuple[float, np.ndarray]:
-    """Cross-entropy loss of forward(batch) and its exact parameter gradient.
+def loss_and_grad(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray, labels: np.ndarray
+                  ) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean cross-entropy of the row-major pass and its exact gradient with respect to
+    the flat parameters `values` of `spec`; a (T, P) stack with (T, rows, features)
+    inputs and (T, rows) labels gives T losses and a (T, P) gradient.
 
-    Neither is checked for finiteness: the training loop checks its parameters
-    once, after its last step.
+    The training step's kernel checks nothing: its loop checks the inputs and labels
+    once, and the parameters' finiteness after its last step.
     """
-    if batch.labels is None:
-        raise ContractError("loss_and_grad requires a labeled batch")
-    _check_call(spec, params, batch.inputs)
-    acts = _forward_acts(spec, params.values, batch.inputs)
-    losses, dz = _loss_and_dlogits(acts[-1].T, _check_labels(batch.labels, spec.num_classes))
-    dz = dz.T
+    acts = _forward_acts(spec, values, inputs)
+    losses, dz = _loss_and_dlogits(acts[-1].swapaxes(-1, -2), labels)
+    dz = dz.swapaxes(-1, -2)
     # the mean, not a 1/n row weight: `dz / n` and `dz * (1 / n)` differ in the last bit
-    dz /= len(batch)
-    return float(np.mean(losses)), _backward(spec, acts, params.values, dz)
+    dz /= labels.shape[-1]
+    # np.mean's bits without its overhead; one model's loss is a np.float64, a float
+    return losses.sum(axis=-1) / labels.shape[-1], _backward(spec, acts, values, dz)
 
 
 def weighted_loss_and_grad(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray,
@@ -325,7 +322,7 @@ def weighted_loss_and_grad(spec: ModelSpec, values: np.ndarray, inputs: np.ndarr
     results differ from one in the last bits.
     """
     if labels is not None:
-        _check_labels(labels, spec.num_classes)
+        check_labels(labels, spec.num_classes)
     layers = _layers(spec, values)
     columns = inputs.T  # (features, rows), a view
     loss = 0.0
@@ -353,11 +350,8 @@ def weighted_loss_and_grad(spec: ModelSpec, values: np.ndarray, inputs: np.ndarr
     return loss, grad
 
 
-def sgd_step(params: ParamVector, grad: np.ndarray, learning_rate: float) -> ParamVector:
-    """One plain gradient step: values - learning_rate * grad."""
-    grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != params.values.shape:
-        raise ContractError(
-            f"gradient shape {grad.shape} does not match parameters {params.values.shape}"
-        )
-    return ParamVector(params.values - learning_rate * grad, params.spec)
+def sgd_step(values: np.ndarray, grad: np.ndarray, learning_rate: float) -> None:
+    """One plain gradient step, in place: values -= learning_rate * grad."""
+    if grad.shape != values.shape:
+        raise ContractError(f"gradient shape {grad.shape} does not match parameters {values.shape}")
+    values -= learning_rate * grad

@@ -13,7 +13,11 @@ tasks share the same label set, so a single classifier head serves every task
 and the whole parameter vector participates in merging.
 
 The pipeline generate -> pretrain -> finetune is a deterministic function of
-(TaskFamily, TrainConfig).
+(TaskFamily, TrainConfig). Fine-tuning is one stacked loop: the tasks share
+their shapes and batch boundaries, so each step is one `loss_and_grad` call for
+all T models, each keeping its own seeded row order and the bits of training it
+alone. STACK_PARAMS bounds the stack, as a stack of wide models outgrows the
+cache and the memory that training one of them needs.
 """
 from __future__ import annotations
 
@@ -21,17 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import (
-    Batch,
-    ContractError,
-    ModelSpec,
-    ParamVector,
-    forward,
-    init_params,
-    loss_and_grad,
-    sgd_step,
-)
+from .nn import (Batch, ContractError, ModelSpec, ParamVector, check_labels, forward, init_params,
+                 loss_and_grad, sgd_step)
 from .seeding import STAGE_DATA, STAGE_FINETUNE, STAGE_INIT, STAGE_PRETRAIN, rng_for
+
+# Most parameters in one fine-tuning stack: finetune_all trains its tasks in groups of T
+# with T * parameter_count <= STACK_PARAMS, so all 8 default tasks share one stack at 709
+# and 71k parameters, and at 1.07M each task trains alone. At 1.07M, one BLAS thread, two
+# alternating runs each: one 8-task stack fine-tuned in 34.1/39.1 s with a 259 MB peak RSS,
+# one task per stack in 27.3/32.0 s with 131 MB.
+STACK_PARAMS = 2**20
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,8 @@ class TaskFamily:
             raise ContractError(
                 "input_dim must be >= classes_per_task to place orthonormal class directions"
             )
+        if not np.all(np.isfinite((self.cluster_sep, self.noise_sigma, self.task_offset))):
+            raise ContractError("cluster_sep, noise_sigma and task_offset must be finite")
         if self.cluster_sep <= 0.0 or self.noise_sigma <= 0.0:
             raise ContractError("cluster_sep and noise_sigma must be positive")
         floor = self.cluster_sep + 6.0 * self.noise_sigma
@@ -214,26 +219,36 @@ def accuracy(spec: ModelSpec, params: ParamVector, batch: Batch) -> float:
     return float(np.mean(predicted == batch.labels))
 
 
-def _sgd_train(spec: ModelSpec, params: ParamVector, inputs: np.ndarray, labels: np.ndarray,
-               epochs: int, lr: float, batch_size: int, rng: np.random.Generator,
-               freeze_head: bool = False) -> ParamVector:
+def _sgd_train(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray, labels: np.ndarray,
+               epochs: int, lr: float, batch_size: int, rngs: list[np.random.Generator],
+               freeze_head: bool = False):
+    """Minibatch SGD on `values` in place: (P,) values on (n, d) inputs and (n,) labels in
+    the row order of rngs[0], or a (T, P) stack on (T, n, d) and (T, n), model t in the
+    order of rngs[t]. Each step is one `loss_and_grad` call and one `sgd_step` per model."""
+    if inputs.shape[-1] != spec.input_dim:
+        raise ContractError(f"inputs have {inputs.shape[-1]} features, not {spec.input_dim}")
+    check_labels(labels, spec.num_classes)
+    n = inputs.shape[-2]
+    # rows are drawn as indices into the flattened stack: one plain row gather per step
+    flat_inputs, flat_labels = inputs.reshape(-1, spec.input_dim), labels.reshape(-1)
+    models = values.reshape(-1, spec.parameter_count)  # row views of values
     head_start = spec.layer_offsets()[-1][0]
-    n = inputs.shape[0]
     # numpy's overflow warnings are silenced: a step that goes non-finite leaves every
     # later one non-finite, so one check after the last step reports the divergence
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):
-            perm = rng.permutation(n)
+            order = np.stack([rng.permutation(n) + t * n for t, rng in enumerate(rngs)])
+            order = order.reshape(labels.shape)
             for lo in range(0, n, batch_size):
-                idx = perm[lo : lo + batch_size]
-                _, grad = loss_and_grad(spec, params, Batch(inputs[idx], labels[idx]))
+                rows = order[..., lo : lo + batch_size]
+                _, grad = loss_and_grad(spec, values, flat_inputs[rows], flat_labels[rows])
                 if freeze_head:
-                    grad[head_start:] = 0.0
-                params = sgd_step(params, grad, lr)
-    if not np.all(np.isfinite(params.values)):
+                    grad[..., head_start:] = 0.0
+                for model, model_grad in zip(models, grad.reshape(models.shape)):
+                    sgd_step(model, model_grad, lr)
+    if not np.all(np.isfinite(values)):
         raise ContractError(f"training diverged at learning rate {lr}: the parameters "
                             "are no longer finite; lower the learning rate")
-    return params
 
 
 def pretrain(spec: ModelSpec, tasks: list[TaskData], epochs: int,
@@ -242,29 +257,29 @@ def pretrain(spec: ModelSpec, tasks: list[TaskData], epochs: int,
 
     A zero epoch budget returns the initialization unchanged.
     """
-    params = init_params(spec, rng_for(seed, STAGE_INIT))
-    if epochs == 0:
-        return params
-    inputs = np.concatenate([t.train.inputs for t in tasks])
-    labels = np.concatenate([t.train.labels for t in tasks])
-    return _sgd_train(spec, params, inputs, labels, epochs, lr, batch_size,
-                      rng_for(seed, STAGE_PRETRAIN))
+    values = np.array(init_params(spec, rng_for(seed, STAGE_INIT)).values)
+    _sgd_train(spec, values, np.concatenate([t.train.inputs for t in tasks]),
+               np.concatenate([t.train.labels for t in tasks]), epochs, lr, batch_size,
+               [rng_for(seed, STAGE_PRETRAIN)])
+    return ParamVector(values, spec)
 
 
-def finetune(spec: ModelSpec, theta_pre: ParamVector, task: TaskData, epochs: int,
+def finetune(spec: ModelSpec, theta_pre: ParamVector, tasks: list[TaskData], epochs: int,
              lr: float = 0.1, batch_size: int = 64, seed: int = 0,
-             head_mode: str = "shared") -> ParamVector:
-    """Continue training theta_pre on one task's train split.
+             head_mode: str = "shared") -> list[ParamVector]:
+    """Continue training theta_pre on each task's train split, all in one stack.
 
     head_mode 'per_task' freezes the classifier head so the task vector only
     touches the backbone, mimicking setups whose heads never fine-tune.
     """
     if theta_pre.spec != spec:
         raise ContractError("theta_pre is not bound to this spec")
-    return _sgd_train(
-        spec, theta_pre, task.train.inputs, task.train.labels, epochs, lr, batch_size,
-        rng_for(seed, STAGE_FINETUNE, task.task_id), freeze_head=(head_mode == "per_task"),
-    )
+    values = np.tile(theta_pre.values, (len(tasks), 1))
+    _sgd_train(spec, values, np.stack([t.train.inputs for t in tasks]),
+               np.stack([t.train.labels for t in tasks]), epochs, lr, batch_size,
+               [rng_for(seed, STAGE_FINETUNE, t.task_id) for t in tasks],
+               freeze_head=(head_mode == "per_task"))
+    return [ParamVector(row, spec) for row in values]
 
 
 def model_spec(family: TaskFamily, config: TrainConfig) -> ModelSpec:
@@ -275,19 +290,21 @@ def model_spec(family: TaskFamily, config: TrainConfig) -> ModelSpec:
 
 def finetune_all(spec: ModelSpec, theta_pre: ParamVector, tasks: list[TaskData],
                  config: TrainConfig, seed: int) -> Checkpoints:
-    """Fine-tune theta_pre on every task; each model must reach the accuracy floor on
-    its own test split."""
+    """Fine-tune theta_pre on every task, in stacks of at most STACK_PARAMS parameters;
+    each model must reach the accuracy floor on its own test split, checked in task order."""
     finetuned = []
-    for task in tasks:
-        theta_ft = finetune(spec, theta_pre, task, config.finetune_epochs, config.finetune_lr,
-                            config.batch_size, seed, config.head_mode)
-        own = accuracy(spec, theta_ft, task.test)
-        if own < config.accuracy_floor:
-            raise ContractError(
-                f"task {task.task_id} fine-tuned accuracy {own:.3f} is below the "
-                f"floor {config.accuracy_floor}; adjust the training config"
-            )
-        finetuned.append(theta_ft)
+    group = max(1, STACK_PARAMS // spec.parameter_count)
+    for lo in range(0, len(tasks), group):
+        stack = tasks[lo : lo + group]
+        trained = finetune(spec, theta_pre, stack, config.finetune_epochs, config.finetune_lr,
+                           config.batch_size, seed, config.head_mode)
+        for task, theta_ft in zip(stack, trained):
+            own = accuracy(spec, theta_ft, task.test)
+            if own < config.accuracy_floor:
+                raise ContractError(f"task {task.task_id} fine-tuned accuracy {own:.3f} is below "
+                                    f"the floor {config.accuracy_floor}; adjust the training "
+                                    "config")
+            finetuned.append(theta_ft)
     return Checkpoints(spec=spec, pretrained=theta_pre, finetuned=tuple(finetuned))
 
 

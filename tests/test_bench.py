@@ -120,6 +120,12 @@ def test_default_config_text_keeps_its_hash(tmp_path, capsys):
     ("train.accuracy_floor", "nan"),
     ("train.accuracy_floor", "1.5"),
     ("train.accuracy_floor", "-0.1"),
+    ("family.cluster_sep", "nan"),
+    ("family.noise_sigma", "nan"),
+    ("family.task_offset", "nan"),
+    ("family.task_offset", "inf"),
+    ("train.hidden_dims", "0"),
+    ("train.activation", "bogus"),
 ])
 def test_invalid_plan_and_ties_values_are_config_errors(key, value, tmp_path, capsys):
     assert _cli("gen-tasks", tmp_path, {key: value}) == 1

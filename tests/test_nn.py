@@ -14,7 +14,6 @@ from calmkit.nn import (
     prediction_entropy,
     sgd_step,
     softmax,
-    zero_params,
 )
 
 
@@ -73,6 +72,10 @@ def mean_reduction_loss_and_grad(spec, values, batch):
             a = acts[idx]
             dz = da * (a > 0.0) if spec.activation == "relu" else da * (1.0 - a * a)
     return loss, np.concatenate(grads)
+
+
+def zero_params(spec):
+    return bind(spec, np.zeros(spec.parameter_count))
 
 
 def finite_diff(f, x, h=1e-4):
@@ -255,7 +258,7 @@ class TestLossAndGrad:
         # bias-only toy: zero inputs, the two labels balance exactly
         spec = ModelSpec(1, (), 2)
         batch = Batch(np.zeros((2, 1)), np.array([0, 1]))
-        _, grad = loss_and_grad(spec, zero_params(spec), batch)
+        _, grad = loss_and_grad(spec, zero_params(spec).values, batch.inputs, batch.labels)
         assert np.allclose(grad, 0.0, rtol=0, atol=1e-15)
 
     def test_matches_finite_differences_tanh(self):
@@ -263,7 +266,7 @@ class TestLossAndGrad:
         rng = np.random.default_rng(23)
         params = init_params(spec, 23)
         batch = Batch(rng.standard_normal((8, 5)), rng.integers(0, 4, size=8))
-        _, analytic = loss_and_grad(spec, params, batch)
+        _, analytic = loss_and_grad(spec, params.values, batch.inputs, batch.labels)
 
         def f(values):
             return cross_entropy(forward(spec, bind(spec, values), batch.inputs), batch.labels)
@@ -277,10 +280,11 @@ class TestLossAndGrad:
         rng = np.random.default_rng(29)
         params = init_params(spec, 29)
         batch = Batch(rng.standard_normal((16, 3)), rng.integers(0, 3, size=16))
-        loss, grad = loss_and_grad(spec, params, batch)
+        loss, grad = loss_and_grad(spec, params.values, batch.inputs, batch.labels)
         assert grad @ grad > 0.0
-        stepped = sgd_step(params, grad, 1e-3)
-        new_loss = cross_entropy(forward(spec, stepped, batch.inputs), batch.labels)
+        stepped = params.values.copy()
+        sgd_step(stepped, grad, 1e-3)
+        new_loss = cross_entropy(forward(spec, bind(spec, stepped), batch.inputs), batch.labels)
         assert new_loss < loss
 
     def test_loss_equals_forward_cross_entropy(self):
@@ -288,7 +292,7 @@ class TestLossAndGrad:
         rng = np.random.default_rng(31)
         params = init_params(spec, 31)
         batch = Batch(rng.standard_normal((10, 4)), rng.integers(0, 3, size=10))
-        loss, _ = loss_and_grad(spec, params, batch)
+        loss, _ = loss_and_grad(spec, params.values, batch.inputs, batch.labels)
         direct = cross_entropy(forward(spec, params, batch.inputs), batch.labels)
         assert loss == direct
 
@@ -299,7 +303,7 @@ class TestLossAndGrad:
         rng = np.random.default_rng(41)
         params = init_params(spec, 41)
         batch = Batch(rng.standard_normal((10, 4)), rng.integers(0, 3, size=10))
-        got_loss, got_grad = loss_and_grad(spec, params, batch)
+        got_loss, got_grad = loss_and_grad(spec, params.values, batch.inputs, batch.labels)
         loss, grad = mean_reduction_loss_and_grad(spec, params.values, batch)
         assert got_loss == loss
         assert got_grad.tobytes() == grad.tobytes()
@@ -314,56 +318,62 @@ class TestLossAndGrad:
         rng = np.random.default_rng(classes + rows)
         params = init_params(spec, 7)
         batch = Batch(3.0 * rng.standard_normal((rows, 4)), rng.integers(0, classes, size=rows))
-        got_loss, got_grad = loss_and_grad(spec, params, batch)
+        got_loss, got_grad = loss_and_grad(spec, params.values, batch.inputs, batch.labels)
         loss, grad = mean_reduction_loss_and_grad(spec, params.values, batch)
         assert got_loss == loss
         assert got_grad.tobytes() == grad.tobytes()
         assert got_loss == cross_entropy(forward(spec, params, batch.inputs), batch.labels)
 
-    def test_requires_labels(self):
-        spec = ModelSpec(2, (), 2)
-        with pytest.raises(ContractError):
-            loss_and_grad(spec, zero_params(spec), Batch(np.zeros((1, 2))))
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("classes", [3, 12])
+    def test_a_stack_gives_each_model_the_bits_of_its_own_pass(self, activation, classes):
+        spec = ModelSpec(4, (6, 5), classes, activation=activation)
+        rng = np.random.default_rng(classes)
+        values = np.stack([init_params(spec, seed).values for seed in range(3)])
+        inputs = rng.standard_normal((3, 10, 4))
+        labels = rng.integers(0, classes, size=(3, 10))
+        losses, grads = loss_and_grad(spec, values, inputs, labels)
+        assert losses.shape == (3,) and grads.shape == values.shape
+        for t in range(3):
+            loss, grad = loss_and_grad(spec, values[t], inputs[t], labels[t])
+            assert losses[t] == loss
+            assert grads[t].tobytes() == grad.tobytes()
 
     def test_deterministic(self):
         spec = ModelSpec(4, (5,), 3, activation="tanh")
         rng = np.random.default_rng(37)
         params = init_params(spec, 37)
         batch = Batch(rng.standard_normal((6, 4)), rng.integers(0, 3, size=6))
-        loss_a, grad_a = loss_and_grad(spec, params, batch)
-        loss_b, grad_b = loss_and_grad(spec, params, batch)
+        loss_a, grad_a = loss_and_grad(spec, params.values, batch.inputs, batch.labels)
+        loss_b, grad_b = loss_and_grad(spec, params.values, batch.inputs, batch.labels)
         assert loss_a == loss_b
         assert np.array_equal(grad_a, grad_b)
 
 
 class TestSgdStep:
     def test_zero_learning_rate(self):
-        params = zero_params(ModelSpec(1, (), 2))
-        stepped = sgd_step(params, np.ones(4), 0.0)
-        assert np.array_equal(stepped.values, params.values)
+        values = np.zeros(4)
+        sgd_step(values, np.ones(4), 0.0)
+        assert np.array_equal(values, np.zeros(4))
 
     def test_componentwise_arithmetic(self):
-        spec = ModelSpec(1, (), 2)
-        params = bind(spec, np.array([1.0, 1.0, 1.0, 1.0]))
-        stepped = sgd_step(params, np.array([1.0, -1.0, 0.0, 0.0]), 0.5)
-        assert np.array_equal(stepped.values, np.array([0.5, 1.5, 1.0, 1.0]))
+        values = np.array([1.0, 1.0, 1.0, 1.0])
+        sgd_step(values, np.array([1.0, -1.0, 0.0, 0.0]), 0.5)
+        assert np.array_equal(values, np.array([0.5, 1.5, 1.0, 1.0]))
 
     def test_converges_on_convex_quadratic(self):
         # f(x) = 0.5 (x - m)^T A (x - m) with known minimizer m
-        spec = ModelSpec(1, (), 2)
         rng = np.random.default_rng(41)
         target = rng.standard_normal(4)
         a_diag = rng.uniform(0.5, 2.0, size=4)
-        params = bind(spec, np.zeros(4))
+        values = np.zeros(4)
         for _ in range(500):
-            grad = a_diag * (params.values - target)
-            params = sgd_step(params, grad, 0.2)
-        assert np.allclose(params.values, target, rtol=0, atol=1e-10)
+            sgd_step(values, a_diag * (values - target), 0.2)
+        assert np.allclose(values, target, rtol=0, atol=1e-10)
 
     def test_length_mismatch(self):
-        params = zero_params(ModelSpec(1, (), 2))
         with pytest.raises(ContractError):
-            sgd_step(params, np.ones(3), 0.1)
+            sgd_step(np.zeros(4), np.ones(1), 0.1)
 
 
 class TestGradientExactnessSweep:
@@ -380,7 +390,7 @@ class TestGradientExactnessSweep:
             params = init_params(spec, int(rng.integers(0, 10_000)))
             batch = Batch(rng.standard_normal((5, spec.input_dim)),
                           rng.integers(0, spec.num_classes, size=5))
-            _, analytic = loss_and_grad(spec, params, batch)
+            _, analytic = loss_and_grad(spec, params.values, batch.inputs, batch.labels)
 
             def f(values, spec=spec, batch=batch):
                 return cross_entropy(forward(spec, bind(spec, values), batch.inputs),

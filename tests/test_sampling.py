@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calmkit.nn import ContractError, ModelSpec, bind, prediction_entropy, zero_params
+from calmkit.nn import ContractError, ModelSpec, bind, prediction_entropy
 from calmkit.sampling import (
     CredibleSet,
     PoolScores,

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
-from calmkit.nn import ContractError, ModelSpec
+from calmkit import tasks as tasks_module
+from calmkit.nn import Batch, ContractError, ModelSpec, loss_and_grad
+from calmkit.seeding import STAGE_FINETUNE, rng_for
 from calmkit.tasks import (
     TaskFamily,
     TrainConfig,
     accuracy,
     build_checkpoints,
     finetune,
+    finetune_all,
     generate_family,
+    model_spec,
     pretrain,
 )
 
@@ -147,8 +151,8 @@ class TestFinetune:
         tasks = generate_family(SMALL)
         spec = ModelSpec(SMALL.input_dim, (8,), SMALL.classes_per_task)
         theta_pre = pretrain(spec, tasks, epochs=2, seed=5)
-        theta_ft = finetune(spec, theta_pre, tasks[0], epochs=0, seed=5)
-        assert np.array_equal(theta_ft.values, theta_pre.values)
+        for theta_ft in finetune(spec, theta_pre, tasks, epochs=0, seed=5):
+            assert theta_ft.values.tobytes() == theta_pre.values.tobytes()
 
     def test_own_task_accuracy_floor(self, default_pipeline):
         family, tasks, ckpt = default_pipeline
@@ -176,11 +180,96 @@ class TestFinetune:
         tasks = generate_family(SMALL)
         spec = ModelSpec(SMALL.input_dim, (8,), SMALL.classes_per_task)
         theta_pre = pretrain(spec, tasks, epochs=2, seed=5)
-        theta_ft = finetune(spec, theta_pre, tasks[0], epochs=5, seed=5,
-                            head_mode="per_task")
+        theta_ft, = finetune(spec, theta_pre, tasks[:1], epochs=5, seed=5,
+                             head_mode="per_task")
         head_start = spec.layer_offsets()[-1][0]
         assert np.array_equal(theta_ft.values[head_start:], theta_pre.values[head_start:])
         assert not np.array_equal(theta_ft.values[:head_start], theta_pre.values[:head_start])
+
+
+def per_task_finetune(spec, theta_pre, task, epochs, lr, batch_size, seed, head_mode):
+    """The reference: fine-tune one task alone, with a Batch, a gradient and an
+    out-of-place step per batch."""
+    values = theta_pre.values
+    rng = rng_for(seed, STAGE_FINETUNE, task.task_id)
+    head_start = spec.layer_offsets()[-1][0]
+    n = len(task.train)
+    for _ in range(epochs):
+        perm = rng.permutation(n)
+        for lo in range(0, n, batch_size):
+            idx = perm[lo : lo + batch_size]
+            batch = Batch(task.train.inputs[idx], task.train.labels[idx])
+            _, grad = loss_and_grad(spec, values, batch.inputs, batch.labels)
+            if head_mode == "per_task":
+                grad[head_start:] = 0.0
+            values = values - lr * grad
+    return values
+
+
+def _stack_case(num_tasks, classes, activation="relu", head_mode="shared"):
+    # 100 rows in batches of 64: every epoch ends on a short batch of 36
+    family = TaskFamily(num_tasks=num_tasks, classes_per_task=classes, train_per_task=100,
+                        unlabeled_per_task=10, test_per_task=40, seed=13)
+    config = TrainConfig(hidden_dims=(8,), activation=activation, finetune_epochs=3,
+                         head_mode=head_mode, accuracy_floor=0.0)
+    tasks = generate_family(family)
+    spec = model_spec(family, config)
+    return tasks, spec, config, pretrain(spec, tasks, epochs=1, seed=13)
+
+
+class TestStackedFinetune:
+    @pytest.mark.parametrize("num_tasks,classes,activation,head_mode", [
+        (3, 5, "relu", "shared"),
+        (3, 5, "tanh", "shared"),
+        (3, 5, "relu", "per_task"),
+        (3, 12, "relu", "shared"),
+        (3, 12, "tanh", "per_task"),
+        (1, 5, "relu", "shared"),
+        (1, 12, "tanh", "per_task"),
+    ])
+    def test_stack_keeps_the_bits_of_each_task_alone(self, num_tasks, classes, activation,
+                                                     head_mode):
+        tasks, spec, config, theta_pre = _stack_case(num_tasks, classes, activation, head_mode)
+        stacked = finetune(spec, theta_pre, tasks, config.finetune_epochs, 0.05,
+                           config.batch_size, 13, head_mode)
+        assert len(stacked) == num_tasks
+        for task, theta_ft in zip(tasks, stacked):
+            reference = per_task_finetune(spec, theta_pre, task, config.finetune_epochs, 0.05,
+                                          config.batch_size, 13, head_mode)
+            assert theta_ft.values.tobytes() == reference.tobytes()
+
+    def test_bounded_stacks_split_the_tasks_and_keep_the_bits(self, monkeypatch):
+        tasks, spec, config, theta_pre = _stack_case(3, 5)
+        monkeypatch.setattr(tasks_module, "STACK_PARAMS", 2 * spec.parameter_count + 1)
+        groups = []
+
+        def recorded(spec, theta_pre, stack, *args):
+            groups.append([t.task_id for t in stack])
+            return finetune(spec, theta_pre, stack, *args)
+
+        monkeypatch.setattr(tasks_module, "finetune", recorded)
+        ckpt = finetune_all(spec, theta_pre, tasks, config, 13)
+        assert groups == [[0, 1], [2]]
+        for task, theta_ft in zip(tasks, ckpt.finetuned):
+            reference = per_task_finetune(spec, theta_pre, task, config.finetune_epochs,
+                                          config.finetune_lr, config.batch_size, 13, "shared")
+            assert theta_ft.values.tobytes() == reference.tobytes()
+
+    def test_a_diverging_learning_rate_raises(self):
+        tasks, spec, config, theta_pre = _stack_case(3, 5)
+        with pytest.raises(ContractError, match="training diverged"):
+            finetune(spec, theta_pre, tasks, 2, 1e300, 64, 13)
+
+    def test_the_floor_error_names_the_lowest_failing_task(self):
+        tasks, spec, config, theta_pre = _stack_case(3, 5)
+        # zero epochs: every model is theta_pre; the floor fails the two weakest tasks
+        own = [accuracy(spec, theta_pre, t.test) for t in tasks]
+        floor = sorted(own)[1] + 1e-9
+        failing = [t for t, acc in enumerate(own) if acc < floor]
+        assert len(failing) == 2
+        config = TrainConfig(hidden_dims=(8,), finetune_epochs=0, accuracy_floor=floor)
+        with pytest.raises(ContractError, match=f"task {failing[0]} fine-tuned accuracy"):
+            finetune_all(spec, theta_pre, tasks, config, 13)
 
 
 class TestPipelineReproducibility:

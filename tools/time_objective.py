@@ -1,4 +1,5 @@
-"""Time the CALM sequential merge at three model sizes, for one or more source trees.
+"""Time training and the CALM sequential merge at three model sizes, for one or more
+source trees.
 
     python tools/time_objective.py --src parent=/path/to/parent/src --src change=src \
         --repeats 5 --out BENCH_3.json
@@ -12,7 +13,9 @@ side alike. Every worker runs with one BLAS/OpenMP thread, set before numpy
 loads, and reports numpy's version, its BLAS and `nproc`.
 
 Per size and side the output holds the median and interquartile range of the
-merge wall time, and sha256 prefixes of the fine-tuned checkpoints, of every
+merge wall time; the wall times of the worker's pretrain and finetune stages
+and its peak RSS at the end of set-up, one sample each, as every worker trains
+once; and sha256 prefixes of the pretrained and fine-tuned checkpoints, of every
 step's binary mask and of the merged parameters, so sides can be compared bit
 for bit. Each side after the first is also compared with the first: the
 largest relative difference of any `objective_trace` value, and, per step, the
@@ -25,6 +28,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -68,12 +72,21 @@ def worker(hidden: str):
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         tasks = stage_generate(config, workdir)
-        ckpt = stage_finetune(config, workdir, tasks, stage_pretrain(config, workdir, tasks))
+        start = perf_counter()
+        theta_pre = stage_pretrain(config, workdir, tasks)
+        pretrain_s = perf_counter() - start
+        start = perf_counter()
+        ckpt = stage_finetune(config, workdir, tasks, theta_pre)
+        finetune_s = perf_counter() - start
         # (inputs, pseudo-labels) pairs: sequential_merge takes them in every source tree
         examples = {t: (cs.inputs, cs.pseudo_labels)
                     for t, cs in stage_sample(config, workdir, tasks, ckpt).items()}
     print(json.dumps({
         "parameters": ckpt.spec.parameter_count,
+        "pretrain_s": pretrain_s, "finetune_s": finetune_s,
+        # the peak of generate, pretrain, finetune and sample; ru_maxrss is in KiB on Linux
+        "setup_peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "pretrained_sha": _sha(theta_pre.values.tobytes()),
         "checkpoints_sha": _sha(b"".join(ft.values.tobytes() for ft in ckpt.finetuned)),
         "numpy": np.__version__, "blas": _blas(), "nproc": os.cpu_count(),
         "threads": {key: os.environ.get(key) for key in PINNED},
@@ -176,9 +189,12 @@ def main(argv=None):
         results[hidden] = measure(sides, hidden, args.repeats)
         for name, side in results[hidden].items():
             merge = side["merge_s"]
-            print(f"({hidden}) {side['parameters']:>9,} params  {name:>8}: merge median "
-                  f"{merge['median']:.3f} s  IQR {merge['iqr']:.3f} s  masks {side['masks_sha']}  "
-                  f"merged {side['merged_sha']}", file=sys.stderr, flush=True)
+            print(f"({hidden}) {side['parameters']:>9,} params  {name:>8}: pretrain "
+                  f"{side['pretrain_s']:.3f} s  finetune {side['finetune_s']:.3f} s  peak RSS "
+                  f"{side['setup_peak_rss_mb']:.0f} MB  merge median "
+                  f"{merge['median']:.3f} s  IQR {merge['iqr']:.3f} s  pretrained "
+                  f"{side['pretrained_sha']}  checkpoints {side['checkpoints_sha']}  masks "
+                  f"{side['masks_sha']}  merged {side['merged_sha']}", file=sys.stderr, flush=True)
             for other, diff in ((k[3:], v) for k, v in side.items() if k.startswith("vs_")):
                 print(f"    vs {other}: objective_trace max rel diff "
                       f"{diff['objective_trace_max_rel_diff']:.3g}, differing mask coordinates "
