@@ -9,10 +9,16 @@ task's credible samples plus an L1 sparsity term, and rounded once at the
 end, so the final update copies every coordinate verbatim from exactly one
 source.
 
-The data term is one weighted pass, `nn.weighted_loss_and_grad`, over the
-rows of every visible task's batches: each row weighs 1 / (batches of its task
-* rows of its batch), which is the per-task mean over batches of the per-batch
-mean.
+Each sequential step checks and stacks the visible tasks' credible rows once,
+into one row-major (rows, features) pool with a row span per task. Each of
+its iterations draws only row indices, with the seeded stream of one
+`rng.choice` per batch, and gathers the batches' rows from the pool with one
+index. The data term is one weighted pass, `nn.weighted_loss_and_grad`, over
+those rows: each row weighs 1 / (batches of its task * rows of its batch),
+which is the per-task mean over batches of the per-batch mean. The pool is
+row-major on purpose: a feature-major pool would hand the pass contiguous
+(features, rows) inputs, and its first-layer weight gradient then differs in
+the last bits, which can flip mask coordinates.
 """
 from __future__ import annotations
 
@@ -201,32 +207,32 @@ def masked_merge(tau_seq: TaskVector, tau_j: TaskVector, mask: BinaryMask,
 TaskExamples = Mapping[int, tuple[np.ndarray, np.ndarray | None]]
 
 
-def _stacked_rows(visible_tasks: Sequence[int], task_batches: Mapping[int, Sequence[tuple]],
-                  objective: str):
-    """Every visible task's batches as one stack of inputs, labels and row weights."""
-    inputs, labels, weights = [], [], []
+def _row_pool(visible_tasks: Sequence[int], task_data: TaskExamples, objective: str):
+    """The visible tasks' credible rows as one row-major float64 pool: (inputs, labels or
+    None, {task: (first row, rows)}), checked once per step."""
+    inputs, labels, spans = [], [], {}
     for t in visible_tasks:
-        if t not in task_batches:
+        if t not in task_data:
             raise ContractError(f"no credible data supplied for visible task {t}")
-        batches = task_batches[t]
-        for x, y in batches:
-            if len(x) == 0:
-                raise ContractError(f"visible task {t} has an empty batch")
-            if objective == "cross_entropy" and y is None:
-                raise ContractError("cross_entropy objective needs labels")
-            inputs.append(x)
-            labels.append(y)
-            weights.append(np.full(len(x), 1.0 / (len(batches) * len(x))))
+        x, y = task_data[t]
+        if len(x) == 0:
+            raise ContractError(f"visible task {t} has an empty batch")
+        if objective == "cross_entropy" and y is None:
+            raise ContractError("cross_entropy objective needs labels")
+        spans[t] = (sum(map(len, inputs)), len(x))
+        inputs.append(x)
+        labels.append(y)
     x = np.concatenate(inputs).astype(np.float64, copy=False)
     if objective == "entropy":
-        return x, None, np.concatenate(weights)
-    return x, np.concatenate(labels).astype(np.int64, copy=False), np.concatenate(weights)
+        return x, None, spans
+    return x, np.concatenate(labels).astype(np.int64, copy=False), spans
 
 
 def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: SequentialState,
-                        tau_j: TaskVector, mask: RealMask, task_batches: Mapping[int, Sequence[tuple]],
-                        l1_weight: float, strategy: str = "both",
-                        objective: str = "cross_entropy") -> tuple[float, np.ndarray]:
+                        tau_j: TaskVector, mask: RealMask,
+                        task_batches: Mapping[int, Sequence[np.ndarray]], l1_weight: float,
+                        strategy: str, objective: str,
+                        pool: tuple[np.ndarray, np.ndarray | None]) -> tuple[float, np.ndarray]:
     """Soft-mask objective and its exact gradient with respect to r.
 
     Loss = sum over visible tasks of the task's mean data loss (averaged over
@@ -235,7 +241,9 @@ def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: Sequenti
     count; an unnormalized sum would bury the data signal. The gradient chains
     the parameter gradient through the merge direction and sigmoid'(r).
 
-    The data term is the row-weighted pass of the module docstring.
+    Each batch is an array of row indices into `pool`, the (inputs, labels or
+    None) of `_row_pool`; the data term is the row-weighted pass of the module
+    docstring over the gathered rows.
     """
     if objective not in OBJECTIVES:
         raise ContractError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
@@ -243,7 +251,12 @@ def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: Sequenti
         raise ContractError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     if theta_pre.spec != spec:
         raise ContractError(f"theta_pre is bound to {theta_pre.spec}, not to {spec}")
-    inputs, labels, weights = _stacked_rows(state.visible_tasks, task_batches, objective)
+    batches = [(len(task_batches[t]), idx) for t in state.visible_tasks
+               for idx in task_batches[t]]
+    rows = np.concatenate([idx for _, idx in batches])
+    weights = np.repeat([1.0 / (count * len(idx)) for count, idx in batches],
+                        [len(idx) for _, idx in batches])
+    inputs, labels = pool[0][rows], None if objective == "entropy" else pool[1][rows]
     m = sigmoid(mask.r)
     if strategy == "both":
         tau_values = (1.0 - m) * state.tau_seq.values + m * tau_j.values
@@ -278,42 +291,35 @@ def binarize(mask: RealMask) -> BinaryMask:
     return BinaryMask(np.where(mask.r >= 0.0, 1.0, 0.0))
 
 
-def _draw_batch(rng: np.random.Generator, inputs: np.ndarray, labels: np.ndarray | None,
-                batch_size: int) -> tuple[np.ndarray, np.ndarray | None]:
-    n = inputs.shape[0]
-    if n <= batch_size:
-        return inputs, labels
-    idx = rng.choice(n, size=batch_size, replace=False)
-    return inputs[idx], None if labels is None else labels[idx]
-
-
 def optimize_mask(spec: ModelSpec, theta_pre: ParamVector, state: SequentialState,
                   tau_j: TaskVector, task_data: TaskExamples, init: RealMask,
                   plan: MergePlan, rng: np.random.Generator,
                   objective: str = "cross_entropy") -> StepArtifact:
     """First-order descent on r, then the rounded mask of tau_j's step.
 
-    Per iteration, `batches_per_task` batches of at most `batch_size` samples
-    are drawn per visible task (the whole set when it is smaller). The
+    The visible tasks' credible rows are checked and stacked once, into the
+    row pool of `_row_pool`. Each iteration then only draws row indices into
+    it: per visible task, in order, `batches_per_task` batches of
+    `rng.choice(n, batch_size, replace=False)` (the whole set, undrawn, when
+    n <= batch_size); the objective gathers them with one index. The
     objective trace holds the pre-step loss per iteration; the density trace
     holds the rounded-mask density before the first and after every step.
     """
+    inputs, labels, spans = _row_pool(state.visible_tasks, task_data, objective)
     r = init.r.copy()
     objective_trace = np.zeros(plan.iterations_per_task)
     density_trace = np.zeros(plan.iterations_per_task + 1)
     density_trace[0] = float(np.mean(r >= 0.0))
     for it in range(plan.iterations_per_task):
-        # a visible task without data is reported by consensus_objective
         batches = {
-            t: [
-                _draw_batch(rng, task_data[t][0], task_data[t][1], plan.batch_size)
-                for _ in range(plan.batches_per_task)
-            ]
-            for t in state.visible_tasks if t in task_data
+            t: [first + (np.arange(n) if n <= plan.batch_size
+                         else rng.choice(n, plan.batch_size, replace=False))
+                for _ in range(plan.batches_per_task)]
+            for t, (first, n) in spans.items()
         }
         loss, grad_r = consensus_objective(
             spec, theta_pre, state, tau_j, RealMask(r), batches,
-            plan.l1_weight, plan.strategy, objective,
+            plan.l1_weight, plan.strategy, objective, (inputs, labels),
         )
         objective_trace[it] = loss
         r = r - plan.mask_lr * grad_r

@@ -3,12 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from calmkit import calm
 from calmkit.baselines import TaskVector, task_arithmetic, task_vector
 from calmkit.calm import (
     BinaryMask,
     MergePlan,
     RealMask,
     SequentialState,
+    _row_pool,
     binarize,
     consensus_objective,
     efficient_merge,
@@ -27,13 +29,13 @@ from calmkit.nn import (
     _backward,
     _forward_acts,
     bind,
-    cross_entropy,
     forward,
     init_params,
     softmax,
 )
 from calmkit.sampling import score_pool, select_cb_ems
 from calmkit.tasks import Checkpoints, TaskFamily, TrainConfig, build_checkpoints
+from reference import cross_entropy
 
 
 SPEC = ModelSpec(3, (4,), 3, activation="tanh")  # n = 16 + 15 = 31
@@ -52,6 +54,21 @@ def small_setup(seed=0):
     }
     state = SequentialState(tau_seq, (0, 1))
     return theta_pre, state, tau_j, batches
+
+
+def objective_on_batches(spec, theta_pre, state, tau_j, mask, batches, l1_weight,
+                         strategy="both", objective="cross_entropy"):
+    """consensus_objective on (inputs, labels) batches: each task's batches are stacked
+    into the step's row pool, and each batch becomes the index array of its rows there."""
+    data = {t: (np.concatenate([x for x, _ in bs]),
+                None if bs[0][1] is None else np.concatenate([y for _, y in bs]))
+            for t, bs in batches.items()}
+    inputs, labels, spans = _row_pool(state.visible_tasks, data, objective)
+    index = {t: np.split(np.arange(first, first + n),
+                         np.cumsum([len(x) for x, _ in batches[t]])[:-1])
+             for t, (first, n) in spans.items()}
+    return consensus_objective(spec, theta_pre, state, tau_j, mask, index, l1_weight, strategy,
+                               objective, (inputs, labels))
 
 
 def per_batch_objective(spec, theta_pre, state, tau_j, mask, task_batches, l1_weight,
@@ -242,8 +259,8 @@ class TestConsensusObjective:
         theta_pre, state, _, batches = small_setup()
         state = SequentialState(state.tau_seq, state.visible_tasks)
         mask = init_mask(N, 0.1, seed=5)
-        loss, grad = consensus_objective(SPEC, theta_pre, state, state.tau_seq, mask,
-                                         batches, l1_weight=1.0)
+        loss, grad = objective_on_batches(SPEC, theta_pre, state, state.tau_seq, mask,
+                                          batches, l1_weight=1.0)
         m = sigmoid(mask.r)
         assert np.array_equal(grad, (1.0 / N) * (m * (1.0 - m)))
 
@@ -255,12 +272,12 @@ class TestConsensusObjective:
             batches = {t: [(x, None) for x, _ in bs] for t, bs in batches.items()}
         rng = np.random.default_rng(17)
         r0 = rng.uniform(-2.0, 2.0, size=N)
-        _, grad = consensus_objective(SPEC, theta_pre, state, tau_j, RealMask(r0),
-                                      batches, 1.0, strategy, objective)
+        _, grad = objective_on_batches(SPEC, theta_pre, state, tau_j, RealMask(r0),
+                                       batches, 1.0, strategy, objective)
 
         def f(r):
-            loss, _ = consensus_objective(SPEC, theta_pre, state, tau_j, RealMask(r),
-                                          batches, 1.0, strategy, objective)
+            loss, _ = objective_on_batches(SPEC, theta_pre, state, tau_j, RealMask(r),
+                                           batches, 1.0, strategy, objective)
             return loss
 
         h = 1e-4
@@ -290,8 +307,8 @@ class TestConsensusObjective:
         state = SequentialState(TaskVector(rng.standard_normal(n) * 0.3, task_id="merged"),
                                 tuple(sizes))
         mask = RealMask(rng.uniform(-2.0, 2.0, size=n))
-        loss, grad = consensus_objective(spec, theta_pre, state, tau_j, mask, batches, 1.0,
-                                         strategy, objective)
+        loss, grad = objective_on_batches(spec, theta_pre, state, tau_j, mask, batches, 1.0,
+                                          strategy, objective)
         ref_loss, ref_grad = per_batch_objective(spec, theta_pre, state, tau_j, mask,
                                                  batches, 1.0, strategy, objective)
         np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
@@ -317,8 +334,8 @@ class TestConsensusObjective:
         state = SequentialState(TaskVector(rng.standard_normal(n) * 0.3, task_id="merged"),
                                 tuple(sizes))
         mask = RealMask(rng.uniform(-2.0, 2.0, size=n))
-        loss, grad = consensus_objective(spec, theta_pre, state, tau_j, mask, batches, 1.0,
-                                         "both", objective)
+        loss, grad = objective_on_batches(spec, theta_pre, state, tau_j, mask, batches, 1.0,
+                                          "both", objective)
         ref_loss, ref_grad = per_batch_objective(spec, theta_pre, state, tau_j, mask,
                                                  batches, 1.0, "both", objective)
         np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
@@ -338,14 +355,14 @@ class TestConsensusObjective:
         theta_pre, state, tau_j, batches = small_setup()
         del batches[1]
         with pytest.raises(ContractError, match="task 1"):
-            consensus_objective(SPEC, theta_pre, state, tau_j, init_mask(N, 0.1, 0),
-                                batches, 1.0)
+            objective_on_batches(SPEC, theta_pre, state, tau_j, init_mask(N, 0.1, 0),
+                                 batches, 1.0)
 
     def test_loss_includes_normalized_l1(self):
         theta_pre, state, tau_j, batches = small_setup()
         mask = init_mask(N, 0.1, seed=5)
-        loss1, _ = consensus_objective(SPEC, theta_pre, state, tau_j, mask, batches, 0.0)
-        loss2, _ = consensus_objective(SPEC, theta_pre, state, tau_j, mask, batches, 2.0)
+        loss1, _ = objective_on_batches(SPEC, theta_pre, state, tau_j, mask, batches, 0.0)
+        loss2, _ = objective_on_batches(SPEC, theta_pre, state, tau_j, mask, batches, 2.0)
         assert np.isclose(loss2 - loss1, 2.0 * np.mean(sigmoid(mask.r)), rtol=0, atol=1e-12)
 
 
@@ -377,8 +394,8 @@ class TestOptimizeMask:
         r = init_mask(N, 0.1, seed=9).r.copy()
         prev = np.sum(sigmoid(r))
         for _ in range(10):
-            _, grad = consensus_objective(SPEC, theta_pre, state, tau_j, RealMask(r),
-                                          batches, 1.0)
+            _, grad = objective_on_batches(SPEC, theta_pre, state, tau_j, RealMask(r),
+                                           batches, 1.0)
             r = r - 5.0 * grad
             now = np.sum(sigmoid(r))
             assert now < prev
@@ -394,6 +411,82 @@ class TestOptimizeMask:
         assert result.objective_trace.shape == (7,)
         assert np.all((result.density_trace >= 0.0) & (result.density_trace <= 1.0))
         assert np.all(np.isfinite(result.objective_trace))
+
+    @pytest.mark.parametrize("batches_per_task", [1, 3])
+    def test_draws_follow_the_per_batch_stream(self, monkeypatch, batches_per_task):
+        # batch_size 8 against sets of 5, 8, 9 and 30 rows; the two that draw are
+        # visible out of id order
+        def draw_batch(rng, inputs, labels, batch_size):  # the former per-batch draw
+            n = inputs.shape[0]
+            if n <= batch_size:
+                return inputs, labels
+            idx = rng.choice(n, size=batch_size, replace=False)
+            return inputs[idx], None if labels is None else labels[idx]
+
+        sizes = {3: 30, 0: 5, 2: 9, 1: 8}
+        rng = np.random.default_rng(31)
+        task_data = {}
+        for t, n in sizes.items():
+            x = rng.standard_normal((n, 3))
+            x[:, 0] = 100 * t + np.arange(n)  # each row names its task and position
+            task_data[t] = (x, rng.integers(0, 3, size=n))
+        theta_pre = init_params(SPEC, 0)
+        state = SequentialState(TaskVector(np.zeros(N), task_id="merged"), tuple(sizes))
+        plan = MergePlan((0, 2, 3), (1,), iterations_per_task=4,
+                         batches_per_task=batches_per_task, batch_size=8)
+        drawn = []
+
+        def recording(*args):
+            task_batches, (inputs, labels) = args[5], args[9]
+            drawn.append({t: [(inputs[idx], labels[idx]) for idx in task_batches[t]]
+                          for t in args[2].visible_tasks})
+            return consensus_objective(*args)
+
+        monkeypatch.setattr(calm, "consensus_objective", recording)
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        optimize_mask(SPEC, theta_pre, state, TaskVector(np.ones(N), task_id=1), task_data,
+                      init_mask(N, 0.1, 0), plan, ours)
+        assert len(drawn) == plan.iterations_per_task
+        for batches in drawn:
+            for t in sizes:
+                assert len(batches[t]) == batches_per_task
+                for x, y in batches[t]:
+                    ref_x, ref_y = draw_batch(theirs, *task_data[t], plan.batch_size)
+                    assert np.array_equal(x, ref_x) and np.array_equal(y, ref_y)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_missing_visible_task_is_named(self):
+        theta_pre, state, tau_j, batches = small_setup()
+        plan = MergePlan((0,), (1,), iterations_per_task=2)
+        with pytest.raises(ContractError, match="task 1"):
+            optimize_mask(SPEC, theta_pre, state, tau_j, {0: batches[0][0]},
+                          init_mask(N, 0.1, 0), plan, np.random.default_rng(0))
+
+    def test_empty_credible_set_is_an_error(self):
+        theta_pre, state, tau_j, batches = small_setup()
+        task_data = {0: batches[0][0], 1: (np.zeros((0, 3)), np.zeros(0, dtype=np.int64))}
+        plan = MergePlan((0,), (1,), iterations_per_task=2)
+        with pytest.raises(ContractError, match="task 1 has an empty"):
+            optimize_mask(SPEC, theta_pre, state, tau_j, task_data, init_mask(N, 0.1, 0),
+                          plan, np.random.default_rng(0))
+
+    def test_cross_entropy_needs_labels(self):
+        theta_pre, state, tau_j, batches = small_setup()
+        task_data = {0: batches[0][0], 1: (batches[1][0][0], None)}
+        plan = MergePlan((0,), (1,), iterations_per_task=2)
+        with pytest.raises(ContractError, match="needs labels"):
+            optimize_mask(SPEC, theta_pre, state, tau_j, task_data, init_mask(N, 0.1, 0),
+                          plan, np.random.default_rng(0))
+
+    def test_overflowing_mask_is_an_error(self):
+        # a 1e3-scaled task vector makes |grad r| ~ 20, so the first step overflows r
+        theta_pre, state, tau_j, batches = small_setup()
+        tau_j = TaskVector(tau_j.values * 1e3, task_id=1)
+        task_data = {t: bs[0] for t, bs in batches.items()}
+        plan = MergePlan((0,), (1,), mask_lr=1e308, iterations_per_task=3)
+        with np.errstate(over="ignore"), pytest.raises(ContractError, match="finite"):
+            optimize_mask(SPEC, theta_pre, state, tau_j, task_data, init_mask(N, 0.1, 0),
+                          plan, np.random.default_rng(0))
 
 
 class TestBinarize:
@@ -485,6 +578,25 @@ class TestSequentialMerge:
         del partial[plan.sequential_set[0]]
         with pytest.raises(ContractError, match=f"task {plan.sequential_set[0]}"):
             sequential_merge(ckpt, plan, partial)
+
+    def test_one_objective_call_per_iteration(self, mini_pipeline, monkeypatch):
+        # the call and batch counts a tracer reads from (state, task_batches): positional
+        # arguments 2 and 5, or keyword
+        family, tasks, ckpt, credible = mini_pipeline
+        plan = replace(partition(range(family.num_tasks), 2, seed=4), iterations_per_task=3,
+                       batches_per_task=3)
+        counts = []
+
+        def counting(*args, **kwargs):
+            state = args[2] if len(args) > 2 else kwargs["state"]
+            task_batches = args[5] if len(args) > 5 else kwargs["task_batches"]
+            counts.append([len(task_batches[t]) for t in state.visible_tasks])
+            return consensus_objective(*args, **kwargs)
+
+        monkeypatch.setattr(calm, "consensus_objective", counting)
+        sequential_merge(ckpt, plan, credible)
+        visible = [len(plan.efficient_set) + 1] * 3 + [len(plan.efficient_set) + 2] * 3
+        assert counts == [[3] * v for v in visible]
 
     def test_plan_must_cover_checkpoint_tasks(self, mini_pipeline):
         family, tasks, ckpt, credible = mini_pipeline

@@ -7,7 +7,6 @@ from calmkit.nn import (
     ModelSpec,
     ParamVector,
     bind,
-    cross_entropy,
     forward,
     init_params,
     loss_and_grad,
@@ -15,6 +14,7 @@ from calmkit.nn import (
     sgd_step,
     softmax,
 )
+from reference import cross_entropy
 
 
 def forward_oracle(spec, values, inputs):
