@@ -9,13 +9,16 @@ task's credible samples plus an L1 sparsity term, and rounded once at the
 end, so the final update copies every coordinate verbatim from exactly one
 source.
 
-Each sequential step checks and stacks the visible tasks' credible rows once,
-into one row-major (rows, features) pool with a row span per task. Each of
-its iterations draws only row indices, with the seeded stream of one
+Each sequential step computes once what its iterations share: it checks and
+stacks the visible tasks' credible rows into one row-major (rows, features)
+pool with a row span per task, and builds the row weights of the gathered
+rows. Each iteration draws only row indices, with the seeded stream of one
 `rng.choice` per batch, and gathers the batches' rows from the pool with one
-index. The data term is one weighted pass, `nn.weighted_loss_and_grad`, over
-those rows: each row weighs 1 / (batches of its task * rows of its batch),
-which is the per-task mean over batches of the per-batch mean. The pool is
+`np.take`. The data term is one weighted pass, `nn.weighted_loss_and_grad`,
+over those rows: each row weighs 1 / (batches of its task * rows of its
+batch), which is the per-task mean over batches of the per-batch mean; every
+batch of a task has the same rows, so the weights are the same on every
+iteration. The pool is
 row-major on purpose: a feature-major pool would hand the pass contiguous
 (features, rows) inputs, and its first-layer weight gradient then differs in
 the last bits, which can flip mask coordinates.
@@ -143,12 +146,8 @@ class MergeResult:
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def partition(task_ids: Sequence[int], num_sequential: int, seed: int = 0) -> MergePlan:
@@ -228,11 +227,20 @@ def _row_pool(visible_tasks: Sequence[int], task_data: TaskExamples, objective: 
     return x, np.concatenate(labels).astype(np.int64, copy=False), spans
 
 
+def _row_weights(batch_rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """The weight of every gathered row, 1 / (batches of its task * rows of its
+    batch), from the row counts of each visible task's batches, one sequence per
+    task, in the order of the gather."""
+    return np.repeat([1.0 / (len(task) * n) for task in batch_rows for n in task],
+                     [n for task in batch_rows for n in task])
+
+
 def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: SequentialState,
                         tau_j: TaskVector, mask: RealMask,
                         task_batches: Mapping[int, Sequence[np.ndarray]], l1_weight: float,
                         strategy: str, objective: str,
-                        pool: tuple[np.ndarray, np.ndarray | None]) -> tuple[float, np.ndarray]:
+                        pool: tuple[np.ndarray, np.ndarray | None, np.ndarray]
+                        ) -> tuple[float, np.ndarray]:
     """Soft-mask objective and its exact gradient with respect to r.
 
     Loss = sum over visible tasks of the task's mean data loss (averaged over
@@ -241,9 +249,10 @@ def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: Sequenti
     count; an unnormalized sum would bury the data signal. The gradient chains
     the parameter gradient through the merge direction and sigmoid'(r).
 
-    Each batch is an array of row indices into `pool`, the (inputs, labels or
-    None) of `_row_pool`; the data term is the row-weighted pass of the module
-    docstring over the gathered rows.
+    Each batch is an array of row indices into `pool`, the step's (inputs,
+    labels or None, row weights): the rows and labels of `_row_pool` and the
+    `_row_weights` of the batches' lengths. The data term is the row-weighted
+    pass of the module docstring over the gathered rows.
     """
     if objective not in OBJECTIVES:
         raise ContractError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
@@ -251,27 +260,32 @@ def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: Sequenti
         raise ContractError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     if theta_pre.spec != spec:
         raise ContractError(f"theta_pre is bound to {theta_pre.spec}, not to {spec}")
-    batches = [(len(task_batches[t]), idx) for t in state.visible_tasks
-               for idx in task_batches[t]]
-    rows = np.concatenate([idx for _, idx in batches])
-    weights = np.repeat([1.0 / (count * len(idx)) for count, idx in batches],
-                        [len(idx) for _, idx in batches])
-    inputs, labels = pool[0][rows], None if objective == "entropy" else pool[1][rows]
+    pool_inputs, pool_labels, weights = pool
+    rows = np.concatenate([idx for t in state.visible_tasks for idx in task_batches[t]])
+    if len(rows) != len(weights):
+        raise ContractError(f"{len(weights)} row weights for {len(rows)} batch rows")
+    inputs = np.take(pool_inputs, rows, axis=0)
+    labels = None if objective == "entropy" else np.take(pool_labels, rows)
     m = sigmoid(mask.r)
+    rest = 1.0 - m
     if strategy == "both":
-        tau_values = (1.0 - m) * state.tau_seq.values + m * tau_j.values
+        tau_values = rest * state.tau_seq.values + m * tau_j.values
         direction = tau_j.values - state.tau_seq.values
     elif strategy == "only_mask":
         tau_values = state.tau_seq.values + m * tau_j.values
         direction = tau_j.values
     else:
-        tau_values = (1.0 - m) * state.tau_seq.values + tau_j.values
+        tau_values = rest * state.tau_seq.values + tau_j.values
         direction = -state.tau_seq.values
-    data_loss, dtheta = weighted_loss_and_grad(spec, theta_pre.values + tau_values, inputs,
-                                               labels, weights)
-    sig_grad = m * (1.0 - m)
-    loss = data_loss + l1_weight * float(np.mean(m))
-    return loss, dtheta * direction * sig_grad + (l1_weight / theta_pre.size) * sig_grad
+    data_loss, grad = weighted_loss_and_grad(spec, theta_pre.values + tau_values, inputs,
+                                             labels, weights)
+    sig_grad = m * rest
+    # np.mean's bits without its overhead
+    loss = data_loss + l1_weight * float(m.sum() / m.size)
+    grad *= direction
+    grad *= sig_grad
+    grad += (l1_weight / theta_pre.size) * sig_grad
+    return loss, grad
 
 
 def init_mask(n: int, init_active_fraction: float, seed,
@@ -301,15 +315,19 @@ def optimize_mask(spec: ModelSpec, theta_pre: ParamVector, state: SequentialStat
     row pool of `_row_pool`. Each iteration then only draws row indices into
     it: per visible task, in order, `batches_per_task` batches of
     `rng.choice(n, batch_size, replace=False)` (the whole set, undrawn, when
-    n <= batch_size); the objective gathers them with one index. The
-    objective trace holds the pre-step loss per iteration; the density trace
-    holds the rounded-mask density before the first and after every step.
+    n <= batch_size); the objective gathers them with one index. Every
+    iteration draws batches of the same lengths, so the row weights are built
+    once, from the first iteration's batches. The objective trace holds the
+    pre-step loss per iteration; the density trace holds the rounded-mask
+    density before the first and after every step.
     """
     inputs, labels, spans = _row_pool(state.visible_tasks, task_data, objective)
+    pool = None
     r = init.r.copy()
     objective_trace = np.zeros(plan.iterations_per_task)
     density_trace = np.zeros(plan.iterations_per_task + 1)
-    density_trace[0] = float(np.mean(r >= 0.0))
+    # exactly np.mean(r >= 0.0): an exact count over the same size
+    density_trace[0] = np.count_nonzero(r >= 0.0) / r.size
     for it in range(plan.iterations_per_task):
         batches = {
             t: [first + (np.arange(n) if n <= plan.batch_size
@@ -317,13 +335,16 @@ def optimize_mask(spec: ModelSpec, theta_pre: ParamVector, state: SequentialStat
                 for _ in range(plan.batches_per_task)]
             for t, (first, n) in spans.items()
         }
+        if pool is None:
+            pool = (inputs, labels, _row_weights([[len(idx) for idx in batches[t]]
+                                                  for t in state.visible_tasks]))
         loss, grad_r = consensus_objective(
             spec, theta_pre, state, tau_j, RealMask(r), batches,
-            plan.l1_weight, plan.strategy, objective, (inputs, labels),
+            plan.l1_weight, plan.strategy, objective, pool,
         )
         objective_trace[it] = loss
         r = r - plan.mask_lr * grad_r
-        density_trace[it + 1] = float(np.mean(r >= 0.0))
+        density_trace[it + 1] = np.count_nonzero(r >= 0.0) / r.size
     real = RealMask(r)
     return StepArtifact(tau_j.task_id, binarize(real), real, objective_trace, density_trace,
                         state.tau_seq.values)

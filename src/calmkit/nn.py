@@ -245,21 +245,27 @@ def _loss_and_dlogits(logits: np.ndarray, labels: np.ndarray | None
     `softmax`. A row-major caller passes `z.swapaxes(-1, -2)`, a view, so the
     reductions run along z's rows as before, bit for bit. Callers scale the
     gradient columns by their reduction (a mean, or weights).
+
+    Cross-entropy reads log p only at the labels, through a one-hot mask that works
+    on every layout, so the write into p stays in place on a view: -(shifted[label]
+    - log(total)) and p - onehot are the bits of -log p[label] and p[label] - 1.
     """
     shifted = logits - logits.max(axis=-2, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=-2, keepdims=True)
     p = e / total
-    logp = shifted - np.log(total)
     if labels is None:
+        logp = shifted - np.log(total)
         losses = -np.sum(p * logp, axis=-2, keepdims=True)
         p *= logp + losses
         np.negative(p, out=p)
         return losses[..., 0, :], p
-    *tasks, cols = np.indices(labels.shape, sparse=True)
-    at = (*tasks, labels, cols)
-    p[at] -= 1.0
-    return -logp[at], p
+    onehot = labels[..., None, :] == np.arange(p.shape[-2])[:, None]
+    p -= onehot
+    # the label's entry plus exact zeros; np.where keeps an infinite logit elsewhere out
+    losses = np.where(onehot, shifted, 0.0).sum(axis=-2)
+    losses -= np.log(total)[..., 0, :]
+    return np.negative(losses, out=losses), p
 
 
 def _backward(spec: ModelSpec, acts: list[np.ndarray], values: np.ndarray,

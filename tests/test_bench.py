@@ -13,6 +13,7 @@ from calmkit.bench.runner import (
     CHECKPOINTS_FILE,
     CREDIBLE_FILE,
     MASKS_FILE,
+    MERGED_FILE,
     PRETRAINED_FILE,
     ablation_suite,
     run_experiment,
@@ -89,6 +90,10 @@ def test_default_config_staged_reports_keep_their_hashes(tmp_path):
         assert _cli("merge", tmp_path, {"method": method}) == 0
         assert _cli("eval", tmp_path, {"method": method}) == 0
         assert _sha((tmp_path / "report.csv").read_bytes()) == digest, method
+    # the calm merge's files: binarize rounds r at exactly 0, so a reordered sum can
+    # flip a mask coordinate without moving any accuracy in report.csv
+    assert _sha((tmp_path / MASKS_FILE).read_bytes()) == "e357a3baf1c94223"
+    assert _sha((tmp_path / MERGED_FILE).read_bytes()) == "20738a3f08696e15"
 
 
 def test_default_config_text_keeps_its_hash(tmp_path, capsys):

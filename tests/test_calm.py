@@ -11,6 +11,7 @@ from calmkit.calm import (
     RealMask,
     SequentialState,
     _row_pool,
+    _row_weights,
     binarize,
     consensus_objective,
     efficient_merge,
@@ -36,6 +37,7 @@ from calmkit.nn import (
 from calmkit.sampling import score_pool, select_cb_ems
 from calmkit.tasks import Checkpoints, TaskFamily, TrainConfig, build_checkpoints
 from reference import cross_entropy
+from reference import sigmoid as reference_sigmoid
 
 
 SPEC = ModelSpec(3, (4,), 3, activation="tanh")  # n = 16 + 15 = 31
@@ -67,8 +69,9 @@ def objective_on_batches(spec, theta_pre, state, tau_j, mask, batches, l1_weight
     index = {t: np.split(np.arange(first, first + n),
                          np.cumsum([len(x) for x, _ in batches[t]])[:-1])
              for t, (first, n) in spans.items()}
+    pool = (inputs, labels, _row_weights([[len(x) for x, _ in batches[t]] for t in spans]))
     return consensus_objective(spec, theta_pre, state, tau_j, mask, index, l1_weight, strategy,
-                               objective, (inputs, labels))
+                               objective, pool)
 
 
 def per_batch_objective(spec, theta_pre, state, tau_j, mask, task_batches, l1_weight,
@@ -358,6 +361,17 @@ class TestConsensusObjective:
             objective_on_batches(SPEC, theta_pre, state, tau_j, init_mask(N, 0.1, 0),
                                  batches, 1.0)
 
+    def test_row_weights_must_cover_the_gathered_rows(self):
+        theta_pre, state, tau_j, batches = small_setup()
+        data = {t: (np.concatenate([x for x, _ in bs]), np.concatenate([y for _, y in bs]))
+                for t, bs in batches.items()}
+        inputs, labels, spans = _row_pool(state.visible_tasks, data, "cross_entropy")
+        index = {t: [np.arange(first, first + n)] for t, (first, n) in spans.items()}
+        pool = (inputs, labels, _row_weights([[n - 1] for _, n in spans.values()]))
+        with pytest.raises(ContractError, match="row weights"):
+            consensus_objective(SPEC, theta_pre, state, tau_j, init_mask(N, 0.1, 0), index,
+                                1.0, "both", "cross_entropy", pool)
+
     def test_loss_includes_normalized_l1(self):
         theta_pre, state, tau_j, batches = small_setup()
         mask = init_mask(N, 0.1, seed=5)
@@ -437,7 +451,7 @@ class TestOptimizeMask:
         drawn = []
 
         def recording(*args):
-            task_batches, (inputs, labels) = args[5], args[9]
+            task_batches, (inputs, labels, *_) = args[5], args[9]
             drawn.append({t: [(inputs[idx], labels[idx]) for idx in task_batches[t]]
                           for t in args[2].visible_tasks})
             return consensus_objective(*args)
@@ -634,3 +648,9 @@ class TestSigmoid:
         x = rng.uniform(-30, 30, size=100)
         naive = 1.0 / (1.0 + np.exp(-x))
         assert np.allclose(sigmoid(x), naive, rtol=0, atol=1e-15)
+
+    def test_keeps_the_bits_of_the_boolean_mask_formula(self):
+        rng = np.random.default_rng(709)
+        x = np.concatenate([rng.standard_normal(709), rng.uniform(-800.0, 800.0, 100_000),
+                            [0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0]])
+        assert sigmoid(x).tobytes() == reference_sigmoid(x).tobytes()

@@ -6,6 +6,7 @@ from calmkit.nn import (
     ContractError,
     ModelSpec,
     ParamVector,
+    _loss_and_dlogits,
     bind,
     forward,
     init_params,
@@ -14,7 +15,7 @@ from calmkit.nn import (
     sgd_step,
     softmax,
 )
-from reference import cross_entropy
+from reference import cross_entropy, loss_and_dlogits
 
 
 def forward_oracle(spec, values, inputs):
@@ -348,6 +349,50 @@ class TestLossAndGrad:
         loss_b, grad_b = loss_and_grad(spec, params.values, batch.inputs, batch.labels)
         assert loss_a == loss_b
         assert np.array_equal(grad_a, grad_b)
+
+
+def kernel_layouts(classes, scale):
+    """The logit layouts callers hand the class-first kernel: the mask objective's
+    C-contiguous (classes, rows) block, training's swapaxes view of (rows, classes)
+    logits, and its (T, classes, rows) stack, a view of (T, rows, classes) logits."""
+    rng = np.random.default_rng(classes)
+    rows, stack = 300, (4, 300)
+    return {
+        "class_first": (scale * rng.standard_normal((classes, rows)),
+                        rng.integers(0, classes, size=rows)),
+        "row_major_view": (scale * rng.standard_normal((rows, classes)).swapaxes(-1, -2),
+                           rng.integers(0, classes, size=rows)),
+        "task_stack": (scale * rng.standard_normal((*stack, classes)).swapaxes(-1, -2),
+                       rng.integers(0, classes, size=stack)),
+    }
+
+
+class TestLossKernel:
+    @pytest.mark.parametrize("layout", ["class_first", "row_major_view", "task_stack"])
+    @pytest.mark.parametrize("classes", [3, 5, 17])
+    @pytest.mark.parametrize("scale", [1.0, 40.0])  # 40: most probabilities underflow
+    @pytest.mark.parametrize("objective", ["cross_entropy", "entropy"])
+    def test_matches_the_reference_kernel_bit_for_bit(self, layout, classes, scale, objective):
+        logits, labels = kernel_layouts(classes, scale)[layout]
+        labels = labels if objective == "cross_entropy" else None
+        before = logits.copy()
+        losses, dlogits = _loss_and_dlogits(logits, labels)
+        ref_losses, ref_dlogits = loss_and_dlogits(logits, labels)
+        assert np.array_equal(logits, before)
+        assert losses.shape == ref_losses.shape and dlogits.shape == ref_dlogits.shape
+        # the gradient keeps the logits' layout: training swaps it back to row-major
+        assert dlogits.strides == ref_dlogits.strides
+        assert losses.tobytes() == ref_losses.tobytes()
+        assert dlogits.tobytes() == ref_dlogits.tobytes()
+
+    def test_an_infinite_logit_off_the_label_keeps_the_loss_finite(self):
+        logits = np.array([[0.5, -np.inf], [-1.0, 2.0], [3.0, -0.5]])
+        labels = np.array([2, 1])
+        losses, dlogits = _loss_and_dlogits(logits, labels)
+        ref_losses, ref_dlogits = loss_and_dlogits(logits, labels)
+        assert np.all(np.isfinite(losses))
+        assert losses.tobytes() == ref_losses.tobytes()
+        assert dlogits.tobytes() == ref_dlogits.tobytes()
 
 
 class TestSgdStep:

@@ -5,22 +5,23 @@ source trees.
         --repeats 5 --out BENCH_3.json
 
 For each model size, one worker process per source tree imports calmkit from
-that tree, builds the same pipeline (generate, pretrain, finetune, sample) in
-a temporary directory, and then waits. The main process asks the workers, in an
-order that alternates between repeats, for one timed `sequential_merge` each,
-`--repeats` times, so that slow and fast phases of the host fall on every
-side alike. Every worker runs with one BLAS/OpenMP thread, set before numpy
-loads, and reports numpy's version, its BLAS and `nproc`.
+that tree and generates the same tasks in a temporary directory, and then
+waits. The main process asks the workers, in an order that alternates between
+repeats, first for one timed training (pretrain, then finetune) each,
+`--repeats` times, and then, after each worker has sampled its credible sets,
+for one timed `sequential_merge` each, `--repeats` times, so that slow and
+fast phases of the host fall on every side alike. Every worker runs with one
+BLAS/OpenMP thread, set before numpy loads, and reports numpy's version, its
+BLAS and `nproc`.
 
 Per size and side the output holds the median and interquartile range of the
-merge wall time; the wall times of the worker's pretrain and finetune stages
-and its peak RSS at the end of set-up, one sample each, as every worker trains
-once; and sha256 prefixes of the pretrained and fine-tuned checkpoints, of every
-step's binary mask and of the merged parameters, so sides can be compared bit
-for bit. Each side after the first is also compared with the first: the
-largest relative difference of any `objective_trace` value, and, per step, the
-coordinates where the binary masks differ. The main process imports neither
-numpy nor calmkit.
+pretrain, finetune and merge wall times; the worker's peak RSS once it has
+trained and sampled; and sha256 prefixes of the pretrained and fine-tuned
+checkpoints, of every step's binary mask and of the merged parameters, so sides
+can be compared bit for bit. Each side after the first is also compared with
+the first: the largest relative difference of any `objective_trace` value, and,
+per step, the coordinates where the binary masks differ. The main process
+imports neither numpy nor calmkit.
 """
 from __future__ import annotations
 
@@ -61,7 +62,8 @@ def _blas() -> str:
 
 
 def worker(hidden: str):
-    """Build the pipeline, then run one merge per 'run' line read from stdin."""
+    """Generate the tasks, then answer one command per stdin line: 'train' trains the
+    pipeline once, 'sample' samples from the last training, 'run' merges once."""
     import numpy as np
 
     from calmkit.bench.config import build_config
@@ -72,40 +74,48 @@ def worker(hidden: str):
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         tasks = stage_generate(config, workdir)
-        start = perf_counter()
-        theta_pre = stage_pretrain(config, workdir, tasks)
-        pretrain_s = perf_counter() - start
-        start = perf_counter()
-        ckpt = stage_finetune(config, workdir, tasks, theta_pre)
-        finetune_s = perf_counter() - start
-        # (inputs, pseudo-labels) pairs: sequential_merge takes them in every source tree
-        examples = {t: (cs.inputs, cs.pseudo_labels)
-                    for t, cs in stage_sample(config, workdir, tasks, ckpt).items()}
-    print(json.dumps({
-        "parameters": ckpt.spec.parameter_count,
-        "pretrain_s": pretrain_s, "finetune_s": finetune_s,
-        # the peak of generate, pretrain, finetune and sample; ru_maxrss is in KiB on Linux
-        "setup_peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-        "pretrained_sha": _sha(theta_pre.values.tobytes()),
-        "checkpoints_sha": _sha(b"".join(ft.values.tobytes() for ft in ckpt.finetuned)),
-        "numpy": np.__version__, "blas": _blas(), "nproc": os.cpu_count(),
-        "threads": {key: os.environ.get(key) for key in PINNED},
-    }), flush=True)
-    for line in sys.stdin:
-        if line.strip() != "run":
-            break
-        start = perf_counter()
-        result = sequential_merge(ckpt, config.plan, examples)
-        seconds = perf_counter() - start
         print(json.dumps({
-            "merge_s": seconds,
-            "masks_sha": _sha(b"".join(step.mask.m.tobytes() for step in result.steps)),
-            "merged_sha": _sha(result.merged.values.tobytes()),
-            # floats print with repr, so the traces round-trip exactly
-            "objective_traces": [step.objective_trace.tolist() for step in result.steps],
-            "masks_hex": [np.packbits(step.mask.m == 1.0).tobytes().hex()
-                          for step in result.steps],
+            "numpy": np.__version__, "blas": _blas(), "nproc": os.cpu_count(),
+            "threads": {key: os.environ.get(key) for key in PINNED},
         }), flush=True)
+        for line in sys.stdin:
+            command = line.strip()
+            if command == "train":
+                start = perf_counter()
+                theta_pre = stage_pretrain(config, workdir, tasks)
+                pretrain_s = perf_counter() - start
+                start = perf_counter()
+                ckpt = stage_finetune(config, workdir, tasks, theta_pre)
+                print(json.dumps({
+                    "pretrain_s": pretrain_s, "finetune_s": perf_counter() - start,
+                    "parameters": ckpt.spec.parameter_count,
+                    "pretrained_sha": _sha(theta_pre.values.tobytes()),
+                    "checkpoints_sha": _sha(b"".join(ft.values.tobytes()
+                                                     for ft in ckpt.finetuned)),
+                }), flush=True)
+            elif command == "sample":
+                # (inputs, pseudo-labels) pairs: sequential_merge takes them in every tree
+                examples = {t: (cs.inputs, cs.pseudo_labels)
+                            for t, cs in stage_sample(config, workdir, tasks, ckpt).items()}
+                # the peak of generate, the trainings and sample; ru_maxrss is in KiB on Linux
+                print(json.dumps({"setup_peak_rss_mb":
+                                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}),
+                      flush=True)
+            elif command == "run":
+                start = perf_counter()
+                result = sequential_merge(ckpt, config.plan, examples)
+                seconds = perf_counter() - start
+                print(json.dumps({
+                    "merge_s": seconds,
+                    "masks_sha": _sha(b"".join(step.mask.m.tobytes() for step in result.steps)),
+                    "merged_sha": _sha(result.merged.values.tobytes()),
+                    # floats print with repr, so the traces round-trip exactly
+                    "objective_traces": [step.objective_trace.tolist() for step in result.steps],
+                    "masks_hex": [np.packbits(step.mask.m == 1.0).tobytes().hex()
+                                  for step in result.steps],
+                }), flush=True)
+            else:
+                break
 
 
 def _start(src: str, hidden: str) -> subprocess.Popen:
@@ -119,6 +129,12 @@ def _read(proc: subprocess.Popen) -> dict:
     if not line:
         raise RuntimeError(f"worker {proc.args} exited with {proc.wait()}")
     return json.loads(line)
+
+
+def _ask(proc: subprocess.Popen, command: str) -> dict:
+    proc.stdin.write(command + "\n")
+    proc.stdin.flush()
+    return _read(proc)
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -142,31 +158,48 @@ def _compare(first: dict, other: dict) -> dict:
     return {"objective_trace_max_rel_diff": rel, "mask_diff_coordinates": coordinates}
 
 
+def _alternate(procs: dict[str, subprocess.Popen], command: str, repeats: int
+               ) -> dict[str, list[dict]]:
+    """`repeats` answers per side to `command`, the sides' order reversed every repeat."""
+    replies = {name: [] for name in procs}
+    names = list(procs)
+    for rep in range(repeats):
+        for name in names if rep % 2 == 0 else names[::-1]:
+            replies[name].append(_ask(procs[name], command))
+    return replies
+
+
+def _one(replies: list[dict], keys: tuple[str, ...], what: str) -> dict:
+    """The values of `keys`, which every reply must repeat exactly."""
+    values = {tuple(reply[key] for key in keys) for reply in replies}
+    if len(values) != 1:
+        raise RuntimeError(f"{what} differ between repeats")
+    return dict(zip(keys, values.pop()))
+
+
 def measure(sides: dict[str, str], hidden: str, repeats: int) -> dict:
-    procs, setups = {}, {}
+    procs, envs = {}, {}
     try:
-        for name, src in sides.items():  # one at a time: set-up trains a model
+        for name, src in sides.items():
             procs[name] = _start(src, hidden)
-            setups[name] = _read(procs[name])
-        runs = {name: [] for name in sides}
-        names = list(sides)
-        for rep in range(repeats):
-            for name in names if rep % 2 == 0 else names[::-1]:
-                procs[name].stdin.write("run\n")
-                procs[name].stdin.flush()
-                runs[name].append(_read(procs[name]))
+            envs[name] = _read(procs[name])
+        trains = _alternate(procs, "train", repeats)
+        peaks = {name: _ask(proc, "sample") for name, proc in procs.items()}
+        runs = _alternate(procs, "run", repeats)
     finally:
         for proc in procs.values():
             proc.stdin.close()
             proc.wait()
     out = {}
+    names = list(sides)
     first = runs[names[0]][0]
-    for name in sides:
-        outputs = {(r["masks_sha"], r["merged_sha"]) for r in runs[name]}
-        if len(outputs) != 1:
-            raise RuntimeError(f"{name} at {hidden}: merges differ between repeats")
-        (masks_sha, merged_sha), = outputs
-        out[name] = {**setups[name], "masks_sha": masks_sha, "merged_sha": merged_sha,
+    for name in names:
+        checkpoints = _one(trains[name], ("parameters", "pretrained_sha", "checkpoints_sha"),
+                           f"{name} at {hidden}: checkpoints")
+        outputs = _one(runs[name], ("masks_sha", "merged_sha"), f"{name} at {hidden}: merges")
+        out[name] = {**envs[name], **peaks[name], **checkpoints, **outputs,
+                     **{key: _quartiles([r[key] for r in trains[name]])
+                        for key in ("pretrain_s", "finetune_s")},
                      "merge_s": _quartiles([r["merge_s"] for r in runs[name]])}
         if name != names[0]:
             out[name][f"vs_{names[0]}"] = _compare(first, runs[name][0])
@@ -188,13 +221,13 @@ def main(argv=None):
     for hidden in args.sizes:
         results[hidden] = measure(sides, hidden, args.repeats)
         for name, side in results[hidden].items():
-            merge = side["merge_s"]
-            print(f"({hidden}) {side['parameters']:>9,} params  {name:>8}: pretrain "
-                  f"{side['pretrain_s']:.3f} s  finetune {side['finetune_s']:.3f} s  peak RSS "
-                  f"{side['setup_peak_rss_mb']:.0f} MB  merge median "
-                  f"{merge['median']:.3f} s  IQR {merge['iqr']:.3f} s  pretrained "
-                  f"{side['pretrained_sha']}  checkpoints {side['checkpoints_sha']}  masks "
-                  f"{side['masks_sha']}  merged {side['merged_sha']}", file=sys.stderr, flush=True)
+            times = "  ".join(f"{key[:-2]} {side[key]['median']:.3f} s (IQR "
+                              f"{side[key]['iqr']:.3f})"
+                              for key in ("pretrain_s", "finetune_s", "merge_s"))
+            print(f"({hidden}) {side['parameters']:>9,} params  {name:>8}: {times}  peak RSS "
+                  f"{side['setup_peak_rss_mb']:.0f} MB  pretrained {side['pretrained_sha']}  "
+                  f"checkpoints {side['checkpoints_sha']}  masks {side['masks_sha']}  "
+                  f"merged {side['merged_sha']}", file=sys.stderr, flush=True)
             for other, diff in ((k[3:], v) for k, v in side.items() if k.startswith("vs_")):
                 print(f"    vs {other}: objective_trace max rel diff "
                       f"{diff['objective_trace_max_rel_diff']:.3g}, differing mask coordinates "
