@@ -313,9 +313,10 @@ def weighted_loss_and_grad(spec: ModelSpec, values: np.ndarray, inputs: np.ndarr
     `labels=None`. The pass is the feature-major one of the module docstring;
     its sums run in another order than a row-major per-batch loop, so its
     results differ from one in the last bits.
+
+    The mask objective's kernel checks nothing: `calm.optimize_mask` checks the
+    labels of its row pool once per step.
     """
-    if labels is not None:
-        check_labels(labels, spec.num_classes)
     layers = _layers(spec, values)
     columns = inputs.T  # (features, rows), a view
     loss = 0.0

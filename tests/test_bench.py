@@ -165,6 +165,22 @@ def test_suite_summaries_keep_their_bytes(suite, tmp_path):
     assert _sha((tmp_path / "summary.csv").read_bytes()) == SUITE_SUMMARIES[suite]
 
 
+# three tasks at the default sizes, whose credible sets are larger than a batch; at
+# this mask_lr the masks and accuracies move when any batch draw does (one word more
+# drawn before each step changes both hashes)
+ORDER_DRAWS = {"family.num_tasks": "3", "plan.iterations_per_task": "8",
+               "plan.mask_lr": "100000"}
+
+
+def test_order_suite_keeps_the_per_batch_choice_stream(tmp_path):
+    # sha256 prefixes captured while every batch was its own rng.choice call
+    ablation_suite(build_config(ORDER_DRAWS), "order", tmp_path)
+    masks = sorted(tmp_path.glob(f"order_*/{MASKS_FILE}"))
+    assert len(masks) == 6
+    assert _sha(b"".join(path.read_bytes() for path in masks)) == "ef9b2a78c067f2e3"
+    assert _sha((tmp_path / "summary.csv").read_bytes()) == "2e6e286d28916d0b"
+
+
 def test_order_suite_samples_once_and_copies_the_shared_sets(tmp_path, monkeypatch):
     calls = []
     score_pool = runner.score_pool

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calmkit import calm
 from calmkit.baselines import TaskVector, task_arithmetic, task_vector
@@ -42,6 +44,16 @@ from reference import sigmoid as reference_sigmoid
 
 SPEC = ModelSpec(3, (4,), 3, activation="tanh")  # n = 16 + 15 = 31
 N = SPEC.parameter_count
+GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox)
+
+
+def same_state(a: np.random.Generator, b: np.random.Generator) -> bool:
+    """Whether two generators' bit generators are in the same state, arrays included."""
+    def equal(x, y):
+        if isinstance(x, dict):
+            return x.keys() == y.keys() and all(equal(x[key], y[key]) for key in x)
+        return np.array_equal(x, y)
+    return equal(a.bit_generator.state, b.bit_generator.state)
 
 
 def small_setup(seed=0):
@@ -468,6 +480,81 @@ class TestOptimizeMask:
                     ref_x, ref_y = draw_batch(theirs, *task_data[t], plan.batch_size)
                     assert np.array_equal(x, ref_x) and np.array_equal(y, ref_y)
         assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), generator=st.sampled_from(GENERATORS), seed=st.integers(0, 2**32),
+           batches_per_task=st.integers(1, 3), iterations=st.integers(1, 7),
+           draw_words=st.sampled_from([1, 40, 600, 5000]))
+    def test_chunked_draws_follow_the_per_batch_choice_stream(
+            self, data, generator, seed, batches_per_task, iterations, draw_words):
+        # sets at, just above and well above the batch size, and at 10,001 rows, where a
+        # batch of 200 takes Floyd's sample and one of 201 numpy's tail shuffle; small
+        # chunks, so that iterations straddle chunk boundaries
+        k = data.draw(st.sampled_from([1, 2, 5, 200, 201]))
+        size = st.one_of(st.just(k), st.just(k + 1), st.integers(1, 3 * k + 4))
+        if k >= 200:
+            size = st.one_of(size, st.just(10_001))
+        sizes = data.draw(st.lists(size, min_size=1, max_size=4))
+        task_data = {t: (np.zeros((n, 3)), np.zeros(n, dtype=np.int64))
+                     for t, n in enumerate(sizes)}
+        state = SequentialState(TaskVector(np.zeros(N), task_id="merged"), tuple(task_data))
+        plan = MergePlan((), (len(sizes),), iterations_per_task=iterations,
+                         batches_per_task=batches_per_task, batch_size=k)
+        drawn = []
+
+        def recording(*args):
+            drawn.append({t: [idx.copy() for idx in args[5][t]] for t in state.visible_tasks})
+            return 0.0, np.zeros(N)
+
+        ours, theirs = np.random.Generator(generator(seed)), np.random.Generator(generator(seed))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(calm, "consensus_objective", recording)
+            patch.setattr(calm, "DRAW_WORDS", draw_words)
+            optimize_mask(SPEC, init_params(SPEC, 0), state, TaskVector(np.ones(N), task_id=1),
+                          task_data, init_mask(N, 0.1, 0), plan, ours)
+        firsts = np.cumsum([0] + sizes)
+        assert len(drawn) == iterations
+        for batches in drawn:
+            for t, n in enumerate(sizes):
+                assert len(batches[t]) == batches_per_task
+                for idx in batches[t]:
+                    ref = np.arange(n) if n <= k else theirs.choice(n, k, replace=False)
+                    assert np.array_equal(idx, firsts[t] + ref)
+        assert same_state(ours, theirs)
+
+    @pytest.mark.parametrize("generator", GENERATORS)
+    def test_bounded_draws_replace_rejected_words(self, generator):
+        # bounds just above 3 * 2**30 reject about a quarter of the words
+        bounds = 3 * 2**30 + 997 * np.arange(400)
+        excl = (bounds + 1).astype(np.uint64)
+        threshold = (np.uint64(2**32) % excl).astype(np.uint32)
+        ours, theirs, plain = (np.random.Generator(generator(11)) for _ in range(3))
+        drawn = calm._bounded(ours, excl, threshold)
+        assert np.array_equal(drawn, theirs.integers(0, bounds, endpoint=True))
+        assert same_state(ours, theirs)
+        plain.integers(0, 2**32, size=len(bounds), dtype=np.uint32)
+        assert not same_state(ours, plain)  # the rejected words were replaced
+
+    def test_out_of_range_label_fails_before_the_first_iteration(self, monkeypatch):
+        # one set of 30 rows, drawn once 8 at a time; the bad label is on a row that
+        # batch does not draw
+        theta_pre, state, tau_j, _ = small_setup()
+        state = SequentialState(state.tau_seq, (0,))
+        undrawn = np.setdiff1d(np.arange(30),
+                               np.random.default_rng(3).choice(30, 8, replace=False))[0]
+        labels = np.zeros(30, dtype=np.int64)
+        labels[undrawn] = SPEC.num_classes
+        plan = MergePlan((), (1,), iterations_per_task=1, batches_per_task=1, batch_size=8)
+
+        def never(*args):
+            raise AssertionError("the objective ran")
+
+        monkeypatch.setattr(calm, "consensus_objective", never)
+        rng = np.random.default_rng(3)
+        with pytest.raises(ContractError, match="labels must lie"):
+            optimize_mask(SPEC, theta_pre, state, tau_j, {0: (np.zeros((30, 3)), labels)},
+                          init_mask(N, 0.1, 0), plan, rng)
+        assert same_state(rng, np.random.default_rng(3))
 
     def test_missing_visible_task_is_named(self):
         theta_pre, state, tau_j, batches = small_setup()

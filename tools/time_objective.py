@@ -7,7 +7,8 @@ source trees.
 For each model size, one worker process per source tree imports calmkit from
 that tree and generates the same tasks in a temporary directory, and then
 waits. The main process asks the workers, in an order that alternates between
-repeats, first for one timed training (pretrain, then finetune) each,
+repeats, first for one timed training sample (`TRAININGS` of the size's
+trainings, each a pretrain and then a finetune, timed as their mean) each,
 `--repeats` times, and then, after each worker has sampled its credible sets,
 for one timed `sequential_merge` each, `--repeats` times, so that slow and
 fast phases of the host fall on every side alike. Every worker runs with one
@@ -45,6 +46,12 @@ SIZES = {
     "1024,1024": {"train.pretrain_lr": "0.02", "train.finetune_lr": "0.02"},
 }
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+# Trainings per timed sample, whose mean the sample reports. One 709-parameter
+# training takes 0.3 s, within the host's noise. Two sides on one tree, --repeats 5,
+# two runs each, 2-vCPU Xeon: at 1 training the pretrain/finetune IQRs were
+# 0.015-0.068/0.008-0.031 s on medians of 0.19/0.12 s; at 10, 0.004-0.035/0.003-0.019 s,
+# with the sides' medians within 0.009/0.002 s of each other.
+TRAININGS = {"32": 10, "256,256": 1, "1024,1024": 1}
 
 
 def _sha(data: bytes) -> str:
@@ -81,13 +88,17 @@ def worker(hidden: str):
         for line in sys.stdin:
             command = line.strip()
             if command == "train":
-                start = perf_counter()
-                theta_pre = stage_pretrain(config, workdir, tasks)
-                pretrain_s = perf_counter() - start
-                start = perf_counter()
-                ckpt = stage_finetune(config, workdir, tasks, theta_pre)
+                pretrain_s = finetune_s = 0.0
+                for _ in range(TRAININGS[hidden]):
+                    start = perf_counter()
+                    theta_pre = stage_pretrain(config, workdir, tasks)
+                    pretrain_s += perf_counter() - start
+                    start = perf_counter()
+                    ckpt = stage_finetune(config, workdir, tasks, theta_pre)
+                    finetune_s += perf_counter() - start
                 print(json.dumps({
-                    "pretrain_s": pretrain_s, "finetune_s": perf_counter() - start,
+                    "pretrain_s": pretrain_s / TRAININGS[hidden],
+                    "finetune_s": finetune_s / TRAININGS[hidden],
                     "parameters": ckpt.spec.parameter_count,
                     "pretrained_sha": _sha(theta_pre.values.tobytes()),
                     "checkpoints_sha": _sha(b"".join(ft.values.tobytes()
