@@ -225,6 +225,8 @@ TaskExamples = Mapping[int, tuple[np.ndarray, np.ndarray | None]]
 def _row_pool(visible_tasks: Sequence[int], task_data: TaskExamples, objective: str):
     """The visible tasks' credible rows as one row-major float64 pool: (inputs, labels or
     None, {task: (first row, rows)}), checked once per step."""
+    if objective not in OBJECTIVES:
+        raise ContractError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     inputs, labels, spans = [], [], {}
     for t in visible_tasks:
         if t not in task_data:
@@ -403,14 +405,9 @@ def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: Sequenti
     Each batch is an array of row indices into `pool`, the step's (inputs,
     labels or None, row weights): the rows and labels of `_row_pool` and the
     `_row_weights` of the batches' lengths. The data term is the row-weighted
-    pass of the module docstring over the gathered rows.
+    pass of the module docstring over the gathered rows. The callers check the
+    objective, the strategy and theta_pre's spec once per step.
     """
-    if objective not in OBJECTIVES:
-        raise ContractError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    if strategy not in STRATEGIES:
-        raise ContractError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    if theta_pre.spec != spec:
-        raise ContractError(f"theta_pre is bound to {theta_pre.spec}, not to {spec}")
     pool_inputs, pool_labels, weights = pool
     rows = np.concatenate([idx for t in state.visible_tasks for idx in task_batches[t]])
     if len(rows) != len(weights):
@@ -439,12 +436,11 @@ def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: Sequenti
     return loss, grad
 
 
-def init_mask(n: int, init_active_fraction: float, seed,
+def init_mask(n: int, init_active_fraction: float, rng: np.random.Generator,
               magnitude: float = INIT_MAGNITUDE) -> RealMask:
     """Seeded init: max(1, floor(fraction * n)) coordinates at +magnitude, rest at -magnitude."""
     if not 0.0 <= init_active_fraction < 1.0:
         raise ContractError("init_active_fraction must lie in [0, 1)")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     active = max(1, int(np.floor(init_active_fraction * n)))
     r = np.full(n, -magnitude)
     r[rng.choice(n, size=active, replace=False)] = magnitude
@@ -462,10 +458,11 @@ def optimize_mask(spec: ModelSpec, theta_pre: ParamVector, state: SequentialStat
                   objective: str = "cross_entropy") -> StepArtifact:
     """First-order descent on r, then the rounded mask of tau_j's step.
 
-    The visible tasks' credible rows are checked and stacked once, into the
-    row pool of `_row_pool`, and its labels are checked against the spec's
-    classes once. Each iteration then only picks row indices into it: per
-    visible task, in order, `batches_per_task` batches of the stream of
+    The step is checked once, before it draws: theta_pre's spec here, the
+    objective and the visible tasks' credible rows in `_row_pool`, which stacks
+    the rows into one pool, and the pool's labels against the spec's classes.
+    Each iteration then only picks row indices into it: per visible task, in
+    order, `batches_per_task` batches of the stream of
     `rng.choice(n, batch_size, replace=False)`, which `_batch_draws` rebuilds a
     chunk of iterations at a time (the whole set, undrawn, when n <=
     batch_size); the objective gathers them with one index. Every batch of a
@@ -473,6 +470,8 @@ def optimize_mask(spec: ModelSpec, theta_pre: ParamVector, state: SequentialStat
     objective trace holds the pre-step loss per iteration; the density trace
     holds the rounded-mask density before the first and after every step.
     """
+    if theta_pre.spec != spec:
+        raise ContractError(f"theta_pre is bound to {theta_pre.spec}, not to {spec}")
     inputs, labels, spans = _row_pool(state.visible_tasks, task_data, objective)
     if labels is not None:
         check_labels(labels, spec.num_classes)

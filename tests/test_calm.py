@@ -56,6 +56,11 @@ def same_state(a: np.random.Generator, b: np.random.Generator) -> bool:
     return equal(a.bit_generator.state, b.bit_generator.state)
 
 
+def seeded_mask(seed: int) -> RealMask:
+    """The initial mask over SPEC's parameters at a tenth active, from `seed`."""
+    return init_mask(N, 0.1, np.random.default_rng(seed))
+
+
 def small_setup(seed=0):
     rng = np.random.default_rng(seed)
     theta_pre = init_params(SPEC, seed)
@@ -273,7 +278,7 @@ class TestConsensusObjective:
     def test_identical_vectors_leave_pure_l1_gradient(self):
         theta_pre, state, _, batches = small_setup()
         state = SequentialState(state.tau_seq, state.visible_tasks)
-        mask = init_mask(N, 0.1, seed=5)
+        mask = seeded_mask(5)
         loss, grad = objective_on_batches(SPEC, theta_pre, state, state.tau_seq, mask,
                                           batches, l1_weight=1.0)
         m = sigmoid(mask.r)
@@ -370,7 +375,7 @@ class TestConsensusObjective:
         theta_pre, state, tau_j, batches = small_setup()
         del batches[1]
         with pytest.raises(ContractError, match="task 1"):
-            objective_on_batches(SPEC, theta_pre, state, tau_j, init_mask(N, 0.1, 0),
+            objective_on_batches(SPEC, theta_pre, state, tau_j, seeded_mask(0),
                                  batches, 1.0)
 
     def test_row_weights_must_cover_the_gathered_rows(self):
@@ -381,12 +386,12 @@ class TestConsensusObjective:
         index = {t: [np.arange(first, first + n)] for t, (first, n) in spans.items()}
         pool = (inputs, labels, _row_weights([[n - 1] for _, n in spans.values()]))
         with pytest.raises(ContractError, match="row weights"):
-            consensus_objective(SPEC, theta_pre, state, tau_j, init_mask(N, 0.1, 0), index,
+            consensus_objective(SPEC, theta_pre, state, tau_j, seeded_mask(0), index,
                                 1.0, "both", "cross_entropy", pool)
 
     def test_loss_includes_normalized_l1(self):
         theta_pre, state, tau_j, batches = small_setup()
-        mask = init_mask(N, 0.1, seed=5)
+        mask = seeded_mask(5)
         loss1, _ = objective_on_batches(SPEC, theta_pre, state, tau_j, mask, batches, 0.0)
         loss2, _ = objective_on_batches(SPEC, theta_pre, state, tau_j, mask, batches, 2.0)
         assert np.isclose(loss2 - loss1, 2.0 * np.mean(sigmoid(mask.r)), rtol=0, atol=1e-12)
@@ -396,7 +401,7 @@ class TestOptimizeMask:
     def test_zero_learning_rate_keeps_init(self):
         theta_pre, state, tau_j, batches = small_setup()
         task_data = {t: bs[0] for t, bs in batches.items()}
-        init = init_mask(N, 0.1, seed=9)
+        init = seeded_mask(9)
         plan = MergePlan((0,), (1,), iterations_per_task=5, batch_size=64)
         object.__setattr__(plan, "mask_lr", 0.0)  # MergePlan rejects it; optimize_mask does not
         result = optimize_mask(SPEC, theta_pre, state, tau_j, task_data, init, plan,
@@ -406,7 +411,7 @@ class TestOptimizeMask:
     def test_full_batch_objective_non_increasing(self):
         theta_pre, state, tau_j, batches = small_setup(seed=5)
         task_data = {t: bs[0] for t, bs in batches.items()}
-        init = init_mask(N, 0.1, seed=9)
+        init = seeded_mask(9)
         plan = MergePlan((0,), (1,), mask_lr=0.5, iterations_per_task=40,
                          batches_per_task=1, batch_size=1000)
         result = optimize_mask(SPEC, theta_pre, state, tau_j, task_data, init, plan,
@@ -417,7 +422,7 @@ class TestOptimizeMask:
     def test_l1_pressure_strictly_shrinks_soft_mask(self):
         theta_pre, state, _, batches = small_setup()
         tau_j = state.tau_seq  # data term vanishes
-        r = init_mask(N, 0.1, seed=9).r.copy()
+        r = seeded_mask(9).r.copy()
         prev = np.sum(sigmoid(r))
         for _ in range(10):
             _, grad = objective_on_batches(SPEC, theta_pre, state, tau_j, RealMask(r),
@@ -432,7 +437,7 @@ class TestOptimizeMask:
         task_data = {t: bs[0] for t, bs in batches.items()}
         plan = MergePlan((0,), (1,), iterations_per_task=7, batch_size=64)
         result = optimize_mask(SPEC, theta_pre, state, tau_j, task_data,
-                               init_mask(N, 0.1, 0), plan, np.random.default_rng(0))
+                               seeded_mask(0), plan, np.random.default_rng(0))
         assert result.density_trace.shape == (8,)
         assert result.objective_trace.shape == (7,)
         assert np.all((result.density_trace >= 0.0) & (result.density_trace <= 1.0))
@@ -471,7 +476,7 @@ class TestOptimizeMask:
         monkeypatch.setattr(calm, "consensus_objective", recording)
         ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
         optimize_mask(SPEC, theta_pre, state, TaskVector(np.ones(N), task_id=1), task_data,
-                      init_mask(N, 0.1, 0), plan, ours)
+                      seeded_mask(0), plan, ours)
         assert len(drawn) == plan.iterations_per_task
         for batches in drawn:
             for t in sizes:
@@ -511,7 +516,7 @@ class TestOptimizeMask:
             patch.setattr(calm, "consensus_objective", recording)
             patch.setattr(calm, "DRAW_WORDS", draw_words)
             optimize_mask(SPEC, init_params(SPEC, 0), state, TaskVector(np.ones(N), task_id=1),
-                          task_data, init_mask(N, 0.1, 0), plan, ours)
+                          task_data, seeded_mask(0), plan, ours)
         firsts = np.cumsum([0] + sizes)
         assert len(drawn) == iterations
         for batches in drawn:
@@ -553,7 +558,25 @@ class TestOptimizeMask:
         rng = np.random.default_rng(3)
         with pytest.raises(ContractError, match="labels must lie"):
             optimize_mask(SPEC, theta_pre, state, tau_j, {0: (np.zeros((30, 3)), labels)},
-                          init_mask(N, 0.1, 0), plan, rng)
+                          seeded_mask(0), plan, rng)
+        assert same_state(rng, np.random.default_rng(3))
+
+    @pytest.mark.parametrize("bad", ["objective", "spec"])
+    def test_a_bad_objective_or_spec_fails_before_the_first_draw(self, bad):
+        # one set of 30 rows, drawn 8 at a time; the step is checked once, before it draws
+        theta_pre, state, tau_j, _ = small_setup()
+        state = SequentialState(state.tau_seq, (0,))
+        objective, match = "cross_entropy", "bound to"
+        if bad == "objective":
+            objective, match = "hinge", "objective must be one of"
+        else:  # the same parameter count, another activation
+            theta_pre = init_params(replace(SPEC, activation="relu"), 0)
+        plan = MergePlan((), (1,), iterations_per_task=1, batches_per_task=1, batch_size=8)
+        rng = np.random.default_rng(3)
+        with pytest.raises(ContractError, match=match):
+            optimize_mask(SPEC, theta_pre, state, tau_j,
+                          {0: (np.zeros((30, 3)), np.zeros(30, dtype=np.int64))},
+                          seeded_mask(0), plan, rng, objective)
         assert same_state(rng, np.random.default_rng(3))
 
     def test_missing_visible_task_is_named(self):
@@ -561,14 +584,14 @@ class TestOptimizeMask:
         plan = MergePlan((0,), (1,), iterations_per_task=2)
         with pytest.raises(ContractError, match="task 1"):
             optimize_mask(SPEC, theta_pre, state, tau_j, {0: batches[0][0]},
-                          init_mask(N, 0.1, 0), plan, np.random.default_rng(0))
+                          seeded_mask(0), plan, np.random.default_rng(0))
 
     def test_empty_credible_set_is_an_error(self):
         theta_pre, state, tau_j, batches = small_setup()
         task_data = {0: batches[0][0], 1: (np.zeros((0, 3)), np.zeros(0, dtype=np.int64))}
         plan = MergePlan((0,), (1,), iterations_per_task=2)
         with pytest.raises(ContractError, match="task 1 has an empty"):
-            optimize_mask(SPEC, theta_pre, state, tau_j, task_data, init_mask(N, 0.1, 0),
+            optimize_mask(SPEC, theta_pre, state, tau_j, task_data, seeded_mask(0),
                           plan, np.random.default_rng(0))
 
     def test_cross_entropy_needs_labels(self):
@@ -576,7 +599,7 @@ class TestOptimizeMask:
         task_data = {0: batches[0][0], 1: (batches[1][0][0], None)}
         plan = MergePlan((0,), (1,), iterations_per_task=2)
         with pytest.raises(ContractError, match="needs labels"):
-            optimize_mask(SPEC, theta_pre, state, tau_j, task_data, init_mask(N, 0.1, 0),
+            optimize_mask(SPEC, theta_pre, state, tau_j, task_data, seeded_mask(0),
                           plan, np.random.default_rng(0))
 
     def test_overflowing_mask_is_an_error(self):
@@ -586,7 +609,7 @@ class TestOptimizeMask:
         task_data = {t: bs[0] for t, bs in batches.items()}
         plan = MergePlan((0,), (1,), mask_lr=1e308, iterations_per_task=3)
         with np.errstate(over="ignore"), pytest.raises(ContractError, match="finite"):
-            optimize_mask(SPEC, theta_pre, state, tau_j, task_data, init_mask(N, 0.1, 0),
+            optimize_mask(SPEC, theta_pre, state, tau_j, task_data, seeded_mask(0),
                           plan, np.random.default_rng(0))
 
 
@@ -609,27 +632,27 @@ class TestBinarize:
 
 class TestInitMask:
     def test_floor_of_one_active(self):
-        mask = init_mask(1000, 1e-5, seed=0)
+        mask = init_mask(1000, 1e-5, np.random.default_rng(0))
         assert np.sum(mask.r > 0) == 1
 
     def test_sigmoid_levels(self):
-        mask = init_mask(10, 0.5, seed=0)
+        mask = init_mask(10, 0.5, np.random.default_rng(0))
         m = sigmoid(mask.r)
         assert np.all(np.abs(m[mask.r > 0] - 0.99) < 1e-3)
         assert np.all(np.abs(m[mask.r < 0] - 0.01) < 1e-3)
 
     def test_same_seed_same_active_set(self):
-        a = init_mask(500, 0.01, seed=21)
-        b = init_mask(500, 0.01, seed=21)
+        a = init_mask(500, 0.01, np.random.default_rng(21))
+        b = init_mask(500, 0.01, np.random.default_rng(21))
         assert np.array_equal(a.r, b.r)
 
     def test_fraction_counts(self):
-        mask = init_mask(200, 0.1, seed=2)
+        mask = init_mask(200, 0.1, np.random.default_rng(2))
         assert np.sum(mask.r > 0) == 20
 
     def test_fraction_range_checked(self):
         with pytest.raises(ContractError):
-            init_mask(10, 1.0, seed=0)
+            init_mask(10, 1.0, np.random.default_rng(0))
 
 
 class TestSequentialMerge:

@@ -14,13 +14,18 @@ not matter here.
 Then every file that any side wrote is compared with the first side's file of
 the same relative path: masks, checkpoints, credible sets and reports alike.
 The script lists each file whose bytes differ or that one side lacks, and
-exits 1 if there is any such file and 0 if there is none. The outputs are kept
-under `--workdir` when it is given, and deleted otherwise.
+exits 1 if there is any such file and 0 if there is none. When an average
+accuracy differs, it also prints, per workload and side, each seed's paired
+change from the first side (report.csv's average for `default`, summary.csv's
+mean for `order`), and the mean paired difference with its standard error:
+the check for a change that alters the batch stream on purpose. The outputs are
+kept under `--workdir` when it is given, and deleted otherwise.
 """
 from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -68,6 +73,44 @@ def compare(roots: dict[str, Path]) -> list[str]:
     return lines
 
 
+# the average accuracy of each run: its file and the first field of its row
+ACCURACY_ROWS = {"default": ("report.csv", "average"), "order": ("summary.csv", "mean")}
+
+
+def _accuracy(path: Path, row: str) -> float:
+    for line in path.read_text().splitlines():
+        name, _, value = line.partition(",")
+        if name == row:
+            return float(value)
+    raise ValueError(f"{path} has no {row!r} row")
+
+
+def paired_accuracy(roots: dict[str, Path]) -> list[str]:
+    """Per workload and side, each seed's average accuracy change from the first side,
+    then the mean paired difference and its standard error; none if nothing changed."""
+    names = list(roots)
+    lines = []
+    for workload, (filename, row) in ACCURACY_ROWS.items():
+        for name in names[1:]:
+            pairs = {}
+            for path in sorted(roots[names[0]].glob(f"{workload}/*/{filename}")):
+                other = roots[name] / path.relative_to(roots[names[0]])
+                if other.is_file():
+                    pairs[path.parent.name] = (_accuracy(path, row), _accuracy(other, row))
+            diffs = [b - a for a, b in pairs.values()]
+            if not any(diffs):
+                continue
+            lines += [f"{workload} {run}, {name}: {a:.6f} -> {b:.6f} ({b - a:+.6f})"
+                      for run, (a, b) in pairs.items()]
+            error = statistics.stdev(diffs) / len(diffs) ** 0.5 if len(diffs) > 1 else 0.0
+            before, after = (statistics.mean(side) for side in zip(*pairs.values()))
+            lines.append(f"{workload}, {name} against {names[0]}: mean {before:.6f} -> "
+                         f"{after:.6f}, paired difference {statistics.mean(diffs):+.6f} "
+                         f"(standard error {error:.6f}; {sum(d > 0 for d in diffs)} rose, "
+                         f"{sum(d < 0 for d in diffs)} fell, {diffs.count(0.0)} same)")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", action="append", required=True, metavar="NAME=DIR",
@@ -93,8 +136,9 @@ def main(argv=None) -> int:
             print(f"worker failed on {', '.join(failed)}", file=sys.stderr)
             return 2
         lines = compare(roots)
+        accuracy = paired_accuracy(roots)
         count = len(_files(roots[next(iter(roots))]))
-    for line in lines:
+    for line in lines + accuracy:
         print(line)
     print(f"{len(lines)} differing files of {count} ({DEFAULT_SEEDS} default and "
           f"{ORDER_SEEDS} order config seeds)")
