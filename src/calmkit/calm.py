@@ -22,12 +22,15 @@ purpose: a feature-major pool would hand the pass contiguous (features, rows)
 inputs, and its first-layer weight gradient then differs in the last bits,
 which can flip mask coordinates.
 
-The batches are the seeded stream of one `rng.choice(n, k, replace=False)` per
-batch, rebuilt bit for bit by `_batch_draws` from one read of the generator's
-raw 32-bit words per chunk of iterations: Lemire's bounded draws
-(arXiv:1805.10941), then Floyd's sample and a shuffle of it for pools of at
-most 10,000 rows or batches of at most a 50th of the pool, else numpy's tail
-shuffle of arange(n).
+Each batch is the first `batch_size` entries of a seeded permutation of its
+task's rows: per visible task and iteration, one `rng.permuted` call shuffles
+each batch's row of arange(n) on its own. That is the distribution of
+`rng.choice(n, k, replace=False)`, a uniformly random ordered sample without
+replacement, from another stream, whose reference is one
+`rng.permutation(n)[:k]` per batch. The batches need that distribution, not
+`choice`'s stream: `choice` has no batched form, one call per batch costs more
+in numpy's set-up than in drawing, and NEP 19 does not promise its stream
+across numpy versions.
 """
 from __future__ import annotations
 
@@ -45,16 +48,6 @@ STRATEGIES = ("both", "only_mask", "only_complement")
 OBJECTIVES = ("cross_entropy", "entropy")
 
 INIT_MAGNITUDE = 4.595  # sigmoid(+-4.595) ~= 0.99 / 0.01
-# Raw words per chunk of batch draws, which bounds the chunk's arrays. Steps of the
-# default merge (16 batches of 128 from 358-row sets, 4,080 words per iteration),
-# medians of 15 alternating repeats, one BLAS thread: one rng.choice per batch 111.9 ms
-# per step, chunks of 2^15 words 98.7 ms, 2^16 98.1 ms. In a shorter run 2^12 took
-# 131 ms and 2^14-2^17 88-96 ms: the shuffle makes k - 1 numpy steps per chunk.
-DRAW_WORDS = 1 << 15
-# numpy's choice shuffles the tail of arange(n) above this many rows, unless the
-# batch is at most a TAIL_DIVISOR-th of them
-FLOYD_ROWS, TAIL_DIVISOR = 10_000, 50
-_WORD_BITS = np.uint64(32)
 
 
 @dataclass(frozen=True)
@@ -253,141 +246,6 @@ def _row_weights(batch_rows: Sequence[Sequence[int]]) -> np.ndarray:
                      [n for task in batch_rows for n in task])
 
 
-def _bounded(rng: np.random.Generator, excl: np.ndarray, threshold: np.ndarray) -> np.ndarray:
-    """One int64 draw in [0, excl) per entry, as numpy's bounded draws make them one
-    after another: Lemire's multiply-shift of a raw 32-bit word, which rejects a word
-    whose low product word lies under threshold = 2**32 % excl and takes the next word.
-    `excl` is uint64 in [2, 2**32 - 1] and `threshold` uint32. Reads exactly the words
-    those draws read, so the generator ends where they leave it."""
-    words = rng.integers(0, 2**32, size=len(excl), dtype=np.uint32)
-    out = np.empty(len(excl), np.uint64)
-    done = 0
-    while True:
-        product = out[done:]
-        product[...] = words
-        product *= excl[done:]
-        rejected = product.astype(np.uint32) < threshold[done:]
-        if not rejected.any():
-            product >>= _WORD_BITS
-            return out.view(np.int64)
-        first = int(rejected.argmax())
-        product[:first] >>= _WORD_BITS
-        done += first
-        # the rejected draw and every later one move on by one word
-        words = np.append(words[first + 1:], rng.integers(0, 2**32, size=1, dtype=np.uint32))
-
-
-def _floyd(draws: np.ndarray, lows: np.ndarray) -> np.ndarray:
-    """Floyd's sample from each row of `draws` (rows, k), whose draw s had the upper
-    bound lows + s: draw s keeps its value unless an earlier draw of its row took that
-    value, and then takes its bound. An earlier draw took the value when the value came
-    earlier in the row, or when it is the bound of an earlier draw that took its bound."""
-    k = draws.shape[1]
-    bits = (k - 1).bit_length()
-    steps = np.arange(k)
-    work = np.left_shift(draws, bits, order="C")  # one (rows, k) buffer, used three times
-    work |= steps
-    work.sort(axis=1)  # equal values sort by step: after the first come the repeats
-    pairs = np.flatnonzero(work[:, 1:] ^ work[:, :-1] < 1 << bits)
-    rows = pairs // max(k - 1, 1)
-    took_bound = np.zeros(draws.size, bool)
-    took_bound[rows * k + (work.ravel()[pairs + rows + 1] & (1 << bits) - 1)] = True
-    # draws whose value is the bound of an earlier draw; a value under the first bound
-    # wraps above every step
-    earlier = np.subtract(draws, lows[:, None], out=work)
-    later = np.flatnonzero(earlier.view(np.uint64) < steps.astype(np.uint64))
-    bound_of = later - later % k + earlier.ravel()[later]
-    while True:  # a fixed point: each pass settles at least one more link of a chain
-        newly = took_bound[bound_of] & ~took_bound[later]
-        if not newly.any():
-            break
-        took_bound[later[newly]] = True
-    taken = np.flatnonzero(took_bound)
-    sample = work
-    sample[...] = draws
-    sample.ravel()[taken] = lows[taken // k] + taken % k
-    return sample
-
-
-def _swap_in_order(values: np.ndarray, width: int, lines: Sequence[int],
-                   partners: np.ndarray) -> None:
-    """For each line i of `lines` in order, swap values[i * width:(i + 1) * width]
-    with the entries of `values` that the matching row of `partners` names, in place:
-    one shuffle step of `width` batches at once."""
-    for i, j in zip(lines, partners):
-        line = values[i * width:(i + 1) * width]
-        held = line.copy()
-        line[...] = values[j]
-        values[j] = held
-
-
-def _batch_draws(rng: np.random.Generator, sizes: Sequence[int], k: int, iterations: int):
-    """[[rng.choice(n, k, replace=False) for n in sizes] for _ in range(iterations)],
-    bit for bit and leaving `rng` where those calls leave it, for n > k. Yields it
-    chunk by chunk, as (iterations of the chunk, len(sizes), k) int64 arrays, each
-    from one read of at most about DRAW_WORDS raw words; a chunk holds at least one
-    iteration.
-
-    `choice` makes its bounded draws through `_bounded`. At most FLOYD_ROWS rows, or
-    k <= n // TAIL_DIVISOR, it draws Floyd's sample with the bounds n - k ... n - 1
-    and then shuffles it, swapping entry i with a draw of bound i, for i = k - 1 ... 1.
-    Otherwise it swaps entry i of arange(n) with a draw of bound i, for i = n - 1 ...
-    n - k, and keeps the last k entries.
-    """
-    sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
-    floyd = (sizes <= FLOYD_ROWS) | (k <= sizes // TAIL_DIVISOR)
-    bounds = [np.r_[n - k:n, k - 1:0:-1] if f else np.arange(n - 1, n - k - 1, -1)
-              for n, f in zip(sizes.tolist(), floyd)]
-    excl = np.concatenate([np.empty(0, np.int64), *bounds]).astype(np.uint64) + np.uint64(1)
-    threshold = (np.uint64(2**32) % excl).astype(np.uint32)
-    # each regime's draws, as a slice of every iteration's draws
-    starts = np.cumsum([0] + [len(b) for b in bounds])
-    regimes = [(rows, starts[rows, None] + np.arange(width), shuffled)
-               for rows, width, shuffled in ((np.flatnonzero(floyd), 2 * k - 1, _floyd_shuffled),
-                                             (np.flatnonzero(~floyd), k, _tail_shuffled))
-               if len(rows)]
-    per_chunk = max(1, DRAW_WORDS // max(1, len(excl)))
-    for start in range(0, iterations, per_chunk):
-        count = min(per_chunk, iterations - start)
-        draws = _bounded(rng, np.tile(excl, count), np.tile(threshold, count)).reshape(count, -1)
-        if len(regimes) == 1:  # one regime takes every draw: no gather, no copy
-            out = regimes[0][2](draws.reshape(count * len(sizes), -1), np.tile(sizes, count))
-        else:
-            out = np.empty((count, len(sizes), k), np.int64)
-            for rows, take, shuffled in regimes:
-                out[:, rows] = shuffled(np.take(draws, take, axis=1).reshape(-1, take.shape[1]),
-                                        np.tile(sizes[rows], count)).reshape(count, -1, k)
-        del draws  # only the indices stay while the caller uses them
-        yield out.reshape(count, len(sizes), k)
-
-
-def _floyd_shuffled(draws: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Floyd's sample of each row's first k draws, shuffled by its other k - 1.
-    The shuffle runs on the (k, rows) transpose, where entry i of every row is one
-    line."""
-    rows, k = len(draws), (draws.shape[1] + 1) // 2
-    table = _floyd(draws[:, :k], sizes - k).T.copy()
-    _swap_in_order(table.reshape(-1), rows, range(k - 1, 0, -1),
-                   draws[:, k:].T * rows + np.arange(rows))
-    return table.T
-
-
-def _tail_shuffled(draws: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The last k entries of arange(n) after each row's k tail swaps. Only the swapped
-    positions are held: line q holds position n - 1 - q of every row, and one slot
-    after the lines holds each other distinct (row, position) a draw names."""
-    rows, k = draws.shape
-    index, stride = np.arange(rows), int(sizes.max())
-    line = sizes[:, None] - 1 - draws  # the line of a drawn position at or above n - k
-    below = line >= k
-    extra, slot = np.unique((index[:, None] * stride + draws)[below], return_inverse=True)
-    partners = line * rows + index[:, None]
-    partners[below] = k * rows + slot
-    values = np.concatenate([((sizes - 1) - np.arange(k)[:, None]).ravel(), extra % stride])
-    _swap_in_order(values, rows, range(k), partners.T)
-    return values[:k * rows].reshape(k, rows)[::-1].T
-
-
 def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: SequentialState,
                         tau_j: TaskVector, mask: RealMask,
                         task_batches: Mapping[int, Sequence[np.ndarray]], l1_weight: float,
@@ -462,13 +320,13 @@ def optimize_mask(spec: ModelSpec, theta_pre: ParamVector, state: SequentialStat
     objective and the visible tasks' credible rows in `_row_pool`, which stacks
     the rows into one pool, and the pool's labels against the spec's classes.
     Each iteration then only picks row indices into it: per visible task, in
-    order, `batches_per_task` batches of the stream of
-    `rng.choice(n, batch_size, replace=False)`, which `_batch_draws` rebuilds a
-    chunk of iterations at a time (the whole set, undrawn, when n <=
-    batch_size); the objective gathers them with one index. Every batch of a
-    task has min(n, batch_size) rows, so the row weights are built once. The
-    objective trace holds the pre-step loss per iteration; the density trace
-    holds the rounded-mask density before the first and after every step.
+    order, `batches_per_task` batches of `batch_size` distinct rows, the first
+    entries of one `rng.permuted` row of arange(n) each (the whole set, undrawn,
+    when n <= batch_size); the objective gathers them with one index. Every
+    batch of a task has min(n, batch_size) rows, so the row weights are built
+    once. The objective trace holds the pre-step loss per iteration; the
+    density trace holds the rounded-mask density before the first and after
+    every step.
     """
     if theta_pre.spec != spec:
         raise ContractError(f"theta_pre is bound to {theta_pre.spec}, not to {spec}")
@@ -477,31 +335,25 @@ def optimize_mask(spec: ModelSpec, theta_pre: ParamVector, state: SequentialStat
         check_labels(labels, spec.num_classes)
     k, per_task = plan.batch_size, plan.batches_per_task
     pool = (inputs, labels, _row_weights([[min(n, k)] * per_task for _, n in spans.values()]))
-    drawn = [t for t, (_, n) in spans.items() if n > k]
     whole = {t: [first + np.arange(n)] * per_task
              for t, (first, n) in spans.items() if n <= k}
-    # (first row, rows) of each drawn batch of an iteration, in the order of the stream
-    batch_spans = np.repeat(np.array([spans[t] for t in drawn], np.int64).reshape(-1, 2),
-                            per_task, axis=0)
-    draws = _batch_draws(rng, batch_spans[:, 1], k, plan.iterations_per_task)
+    # one row of arange(n) per batch of each drawn set, a read-only view
+    orders = {n: np.broadcast_to(np.arange(n), (per_task, n)) for _, n in spans.values() if n > k}
     r = init.r.copy()
     objective_trace = np.zeros(plan.iterations_per_task)
     density_trace = np.zeros(plan.iterations_per_task + 1)
     # exactly np.mean(r >= 0.0): an exact count over the same size
     density_trace[0] = np.count_nonzero(r >= 0.0) / r.size
-    it = 0
-    for chunk in draws:
-        chunk += batch_spans[:, :1]
-        for rows in chunk.reshape(len(chunk), len(drawn), per_task, k):
-            batches = {t: list(rows[d]) for d, t in enumerate(drawn)}
-            loss, grad_r = consensus_objective(
-                spec, theta_pre, state, tau_j, RealMask(r), {**whole, **batches},
-                plan.l1_weight, plan.strategy, objective, pool,
-            )
-            objective_trace[it] = loss
-            r = r - plan.mask_lr * grad_r
-            it += 1
-            density_trace[it] = np.count_nonzero(r >= 0.0) / r.size
+    for it in range(plan.iterations_per_task):
+        batches = {t: list(first + rng.permuted(orders[n], axis=1)[:, :k])
+                   for t, (first, n) in spans.items() if n > k}
+        loss, grad_r = consensus_objective(
+            spec, theta_pre, state, tau_j, RealMask(r), {**whole, **batches},
+            plan.l1_weight, plan.strategy, objective, pool,
+        )
+        objective_trace[it] = loss
+        r = r - plan.mask_lr * grad_r
+        density_trace[it + 1] = np.count_nonzero(r >= 0.0) / r.size
     real = RealMask(r)
     return StepArtifact(tau_j.task_id, binarize(real), real, objective_trace, density_trace,
                         state.tau_seq.values)

@@ -83,7 +83,7 @@ def test_default_config_staged_reports_keep_their_hashes(tmp_path):
     # sha256 prefixes of report.csv, as the staged CLI wrote them before the
     # stages shared one report builder
     expected = {"avg": "365b306a877fa7d1", "ta": "2b9609b8c585f470",
-                "ties": "dead7c0d119f6258", "calm": "c4c090e8fb432847"}
+                "ties": "dead7c0d119f6258", "calm": "3626e6f7983a0dea"}
     _staged(tmp_path)
     assert _sha((tmp_path / CREDIBLE_FILE).read_bytes()) == "55054c963f166a27"
     for method, digest in expected.items():
@@ -92,8 +92,8 @@ def test_default_config_staged_reports_keep_their_hashes(tmp_path):
         assert _sha((tmp_path / "report.csv").read_bytes()) == digest, method
     # the calm merge's files: binarize rounds r at exactly 0, so a reordered sum can
     # flip a mask coordinate without moving any accuracy in report.csv
-    assert _sha((tmp_path / MASKS_FILE).read_bytes()) == "e357a3baf1c94223"
-    assert _sha((tmp_path / MERGED_FILE).read_bytes()) == "20738a3f08696e15"
+    assert _sha((tmp_path / MASKS_FILE).read_bytes()) == "985c13132e5385ab"
+    assert _sha((tmp_path / MERGED_FILE).read_bytes()) == "4c0b1c72d2680eeb"
 
 
 def test_default_config_text_keeps_its_hash(tmp_path, capsys):
@@ -166,19 +166,19 @@ def test_suite_summaries_keep_their_bytes(suite, tmp_path):
 
 
 # three tasks at the default sizes, whose credible sets are larger than a batch; at
-# this mask_lr the masks and accuracies move when any batch draw does (one word more
-# drawn before each step changes both hashes)
+# this mask_lr the masks and accuracies move when any batch draw does (one number
+# more drawn before each step changes both hashes)
 ORDER_DRAWS = {"family.num_tasks": "3", "plan.iterations_per_task": "8",
                "plan.mask_lr": "100000"}
 
 
-def test_order_suite_keeps_the_per_batch_choice_stream(tmp_path):
-    # sha256 prefixes captured while every batch was its own rng.choice call
+def test_order_suite_that_draws_batches_keeps_its_hashes(tmp_path):
+    # sha256 prefixes captured with each batch the first rows of one permutation
     ablation_suite(build_config(ORDER_DRAWS), "order", tmp_path)
     masks = sorted(tmp_path.glob(f"order_*/{MASKS_FILE}"))
     assert len(masks) == 6
-    assert _sha(b"".join(path.read_bytes() for path in masks)) == "ef9b2a78c067f2e3"
-    assert _sha((tmp_path / "summary.csv").read_bytes()) == "2e6e286d28916d0b"
+    assert _sha(b"".join(path.read_bytes() for path in masks)) == "70bf54b5d2649eb3"
+    assert _sha((tmp_path / "summary.csv").read_bytes()) == "8c09e378c3d13111"
 
 
 def test_order_suite_samples_once_and_copies_the_shared_sets(tmp_path, monkeypatch):

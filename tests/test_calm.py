@@ -61,6 +61,31 @@ def seeded_mask(seed: int) -> RealMask:
     return init_mask(N, 0.1, np.random.default_rng(seed))
 
 
+def first_rows(sizes: dict) -> dict:
+    """Each task's first row in the step's pool, for sets of `sizes` rows stacked in
+    the order of the dict."""
+    return dict(zip(sizes, np.cumsum([0, *sizes.values()]).tolist()))
+
+
+def recorded_batches(sizes: dict, plan: MergePlan, rng: np.random.Generator) -> list:
+    """The row-index batches optimize_mask hands the objective, one {task: [batch, ...]}
+    per iteration, for credible sets of `sizes` rows visible in the order of the dict.
+    The objective is replaced by a stub that records them and returns a zero gradient."""
+    task_data = {t: (np.zeros((n, 3)), np.zeros(n, dtype=np.int64)) for t, n in sizes.items()}
+    state = SequentialState(TaskVector(np.zeros(N), task_id="merged"), tuple(sizes))
+    drawn = []
+
+    def recording(*args):
+        drawn.append({t: [idx.copy() for idx in args[5][t]] for t in state.visible_tasks})
+        return 0.0, np.zeros(N)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(calm, "consensus_objective", recording)
+        optimize_mask(SPEC, init_params(SPEC, 0), state, TaskVector(np.ones(N), task_id=1),
+                      task_data, seeded_mask(0), plan, rng)
+    return drawn
+
+
 def small_setup(seed=0):
     rng = np.random.default_rng(seed)
     theta_pre = init_params(SPEC, seed)
@@ -443,110 +468,71 @@ class TestOptimizeMask:
         assert np.all((result.density_trace >= 0.0) & (result.density_trace <= 1.0))
         assert np.all(np.isfinite(result.objective_trace))
 
-    @pytest.mark.parametrize("batches_per_task", [1, 3])
-    def test_draws_follow_the_per_batch_stream(self, monkeypatch, batches_per_task):
-        # batch_size 8 against sets of 5, 8, 9 and 30 rows; the two that draw are
-        # visible out of id order
-        def draw_batch(rng, inputs, labels, batch_size):  # the former per-batch draw
-            n = inputs.shape[0]
-            if n <= batch_size:
-                return inputs, labels
-            idx = rng.choice(n, size=batch_size, replace=False)
-            return inputs[idx], None if labels is None else labels[idx]
-
-        sizes = {3: 30, 0: 5, 2: 9, 1: 8}
-        rng = np.random.default_rng(31)
-        task_data = {}
-        for t, n in sizes.items():
-            x = rng.standard_normal((n, 3))
-            x[:, 0] = 100 * t + np.arange(n)  # each row names its task and position
-            task_data[t] = (x, rng.integers(0, 3, size=n))
-        theta_pre = init_params(SPEC, 0)
-        state = SequentialState(TaskVector(np.zeros(N), task_id="merged"), tuple(sizes))
-        plan = MergePlan((0, 2, 3), (1,), iterations_per_task=4,
-                         batches_per_task=batches_per_task, batch_size=8)
-        drawn = []
-
-        def recording(*args):
-            task_batches, (inputs, labels, *_) = args[5], args[9]
-            drawn.append({t: [(inputs[idx], labels[idx]) for idx in task_batches[t]]
-                          for t in args[2].visible_tasks})
-            return consensus_objective(*args)
-
-        monkeypatch.setattr(calm, "consensus_objective", recording)
-        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
-        optimize_mask(SPEC, theta_pre, state, TaskVector(np.ones(N), task_id=1), task_data,
-                      seeded_mask(0), plan, ours)
-        assert len(drawn) == plan.iterations_per_task
-        for batches in drawn:
-            for t in sizes:
-                assert len(batches[t]) == batches_per_task
-                for x, y in batches[t]:
-                    ref_x, ref_y = draw_batch(theirs, *task_data[t], plan.batch_size)
-                    assert np.array_equal(x, ref_x) and np.array_equal(y, ref_y)
-        assert ours.bit_generator.state == theirs.bit_generator.state
-
-    @settings(max_examples=80, deadline=None)
-    @given(data=st.data(), generator=st.sampled_from(GENERATORS), seed=st.integers(0, 2**32),
-           batches_per_task=st.integers(1, 3), iterations=st.integers(1, 7),
-           draw_words=st.sampled_from([1, 40, 600, 5000]))
-    def test_chunked_draws_follow_the_per_batch_choice_stream(
-            self, data, generator, seed, batches_per_task, iterations, draw_words):
-        # sets at, just above and well above the batch size, and at 10,001 rows, where a
-        # batch of 200 takes Floyd's sample and one of 201 numpy's tail shuffle; small
-        # chunks, so that iterations straddle chunk boundaries
-        k = data.draw(st.sampled_from([1, 2, 5, 200, 201]))
+    @pytest.mark.parametrize("generator", GENERATORS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32), batches_per_task=st.integers(1, 3),
+           iterations=st.integers(1, 5))
+    def test_draws_follow_the_per_batch_permutation_stream(self, generator, data, seed,
+                                                           batches_per_task, iterations):
+        # sets at, just above and well above the batch size, visible in reverse id order
+        k = data.draw(st.sampled_from([1, 2, 5, 64]))
         size = st.one_of(st.just(k), st.just(k + 1), st.integers(1, 3 * k + 4))
-        if k >= 200:
-            size = st.one_of(size, st.just(10_001))
-        sizes = data.draw(st.lists(size, min_size=1, max_size=4))
-        task_data = {t: (np.zeros((n, 3)), np.zeros(n, dtype=np.int64))
-                     for t, n in enumerate(sizes)}
-        state = SequentialState(TaskVector(np.zeros(N), task_id="merged"), tuple(task_data))
+        sizes = dict(reversed(list(enumerate(data.draw(st.lists(size, min_size=1,
+                                                                max_size=4))))))
         plan = MergePlan((), (len(sizes),), iterations_per_task=iterations,
                          batches_per_task=batches_per_task, batch_size=k)
-        drawn = []
-
-        def recording(*args):
-            drawn.append({t: [idx.copy() for idx in args[5][t]] for t in state.visible_tasks})
-            return 0.0, np.zeros(N)
-
         ours, theirs = np.random.Generator(generator(seed)), np.random.Generator(generator(seed))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(calm, "consensus_objective", recording)
-            patch.setattr(calm, "DRAW_WORDS", draw_words)
-            optimize_mask(SPEC, init_params(SPEC, 0), state, TaskVector(np.ones(N), task_id=1),
-                          task_data, seeded_mask(0), plan, ours)
-        firsts = np.cumsum([0] + sizes)
+        drawn = recorded_batches(sizes, plan, ours)
         assert len(drawn) == iterations
         for batches in drawn:
-            for t, n in enumerate(sizes):
+            for t, n in sizes.items():
                 assert len(batches[t]) == batches_per_task
                 for idx in batches[t]:
-                    ref = np.arange(n) if n <= k else theirs.choice(n, k, replace=False)
-                    assert np.array_equal(idx, firsts[t] + ref)
+                    ref = np.arange(n) if n <= k else theirs.permutation(n)[:k]
+                    assert np.array_equal(idx, first_rows(sizes)[t] + ref)
         assert same_state(ours, theirs)
 
-    @pytest.mark.parametrize("generator", GENERATORS)
-    def test_bounded_draws_replace_rejected_words(self, generator):
-        # bounds just above 3 * 2**30 reject about a quarter of the words
-        bounds = 3 * 2**30 + 997 * np.arange(400)
-        excl = (bounds + 1).astype(np.uint64)
-        threshold = (np.uint64(2**32) % excl).astype(np.uint32)
-        ours, theirs, plain = (np.random.Generator(generator(11)) for _ in range(3))
-        drawn = calm._bounded(ours, excl, threshold)
-        assert np.array_equal(drawn, theirs.integers(0, bounds, endpoint=True))
-        assert same_state(ours, theirs)
-        plain.integers(0, 2**32, size=len(bounds), dtype=np.uint32)
-        assert not same_state(ours, plain)  # the rejected words were replaced
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_every_batch_holds_distinct_rows_of_its_task(self, k):
+        # sets under, at, just above and well above batch size 8, visible out of id order
+        sizes = {3: 40, 0: 5, 2: 9, 1: 8}
+        plan = MergePlan((), (4,), iterations_per_task=6, batches_per_task=3, batch_size=k)
+        drawn = recorded_batches(sizes, plan, np.random.default_rng(7))
+        firsts = first_rows(sizes)
+        for batches in drawn:
+            for t, n in sizes.items():
+                for idx in batches[t]:
+                    assert len(idx) == min(n, k) == len(np.unique(idx))
+                    assert np.all((idx >= firsts[t]) & (idx < firsts[t] + n))
+        again = recorded_batches(sizes, plan, np.random.default_rng(7))
+        assert all(np.array_equal(a, b) for x, y in zip(drawn, again)
+                   for t in sizes for a, b in zip(x[t], y[t]))
+
+    def test_rows_and_positions_are_uniform(self):
+        # 2,000 batches of 4 from 10 rows. For uniformly random ordered samples, each
+        # position's row counts are chi-square with 9 degrees of freedom, and so are the
+        # rows' inclusion counts once scaled by their variance without replacement,
+        # B k (n - k) / (n (n - 1)); 27.877 is the 0.999 quantile of chi-square(9)
+        n, k, critical = 10, 4, 27.877
+        plan = MergePlan((), (1,), iterations_per_task=400, batches_per_task=5, batch_size=k)
+        drawn = recorded_batches({1: 3, 0: n}, plan, np.random.default_rng(2024))
+        rows = np.array([idx for batches in drawn for idx in batches[0]]) - 3
+        b = len(rows)
+        counts = np.stack([np.bincount(position, minlength=n) for position in rows.T])
+        position_stats = ((counts - b / n) ** 2).sum(axis=1) / (b / n)
+        included = counts.sum(axis=0)
+        inclusion_stat = (((included - b * k / n) ** 2).sum()
+                          * n * (n - 1) / (b * k * (n - k)))
+        assert b == 2000 and included.sum() == b * k
+        assert np.all(position_stats < critical), position_stats
+        assert inclusion_stat < critical
 
     def test_out_of_range_label_fails_before_the_first_iteration(self, monkeypatch):
         # one set of 30 rows, drawn once 8 at a time; the bad label is on a row that
         # batch does not draw
         theta_pre, state, tau_j, _ = small_setup()
         state = SequentialState(state.tau_seq, (0,))
-        undrawn = np.setdiff1d(np.arange(30),
-                               np.random.default_rng(3).choice(30, 8, replace=False))[0]
+        undrawn = np.random.default_rng(3).permutation(30)[8]
         labels = np.zeros(30, dtype=np.int64)
         labels[undrawn] = SPEC.num_classes
         plan = MergePlan((), (1,), iterations_per_task=1, batches_per_task=1, batch_size=8)
