@@ -28,9 +28,8 @@ each batch's row of arange(n) on its own. That is the distribution of
 `rng.choice(n, k, replace=False)`, a uniformly random ordered sample without
 replacement, from another stream, whose reference is one
 `rng.permutation(n)[:k]` per batch. The batches need that distribution, not
-`choice`'s stream: `choice` has no batched form, one call per batch costs more
-in numpy's set-up than in drawing, and NEP 19 does not promise its stream
-across numpy versions.
+`choice`'s stream: `choice` draws one batch per call, and NEP 19 does not
+promise its stream across numpy versions.
 """
 from __future__ import annotations
 
@@ -263,8 +262,8 @@ def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: Sequenti
     Each batch is an array of row indices into `pool`, the step's (inputs,
     labels or None, row weights): the rows and labels of `_row_pool` and the
     `_row_weights` of the batches' lengths. The data term is the row-weighted
-    pass of the module docstring over the gathered rows. The callers check the
-    objective, the strategy and theta_pre's spec once per step.
+    pass of the module docstring over the gathered rows. `optimize_mask` checks
+    the objective and theta_pre's spec once per step, and `MergePlan` the strategy.
     """
     pool_inputs, pool_labels, weights = pool
     rows = np.concatenate([idx for t in state.visible_tasks for idx in task_batches[t]])

@@ -482,19 +482,20 @@ class TestOptimizeMask:
         plan = MergePlan((), (len(sizes),), iterations_per_task=iterations,
                          batches_per_task=batches_per_task, batch_size=k)
         ours, theirs = np.random.Generator(generator(seed)), np.random.Generator(generator(seed))
-        drawn = recorded_batches(sizes, plan, ours)
+        drawn, firsts = recorded_batches(sizes, plan, ours), first_rows(sizes)
         assert len(drawn) == iterations
         for batches in drawn:
             for t, n in sizes.items():
                 assert len(batches[t]) == batches_per_task
                 for idx in batches[t]:
                     ref = np.arange(n) if n <= k else theirs.permutation(n)[:k]
-                    assert np.array_equal(idx, first_rows(sizes)[t] + ref)
+                    assert np.array_equal(idx, firsts[t] + ref)
         assert same_state(ours, theirs)
 
     @pytest.mark.parametrize("k", [1, 8])
     def test_every_batch_holds_distinct_rows_of_its_task(self, k):
-        # sets under, at, just above and well above batch size 8, visible out of id order
+        # sets under, at, just above and well above a batch of 8, and above a batch of
+        # 1, visible out of id order
         sizes = {3: 40, 0: 5, 2: 9, 1: 8}
         plan = MergePlan((), (4,), iterations_per_task=6, batches_per_task=3, batch_size=k)
         drawn = recorded_batches(sizes, plan, np.random.default_rng(7))

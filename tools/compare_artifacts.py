@@ -97,11 +97,12 @@ def paired_accuracy(roots: dict[str, Path]) -> list[str]:
                 other = roots[name] / path.relative_to(roots[names[0]])
                 if other.is_file():
                     pairs[path.parent.name] = (_accuracy(path, row), _accuracy(other, row))
-            diffs = [b - a for a, b in pairs.values()]
+            # an equal mean of other per-task accuracies can differ in its last bit
+            diffs = [round(b - a, 12) + 0.0 for a, b in pairs.values()]  # no -0.0
             if not any(diffs):
                 continue
-            lines += [f"{workload} {run}, {name}: {a:.6f} -> {b:.6f} ({b - a:+.6f})"
-                      for run, (a, b) in pairs.items()]
+            lines += [f"{workload} {run}, {name}: {a:.6f} -> {b:.6f} ({d:+.6f})"
+                      for (run, (a, b)), d in zip(pairs.items(), diffs)]
             error = statistics.stdev(diffs) / len(diffs) ** 0.5 if len(diffs) > 1 else 0.0
             before, after = (statistics.mean(side) for side in zip(*pairs.values()))
             lines.append(f"{workload}, {name} against {names[0]}: mean {before:.6f} -> "
