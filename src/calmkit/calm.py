@@ -11,16 +11,19 @@ source.
 
 Each sequential step computes once what its iterations share: it checks and
 stacks the visible tasks' credible rows and labels into one row-major (rows,
-features) pool with a row span per task, and builds the row weights of the
-gathered rows. Each iteration only picks row indices, and the objective
-gathers the batches' rows from the pool with one `np.take`. The data term is
-one weighted pass, `nn.weighted_loss_and_grad`, over those rows: each row
-weighs 1 / (batches of its task * rows of its batch), which is the per-task
-mean over batches of the per-batch mean; every batch of a task has the same
-rows, so the weights are the same on every iteration. The pool is row-major on
-purpose: a feature-major pool would hand the pass contiguous (features, rows)
-inputs, and its first-layer weight gradient then differs in the last bits,
-which can flip mask coordinates.
+features) pool with a row span per task, builds the row weights of the
+gathered rows, and allocates one flat buffer of the batches' row indices, of
+which each task's batches are a view. Each iteration draws into that buffer in
+place, allocating no index array, and the objective gathers the rows with one
+`np.take` over it; so the views hold one iteration's batches only, and a
+wrapper of the objective that keeps them must copy them. The data term is one
+weighted pass, `nn.weighted_loss_and_grad`, over those rows: each row weighs
+1 / (batches of its task * rows of its batch), the per-task mean over batches
+of the per-batch mean; every batch of a task has the same rows, so the weights
+are the same on every iteration. The pool is row-major on purpose: a
+feature-major pool would hand the pass contiguous (features, rows) inputs, and
+its first-layer weight gradient then differs in the last bits, which can flip
+mask coordinates. r is updated in place and checked to be finite once a step.
 
 Each batch is the first `batch_size` entries of a seeded permutation of its
 task's rows: per visible task and iteration, one `rng.permuted` call shuffles
@@ -246,10 +249,10 @@ def _row_weights(batch_rows: Sequence[Sequence[int]]) -> np.ndarray:
 
 
 def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: SequentialState,
-                        tau_j: TaskVector, mask: RealMask,
-                        task_batches: Mapping[int, Sequence[np.ndarray]], l1_weight: float,
+                        tau_j: TaskVector, r: np.ndarray,
+                        task_batches: Mapping[int, np.ndarray], l1_weight: float,
                         strategy: str, objective: str,
-                        pool: tuple[np.ndarray, np.ndarray | None, np.ndarray]
+                        pool: tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]
                         ) -> tuple[float, np.ndarray]:
     """Soft-mask objective and its exact gradient with respect to r.
 
@@ -259,19 +262,18 @@ def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: Sequenti
     count; an unnormalized sum would bury the data signal. The gradient chains
     the parameter gradient through the merge direction and sigmoid'(r).
 
-    Each batch is an array of row indices into `pool`, the step's (inputs,
-    labels or None, row weights): the rows and labels of `_row_pool` and the
-    `_row_weights` of the batches' lengths. The data term is the row-weighted
-    pass of the module docstring over the gathered rows. `optimize_mask` checks
-    the objective and theta_pre's spec once per step, and `MergePlan` the strategy.
+    `pool` is the step's (inputs, labels or None, row weights, row indices): the
+    rows and labels of `_row_pool`, the `_row_weights` of the batches' lengths
+    and the batches' row indices, flat in gather order, which the weighted pass
+    gathers; `task_batches` holds each task's view of them, for wrappers. r, the
+    objective and spec are checked once per step, the strategy by `MergePlan`.
     """
-    pool_inputs, pool_labels, weights = pool
-    rows = np.concatenate([idx for t in state.visible_tasks for idx in task_batches[t]])
+    pool_inputs, pool_labels, weights, rows = pool
     if len(rows) != len(weights):
         raise ContractError(f"{len(weights)} row weights for {len(rows)} batch rows")
     inputs = np.take(pool_inputs, rows, axis=0)
     labels = None if objective == "entropy" else np.take(pool_labels, rows)
-    m = sigmoid(mask.r)
+    m = sigmoid(r)
     rest = 1.0 - m
     if strategy == "both":
         tau_values = rest * state.tau_seq.values + m * tau_j.values
@@ -318,14 +320,15 @@ def optimize_mask(spec: ModelSpec, theta_pre: ParamVector, state: SequentialStat
     The step is checked once, before it draws: theta_pre's spec here, the
     objective and the visible tasks' credible rows in `_row_pool`, which stacks
     the rows into one pool, and the pool's labels against the spec's classes.
-    Each iteration then only picks row indices into it: per visible task, in
-    order, `batches_per_task` batches of `batch_size` distinct rows, the first
-    entries of one `rng.permuted` row of arange(n) each (the whole set, undrawn,
-    when n <= batch_size); the objective gathers them with one index. Every
-    batch of a task has min(n, batch_size) rows, so the row weights are built
-    once. The objective trace holds the pre-step loss per iteration; the
-    density trace holds the rounded-mask density before the first and after
-    every step.
+    Every batch of a task has min(n, batch_size) rows, so the row weights, the
+    flat buffer of row indices and each task's (batches_per_task, rows) view of
+    it are made once, the whole set written in when n <= batch_size. Each
+    iteration overwrites the other tasks' views, in visible order, with the
+    first entries of one `rng.permuted` row of arange(n) per batch: a wrapper
+    of the objective that keeps them must copy them. r is updated in place and
+    checked to be finite once, by the final `RealMask`. The objective trace
+    holds the pre-step loss per iteration; the density trace holds the
+    rounded-mask density before the first and after every step.
     """
     if theta_pre.spec != spec:
         raise ContractError(f"theta_pre is bound to {theta_pre.spec}, not to {spec}")
@@ -333,25 +336,32 @@ def optimize_mask(spec: ModelSpec, theta_pre: ParamVector, state: SequentialStat
     if labels is not None:
         check_labels(labels, spec.num_classes)
     k, per_task = plan.batch_size, plan.batches_per_task
-    pool = (inputs, labels, _row_weights([[min(n, k)] * per_task for _, n in spans.values()]))
-    whole = {t: [first + np.arange(n)] * per_task
-             for t, (first, n) in spans.items() if n <= k}
-    # one row of arange(n) per batch of each drawn set, a read-only view
-    orders = {n: np.broadcast_to(np.arange(n), (per_task, n)) for _, n in spans.values() if n > k}
+    widths = [min(n, k) for _, n in spans.values()]
+    # each task's batches start as its first min(n, k) rows, drawn over when n > k
+    rows = np.concatenate([np.tile(first + np.arange(w), per_task)
+                           for (first, _), w in zip(spans.values(), widths)])
+    views = np.split(rows, np.cumsum([per_task * w for w in widths])[:-1])
+    task_batches = {t: v.reshape(per_task, w) for t, v, w in zip(spans, views, widths)}
+    pool = (inputs, labels, _row_weights([[w] * per_task for w in widths]), rows)
+    # per drawn set size: one read-only row of arange(n) per batch, and their shuffles
+    orders = {n: (np.broadcast_to(np.arange(n), (per_task, n)), np.empty((per_task, n), np.int64))
+              for _, n in spans.values() if n > k}
+    draws = [(first, *orders[n], task_batches[t]) for t, (first, n) in spans.items() if n > k]
     r = init.r.copy()
     objective_trace = np.zeros(plan.iterations_per_task)
     density_trace = np.zeros(plan.iterations_per_task + 1)
     # exactly np.mean(r >= 0.0): an exact count over the same size
     density_trace[0] = np.count_nonzero(r >= 0.0) / r.size
     for it in range(plan.iterations_per_task):
-        batches = {t: list(first + rng.permuted(orders[n], axis=1)[:, :k])
-                   for t, (first, n) in spans.items() if n > k}
-        loss, grad_r = consensus_objective(
-            spec, theta_pre, state, tau_j, RealMask(r), {**whole, **batches},
-            plan.l1_weight, plan.strategy, objective, pool,
-        )
+        for first, order, shuffled, view in draws:
+            rng.permuted(order, axis=1, out=shuffled)
+            np.add(shuffled[:, :k], first, out=view)
+        loss, grad_r = consensus_objective(spec, theta_pre, state, tau_j, r, task_batches,
+                                           plan.l1_weight, plan.strategy, objective, pool)
         objective_trace[it] = loss
-        r = r - plan.mask_lr * grad_r
+        # the bits of r - mask_lr * grad_r
+        grad_r *= plan.mask_lr
+        r -= grad_r
         density_trace[it + 1] = np.count_nonzero(r >= 0.0) / r.size
     real = RealMask(r)
     return StepArtifact(tau_j.task_id, binarize(real), real, objective_trace, density_trace,

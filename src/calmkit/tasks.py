@@ -307,13 +307,3 @@ def finetune_all(spec: ModelSpec, theta_pre: ParamVector, tasks: list[TaskData],
             finetuned.append(theta_ft)
     return Checkpoints(spec=spec, pretrained=theta_pre, finetuned=tuple(finetuned))
 
-
-def build_checkpoints(family: TaskFamily, config: TrainConfig = TrainConfig(),
-                      tasks: list[TaskData] | None = None) -> tuple[list[TaskData], Checkpoints]:
-    """Full data + training pipeline; verifies each fine-tuned model's own-task floor."""
-    if tasks is None:
-        tasks = generate_family(family)
-    spec = model_spec(family, config)
-    theta_pre = pretrain(spec, tasks, config.pretrain_epochs, config.pretrain_lr,
-                         config.batch_size, family.seed)
-    return tasks, finetune_all(spec, theta_pre, tasks, config, family.seed)

@@ -1,7 +1,25 @@
 """Reference helpers that the tests compare the library against."""
 import numpy as np
 
+from calmkit.calm import (
+    RealMask,
+    StepArtifact,
+    _row_pool,
+    _row_weights,
+    binarize,
+    consensus_objective,
+)
 from calmkit.nn import ContractError, _loss_and_dlogits, check_labels
+from calmkit.tasks import (
+    Checkpoints,
+    TaskData,
+    TaskFamily,
+    TrainConfig,
+    finetune_all,
+    generate_family,
+    model_spec,
+    pretrain,
+)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -47,3 +65,50 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def build_checkpoints(family: TaskFamily, config: TrainConfig = TrainConfig(),
+                      tasks: list[TaskData] | None = None) -> tuple[list[TaskData], Checkpoints]:
+    """Full data + training pipeline; verifies each fine-tuned model's own-task floor."""
+    if tasks is None:
+        tasks = generate_family(family)
+    spec = model_spec(family, config)
+    theta_pre = pretrain(spec, tasks, config.pretrain_epochs, config.pretrain_lr,
+                         config.batch_size, family.seed)
+    return tasks, finetune_all(spec, theta_pre, tasks, config, family.seed)
+
+
+def optimize_mask(spec, theta_pre, state, tau_j, task_data, init, plan, rng,
+                  objective="cross_entropy") -> StepArtifact:
+    """`calm.optimize_mask` as a loop that builds every iteration's batches anew: one
+    list of drawn batches per task, merged with the undrawn whole sets, concatenated
+    into the gather's row index, a `RealMask` check of r before every objective call,
+    and a new r per step. The library's in-place iterations must match it bit for bit,
+    the generator's final state included."""
+    inputs, labels, spans = _row_pool(state.visible_tasks, task_data, objective)
+    if labels is not None:
+        check_labels(labels, spec.num_classes)
+    k, per_task = plan.batch_size, plan.batches_per_task
+    weights = _row_weights([[min(n, k)] * per_task for _, n in spans.values()])
+    whole = {t: [first + np.arange(n)] * per_task
+             for t, (first, n) in spans.items() if n <= k}
+    orders = {n: np.broadcast_to(np.arange(n), (per_task, n)) for _, n in spans.values() if n > k}
+    r = init.r.copy()
+    objective_trace = np.zeros(plan.iterations_per_task)
+    density_trace = np.zeros(plan.iterations_per_task + 1)
+    density_trace[0] = np.mean(r >= 0.0)
+    for it in range(plan.iterations_per_task):
+        batches = {t: list(first + rng.permuted(orders[n], axis=1)[:, :k])
+                   for t, (first, n) in spans.items() if n > k}
+        task_batches = {**whole, **batches}
+        rows = np.concatenate([idx for t in state.visible_tasks for idx in task_batches[t]])
+        loss, grad_r = consensus_objective(
+            spec, theta_pre, state, tau_j, RealMask(r).r, task_batches, plan.l1_weight,
+            plan.strategy, objective, (inputs, labels, weights, rows),
+        )
+        objective_trace[it] = loss
+        r = r - plan.mask_lr * grad_r
+        density_trace[it + 1] = np.mean(r >= 0.0)
+    real = RealMask(r)
+    return StepArtifact(tau_j.task_id, binarize(real), real, objective_trace, density_trace,
+                        state.tau_seq.values)

@@ -37,8 +37,9 @@ from calmkit.nn import (
     softmax,
 )
 from calmkit.sampling import score_pool, select_cb_ems
-from calmkit.tasks import Checkpoints, TaskFamily, TrainConfig, build_checkpoints
-from reference import cross_entropy
+from calmkit.tasks import Checkpoints, TaskFamily, TrainConfig
+from reference import build_checkpoints, cross_entropy
+from reference import optimize_mask as reference_optimize_mask
 from reference import sigmoid as reference_sigmoid
 
 
@@ -103,17 +104,18 @@ def small_setup(seed=0):
 def objective_on_batches(spec, theta_pre, state, tau_j, mask, batches, l1_weight,
                          strategy="both", objective="cross_entropy"):
     """consensus_objective on (inputs, labels) batches: each task's batches are stacked
-    into the step's row pool, and each batch becomes the index array of its rows there."""
+    into the step's row pool, in order, so the flat row index is arange(rows), and each
+    batch becomes the view of its rows' indices there."""
     data = {t: (np.concatenate([x for x, _ in bs]),
                 None if bs[0][1] is None else np.concatenate([y for _, y in bs]))
             for t, bs in batches.items()}
     inputs, labels, spans = _row_pool(state.visible_tasks, data, objective)
-    index = {t: np.split(np.arange(first, first + n),
-                         np.cumsum([len(x) for x, _ in batches[t]])[:-1])
+    rows = np.arange(len(inputs))
+    index = {t: np.split(rows[first:first + n], np.cumsum([len(x) for x, _ in batches[t]])[:-1])
              for t, (first, n) in spans.items()}
-    pool = (inputs, labels, _row_weights([[len(x) for x, _ in batches[t]] for t in spans]))
-    return consensus_objective(spec, theta_pre, state, tau_j, mask, index, l1_weight, strategy,
-                               objective, pool)
+    pool = (inputs, labels, _row_weights([[len(x) for x, _ in batches[t]] for t in spans]), rows)
+    return consensus_objective(spec, theta_pre, state, tau_j, mask.r, index, l1_weight,
+                               strategy, objective, pool)
 
 
 def per_batch_objective(spec, theta_pre, state, tau_j, mask, task_batches, l1_weight,
@@ -409,9 +411,10 @@ class TestConsensusObjective:
                 for t, bs in batches.items()}
         inputs, labels, spans = _row_pool(state.visible_tasks, data, "cross_entropy")
         index = {t: [np.arange(first, first + n)] for t, (first, n) in spans.items()}
-        pool = (inputs, labels, _row_weights([[n - 1] for _, n in spans.values()]))
+        pool = (inputs, labels, _row_weights([[n - 1] for _, n in spans.values()]),
+                np.arange(len(inputs)))
         with pytest.raises(ContractError, match="row weights"):
-            consensus_objective(SPEC, theta_pre, state, tau_j, seeded_mask(0), index,
+            consensus_objective(SPEC, theta_pre, state, tau_j, seeded_mask(0).r, index,
                                 1.0, "both", "cross_entropy", pool)
 
     def test_loss_includes_normalized_l1(self):
@@ -490,6 +493,42 @@ class TestOptimizeMask:
                 for idx in batches[t]:
                     ref = np.arange(n) if n <= k else theirs.permutation(n)[:k]
                     assert np.array_equal(idx, firsts[t] + ref)
+        assert same_state(ours, theirs)
+
+    @pytest.mark.parametrize("generator", GENERATORS)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32), batches_per_task=st.integers(1, 3),
+           iterations=st.integers(1, 4), strategy=st.sampled_from(calm.STRATEGIES),
+           objective=st.sampled_from(calm.OBJECTIVES), mask_lr=st.sampled_from([1.0, 1e3]))
+    def test_step_equals_the_per_iteration_reference_bit_for_bit(
+            self, generator, data, seed, batches_per_task, iterations, strategy, objective,
+            mask_lr):
+        # sets under, at, just above and well above the batch size, visible out of id order
+        k = data.draw(st.sampled_from([1, 2, 5, 16]))
+        sizes = data.draw(st.lists(st.sampled_from([max(1, k - 1), k, k + 1, 8 * k + 3]),
+                                   min_size=1, max_size=4))
+        visible = tuple(data.draw(st.permutations(range(len(sizes)))))
+        values = np.random.default_rng(seed)
+        task_data = {t: (values.standard_normal((n, 3)),
+                         None if objective == "entropy" else values.integers(0, 3, n))
+                     for t, n in enumerate(sizes)}
+        state = SequentialState(TaskVector(values.standard_normal(N) * 0.3, task_id="merged"),
+                                visible)
+        tau_j = TaskVector(values.standard_normal(N) * 0.3, task_id=len(sizes))
+        init = init_mask(N, 0.1, values)
+        plan = MergePlan((), (len(sizes),), iterations_per_task=iterations,
+                         batches_per_task=batches_per_task, batch_size=k, mask_lr=mask_lr,
+                         strategy=strategy)
+        ours, theirs = np.random.Generator(generator(seed)), np.random.Generator(generator(seed))
+        args = (SPEC, init_params(SPEC, 0), state, tau_j, task_data, init, plan)
+        step = optimize_mask(*args, ours, objective)
+        ref = reference_optimize_mask(*args, theirs, objective)
+        assert step.task_id == ref.task_id
+        for a, b in [(step.mask.m, ref.mask.m), (step.real_mask.r, ref.real_mask.r),
+                     (step.objective_trace, ref.objective_trace),
+                     (step.density_trace, ref.density_trace),
+                     (step.tau_seq_before, ref.tau_seq_before)]:
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
         assert same_state(ours, theirs)
 
     @pytest.mark.parametrize("k", [1, 8])

@@ -1,0 +1,101 @@
+"""tools/compare_artifacts.py, the byte-identity gate, on hand-made trees; no worker runs."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_artifacts.py"
+_spec = importlib.util.spec_from_file_location("compare_artifacts", TOOL)
+compare_artifacts = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_artifacts)
+
+
+def write_tree(root: Path, files: dict) -> Path:
+    for rel, text in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+def report(average: float) -> str:
+    return f"task,accuracy\n0,0.5\naverage,{average!r}\n"
+
+
+def summary(mean: float) -> str:
+    return f"point,accuracy\n0_1,0.5\nmean,{mean!r}\nstd,0.01\n"
+
+
+def sides(tmp_path: Path, parent: dict, change: dict) -> dict:
+    return {"parent": write_tree(tmp_path / "parent", parent),
+            "change": write_tree(tmp_path / "change", change)}
+
+
+class TestCompare:
+    def test_equal_trees_list_nothing(self, tmp_path):
+        files = {"default/seed00/report.csv": report(0.9), "order/seed00/masks.calmckpt": "m"}
+        assert compare_artifacts.compare(sides(tmp_path, files, dict(files))) == []
+
+    def test_differing_and_missing_files_are_listed(self, tmp_path):
+        parent = {"a/same.txt": "x", "a/bytes.txt": "1", "a/only_parent.txt": "p"}
+        change = {"a/same.txt": "x", "a/bytes.txt": "2", "b/only_change.txt": "c"}
+        assert compare_artifacts.compare(sides(tmp_path, parent, change)) == [
+            "a/bytes.txt: change differs from parent",
+            "a/only_parent.txt: missing on change",
+            "b/only_change.txt: missing on parent",
+        ]
+
+
+class TestPairedAccuracy:
+    def test_equal_averages_print_nothing(self, tmp_path):
+        files = {f"default/seed0{s}/report.csv": report(0.9 + s / 100) for s in range(3)}
+        files["order/seed00/summary.csv"] = summary(0.93)
+        assert compare_artifacts.paired_accuracy(sides(tmp_path, files, dict(files))) == []
+
+    def test_a_difference_of_1e_13_is_no_change(self, tmp_path):
+        roots = sides(tmp_path, {"default/seed00/report.csv": report(0.9)},
+                      {"default/seed00/report.csv": report(0.9 + 1e-13)})
+        assert compare_artifacts.paired_accuracy(roots) == []
+
+    def test_three_default_seeds(self, tmp_path):
+        # paired differences +0.01, -0.01, +0.03: mean 0.01, standard deviation 0.02
+        before, after = (0.90, 0.95, 0.80), (0.91, 0.94, 0.83)
+        roots = sides(tmp_path,
+                      {f"default/seed0{s}/report.csv": report(a) for s, a in enumerate(before)},
+                      {f"default/seed0{s}/report.csv": report(a) for s, a in enumerate(after)})
+        assert compare_artifacts.paired_accuracy(roots) == [
+            "default seed00, change: 0.900000 -> 0.910000 (+0.010000)",
+            "default seed01, change: 0.950000 -> 0.940000 (-0.010000)",
+            "default seed02, change: 0.800000 -> 0.830000 (+0.030000)",
+            "default, change against parent: mean 0.883333 -> 0.893333, paired difference "
+            "+0.010000 (standard error 0.011547; 2 rose, 1 fell, 0 same)",
+        ]
+
+    def test_order_summaries_count_a_1e_13_difference_as_same(self, tmp_path):
+        # paired differences 0 (after rounding) and +0.002: mean 0.001, standard error 0.001
+        roots = sides(tmp_path,
+                      {"order/seed00/summary.csv": summary(0.95),
+                       "order/seed01/summary.csv": summary(0.93)},
+                      {"order/seed00/summary.csv": summary(0.95 + 1e-13),
+                       "order/seed01/summary.csv": summary(0.932)})
+        assert compare_artifacts.paired_accuracy(roots) == [
+            "order seed00, change: 0.950000 -> 0.950000 (+0.000000)",
+            "order seed01, change: 0.930000 -> 0.932000 (+0.002000)",
+            "order, change against parent: mean 0.940000 -> 0.941000, paired difference "
+            "+0.001000 (standard error 0.001000; 1 rose, 0 fell, 1 same)",
+        ]
+
+
+@pytest.mark.parametrize("argv", [["--src", "parent=src"], ["--src", "a=src", "--src", "a=x"]])
+def test_fewer_than_two_sides_is_a_usage_error(argv):
+    with pytest.raises(SystemExit) as exit_info:
+        compare_artifacts.main(argv)
+    assert exit_info.value.code == 2
+
+
+def test_a_workdir_holding_a_side_is_a_usage_error(tmp_path):
+    (tmp_path / "parent").mkdir()
+    with pytest.raises(SystemExit) as exit_info:
+        compare_artifacts.main(["--src", "parent=src", "--src", "change=src",
+                                "--workdir", str(tmp_path)])
+    assert exit_info.value.code == 2

@@ -8,13 +8,13 @@ from calmkit.tasks import (
     TaskFamily,
     TrainConfig,
     accuracy,
-    build_checkpoints,
     finetune,
     finetune_all,
     generate_family,
     model_spec,
     pretrain,
 )
+from reference import build_checkpoints
 
 
 SMALL = TaskFamily(num_tasks=3, train_per_task=90, unlabeled_per_task=90,
