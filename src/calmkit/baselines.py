@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import ContractError, ParamVector
+from .nn import ContractError, ParamVector, read_only
 
 
 @dataclass(frozen=True)
@@ -22,10 +22,9 @@ class TaskVector:
     task_id: int | str = ""
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        values = read_only(self.values, np.float64)
         if values.ndim != 1:
             raise ContractError(f"task vector must be 1-D, got shape {values.shape}")
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     @property
@@ -94,10 +93,9 @@ def task_arithmetic(theta_pre: ParamVector, task_vectors: list[TaskVector],
 def ties_trim(tv: TaskVector, trim_fraction: float) -> TaskVector:
     """Keep the ceil(trim_fraction * n) largest-magnitude entries, zero the rest.
 
-    Magnitude ties at the cut are broken in favor of the lower index.
+    Magnitude ties at the cut are broken in favor of the lower index. trim_fraction
+    lies in (0, 1], as `TiesConfig` checks.
     """
-    if not 0.0 < trim_fraction <= 1.0:
-        raise ContractError(f"trim_fraction must be in (0, 1], got {trim_fraction}")
     n = tv.size
     k = min(n, math.ceil(trim_fraction * n))
     order = np.argsort(-np.abs(tv.values), kind="stable")

@@ -3,12 +3,14 @@
 Subcommands mirror the pipeline stages (gen-tasks, pretrain, finetune,
 sample, merge, eval), plus `ablate` for sweeps and `report` to rebuild
 reports from persisted artifacts. Each stage reads what the stages before it
-persisted in the working directory and checks its task family and model spec
-against the config: `merge` uses the credible sets written by `sample`, and
-`eval` and `report` write the same report files as `run_experiment`, except
-the density and objective traces, which only a one-shot run holds. Every
-config key is also a flag (`--family.num_tasks 4`); the CALMKIT_WORKDIR
-environment variable sets the default working directory.
+persisted in the working directory through the runner's loaders, which check
+the dataset's task family and each checkpoint's model spec against the config:
+`merge` uses the credible sets written by `sample`, and `eval` and `report`
+write the same report files as `run_experiment`. The density and objective
+traces exist only in the process that merged, so asking `eval` or `report`
+for them is a configuration error. Every config key is also a flag
+(`--family.num_tasks 4`); the CALMKIT_WORKDIR environment variable sets the
+default working directory.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime/stage failure.
 """
@@ -21,8 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..nn import ContractError, ParamVector, bind
-from ..tasks import model_spec
+from ..nn import ContractError
 from .config import (
     CONFIG_KEYS,
     ConfigError,
@@ -32,7 +33,9 @@ from .config import (
     default_config_text,
     parse_entries,
 )
-from .formats import FormatError, check_header, load_checkpoint, load_tasks
+from .formats import FormatError
+# wrapped by name in perfbench/tracing.py HOOKS; the runner's loaders call them
+from .formats import load_checkpoint, load_tasks  # noqa: F401
 from .runner import (
     CHECKPOINTS_FILE,
     CREDIBLE_FILE,
@@ -43,6 +46,8 @@ from .runner import (
     ablation_suite,
     load_checkpoints,
     load_credible,
+    load_dataset,
+    load_models,
     stage_evaluate,
     stage_finetune,
     stage_generate,
@@ -107,19 +112,15 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return build_config(entries)
 
 
-def _load_model(path: Path, name: str, config: ExperimentConfig) -> ParamVector:
-    spec, vectors = load_checkpoint(path)
-    check_header(path, "model", spec, model_spec(config.family, config.train))
-    if name not in vectors:
-        raise FormatError(f"{path}: no vector named {name!r}")
-    return bind(spec, vectors[name])
-
-
 def _run_command(args: argparse.Namespace) -> int:
     if args.command == "report" and args.defaults:
         sys.stdout.write(default_config_text())
         return 0
     config = resolve_config(args)
+    traces = [token for token in ("density_trace", "objective_trace") if token in config.report]
+    if traces and args.command in ("eval", "report"):
+        raise ConfigError(f"report tokens {', '.join(map(repr, traces))} need the merge's "
+                          f"in-memory traces; ask run_experiment or ablate, not {args.command}")
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
 
@@ -134,13 +135,12 @@ def _run_command(args: argparse.Namespace) -> int:
         print(f"{len(records)} points, mean accuracy {accs.mean():.4f}")
         return 0
 
-    family, tasks = load_tasks(workdir / DATASETS_FILE)
-    check_header(workdir / DATASETS_FILE, "family", family, config.family)
+    tasks = load_dataset(config, workdir)
     if args.command == "pretrain":
         stage_pretrain(config, workdir, tasks)
         print(f"wrote {workdir / PRETRAINED_FILE}")
     elif args.command == "finetune":
-        theta_pre = _load_model(workdir / PRETRAINED_FILE, "pretrained", config)
+        (theta_pre,) = load_models(config, workdir / PRETRAINED_FILE, ["pretrained"])
         stage_finetune(config, workdir, tasks, theta_pre)
         print(f"wrote {workdir / CHECKPOINTS_FILE}")
     elif args.command == "sample":
@@ -151,9 +151,9 @@ def _run_command(args: argparse.Namespace) -> int:
                     load_credible(config, workdir))
         print(f"wrote {workdir / MERGED_FILE}")
     else:  # eval and report: the same report, rebuilt from the persisted artifacts
+        (merged,) = load_models(config, workdir / MERGED_FILE, ["merged"])
         bundle = stage_evaluate(config, workdir, tasks, load_checkpoints(config, workdir),
-                                _load_model(workdir / MERGED_FILE, "merged", config),
-                                credible=load_credible(config, workdir))
+                                merged, credible=load_credible(config, workdir))
         print((workdir / "report.txt").read_text(), end="")
         if args.command == "eval":
             print(f"average accuracy: {bundle.average_accuracy:.4f}")

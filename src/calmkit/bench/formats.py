@@ -13,8 +13,10 @@ u16 byte length and UTF-8 bytes, an f64[] or i64[] a u64 count and the values):
 - CALMDATA: the family (u32 num_tasks, classes_per_task, input_dim; f64
   cluster_sep, task_offset, noise_sigma, frame_align; u32 train_per_task,
   unlabeled_per_task, test_per_task; i64 seed), then per task u32 task_id and
-  f64[]/i64[] pairs of train inputs and labels, test inputs and labels, and
-  unlabeled inputs and audit labels (inputs row-major, input_dim columns).
+  the f64[]/i64[] pairs of `TaskData`, in its field order: train_inputs and
+  train_labels, test_inputs and test_labels, unlabeled_inputs and audit_labels
+  (inputs row-major, input_dim columns). `TaskData` checks them as they load: a
+  non-finite input, or a label count that is not the row count, is a FormatError.
 - CALMCRED: str mode, f64 rate, u32 set count, then per set, by ascending
   task_id: u32 task_id, i64[] indices, f64[] entropies, i64[] pseudo-labels,
   u64 input columns, f64[] inputs (row-major, one row per index).
@@ -30,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..nn import Batch, ModelSpec
+from ..nn import ModelSpec
 from ..sampling import CredibleSet
 from ..tasks import TaskData, TaskFamily
 
@@ -219,13 +221,10 @@ def save_tasks(path: Path, family: TaskFamily, tasks: list[TaskData]):
         raise FormatError(f"{len(tasks)} tasks for a family of {family.num_tasks}")
     body = _pack_family(family)
     for task in tasks:
-        for arr in (task.train.inputs, task.test.inputs, task.unlabeled.inputs):
-            if not np.all(np.isfinite(arr)):
-                raise FormatError(f"task {task.task_id} contains non-finite inputs")
         body += struct.pack("<I", task.task_id)
-        body += _pack_f64(task.train.inputs) + _pack_i64(task.train.labels)
-        body += _pack_f64(task.test.inputs) + _pack_i64(task.test.labels)
-        body += _pack_f64(task.unlabeled.inputs) + _pack_i64(task.audit_labels)
+        body += _pack_f64(task.train_inputs) + _pack_i64(task.train_labels)
+        body += _pack_f64(task.test_inputs) + _pack_i64(task.test_labels)
+        body += _pack_f64(task.unlabeled_inputs) + _pack_i64(task.audit_labels)
     _write_file(path, MAGIC_DATASET, body)
 
 
@@ -233,18 +232,13 @@ def load_tasks(path: Path) -> tuple[TaskFamily, list[TaskData]]:
     reader = _read_file(path, MAGIC_DATASET)
     with _decoding(path):
         family = _read_family(reader)
-        d = family.input_dim
         tasks = []
         for _ in range(family.num_tasks):
             (task_id,) = reader.unpack("<I")
-            train_x = reader.read_f64().reshape(-1, d)
-            train_y = reader.read_i64()
-            test_x = reader.read_f64().reshape(-1, d)
-            test_y = reader.read_i64()
-            unlab_x = reader.read_f64().reshape(-1, d)
-            audit = reader.read_i64()
-            tasks.append(TaskData(task_id, Batch(train_x, train_y), Batch(test_x, test_y),
-                                  Batch(unlab_x), audit))
+            splits = []
+            for _ in range(3):  # train, test, unlabeled: the inputs, then their labels
+                splits += [reader.read_f64().reshape(-1, family.input_dim), reader.read_i64()]
+            tasks.append(TaskData(task_id, *splits))
         reader.done()
     return family, tasks
 
@@ -261,8 +255,6 @@ def save_credible_sets(path: Path, credible: Mapping[int, CredibleSet]):
     body = _pack_str(items[0][1].mode) + struct.pack("<d", items[0][1].rate)
     body += struct.pack("<I", len(items))
     for task_id, cs in items:
-        if not np.all(np.isfinite(cs.inputs)):
-            raise FormatError(f"credible set {task_id} contains non-finite inputs")
         body += struct.pack("<I", task_id)
         body += _pack_i64(cs.indices) + _pack_f64(cs.entropies) + _pack_i64(cs.pseudo_labels)
         body += struct.pack("<Q", cs.inputs.shape[1]) + _pack_f64(cs.inputs)

@@ -1,11 +1,12 @@
 """Evaluation and report emission.
 
-Reports come out twice: comma-separated files (plot-ready) and an aligned
-text summary. All writers format floats with repr(), so identical runs produce
-byte-identical report files. Accuracies, the pseudo-label audit, layer
+Each task is evaluated on its `TaskData` test split, test_inputs against
+test_labels. Reports come out twice: comma-separated files (plot-ready) and an
+aligned text summary. All writers format floats with repr(), so identical runs
+produce byte-identical report files. Accuracies, the pseudo-label audit, layer
 densities and magnitude overlaps are functions of persisted artifacts; the
 density and objective traces are not persisted, so only a run that merged in
-the same process can report them.
+the same process can report them, and the CLI's `eval` and `report` refuse them.
 """
 from __future__ import annotations
 
@@ -22,13 +23,9 @@ from ..tasks import TaskData, accuracy
 
 
 def evaluate(spec: ModelSpec, theta: ParamVector, tasks: Sequence[TaskData]) -> tuple[np.ndarray, float]:
-    """Held-out accuracy per task and the unweighted mean."""
-    if not tasks:
-        raise ContractError("no test sets supplied")
-    for task in tasks:
-        if task.test is None or task.test.labels is None:
-            raise ContractError(f"task {task.task_id} has no labeled test set")
-    per_task = np.array([accuracy(spec, theta, task.test) for task in tasks])
+    """Held-out accuracy per task, on its test split, and the unweighted mean."""
+    per_task = np.array([accuracy(spec, theta, task.test_inputs, task.test_labels)
+                         for task in tasks])
     return per_task, float(per_task.mean())
 
 
@@ -76,12 +73,6 @@ class ReportBundle:
     magnitude_overlaps: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
     extras: dict[str, float] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if np.any((self.per_task_accuracy < 0.0) | (self.per_task_accuracy > 1.0)):
-            raise ContractError("accuracies must lie in [0, 1]")
-        if abs(self.average_accuracy - float(np.mean(self.per_task_accuracy))) > 1e-12:
-            raise ContractError("average accuracy must equal the mean of per-task entries")
-
 
 def _csv_lines(rows: list[list]) -> str:
     out = []
@@ -90,19 +81,16 @@ def _csv_lines(rows: list[list]) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_report(bundle: ReportBundle, directory: Path) -> list[Path]:
+def write_report(bundle: ReportBundle, directory: Path):
     """Emit report.csv, report.txt, and one CSV per diagnostic the bundle holds;
     a diagnostic CSV left by an earlier report in the directory is removed."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    written = []
 
     rows: list[list] = [["task", "accuracy"]]
     rows += [[t, float(a)] for t, a in zip(bundle.task_ids, bundle.per_task_accuracy)]
     rows.append(["average", float(bundle.average_accuracy)])
-    path = directory / "report.csv"
-    path.write_text(_csv_lines(rows))
-    written.append(path)
+    (directory / "report.csv").write_text(_csv_lines(rows))
 
     lines = [f"method: {bundle.method}"]
     for t, a in zip(bundle.task_ids, bundle.per_task_accuracy):
@@ -110,9 +98,7 @@ def write_report(bundle: ReportBundle, directory: Path) -> list[Path]:
     lines.append(f"  average: {bundle.average_accuracy:.4f}")
     for key, value in sorted(bundle.extras.items()):
         lines.append(f"  {key}: {value:.4f}")
-    path = directory / "report.txt"
-    path.write_text("\n".join(lines) + "\n")
-    written.append(path)
+    (directory / "report.txt").write_text("\n".join(lines) + "\n")
 
     for name, columns, series in (
         ("layer_density", ("layer", "density"), bundle.layer_densities),
@@ -130,5 +116,3 @@ def write_report(bundle: ReportBundle, directory: Path) -> list[Path]:
             pairs = values if name == "magnitude_overlap" else enumerate(values)
             rows += [[step, a, float(b)] for a, b in pairs]
         path.write_text(_csv_lines(rows))
-        written.append(path)
-    return written

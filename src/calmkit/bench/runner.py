@@ -28,7 +28,7 @@ from .formats import (
     check_header,
     load_checkpoint,
     load_credible_sets,
-    load_tasks,  # noqa: F401 -- wrapped by name in perfbench/tracing.py HOOKS
+    load_tasks,
     save_checkpoint,
     save_credible_sets,
     save_tasks,
@@ -99,17 +99,29 @@ def stage_finetune(config: ExperimentConfig, workdir: Path, tasks: list[TaskData
     return ckpt
 
 
-def load_checkpoints(config: ExperimentConfig, workdir: Path) -> Checkpoints:
-    """The models that stage_finetune persisted; their spec must be the config's."""
-    path = workdir / CHECKPOINTS_FILE
+def load_dataset(config: ExperimentConfig, workdir: Path) -> list[TaskData]:
+    """The tasks that stage_generate persisted; their family must be the config's."""
+    path = workdir / DATASETS_FILE
+    family, tasks = load_tasks(path)
+    check_header(path, "family", family, config.family)
+    return tasks
+
+
+def load_models(config: ExperimentConfig, path: Path, names: list[str]) -> list[ParamVector]:
+    """The models a stage persisted under `names`, all the file holds, of the config's spec."""
     spec, vectors = load_checkpoint(path)
     check_header(path, "model", spec, model_spec(config.family, config.train))
-    names = [f"finetuned_{t:02d}" for t in range(len(vectors) - 1)]
-    if sorted(vectors) != sorted(["pretrained", *names]):
-        raise FormatError(f"{path}: expected vectors 'pretrained' and finetuned_00.., "
-                          f"got {sorted(vectors)}")
-    return Checkpoints(spec=spec, pretrained=bind(spec, vectors["pretrained"]),
-                       finetuned=tuple(bind(spec, vectors[name]) for name in names))
+    if sorted(vectors) != sorted(names):
+        raise FormatError(f"{path}: expected vectors {names}, got {sorted(vectors)}")
+    return [bind(spec, vectors[name]) for name in names]
+
+
+def load_checkpoints(config: ExperimentConfig, workdir: Path) -> Checkpoints:
+    """The models that stage_finetune persisted."""
+    names = [f"finetuned_{t:02d}" for t in range(config.family.num_tasks)]
+    pretrained, *finetuned = load_models(config, workdir / CHECKPOINTS_FILE,
+                                         ["pretrained", *names])
+    return Checkpoints(pretrained.spec, pretrained, tuple(finetuned))
 
 
 def stage_sample(config: ExperimentConfig, workdir: Path, tasks: list[TaskData],
@@ -117,15 +129,13 @@ def stage_sample(config: ExperimentConfig, workdir: Path, tasks: list[TaskData],
     with _stage("sample"):
         credible: dict[int, CredibleSet] = {}
         for task in tasks:
-            scored = score_pool(ckpt.spec, ckpt.finetuned[task.task_id],
-                                task.unlabeled.inputs)
+            pool = task.unlabeled_inputs
+            scored = score_pool(ckpt.spec, ckpt.finetuned[task.task_id], pool)
             if config.sampling.mode == "ems":
-                credible[task.task_id] = select_ems(scored, config.sampling.rate,
-                                                    task.unlabeled.inputs,
+                credible[task.task_id] = select_ems(scored, config.sampling.rate, pool,
                                                     task_id=task.task_id)
             else:
-                credible[task.task_id] = select_cb_ems(scored, config.sampling.rate,
-                                                       task.unlabeled.inputs,
+                credible[task.task_id] = select_cb_ems(scored, config.sampling.rate, pool,
                                                        config.family.classes_per_task,
                                                        task_id=task.task_id)
         save_credible_sets(workdir / CREDIBLE_FILE, credible)
@@ -151,8 +161,8 @@ def _mask_training_data(config: ExperimentConfig, tasks: list[TaskData],
     if config.sampling.objective == "pseudo":
         return {t: (cs.inputs, cs.pseudo_labels) for t, cs in credible.items()}, "cross_entropy"
     if config.sampling.objective == "supervised":
-        return {t.task_id: (t.unlabeled.inputs, t.audit_labels) for t in tasks}, "cross_entropy"
-    return {t.task_id: (t.unlabeled.inputs, None) for t in tasks}, "entropy"
+        return {t.task_id: (t.unlabeled_inputs, t.audit_labels) for t in tasks}, "cross_entropy"
+    return {t.task_id: (t.unlabeled_inputs, None) for t in tasks}, "entropy"
 
 
 def merge_with_method(config: ExperimentConfig, tasks: list[TaskData], ckpt: Checkpoints,

@@ -41,8 +41,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .baselines import TaskVector, check_task_vectors, ordered_sum, task_vector
-from .nn import ContractError, ModelSpec, ParamVector, check_labels, weighted_loss_and_grad
+from .baselines import TaskVector, ordered_sum, task_vector
+from .nn import (ContractError, ModelSpec, ParamVector, check_labels, read_only,
+                 weighted_loss_and_grad)
 from .seeding import STAGE_MASK_BATCHES, STAGE_MASK_INIT, STAGE_PARTITION, rng_for
 from .tasks import Checkpoints
 
@@ -54,7 +55,8 @@ INIT_MAGNITUDE = 4.595  # sigmoid(+-4.595) ~= 0.99 / 0.01
 
 @dataclass(frozen=True)
 class MergePlan:
-    """Task partition plus every hyperparameter of the sequential merge."""
+    """Task partition plus every hyperparameter of the sequential merge, each checked here
+    once: the merge's functions take the scale, strategy and mask fraction as checked."""
 
     efficient_set: tuple[int, ...]
     sequential_set: tuple[int, ...]
@@ -102,10 +104,9 @@ class RealMask:
     r: np.ndarray
 
     def __post_init__(self):
-        r = np.ascontiguousarray(self.r, dtype=np.float64)
+        r = read_only(self.r, np.float64)
         if r.ndim != 1 or not np.all(np.isfinite(r)):
             raise ContractError("real mask must be a finite 1-D vector")
-        r.flags.writeable = False
         object.__setattr__(self, "r", r)
 
 
@@ -116,10 +117,9 @@ class BinaryMask:
     m: np.ndarray
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.m, dtype=np.float64)
+        m = read_only(self.m, np.float64)
         if m.ndim != 1 or not np.all((m == 0.0) | (m == 1.0)):
             raise ContractError("binary mask entries must be exactly 0 or 1")
-        m.flags.writeable = False
         object.__setattr__(self, "m", m)
 
     @property
@@ -177,9 +177,6 @@ def partition(task_ids: Sequence[int], num_sequential: int, seed: int = 0) -> Me
 def efficient_merge(theta_pre: ParamVector, bulk: Sequence[TaskVector],
                     scale: float = 0.3) -> SequentialState:
     """Task-arithmetic base vector scale * sum(bulk); empty bulk gives the zero vector."""
-    if scale <= 0.0:
-        raise ContractError("scale must be positive")
-    check_task_vectors(theta_pre, bulk)
     values = scale * ordered_sum([tv.values for tv in bulk]) if bulk else np.zeros(theta_pre.size)
     visible = tuple(tv.task_id for tv in bulk)
     return SequentialState(TaskVector(values, task_id="merged"), visible)
@@ -196,8 +193,6 @@ def masked_merge(tau_seq: TaskVector, tau_j: TaskVector, mask: BinaryMask,
     With strategy 'both' each output coordinate is copied bit-exactly from one
     of the two sources.
     """
-    if strategy not in STRATEGIES:
-        raise ContractError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     if tau_seq.size != tau_j.size:
         raise ContractError(
             f"task vectors have mismatched lengths {tau_seq.size} and {tau_j.size}"
@@ -298,8 +293,6 @@ def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: Sequenti
 def init_mask(n: int, init_active_fraction: float, rng: np.random.Generator,
               magnitude: float = INIT_MAGNITUDE) -> RealMask:
     """Seeded init: max(1, floor(fraction * n)) coordinates at +magnitude, rest at -magnitude."""
-    if not 0.0 <= init_active_fraction < 1.0:
-        raise ContractError("init_active_fraction must lie in [0, 1)")
     active = max(1, int(np.floor(init_active_fraction * n)))
     r = np.full(n, -magnitude)
     r[rng.choice(n, size=active, replace=False)] = magnitude

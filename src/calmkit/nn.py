@@ -34,6 +34,13 @@ class ContractError(ValueError):
     """An argument violated a documented precondition."""
 
 
+def read_only(values, dtype) -> np.ndarray:
+    """`values` as a C-contiguous array of `dtype` that cannot be written to."""
+    arr = np.ascontiguousarray(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Feedforward architecture: input_dim -> hidden_dims -> num_classes.
@@ -87,44 +94,15 @@ class ParamVector:
     spec: ModelSpec
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        values = read_only(self.values, np.float64)
         if values.shape != (self.spec.parameter_count,):
             raise ContractError(f"expected {self.spec.parameter_count} parameters for spec, "
                                 f"got shape {values.shape}")
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     @property
     def size(self) -> int:
         return int(self.values.size)
-
-
-@dataclass(frozen=True)
-class Batch:
-    """Inputs (B x d) with optional integer labels (B,)."""
-
-    inputs: np.ndarray
-    labels: np.ndarray | None = None
-
-    def __post_init__(self):
-        inputs = np.ascontiguousarray(self.inputs, dtype=np.float64)
-        if inputs.ndim != 2:
-            raise ContractError(f"batch inputs must be 2-D, got shape {inputs.shape}")
-        if not np.all(np.isfinite(inputs)):
-            raise ContractError("batch inputs must be finite")
-        inputs.flags.writeable = False
-        object.__setattr__(self, "inputs", inputs)
-        if self.labels is not None:
-            labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-            if labels.shape != (inputs.shape[0],):
-                raise ContractError(
-                    f"labels shape {labels.shape} does not match batch size {inputs.shape[0]}"
-                )
-            labels.flags.writeable = False
-            object.__setattr__(self, "labels", labels)
-
-    def __len__(self) -> int:
-        return int(self.inputs.shape[0])
 
 
 def bind(spec: ModelSpec, values: np.ndarray) -> ParamVector:
@@ -201,16 +179,6 @@ def forward(spec: ModelSpec, params: ParamVector, inputs: np.ndarray) -> np.ndar
     return _forward_acts(spec, params.values, inputs)[-1]
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-stabilized softmax; accepts a vector or a matrix of row logits."""
-    z = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
-        raise ContractError("softmax requires finite logits")
-    shifted = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
-
-
 def check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
     """`labels`, after checking that every entry lies in [0, num_classes)."""
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
@@ -221,16 +189,11 @@ def check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 def prediction_entropy(logits: np.ndarray):
-    """Shannon entropy (nats) of softmax(logits).
-
-    Terms with probability zero contribute zero. Returns a scalar for a logit
-    vector and a per-row vector for a logit matrix; values lie in [0, ln C].
-    """
+    """Shannon entropy (nats) of the softmax of each row of logits, by the loss kernel's
+    entropy branch; a scalar for a logit vector, values in [0, ln C]."""
     z = np.asarray(logits, dtype=np.float64)
-    p = softmax(z)
-    plogp = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    h = -np.sum(plogp, axis=-1)
-    return float(h) if z.ndim == 1 else h
+    h = _loss_and_dlogits(np.atleast_2d(z).swapaxes(-1, -2), None)[0]
+    return float(h[0]) if z.ndim == 1 else h
 
 
 def _loss_and_dlogits(logits: np.ndarray, labels: np.ndarray | None
@@ -241,10 +204,10 @@ def _loss_and_dlogits(logits: np.ndarray, labels: np.ndarray | None
     (rows,) or (T, rows), and every reduction runs over axis -2. With labels the
     loss is cross-entropy, -log p[label], with gradient p - onehot(label); with
     `labels=None` it is the prediction entropy H = -sum p log p, with gradient
-    -p * (log p + H). The softmax is computed once, with the same operations as
-    `softmax`. A row-major caller passes `z.swapaxes(-1, -2)`, a view, so the
-    reductions run along z's rows as before, bit for bit. Callers scale the
-    gradient columns by their reduction (a mean, or weights).
+    -p * (log p + H). The softmax is computed once, shifted by the column maximum.
+    A row-major caller passes `z.swapaxes(-1, -2)`, a view, so each reduction runs
+    along one of z's contiguous rows. Callers scale the gradient columns by their
+    reduction (a mean, or weights).
 
     Cross-entropy reads log p only at the labels, through a one-hot mask that works
     on every layout, so the write into p stays in place on a view: -(shifted[label]

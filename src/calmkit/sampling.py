@@ -4,7 +4,8 @@ Each unlabeled input is scored by the Shannon entropy of the fine-tuned
 model's prediction and tagged with its argmax pseudo-label. Selection either
 takes the globally lowest-entropy fraction (ems) or the lowest-entropy
 fraction per pseudo-class (cb_ems). Pseudo-labels are frozen at selection
-time: merging code only ever reads them, never recomputes them.
+time: merging code only ever reads them, never recomputes them. The rate is
+checked once, where `SamplingConfig` is built: it lies in (0, 1].
 """
 from __future__ import annotations
 
@@ -14,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import ContractError, ModelSpec, ParamVector, forward, prediction_entropy
-
-
-def _read_only(values, dtype) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
+from .nn import ContractError, ModelSpec, ParamVector, forward, prediction_entropy, read_only
 
 
 @dataclass(frozen=True)
@@ -31,8 +26,8 @@ class PoolScores:
     pseudo_labels: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entropies", _read_only(self.entropies, np.float64))
-        object.__setattr__(self, "pseudo_labels", _read_only(self.pseudo_labels, np.int64))
+        object.__setattr__(self, "entropies", read_only(self.entropies, np.float64))
+        object.__setattr__(self, "pseudo_labels", read_only(self.pseudo_labels, np.int64))
         if self.entropies.ndim != 1 or self.pseudo_labels.shape != self.entropies.shape:
             raise ContractError("pool scores hold one entropy and one pseudo-label per row")
 
@@ -55,7 +50,7 @@ class CredibleSet:
     def __post_init__(self):
         for name, dtype in (("indices", np.int64), ("entropies", np.float64),
                             ("pseudo_labels", np.int64), ("inputs", np.float64)):
-            object.__setattr__(self, name, _read_only(getattr(self, name), dtype))
+            object.__setattr__(self, name, read_only(getattr(self, name), dtype))
         rows = self.indices.shape[:1]
         if (self.indices.ndim != 1 or self.entropies.shape != rows
                 or self.pseudo_labels.shape != rows or self.inputs.ndim != 2
@@ -73,6 +68,8 @@ def score_pool(spec: ModelSpec, params: ParamVector, inputs: np.ndarray) -> Pool
     if inputs.ndim != 2 or inputs.shape[0] == 0:
         raise ContractError("unlabeled pool must be a nonempty 2-D matrix")
     logits = forward(spec, params, inputs)
+    if not np.all(np.isfinite(logits)):
+        raise ContractError("the model's logits on the pool are not all finite")
     return PoolScores(prediction_entropy(logits), np.argmax(logits, axis=1))
 
 
@@ -91,8 +88,6 @@ def _build(task_id: int, scores: PoolScores, chosen: np.ndarray, rate: float, mo
 def select_ems(scores: PoolScores, rate: float, pool_inputs: np.ndarray,
                task_id: int = 0) -> CredibleSet:
     """The floor(rate * N) lowest-entropy rows of the whole pool."""
-    if not 0.0 < rate <= 1.0:
-        raise ContractError(f"rate must be in (0, 1], got {rate}")
     k = math.floor(rate * len(scores))
     if k == 0:
         raise ContractError(
@@ -105,8 +100,6 @@ def select_ems(scores: PoolScores, rate: float, pool_inputs: np.ndarray,
 def select_cb_ems(scores: PoolScores, rate: float, pool_inputs: np.ndarray,
                   num_classes: int, task_id: int = 0) -> CredibleSet:
     """Per pseudo-class, the floor(rate * pool_c) lowest-entropy rows; union over classes."""
-    if not 0.0 < rate <= 1.0:
-        raise ContractError(f"rate must be in (0, 1], got {rate}")
     picks = [np.empty(0, dtype=np.int64)]
     for c in range(num_classes):
         rows = np.flatnonzero(scores.pseudo_labels == c)

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import (Batch, ContractError, ModelSpec, ParamVector, check_labels, forward, init_params,
-                 loss_and_grad, sgd_step)
+from .nn import (ContractError, ModelSpec, ParamVector, check_labels, forward, init_params,
+                 loss_and_grad, read_only, sgd_step)
 from .seeding import STAGE_DATA, STAGE_FINETUNE, STAGE_INIT, STAGE_PRETRAIN, rng_for
 
 # Most parameters in one fine-tuning stack: finetune_all trains its tasks in groups of T
@@ -79,24 +79,35 @@ class TaskFamily:
 
 @dataclass(frozen=True)
 class TaskData:
-    """One task's labeled train/test splits plus its unlabeled pool.
+    """One task's labeled train/test splits plus its unlabeled pool, as read-only arrays.
 
-    `audit_labels` are the withheld truth for the unlabeled pool; they exist
-    only for report-time audits and are never passed to sampling or merging.
+    Generated and loaded tasks alike are checked here, once: every split's inputs
+    are finite (rows, features) matrices with one label per row. `audit_labels` are
+    the withheld truth for the unlabeled pool: reports audit against them, and only
+    the `supervised` mask objective trains on them; sampling never reads them.
     """
 
     task_id: int
-    train: Batch
-    test: Batch
-    unlabeled: Batch
+    train_inputs: np.ndarray
+    train_labels: np.ndarray
+    test_inputs: np.ndarray
+    test_labels: np.ndarray
+    unlabeled_inputs: np.ndarray
     audit_labels: np.ndarray
 
     def __post_init__(self):
-        labels = np.ascontiguousarray(self.audit_labels, dtype=np.int64)
-        if labels.shape != (len(self.unlabeled),):
-            raise ContractError("audit_labels must match the unlabeled pool size")
-        labels.flags.writeable = False
-        object.__setattr__(self, "audit_labels", labels)
+        for split, labels_name in (("train", "train_labels"), ("test", "test_labels"),
+                                   ("unlabeled", "audit_labels")):
+            inputs = read_only(getattr(self, f"{split}_inputs"), np.float64)
+            labels = read_only(getattr(self, labels_name), np.int64)
+            if inputs.ndim != 2 or not np.all(np.isfinite(inputs)):
+                raise ContractError(f"task {self.task_id} {split} inputs must be a finite "
+                                    f"2-D matrix, got shape {inputs.shape}")
+            if labels.shape != inputs.shape[:1]:
+                raise ContractError(f"task {self.task_id} has {labels.shape} {labels_name} "
+                                    f"for {len(inputs)} {split} rows")
+            object.__setattr__(self, f"{split}_inputs", inputs)
+            object.__setattr__(self, labels_name, labels)
 
 
 @dataclass(frozen=True)
@@ -192,31 +203,22 @@ def generate_family(family: TaskFamily) -> list[TaskData]:
                 splits[name][1].append(np.full(k, c, dtype=np.int64))
                 pos += k
 
-        batches = {}
+        shuffled = {}
         for name in ("train", "unlabeled", "test"):
             inputs = np.concatenate(splits[name][0])
             labels = np.concatenate(splits[name][1])
             perm = rng.permutation(inputs.shape[0])
-            batches[name] = (inputs[perm], labels[perm])
+            shuffled[name] = (inputs[perm], labels[perm])
 
-        tasks.append(
-            TaskData(
-                task_id=t,
-                train=Batch(*batches["train"]),
-                test=Batch(*batches["test"]),
-                unlabeled=Batch(batches["unlabeled"][0]),
-                audit_labels=batches["unlabeled"][1],
-            )
-        )
+        tasks.append(TaskData(t, *shuffled["train"], *shuffled["test"], *shuffled["unlabeled"]))
     return tasks
 
 
-def accuracy(spec: ModelSpec, params: ParamVector, batch: Batch) -> float:
-    """Fraction of argmax predictions matching the batch labels."""
-    if batch.labels is None:
-        raise ContractError("accuracy requires a labeled batch")
-    predicted = np.argmax(forward(spec, params, batch.inputs), axis=1)
-    return float(np.mean(predicted == batch.labels))
+def accuracy(spec: ModelSpec, params: ParamVector, inputs: np.ndarray,
+             labels: np.ndarray) -> float:
+    """Fraction of argmax predictions on the inputs' rows that match their labels."""
+    predicted = np.argmax(forward(spec, params, inputs), axis=1)
+    return float(np.mean(predicted == labels))
 
 
 def _sgd_train(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray, labels: np.ndarray,
@@ -258,8 +260,8 @@ def pretrain(spec: ModelSpec, tasks: list[TaskData], epochs: int,
     A zero epoch budget returns the initialization unchanged.
     """
     values = np.array(init_params(spec, rng_for(seed, STAGE_INIT)).values)
-    _sgd_train(spec, values, np.concatenate([t.train.inputs for t in tasks]),
-               np.concatenate([t.train.labels for t in tasks]), epochs, lr, batch_size,
+    _sgd_train(spec, values, np.concatenate([t.train_inputs for t in tasks]),
+               np.concatenate([t.train_labels for t in tasks]), epochs, lr, batch_size,
                [rng_for(seed, STAGE_PRETRAIN)])
     return ParamVector(values, spec)
 
@@ -275,8 +277,8 @@ def finetune(spec: ModelSpec, theta_pre: ParamVector, tasks: list[TaskData], epo
     if theta_pre.spec != spec:
         raise ContractError("theta_pre is not bound to this spec")
     values = np.tile(theta_pre.values, (len(tasks), 1))
-    _sgd_train(spec, values, np.stack([t.train.inputs for t in tasks]),
-               np.stack([t.train.labels for t in tasks]), epochs, lr, batch_size,
+    _sgd_train(spec, values, np.stack([t.train_inputs for t in tasks]),
+               np.stack([t.train_labels for t in tasks]), epochs, lr, batch_size,
                [rng_for(seed, STAGE_FINETUNE, t.task_id) for t in tasks],
                freeze_head=(head_mode == "per_task"))
     return [ParamVector(row, spec) for row in values]
@@ -299,7 +301,7 @@ def finetune_all(spec: ModelSpec, theta_pre: ParamVector, tasks: list[TaskData],
         trained = finetune(spec, theta_pre, stack, config.finetune_epochs, config.finetune_lr,
                            config.batch_size, seed, config.head_mode)
         for task, theta_ft in zip(stack, trained):
-            own = accuracy(spec, theta_ft, task.test)
+            own = accuracy(spec, theta_ft, task.test_inputs, task.test_labels)
             if own < config.accuracy_floor:
                 raise ContractError(f"task {task.task_id} fine-tuned accuracy {own:.3f} is below "
                                     f"the floor {config.accuracy_floor}; adjust the training "

@@ -22,6 +22,14 @@ from calmkit.tasks import (
 )
 
 
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-stabilized softmax of a vector or of each row of a matrix, for the oracles
+    that compute p outside the library's loss kernel."""
+    z = np.asarray(logits, dtype=np.float64)
+    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean over the batch of -log softmax(logits)[label], by the library's loss kernel."""
     z = np.asarray(logits, dtype=np.float64)

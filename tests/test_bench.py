@@ -85,7 +85,8 @@ def test_default_config_staged_reports_keep_their_hashes(tmp_path):
     expected = {"avg": "365b306a877fa7d1", "ta": "2b9609b8c585f470",
                 "ties": "dead7c0d119f6258", "calm": "3626e6f7983a0dea"}
     _staged(tmp_path)
-    assert _sha((tmp_path / CREDIBLE_FILE).read_bytes()) == "55054c963f166a27"
+    # the entropies as the loss kernel computes them; the selected rows did not move
+    assert _sha((tmp_path / CREDIBLE_FILE).read_bytes()) == "3808bc38307e0c1d"
     for method, digest in expected.items():
         assert _cli("merge", tmp_path, {"method": method}) == 0
         assert _cli("eval", tmp_path, {"method": method}) == 0
@@ -245,6 +246,20 @@ def test_a_merge_without_masks_removes_the_stale_masks(tmp_path):
     assert not (tmp_path / MASKS_FILE).exists()
     assert _cli("report", tmp_path, avg) == 0
     assert set(_reports(tmp_path)) == {"report.txt", "report.csv"}
+
+
+@pytest.mark.parametrize("token", ["density_trace", "objective_trace"])
+def test_staged_eval_and_report_reject_a_trace_token(token, tmp_path, capsys):
+    # the traces live only in the process that merged
+    _staged(tmp_path, TINY)
+    assert _cli("merge", tmp_path, TINY) == 0
+    entries = {**TINY, "report": f"accuracy, {token}"}
+    for command in ("eval", "report"):
+        capsys.readouterr()
+        assert _cli(command, tmp_path, entries) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and repr(token) in err
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_finetune_floor_miss_is_a_stage_error(tmp_path, capsys):

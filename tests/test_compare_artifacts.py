@@ -46,6 +46,25 @@ class TestCompare:
         ]
 
 
+class TestTally:
+    def test_one_line_per_file_name(self, tmp_path):
+        parent = {f"default/seed0{s}/{name}": name for s in range(3)
+                  for name in ("credible.calmcred", "report.csv")}
+        change = {**parent, "default/seed01/credible.calmcred": "x",
+                  "default/seed02/credible.calmcred": "y", "order/seed00/masks.calmckpt": "m"}
+        assert compare_artifacts.tally(sides(tmp_path, parent, change)) == [
+            "credible.calmcred: 2 of 3 differ",
+            "masks.calmckpt: 1 of 1 differ",
+            "report.csv: 0 of 3 differ",
+        ]
+
+    def test_more_than_two_sides_name_the_side(self, tmp_path):
+        roots = sides(tmp_path, {"a/report.csv": "1"}, {"a/report.csv": "2"})
+        roots["same"] = write_tree(tmp_path / "same", {"a/report.csv": "1"})
+        assert compare_artifacts.tally(roots) == ["report.csv: 1 of 1 differ on change",
+                                                  "report.csv: 0 of 1 differ on same"]
+
+
 class TestPairedAccuracy:
     def test_equal_averages_print_nothing(self, tmp_path):
         files = {f"default/seed0{s}/report.csv": report(0.9 + s / 100) for s in range(3)}

@@ -27,8 +27,9 @@ from calmkit.tasks import TaskFamily, generate_family
 SPEC = ModelSpec(3, (4, 2), 3, activation="tanh")
 FAMILY = TaskFamily(num_tasks=2, classes_per_task=2, input_dim=3, train_per_task=6,
                     unlabeled_per_task=6, test_per_task=6, seed=4)
-# the byte offset of the family header's classes_per_task and input_dim fields
-CLASSES_AT, INPUT_DIM_AT = 14, 18
+# the byte offset of the family header's classes_per_task and input_dim fields, and of
+# the first task's first train input: past the magic, version, family, task_id and count
+CLASSES_AT, INPUT_DIM_AT, TRAIN_INPUTS_AT = 14, 18, 8 + 2 + 64 + 4 + 8
 
 
 def _checkpoint(path):
@@ -150,6 +151,8 @@ def _patched(raw: bytes, at: int, new: bytes) -> bytes:
     (DATASETS_FILE, "pretrain", INPUT_DIM_AT, struct.pack("<I", 7)),
     # classes_per_task 99 exceeds input_dim, which TaskFamily rejects
     (DATASETS_FILE, "pretrain", CLASSES_AT, struct.pack("<I", 99)),
+    # a NaN train input, which TaskData rejects
+    (DATASETS_FILE, "pretrain", TRAIN_INPUTS_AT, struct.pack("<d", np.nan)),
 ])
 def test_corrupt_files_exit_2_through_the_cli(file, command, at, new, tmp_path, capsys):
     entries = [arg for key, value in SMALL.items() for arg in (f"--{key}", value)]
@@ -160,4 +163,5 @@ def test_corrupt_files_exit_2_through_the_cli(file, command, at, new, tmp_path, 
     path.write_bytes(_patched(path.read_bytes(), at, new))
     capsys.readouterr()
     assert cli.main([command, *entries]) == 2
-    assert "corrupt file" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{path}: corrupt file" in err

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from calmkit.nn import (
-    Batch,
     ContractError,
     ModelSpec,
     ParamVector,
@@ -13,9 +12,8 @@ from calmkit.nn import (
     loss_and_grad,
     prediction_entropy,
     sgd_step,
-    softmax,
 )
-from reference import cross_entropy, loss_and_dlogits
+from reference import cross_entropy, loss_and_dlogits, softmax
 
 
 def forward_oracle(spec, values, inputs):
@@ -43,7 +41,7 @@ def forward_oracle(spec, values, inputs):
     return np.array(out)
 
 
-def mean_reduction_loss_and_grad(spec, values, batch):
+def mean_reduction_loss_and_grad(spec, values, inputs, labels):
     """The training loss as the mean of -log softmax[label], and its gradient
     as softmax - onehot, divided by n, through an out-of-place forward and
     backward pass."""
@@ -52,18 +50,18 @@ def mean_reduction_loss_and_grad(spec, values, batch):
         layers.append((values[pos : pos + fi * fo].reshape(fi, fo),
                        values[pos + fi * fo : pos + (fi + 1) * fo]))
         pos += (fi + 1) * fo
-    acts = [batch.inputs]
+    acts = [inputs]
     for idx, (w, b) in enumerate(layers):
         z = acts[-1] @ w + b
         if idx < len(layers) - 1:
             z = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
         acts.append(z)
-    n = len(batch)
+    n = len(inputs)
     shifted = acts[-1] - np.max(acts[-1], axis=1, keepdims=True)
     logp = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-    loss = float(-np.mean(logp[np.arange(n), batch.labels]))
+    loss = float(-np.mean(logp[np.arange(n), labels]))
     dz = softmax(acts[-1])
-    dz[np.arange(n), batch.labels] -= 1.0
+    dz[np.arange(n), labels] -= 1.0
     dz /= n
     grads = []
     for idx in range(len(layers) - 1, -1, -1):
@@ -163,40 +161,6 @@ class TestForward:
         assert np.array_equal(forward(spec, params, x), forward(spec, params, x))
 
 
-class TestSoftmax:
-    def test_uniform(self):
-        assert np.allclose(softmax(np.zeros(4)), np.full(4, 0.25), rtol=0, atol=0)
-
-    def test_large_margin_no_overflow(self):
-        p = softmax(np.array([1000.0, 0.0]))
-        assert np.all(np.isfinite(p))
-        assert p[0] > 1.0 - 1e-12 and p[1] < 1e-12
-
-    def test_two_class_closed_form(self):
-        p = softmax(np.array([1.0, 2.0]))
-        e = np.e
-        assert np.allclose(p, [1.0 / (1.0 + e), e / (1.0 + e)], rtol=0, atol=1e-15)
-
-    def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(3)
-        p = softmax(rng.standard_normal((50, 6)) * 10.0)
-        assert np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-12)
-        assert np.all(p > 0.0)
-
-    def test_shift_invariance_exact_on_dyadic_inputs(self):
-        # entries and shifts on a 2^-10 grid are exactly representable, so the
-        # stabilized computation sees identical differences and must match bitwise
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            z = rng.integers(-8192, 8192, size=6) / 1024.0
-            c = rng.integers(-1024000, 1024000) / 1024.0
-            assert np.array_equal(softmax(z), softmax(z + c))
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ContractError):
-            softmax(np.array([np.inf, 0.0]))
-
-
 class TestCrossEntropy:
     def test_huge_margin_loss_near_zero(self):
         logits = np.array([[100.0, 0.0, 0.0]])
@@ -249,6 +213,15 @@ class TestPredictionEntropy:
             h = prediction_entropy(z)
             assert 0.0 <= h <= np.log(c) + 1e-12
 
+    def test_shift_invariance_exact_on_dyadic_inputs(self):
+        # entries and shifts on a 2^-10 grid are exactly representable, so the
+        # stabilized computation sees identical differences and must match bitwise
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            z = rng.integers(-8192, 8192, size=(3, 6)) / 1024.0
+            c = rng.integers(-1024000, 1024000) / 1024.0
+            assert np.array_equal(prediction_entropy(z), prediction_entropy(z + c))
+
     def test_maximal_iff_constant(self):
         assert abs(prediction_entropy(np.full(5, 3.25)) - np.log(5.0)) <= 1e-12
         assert prediction_entropy(np.array([3.25, 3.25, 3.0])) < np.log(3.0) - 1e-6
@@ -258,19 +231,19 @@ class TestLossAndGrad:
     def test_zero_gradient_at_symmetric_minimum(self):
         # bias-only toy: zero inputs, the two labels balance exactly
         spec = ModelSpec(1, (), 2)
-        batch = Batch(np.zeros((2, 1)), np.array([0, 1]))
-        _, grad = loss_and_grad(spec, zero_params(spec).values, batch.inputs, batch.labels)
+        inputs, labels = np.zeros((2, 1)), np.array([0, 1])
+        _, grad = loss_and_grad(spec, zero_params(spec).values, inputs, labels)
         assert np.allclose(grad, 0.0, rtol=0, atol=1e-15)
 
     def test_matches_finite_differences_tanh(self):
         spec = ModelSpec(5, (6,), 4, activation="tanh")
         rng = np.random.default_rng(23)
         params = init_params(spec, 23)
-        batch = Batch(rng.standard_normal((8, 5)), rng.integers(0, 4, size=8))
-        _, analytic = loss_and_grad(spec, params.values, batch.inputs, batch.labels)
+        inputs, labels = rng.standard_normal((8, 5)), rng.integers(0, 4, size=8)
+        _, analytic = loss_and_grad(spec, params.values, inputs, labels)
 
         def f(values):
-            return cross_entropy(forward(spec, bind(spec, values), batch.inputs), batch.labels)
+            return cross_entropy(forward(spec, bind(spec, values), inputs), labels)
 
         numeric = finite_diff(f, params.values.copy())
         rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-6)
@@ -280,21 +253,21 @@ class TestLossAndGrad:
         spec = ModelSpec(3, (4,), 3, activation="tanh")
         rng = np.random.default_rng(29)
         params = init_params(spec, 29)
-        batch = Batch(rng.standard_normal((16, 3)), rng.integers(0, 3, size=16))
-        loss, grad = loss_and_grad(spec, params.values, batch.inputs, batch.labels)
+        inputs, labels = rng.standard_normal((16, 3)), rng.integers(0, 3, size=16)
+        loss, grad = loss_and_grad(spec, params.values, inputs, labels)
         assert grad @ grad > 0.0
         stepped = params.values.copy()
         sgd_step(stepped, grad, 1e-3)
-        new_loss = cross_entropy(forward(spec, bind(spec, stepped), batch.inputs), batch.labels)
+        new_loss = cross_entropy(forward(spec, bind(spec, stepped), inputs), labels)
         assert new_loss < loss
 
     def test_loss_equals_forward_cross_entropy(self):
         spec = ModelSpec(4, (5,), 3)
         rng = np.random.default_rng(31)
         params = init_params(spec, 31)
-        batch = Batch(rng.standard_normal((10, 4)), rng.integers(0, 3, size=10))
-        loss, _ = loss_and_grad(spec, params.values, batch.inputs, batch.labels)
-        direct = cross_entropy(forward(spec, params, batch.inputs), batch.labels)
+        inputs, labels = rng.standard_normal((10, 4)), rng.integers(0, 3, size=10)
+        loss, _ = loss_and_grad(spec, params.values, inputs, labels)
+        direct = cross_entropy(forward(spec, params, inputs), labels)
         assert loss == direct
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -303,9 +276,9 @@ class TestLossAndGrad:
         spec = ModelSpec(4, (6, 5), 3, activation=activation)
         rng = np.random.default_rng(41)
         params = init_params(spec, 41)
-        batch = Batch(rng.standard_normal((10, 4)), rng.integers(0, 3, size=10))
-        got_loss, got_grad = loss_and_grad(spec, params.values, batch.inputs, batch.labels)
-        loss, grad = mean_reduction_loss_and_grad(spec, params.values, batch)
+        inputs, labels = rng.standard_normal((10, 4)), rng.integers(0, 3, size=10)
+        got_loss, got_grad = loss_and_grad(spec, params.values, inputs, labels)
+        loss, grad = mean_reduction_loss_and_grad(spec, params.values, inputs, labels)
         assert got_loss == loss
         assert got_grad.tobytes() == grad.tobytes()
 
@@ -318,12 +291,13 @@ class TestLossAndGrad:
         spec = ModelSpec(4, (6, 5), classes, activation=activation)
         rng = np.random.default_rng(classes + rows)
         params = init_params(spec, 7)
-        batch = Batch(3.0 * rng.standard_normal((rows, 4)), rng.integers(0, classes, size=rows))
-        got_loss, got_grad = loss_and_grad(spec, params.values, batch.inputs, batch.labels)
-        loss, grad = mean_reduction_loss_and_grad(spec, params.values, batch)
+        inputs = 3.0 * rng.standard_normal((rows, 4))
+        labels = rng.integers(0, classes, size=rows)
+        got_loss, got_grad = loss_and_grad(spec, params.values, inputs, labels)
+        loss, grad = mean_reduction_loss_and_grad(spec, params.values, inputs, labels)
         assert got_loss == loss
         assert got_grad.tobytes() == grad.tobytes()
-        assert got_loss == cross_entropy(forward(spec, params, batch.inputs), batch.labels)
+        assert got_loss == cross_entropy(forward(spec, params, inputs), labels)
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("classes", [3, 12])
@@ -344,9 +318,9 @@ class TestLossAndGrad:
         spec = ModelSpec(4, (5,), 3, activation="tanh")
         rng = np.random.default_rng(37)
         params = init_params(spec, 37)
-        batch = Batch(rng.standard_normal((6, 4)), rng.integers(0, 3, size=6))
-        loss_a, grad_a = loss_and_grad(spec, params.values, batch.inputs, batch.labels)
-        loss_b, grad_b = loss_and_grad(spec, params.values, batch.inputs, batch.labels)
+        inputs, labels = rng.standard_normal((6, 4)), rng.integers(0, 3, size=6)
+        loss_a, grad_a = loss_and_grad(spec, params.values, inputs, labels)
+        loss_b, grad_b = loss_and_grad(spec, params.values, inputs, labels)
         assert loss_a == loss_b
         assert np.array_equal(grad_a, grad_b)
 
@@ -433,13 +407,12 @@ class TestGradientExactnessSweep:
             if spec.parameter_count > 200:
                 continue
             params = init_params(spec, int(rng.integers(0, 10_000)))
-            batch = Batch(rng.standard_normal((5, spec.input_dim)),
-                          rng.integers(0, spec.num_classes, size=5))
-            _, analytic = loss_and_grad(spec, params.values, batch.inputs, batch.labels)
+            inputs = rng.standard_normal((5, spec.input_dim))
+            labels = rng.integers(0, spec.num_classes, size=5)
+            _, analytic = loss_and_grad(spec, params.values, inputs, labels)
 
-            def f(values, spec=spec, batch=batch):
-                return cross_entropy(forward(spec, bind(spec, values), batch.inputs),
-                                     batch.labels)
+            def f(values, spec=spec, inputs=inputs, labels=labels):
+                return cross_entropy(forward(spec, bind(spec, values), inputs), labels)
 
             numeric = finite_diff(f, params.values.copy())
             rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-6)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calmkit.nn import ContractError, ModelSpec, bind, prediction_entropy
+from calmkit.nn import ContractError, ModelSpec, _loss_and_dlogits, bind, forward, init_params
 from calmkit.sampling import (
     CredibleSet,
     PoolScores,
@@ -64,6 +64,23 @@ class TestScorePool:
             direct = -sum(pi * np.log(pi) for pi in p if pi > 0.0)
             assert abs(entropy - direct) <= 1e-12
             assert label == int(np.argmax(z))
+
+    @pytest.mark.parametrize("classes", [2, 5, 17])
+    @pytest.mark.parametrize("scale", [1.0, 40.0])  # 40: most probabilities underflow
+    def test_entropies_are_the_loss_kernels_bit_for_bit(self, classes, scale):
+        spec = ModelSpec(6, (8,), classes)
+        params = init_params(spec, classes)
+        inputs = scale * np.random.default_rng(classes).standard_normal((300, 6))
+        scored = score_pool(spec, params, inputs)
+        logits = forward(spec, params, inputs)
+        assert scored.entropies.tobytes() == _loss_and_dlogits(logits.T, None)[0].tobytes()
+
+    def test_overflowing_logits_are_rejected(self):
+        spec, params = logit_model(3)
+        big = bind(spec, params.values * 1e10)  # finite parameters, logits of 1e310
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ContractError, match="logits"):
+            score_pool(spec, big, np.full((2, 3), 1e300))
 
     def test_empty_pool_rejected(self):
         spec, params = logit_model(3)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from calmkit import tasks as tasks_module
-from calmkit.nn import Batch, ContractError, ModelSpec, loss_and_grad
+from calmkit.nn import ContractError, ModelSpec, loss_and_grad
 from calmkit.seeding import STAGE_FINETUNE, rng_for
 from calmkit.tasks import (
+    TaskData,
     TaskFamily,
     TrainConfig,
     accuracy,
@@ -15,6 +16,11 @@ from calmkit.tasks import (
     pretrain,
 )
 from reference import build_checkpoints
+
+
+def held_out(spec, params, task):
+    """A model's accuracy on a task's test split."""
+    return accuracy(spec, params, task.test_inputs, task.test_labels)
 
 
 SMALL = TaskFamily(num_tasks=3, train_per_task=90, unlabeled_per_task=90,
@@ -48,6 +54,39 @@ class TestFamilyValidation:
             TaskFamily(frame_align=1.5)
 
 
+def task_data(**splits):
+    """A valid three-row TaskData with `splits` replacing some of its arrays."""
+    arrays = {f"{split}_inputs": np.zeros((3, 2)) for split in ("train", "test", "unlabeled")}
+    arrays.update(train_labels=np.zeros(3), test_labels=np.zeros(3), audit_labels=np.zeros(3))
+    return TaskData(task_id=0, **{**arrays, **splits})
+
+
+class TestTaskData:
+    def test_splits_are_read_only_arrays_of_their_dtypes(self):
+        task = task_data()
+        assert task.train_inputs.dtype == np.float64 and task.audit_labels.dtype == np.int64
+        with pytest.raises(ValueError):
+            task.test_inputs[0, 0] = 1.0
+
+    @pytest.mark.parametrize("split", ["train", "test", "unlabeled"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_are_rejected(self, split, value):
+        inputs = np.zeros((3, 2))
+        inputs[1, 0] = value
+        with pytest.raises(ContractError, match=f"{split} inputs must be a finite 2-D"):
+            task_data(**{f"{split}_inputs": inputs})
+
+    @pytest.mark.parametrize("split", ["train", "test", "unlabeled"])
+    def test_one_dimensional_inputs_are_rejected(self, split):
+        with pytest.raises(ContractError, match=r"got shape \(3,\)"):
+            task_data(**{f"{split}_inputs": np.zeros(3)})
+
+    @pytest.mark.parametrize("labels", ["train_labels", "test_labels", "audit_labels"])
+    def test_one_label_per_row(self, labels):
+        with pytest.raises(ContractError, match=f"{labels} for 3"):
+            task_data(**{labels: np.zeros(2)})
+
+
 class TestGenerateFamily:
     def test_single_easy_task_is_linearly_separable(self):
         family = TaskFamily(num_tasks=1, classes_per_task=2, input_dim=4,
@@ -57,15 +96,15 @@ class TestGenerateFamily:
         tasks = generate_family(family)
         spec = ModelSpec(4, (), 2)
         theta = pretrain(spec, tasks, epochs=30, lr=0.05, seed=2)
-        assert accuracy(spec, theta, tasks[0].test) == 1.0
+        assert held_out(spec, theta, tasks[0]) == 1.0
 
     def test_same_seed_bit_identical(self):
         a = generate_family(SMALL)
         b = generate_family(SMALL)
         for ta, tb in zip(a, b):
-            assert np.array_equal(ta.train.inputs, tb.train.inputs)
-            assert np.array_equal(ta.train.labels, tb.train.labels)
-            assert np.array_equal(ta.unlabeled.inputs, tb.unlabeled.inputs)
+            assert np.array_equal(ta.train_inputs, tb.train_inputs)
+            assert np.array_equal(ta.train_labels, tb.train_labels)
+            assert np.array_equal(ta.unlabeled_inputs, tb.unlabeled_inputs)
             assert np.array_equal(ta.audit_labels, tb.audit_labels)
 
     def test_extreme_noise_approaches_chance(self):
@@ -78,28 +117,27 @@ class TestGenerateFamily:
         rng = np.random.default_rng(3)
         # Monte-Carlo Bayes oracle: classify by nearest class mean (optimal for
         # equal spherical Gaussians) using means estimated from the train split
-        means = np.stack([tasks[0].train.inputs[tasks[0].train.labels == c].mean(axis=0)
+        means = np.stack([tasks[0].train_inputs[tasks[0].train_labels == c].mean(axis=0)
                           for c in range(4)])
-        test = tasks[0].test
+        test = tasks[0]
         nearest = np.argmin(
-            ((test.inputs[:, None, :] - means[None, :, :]) ** 2).sum(axis=2), axis=1)
-        bayes_acc = float(np.mean(nearest == test.labels))
+            ((test.test_inputs[:, None, :] - means[None, :, :]) ** 2).sum(axis=2), axis=1)
+        bayes_acc = float(np.mean(nearest == test.test_labels))
         assert abs(bayes_acc - 0.25) < 0.05
         spec = ModelSpec(8, (8,), 4)
         theta = pretrain(spec, tasks, epochs=5, lr=0.001, seed=3)
-        assert abs(accuracy(spec, theta, test) - 0.25) < 0.05
+        assert abs(held_out(spec, theta, test) - 0.25) < 0.05
 
     def test_split_sizes_and_disjoint_roles(self):
         tasks = generate_family(SMALL)
         for t in tasks:
-            assert t.train.inputs.shape == (90, SMALL.input_dim)
-            assert t.test.inputs.shape == (90, SMALL.input_dim)
-            assert t.unlabeled.inputs.shape == (90, SMALL.input_dim)
-            assert t.unlabeled.labels is None
+            assert t.train_inputs.shape == (90, SMALL.input_dim)
+            assert t.test_inputs.shape == (90, SMALL.input_dim)
+            assert t.unlabeled_inputs.shape == (90, SMALL.input_dim)
             assert t.audit_labels.shape == (90,)
             # separate draws: no row appears in two splits
-            rows = {"train": t.train.inputs, "test": t.test.inputs,
-                    "unlabeled": t.unlabeled.inputs}
+            rows = {"train": t.train_inputs, "test": t.test_inputs,
+                    "unlabeled": t.unlabeled_inputs}
             for a in rows:
                 for b in rows:
                     if a < b:
@@ -113,7 +151,7 @@ class TestGenerateFamily:
                             seed=7)
         tasks = generate_family(family)
         for t in tasks:
-            means = np.stack([t.train.inputs[t.train.labels == c].mean(axis=0)
+            means = np.stack([t.train_inputs[t.train_labels == c].mean(axis=0)
                               for c in range(3)])
             for i in range(3):
                 for j in range(i + 1, 3):
@@ -136,13 +174,13 @@ class TestPretrain:
         family, tasks, ckpt = default_pipeline
         chance = 1.0 / family.classes_per_task
         for t in tasks:
-            assert accuracy(ckpt.spec, ckpt.pretrained, t.test) > chance
+            assert held_out(ckpt.spec, ckpt.pretrained, t) > chance
 
     def test_pretrain_below_individual_on_each_task(self, default_pipeline):
         family, tasks, ckpt = default_pipeline
         for t in tasks:
-            pre = accuracy(ckpt.spec, ckpt.pretrained, t.test)
-            own = accuracy(ckpt.spec, ckpt.finetuned[t.task_id], t.test)
+            pre = held_out(ckpt.spec, ckpt.pretrained, t)
+            own = held_out(ckpt.spec, ckpt.finetuned[t.task_id], t)
             assert pre < own
 
 
@@ -157,18 +195,18 @@ class TestFinetune:
     def test_own_task_accuracy_floor(self, default_pipeline):
         family, tasks, ckpt = default_pipeline
         for t in tasks:
-            assert accuracy(ckpt.spec, ckpt.finetuned[t.task_id], t.test) >= 0.90
+            assert held_out(ckpt.spec, ckpt.finetuned[t.task_id], t) >= 0.90
 
     def test_no_large_cross_task_gains(self, default_pipeline):
         # fine-tuning must stay task-specific: on every other task it may not
         # beat the pretrained model by more than 5 points
         family, tasks, ckpt = default_pipeline
-        pre = [accuracy(ckpt.spec, ckpt.pretrained, t.test) for t in tasks]
+        pre = [held_out(ckpt.spec, ckpt.pretrained, t) for t in tasks]
         for t in range(family.num_tasks):
             for u in range(family.num_tasks):
                 if u == t:
                     continue
-                cross = accuracy(ckpt.spec, ckpt.finetuned[t], tasks[u].test)
+                cross = held_out(ckpt.spec, ckpt.finetuned[t], tasks[u])
                 assert cross <= pre[u] + 0.05
 
     def test_nontrivial_task_vectors(self, default_pipeline):
@@ -188,18 +226,18 @@ class TestFinetune:
 
 
 def per_task_finetune(spec, theta_pre, task, epochs, lr, batch_size, seed, head_mode):
-    """The reference: fine-tune one task alone, with a Batch, a gradient and an
-    out-of-place step per batch."""
+    """The reference: fine-tune one task alone, with a gathered batch, a gradient and
+    an out-of-place step per batch."""
     values = theta_pre.values
     rng = rng_for(seed, STAGE_FINETUNE, task.task_id)
     head_start = spec.layer_offsets()[-1][0]
-    n = len(task.train)
+    n = len(task.train_inputs)
     for _ in range(epochs):
         perm = rng.permutation(n)
         for lo in range(0, n, batch_size):
             idx = perm[lo : lo + batch_size]
-            batch = Batch(task.train.inputs[idx], task.train.labels[idx])
-            _, grad = loss_and_grad(spec, values, batch.inputs, batch.labels)
+            _, grad = loss_and_grad(spec, values, task.train_inputs[idx],
+                                    task.train_labels[idx])
             if head_mode == "per_task":
                 grad[head_start:] = 0.0
             values = values - lr * grad
@@ -263,7 +301,7 @@ class TestStackedFinetune:
     def test_the_floor_error_names_the_lowest_failing_task(self):
         tasks, spec, config, theta_pre = _stack_case(3, 5)
         # zero epochs: every model is theta_pre; the floor fails the two weakest tasks
-        own = [accuracy(spec, theta_pre, t.test) for t in tasks]
+        own = [held_out(spec, theta_pre, t) for t in tasks]
         floor = sorted(own)[1] + 1e-9
         failing = [t for t, acc in enumerate(own) if acc < floor]
         assert len(failing) == 2

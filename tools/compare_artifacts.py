@@ -13,10 +13,11 @@ not matter here.
 
 Then every file that any side wrote is compared with the first side's file of
 the same relative path: masks, checkpoints, credible sets and reports alike.
-The script lists each file whose bytes differ or that one side lacks, and
-exits 1 if there is any such file and 0 if there is none. When an average
-accuracy differs, it also prints, per workload and side, each seed's paired
-change from the first side (report.csv's average for `default`, summary.csv's
+The script lists each file whose bytes differ or that one side lacks, then
+tallies them per file name (`credible.calmcred: 602 of 602 differ`), so a
+stated change reads as one line per kind of artifact. It exits 1 if there is
+any such file and 0 if there is none. When an average accuracy differs, it
+also prints, per workload and side, each seed's paired change from the first side (report.csv's average for `default`, summary.csv's
 mean for `order`), and the mean paired difference with its standard error:
 the check for a change that alters the batch stream on purpose. The outputs are
 kept under `--workdir` when it is given, and deleted otherwise.
@@ -29,7 +30,8 @@ import statistics
 import subprocess
 import sys
 import tempfile
-from pathlib import Path
+from collections import Counter
+from pathlib import Path, PurePosixPath
 
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 DEFAULT_SEEDS = 32
@@ -56,20 +58,47 @@ def _files(root: Path) -> dict[str, Path]:
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
-def compare(roots: dict[str, Path]) -> list[str]:
-    """One line per file that differs from the first side's, or that a side lacks."""
+def _statuses(roots: dict[str, Path]) -> dict[str, dict[str, str | None]]:
+    """Per side after the first: every file that it or the first side wrote, and how it
+    differs from the first side's file (None when the bytes are the same)."""
     names = list(roots)
     first = _files(roots[names[0]])
-    lines = []
+    out = {}
     for name in names[1:]:
         other = _files(roots[name])
+        status: dict[str, str | None] = {}
         for rel in sorted(first.keys() | other.keys()):
             if rel not in other:
-                lines.append(f"{rel}: missing on {name}")
+                status[rel] = f"missing on {name}"
             elif rel not in first:
-                lines.append(f"{rel}: missing on {names[0]}")
+                status[rel] = f"missing on {names[0]}"
             elif first[rel].read_bytes() != other[rel].read_bytes():
-                lines.append(f"{rel}: {name} differs from {names[0]}")
+                status[rel] = f"{name} differs from {names[0]}"
+            else:
+                status[rel] = None
+        out[name] = status
+    return out
+
+
+def compare(roots: dict[str, Path]) -> list[str]:
+    """One line per file that differs from the first side's, or that a side lacks."""
+    return [f"{rel}: {why}" for status in _statuses(roots).values()
+            for rel, why in status.items() if why is not None]
+
+
+def tally(roots: dict[str, Path]) -> list[str]:
+    """Per file name, how many of the files of that name differ or are missing: one line
+    per kind of artifact, with the side named when there are more than two."""
+    statuses = _statuses(roots)
+    lines = []
+    for name, status in statuses.items():
+        total, differ = Counter(), Counter()
+        for rel, why in status.items():
+            kind = PurePosixPath(rel).name
+            total[kind] += 1
+            differ[kind] += why is not None
+        side = f" on {name}" if len(statuses) > 1 else ""
+        lines += [f"{kind}: {differ[kind]} of {total[kind]} differ{side}" for kind in sorted(total)]
     return lines
 
 
@@ -137,9 +166,10 @@ def main(argv=None) -> int:
             print(f"worker failed on {', '.join(failed)}", file=sys.stderr)
             return 2
         lines = compare(roots)
+        kinds = tally(roots)
         accuracy = paired_accuracy(roots)
         count = len(_files(roots[next(iter(roots))]))
-    for line in lines + accuracy:
+    for line in lines + kinds + accuracy:
         print(line)
     print(f"{len(lines)} differing files of {count} ({DEFAULT_SEEDS} default and "
           f"{ORDER_SEEDS} order config seeds)")
