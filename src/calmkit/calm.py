@@ -13,11 +13,12 @@ Each sequential step computes once what its iterations share: it checks and
 stacks the visible tasks' credible rows and labels into one row-major (rows,
 features) pool with a row span per task, builds the row weights of the
 gathered rows, and allocates one flat buffer of the batches' row indices, of
-which each task's batches are a view. Each iteration draws into that buffer in
-place, allocating no index array, and the objective gathers the rows with one
-`np.take` over it; so the views hold one iteration's batches only, and a
-wrapper of the objective that keeps them must copy them. The data term is one
-weighted pass, `nn.weighted_loss_and_grad`, over those rows: each row weighs
+which each task's batches are a view, and buffers of the gathered inputs and
+of theta. Each iteration draws into the index buffer in place, and the
+objective gathers the rows with one `np.take` over it and refills theta in
+place; so the views hold one iteration's batches only, and a wrapper of the
+objective that keeps them must copy them. The data term is one weighted
+pass, `nn.weighted_loss_and_grad`, over those rows: each row weighs
 1 / (batches of its task * rows of its batch), the per-task mean over batches
 of the per-batch mean; every batch of a task has the same rows, so the weights
 are the same on every iteration. The pool is row-major on purpose: a
@@ -26,10 +27,11 @@ its first-layer weight gradient then differs in the last bits, which can flip
 mask coordinates. r is updated in place and checked to be finite once a step.
 
 Each batch is the first `batch_size` entries of a seeded permutation of its
-task's rows: per visible task and iteration, one `rng.permuted` call shuffles
-each batch's row of arange(n) on its own. That is the distribution of
-`rng.choice(n, k, replace=False)`, a uniformly random ordered sample without
-replacement, from another stream, whose reference is one
+task's rows: per iteration and run of consecutive visible tasks whose sets
+have one size, one `rng.permuted` call shuffles each batch's row of arange(n)
+on its own, in order, drawing the numbers of one call per task. That is the
+distribution of `rng.choice(n, k, replace=False)`, a uniformly random ordered
+sample without replacement, from another stream, whose reference is one
 `rng.permutation(n)[:k]` per batch. The batches need that distribution, not
 `choice`'s stream: `choice` draws one batch per call, and NEP 19 does not
 promise its stream across numpy versions.
@@ -37,12 +39,13 @@ promise its stream across numpy versions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .baselines import TaskVector, ordered_sum, task_vector
-from .nn import (ContractError, ModelSpec, ParamVector, check_labels, read_only,
+from .nn import (ContractError, ModelSpec, ParamVector, check_labels, layer_views, read_only,
                  weighted_loss_and_grad)
 from .seeding import STAGE_MASK_BATCHES, STAGE_MASK_INIT, STAGE_PARTITION, rng_for
 from .tasks import Checkpoints
@@ -158,7 +161,8 @@ class MergeResult:
 def sigmoid(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def partition(task_ids: Sequence[int], num_sequential: int, seed: int = 0) -> MergePlan:
@@ -235,20 +239,26 @@ def _row_pool(visible_tasks: Sequence[int], task_data: TaskExamples, objective: 
     return x, np.concatenate(labels).astype(np.int64, copy=False), spans
 
 
-def _row_weights(batch_rows: Sequence[Sequence[int]]) -> np.ndarray:
-    """The weight of every gathered row, 1 / (batches of its task * rows of its
-    batch), from the row counts of each visible task's batches, one sequence per
-    task, in the order of the gather."""
-    return np.repeat([1.0 / (len(task) * n) for task in batch_rows for n in task],
-                     [n for task in batch_rows for n in task])
+def _bind_pool(spec: ModelSpec, inputs: np.ndarray, labels: np.ndarray | None,
+               batch_rows: Sequence[Sequence[int]], rows: np.ndarray) -> tuple:
+    """The objective's `pool`, checked and made once per step: the `_row_pool` rows and
+    labels, each gathered row's weight 1 / (batches of its task * rows of its batch) from
+    `batch_rows`, each visible task's batch lengths in gather order, the batches' flat row
+    index, and what each call refills: a theta buffer, its layer views, a gather buffer."""
+    weights = np.repeat([1.0 / (len(task) * n) for task in batch_rows for n in task],
+                        [n for task in batch_rows for n in task])
+    if len(rows) != len(weights):
+        raise ContractError(f"{len(weights)} row weights for {len(rows)} batch rows")
+    theta = np.empty(spec.parameter_count)
+    return (inputs, labels, weights, rows, theta, layer_views(spec, theta),
+            np.empty((len(rows), inputs.shape[1])))
 
 
 def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: SequentialState,
                         tau_j: TaskVector, r: np.ndarray,
                         task_batches: Mapping[int, np.ndarray], l1_weight: float,
                         strategy: str, objective: str,
-                        pool: tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]
-                        ) -> tuple[float, np.ndarray]:
+                        pool: tuple) -> tuple[float, np.ndarray]:
     """Soft-mask objective and its exact gradient with respect to r.
 
     Loss = sum over visible tasks of the task's mean data loss (averaged over
@@ -257,16 +267,15 @@ def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: Sequenti
     count; an unnormalized sum would bury the data signal. The gradient chains
     the parameter gradient through the merge direction and sigmoid'(r).
 
-    `pool` is the step's (inputs, labels or None, row weights, row indices): the
-    rows and labels of `_row_pool`, the `_row_weights` of the batches' lengths
-    and the batches' row indices, flat in gather order, which the weighted pass
-    gathers; `task_batches` holds each task's view of them, for wrappers. r, the
-    objective and spec are checked once per step, the strategy by `MergePlan`.
+    `pool`, from `_bind_pool`, holds the rows and labels of `_row_pool`, their row
+    weights and the batches' row indices, flat in gather order, which the weighted
+    pass gathers into the pool's buffer; `task_batches` holds each task's view of
+    them, for wrappers. r, the objective and spec are checked once per step, the
+    strategy by `MergePlan`.
     """
-    pool_inputs, pool_labels, weights, rows = pool
-    if len(rows) != len(weights):
-        raise ContractError(f"{len(weights)} row weights for {len(rows)} batch rows")
-    inputs = np.take(pool_inputs, rows, axis=0)
+    pool_inputs, pool_labels, weights, rows, theta, layers, gathered = pool
+    # mode="raise" would copy `out` through a buffer; the rows index the pool
+    inputs = np.take(pool_inputs, rows, axis=0, out=gathered, mode="clip")
     labels = None if objective == "entropy" else np.take(pool_labels, rows)
     m = sigmoid(r)
     rest = 1.0 - m
@@ -279,8 +288,8 @@ def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: Sequenti
     else:
         tau_values = rest * state.tau_seq.values + tau_j.values
         direction = -state.tau_seq.values
-    data_loss, grad = weighted_loss_and_grad(spec, theta_pre.values + tau_values, inputs,
-                                             labels, weights)
+    np.add(theta_pre.values, tau_values, out=theta)
+    data_loss, grad = weighted_loss_and_grad(spec, layers, inputs, labels, weights)
     sig_grad = m * rest
     # np.mean's bits without its overhead
     loss = data_loss + l1_weight * float(m.sum() / m.size)
@@ -313,15 +322,16 @@ def optimize_mask(spec: ModelSpec, theta_pre: ParamVector, state: SequentialStat
     The step is checked once, before it draws: theta_pre's spec here, the
     objective and the visible tasks' credible rows in `_row_pool`, which stacks
     the rows into one pool, and the pool's labels against the spec's classes.
-    Every batch of a task has min(n, batch_size) rows, so the row weights, the
+    Every batch of a task has min(n, batch_size) rows, so the pool binding, the
     flat buffer of row indices and each task's (batches_per_task, rows) view of
     it are made once, the whole set written in when n <= batch_size. Each
     iteration overwrites the other tasks' views, in visible order, with the
-    first entries of one `rng.permuted` row of arange(n) per batch: a wrapper
-    of the objective that keeps them must copy them. r is updated in place and
-    checked to be finite once, by the final `RealMask`. The objective trace
-    holds the pre-step loss per iteration; the density trace holds the
-    rounded-mask density before the first and after every step.
+    first entries of one `rng.permuted` row of arange(n) per batch, one call per
+    run of tasks with sets of one size: a wrapper of the objective that keeps
+    them must copy them. r is updated in place and checked to be finite once,
+    by the final `RealMask`. The objective trace holds the pre-step loss per
+    iteration; the density trace holds the rounded-mask density before the
+    first and after every step.
     """
     if theta_pre.spec != spec:
         raise ContractError(f"theta_pre is bound to {theta_pre.spec}, not to {spec}")
@@ -335,20 +345,26 @@ def optimize_mask(spec: ModelSpec, theta_pre: ParamVector, state: SequentialStat
                            for (first, _), w in zip(spans.values(), widths)])
     views = np.split(rows, np.cumsum([per_task * w for w in widths])[:-1])
     task_batches = {t: v.reshape(per_task, w) for t, v, w in zip(spans, views, widths)}
-    pool = (inputs, labels, _row_weights([[w] * per_task for w in widths]), rows)
-    # per drawn set size: one read-only row of arange(n) per batch, and their shuffles
-    orders = {n: (np.broadcast_to(np.arange(n), (per_task, n)), np.empty((per_task, n), np.int64))
-              for _, n in spans.values() if n > k}
-    draws = [(first, *orders[n], task_batches[t]) for t, (first, n) in spans.items() if n > k]
+    pool = _bind_pool(spec, inputs, labels, [[w] * per_task for w in widths], rows)
+    # per run of consecutive tasks with drawn sets of one size n: a read-only row of
+    # arange(n) per batch, their shuffles, each batch's first row and the run's view
+    draws, end = [], 0
+    for n, run in groupby(spans.values(), key=lambda span: span[1]):
+        firsts = np.repeat([first for first, _ in run], per_task)[:, None]
+        end += len(firsts) * min(n, k)
+        if n > k:
+            draws.append((np.broadcast_to(np.arange(n), (len(firsts), n)),
+                          np.empty((len(firsts), n), np.int64), firsts,
+                          rows[end - len(firsts) * k : end].reshape(-1, k)))
     r = init.r.copy()
     objective_trace = np.zeros(plan.iterations_per_task)
     density_trace = np.zeros(plan.iterations_per_task + 1)
     # exactly np.mean(r >= 0.0): an exact count over the same size
     density_trace[0] = np.count_nonzero(r >= 0.0) / r.size
     for it in range(plan.iterations_per_task):
-        for first, order, shuffled, view in draws:
+        for order, shuffled, firsts, view in draws:
             rng.permuted(order, axis=1, out=shuffled)
-            np.add(shuffled[:, :k], first, out=view)
+            np.add(shuffled[:, :k], firsts, out=view)
         loss, grad_r = consensus_objective(spec, theta_pre, state, tau_j, r, task_batches,
                                            plan.l1_weight, plan.strategy, objective, pool)
         objective_trace[it] = loss

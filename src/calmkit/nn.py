@@ -14,7 +14,10 @@ features) stacks against (T, P) parameters, one np.matmul per layer.
 on (features, rows) blocks of ROW_BLOCK rows: the layers are 5 to 32 features
 wide at the default size, and numpy's per-call cost on rows that narrow, in
 the bias add, the activation and the loss kernel, outweighed their
-arithmetic; feature-major, each of those calls spans a block's rows.
+arithmetic; feature-major, each of those calls spans a block's rows. Both
+kernels run in loops that bind once what each call reuses: the `layer_views`
+of the parameter buffer that the loop updates or refills in place and, for
+training (`bind_training`), one gradient buffer that each call overwrites.
 """
 from __future__ import annotations
 
@@ -120,16 +123,11 @@ def init_params(spec: ModelSpec, seed) -> ParamVector:
     return bind(spec, values)
 
 
-def _layers(spec: ModelSpec, values: np.ndarray):
+def layer_views(spec: ModelSpec, values: np.ndarray):
     """Views of (W, b) per layer, W (fan_in, fan_out); a (T, P) stack gives (T, ...) views."""
-    out = []
-    pos = 0
-    for fi, fo in spec.layer_dims:
-        w = values[..., pos : pos + fi * fo].reshape(*values.shape[:-1], fi, fo)
-        b = values[..., pos + fi * fo : pos + (fi + 1) * fo]
-        out.append((w, b))
-        pos += (fi + 1) * fo
-    return out
+    return [(values[..., start : start + fi * fo].reshape(*values.shape[:-1], fi, fo),
+             values[..., start + fi * fo : start + size])
+            for (start, size), (fi, fo) in zip(spec.layer_offsets(), spec.layer_dims)]
 
 
 def _activate(spec: ModelSpec, z: np.ndarray):
@@ -148,14 +146,14 @@ def _activation_grad(spec: ModelSpec, dz: np.ndarray, a: np.ndarray):
         dz *= 1.0 - a * a
 
 
-def _forward_acts(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray) -> list[np.ndarray]:
-    """Per-layer post-activation values; acts[0] is the input, acts[-1] the logits.
+def _forward_acts(spec: ModelSpec, layers: list, inputs: np.ndarray) -> list[np.ndarray]:
+    """Per-layer post-activation values through the `layer_views` of the parameters;
+    acts[0] is the input, acts[-1] the logits.
 
     The bias and the activation are applied in place on the product, so each
     layer allocates one array; the values are those of `act(a @ w + b)`.
     """
     acts = [inputs]
-    layers = _layers(spec, values)
     for idx, (w, b) in enumerate(layers):
         z = acts[-1] @ w
         z += b[..., None, :]
@@ -176,7 +174,7 @@ def forward(spec: ModelSpec, params: ParamVector, inputs: np.ndarray) -> np.ndar
         raise ContractError(
             f"inputs axis 1 has {inputs.shape[1]} features, spec.input_dim is {spec.input_dim}"
         )
-    return _forward_acts(spec, params.values, inputs)[-1]
+    return _forward_acts(spec, layer_views(spec, params.values), inputs)[-1]
 
 
 def check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -196,81 +194,83 @@ def prediction_entropy(logits: np.ndarray):
     return float(h[0]) if z.ndim == 1 else h
 
 
-def _loss_and_dlogits(logits: np.ndarray, labels: np.ndarray | None
+def _loss_and_dlogits(logits: np.ndarray, at: np.ndarray | None
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Per-column loss and its gradient with respect to that column's logits.
 
-    Logits are class-first, (classes, rows) or (T, classes, rows) with labels
-    (rows,) or (T, rows), and every reduction runs over axis -2. With labels the
-    loss is cross-entropy, -log p[label], with gradient p - onehot(label); with
-    `labels=None` it is the prediction entropy H = -sum p log p, with gradient
-    -p * (log p + H). The softmax is computed once, shifted by the column maximum.
+    Logits are class-first, (classes, rows) or (T, classes, rows), and every
+    reduction runs over axis -2. With `at`, (rows,) or (T, rows), each column's flat
+    position of its label in the logits' memory, the loss is cross-entropy, -log
+    p[label], with gradient p - onehot(label); with `at=None` it is the prediction
+    entropy H = -sum p log p, with gradient -p * (log p + H). The softmax is
+    computed once, shifted by the column maximum, and p keeps the logits' layout.
     A row-major caller passes `z.swapaxes(-1, -2)`, a view, so each reduction runs
     along one of z's contiguous rows. Callers scale the gradient columns by their
     reduction (a mean, or weights).
 
-    Cross-entropy reads log p only at the labels, through a one-hot mask that works
-    on every layout, so the write into p stays in place on a view: -(shifted[label]
-    - log(total)) and p - onehot are the bits of -log p[label] and p[label] - 1.
+    Cross-entropy reads only the label entries, so an infinite logit elsewhere stays
+    out: -(shifted[label] - log(total)) and p[label] -= 1 on a flat view of p are the
+    bits of -log p[label] and p - onehot.
     """
     shifted = logits - logits.max(axis=-2, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=-2, keepdims=True)
     p = e / total
-    if labels is None:
+    if at is None:
         logp = shifted - np.log(total)
         losses = -np.sum(p * logp, axis=-2, keepdims=True)
         p *= logp + losses
         np.negative(p, out=p)
         return losses[..., 0, :], p
-    onehot = labels[..., None, :] == np.arange(p.shape[-2])[:, None]
-    p -= onehot
-    # the label's entry plus exact zeros; np.where keeps an infinite logit elsewhere out
-    losses = np.where(onehot, shifted, 0.0).sum(axis=-2)
+    p.ravel("K")[at] -= 1.0
+    losses = np.take(shifted.ravel("K"), at)
     losses -= np.log(total)[..., 0, :]
     return np.negative(losses, out=losses), p
 
 
-def _backward(spec: ModelSpec, acts: list[np.ndarray], values: np.ndarray,
-              dlogits: np.ndarray) -> np.ndarray:
-    """Reverse-mode gradient of a scalar loss given dL/dlogits; a stack gives (T, P)."""
-    layers = _layers(spec, values)
-    grad = np.zeros(values.shape)
-    grads = _layers(spec, grad)
-    dz = dlogits
-    for idx in range(len(layers) - 1, -1, -1):
+def bind_training(spec: ModelSpec, values: np.ndarray, batch_shapes) -> tuple:
+    """What a training loop binds once for `loss_and_grad`: the layer views of the (P,)
+    or (T, P) `values` it updates in place, one gradient buffer and its views, and per
+    batch shape, (rows,) or (T, rows), each row's flat offset in the row-major logits."""
+    grad = np.empty(values.shape)
+    offsets = {shape: spec.num_classes * np.arange(np.prod(shape, dtype=int)).reshape(shape)
+               for shape in batch_shapes}
+    return layer_views(spec, values), grad, layer_views(spec, grad), offsets
+
+
+def loss_and_grad(spec: ModelSpec, bound: tuple, inputs: np.ndarray, labels: np.ndarray
+                  ) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean cross-entropy of the row-major pass and its exact gradient with respect to
+    the flat parameters of `spec` that `bound`, from `bind_training`, views; a (T, P)
+    stack with (T, rows, features) inputs and (T, rows) labels gives T losses and a
+    (T, P) gradient. The gradient is the bound buffer, which the next call overwrites.
+
+    The training step's kernel checks nothing: its loop checks the inputs and labels
+    once, and the parameters' finiteness after its last step.
+    """
+    layers, grad, grads, offsets = bound
+    acts = _forward_acts(spec, layers, inputs)
+    losses, dz = _loss_and_dlogits(acts[-1].swapaxes(-1, -2), offsets[labels.shape] + labels)
+    dz = dz.swapaxes(-1, -2)
+    # the mean, not a 1/n row weight: `dz / n` and `dz * (1 / n)` differ in the last bit
+    dz /= labels.shape[-1]
+    for idx in range(len(layers) - 1, -1, -1):  # every entry of the gradient is overwritten
         (w, _), (grad_w, grad_b) = layers[idx], grads[idx]
         np.matmul(acts[idx].swapaxes(-1, -2), dz, out=grad_w)
         dz.sum(axis=-2, out=grad_b)
         if idx > 0:
             dz = dz @ w.swapaxes(-1, -2)
             _activation_grad(spec, dz, acts[idx])
-    return grad
-
-
-def loss_and_grad(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray, labels: np.ndarray
-                  ) -> tuple[float | np.ndarray, np.ndarray]:
-    """Mean cross-entropy of the row-major pass and its exact gradient with respect to
-    the flat parameters `values` of `spec`; a (T, P) stack with (T, rows, features)
-    inputs and (T, rows) labels gives T losses and a (T, P) gradient.
-
-    The training step's kernel checks nothing: its loop checks the inputs and labels
-    once, and the parameters' finiteness after its last step.
-    """
-    acts = _forward_acts(spec, values, inputs)
-    losses, dz = _loss_and_dlogits(acts[-1].swapaxes(-1, -2), labels)
-    dz = dz.swapaxes(-1, -2)
-    # the mean, not a 1/n row weight: `dz / n` and `dz * (1 / n)` differ in the last bit
-    dz /= labels.shape[-1]
     # np.mean's bits without its overhead; one model's loss is a np.float64, a float
-    return losses.sum(axis=-1) / labels.shape[-1], _backward(spec, acts, values, dz)
+    return losses.sum(axis=-1) / labels.shape[-1], grad
 
 
-def weighted_loss_and_grad(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray,
+def weighted_loss_and_grad(spec: ModelSpec, layers: list, inputs: np.ndarray,
                            labels: np.ndarray | None, weights: np.ndarray
                            ) -> tuple[float, np.ndarray]:
     """sum(weights * per-row loss) over (rows, features) inputs, and its exact
-    gradient with respect to the flat parameters `values` of `spec`.
+    gradient with respect to the flat parameters of `spec` that `layers`, the
+    `layer_views` of the loop's parameter buffer, view.
 
     The loss is cross-entropy with labels and the prediction entropy with
     `labels=None`. The pass is the feature-major one of the module docstring;
@@ -280,11 +280,10 @@ def weighted_loss_and_grad(spec: ModelSpec, values: np.ndarray, inputs: np.ndarr
     The mask objective's kernel checks nothing: `calm.optimize_mask` checks the
     labels of its row pool once per step.
     """
-    layers = _layers(spec, values)
     columns = inputs.T  # (features, rows), a view
     loss = 0.0
-    grad = np.zeros(values.size)
-    grads = _layers(spec, grad)
+    grad = np.zeros(spec.parameter_count)  # += from zeros: a written first block keeps -0.0
+    grads = layer_views(spec, grad)
     for start in range(0, columns.shape[1], ROW_BLOCK):
         cols = slice(start, start + ROW_BLOCK)
         acts = [columns[:, cols]]
@@ -294,7 +293,9 @@ def weighted_loss_and_grad(spec: ModelSpec, values: np.ndarray, inputs: np.ndarr
             if idx < len(layers) - 1:
                 _activate(spec, z)
             acts.append(z)
-        losses, dz = _loss_and_dlogits(acts[-1], None if labels is None else labels[cols])
+        # column j's label sits at label * width + j of the C-contiguous (classes, width) z
+        at = None if labels is None else labels[cols] * z.shape[1] + np.arange(z.shape[1])
+        losses, dz = _loss_and_dlogits(acts[-1], at)
         loss += float(losses @ weights[cols])
         dz *= weights[cols]
         for idx in range(len(layers) - 1, -1, -1):

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import (ContractError, ModelSpec, ParamVector, check_labels, forward, init_params,
-                 loss_and_grad, read_only, sgd_step)
+from .nn import (ContractError, ModelSpec, ParamVector, bind_training, check_labels, forward,
+                 init_params, loss_and_grad, read_only, sgd_step)
 from .seeding import STAGE_DATA, STAGE_FINETUNE, STAGE_INIT, STAGE_PRETRAIN, rng_for
 
 # Most parameters in one fine-tuning stack: finetune_all trains its tasks in groups of T
@@ -226,15 +226,18 @@ def _sgd_train(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray, labels: 
                freeze_head: bool = False):
     """Minibatch SGD on `values` in place: (P,) values on (n, d) inputs and (n,) labels in
     the row order of rngs[0], or a (T, P) stack on (T, n, d) and (T, n), model t in the
-    order of rngs[t]. Each step is one `loss_and_grad` call and one `sgd_step` per model."""
+    order of rngs[t]. Each step is one `loss_and_grad` call and one `sgd_step` per model,
+    through views bound once per run: `nn.bind_training`'s and each model's gradient row."""
     if inputs.shape[-1] != spec.input_dim:
         raise ContractError(f"inputs have {inputs.shape[-1]} features, not {spec.input_dim}")
     check_labels(labels, spec.num_classes)
     n = inputs.shape[-2]
     # rows are drawn as indices into the flattened stack: one plain row gather per step
     flat_inputs, flat_labels = inputs.reshape(-1, spec.input_dim), labels.reshape(-1)
-    models = values.reshape(-1, spec.parameter_count)  # row views of values
-    head_start = spec.layer_offsets()[-1][0]
+    bound = bind_training(spec, values, {(*labels.shape[:-1], min(batch_size, n - lo))
+                                         for lo in range(0, n, batch_size)})
+    models = list(zip(values.reshape(len(rngs), -1), bound[1].reshape(len(rngs), -1)))
+    head = bound[1][..., spec.layer_offsets()[-1][0] :]
     # numpy's overflow warnings are silenced: a step that goes non-finite leaves every
     # later one non-finite, so one check after the last step reports the divergence
     with np.errstate(over="ignore", invalid="ignore"):
@@ -243,10 +246,10 @@ def _sgd_train(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray, labels: 
             order = order.reshape(labels.shape)
             for lo in range(0, n, batch_size):
                 rows = order[..., lo : lo + batch_size]
-                _, grad = loss_and_grad(spec, values, flat_inputs[rows], flat_labels[rows])
+                loss_and_grad(spec, bound, flat_inputs[rows], flat_labels[rows])  # into bound[1]
                 if freeze_head:
-                    grad[..., head_start:] = 0.0
-                for model, model_grad in zip(models, grad.reshape(models.shape)):
+                    head.fill(0.0)
+                for model, model_grad in models:
                     sgd_step(model, model_grad, lr)
     if not np.all(np.isfinite(values)):
         raise ContractError(f"training diverged at learning rate {lr}: the parameters "

@@ -1,15 +1,17 @@
 """Reference helpers that the tests compare the library against."""
 import numpy as np
 
+from calmkit import nn
 from calmkit.calm import (
     RealMask,
     StepArtifact,
+    _bind_pool,
     _row_pool,
-    _row_weights,
     binarize,
     consensus_objective,
 )
-from calmkit.nn import ContractError, _loss_and_dlogits, check_labels
+from calmkit.nn import (ROW_BLOCK, ContractError, ModelSpec, _activate, _activation_grad,
+                        check_labels, sgd_step)
 from calmkit.tasks import (
     Checkpoints,
     TaskData,
@@ -32,7 +34,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean over the batch of -log softmax(logits)[label], by the library's loss kernel."""
-    z = np.asarray(logits, dtype=np.float64)
+    z = np.ascontiguousarray(logits, dtype=np.float64)
     if z.ndim == 1:
         z = z[None, :]
     labels = check_labels(np.asarray(labels, dtype=np.int64).reshape(-1), z.shape[1])
@@ -40,7 +42,8 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
         raise ContractError(f"{labels.shape[0]} labels for {z.shape[0]} logit rows")
     if not np.all(np.isfinite(z)):
         raise ContractError("cross_entropy requires finite logits")
-    return float(np.mean(_loss_and_dlogits(z.T, labels)[0]))
+    at = z.shape[1] * np.arange(len(z)) + labels  # each label's flat position in z
+    return float(np.mean(nn._loss_and_dlogits(z.T, at)[0]))
 
 
 def loss_and_dlogits(logits: np.ndarray, labels: np.ndarray | None
@@ -62,6 +65,182 @@ def loss_and_dlogits(logits: np.ndarray, labels: np.ndarray | None
     at = (*tasks, labels, cols)
     p[at] -= 1.0
     return -logp[at], p
+
+
+# The training step, the mask objective's weighted pass and the training loop as they
+# were before the loops bound their layer views and gradient buffer once and the loss
+# kernel read cross-entropy at each label's flat position: the library's bound kernels
+# must match them bit for bit.
+def _layers(spec: ModelSpec, values: np.ndarray):
+    """Views of (W, b) per layer, W (fan_in, fan_out); a (T, P) stack gives (T, ...) views."""
+    out = []
+    pos = 0
+    for fi, fo in spec.layer_dims:
+        w = values[..., pos : pos + fi * fo].reshape(*values.shape[:-1], fi, fo)
+        b = values[..., pos + fi * fo : pos + (fi + 1) * fo]
+        out.append((w, b))
+        pos += (fi + 1) * fo
+    return out
+
+
+def _forward_acts(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray) -> list[np.ndarray]:
+    """Per-layer post-activation values; acts[0] is the input, acts[-1] the logits.
+
+    The bias and the activation are applied in place on the product, so each
+    layer allocates one array; the values are those of `act(a @ w + b)`.
+    """
+    acts = [inputs]
+    layers = _layers(spec, values)
+    for idx, (w, b) in enumerate(layers):
+        z = acts[-1] @ w
+        z += b[..., None, :]
+        if idx < len(layers) - 1:
+            _activate(spec, z)
+        acts.append(z)
+    return acts
+
+
+def _loss_and_dlogits(logits: np.ndarray, labels: np.ndarray | None
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column loss and its gradient with respect to that column's logits.
+
+    Logits are class-first, (classes, rows) or (T, classes, rows) with labels
+    (rows,) or (T, rows), and every reduction runs over axis -2. With labels the
+    loss is cross-entropy, -log p[label], with gradient p - onehot(label); with
+    `labels=None` it is the prediction entropy H = -sum p log p, with gradient
+    -p * (log p + H). The softmax is computed once, shifted by the column maximum.
+    A row-major caller passes `z.swapaxes(-1, -2)`, a view, so each reduction runs
+    along one of z's contiguous rows. Callers scale the gradient columns by their
+    reduction (a mean, or weights).
+
+    Cross-entropy reads log p only at the labels, through a one-hot mask that works
+    on every layout, so the write into p stays in place on a view: -(shifted[label]
+    - log(total)) and p - onehot are the bits of -log p[label] and p[label] - 1.
+    """
+    shifted = logits - logits.max(axis=-2, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-2, keepdims=True)
+    p = e / total
+    if labels is None:
+        logp = shifted - np.log(total)
+        losses = -np.sum(p * logp, axis=-2, keepdims=True)
+        p *= logp + losses
+        np.negative(p, out=p)
+        return losses[..., 0, :], p
+    onehot = labels[..., None, :] == np.arange(p.shape[-2])[:, None]
+    p -= onehot
+    # the label's entry plus exact zeros; np.where keeps an infinite logit elsewhere out
+    losses = np.where(onehot, shifted, 0.0).sum(axis=-2)
+    losses -= np.log(total)[..., 0, :]
+    return np.negative(losses, out=losses), p
+
+
+def _backward(spec: ModelSpec, acts: list[np.ndarray], values: np.ndarray,
+              dlogits: np.ndarray) -> np.ndarray:
+    """Reverse-mode gradient of a scalar loss given dL/dlogits; a stack gives (T, P)."""
+    layers = _layers(spec, values)
+    grad = np.zeros(values.shape)
+    grads = _layers(spec, grad)
+    dz = dlogits
+    for idx in range(len(layers) - 1, -1, -1):
+        (w, _), (grad_w, grad_b) = layers[idx], grads[idx]
+        np.matmul(acts[idx].swapaxes(-1, -2), dz, out=grad_w)
+        dz.sum(axis=-2, out=grad_b)
+        if idx > 0:
+            dz = dz @ w.swapaxes(-1, -2)
+            _activation_grad(spec, dz, acts[idx])
+    return grad
+
+
+def loss_and_grad(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray, labels: np.ndarray
+                  ) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean cross-entropy of the row-major pass and its exact gradient with respect to
+    the flat parameters `values` of `spec`; a (T, P) stack with (T, rows, features)
+    inputs and (T, rows) labels gives T losses and a (T, P) gradient.
+
+    The training step's kernel checks nothing: its loop checks the inputs and labels
+    once, and the parameters' finiteness after its last step.
+    """
+    acts = _forward_acts(spec, values, inputs)
+    losses, dz = _loss_and_dlogits(acts[-1].swapaxes(-1, -2), labels)
+    dz = dz.swapaxes(-1, -2)
+    # the mean, not a 1/n row weight: `dz / n` and `dz * (1 / n)` differ in the last bit
+    dz /= labels.shape[-1]
+    # np.mean's bits without its overhead; one model's loss is a np.float64, a float
+    return losses.sum(axis=-1) / labels.shape[-1], _backward(spec, acts, values, dz)
+
+
+def weighted_loss_and_grad(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray,
+                           labels: np.ndarray | None, weights: np.ndarray
+                           ) -> tuple[float, np.ndarray]:
+    """sum(weights * per-row loss) over (rows, features) inputs, and its exact
+    gradient with respect to the flat parameters `values` of `spec`.
+
+    The loss is cross-entropy with labels and the prediction entropy with
+    `labels=None`. The pass is the feature-major one of the module docstring;
+    its sums run in another order than a row-major per-batch loop, so its
+    results differ from one in the last bits.
+
+    The mask objective's kernel checks nothing: `calm.optimize_mask` checks the
+    labels of its row pool once per step.
+    """
+    layers = _layers(spec, values)
+    columns = inputs.T  # (features, rows), a view
+    loss = 0.0
+    grad = np.zeros(values.size)
+    grads = _layers(spec, grad)
+    for start in range(0, columns.shape[1], ROW_BLOCK):
+        cols = slice(start, start + ROW_BLOCK)
+        acts = [columns[:, cols]]
+        for idx, (w, b) in enumerate(layers):
+            z = w.T @ acts[-1]
+            z += b[:, None]
+            if idx < len(layers) - 1:
+                _activate(spec, z)
+            acts.append(z)
+        losses, dz = _loss_and_dlogits(acts[-1], None if labels is None else labels[cols])
+        loss += float(losses @ weights[cols])
+        dz *= weights[cols]
+        for idx in range(len(layers) - 1, -1, -1):
+            (w, _), (grad_w, grad_b) = layers[idx], grads[idx]
+            grad_w += acts[idx] @ dz.T
+            grad_b += dz.sum(axis=1)
+            if idx > 0:
+                dz = w @ dz
+                _activation_grad(spec, dz, acts[idx])
+    return loss, grad
+
+
+def _sgd_train(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray, labels: np.ndarray,
+               epochs: int, lr: float, batch_size: int, rngs: list[np.random.Generator],
+               freeze_head: bool = False):
+    """Minibatch SGD on `values` in place: (P,) values on (n, d) inputs and (n,) labels in
+    the row order of rngs[0], or a (T, P) stack on (T, n, d) and (T, n), model t in the
+    order of rngs[t]. Each step is one `loss_and_grad` call and one `sgd_step` per model."""
+    if inputs.shape[-1] != spec.input_dim:
+        raise ContractError(f"inputs have {inputs.shape[-1]} features, not {spec.input_dim}")
+    check_labels(labels, spec.num_classes)
+    n = inputs.shape[-2]
+    # rows are drawn as indices into the flattened stack: one plain row gather per step
+    flat_inputs, flat_labels = inputs.reshape(-1, spec.input_dim), labels.reshape(-1)
+    models = values.reshape(-1, spec.parameter_count)  # row views of values
+    head_start = spec.layer_offsets()[-1][0]
+    # numpy's overflow warnings are silenced: a step that goes non-finite leaves every
+    # later one non-finite, so one check after the last step reports the divergence
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            order = np.stack([rng.permutation(n) + t * n for t, rng in enumerate(rngs)])
+            order = order.reshape(labels.shape)
+            for lo in range(0, n, batch_size):
+                rows = order[..., lo : lo + batch_size]
+                _, grad = loss_and_grad(spec, values, flat_inputs[rows], flat_labels[rows])
+                if freeze_head:
+                    grad[..., head_start:] = 0.0
+                for model, model_grad in zip(models, grad.reshape(models.shape)):
+                    sgd_step(model, model_grad, lr)
+    if not np.all(np.isfinite(values)):
+        raise ContractError(f"training diverged at learning rate {lr}: the parameters "
+                            "are no longer finite; lower the learning rate")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -97,7 +276,7 @@ def optimize_mask(spec, theta_pre, state, tau_j, task_data, init, plan, rng,
     if labels is not None:
         check_labels(labels, spec.num_classes)
     k, per_task = plan.batch_size, plan.batches_per_task
-    weights = _row_weights([[min(n, k)] * per_task for _, n in spans.values()])
+    batch_rows = [[min(n, k)] * per_task for _, n in spans.values()]
     whole = {t: [first + np.arange(n)] * per_task
              for t, (first, n) in spans.items() if n <= k}
     orders = {n: np.broadcast_to(np.arange(n), (per_task, n)) for _, n in spans.values() if n > k}
@@ -112,7 +291,7 @@ def optimize_mask(spec, theta_pre, state, tau_j, task_data, init, plan, rng,
         rows = np.concatenate([idx for t in state.visible_tasks for idx in task_batches[t]])
         loss, grad_r = consensus_objective(
             spec, theta_pre, state, tau_j, RealMask(r).r, task_batches, plan.l1_weight,
-            plan.strategy, objective, (inputs, labels, weights, rows),
+            plan.strategy, objective, _bind_pool(spec, inputs, labels, batch_rows, rows),
         )
         objective_trace[it] = loss
         r = r - plan.mask_lr * grad_r

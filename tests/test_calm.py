@@ -12,8 +12,8 @@ from calmkit.calm import (
     MergePlan,
     RealMask,
     SequentialState,
+    _bind_pool,
     _row_pool,
-    _row_weights,
     binarize,
     consensus_objective,
     efficient_merge,
@@ -28,15 +28,13 @@ from calmkit.nn import (
     ROW_BLOCK,
     ContractError,
     ModelSpec,
-    _backward,
-    _forward_acts,
     bind,
     forward,
     init_params,
 )
 from calmkit.sampling import score_pool, select_cb_ems
 from calmkit.tasks import Checkpoints, TaskFamily, TrainConfig
-from reference import build_checkpoints, cross_entropy, softmax
+from reference import _backward, _forward_acts, build_checkpoints, cross_entropy, softmax
 from reference import optimize_mask as reference_optimize_mask
 from reference import sigmoid as reference_sigmoid
 
@@ -111,7 +109,8 @@ def objective_on_batches(spec, theta_pre, state, tau_j, mask, batches, l1_weight
     rows = np.arange(len(inputs))
     index = {t: np.split(rows[first:first + n], np.cumsum([len(x) for x, _ in batches[t]])[:-1])
              for t, (first, n) in spans.items()}
-    pool = (inputs, labels, _row_weights([[len(x) for x, _ in batches[t]] for t in spans]), rows)
+    pool = _bind_pool(spec, inputs, labels, [[len(x) for x, _ in batches[t]] for t in spans],
+                      rows)
     return consensus_objective(spec, theta_pre, state, tau_j, mask.r, index, l1_weight,
                                strategy, objective, pool)
 
@@ -404,12 +403,10 @@ class TestConsensusObjective:
         data = {t: (np.concatenate([x for x, _ in bs]), np.concatenate([y for _, y in bs]))
                 for t, bs in batches.items()}
         inputs, labels, spans = _row_pool(state.visible_tasks, data, "cross_entropy")
-        index = {t: [np.arange(first, first + n)] for t, (first, n) in spans.items()}
-        pool = (inputs, labels, _row_weights([[n - 1] for _, n in spans.values()]),
-                np.arange(len(inputs)))
+        # checked once per step, where the pool is bound, not on every objective call
         with pytest.raises(ContractError, match="row weights"):
-            consensus_objective(SPEC, theta_pre, state, tau_j, seeded_mask(0).r, index,
-                                1.0, "both", "cross_entropy", pool)
+            _bind_pool(SPEC, inputs, labels, [[n - 1] for _, n in spans.values()],
+                       np.arange(len(inputs)))
 
     def test_loss_includes_normalized_l1(self):
         theta_pre, state, tau_j, batches = small_setup()
@@ -498,10 +495,13 @@ class TestOptimizeMask:
             self, generator, data, seed, batches_per_task, iterations, strategy, objective,
             mask_lr):
         # sets under, at, just above and well above the batch size, visible out of id order
+        # in runs of 1 to 4 consecutive tasks whose sets have the same size
         k = data.draw(st.sampled_from([1, 2, 5, 16]))
-        sizes = data.draw(st.lists(st.sampled_from([max(1, k - 1), k, k + 1, 8 * k + 3]),
-                                   min_size=1, max_size=4))
-        visible = tuple(data.draw(st.permutations(range(len(sizes)))))
+        runs = data.draw(st.lists(st.tuples(st.sampled_from([max(1, k - 1), k, k + 1, 8 * k + 3]),
+                                            st.integers(1, 4)), min_size=1, max_size=3))
+        in_visible_order = [n for n, length in runs for _ in range(length)]
+        visible = tuple(data.draw(st.permutations(range(len(in_visible_order)))))
+        sizes = [n for _, n in sorted(zip(visible, in_visible_order))]
         values = np.random.default_rng(seed)
         task_data = {t: (values.standard_normal((n, 3)),
                          None if objective == "entropy" else values.integers(0, 3, n))

@@ -65,6 +65,27 @@ class TestTally:
                                                   "report.csv: 0 of 1 differ on same"]
 
 
+    def test_one_line_per_workload_group(self, tmp_path):
+        parent = {"default/seed00/report.csv": "1", "order/seed00/summary.csv": "s",
+                  "branches/tanh/seed00/report.csv": "t", "branches/wide/seed00/report.csv": "w"}
+        change = {**parent, "branches/wide/seed00/report.csv": "x"}
+        assert compare_artifacts.tally(sides(tmp_path, parent, change),
+                                       compare_artifacts.workload) == [
+            "branches/: 1 of 2 differ",
+            "default/: 0 of 1 differ",
+            "order/: 0 of 1 differ",
+        ]
+
+
+def test_every_branch_resolves_to_a_config_of_its_own():
+    from calmkit.bench.config import build_config
+
+    runs = [{}, *compare_artifacts.BRANCHES.values(), compare_artifacts.WIDE]
+    configs = {repr(build_config({"report": compare_artifacts.TRACED_REPORT, **overrides}))
+               for overrides in runs}
+    assert len(configs) == len(runs)
+
+
 class TestPairedAccuracy:
     def test_equal_averages_print_nothing(self, tmp_path):
         files = {f"default/seed0{s}/report.csv": report(0.9 + s / 100) for s in range(3)}

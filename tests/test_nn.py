@@ -2,17 +2,22 @@ import numpy as np
 import pytest
 
 from calmkit.nn import (
+    ROW_BLOCK,
     ContractError,
     ModelSpec,
     ParamVector,
     _loss_and_dlogits,
     bind,
+    bind_training,
     forward,
     init_params,
+    layer_views,
     loss_and_grad,
     prediction_entropy,
     sgd_step,
+    weighted_loss_and_grad,
 )
+import reference
 from reference import cross_entropy, loss_and_dlogits, softmax
 
 
@@ -71,6 +76,18 @@ def mean_reduction_loss_and_grad(spec, values, inputs, labels):
             a = acts[idx]
             dz = da * (a > 0.0) if spec.activation == "relu" else da * (1.0 - a * a)
     return loss, np.concatenate(grads)
+
+
+def bound_loss_and_grad(spec, values, inputs, labels):
+    """`loss_and_grad` through a binding of `values` made as the training loop makes one."""
+    return loss_and_grad(spec, bind_training(spec, values, {labels.shape}), inputs, labels)
+
+
+def label_positions(logits, labels):
+    """Each column's flat position of its label in the memory of class-first logits."""
+    steps = [stride // logits.itemsize for stride in logits.strides]
+    *tasks, cols = np.indices(labels.shape, sparse=True)
+    return labels * steps[-2] + cols * steps[-1] + sum(i * s for i, s in zip(tasks, steps[:-2]))
 
 
 def zero_params(spec):
@@ -232,7 +249,7 @@ class TestLossAndGrad:
         # bias-only toy: zero inputs, the two labels balance exactly
         spec = ModelSpec(1, (), 2)
         inputs, labels = np.zeros((2, 1)), np.array([0, 1])
-        _, grad = loss_and_grad(spec, zero_params(spec).values, inputs, labels)
+        _, grad = bound_loss_and_grad(spec, zero_params(spec).values, inputs, labels)
         assert np.allclose(grad, 0.0, rtol=0, atol=1e-15)
 
     def test_matches_finite_differences_tanh(self):
@@ -240,7 +257,7 @@ class TestLossAndGrad:
         rng = np.random.default_rng(23)
         params = init_params(spec, 23)
         inputs, labels = rng.standard_normal((8, 5)), rng.integers(0, 4, size=8)
-        _, analytic = loss_and_grad(spec, params.values, inputs, labels)
+        _, analytic = bound_loss_and_grad(spec, params.values, inputs, labels)
 
         def f(values):
             return cross_entropy(forward(spec, bind(spec, values), inputs), labels)
@@ -254,7 +271,7 @@ class TestLossAndGrad:
         rng = np.random.default_rng(29)
         params = init_params(spec, 29)
         inputs, labels = rng.standard_normal((16, 3)), rng.integers(0, 3, size=16)
-        loss, grad = loss_and_grad(spec, params.values, inputs, labels)
+        loss, grad = bound_loss_and_grad(spec, params.values, inputs, labels)
         assert grad @ grad > 0.0
         stepped = params.values.copy()
         sgd_step(stepped, grad, 1e-3)
@@ -266,7 +283,7 @@ class TestLossAndGrad:
         rng = np.random.default_rng(31)
         params = init_params(spec, 31)
         inputs, labels = rng.standard_normal((10, 4)), rng.integers(0, 3, size=10)
-        loss, _ = loss_and_grad(spec, params.values, inputs, labels)
+        loss, _ = bound_loss_and_grad(spec, params.values, inputs, labels)
         direct = cross_entropy(forward(spec, params, inputs), labels)
         assert loss == direct
 
@@ -277,7 +294,7 @@ class TestLossAndGrad:
         rng = np.random.default_rng(41)
         params = init_params(spec, 41)
         inputs, labels = rng.standard_normal((10, 4)), rng.integers(0, 3, size=10)
-        got_loss, got_grad = loss_and_grad(spec, params.values, inputs, labels)
+        got_loss, got_grad = bound_loss_and_grad(spec, params.values, inputs, labels)
         loss, grad = mean_reduction_loss_and_grad(spec, params.values, inputs, labels)
         assert got_loss == loss
         assert got_grad.tobytes() == grad.tobytes()
@@ -293,7 +310,7 @@ class TestLossAndGrad:
         params = init_params(spec, 7)
         inputs = 3.0 * rng.standard_normal((rows, 4))
         labels = rng.integers(0, classes, size=rows)
-        got_loss, got_grad = loss_and_grad(spec, params.values, inputs, labels)
+        got_loss, got_grad = bound_loss_and_grad(spec, params.values, inputs, labels)
         loss, grad = mean_reduction_loss_and_grad(spec, params.values, inputs, labels)
         assert got_loss == loss
         assert got_grad.tobytes() == grad.tobytes()
@@ -307,10 +324,10 @@ class TestLossAndGrad:
         values = np.stack([init_params(spec, seed).values for seed in range(3)])
         inputs = rng.standard_normal((3, 10, 4))
         labels = rng.integers(0, classes, size=(3, 10))
-        losses, grads = loss_and_grad(spec, values, inputs, labels)
+        losses, grads = bound_loss_and_grad(spec, values, inputs, labels)
         assert losses.shape == (3,) and grads.shape == values.shape
         for t in range(3):
-            loss, grad = loss_and_grad(spec, values[t], inputs[t], labels[t])
+            loss, grad = bound_loss_and_grad(spec, values[t], inputs[t], labels[t])
             assert losses[t] == loss
             assert grads[t].tobytes() == grad.tobytes()
 
@@ -319,8 +336,8 @@ class TestLossAndGrad:
         rng = np.random.default_rng(37)
         params = init_params(spec, 37)
         inputs, labels = rng.standard_normal((6, 4)), rng.integers(0, 3, size=6)
-        loss_a, grad_a = loss_and_grad(spec, params.values, inputs, labels)
-        loss_b, grad_b = loss_and_grad(spec, params.values, inputs, labels)
+        loss_a, grad_a = bound_loss_and_grad(spec, params.values, inputs, labels)
+        loss_b, grad_b = bound_loss_and_grad(spec, params.values, inputs, labels)
         assert loss_a == loss_b
         assert np.array_equal(grad_a, grad_b)
 
@@ -350,23 +367,95 @@ class TestLossKernel:
         logits, labels = kernel_layouts(classes, scale)[layout]
         labels = labels if objective == "cross_entropy" else None
         before = logits.copy()
-        losses, dlogits = _loss_and_dlogits(logits, labels)
-        ref_losses, ref_dlogits = loss_and_dlogits(logits, labels)
+        at = None if labels is None else label_positions(logits, labels)
+        losses, dlogits = _loss_and_dlogits(logits, at)
         assert np.array_equal(logits, before)
-        assert losses.shape == ref_losses.shape and dlogits.shape == ref_dlogits.shape
-        # the gradient keeps the logits' layout: training swaps it back to row-major
-        assert dlogits.strides == ref_dlogits.strides
-        assert losses.tobytes() == ref_losses.tobytes()
-        assert dlogits.tobytes() == ref_dlogits.tobytes()
+        # the sparse-index kernel and the one-hot kernel that the label positions replaced
+        for ref_losses, ref_dlogits in (loss_and_dlogits(logits, labels),
+                                        reference._loss_and_dlogits(logits, labels)):
+            assert losses.shape == ref_losses.shape and dlogits.shape == ref_dlogits.shape
+            # the gradient keeps the logits' layout: training swaps it back to row-major
+            assert dlogits.strides == ref_dlogits.strides
+            assert losses.tobytes() == ref_losses.tobytes()
+            assert dlogits.tobytes() == ref_dlogits.tobytes()
 
     def test_an_infinite_logit_off_the_label_keeps_the_loss_finite(self):
         logits = np.array([[0.5, -np.inf], [-1.0, 2.0], [3.0, -0.5]])
         labels = np.array([2, 1])
-        losses, dlogits = _loss_and_dlogits(logits, labels)
-        ref_losses, ref_dlogits = loss_and_dlogits(logits, labels)
+        losses, dlogits = _loss_and_dlogits(logits, label_positions(logits, labels))
         assert np.all(np.isfinite(losses))
-        assert losses.tobytes() == ref_losses.tobytes()
-        assert dlogits.tobytes() == ref_dlogits.tobytes()
+        for ref_losses, ref_dlogits in (loss_and_dlogits(logits, labels),
+                                        reference._loss_and_dlogits(logits, labels)):
+            assert losses.tobytes() == ref_losses.tobytes()
+            assert dlogits.tobytes() == ref_dlogits.tobytes()
+
+
+def step_case(stack, activation, classes, rows=50):
+    """Parameters, (rows, 4) inputs and labels of one model, or of a stack of models."""
+    spec = ModelSpec(4, (6, 5), classes, activation=activation)
+    rng = np.random.default_rng(classes + rows)
+    lead = () if stack is None else (stack,)
+    values = np.stack([init_params(spec, seed).values for seed in range(stack or 1)])
+    return (spec, values.reshape(*lead, -1), 2.0 * rng.standard_normal((*lead, rows, 4)),
+            rng.integers(0, classes, size=(*lead, rows)))
+
+
+class TestBoundKernels:
+    """The bound kernels against the unbound ones they replaced, copied into the reference
+    module, bit for bit."""
+
+    @pytest.mark.parametrize("stack", [None, 1, 3])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("classes", [2, 5, 17])
+    def test_training_steps_match_the_unbound_kernel(self, stack, activation, classes):
+        # 50 rows in batches of 16: the binding covers two batch shapes
+        spec, values, inputs, labels = step_case(stack, activation, classes)
+        theirs = values.copy()
+        lead = labels.shape[:-1]
+        bound = bind_training(spec, values, {(*lead, 16), (*lead, 2)})
+        for epoch in range(2):
+            for lo in range(0, 50, 16):
+                rows = slice(lo, lo + 16)
+                loss, grad = loss_and_grad(spec, bound, inputs[..., rows, :], labels[..., rows])
+                ref_loss, ref_grad = reference.loss_and_grad(spec, theirs, inputs[..., rows, :],
+                                                             labels[..., rows])
+                assert grad is bound[1] and type(loss) is type(ref_loss)
+                assert np.asarray(loss).tobytes() == np.asarray(ref_loss).tobytes()
+                assert grad.tobytes() == ref_grad.tobytes()
+                sgd_step(values, grad, 0.1)
+                theirs = theirs - 0.1 * ref_grad
+        assert values.tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
+                                      2 * ROW_BLOCK + 1])
+    @pytest.mark.parametrize("objective", ["cross_entropy", "entropy"])
+    def test_the_mask_pass_matches_the_unbound_kernel(self, rows, objective):
+        spec, values, inputs, labels = step_case(2, "relu", 5, rows)
+        labels = labels[0] if objective == "cross_entropy" else None
+        weights = np.random.default_rng(rows).uniform(0.0, 1.0 / rows, size=rows)
+        # as the mask step binds it: a parameter buffer, refilled in place
+        theta = np.empty(spec.parameter_count)
+        layers = layer_views(spec, theta)
+        for model in values:
+            np.copyto(theta, model)
+            loss, grad = weighted_loss_and_grad(spec, layers, inputs[0], labels, weights)
+            ref_loss, ref_grad = reference.weighted_loss_and_grad(spec, model, inputs[0],
+                                                                  labels, weights)
+            assert loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
+
+    def test_an_infinite_logit_off_the_label_stays_out_of_both_kernels(self):
+        # an infinite output bias on the one class that no row is labeled with
+        spec, values, inputs, labels = step_case(None, "tanh", 3, rows=40)
+        values[-1], labels = -np.inf, labels % 2
+        loss, grad = bound_loss_and_grad(spec, values, inputs, labels)
+        ref_loss, ref_grad = reference.loss_and_grad(spec, values, inputs, labels)
+        assert np.isfinite(loss) and loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
+        weights = np.full(40, 1.0 / 40)
+        loss, grad = weighted_loss_and_grad(spec, layer_views(spec, values), inputs, labels,
+                                            weights)
+        ref_loss, ref_grad = reference.weighted_loss_and_grad(spec, values, inputs, labels,
+                                                              weights)
+        assert np.isfinite(loss) and loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
 
 
 class TestSgdStep:
@@ -409,7 +498,7 @@ class TestGradientExactnessSweep:
             params = init_params(spec, int(rng.integers(0, 10_000)))
             inputs = rng.standard_normal((5, spec.input_dim))
             labels = rng.integers(0, spec.num_classes, size=5)
-            _, analytic = loss_and_grad(spec, params.values, inputs, labels)
+            _, analytic = bound_loss_and_grad(spec, params.values, inputs, labels)
 
             def f(values, spec=spec, inputs=inputs, labels=labels):
                 return cross_entropy(forward(spec, bind(spec, values), inputs), labels)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from calmkit import tasks as tasks_module
-from calmkit.nn import ContractError, ModelSpec, loss_and_grad
+from calmkit.nn import ContractError, ModelSpec
 from calmkit.seeding import STAGE_FINETUNE, rng_for
 from calmkit.tasks import (
     TaskData,
@@ -15,7 +15,8 @@ from calmkit.tasks import (
     model_spec,
     pretrain,
 )
-from reference import build_checkpoints
+from reference import _sgd_train as reference_sgd_train
+from reference import build_checkpoints, loss_and_grad
 
 
 def held_out(spec, params, task):
@@ -226,8 +227,8 @@ class TestFinetune:
 
 
 def per_task_finetune(spec, theta_pre, task, epochs, lr, batch_size, seed, head_mode):
-    """The reference: fine-tune one task alone, with a gathered batch, a gradient and
-    an out-of-place step per batch."""
+    """The reference: fine-tune one task alone, with a gathered batch, a gradient of the
+    unbound reference kernel and an out-of-place step per batch."""
     values = theta_pre.values
     rng = rng_for(seed, STAGE_FINETUNE, task.task_id)
     head_start = spec.layer_offsets()[-1][0]
@@ -292,6 +293,24 @@ class TestStackedFinetune:
             reference = per_task_finetune(spec, theta_pre, task, config.finetune_epochs,
                                           config.finetune_lr, config.batch_size, 13, "shared")
             assert theta_ft.values.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("num_tasks", [None, 1, 3])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("freeze_head", [False, True])
+    def test_a_training_run_keeps_the_bits_of_the_unbound_loop(self, num_tasks, activation,
+                                                             freeze_head):
+        # num_tasks None: one (P,) model on (n, d) rows, as pretraining trains
+        tasks, spec, config, theta_pre = _stack_case(num_tasks or 1, 5, activation)
+        stack = np.stack if num_tasks else np.concatenate
+        inputs, labels = (stack([t.train_inputs for t in tasks]),
+                          stack([t.train_labels for t in tasks]))
+        values = np.tile(theta_pre.values, (num_tasks, 1)) if num_tasks else theta_pre.values
+        ours, theirs = values.copy(), values.copy()
+        for side, train in ((ours, tasks_module._sgd_train), (theirs, reference_sgd_train)):
+            train(spec, side, inputs, labels, 3, 0.05, config.batch_size,
+                  [rng_for(13, STAGE_FINETUNE, t.task_id) for t in tasks], freeze_head)
+        assert not np.array_equal(ours, values)
+        assert ours.tobytes() == theirs.tobytes()
 
     def test_a_diverging_learning_rate_raises(self):
         tasks, spec, config, theta_pre = _stack_case(3, 5)

@@ -5,18 +5,23 @@
 Each side runs in a fresh worker process that imports calmkit from its tree,
 with one BLAS/OpenMP thread set before numpy loads. The worker runs
 `run_experiment` on the default config at config seeds 0-31 and
-`ablation_suite(config, "order")` at config seeds 0-9, each in its own
-directory under the side's output directory. The default runs also report the objective and density traces:
-masks.calmckpt holds only the rounded masks, while a trace shows a change in
-the last bit of any iteration. The sides run at the same time; their times do
-not matter here.
+`ablation_suite(config, "order")` at config seeds 0-9, and then, under
+`branches/`, `run_experiment` at config seeds 0-3 for each of `BRANCHES`, the
+configs that reach the kernels' other branches (tanh, the entropy and
+supervised mask objectives, the other merge strategies, per-task heads, EMS
+sampling), plus one `WIDE` (256, 256) run at seed 0; each run in its own
+directory under the side's output directory. The `run_experiment` runs also
+report the objective and density traces: masks.calmckpt holds only the
+rounded masks, while a trace shows a change in the last bit of any iteration.
+The sides run at the same time; their times do not matter here.
 
 Then every file that any side wrote is compared with the first side's file of
 the same relative path: masks, checkpoints, credible sets and reports alike.
 The script lists each file whose bytes differ or that one side lacks, then
 tallies them per file name (`credible.calmcred: 602 of 602 differ`), so a
-stated change reads as one line per kind of artifact. It exits 1 if there is
-any such file and 0 if there is none. When an average accuracy differs, it
+stated change reads as one line per kind of artifact, and per workload group
+(`branches/: 0 of 319 differ`). It exits 1 if there is any such file and 0
+if there is none. When an average accuracy differs, it
 also prints, per workload and side, each seed's paired change from the first side (report.csv's average for `default`, summary.csv's
 mean for `order`), and the mean paired difference with its standard error:
 the check for a change that alters the batch stream on purpose. The outputs are
@@ -38,6 +43,19 @@ DEFAULT_SEEDS = 32
 ORDER_SEEDS = 10
 # report.csv and report.txt as on the default config, plus one CSV per trace
 TRACED_REPORT = "accuracy, density_trace, objective_trace"
+BRANCH_SEEDS = 4
+# the default config's other kernel branches, each run at config seeds 0 to BRANCH_SEEDS - 1
+BRANCHES = {
+    "tanh": {"train.activation": "tanh"},
+    "entropy": {"sampling.objective": "entropy"},
+    "supervised": {"sampling.objective": "supervised"},
+    "only_mask": {"plan.strategy": "only_mask"},
+    "only_complement": {"plan.strategy": "only_complement"},
+    "per_task": {"train.head_mode": "per_task"},
+    "ems": {"sampling.mode": "ems"},
+}
+# one BLAS-bound run at seed 0; the default lr 0.05 misses the accuracy floor at (256, 256)
+WIDE = {"train.hidden_dims": "256,256", "train.pretrain_lr": "0.02", "train.finetune_lr": "0.02"}
 
 
 def worker(out: str):
@@ -51,6 +69,11 @@ def worker(out: str):
     for seed in range(ORDER_SEEDS):
         ablation_suite(build_config({"seed": str(seed)}), "order",
                        Path(out, "order", f"seed{seed:02d}"))
+    runs = [(name, seed, overrides) for name, overrides in BRANCHES.items()
+            for seed in range(BRANCH_SEEDS)] + [("wide", 0, WIDE)]
+    for name, seed, overrides in runs:
+        config = build_config({"seed": str(seed), "report": TRACED_REPORT, **overrides})
+        run_experiment(config, Path(out, "branches", name, f"seed{seed:02d}"))
 
 
 def _files(root: Path) -> dict[str, Path]:
@@ -86,15 +109,21 @@ def compare(roots: dict[str, Path]) -> list[str]:
             for rel, why in status.items() if why is not None]
 
 
-def tally(roots: dict[str, Path]) -> list[str]:
-    """Per file name, how many of the files of that name differ or are missing: one line
-    per kind of artifact, with the side named when there are more than two."""
+def workload(rel: str) -> str:
+    """The workload group of a relative path: its first directory, as `branches/`."""
+    return rel.split("/")[0] + "/"
+
+
+def tally(roots: dict[str, Path], key=lambda rel: PurePosixPath(rel).name) -> list[str]:
+    """Per file name, or per other `key` of the relative path, such as `workload`, how
+    many of the files of that kind differ or are missing: one line per kind, with the
+    side named when there are more than two."""
     statuses = _statuses(roots)
     lines = []
     for name, status in statuses.items():
         total, differ = Counter(), Counter()
         for rel, why in status.items():
-            kind = PurePosixPath(rel).name
+            kind = key(rel)
             total[kind] += 1
             differ[kind] += why is not None
         side = f" on {name}" if len(statuses) > 1 else ""
@@ -166,13 +195,14 @@ def main(argv=None) -> int:
             print(f"worker failed on {', '.join(failed)}", file=sys.stderr)
             return 2
         lines = compare(roots)
-        kinds = tally(roots)
+        kinds = tally(roots) + tally(roots, workload)
         accuracy = paired_accuracy(roots)
         count = len(_files(roots[next(iter(roots))]))
     for line in lines + kinds + accuracy:
         print(line)
     print(f"{len(lines)} differing files of {count} ({DEFAULT_SEEDS} default and "
-          f"{ORDER_SEEDS} order config seeds)")
+          f"{ORDER_SEEDS} order config seeds, {len(BRANCHES)} branches at {BRANCH_SEEDS} "
+          "and one wide run)")
     return 1 if lines else 0
 
 
