@@ -50,15 +50,6 @@ def ordered_sum(arrays) -> np.ndarray:
     return np.sum(stacked, axis=0)
 
 
-def check_task_vectors(theta_pre: ParamVector, task_vectors) -> None:
-    """Every task vector has one entry per parameter of theta_pre."""
-    for tv in task_vectors:
-        if tv.size != theta_pre.size:
-            raise ContractError(
-                f"task vector {tv.task_id!r} has {tv.size} entries, expected {theta_pre.size}"
-            )
-
-
 def task_vector(theta_ft: ParamVector, theta_pre: ParamVector, task_id: int | str = "") -> TaskVector:
     """theta_ft - theta_pre, elementwise."""
     if theta_ft.spec != theta_pre.spec:
@@ -83,7 +74,6 @@ def task_arithmetic(theta_pre: ParamVector, task_vectors: list[TaskVector],
     """theta_pre + scale * sum(task vectors)."""
     if scale <= 0.0:
         raise ContractError(f"scale must be positive, got {scale}")
-    check_task_vectors(theta_pre, task_vectors)
     if not task_vectors:
         return ParamVector(theta_pre.values.copy(), theta_pre.spec)
     total = ordered_sum([tv.values for tv in task_vectors])
@@ -126,7 +116,6 @@ def ties_merge(theta_pre: ParamVector, task_vectors: list[TaskVector],
     entries (disjoint merge), and add the scaled result to theta_pre."""
     if not task_vectors:
         raise ContractError("ties_merge needs at least one task vector")
-    check_task_vectors(theta_pre, task_vectors)
     trimmed = [ties_trim(tv, config.trim_fraction) for tv in task_vectors]
     elected = ties_elect_sign(trimmed)
     agree_sum = np.zeros(theta_pre.size)

@@ -13,18 +13,20 @@ Each sequential step computes once what its iterations share: it checks and
 stacks the visible tasks' credible rows and labels into one row-major (rows,
 features) pool with a row span per task, builds the row weights of the
 gathered rows, and allocates one flat buffer of the batches' row indices, of
-which each task's batches are a view, and buffers of the gathered inputs and
-of theta. Each iteration draws into the index buffer in place, and the
-objective gathers the rows with one `np.take` over it and refills theta in
-place; so the views hold one iteration's batches only, and a wrapper of the
-objective that keeps them must copy them. The data term is one weighted
-pass, `nn.weighted_loss_and_grad`, over those rows: each row weighs
-1 / (batches of its task * rows of its batch), the per-task mean over batches
-of the per-batch mean; every batch of a task has the same rows, so the weights
-are the same on every iteration. The pool is row-major on purpose: a
-feature-major pool would hand the pass contiguous (features, rows) inputs, and
-its first-layer weight gradient then differs in the last bits, which can flip
-mask coordinates. r is updated in place and checked to be finite once a step.
+which each task's batches are a view, and buffers of the gathered inputs, of
+theta with its `nn.bind_weighted` binding, and of the objective's mask-length
+intermediates. Each iteration draws into the index buffer in place, and the
+objective gathers the rows with one `np.take` over it and refills the other
+buffers in place; so the views and the returned gradient hold one iteration's
+values only, and a wrapper of the objective that keeps them must copy them.
+The data term is one weighted pass, `nn.weighted_loss_and_grad`, over those
+rows: each row weighs 1 / (batches of its task * rows of its batch), the
+per-task mean over batches of the per-batch mean; every batch of a task has
+the same rows, so the weights are the same on every iteration. The pool is
+row-major on purpose: a feature-major pool would hand the pass contiguous
+(features, rows) inputs, and its first-layer weight gradient then differs in
+the last bits, which can flip mask coordinates. r is updated in place and
+checked to be finite once a step.
 
 Each batch is the first `batch_size` entries of a seeded permutation of its
 task's rows: per iteration and run of consecutive visible tasks whose sets
@@ -45,7 +47,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .baselines import TaskVector, ordered_sum, task_vector
-from .nn import (ContractError, ModelSpec, ParamVector, check_labels, layer_views, read_only,
+from .nn import (ContractError, ModelSpec, ParamVector, bind_weighted, check_labels, read_only,
                  weighted_loss_and_grad)
 from .seeding import STAGE_MASK_BATCHES, STAGE_MASK_INIT, STAGE_PARTITION, rng_for
 from .tasks import Checkpoints
@@ -158,11 +160,16 @@ class MergeResult:
     plan: MergePlan
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: tuple | None = None) -> np.ndarray:
+    """1 / (1 + e) at x >= 0, else e / (1 + e), e = exp(-|x|); written into out[0], with
+    out[1] and the bool out[2] as scratch, or into arrays allocated without `out`."""
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    e, d, positive = out or (np.empty_like(x), np.empty_like(x), np.empty(x.shape, bool))
+    np.exp(np.negative(np.abs(x, out=e), out=e), out=e)
+    np.add(1.0, e, out=d)
+    np.divide(e, d, out=e)
+    np.copyto(e, np.divide(1.0, d, out=d), where=np.greater_equal(x, 0, out=positive))
+    return e
 
 
 def partition(task_ids: Sequence[int], num_sequential: int, seed: int = 0) -> MergePlan:
@@ -244,14 +251,16 @@ def _bind_pool(spec: ModelSpec, inputs: np.ndarray, labels: np.ndarray | None,
     """The objective's `pool`, checked and made once per step: the `_row_pool` rows and
     labels, each gathered row's weight 1 / (batches of its task * rows of its batch) from
     `batch_rows`, each visible task's batch lengths in gather order, the batches' flat row
-    index, and what each call refills: a theta buffer, its layer views, a gather buffer."""
+    index, and what each call refills: a theta buffer and its `nn.bind_weighted` binding,
+    a gather buffer, and three float64 and one bool buffer of theta's length."""
     weights = np.repeat([1.0 / (len(task) * n) for task in batch_rows for n in task],
                         [n for task in batch_rows for n in task])
     if len(rows) != len(weights):
         raise ContractError(f"{len(weights)} row weights for {len(rows)} batch rows")
     theta = np.empty(spec.parameter_count)
-    return (inputs, labels, weights, rows, theta, layer_views(spec, theta),
-            np.empty((len(rows), inputs.shape[1])))
+    return (inputs, labels, weights, rows, theta, bind_weighted(spec, theta, len(rows)),
+            np.empty((len(rows), inputs.shape[1])),
+            (*np.empty((3, theta.size)), np.empty(theta.size, bool)))
 
 
 def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: SequentialState,
@@ -270,32 +279,39 @@ def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: Sequenti
     `pool`, from `_bind_pool`, holds the rows and labels of `_row_pool`, their row
     weights and the batches' row indices, flat in gather order, which the weighted
     pass gathers into the pool's buffer; `task_batches` holds each task's view of
-    them, for wrappers. r, the objective and spec are checked once per step, the
-    strategy by `MergePlan`.
+    them, for wrappers. Theta, the mask-length intermediates and the returned
+    gradient are the pool's buffers, which the next call overwrites. r, the objective
+    and spec are checked once per step, the strategy by `MergePlan`.
     """
-    pool_inputs, pool_labels, weights, rows, theta, layers, gathered = pool
+    pool_inputs, pool_labels, weights, rows, theta, bound, gathered, buffers = pool
+    m, rest, scratch, positive = buffers  # the soft mask, 1 - m, and scratch
     # mode="raise" would copy `out` through a buffer; the rows index the pool
     inputs = np.take(pool_inputs, rows, axis=0, out=gathered, mode="clip")
     labels = None if objective == "entropy" else np.take(pool_labels, rows)
-    m = sigmoid(r)
-    rest = 1.0 - m
+    sigmoid(r, out=(m, rest, positive))
+    np.subtract(1.0, m, out=rest)
+    tau_seq = state.tau_seq.values
+    # theta_pre + tau, tau of the strategy's masked merge, with the operands in order
     if strategy == "both":
-        tau_values = rest * state.tau_seq.values + m * tau_j.values
-        direction = tau_j.values - state.tau_seq.values
+        np.multiply(rest, tau_seq, out=theta)
+        theta += np.multiply(m, tau_j.values, out=scratch)
+        direction = np.subtract(tau_j.values, tau_seq, out=scratch)
     elif strategy == "only_mask":
-        tau_values = state.tau_seq.values + m * tau_j.values
+        np.add(tau_seq, np.multiply(m, tau_j.values, out=theta), out=theta)
         direction = tau_j.values
     else:
-        tau_values = rest * state.tau_seq.values + tau_j.values
-        direction = -state.tau_seq.values
-    np.add(theta_pre.values, tau_values, out=theta)
-    data_loss, grad = weighted_loss_and_grad(spec, layers, inputs, labels, weights)
-    sig_grad = m * rest
+        np.multiply(rest, tau_seq, out=theta)
+        theta += tau_j.values
+        direction = np.negative(tau_seq, out=scratch)
+    np.add(theta_pre.values, theta, out=theta)
+    data_loss, grad = weighted_loss_and_grad(spec, bound, inputs, labels, weights)
+    sig_grad = np.multiply(m, rest, out=rest)
     # np.mean's bits without its overhead
     loss = data_loss + l1_weight * float(m.sum() / m.size)
     grad *= direction
     grad *= sig_grad
-    grad += (l1_weight / theta_pre.size) * sig_grad
+    sig_grad *= l1_weight / theta_pre.size  # the bits of (l1_weight / size) * sig_grad
+    grad += sig_grad
     return loss, grad
 
 

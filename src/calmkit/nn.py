@@ -15,9 +15,12 @@ on (features, rows) blocks of ROW_BLOCK rows: the layers are 5 to 32 features
 wide at the default size, and numpy's per-call cost on rows that narrow, in
 the bias add, the activation and the loss kernel, outweighed their
 arithmetic; feature-major, each of those calls spans a block's rows. Both
-kernels run in loops that bind once what each call reuses: the `layer_views`
-of the parameter buffer that the loop updates or refills in place and, for
-training (`bind_training`), one gradient buffer that each call overwrites.
+kernels run in loops that bind once (`bind_training`, `bind_weighted`) the
+`layer_views` of the parameters they update or refill in place, a gradient
+buffer, and activation and backward buffers with views per batch shape, which
+every product is written into: at a width of 256, glibc trimmed the arrays that
+each step allocated when freed, and faulted them in again. Each call overwrites
+its gradient and views; a caller that keeps them must copy them.
 """
 from __future__ import annotations
 
@@ -138,24 +141,27 @@ def _activate(spec: ModelSpec, z: np.ndarray):
         np.tanh(z, out=z)
 
 
-def _activation_grad(spec: ModelSpec, dz: np.ndarray, a: np.ndarray):
-    """dz times the activation's derivative at output a, in place."""
+def _activation_grad(spec: ModelSpec, dz: np.ndarray, a: np.ndarray, scratch: np.ndarray):
+    """dz times the activation's derivative at output a, in place, through `scratch` of
+    a's shape (bool for relu): the bits of `dz *= a > 0.0` or `dz *= 1.0 - a * a`."""
     if spec.activation == "relu":
-        dz *= a > 0.0
+        dz *= np.greater(a, 0.0, out=scratch)
     else:
-        dz *= 1.0 - a * a
+        np.multiply(a, a, out=scratch)
+        dz *= np.subtract(1.0, scratch, out=scratch)
 
 
-def _forward_acts(spec: ModelSpec, layers: list, inputs: np.ndarray) -> list[np.ndarray]:
+def _forward_acts(spec: ModelSpec, layers: list, inputs: np.ndarray, outs=None) -> list:
     """Per-layer post-activation values through the `layer_views` of the parameters;
     acts[0] is the input, acts[-1] the logits.
 
-    The bias and the activation are applied in place on the product, so each
-    layer allocates one array; the values are those of `act(a @ w + b)`.
+    The bias and the activation are applied in place on the product, which each
+    layer writes into its view in `outs` or, without, allocates; the values are
+    those of `act(a @ w + b)`.
     """
     acts = [inputs]
     for idx, (w, b) in enumerate(layers):
-        z = acts[-1] @ w
+        z = np.matmul(acts[-1], w, out=None if outs is None else outs[idx])
         z += b[..., None, :]
         if idx < len(layers) - 1:
             _activate(spec, z)
@@ -228,14 +234,37 @@ def _loss_and_dlogits(logits: np.ndarray, at: np.ndarray | None
     return np.negative(losses, out=losses), p
 
 
+def _pass_buffers(spec: ModelSpec, shapes, feature_major: bool) -> dict:
+    """Per shape, C-contiguous leading views of one set of buffers sized for the largest:
+    each layer's output, and per layer after the first its dz, alternating between two
+    buffers (one, with one hidden layer), and the scratch of `_activation_grad`;
+    (*shape, features) views row-major, (features, *shape) feature-major."""
+    size = max((int(np.prod(shape)) for shape in shapes), default=0)
+    widest = max(spec.hidden_dims, default=0)
+    outs = [np.empty(size * fo) for _, fo in spec.layer_dims]
+    dzs = [np.empty(size * widest) for _ in spec.hidden_dims[:2]]
+    scratch = np.empty(size * widest, bool if spec.activation == "relu" else np.float64)
+
+    def view(buf: np.ndarray, shape: tuple, width: int) -> np.ndarray:
+        lead = buf[: int(np.prod(shape)) * width]
+        return lead.reshape((width, *shape) if feature_major else (*shape, width))
+
+    return {shape: ([view(out, shape, fo) for out, (_, fo) in zip(outs, spec.layer_dims)],
+                    [None] + [(view(dzs[idx % len(dzs)], shape, fi), view(scratch, shape, fi))
+                              for idx, (fi, _) in enumerate(spec.layer_dims) if idx > 0])
+            for shape in shapes}
+
+
 def bind_training(spec: ModelSpec, values: np.ndarray, batch_shapes) -> tuple:
     """What a training loop binds once for `loss_and_grad`: the layer views of the (P,)
     or (T, P) `values` it updates in place, one gradient buffer and its views, and per
-    batch shape, (rows,) or (T, rows), each row's flat offset in the row-major logits."""
+    batch shape, (rows,) or (T, rows), each row's flat offset in the row-major logits and
+    the views of one set of `_pass_buffers`."""
     grad = np.empty(values.shape)
-    offsets = {shape: spec.num_classes * np.arange(np.prod(shape, dtype=int)).reshape(shape)
-               for shape in batch_shapes}
-    return layer_views(spec, values), grad, layer_views(spec, grad), offsets
+    views = _pass_buffers(spec, batch_shapes, feature_major=False)
+    shapes = {shape: (spec.num_classes * np.arange(np.prod(shape, dtype=int)).reshape(shape),
+                      *views[shape]) for shape in batch_shapes}
+    return layer_views(spec, values), grad, layer_views(spec, grad), shapes
 
 
 def loss_and_grad(spec: ModelSpec, bound: tuple, inputs: np.ndarray, labels: np.ndarray
@@ -248,9 +277,10 @@ def loss_and_grad(spec: ModelSpec, bound: tuple, inputs: np.ndarray, labels: np.
     The training step's kernel checks nothing: its loop checks the inputs and labels
     once, and the parameters' finiteness after its last step.
     """
-    layers, grad, grads, offsets = bound
-    acts = _forward_acts(spec, layers, inputs)
-    losses, dz = _loss_and_dlogits(acts[-1].swapaxes(-1, -2), offsets[labels.shape] + labels)
+    layers, grad, grads, shapes = bound
+    offsets, outs, backs = shapes[labels.shape]
+    acts = _forward_acts(spec, layers, inputs, outs)
+    losses, dz = _loss_and_dlogits(acts[-1].swapaxes(-1, -2), offsets + labels)
     dz = dz.swapaxes(-1, -2)
     # the mean, not a 1/n row weight: `dz / n` and `dz * (1 / n)` differ in the last bit
     dz /= labels.shape[-1]
@@ -259,18 +289,32 @@ def loss_and_grad(spec: ModelSpec, bound: tuple, inputs: np.ndarray, labels: np.
         np.matmul(acts[idx].swapaxes(-1, -2), dz, out=grad_w)
         dz.sum(axis=-2, out=grad_b)
         if idx > 0:
-            dz = dz @ w.swapaxes(-1, -2)
-            _activation_grad(spec, dz, acts[idx])
+            dz = np.matmul(dz, w.swapaxes(-1, -2), out=backs[idx][0])
+            _activation_grad(spec, dz, acts[idx], backs[idx][1])
     # np.mean's bits without its overhead; one model's loss is a np.float64, a float
     return losses.sum(axis=-1) / labels.shape[-1], grad
 
 
-def weighted_loss_and_grad(spec: ModelSpec, layers: list, inputs: np.ndarray,
+def bind_weighted(spec: ModelSpec, values: np.ndarray, rows: int) -> tuple:
+    """What a mask step binds once for `weighted_loss_and_grad` on `rows` rows: the layer
+    views of the (P,) `values` it refills, a gradient buffer and its views, the views of
+    one set of `_pass_buffers` per ROW_BLOCK block width, and per layer a (fan_in,
+    fan_out) view of one weight-gradient product buffer."""
+    grad = np.empty(spec.parameter_count)
+    product = np.empty(max(fi * fo for fi, fo in spec.layer_dims))
+    widths = {(min(ROW_BLOCK, rows - lo),) for lo in range(0, rows, ROW_BLOCK)}
+    return (layer_views(spec, values), grad, layer_views(spec, grad),
+            _pass_buffers(spec, widths, feature_major=True),
+            [product[: fi * fo].reshape(fi, fo) for fi, fo in spec.layer_dims])
+
+
+def weighted_loss_and_grad(spec: ModelSpec, bound: tuple, inputs: np.ndarray,
                            labels: np.ndarray | None, weights: np.ndarray
                            ) -> tuple[float, np.ndarray]:
     """sum(weights * per-row loss) over (rows, features) inputs, and its exact
-    gradient with respect to the flat parameters of `spec` that `layers`, the
-    `layer_views` of the loop's parameter buffer, view.
+    gradient with respect to the flat parameters of `spec` that `bound`, from
+    `bind_weighted` for as many rows, views. The gradient is the bound buffer, which
+    the next call overwrites.
 
     The loss is cross-entropy with labels and the prediction entropy with
     `labels=None`. The pass is the feature-major one of the module docstring;
@@ -280,15 +324,16 @@ def weighted_loss_and_grad(spec: ModelSpec, layers: list, inputs: np.ndarray,
     The mask objective's kernel checks nothing: `calm.optimize_mask` checks the
     labels of its row pool once per step.
     """
+    layers, grad, grads, blocks, products = bound
     columns = inputs.T  # (features, rows), a view
     loss = 0.0
-    grad = np.zeros(spec.parameter_count)  # += from zeros: a written first block keeps -0.0
-    grads = layer_views(spec, grad)
+    grad.fill(0.0)  # += from zeros: a written first block keeps -0.0
     for start in range(0, columns.shape[1], ROW_BLOCK):
         cols = slice(start, start + ROW_BLOCK)
         acts = [columns[:, cols]]
+        outs, backs = blocks[acts[0].shape[1:]]
         for idx, (w, b) in enumerate(layers):
-            z = w.T @ acts[-1]
+            z = np.matmul(w.T, acts[-1], out=outs[idx])
             z += b[:, None]
             if idx < len(layers) - 1:
                 _activate(spec, z)
@@ -300,16 +345,18 @@ def weighted_loss_and_grad(spec: ModelSpec, layers: list, inputs: np.ndarray,
         dz *= weights[cols]
         for idx in range(len(layers) - 1, -1, -1):
             (w, _), (grad_w, grad_b) = layers[idx], grads[idx]
-            grad_w += acts[idx] @ dz.T
+            grad_w += np.matmul(acts[idx], dz.T, out=products[idx])
             grad_b += dz.sum(axis=1)
             if idx > 0:
-                dz = w @ dz
-                _activation_grad(spec, dz, acts[idx])
+                dz = np.matmul(w, dz, out=backs[idx][0])
+                _activation_grad(spec, dz, acts[idx], backs[idx][1])
     return loss, grad
 
 
 def sgd_step(values: np.ndarray, grad: np.ndarray, learning_rate: float) -> None:
-    """One plain gradient step, in place: values -= learning_rate * grad."""
+    """One plain gradient step, in place: the bits of values -= learning_rate * grad, with
+    no temporary, as grad *= learning_rate consumes the gradient."""
     if grad.shape != values.shape:
         raise ContractError(f"gradient shape {grad.shape} does not match parameters {values.shape}")
-    values -= learning_rate * grad
+    grad *= learning_rate
+    values -= grad

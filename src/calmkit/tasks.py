@@ -17,7 +17,8 @@ The pipeline generate -> pretrain -> finetune is a deterministic function of
 their shapes and batch boundaries, so each step is one `loss_and_grad` call for
 all T models, each keeping its own seeded row order and the bits of training it
 alone. STACK_PARAMS bounds the stack, as a stack of wide models outgrows the
-cache and the memory that training one of them needs.
+cache and the memory that training one of them needs. Each run binds its buffers
+once (`nn.bind_training`); each step overwrites them, and `sgd_step` its gradient.
 """
 from __future__ import annotations
 
@@ -227,7 +228,8 @@ def _sgd_train(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray, labels: 
     """Minibatch SGD on `values` in place: (P,) values on (n, d) inputs and (n,) labels in
     the row order of rngs[0], or a (T, P) stack on (T, n, d) and (T, n), model t in the
     order of rngs[t]. Each step is one `loss_and_grad` call and one `sgd_step` per model,
-    through views bound once per run: `nn.bind_training`'s and each model's gradient row."""
+    through views bound once per run: `nn.bind_training`'s and each model's gradient row,
+    which its `sgd_step` consumes."""
     if inputs.shape[-1] != spec.input_dim:
         raise ContractError(f"inputs have {inputs.shape[-1]} features, not {spec.input_dim}")
     check_labels(labels, spec.num_classes)

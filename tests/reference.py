@@ -10,8 +10,8 @@ from calmkit.calm import (
     binarize,
     consensus_objective,
 )
-from calmkit.nn import (ROW_BLOCK, ContractError, ModelSpec, _activate, _activation_grad,
-                        check_labels, sgd_step)
+from calmkit.nn import (ROW_BLOCK, ContractError, ModelSpec, _loss_and_dlogits, check_labels,
+                        layer_views)
 from calmkit.tasks import (
     Checkpoints,
     TaskData,
@@ -67,30 +67,32 @@ def loss_and_dlogits(logits: np.ndarray, labels: np.ndarray | None
     return -logp[at], p
 
 
-# The training step, the mask objective's weighted pass and the training loop as they
-# were before the loops bound their layer views and gradient buffer once and the loss
-# kernel read cross-entropy at each label's flat position: the library's bound kernels
-# must match them bit for bit.
-def _layers(spec: ModelSpec, values: np.ndarray):
-    """Views of (W, b) per layer, W (fan_in, fan_out); a (T, P) stack gives (T, ...) views."""
-    out = []
-    pos = 0
-    for fi, fo in spec.layer_dims:
-        w = values[..., pos : pos + fi * fo].reshape(*values.shape[:-1], fi, fo)
-        b = values[..., pos + fi * fo : pos + (fi + 1) * fo]
-        out.append((w, b))
-        pos += (fi + 1) * fo
-    return out
+# The kernels as they were before each loop bound its activation and backward buffers,
+# verbatim with the helpers they call: the library's kernels must match them bit for bit.
+def _activate(spec: ModelSpec, z: np.ndarray):
+    """The hidden activation, in place."""
+    if spec.activation == "relu":
+        np.maximum(z, 0.0, out=z)
+    else:
+        np.tanh(z, out=z)
 
 
-def _forward_acts(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray) -> list[np.ndarray]:
-    """Per-layer post-activation values; acts[0] is the input, acts[-1] the logits.
+def _activation_grad(spec: ModelSpec, dz: np.ndarray, a: np.ndarray):
+    """dz times the activation's derivative at output a, in place."""
+    if spec.activation == "relu":
+        dz *= a > 0.0
+    else:
+        dz *= 1.0 - a * a
+
+
+def _forward_acts(spec: ModelSpec, layers: list, inputs: np.ndarray) -> list[np.ndarray]:
+    """Per-layer post-activation values through the `layer_views` of the parameters;
+    acts[0] is the input, acts[-1] the logits.
 
     The bias and the activation are applied in place on the product, so each
     layer allocates one array; the values are those of `act(a @ w + b)`.
     """
     acts = [inputs]
-    layers = _layers(spec, values)
     for idx, (w, b) in enumerate(layers):
         z = acts[-1] @ w
         z += b[..., None, :]
@@ -100,8 +102,95 @@ def _forward_acts(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray) -> li
     return acts
 
 
-def _loss_and_dlogits(logits: np.ndarray, labels: np.ndarray | None
-                      ) -> tuple[np.ndarray, np.ndarray]:
+def bind_training(spec: ModelSpec, values: np.ndarray, batch_shapes) -> tuple:
+    """What a training loop binds once for `loss_and_grad`: the layer views of the (P,)
+    or (T, P) `values` it updates in place, one gradient buffer and its views, and per
+    batch shape, (rows,) or (T, rows), each row's flat offset in the row-major logits."""
+    grad = np.empty(values.shape)
+    offsets = {shape: spec.num_classes * np.arange(np.prod(shape, dtype=int)).reshape(shape)
+               for shape in batch_shapes}
+    return layer_views(spec, values), grad, layer_views(spec, grad), offsets
+
+
+def loss_and_grad(spec: ModelSpec, bound: tuple, inputs: np.ndarray, labels: np.ndarray
+                  ) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean cross-entropy of the row-major pass and its exact gradient with respect to
+    the flat parameters of `spec` that `bound`, from `bind_training`, views; a (T, P)
+    stack with (T, rows, features) inputs and (T, rows) labels gives T losses and a
+    (T, P) gradient. The gradient is the bound buffer, which the next call overwrites.
+
+    The training step's kernel checks nothing: its loop checks the inputs and labels
+    once, and the parameters' finiteness after its last step.
+    """
+    layers, grad, grads, offsets = bound
+    acts = _forward_acts(spec, layers, inputs)
+    losses, dz = _loss_and_dlogits(acts[-1].swapaxes(-1, -2), offsets[labels.shape] + labels)
+    dz = dz.swapaxes(-1, -2)
+    # the mean, not a 1/n row weight: `dz / n` and `dz * (1 / n)` differ in the last bit
+    dz /= labels.shape[-1]
+    for idx in range(len(layers) - 1, -1, -1):  # every entry of the gradient is overwritten
+        (w, _), (grad_w, grad_b) = layers[idx], grads[idx]
+        np.matmul(acts[idx].swapaxes(-1, -2), dz, out=grad_w)
+        dz.sum(axis=-2, out=grad_b)
+        if idx > 0:
+            dz = dz @ w.swapaxes(-1, -2)
+            _activation_grad(spec, dz, acts[idx])
+    # np.mean's bits without its overhead; one model's loss is a np.float64, a float
+    return losses.sum(axis=-1) / labels.shape[-1], grad
+
+
+def weighted_loss_and_grad(spec: ModelSpec, layers: list, inputs: np.ndarray,
+                           labels: np.ndarray | None, weights: np.ndarray
+                           ) -> tuple[float, np.ndarray]:
+    """sum(weights * per-row loss) over (rows, features) inputs, and its exact
+    gradient with respect to the flat parameters of `spec` that `layers`, the
+    `layer_views` of the loop's parameter buffer, view.
+
+    The loss is cross-entropy with labels and the prediction entropy with
+    `labels=None`. The pass is the feature-major one of the module docstring;
+    its sums run in another order than a row-major per-batch loop, so its
+    results differ from one in the last bits.
+
+    The mask objective's kernel checks nothing: `calm.optimize_mask` checks the
+    labels of its row pool once per step.
+    """
+    columns = inputs.T  # (features, rows), a view
+    loss = 0.0
+    grad = np.zeros(spec.parameter_count)  # += from zeros: a written first block keeps -0.0
+    grads = layer_views(spec, grad)
+    for start in range(0, columns.shape[1], ROW_BLOCK):
+        cols = slice(start, start + ROW_BLOCK)
+        acts = [columns[:, cols]]
+        for idx, (w, b) in enumerate(layers):
+            z = w.T @ acts[-1]
+            z += b[:, None]
+            if idx < len(layers) - 1:
+                _activate(spec, z)
+            acts.append(z)
+        # column j's label sits at label * width + j of the C-contiguous (classes, width) z
+        at = None if labels is None else labels[cols] * z.shape[1] + np.arange(z.shape[1])
+        losses, dz = _loss_and_dlogits(acts[-1], at)
+        loss += float(losses @ weights[cols])
+        dz *= weights[cols]
+        for idx in range(len(layers) - 1, -1, -1):
+            (w, _), (grad_w, grad_b) = layers[idx], grads[idx]
+            grad_w += acts[idx] @ dz.T
+            grad_b += dz.sum(axis=1)
+            if idx > 0:
+                dz = w @ dz
+                _activation_grad(spec, dz, acts[idx])
+    return loss, grad
+
+
+def sgd_step(values: np.ndarray, grad: np.ndarray, learning_rate: float) -> None:
+    """One plain gradient step, in place: values -= learning_rate * grad."""
+    if grad.shape != values.shape:
+        raise ContractError(f"gradient shape {grad.shape} does not match parameters {values.shape}")
+    values -= learning_rate * grad
+
+
+def onehot_loss_and_dlogits(logits: np.ndarray, labels: np.ndarray | None
+                            ) -> tuple[np.ndarray, np.ndarray]:
     """Per-column loss and its gradient with respect to that column's logits.
 
     Logits are class-first, (classes, rows) or (T, classes, rows) with labels
@@ -138,9 +227,9 @@ def _loss_and_dlogits(logits: np.ndarray, labels: np.ndarray | None
 def _backward(spec: ModelSpec, acts: list[np.ndarray], values: np.ndarray,
               dlogits: np.ndarray) -> np.ndarray:
     """Reverse-mode gradient of a scalar loss given dL/dlogits; a stack gives (T, P)."""
-    layers = _layers(spec, values)
+    layers = layer_views(spec, values)
     grad = np.zeros(values.shape)
-    grads = _layers(spec, grad)
+    grads = layer_views(spec, grad)
     dz = dlogits
     for idx in range(len(layers) - 1, -1, -1):
         (w, _), (grad_w, grad_b) = layers[idx], grads[idx]
@@ -152,71 +241,13 @@ def _backward(spec: ModelSpec, acts: list[np.ndarray], values: np.ndarray,
     return grad
 
 
-def loss_and_grad(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray, labels: np.ndarray
-                  ) -> tuple[float | np.ndarray, np.ndarray]:
-    """Mean cross-entropy of the row-major pass and its exact gradient with respect to
-    the flat parameters `values` of `spec`; a (T, P) stack with (T, rows, features)
-    inputs and (T, rows) labels gives T losses and a (T, P) gradient.
-
-    The training step's kernel checks nothing: its loop checks the inputs and labels
-    once, and the parameters' finiteness after its last step.
-    """
-    acts = _forward_acts(spec, values, inputs)
-    losses, dz = _loss_and_dlogits(acts[-1].swapaxes(-1, -2), labels)
-    dz = dz.swapaxes(-1, -2)
-    # the mean, not a 1/n row weight: `dz / n` and `dz * (1 / n)` differ in the last bit
-    dz /= labels.shape[-1]
-    # np.mean's bits without its overhead; one model's loss is a np.float64, a float
-    return losses.sum(axis=-1) / labels.shape[-1], _backward(spec, acts, values, dz)
-
-
-def weighted_loss_and_grad(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray,
-                           labels: np.ndarray | None, weights: np.ndarray
-                           ) -> tuple[float, np.ndarray]:
-    """sum(weights * per-row loss) over (rows, features) inputs, and its exact
-    gradient with respect to the flat parameters `values` of `spec`.
-
-    The loss is cross-entropy with labels and the prediction entropy with
-    `labels=None`. The pass is the feature-major one of the module docstring;
-    its sums run in another order than a row-major per-batch loop, so its
-    results differ from one in the last bits.
-
-    The mask objective's kernel checks nothing: `calm.optimize_mask` checks the
-    labels of its row pool once per step.
-    """
-    layers = _layers(spec, values)
-    columns = inputs.T  # (features, rows), a view
-    loss = 0.0
-    grad = np.zeros(values.size)
-    grads = _layers(spec, grad)
-    for start in range(0, columns.shape[1], ROW_BLOCK):
-        cols = slice(start, start + ROW_BLOCK)
-        acts = [columns[:, cols]]
-        for idx, (w, b) in enumerate(layers):
-            z = w.T @ acts[-1]
-            z += b[:, None]
-            if idx < len(layers) - 1:
-                _activate(spec, z)
-            acts.append(z)
-        losses, dz = _loss_and_dlogits(acts[-1], None if labels is None else labels[cols])
-        loss += float(losses @ weights[cols])
-        dz *= weights[cols]
-        for idx in range(len(layers) - 1, -1, -1):
-            (w, _), (grad_w, grad_b) = layers[idx], grads[idx]
-            grad_w += acts[idx] @ dz.T
-            grad_b += dz.sum(axis=1)
-            if idx > 0:
-                dz = w @ dz
-                _activation_grad(spec, dz, acts[idx])
-    return loss, grad
-
-
 def _sgd_train(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray, labels: np.ndarray,
                epochs: int, lr: float, batch_size: int, rngs: list[np.random.Generator],
                freeze_head: bool = False):
     """Minibatch SGD on `values` in place: (P,) values on (n, d) inputs and (n,) labels in
     the row order of rngs[0], or a (T, P) stack on (T, n, d) and (T, n), model t in the
-    order of rngs[t]. Each step is one `loss_and_grad` call and one `sgd_step` per model."""
+    order of rngs[t]. Each step binds the parameters anew for one `loss_and_grad` call
+    and makes one `sgd_step` per model."""
     if inputs.shape[-1] != spec.input_dim:
         raise ContractError(f"inputs have {inputs.shape[-1]} features, not {spec.input_dim}")
     check_labels(labels, spec.num_classes)
@@ -233,7 +264,8 @@ def _sgd_train(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray, labels: 
             order = order.reshape(labels.shape)
             for lo in range(0, n, batch_size):
                 rows = order[..., lo : lo + batch_size]
-                _, grad = loss_and_grad(spec, values, flat_inputs[rows], flat_labels[rows])
+                _, grad = loss_and_grad(spec, bind_training(spec, values, {rows.shape}),
+                                        flat_inputs[rows], flat_labels[rows])
                 if freeze_head:
                     grad[..., head_start:] = 0.0
                 for model, model_grad in zip(models, grad.reshape(models.shape)):

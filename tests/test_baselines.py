@@ -97,10 +97,6 @@ class TestTaskArithmetic:
         with pytest.raises(ContractError):
             task_arithmetic(pv(np.zeros(4)), [], scale=0.0)
 
-    def test_length_mismatch(self):
-        with pytest.raises(ContractError):
-            task_arithmetic(pv(np.zeros(4)), [TaskVector(np.zeros(3))])
-
 
 class TestTiesTrim:
     def test_full_fraction_is_identity(self):

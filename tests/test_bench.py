@@ -6,8 +6,9 @@ import hashlib
 import pytest
 
 from calmkit.bench import cli
+from calmkit.bench import config as config_module
 from calmkit.bench import runner
-from calmkit.bench.config import build_config
+from calmkit.bench.config import MAX_TASKS, build_config
 from calmkit.bench.formats import load_checkpoint, save_checkpoint
 from calmkit.bench.runner import (
     CHECKPOINTS_FILE,
@@ -137,6 +138,28 @@ def test_invalid_plan_and_ties_values_are_config_errors(key, value, tmp_path, ca
     assert _cli("gen-tasks", tmp_path, {key: value}) == 1
     assert "configuration error" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("key,value", [
+    ("family.num_tasks", "100000000"),
+    ("family.num_tasks", str(MAX_TASKS + 1)),
+    ("family.input_dim", str(2**32)),
+    ("family.test_per_task", str(2**32)),
+    ("train.hidden_dims", f"32, {2**32}"),
+])
+def test_integer_keys_past_their_maximum_fail_before_the_partition(key, value, tmp_path,
+                                                                   capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the partition was drawn")
+
+    monkeypatch.setattr(config_module, "partition", never)
+    assert _cli("gen-tasks", tmp_path, {key: value}) == 1
+    assert "exceeds the maximum" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_the_largest_family_resolves():
+    assert build_config({"family.num_tasks": str(MAX_TASKS)}).family.num_tasks == MAX_TASKS
 
 
 def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):

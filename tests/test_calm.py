@@ -31,6 +31,7 @@ from calmkit.nn import (
     bind,
     forward,
     init_params,
+    layer_views,
 )
 from calmkit.sampling import score_pool, select_cb_ems
 from calmkit.tasks import Checkpoints, TaskFamily, TrainConfig
@@ -134,7 +135,7 @@ def per_batch_objective(spec, theta_pre, state, tau_j, mask, task_batches, l1_we
     for t in state.visible_tasks:
         batches = task_batches[t]
         for inputs, labels in batches:
-            acts = _forward_acts(spec, theta, inputs)
+            acts = _forward_acts(spec, layer_views(spec, theta), inputs)
             n = len(inputs)
             p = softmax(acts[-1])
             if objective == "cross_entropy":

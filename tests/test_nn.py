@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from calmkit import calm
+from calmkit.baselines import TaskVector
+from calmkit.calm import MergePlan, SequentialState, init_mask
 from calmkit.nn import (
     ROW_BLOCK,
     ContractError,
@@ -9,6 +14,7 @@ from calmkit.nn import (
     _loss_and_dlogits,
     bind,
     bind_training,
+    bind_weighted,
     forward,
     init_params,
     layer_views,
@@ -372,7 +378,7 @@ class TestLossKernel:
         assert np.array_equal(logits, before)
         # the sparse-index kernel and the one-hot kernel that the label positions replaced
         for ref_losses, ref_dlogits in (loss_and_dlogits(logits, labels),
-                                        reference._loss_and_dlogits(logits, labels)):
+                                        reference.onehot_loss_and_dlogits(logits, labels)):
             assert losses.shape == ref_losses.shape and dlogits.shape == ref_dlogits.shape
             # the gradient keeps the logits' layout: training swaps it back to row-major
             assert dlogits.strides == ref_dlogits.strides
@@ -385,7 +391,7 @@ class TestLossKernel:
         losses, dlogits = _loss_and_dlogits(logits, label_positions(logits, labels))
         assert np.all(np.isfinite(losses))
         for ref_losses, ref_dlogits in (loss_and_dlogits(logits, labels),
-                                        reference._loss_and_dlogits(logits, labels)):
+                                        reference.onehot_loss_and_dlogits(logits, labels)):
             assert losses.tobytes() == ref_losses.tobytes()
             assert dlogits.tobytes() == ref_dlogits.tobytes()
 
@@ -401,61 +407,147 @@ def step_case(stack, activation, classes, rows=50):
 
 
 class TestBoundKernels:
-    """The bound kernels against the unbound ones they replaced, copied into the reference
-    module, bit for bit."""
+    """The kernels that write through buffers bound once per loop against the ones that
+    allocated every step, copied into the reference module, bit for bit."""
 
     @pytest.mark.parametrize("stack", [None, 1, 3])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("classes", [2, 5, 17])
-    def test_training_steps_match_the_unbound_kernel(self, stack, activation, classes):
+    def test_training_steps_match_the_allocating_kernel(self, stack, activation, classes):
         # 50 rows in batches of 16: the binding covers two batch shapes
         spec, values, inputs, labels = step_case(stack, activation, classes)
         theirs = values.copy()
         lead = labels.shape[:-1]
         bound = bind_training(spec, values, {(*lead, 16), (*lead, 2)})
+        ref_bound = reference.bind_training(spec, theirs, {(*lead, 16), (*lead, 2)})
         for epoch in range(2):
             for lo in range(0, 50, 16):
                 rows = slice(lo, lo + 16)
                 loss, grad = loss_and_grad(spec, bound, inputs[..., rows, :], labels[..., rows])
-                ref_loss, ref_grad = reference.loss_and_grad(spec, theirs, inputs[..., rows, :],
+                ref_loss, ref_grad = reference.loss_and_grad(spec, ref_bound,
+                                                             inputs[..., rows, :],
                                                              labels[..., rows])
                 assert grad is bound[1] and type(loss) is type(ref_loss)
                 assert np.asarray(loss).tobytes() == np.asarray(ref_loss).tobytes()
                 assert grad.tobytes() == ref_grad.tobytes()
                 sgd_step(values, grad, 0.1)
-                theirs = theirs - 0.1 * ref_grad
-        assert values.tobytes() == theirs.tobytes()
+                reference.sgd_step(theirs, ref_grad, 0.1)
+                assert values.tobytes() == theirs.tobytes()
 
     @pytest.mark.parametrize("rows", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
                                       2 * ROW_BLOCK + 1])
     @pytest.mark.parametrize("objective", ["cross_entropy", "entropy"])
-    def test_the_mask_pass_matches_the_unbound_kernel(self, rows, objective):
-        spec, values, inputs, labels = step_case(2, "relu", 5, rows)
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_the_mask_pass_matches_the_allocating_kernel(self, rows, objective, activation):
+        spec, values, inputs, labels = step_case(2, activation, 5, rows)
         labels = labels[0] if objective == "cross_entropy" else None
         weights = np.random.default_rng(rows).uniform(0.0, 1.0 / rows, size=rows)
         # as the mask step binds it: a parameter buffer, refilled in place
         theta = np.empty(spec.parameter_count)
-        layers = layer_views(spec, theta)
+        bound = bind_weighted(spec, theta, rows)
         for model in values:
             np.copyto(theta, model)
-            loss, grad = weighted_loss_and_grad(spec, layers, inputs[0], labels, weights)
-            ref_loss, ref_grad = reference.weighted_loss_and_grad(spec, model, inputs[0],
-                                                                  labels, weights)
+            loss, grad = weighted_loss_and_grad(spec, bound, inputs[0], labels, weights)
+            ref_loss, ref_grad = reference.weighted_loss_and_grad(
+                spec, layer_views(spec, model), inputs[0], labels, weights)
+            assert grad is bound[1]
             assert loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("hidden", [(), (6,), (6, 7, 5)])
+    def test_each_depth_matches_the_allocating_kernels(self, hidden):
+        # no hidden layer writes no dz, one writes one buffer, three alternate two
+        spec = ModelSpec(4, hidden, 3)
+        rng = np.random.default_rng(len(hidden))
+        values = init_params(spec, 9).values.copy()
+        inputs, labels = rng.standard_normal((40, 4)), rng.integers(0, 3, size=40)
+        loss, grad = bound_loss_and_grad(spec, values, inputs, labels)
+        ref_loss, ref_grad = reference.loss_and_grad(
+            spec, reference.bind_training(spec, values, {labels.shape}), inputs, labels)
+        assert loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
+        weights = rng.uniform(0.0, 1.0 / 40, size=40)
+        loss, grad = weighted_loss_and_grad(spec, bind_weighted(spec, values, 40), inputs,
+                                            labels, weights)
+        ref_loss, ref_grad = reference.weighted_loss_and_grad(spec, layer_views(spec, values),
+                                                              inputs, labels, weights)
+        assert loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
 
     def test_an_infinite_logit_off_the_label_stays_out_of_both_kernels(self):
         # an infinite output bias on the one class that no row is labeled with
         spec, values, inputs, labels = step_case(None, "tanh", 3, rows=40)
         values[-1], labels = -np.inf, labels % 2
         loss, grad = bound_loss_and_grad(spec, values, inputs, labels)
-        ref_loss, ref_grad = reference.loss_and_grad(spec, values, inputs, labels)
+        ref_loss, ref_grad = reference.loss_and_grad(
+            spec, reference.bind_training(spec, values, {labels.shape}), inputs, labels)
         assert np.isfinite(loss) and loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
         weights = np.full(40, 1.0 / 40)
-        loss, grad = weighted_loss_and_grad(spec, layer_views(spec, values), inputs, labels,
-                                            weights)
-        ref_loss, ref_grad = reference.weighted_loss_and_grad(spec, values, inputs, labels,
-                                                              weights)
+        loss, grad = weighted_loss_and_grad(spec, bind_weighted(spec, values, 40), inputs,
+                                            labels, weights)
+        ref_loss, ref_grad = reference.weighted_loss_and_grad(spec, layer_views(spec, values),
+                                                              inputs, labels, weights)
         assert np.isfinite(loss) and loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
+
+
+# one (256, ROW_BLOCK) float64 block: what a width-256 layer's output over a block takes
+BLOCK_BYTES = 256 * ROW_BLOCK * 8
+WIDE = ModelSpec(4, (256, 256), 3)
+
+
+class TestAllocationFreeSteps:
+    """After its first step, a loop writes every activation and backward array through
+    what it bound: tracemalloc's peak over later steps stays below one block, which the
+    kernels that allocated every step reached several times over."""
+
+    def test_a_training_step_allocates_no_block(self):
+        rng = np.random.default_rng(3)
+        values = np.stack([init_params(WIDE, seed).values for seed in range(2)])
+        # a stack of two 512-row batches: each layer's output spans ROW_BLOCK rows
+        inputs, labels = rng.standard_normal((2, 512, 4)), rng.integers(0, 3, size=(2, 512))
+        bound = bind_training(WIDE, values, {labels.shape})
+
+        def step():
+            _, grad = loss_and_grad(WIDE, bound, inputs, labels)
+            for model, model_grad in zip(values, grad):
+                sgd_step(model, model_grad, 0.01)
+
+        step()
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < BLOCK_BYTES
+
+    def test_a_mask_iteration_allocates_no_block(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        size = WIDE.parameter_count
+        theta_pre = init_params(WIDE, 5)
+        state = SequentialState(TaskVector(0.01 * rng.standard_normal(size), "merged"), (0,))
+        tau_j = TaskVector(0.01 * rng.standard_normal(size), 0)
+        # two drawn 600-row batches a step: a block of ROW_BLOCK rows and one of 176
+        data = {0: (rng.standard_normal((1500, 4)), rng.integers(0, 3, size=1500))}
+        plan = MergePlan((), (0,), iterations_per_task=3, batches_per_task=2, batch_size=600)
+        calls, peaks = [], []
+
+        def objective(*args, **kwargs):
+            calls.append(len(calls))
+            if len(calls) == 3:  # the second iteration ran traced
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            result = consensus_objective(*args, **kwargs)
+            if len(calls) == 1:
+                tracemalloc.start()
+            return result
+
+        consensus_objective = calm.consensus_objective
+        monkeypatch.setattr(calm, "consensus_objective", objective)
+        try:
+            calm.optimize_mask(WIDE, theta_pre, state, tau_j, data,
+                               init_mask(size, 1e-5, np.random.default_rng(0)), plan,
+                               np.random.default_rng(1))
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 3 and peaks[0] < BLOCK_BYTES
 
 
 class TestSgdStep:

@@ -16,7 +16,7 @@ from calmkit.tasks import (
     pretrain,
 )
 from reference import _sgd_train as reference_sgd_train
-from reference import build_checkpoints, loss_and_grad
+from reference import bind_training, build_checkpoints, loss_and_grad
 
 
 def held_out(spec, params, task):
@@ -228,7 +228,7 @@ class TestFinetune:
 
 def per_task_finetune(spec, theta_pre, task, epochs, lr, batch_size, seed, head_mode):
     """The reference: fine-tune one task alone, with a gathered batch, a gradient of the
-    unbound reference kernel and an out-of-place step per batch."""
+    reference kernel bound anew and an out-of-place step per batch."""
     values = theta_pre.values
     rng = rng_for(seed, STAGE_FINETUNE, task.task_id)
     head_start = spec.layer_offsets()[-1][0]
@@ -237,8 +237,8 @@ def per_task_finetune(spec, theta_pre, task, epochs, lr, batch_size, seed, head_
         perm = rng.permutation(n)
         for lo in range(0, n, batch_size):
             idx = perm[lo : lo + batch_size]
-            _, grad = loss_and_grad(spec, values, task.train_inputs[idx],
-                                    task.train_labels[idx])
+            _, grad = loss_and_grad(spec, bind_training(spec, values, {idx.shape}),
+                                    task.train_inputs[idx], task.train_labels[idx])
             if head_mode == "per_task":
                 grad[head_start:] = 0.0
             values = values - lr * grad

@@ -16,7 +16,8 @@ BLAS/OpenMP thread, set before numpy loads, and reports numpy's version, its
 BLAS and `nproc`.
 
 Per size and side the output holds the median and interquartile range of the
-pretrain, finetune and merge wall times; the worker's peak RSS once it has
+pretrain, finetune and merge wall times, and of the worker's minor page faults
+and system CPU seconds over each of them; the worker's peak RSS once it has
 trained and sampled; and sha256 prefixes of the pretrained and fine-tuned
 checkpoints, of every step's binary mask and of the merged parameters, so sides
 can be compared bit for bit. Each side after the first is also compared with
@@ -52,6 +53,11 @@ PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS"
 # 0.015-0.068/0.008-0.031 s on medians of 0.19/0.12 s; at 10, 0.004-0.035/0.003-0.019 s,
 # with the sides' medians within 0.009/0.002 s of each other.
 TRAININGS = {"32": 10, "256,256": 1, "1024,1024": 1}
+# What each timed region records, as the suffix of its key: wall seconds, minor page
+# faults (ru_minflt) and system CPU seconds (ru_stime); faults and system time show
+# the kernel's share, as when the heap is trimmed and then faulted in again.
+USAGE = ("s", "minflt", "sys_s")
+REGIONS = ("pretrain", "finetune", "merge")
 
 
 def _sha(data: bytes) -> str:
@@ -66,6 +72,18 @@ def _blas() -> str:
         return f"{libs.get('name')} {libs.get('version')}"
     except (TypeError, KeyError):
         return "unknown"
+
+
+def _timed(fn, *args):
+    """fn(*args), and its wall seconds, the worker's minor page faults and its system
+    CPU seconds over the call, under the keys of USAGE."""
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    start = perf_counter()
+    result = fn(*args)
+    seconds = perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    return result, {"s": seconds, "minflt": after.ru_minflt - before.ru_minflt,
+                    "sys_s": after.ru_stime - before.ru_stime}
 
 
 def worker(hidden: str):
@@ -88,17 +106,18 @@ def worker(hidden: str):
         for line in sys.stdin:
             command = line.strip()
             if command == "train":
-                pretrain_s = finetune_s = 0.0
+                totals = {f"{stage}_{key}": 0.0 for stage in ("pretrain", "finetune")
+                          for key in USAGE}
                 for _ in range(TRAININGS[hidden]):
-                    start = perf_counter()
-                    theta_pre = stage_pretrain(config, workdir, tasks)
-                    pretrain_s += perf_counter() - start
-                    start = perf_counter()
-                    ckpt = stage_finetune(config, workdir, tasks, theta_pre)
-                    finetune_s += perf_counter() - start
+                    theta_pre, pretrain_usage = _timed(stage_pretrain, config, workdir, tasks)
+                    ckpt, finetune_usage = _timed(stage_finetune, config, workdir, tasks,
+                                                  theta_pre)
+                    for stage, usage in (("pretrain", pretrain_usage),
+                                         ("finetune", finetune_usage)):
+                        for key, value in usage.items():
+                            totals[f"{stage}_{key}"] += value
                 print(json.dumps({
-                    "pretrain_s": pretrain_s / TRAININGS[hidden],
-                    "finetune_s": finetune_s / TRAININGS[hidden],
+                    **{key: total / TRAININGS[hidden] for key, total in totals.items()},
                     "parameters": ckpt.spec.parameter_count,
                     "pretrained_sha": _sha(theta_pre.values.tobytes()),
                     "checkpoints_sha": _sha(b"".join(ft.values.tobytes()
@@ -113,11 +132,9 @@ def worker(hidden: str):
                                   resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}),
                       flush=True)
             elif command == "run":
-                start = perf_counter()
-                result = sequential_merge(ckpt, config.plan, examples)
-                seconds = perf_counter() - start
+                result, usage = _timed(sequential_merge, ckpt, config.plan, examples)
                 print(json.dumps({
-                    "merge_s": seconds,
+                    **{f"merge_{key}": value for key, value in usage.items()},
                     "masks_sha": _sha(b"".join(step.mask.m.tobytes() for step in result.steps)),
                     "merged_sha": _sha(result.merged.values.tobytes()),
                     # floats print with repr, so the traces round-trip exactly
@@ -209,9 +226,11 @@ def measure(sides: dict[str, str], hidden: str, repeats: int) -> dict:
                            f"{name} at {hidden}: checkpoints")
         outputs = _one(runs[name], ("masks_sha", "merged_sha"), f"{name} at {hidden}: merges")
         out[name] = {**envs[name], **peaks[name], **checkpoints, **outputs,
-                     **{key: _quartiles([r[key] for r in trains[name]])
-                        for key in ("pretrain_s", "finetune_s")},
-                     "merge_s": _quartiles([r["merge_s"] for r in runs[name]])}
+                     **{f"{region}_{key}": _quartiles([r[f"{region}_{key}"] for r in replies])
+                        for region, replies in (("pretrain", trains[name]),
+                                                ("finetune", trains[name]),
+                                                ("merge", runs[name]))
+                        for key in USAGE}}
         if name != names[0]:
             out[name][f"vs_{names[0]}"] = _compare(first, runs[name][0])
     return out
@@ -232,9 +251,11 @@ def main(argv=None):
     for hidden in args.sizes:
         results[hidden] = measure(sides, hidden, args.repeats)
         for name, side in results[hidden].items():
-            times = "  ".join(f"{key[:-2]} {side[key]['median']:.3f} s (IQR "
-                              f"{side[key]['iqr']:.3f})"
-                              for key in ("pretrain_s", "finetune_s", "merge_s"))
+            times = "  ".join(f"{region} {side[f'{region}_s']['median']:.3f} s (IQR "
+                              f"{side[f'{region}_s']['iqr']:.3f}, "
+                              f"{side[f'{region}_minflt']['median']:,.0f} faults, "
+                              f"sys {side[f'{region}_sys_s']['median']:.3f} s)"
+                              for region in REGIONS)
             print(f"({hidden}) {side['parameters']:>9,} params  {name:>8}: {times}  peak RSS "
                   f"{side['setup_peak_rss_mb']:.0f} MB  pretrained {side['pretrained_sha']}  "
                   f"checkpoints {side['checkpoints_sha']}  masks {side['masks_sha']}  "
