@@ -1,8 +1,8 @@
 """Reference merging rules: weight averaging, task arithmetic, ties-merging.
 
 All three are deterministic elementwise reductions over flat parameter
-vectors. Sums always run in list-index order (numpy pairwise reduction over a
-stacked axis), so repeated calls are bit-reproducible.
+vectors. Sums always run in list-index order, so repeated calls are
+bit-reproducible.
 """
 from __future__ import annotations
 
@@ -45,9 +45,14 @@ class TiesConfig:
 
 
 def ordered_sum(arrays) -> np.ndarray:
-    """Sum of equal-length vectors with the reduction order fixed by index."""
-    stacked = np.stack([np.asarray(a, dtype=np.float64) for a in arrays], axis=0)
-    return np.sum(stacked, axis=0)
+    """Sum of equal-length vectors, from any iterable, in index order: a running sum from
+    zeros, bit for bit numpy's sum of their stack along axis 0 (all -0.0 sums to +0.0)."""
+    total = None
+    for values in arrays:
+        if total is None:
+            total = np.zeros(np.shape(values))
+        total += values
+    return total
 
 
 def task_vector(theta_ft: ParamVector, theta_pre: ParamVector, task_id: int | str = "") -> TaskVector:
@@ -103,8 +108,8 @@ def ties_elect_sign(task_vectors: list[TaskVector]) -> np.ndarray:
     """
     if not task_vectors:
         raise ContractError("ties_elect_sign needs at least one task vector")
-    pos = ordered_sum([np.maximum(tv.values, 0.0) for tv in task_vectors])
-    neg = ordered_sum([np.maximum(-tv.values, 0.0) for tv in task_vectors])
+    pos = ordered_sum(np.maximum(tv.values, 0.0) for tv in task_vectors)
+    neg = ordered_sum(np.maximum(-tv.values, 0.0) for tv in task_vectors)
     elected = np.where(pos >= neg, 1, -1).astype(np.int8)
     elected[(pos == 0.0) & (neg == 0.0)] = 0
     return elected

@@ -3,12 +3,13 @@
 Subcommands mirror the pipeline stages (gen-tasks, pretrain, finetune,
 sample, merge, eval), plus `ablate` for sweeps and `report` to rebuild
 reports from persisted artifacts. Each stage reads what the stages before it
-persisted in the working directory through the runner's loaders, which check
-the dataset's task family and each checkpoint's model spec against the config:
-`merge` uses the credible sets written by `sample`, and `eval` and `report`
-write the same report files as `run_experiment`. The density and objective
-traces exist only in the process that merged, so asking `eval` or `report`
-for them is a configuration error. Every config key is also a flag
+persisted in the working directory through the runner's loaders: `merge` uses
+the credible sets written by `sample`, and `eval` and `report` write the same
+report files as `run_experiment`, the mask traces included. Every file records
+the config keys of the stage that made it and of the stages before that one,
+and every load compares them with the config: changing any recorded key needs
+that stage run again, and until then a later stage exits 2 naming the key and
+the stage. `report` is recorded by no file. Every config key is also a flag
 (`--family.num_tasks 4`); the CALMKIT_WORKDIR environment variable sets the
 default working directory.
 
@@ -117,10 +118,6 @@ def _run_command(args: argparse.Namespace) -> int:
         sys.stdout.write(default_config_text())
         return 0
     config = resolve_config(args)
-    traces = [token for token in ("density_trace", "objective_trace") if token in config.report]
-    if traces and args.command in ("eval", "report"):
-        raise ConfigError(f"report tokens {', '.join(map(repr, traces))} need the merge's "
-                          f"in-memory traces; ask run_experiment or ablate, not {args.command}")
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
 
@@ -151,9 +148,9 @@ def _run_command(args: argparse.Namespace) -> int:
                     load_credible(config, workdir))
         print(f"wrote {workdir / MERGED_FILE}")
     else:  # eval and report: the same report, rebuilt from the persisted artifacts
+        ckpt, credible = load_checkpoints(config, workdir), load_credible(config, workdir)
         (merged,) = load_models(config, workdir / MERGED_FILE, ["merged"])
-        bundle = stage_evaluate(config, workdir, tasks, load_checkpoints(config, workdir),
-                                merged, credible=load_credible(config, workdir))
+        bundle = stage_evaluate(config, workdir, tasks, ckpt, merged, credible)
         print((workdir / "report.txt").read_text(), end="")
         if args.command == "eval":
             print(f"average accuracy: {bundle.average_accuracy:.4f}")
@@ -168,10 +165,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ContractError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FormatError, FileNotFoundError, OSError) as exc:
+    except (StageError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

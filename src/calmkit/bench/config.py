@@ -3,10 +3,10 @@
 A config is a plain text document of `key = value` lines with `#` comments.
 Keys are dotted paths into the sections below; unknown keys are rejected with
 the list of valid ones. Every key has a documented default, so the empty
-document is a complete default experiment. Integer keys stored in u32 fields
-stay below 2^32, and `family.num_tasks` at most MAX_TASKS. The `plan.*` and
-`ties.*` sections parse straight into `MergePlan` and `TiesConfig`, so their
-checks run when the config is resolved.
+document is a complete default experiment. The integer keys that size the
+data and the model stay below 2^32, and `family.num_tasks` at most MAX_TASKS.
+The `plan.*` and `ties.*` sections parse straight into `MergePlan` and
+`TiesConfig`, so their checks run when the config is resolved.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ SUITES = ("sampling_rate", "strategy", "order", "reg_coef", "lr", "components")
 # The most tasks a family may have, checked as the key parses: the pipeline trains,
 # samples and merges each task in turn, and `partition` permutes every task id.
 MAX_TASKS = 1024
-# The integer keys that the artifact formats store in u32 fields.
+# The integer keys that size the data and the model, each at most 2^32 - 1.
 U32_KEYS = ("family.num_tasks", "family.classes_per_task", "family.input_dim",
             "family.train_per_task", "family.unlabeled_per_task", "family.test_per_task",
             "train.hidden_dims")
@@ -161,7 +161,7 @@ def build_config(entries: dict[str, str]) -> ExperimentConfig:
             raise ConfigError(f"key {key!r}: {raw!r} exceeds the maximum {most}")
         sections[section][name] = value
     seed = sections[None].get("seed", 0)
-    if not 0 <= seed < 2**63:  # the dataset header stores it as an i64
+    if not 0 <= seed < 2**63:
         raise ConfigError(f"seed must lie in [0, 2^63), got {seed}")
     sections["family"].setdefault("seed", seed)
     built: dict[str, Any] = {}

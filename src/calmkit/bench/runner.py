@@ -1,15 +1,15 @@
 """End-to-end experiment orchestration and ablation sweeps.
 
 An experiment runs generate -> pretrain -> finetune -> sample -> merge ->
-evaluate, persisting every stage's artifacts into one working directory. Any
-stage failure is wrapped in StageError carrying the stage name. Ablation
-suites rebuild the shared pipeline once and sweep a single axis; a point
-samples again only when its sampling section differs from the shared one.
+evaluate, persisting every stage's artifacts into one working directory; each
+loader checks the config its file records against the running one. Any stage
+failure is wrapped in StageError carrying the stage name. Ablation suites
+rebuild the shared pipeline once and sweep a single axis; a point samples again,
+into its own directory, only when its sampling section differs from the shared one.
 """
 from __future__ import annotations
 
 import itertools
-import shutil
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -25,7 +25,7 @@ from ..tasks import Checkpoints, TaskData, finetune_all, generate_family, model_
 from .config import ExperimentConfig, SUITES, ConfigError, apply_overrides, config_text
 from .formats import (
     FormatError,
-    check_header,
+    check_made,
     load_checkpoint,
     load_credible_sets,
     load_tasks,
@@ -51,12 +51,7 @@ MASKS_FILE = "masks.calmckpt"
 
 
 class StageError(RuntimeError):
-    """A pipeline stage failed; carries the stage name for exit reporting."""
-
-    def __init__(self, stage: str, original: Exception):
-        super().__init__(f"stage {stage!r} failed: {original}")
-        self.stage = stage
-        self.original = original
+    """A pipeline stage failed; the message names the stage, and the cause is the error."""
 
 
 @contextmanager
@@ -64,13 +59,13 @@ def _stage(name: str):
     try:
         yield
     except Exception as exc:
-        raise StageError(name, exc) from exc
+        raise StageError(f"stage {name!r} failed: {exc}") from exc
 
 
 def stage_generate(config: ExperimentConfig, workdir: Path) -> list[TaskData]:
     with _stage("generate"):
         tasks = generate_family(config.family)
-        save_tasks(workdir / DATASETS_FILE, config.family, tasks)
+        save_tasks(workdir / DATASETS_FILE, config, tasks)
     return tasks
 
 
@@ -83,7 +78,8 @@ def stage_pretrain(config: ExperimentConfig, workdir: Path, tasks: list[TaskData
         theta_pre = pretrain(spec, tasks, config.train.pretrain_epochs,
                              config.train.pretrain_lr, config.train.batch_size,
                              config.family.seed)
-        save_checkpoint(workdir / PRETRAINED_FILE, spec, {"pretrained": theta_pre.values})
+        save_checkpoint(workdir / PRETRAINED_FILE, "pretrain", config,
+                        {"pretrained": theta_pre.values})
     return theta_pre
 
 
@@ -95,25 +91,25 @@ def stage_finetune(config: ExperimentConfig, workdir: Path, tasks: list[TaskData
         vectors = {"pretrained": ckpt.pretrained.values}
         for t, ft in enumerate(ckpt.finetuned):
             vectors[f"finetuned_{t:02d}"] = ft.values
-        save_checkpoint(workdir / CHECKPOINTS_FILE, ckpt.spec, vectors)
+        save_checkpoint(workdir / CHECKPOINTS_FILE, "finetune", config, vectors)
     return ckpt
 
 
 def load_dataset(config: ExperimentConfig, workdir: Path) -> list[TaskData]:
     """The tasks that stage_generate persisted; their family must be the config's."""
     path = workdir / DATASETS_FILE
-    family, tasks = load_tasks(path)
-    check_header(path, "family", family, config.family)
+    made, tasks = load_tasks(path)
+    check_made(path, "gen-tasks", made, config)
     return tasks
 
 
 def load_models(config: ExperimentConfig, path: Path, names: list[str]) -> list[ParamVector]:
     """The models a stage persisted under `names`, all the file holds, of the config's spec."""
-    spec, vectors = load_checkpoint(path)
-    check_header(path, "model", spec, model_spec(config.family, config.train))
+    stage, made, vectors = load_checkpoint(path)
+    check_made(path, stage, made, config)
     if sorted(vectors) != sorted(names):
         raise FormatError(f"{path}: expected vectors {names}, got {sorted(vectors)}")
-    return [bind(spec, vectors[name]) for name in names]
+    return [bind(model_spec(made.family, made.train), vectors[name]) for name in names]
 
 
 def load_checkpoints(config: ExperimentConfig, workdir: Path) -> Checkpoints:
@@ -129,29 +125,21 @@ def stage_sample(config: ExperimentConfig, workdir: Path, tasks: list[TaskData],
     with _stage("sample"):
         credible: dict[int, CredibleSet] = {}
         for task in tasks:
-            pool = task.unlabeled_inputs
-            scored = score_pool(ckpt.spec, ckpt.finetuned[task.task_id], pool)
+            scored = score_pool(ckpt.spec, ckpt.finetuned[task.task_id], task.unlabeled_inputs)
             if config.sampling.mode == "ems":
-                credible[task.task_id] = select_ems(scored, config.sampling.rate, pool,
-                                                    task_id=task.task_id)
+                credible[task.task_id] = select_ems(scored, config.sampling.rate, task.task_id)
             else:
-                credible[task.task_id] = select_cb_ems(scored, config.sampling.rate, pool,
-                                                       config.family.classes_per_task,
-                                                       task_id=task.task_id)
-        save_credible_sets(workdir / CREDIBLE_FILE, credible)
+                credible[task.task_id] = select_cb_ems(
+                    scored, config.sampling.rate, config.family.classes_per_task, task.task_id)
+        save_credible_sets(workdir / CREDIBLE_FILE, config, credible)
     return credible
 
 
 def load_credible(config: ExperimentConfig, workdir: Path) -> dict[int, CredibleSet]:
-    """The credible sets stage_sample persisted; they must match the config's sampling."""
+    """The credible sets stage_sample persisted."""
     path = workdir / CREDIBLE_FILE
-    credible = load_credible_sets(path)
-    for cs in credible.values():
-        if (cs.mode, cs.rate) != (config.sampling.mode, config.sampling.rate):
-            raise FormatError(
-                f"{path}: sampled with mode {cs.mode} rate {cs.rate!r}, but the config asks "
-                f"for mode {config.sampling.mode} rate {config.sampling.rate!r}; run sample again"
-            )
+    made, credible = load_credible_sets(path)
+    check_made(path, "sample", made, config)
     return credible
 
 
@@ -159,7 +147,8 @@ def _mask_training_data(config: ExperimentConfig, tasks: list[TaskData],
                         credible: Mapping[int, CredibleSet]):
     """What the mask objective trains on, per the sampling.objective arm."""
     if config.sampling.objective == "pseudo":
-        return {t: (cs.inputs, cs.pseudo_labels) for t, cs in credible.items()}, "cross_entropy"
+        return ({t: (tasks[t].unlabeled_inputs[cs.indices], cs.pseudo_labels)
+                 for t, cs in credible.items()}, "cross_entropy")
     if config.sampling.objective == "supervised":
         return {t.task_id: (t.unlabeled_inputs, t.audit_labels) for t in tasks}, "cross_entropy"
     return {t.task_id: (t.unlabeled_inputs, None) for t in tasks}, "entropy"
@@ -181,21 +170,21 @@ def merge_with_method(config: ExperimentConfig, tasks: list[TaskData], ckpt: Che
     return ties_merge(ckpt.pretrained, taus, config.ties), None
 
 
-def _step_key(index: int, task_id: int) -> str:
-    return f"step{index:02d}_task{task_id:02d}"
-
-
 def stage_merge(config: ExperimentConfig, workdir: Path, tasks: list[TaskData],
                 ckpt: Checkpoints, credible: Mapping[int, CredibleSet]
                 ) -> tuple[ParamVector, MergeResult | None]:
-    """Merge and persist the model; the masks file holds this merge's masks or is absent."""
+    """Merge and persist the model; the masks file holds this merge's masks and their
+    traces, or is absent."""
     with _stage("merge"):
         merged, result = merge_with_method(config, tasks, ckpt, credible)
-        save_checkpoint(workdir / MERGED_FILE, ckpt.spec, {"merged": merged.values})
+        save_checkpoint(workdir / MERGED_FILE, "merge", config, {"merged": merged.values})
         if result is not None and result.steps:
-            masks = {_step_key(idx, step.task_id): step.mask.m
-                     for idx, step in enumerate(result.steps)}
-            save_checkpoint(workdir / MASKS_FILE, ckpt.spec, masks)
+            masks = {}
+            for idx, step in enumerate(result.steps):
+                key = f"step{idx:02d}_task{step.task_id:02d}"
+                masks.update({key: step.mask.m, f"{key}.density_trace": step.density_trace,
+                              f"{key}.objective_trace": step.objective_trace})
+            save_checkpoint(workdir / MASKS_FILE, "merge", config, masks)
         else:
             (workdir / MASKS_FILE).unlink(missing_ok=True)
     return merged, result
@@ -203,14 +192,9 @@ def stage_merge(config: ExperimentConfig, workdir: Path, tasks: list[TaskData],
 
 def stage_evaluate(config: ExperimentConfig, workdir: Path, tasks: list[TaskData],
                    ckpt: Checkpoints, merged: ParamVector,
-                   result: MergeResult | None = None,
-                   credible: Mapping[int, CredibleSet] | None = None) -> ReportBundle:
-    """Evaluate the merged model and write its reports.
-
-    Mask diagnostics come from `result` when the merge ran in this process and
-    from the persisted masks file otherwise; the density and objective traces
-    exist only in memory, so only the first case reports them.
-    """
+                   credible: Mapping[int, CredibleSet]) -> ReportBundle:
+    """Evaluate the merged model and write its reports; the mask diagnostics come from
+    the masks file that stage_merge persisted."""
     with _stage("evaluate"):
         per_task, average = evaluate(ckpt.spec, merged, tasks)
         bundle = ReportBundle(
@@ -219,23 +203,19 @@ def stage_evaluate(config: ExperimentConfig, workdir: Path, tasks: list[TaskData
             per_task_accuracy=per_task,
             average_accuracy=average,
         )
-        if credible is not None:
-            audits = [audit_accuracy(credible[t.task_id], t.audit_labels) for t in tasks]
-            bundle.extras["pseudo_label_audit_accuracy"] = float(np.mean(audits))
-        masks: dict[str, tuple[int, BinaryMask]] = {}
-        if result is not None:
-            for idx, step in enumerate(result.steps):
-                key = _step_key(idx, step.task_id)
-                masks[key] = (step.task_id, step.mask)
-                if "density_trace" in config.report:
-                    bundle.density_traces[key] = step.density_trace
-                if "objective_trace" in config.report:
-                    bundle.objective_traces[key] = step.objective_trace
-        elif (workdir / MASKS_FILE).exists():
-            _, vectors = load_checkpoint(workdir / MASKS_FILE)
-            masks = {key: (int(key.rsplit("task", 1)[1]), BinaryMask(vectors[key]))
-                     for key in sorted(vectors)}
-        for key, (task_id, mask) in masks.items():
+        audits = [audit_accuracy(credible[t.task_id], t.audit_labels) for t in tasks]
+        bundle.extras["pseudo_label_audit_accuracy"] = float(np.mean(audits))
+        path = workdir / MASKS_FILE
+        vectors = {}
+        if set(config.report) - {"accuracy"} and path.exists():  # a mask diagnostic
+            stage, made, vectors = load_checkpoint(path)
+            check_made(path, stage, made, config)
+        for key in [key for key in vectors if "." not in key]:  # the masks, not their traces
+            task_id, mask = int(key.rsplit("task", 1)[1]), BinaryMask(vectors[key])
+            if "density_trace" in config.report:
+                bundle.density_traces[key] = vectors[f"{key}.density_trace"]
+            if "objective_trace" in config.report:
+                bundle.objective_traces[key] = vectors[f"{key}.objective_trace"]
             if "layer_density" in config.report:
                 bundle.layer_densities[key] = layer_density(mask, ckpt.spec)
             if "magnitude_overlap" in config.report:
@@ -259,8 +239,8 @@ def run_experiment(config: ExperimentConfig, workdir: Path) -> ReportBundle:
     workdir.mkdir(parents=True, exist_ok=True)
     (workdir / "config.resolved.txt").write_text(config_text(config))
     tasks, ckpt, credible = _shared_pipeline(config, workdir)
-    merged, result = stage_merge(config, workdir, tasks, ckpt, credible)
-    return stage_evaluate(config, workdir, tasks, ckpt, merged, result, credible)
+    merged, _ = stage_merge(config, workdir, tasks, ckpt, credible)
+    return stage_evaluate(config, workdir, tasks, ckpt, merged, credible)
 
 
 # one-axis suites: config key, summary.csv columns (the first is the swept value),
@@ -291,16 +271,11 @@ def ablation_suite(config: ExperimentConfig, suite: str, workdir: Path) -> list[
         point_dir = workdir / label
         point_dir.mkdir(parents=True, exist_ok=True)
         (point_dir / "config.resolved.txt").write_text(config_text(point_config))
-        if point_config.sampling == config.sampling:
-            # the shared sets; the copy lets `report --workdir <point>` read them
-            with _stage("sample"):
-                shutil.copyfile(workdir / CREDIBLE_FILE, point_dir / CREDIBLE_FILE)
-            point_credible = credible
-        else:
+        point_credible = credible
+        if point_config.sampling != config.sampling:
             point_credible = stage_sample(point_config, point_dir, tasks, ckpt)
-        merged, result = stage_merge(point_config, point_dir, tasks, ckpt, point_credible)
-        bundle = stage_evaluate(point_config, point_dir, tasks, ckpt, merged, result,
-                                point_credible)
+        merged, _ = stage_merge(point_config, point_dir, tasks, ckpt, point_credible)
+        bundle = stage_evaluate(point_config, point_dir, tasks, ckpt, merged, point_credible)
         return {"label": label, "average_accuracy": bundle.average_accuracy,
                 "audit_accuracy": bundle.extras["pseudo_label_audit_accuracy"],
                 "bundle": bundle}

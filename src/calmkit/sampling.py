@@ -37,26 +37,23 @@ class PoolScores:
 
 @dataclass(frozen=True)
 class CredibleSet:
-    """Selected pool rows (ascending from the selectors) and their frozen pseudo-labels."""
+    """Selected pool rows (ascending from the selectors), their entropies and frozen
+    pseudo-labels; the rows themselves stay in the task's unlabeled pool."""
 
     task_id: int
     indices: np.ndarray
     entropies: np.ndarray
     pseudo_labels: np.ndarray
-    rate: float
-    mode: str
-    inputs: np.ndarray
 
     def __post_init__(self):
         for name, dtype in (("indices", np.int64), ("entropies", np.float64),
-                            ("pseudo_labels", np.int64), ("inputs", np.float64)):
+                            ("pseudo_labels", np.int64)):
             object.__setattr__(self, name, read_only(getattr(self, name), dtype))
         rows = self.indices.shape[:1]
         if (self.indices.ndim != 1 or self.entropies.shape != rows
-                or self.pseudo_labels.shape != rows or self.inputs.ndim != 2
-                or self.inputs.shape[:1] != rows):
-            raise ContractError("a credible set holds one entropy, pseudo-label and input "
-                                "row per selected index")
+                or self.pseudo_labels.shape != rows):
+            raise ContractError("a credible set holds one entropy and pseudo-label per "
+                                "selected index")
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -78,27 +75,23 @@ def _bottom_k(scores: PoolScores, rows: np.ndarray, k: int) -> np.ndarray:
     return rows[np.lexsort((rows, scores.entropies[rows]))[:k]]
 
 
-def _build(task_id: int, scores: PoolScores, chosen: np.ndarray, rate: float, mode: str,
-           pool_inputs: np.ndarray) -> CredibleSet:
+def _build(task_id: int, scores: PoolScores, chosen: np.ndarray) -> CredibleSet:
     rows = np.sort(chosen)
-    return CredibleSet(task_id, rows, scores.entropies[rows], scores.pseudo_labels[rows],
-                       rate, mode, pool_inputs[rows])
+    return CredibleSet(task_id, rows, scores.entropies[rows], scores.pseudo_labels[rows])
 
 
-def select_ems(scores: PoolScores, rate: float, pool_inputs: np.ndarray,
-               task_id: int = 0) -> CredibleSet:
+def select_ems(scores: PoolScores, rate: float, task_id: int = 0) -> CredibleSet:
     """The floor(rate * N) lowest-entropy rows of the whole pool."""
     k = math.floor(rate * len(scores))
     if k == 0:
         raise ContractError(
             f"rate {rate} selects zero of {len(scores)} samples; increase the sampling rate"
         )
-    return _build(task_id, scores, _bottom_k(scores, np.arange(len(scores)), k), rate, "ems",
-                  pool_inputs)
+    return _build(task_id, scores, _bottom_k(scores, np.arange(len(scores)), k))
 
 
-def select_cb_ems(scores: PoolScores, rate: float, pool_inputs: np.ndarray,
-                  num_classes: int, task_id: int = 0) -> CredibleSet:
+def select_cb_ems(scores: PoolScores, rate: float, num_classes: int,
+                  task_id: int = 0) -> CredibleSet:
     """Per pseudo-class, the floor(rate * pool_c) lowest-entropy rows; union over classes."""
     picks = [np.empty(0, dtype=np.int64)]
     for c in range(num_classes):
@@ -112,7 +105,7 @@ def select_cb_ems(scores: PoolScores, rate: float, pool_inputs: np.ndarray,
         raise ContractError(
             f"rate {rate} selects zero samples across all classes; increase the sampling rate"
         )
-    return _build(task_id, scores, chosen, rate, "cb_ems", pool_inputs)
+    return _build(task_id, scores, chosen)
 
 
 def audit_accuracy(credible: CredibleSet, true_labels: np.ndarray) -> float:

@@ -4,6 +4,7 @@ import pytest
 from calmkit.baselines import (
     TaskVector,
     TiesConfig,
+    ordered_sum,
     task_arithmetic,
     task_vector,
     ties_elect_sign,
@@ -133,6 +134,21 @@ class TestTiesTrim:
         tau = TaskVector(np.array([1.0, -1.0, 1.0, 0.5]))
         trimmed = ties_trim(tau, 0.5)
         assert np.array_equal(trimmed.values, np.array([1.0, -1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("size", [709, 71_000, 1_000_000])
+@pytest.mark.parametrize("count", [1, 2, 3, 8, 17])
+def test_ordered_sum_is_the_stacked_sum_bit_for_bit(size, count):
+    # signed zeros and infinities included: +0.0 + -0.0, -0.0 + -0.0 and inf - inf
+    rng = np.random.default_rng(size + count)
+    arrays = [rng.standard_normal(size) for _ in range(count)]
+    for values in arrays:
+        at = rng.permutation(size)[:40]
+        values[at[:10]], values[at[10:20]] = 0.0, -0.0
+        values[at[20:30]], values[at[30:]] = np.inf, -np.inf
+    with np.errstate(invalid="ignore"):
+        expected = np.sum(np.stack(arrays), axis=0)
+        assert ordered_sum(iter(arrays)).tobytes() == expected.tobytes()
 
 
 class TestTiesElectSign:

@@ -9,7 +9,7 @@ from calmkit.bench import cli
 from calmkit.bench import config as config_module
 from calmkit.bench import runner
 from calmkit.bench.config import MAX_TASKS, build_config
-from calmkit.bench.formats import load_checkpoint, save_checkpoint
+from calmkit.bench.formats import load_checkpoint, load_credible_sets, save_checkpoint
 from calmkit.bench.runner import (
     CHECKPOINTS_FILE,
     CREDIBLE_FILE,
@@ -31,7 +31,8 @@ TINY = {
     "train.accuracy_floor": "0.0",
     "plan.iterations_per_task": "4",
 }
-DIAGNOSTIC_REPORT = "accuracy, layer_density, magnitude_overlap"
+DIAGNOSTIC_REPORT = ("accuracy, layer_density, density_trace, objective_trace, "
+                     "magnitude_overlap")
 
 
 def _sha(data: bytes) -> str:
@@ -46,6 +47,12 @@ def _cli(command: str, workdir, entries=None, *extra: str) -> int:
 def _staged(workdir, entries=None):
     for command in ("gen-tasks", "pretrain", "finetune", "sample"):
         assert _cli(command, workdir, entries) == 0
+
+
+def _masks_sha(paths) -> str:
+    """The masks of masks files, without their traces, in file order."""
+    return _sha(b"".join(values.tobytes() for path in paths
+                         for name, values in load_checkpoint(path)[2].items() if "." not in name))
 
 
 def _reports(directory) -> dict[str, bytes]:
@@ -73,11 +80,14 @@ def test_persisted_mask_diagnostics_match_the_one_shot_run(tmp_path):
     staged = tmp_path / "staged"
     _staged(staged, entries)
     assert _cli("merge", staged, entries) == 0
+    assert _cli("eval", staged, entries) == 0
+    evaluated = _reports(staged)
     assert _cli("report", staged, entries) == 0
     reported = _reports(staged)
     assert set(reported) == {"report.txt", "report.csv", "layer_density.csv",
+                             "density_trace.csv", "objective_trace.csv",
                              "magnitude_overlap.csv"}
-    assert reported == _reports(tmp_path / "one")
+    assert evaluated == reported == _reports(tmp_path / "one")
 
 
 def test_default_config_staged_reports_keep_their_hashes(tmp_path):
@@ -86,16 +96,26 @@ def test_default_config_staged_reports_keep_their_hashes(tmp_path):
     expected = {"avg": "365b306a877fa7d1", "ta": "2b9609b8c585f470",
                 "ties": "dead7c0d119f6258", "calm": "3626e6f7983a0dea"}
     _staged(tmp_path)
-    # the entropies as the loss kernel computes them; the selected rows did not move
-    assert _sha((tmp_path / CREDIBLE_FILE).read_bytes()) == "3808bc38307e0c1d"
+    # the container's bytes (format version 2; version 1 read 3808bc38307e0c1d) and
+    # its payload, the sets' indices, entropies and pseudo-labels, which did not move
+    credible_file = tmp_path / CREDIBLE_FILE
+    assert _sha(credible_file.read_bytes()) == "b4bf1cc2712811a1"
+    _, credible = load_credible_sets(credible_file)
+    assert _sha(b"".join(cs.indices.tobytes() + cs.entropies.tobytes()
+                         + cs.pseudo_labels.tobytes()
+                         for _, cs in sorted(credible.items()))) == "e5b66067ef51512f"
     for method, digest in expected.items():
         assert _cli("merge", tmp_path, {"method": method}) == 0
         assert _cli("eval", tmp_path, {"method": method}) == 0
         assert _sha((tmp_path / "report.csv").read_bytes()) == digest, method
     # the calm merge's files: binarize rounds r at exactly 0, so a reordered sum can
-    # flip a mask coordinate without moving any accuracy in report.csv
-    assert _sha((tmp_path / MASKS_FILE).read_bytes()) == "985c13132e5385ab"
-    assert _sha((tmp_path / MERGED_FILE).read_bytes()) == "4c0b1c72d2680eeb"
+    # flip a mask coordinate without moving any accuracy in report.csv. The files'
+    # bytes (version 1: 985c13132e5385ab and 4c0b1c72d2680eeb), then their payloads
+    assert _sha((tmp_path / MASKS_FILE).read_bytes()) == "74cd41a45703d418"
+    assert _sha((tmp_path / MERGED_FILE).read_bytes()) == "3a35f38de663e30f"
+    assert _masks_sha([tmp_path / MASKS_FILE]) == "c74d6fa22a4fa707"
+    merged = load_checkpoint(tmp_path / MERGED_FILE)[2]["merged"]
+    assert _sha(merged.tobytes()) == "6427c4d4d7d71ad6"
 
 
 def test_default_config_text_keeps_its_hash(tmp_path, capsys):
@@ -201,11 +221,13 @@ def test_order_suite_that_draws_batches_keeps_its_hashes(tmp_path):
     ablation_suite(build_config(ORDER_DRAWS), "order", tmp_path)
     masks = sorted(tmp_path.glob(f"order_*/{MASKS_FILE}"))
     assert len(masks) == 6
-    assert _sha(b"".join(path.read_bytes() for path in masks)) == "70bf54b5d2649eb3"
+    # the files (format version 1: 70bf54b5d2649eb3), then their masks
+    assert _sha(b"".join(path.read_bytes() for path in masks)) == "c96da41b838230fb"
+    assert _masks_sha(masks) == "1983186110b3594c"
     assert _sha((tmp_path / "summary.csv").read_bytes()) == "8c09e378c3d13111"
 
 
-def test_order_suite_samples_once_and_copies_the_shared_sets(tmp_path, monkeypatch):
+def test_order_suite_samples_once(tmp_path, monkeypatch):
     calls = []
     score_pool = runner.score_pool
 
@@ -216,10 +238,9 @@ def test_order_suite_samples_once_and_copies_the_shared_sets(tmp_path, monkeypat
     monkeypatch.setattr(runner, "score_pool", counted)
     records = ablation_suite(build_config(TINY), "order", tmp_path)
     assert len(calls) == int(TINY["family.num_tasks"])  # one pass, one call per task
-    shared = (tmp_path / CREDIBLE_FILE).read_bytes()
     assert len(records) == 6
-    for record in records:
-        assert (tmp_path / record["label"] / CREDIBLE_FILE).read_bytes() == shared
+    assert (tmp_path / CREDIBLE_FILE).exists()
+    assert not list(tmp_path.glob(f"*/{CREDIBLE_FILE}"))
 
 
 def test_merge_reads_the_persisted_credible_sets(tmp_path, monkeypatch):
@@ -242,19 +263,41 @@ def test_merge_rejects_credible_sets_of_another_sampling_config(key, value, tmp_
     assert "run sample again" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command,key,value,field", [
-    ("merge", "seed", "3", "family.seed"),
-    ("eval", "family.cluster_sep", "1.7", "family.cluster_sep"),
-    ("sample", "train.hidden_dims", "8", "model.hidden_dims"),
-    ("finetune", "train.activation", "tanh", "model.activation"),
+@pytest.mark.parametrize("command,key,value,stage", [
+    ("merge", "seed", "3", "gen-tasks"),
+    ("eval", "family.cluster_sep", "1.7", "gen-tasks"),
+    ("sample", "train.hidden_dims", "8", "finetune"),
+    ("finetune", "train.activation", "tanh", "pretrain"),
+    ("merge", "train.finetune_lr", "0.02", "finetune"),
+    ("sample", "train.finetune_epochs", "5", "finetune"),
+    ("eval", "train.pretrain_epochs", "3", "finetune"),
+    ("eval", "sampling.rate", "0.5", "sample"),
+    ("eval", "sampling.objective", "entropy", "sample"),
+    ("eval", "plan.l1_weight", "3", "merge"),
+    ("eval", "method", "ta", "merge"),
+    ("report", "ties.scale", "0.5", "merge"),
 ])
-def test_stages_reject_artifacts_made_under_another_config(command, key, value, field,
+def test_stages_reject_artifacts_made_under_another_config(command, key, value, stage,
                                                            tmp_path, capsys):
     _staged(tmp_path, TINY)
     assert _cli("merge", tmp_path, TINY) == 0
     capsys.readouterr()
     assert _cli(command, tmp_path, {**TINY, key: value}) == 2
-    assert f"made with {field} = " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"made with {key} = " in err and f"run {stage} again" in err
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_a_stage_writes_under_any_config_and_the_next_reader_compares(tmp_path, capsys):
+    _staged(tmp_path, TINY)
+    assert _cli("merge", tmp_path, {**TINY, "plan.mask_lr": "7"}) == 0
+    capsys.readouterr()
+    assert _cli("eval", tmp_path, TINY) == 2
+    assert ("made with plan.mask_lr = 7.0, but the config gives 500.0; run merge again"
+            in capsys.readouterr().err)
+    # no file records `report`
+    assert _cli("eval", tmp_path, {**TINY, "plan.mask_lr": "7",
+                                   "report": DIAGNOSTIC_REPORT}) == 0
 
 
 def test_a_merge_without_masks_removes_the_stale_masks(tmp_path):
@@ -269,20 +312,6 @@ def test_a_merge_without_masks_removes_the_stale_masks(tmp_path):
     assert not (tmp_path / MASKS_FILE).exists()
     assert _cli("report", tmp_path, avg) == 0
     assert set(_reports(tmp_path)) == {"report.txt", "report.csv"}
-
-
-@pytest.mark.parametrize("token", ["density_trace", "objective_trace"])
-def test_staged_eval_and_report_reject_a_trace_token(token, tmp_path, capsys):
-    # the traces live only in the process that merged
-    _staged(tmp_path, TINY)
-    assert _cli("merge", tmp_path, TINY) == 0
-    entries = {**TINY, "report": f"accuracy, {token}"}
-    for command in ("eval", "report"):
-        capsys.readouterr()
-        assert _cli(command, tmp_path, entries) == 1
-        err = capsys.readouterr().err
-        assert "configuration error" in err and repr(token) in err
-    assert not (tmp_path / "report.csv").exists()
 
 
 def test_finetune_floor_miss_is_a_stage_error(tmp_path, capsys):
@@ -310,9 +339,9 @@ def test_a_diverging_pretrain_is_a_stage_error(tmp_path, capsys):
 def test_checkpoints_without_every_finetuned_model_are_a_format_error(tmp_path, capsys):
     _staged(tmp_path, TINY)
     path = tmp_path / CHECKPOINTS_FILE
-    spec, vectors = load_checkpoint(path)
+    stage, made, vectors = load_checkpoint(path)
     del vectors["finetuned_01"]
-    save_checkpoint(path, spec, vectors)
+    save_checkpoint(path, stage, made, vectors)
     capsys.readouterr()
     assert _cli("sample", tmp_path, TINY) == 2
     assert "finetuned_00" in capsys.readouterr().err

@@ -177,9 +177,8 @@ def mini_pipeline():
     credible = {}
     for t in tasks:
         scores = score_pool(ckpt.spec, ckpt.finetuned[t.task_id], t.unlabeled_inputs)
-        cs = select_cb_ems(scores, 0.9, t.unlabeled_inputs, family.classes_per_task,
-                           task_id=t.task_id)
-        credible[t.task_id] = (cs.inputs, cs.pseudo_labels)
+        cs = select_cb_ems(scores, 0.9, family.classes_per_task, task_id=t.task_id)
+        credible[t.task_id] = (t.unlabeled_inputs[cs.indices], cs.pseudo_labels)
     return family, tasks, ckpt, credible
 
 

@@ -77,6 +77,57 @@ class TestTally:
         ]
 
 
+def test_order_points_without_credible_sets_are_stated_not_differing(tmp_path):
+    parent = {"order/seed00/credible.calmcred": "shared",
+              "order/seed00/order_0_1/credible.calmcred": "shared",
+              "order/seed00/order_0_1/report.csv": "r",
+              "default/seed00/credible.calmcred": "c"}
+    change = {"order/seed00/credible.calmcred": "shared",
+              "order/seed00/order_0_1/report.csv": "r"}
+    roots = sides(tmp_path, parent, change)
+    # a credible-set file missing anywhere else still counts
+    assert compare_artifacts.compare(roots) == [
+        "default/seed00/credible.calmcred: missing on change"]
+    assert compare_artifacts.tally(roots) == [
+        "credible.calmcred: 1 of 3 differ (1 missing as stated)",
+        "report.csv: 0 of 1 differ",
+    ]
+
+
+def test_leaves_are_every_array_by_its_path():
+    import numpy as np
+
+    from calmkit.sampling import CredibleSet
+
+    sets = {3: CredibleSet(3, np.array([1]), np.array([0.5]), np.array([0]))}
+    found = dict(compare_artifacts.leaves(({"merged": np.zeros(2)}, [sets], "header", 7)))
+    assert list(found) == ["0.merged", "1.0.3.indices", "1.0.3.entropies",
+                           "1.0.3.pseudo_labels"]
+
+
+class TestComparePayloads:
+    def test_equal_arrays_and_one_sided_leaves(self):
+        parent = {"a/credible.calmcred": {"0.indices": "i", "0.inputs": "x"},
+                  "a/masks.calmckpt": {"step00_task01": "m"},
+                  "b/credible.calmcred": {"0.indices": "j"}}
+        change = {"a/credible.calmcred": {"0.indices": "i"},
+                  "a/masks.calmckpt": {"step00_task01": "m",
+                                       "step00_task01.density_trace": "d",
+                                       "step00_task01.objective_trace": "o"}}
+        assert compare_artifacts.compare_payloads({"parent": parent, "change": change}) == (
+            [], ["payload: 0 of 2 arrays differ",
+                 "payload: density_trace only on change (1 arrays)",
+                 "payload: inputs only on parent (1 arrays)",
+                 "payload: objective_trace only on change (1 arrays)"])
+
+    def test_a_differing_array_is_listed(self):
+        parent = {"a/merged.calmckpt": {"merged": "1"}}
+        change = {"a/merged.calmckpt": {"merged": "2"}}
+        assert compare_artifacts.compare_payloads({"parent": parent, "change": change}) == (
+            ["a/merged.calmckpt merged: change differs from parent"],
+            ["payload: 1 of 1 arrays differ"])
+
+
 def test_every_branch_resolves_to_a_config_of_its_own():
     from calmkit.bench.config import build_config
 

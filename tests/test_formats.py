@@ -1,6 +1,7 @@
-"""Properties of the binary file formats: save/load round-trips are bit-exact,
-and a corrupt or truncated file is a FormatError (exit code 2), whatever its
-bytes decode to, even when its CRC was recomputed to match."""
+"""Properties of the artifact container: save/load round-trips are bit-exact, the
+header holds the config that made the file in its one canonical spelling, and a
+corrupt or truncated file is a FormatError (exit code 2), whatever its bytes
+decode to, even when its CRC was recomputed to match."""
 import struct
 import zlib
 
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from calmkit.bench import cli
+from calmkit.bench.config import build_config
 from calmkit.bench.formats import (
     FormatError,
     load_checkpoint,
@@ -20,43 +22,51 @@ from calmkit.bench.formats import (
     save_tasks,
 )
 from calmkit.bench.runner import DATASETS_FILE, PRETRAINED_FILE
-from calmkit.nn import ModelSpec
 from calmkit.sampling import CredibleSet
-from calmkit.tasks import TaskFamily, generate_family
+from calmkit.tasks import generate_family, model_spec
 
-SPEC = ModelSpec(3, (4, 2), 3, activation="tanh")
-FAMILY = TaskFamily(num_tasks=2, classes_per_task=2, input_dim=3, train_per_task=6,
-                    unlabeled_per_task=6, test_per_task=6, seed=4)
-# the byte offset of the family header's classes_per_task and input_dim fields, and of
-# the first task's first train input: past the magic, version, family, task_id and count
-CLASSES_AT, INPUT_DIM_AT, TRAIN_INPUTS_AT = 14, 18, 8 + 2 + 64 + 4 + 8
+# a two-task family and a tanh (4, 2) model, as config entries
+SMALL = {"family.num_tasks": "2", "family.classes_per_task": "2", "family.input_dim": "3",
+         "family.train_per_task": "6", "family.unlabeled_per_task": "6",
+         "family.test_per_task": "6", "train.hidden_dims": "4,2"}
+CONFIG = build_config({**SMALL, "seed": "4", "train.activation": "tanh"})
+COUNT = model_spec(CONFIG.family, CONFIG.train).parameter_count
 
 
 def _checkpoint(path):
     rng = np.random.default_rng(0)
-    save_checkpoint(path, SPEC, {"pretrained": rng.standard_normal(SPEC.parameter_count),
-                                 "finetuned_00": rng.standard_normal(SPEC.parameter_count)})
+    save_checkpoint(path, "finetune", CONFIG,
+                    {"pretrained": rng.standard_normal(COUNT),
+                     "finetuned_00": rng.standard_normal(COUNT)})
+
+
+def _masks(path):
+    rng = np.random.default_rng(2)
+    save_checkpoint(path, "merge", CONFIG,
+                    {"step00_task01": (rng.uniform(size=COUNT) < 0.3).astype(float),
+                     "step00_task01.density_trace": rng.uniform(size=5),
+                     "step00_task01.objective_trace": rng.standard_normal(4)})
 
 
 def _tasks(path):
-    save_tasks(path, FAMILY, generate_family(FAMILY))
+    save_tasks(path, CONFIG, generate_family(CONFIG.family))
 
 
 def _credible(path):
     rng = np.random.default_rng(1)
     credible = {}
-    for t, rows in ((0, 3), (2, 2)):
-        credible[t] = CredibleSet(t, rng.permutation(9)[:rows], rng.uniform(0, 1, rows),
-                                  rng.integers(0, 3, rows), 0.5, "cb_ems",
-                                  rng.standard_normal((rows, 4)))
-    save_credible_sets(path, credible)
+    for t, rows in ((0, 3), (1, 2)):
+        credible[t] = CredibleSet(t, rng.permutation(6)[:rows], rng.uniform(0, 1, rows),
+                                  rng.integers(0, 2, rows))
+    save_credible_sets(path, CONFIG, credible)
 
 
-# per file kind: how to write a small valid file, and how to save what a load returned
+# per file kind: how to write a small valid file, how to load it and how to save what
+# a load returned
 KINDS = {
-    "checkpoint": (_checkpoint, load_checkpoint,
-                   lambda path, loaded: save_checkpoint(path, *loaded)),
-    "tasks": (_tasks, load_tasks, lambda path, loaded: save_tasks(path, *loaded)),
+    "checkpoint": (_checkpoint, load_checkpoint, save_checkpoint),
+    "masks": (_masks, load_checkpoint, save_checkpoint),
+    "tasks": (_tasks, load_tasks, save_tasks),
     "credible": (_credible, load_credible_sets, save_credible_sets),
 }
 
@@ -75,22 +85,28 @@ def _with_crc(payload: bytes) -> bytes:
     return payload + struct.pack("<I", zlib.crc32(payload))
 
 
+def _header_end(raw: bytes) -> int:
+    """The offset just past the text header: magic, version, length, then the text."""
+    return 14 + struct.unpack_from("<I", raw, 10)[0]
+
+
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_save_load_save_is_bit_exact(kind, files, tmp_path):
     _, load, save = KINDS[kind]
     (tmp_path / "a").write_bytes(files[kind])
-    save(tmp_path / "b", load(tmp_path / "a"))
+    save(tmp_path / "b", *load(tmp_path / "a"))
     assert (tmp_path / "b").read_bytes() == files[kind]
 
 
-@settings(max_examples=100, deadline=None,
+@settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(kind=st.sampled_from(sorted(KINDS)), where=st.data(), value=st.integers(0, 255))
 def test_a_mutated_byte_is_a_format_error_or_loads_what_it_says(kind, where, value, files,
                                                                 tmp_path):
     raw = files[kind]
     # the header often, any byte before the CRC sometimes
-    at = where.draw(st.one_of(st.integers(0, 63), st.integers(0, len(raw) - 5)))
+    at = where.draw(st.one_of(st.integers(0, _header_end(raw) + 40),
+                              st.integers(0, len(raw) - 5)))
     if raw[at] == value:
         return
     mutated = _with_crc(raw[:at] + bytes([value]) + raw[at + 1 : -4])
@@ -101,7 +117,7 @@ def test_a_mutated_byte_is_a_format_error_or_loads_what_it_says(kind, where, val
     except FormatError:
         return
     # no silent repair: what loaded saves back to the same bytes
-    save(tmp_path / "saved", loaded)
+    save(tmp_path / "saved", *loaded)
     assert (tmp_path / "saved").read_bytes() == mutated
 
 
@@ -122,45 +138,93 @@ def test_a_truncated_file_is_a_format_error(kind, where, recompute_crc, files, t
 @settings(max_examples=50, deadline=None)
 @given(vectors=st.dictionaries(
     st.text(max_size=8),
-    st.lists(st.floats(allow_nan=False, allow_infinity=False),
-             min_size=SPEC.parameter_count, max_size=SPEC.parameter_count),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=COUNT,
+             max_size=COUNT),
     max_size=3))
 def test_checkpoint_round_trip_keeps_every_bit(vectors, tmp_path_factory):
     path = tmp_path_factory.mktemp("roundtrip") / "ckpt"
-    save_checkpoint(path, SPEC, {name: np.array(v) for name, v in vectors.items()})
-    spec, loaded = load_checkpoint(path)
-    assert spec == SPEC and list(loaded) == list(vectors)
+    save_checkpoint(path, "pretrain", CONFIG, {name: np.array(v) for name, v in vectors.items()})
+    stage, made, loaded = load_checkpoint(path)
+    assert stage == "pretrain" and made == CONFIG and list(loaded) == list(vectors)
     for name, values in vectors.items():
         assert loaded[name].tobytes() == np.array(values).tobytes()
 
 
-# FAMILY and SPEC as config entries
-SMALL = {"family.num_tasks": "2", "family.classes_per_task": "2", "family.input_dim": "3",
-         "family.train_per_task": "6", "family.unlabeled_per_task": "6",
-         "family.test_per_task": "6", "train.hidden_dims": "4,2"}
+def test_each_kind_records_the_keys_of_the_stages_that_made_it(files):
+    def keys(kind):
+        text = files[kind][14:_header_end(files[kind])].decode()
+        return [line.split(" = ")[0] for line in text.splitlines()[1:]]
+
+    def sections(kind):
+        return list(dict.fromkeys(key.split(".")[0] for key in keys(kind)))
+
+    assert sections("tasks") == ["seed", "family"]
+    assert sections("checkpoint") == ["seed", "family", "train"]
+    assert sections("credible") == ["seed", "family", "train", "sampling"]
+    assert sections("masks") == ["seed", "method", "family", "train", "sampling", "plan",
+                                 "ties"]
+    assert all("report" not in keys(kind) for kind in KINDS)
+
+
+def _with_header(raw: bytes, old: bytes, new: bytes) -> bytes:
+    """`raw` with `old` replaced once in its text header, the length and CRC rewritten."""
+    end = _header_end(raw)
+    header = raw[14:end]
+    assert header.count(old) == 1
+    header = header.replace(old, new)
+    return _with_crc(raw[:10] + struct.pack("<I", len(header)) + header + raw[end:-4])
+
+
+@pytest.mark.parametrize("old, new", [
+    (b"seed = 4\n", b"seed = 04\n"),
+    (b"seed = 4\n", b"seed=4\n"),
+    (b"seed = 4\n", b"seed = 4  # the config seed\n"),
+    (b"family.cluster_sep = 1.6\n", b"family.cluster_sep = 1.60\n"),
+    (b"family.cluster_sep = 1.6\n", b"family.cluster_sep = 16e-1\n"),
+    (b"seed = 4\nfamily.num_tasks = 2\n", b"family.num_tasks = 2\nseed = 4\n"),
+    (b"family.frame_align = 0.5\n", b""),
+    (b"family.frame_align = 0.5\n", b"family.frame_align = 0.5\ntrain.batch_size = 64\n"),
+    (b"family.frame_align = 0.5\n", b"family.frame_align = 0.5\nfamily.colour = red\n"),
+    (b"gen-tasks\n", b"sample\n"),
+])
+def test_a_header_in_another_spelling_is_a_format_error(old, new, files, tmp_path):
+    path = tmp_path / "respelled"
+    path.write_bytes(_with_header(files["tasks"], old, new))
+    with pytest.raises(FormatError, match="corrupt file"):
+        load_tasks(path)
 
 
 def _patched(raw: bytes, at: int, new: bytes) -> bytes:
     return _with_crc(raw[:at] + new + raw[at + len(new) : -4])
 
 
-@pytest.mark.parametrize("file, command, at, new", [
+def _first_value(raw: bytes, name: bytes) -> int:
+    """The offset of the first value of the 2-D array `name`: past the name, the dtype,
+    the dimension count and the two dimensions."""
+    return raw.index(name) + len(name) + 2 + 1 + 2 * 8
+
+
+@pytest.mark.parametrize("file, command, old, new", [
     # the first byte of the first vector name: not UTF-8
-    (PRETRAINED_FILE, "finetune", 10 + 8 + 4 * 2 + 5 + 4 + 2, b"\xff"),
-    # input_dim 7 does not divide the stored input arrays
-    (DATASETS_FILE, "pretrain", INPUT_DIM_AT, struct.pack("<I", 7)),
-    # classes_per_task 99 exceeds input_dim, which TaskFamily rejects
-    (DATASETS_FILE, "pretrain", CLASSES_AT, struct.pack("<I", 99)),
-    # a NaN train input, which TaskData rejects
-    (DATASETS_FILE, "pretrain", TRAIN_INPUTS_AT, struct.pack("<d", np.nan)),
+    (PRETRAINED_FILE, "finetune", b"pretrained", b"\xff"),
+    # input_dim 7 disagrees with the stored input arrays
+    (DATASETS_FILE, "pretrain", b"family.input_dim = 3", b"family.input_dim = 7"),
+    # classes_per_task 9 exceeds input_dim, which TaskFamily rejects
+    (DATASETS_FILE, "pretrain", b"family.classes_per_task = 2", b"family.classes_per_task = 9"),
+    # a NaN train input
+    (DATASETS_FILE, "pretrain", b"task00.train_inputs", None),
 ])
-def test_corrupt_files_exit_2_through_the_cli(file, command, at, new, tmp_path, capsys):
+def test_corrupt_files_exit_2_through_the_cli(file, command, old, new, tmp_path, capsys):
     entries = [arg for key, value in SMALL.items() for arg in (f"--{key}", value)]
     entries += ["--workdir", str(tmp_path)]
     assert cli.main(["gen-tasks", *entries]) == 0
     assert cli.main(["pretrain", *entries]) == 0
     path = tmp_path / file
-    path.write_bytes(_patched(path.read_bytes(), at, new))
+    raw = path.read_bytes()
+    if new is None:
+        path.write_bytes(_patched(raw, _first_value(raw, old), struct.pack("<d", np.nan)))
+    else:
+        path.write_bytes(_patched(raw, raw.index(old), new))
     capsys.readouterr()
     assert cli.main([command, *entries]) == 2
     err = capsys.readouterr().err

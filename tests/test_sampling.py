@@ -91,12 +91,12 @@ class TestScorePool:
 class TestSelectEms:
     def test_rate_one_takes_everything(self):
         scored = scored_from_entropy([0.9, 0.2, 0.5, 0.7])
-        cset = select_ems(scored, 1.0, np.zeros((4, 2)))
+        cset = select_ems(scored, 1.0)
         assert len(cset) == 4
 
     def test_full_sort_oracle(self):
         scored = scored_from_entropy([0.9, 0.2, 0.5, 0.7])
-        cset = select_ems(scored, 0.5, np.zeros((4, 2)))
+        cset = select_ems(scored, 0.5)
         # bottom-2 by entropy: pool indices 1 (0.2) and 2 (0.5)
         assert sorted(cset.indices.tolist()) == [1, 2]
 
@@ -104,18 +104,18 @@ class TestSelectEms:
         rng = np.random.default_rng(3)
         entropies = rng.uniform(0.0, 1.5, size=40)
         scored = scored_from_entropy(entropies)
-        cset = select_ems(scored, 0.3, np.zeros((40, 2)))
+        cset = select_ems(scored, 0.3)
         unselected = np.setdiff1d(np.arange(40), cset.indices)
         assert cset.entropies.max() <= entropies[unselected].min()
 
     def test_entropy_ties_take_lower_index(self):
         scored = scored_from_entropy([0.5, 0.5, 0.5, 0.5])
-        cset = select_ems(scored, 0.5, np.zeros((4, 2)))
+        cset = select_ems(scored, 0.5)
         assert sorted(cset.indices.tolist()) == [0, 1]
 
     def test_zero_selection_instructs_larger_rate(self):
         with pytest.raises(ContractError, match="increase the sampling rate"):
-            select_ems(scored_from_entropy([0.5, 0.6]), 0.4, np.zeros((2, 2)))
+            select_ems(scored_from_entropy([0.5, 0.6]), 0.4)
 
     def test_minimum_sum_subset_exhaustive(self):
         # EMS optimality: selected entropies form the minimum-sum size-k multiset
@@ -127,7 +127,7 @@ class TestSelectEms:
                 k = int(np.floor(rate * n))
                 if k == 0:
                     continue
-                cset = select_ems(scored, rate, np.zeros((n, 2)))
+                cset = select_ems(scored, rate)
                 best = min(sum(c) for c in itertools.combinations(entropies, k))
                 assert np.isclose(cset.entropies.sum(), best, rtol=0, atol=1e-12)
 
@@ -135,39 +135,39 @@ class TestSelectEms:
 class TestSelectCbEms:
     def test_per_class_sort_oracle(self):
         scored = PoolScores([0.9, 0.2, 0.5, 0.7], [0, 0, 1, 1])
-        cset = select_cb_ems(scored, 0.5, np.zeros((4, 2)), num_classes=2)
+        cset = select_cb_ems(scored, 0.5, num_classes=2)
         assert sorted(cset.indices.tolist()) == [1, 2]
 
     def test_rate_one_takes_entire_pool(self):
         rng = np.random.default_rng(5)
         scored = scored_from_entropy(rng.uniform(size=20), rng.integers(0, 4, size=20))
-        cset = select_cb_ems(scored, 1.0, np.zeros((20, 2)), num_classes=4)
+        cset = select_cb_ems(scored, 1.0, num_classes=4)
         assert len(cset) == 20
 
     def test_equal_pools_give_equal_counts(self):
         rng = np.random.default_rng(6)
         labels = np.repeat(np.arange(4), 10)
         scored = scored_from_entropy(rng.uniform(size=40), labels)
-        cset = select_cb_ems(scored, 0.7, np.zeros((40, 2)), num_classes=4)
+        cset = select_cb_ems(scored, 0.7, num_classes=4)
         counts = np.bincount(cset.pseudo_labels, minlength=4)
         assert np.all(counts == 7)
 
     def test_empty_class_warns_and_skips(self):
         scored = scored_from_entropy([0.1, 0.4], [0, 0])
         with pytest.warns(UserWarning, match="class 1"):
-            cset = select_cb_ems(scored, 1.0, np.zeros((2, 2)), num_classes=2)
+            cset = select_cb_ems(scored, 1.0, num_classes=2)
         assert len(cset) == 2
 
     def test_all_empty_selection_rejected(self):
         scored = scored_from_entropy([0.1, 0.4], [0, 1])
         with pytest.raises(ContractError, match="increase the sampling rate"):
-            select_cb_ems(scored, 0.4, np.zeros((2, 2)), num_classes=2)
+            select_cb_ems(scored, 0.4, num_classes=2)
 
     def test_grouping_uses_pseudo_labels_not_truth(self):
         # model predicts class 0 for everything; grouping must follow predictions
         scored = scored_from_entropy([0.3, 0.2, 0.1, 0.4], [0, 0, 0, 0])
         with pytest.warns(UserWarning):
-            cset = select_cb_ems(scored, 0.5, np.zeros((4, 2)), num_classes=2)
+            cset = select_cb_ems(scored, 0.5, num_classes=2)
         assert len(cset) == 2
         assert np.all(cset.pseudo_labels == 0)
 
@@ -175,7 +175,7 @@ class TestSelectCbEms:
         rng = np.random.default_rng(7)
         labels = np.concatenate([np.zeros(7, dtype=int), np.ones(13, dtype=int)])
         scored = scored_from_entropy(rng.uniform(size=20), labels)
-        cset = select_cb_ems(scored, 0.5, np.zeros((20, 2)), num_classes=2)
+        cset = select_cb_ems(scored, 0.5, num_classes=2)
         counts = np.bincount(cset.pseudo_labels, minlength=2)
         assert counts[0] == 3 and counts[1] == 6
 
@@ -184,7 +184,7 @@ class TestSelectCbEms:
         labels = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1])
         entropies = np.round(rng.uniform(0.0, 1.6, size=11), 3)
         scored = scored_from_entropy(entropies, labels)
-        cset = select_cb_ems(scored, 0.5, np.zeros((11, 2)), num_classes=2)
+        cset = select_cb_ems(scored, 0.5, num_classes=2)
         for c, pool in ((0, entropies[:5]), (1, entropies[5:])):
             k = int(np.floor(0.5 * len(pool)))
             chosen = cset.entropies[cset.pseudo_labels == c]
@@ -234,65 +234,61 @@ def test_selection_matches_the_object_sort(data, mode, rate, num_classes):
     labels = data.draw(st.lists(st.integers(0, used - 1), min_size=n, max_size=n))
     expected = object_sort_selection(entropies, labels, rate, num_classes, mode)
     scores = PoolScores(entropies, labels)
-    pool = np.arange(n, dtype=np.float64)[:, None] * np.ones(2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         if not expected:
             with pytest.raises(ContractError, match="increase the sampling rate"):
-                (select_ems(scores, rate, pool) if mode == "ems"
-                 else select_cb_ems(scores, rate, pool, num_classes))
+                (select_ems(scores, rate) if mode == "ems"
+                 else select_cb_ems(scores, rate, num_classes))
             return
-        cset = (select_ems(scores, rate, pool) if mode == "ems"
-                else select_cb_ems(scores, rate, pool, num_classes))
+        cset = (select_ems(scores, rate) if mode == "ems"
+                else select_cb_ems(scores, rate, num_classes))
     assert cset.indices.tolist() == expected
     assert cset.entropies.tolist() == [entropies[i] for i in expected]
     assert cset.pseudo_labels.tolist() == [labels[i] for i in expected]
-    assert cset.inputs[:, 0].tolist() == expected
-    assert (cset.mode, cset.rate, len(cset)) == (mode, rate, len(expected))
+    assert len(cset) == len(expected)
 
 
 def test_credible_set_needs_one_row_per_index():
-    rows = np.zeros((2, 3))
     with pytest.raises(ContractError):
-        CredibleSet(0, np.array([0, 1]), np.array([0.1]), np.array([0, 1]), 0.5, "ems", rows)
+        CredibleSet(0, np.array([0, 1]), np.array([0.1]), np.array([0, 1]))
     with pytest.raises(ContractError):
-        CredibleSet(0, np.array([0, 1]), np.array([0.1, 0.2]), np.array([0, 1]), 0.5, "ems",
-                    rows[:1])
+        CredibleSet(0, np.array([0, 1]), np.array([0.1, 0.2]), np.array([0]))
 
 
 class TestCredibleSetImmutability:
     def build(self):
         scored = scored_from_entropy([0.4, 0.1, 0.3, 0.2], [0, 1, 0, 1])
-        return select_cb_ems(scored, 1.0, np.arange(8.0).reshape(4, 2), num_classes=2)
+        return select_cb_ems(scored, 1.0, num_classes=2)
 
     def test_arrays_are_read_only(self):
         cset = self.build()
         with pytest.raises(ValueError):
             cset.pseudo_labels[0] = 3
         with pytest.raises(ValueError):
-            cset.inputs[0, 0] = 9.9
+            cset.indices[0] = 3
 
     def test_pseudo_labels_stable_across_merge_activity(self):
         cset = self.build()
         before = pickle.dumps(cset.pseudo_labels.tolist())
         # unrelated numerical work must not disturb the frozen labels
-        _ = np.square(cset.inputs).sum()
+        _ = np.square(cset.entropies).sum()
         assert pickle.dumps(cset.pseudo_labels.tolist()) == before
 
 
 class TestAuditAccuracy:
     def test_all_correct(self):
         scored = scored_from_entropy([0.1, 0.2], [1, 0])
-        cset = select_ems(scored, 1.0, np.zeros((2, 2)))
+        cset = select_ems(scored, 1.0)
         assert audit_accuracy(cset, np.array([1, 0])) == 1.0
 
     def test_partial(self):
         scored = scored_from_entropy([0.1, 0.2], [1, 0])
-        cset = select_ems(scored, 1.0, np.zeros((2, 2)))
+        cset = select_ems(scored, 1.0)
         assert audit_accuracy(cset, np.array([1, 1])) == 0.5
 
     def test_construction_guarantees_nonempty(self):
         scored = scored_from_entropy([0.1, 0.2], [1, 0])
-        cset = select_ems(scored, 1.0, np.zeros((2, 2)))
+        cset = select_ems(scored, 1.0)
         assert len(cset) > 0
 

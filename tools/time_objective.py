@@ -125,7 +125,7 @@ def worker(hidden: str):
                 }), flush=True)
             elif command == "sample":
                 # (inputs, pseudo-labels) pairs: sequential_merge takes them in every tree
-                examples = {t: (cs.inputs, cs.pseudo_labels)
+                examples = {t: (tasks[t].unlabeled_inputs[cs.indices], cs.pseudo_labels)
                             for t, cs in stage_sample(config, workdir, tasks, ckpt).items()}
                 # the peak of generate, the trainings and sample; ru_maxrss is in KiB on Linux
                 print(json.dumps({"setup_peak_rss_mb":
