@@ -6,10 +6,11 @@ reports from persisted artifacts. Each stage reads what the stages before it
 persisted in the working directory through the runner's loaders: `merge` uses
 the credible sets written by `sample`, and `eval` and `report` write the same
 report files as `run_experiment`, the mask traces included. Every file records
-the config keys of the stage that made it and of the stages before that one,
-and every load compares them with the config: changing any recorded key needs
-that stage run again, and until then a later stage exits 2 naming the key and
-the stage. `report` is recorded by no file. Every config key is also a flag
+the config keys of the stage that made it and of the stages before that one
+(`pretrain` only the `train.` keys it reads), and every load compares them with
+the config: changing a recorded key needs the first stage that records it run
+again, and the stages after it; until then a later stage exits 2 naming the key
+and that stage. `report` is recorded by no file. Every config key is also a flag
 (`--family.num_tasks 4`); the CALMKIT_WORKDIR environment variable sets the
 default working directory.
 

@@ -13,8 +13,9 @@ in `config_text` form, the config keys of that stage and the stages before it
 
 - gen-tasks, datasets.calmdata: `seed`, `family.*`; `taskTT.<field>` per task
   and `TaskData` array;
-- pretrain and finetune, pretrained/checkpoints.calmckpt: and `train.*`; one
-  parameter-length vector per name;
+- pretrain, pretrained.calmckpt: and the `train.` keys it reads, `hidden_dims`,
+  `activation`, `pretrain_epochs`, `pretrain_lr`, `batch_size`; one vector;
+- finetune, checkpoints.calmckpt: and `train.*`; one vector per name;
 - sample, credible.calmcred: and `sampling.*`; `taskTT.indices`, `.entropies`
   and `.pseudo_labels` per task;
 - merge, merged/masks.calmckpt: and `method`, `plan.*`, `ties.*`; vectors, and
@@ -45,9 +46,11 @@ MAGIC = b"CALMFILE"
 FORMAT_VERSION = 2
 
 _DTYPES = {b"f8": np.dtype("<f8"), b"i8": np.dtype("<i8")}
-# the config sections a file records, by the stage that made it
+# the config sections and keys a file records, by the stage that made it, in pipeline order
 _RECORDS = {"gen-tasks": ("seed", "family")}
-_RECORDS["pretrain"] = _RECORDS["finetune"] = _RECORDS["gen-tasks"] + ("train",)
+_RECORDS["pretrain"] = _RECORDS["gen-tasks"] + tuple(f"train.{name}" for name in (
+    "hidden_dims", "activation", "pretrain_epochs", "pretrain_lr", "batch_size"))
+_RECORDS["finetune"] = _RECORDS["gen-tasks"] + ("train",)
 _RECORDS["sample"] = _RECORDS["finetune"] + ("sampling",)
 _RECORDS["merge"] = _RECORDS["sample"] + ("method", "plan", "ties")
 _TASK_ARRAYS = tuple(f.name for f in fields(TaskData)[1:])
@@ -58,9 +61,12 @@ class FormatError(ValueError):
     """Malformed, truncated, corrupted, or incompatible file."""
 
 
+def _records(stage: str, key: str) -> bool:
+    return key in _RECORDS[stage] or key.split(".")[0] in _RECORDS[stage]
+
+
 def _recorded(stage: str, config: ExperimentConfig) -> dict[str, str]:
-    return {key: value for key, value in config_entries(config).items()
-            if key.split(".")[0] in _RECORDS[stage]}
+    return {key: value for key, value in config_entries(config).items() if _records(stage, key)}
 
 
 def _header(stage: str, config: ExperimentConfig) -> bytes:
@@ -69,12 +75,15 @@ def _header(stage: str, config: ExperimentConfig) -> bytes:
 
 
 def check_made(path: Path, stage: str, made: ExperimentConfig, config: ExperimentConfig):
-    """Reject a file made by `stage` whose recorded keys differ from the config's."""
+    """Reject a file made by `stage` whose recorded keys differ from the config's, naming
+    the first stage, in pipeline order, that records a differing key: the stage to run again."""
     asked = _recorded(stage, config)
-    for key, value in _recorded(stage, made).items():
-        if value != asked[key]:
-            raise FormatError(f"{path}: made with {key} = {value}, but the config gives "
-                              f"{asked[key]}; run {stage} again")
+    differ = {key: value for key, value in _recorded(stage, made).items() if value != asked[key]}
+    for first in _RECORDS:
+        for key in differ:
+            if _records(first, key):
+                raise FormatError(f"{path}: made with {key} = {differ[key]}, but the config "
+                                  f"gives {asked[key]}; run {first} again")
 
 
 def _expect(arrays: Mapping[str, np.ndarray], layout: Mapping[str, tuple]):

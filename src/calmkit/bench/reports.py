@@ -44,14 +44,10 @@ def magnitude_overlap(mask: BinaryMask, tau: np.ndarray,
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     active = mask.m == 1.0
-    results = []
-    for k in k_percents:
-        top = max(1, math.ceil(k / 100.0 * n))
-        if not np.any(active):
-            results.append((float(k), 0.0))
-            continue
-        results.append((float(k), float(np.mean(rank[active] < top))))
-    return results
+    if not np.any(active):
+        return [(float(k), 0.0) for k in k_percents]
+    return [(float(k), float(np.mean(rank[active] < max(1, math.ceil(k / 100.0 * n)))))
+            for k in k_percents]
 
 
 @dataclass

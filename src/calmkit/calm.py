@@ -14,7 +14,7 @@ stacks the visible tasks' credible rows and labels into one row-major (rows,
 features) pool with a row span per task, builds the row weights of the
 gathered rows, and allocates one flat buffer of the batches' row indices, of
 which each task's batches are a view, and buffers of the gathered inputs, of
-theta with its `nn.bind_weighted` binding, and of the objective's mask-length
+theta with its `nn.bind_pass` binding, and of the objective's mask-length
 intermediates. Each iteration draws into the index buffer in place, and the
 objective gathers the rows with one `np.take` over it and refills the other
 buffers in place; so the views and the returned gradient hold one iteration's
@@ -47,7 +47,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .baselines import TaskVector, ordered_sum, task_vector
-from .nn import (ContractError, ModelSpec, ParamVector, bind_weighted, check_labels, read_only,
+from .nn import (ContractError, ModelSpec, ParamVector, bind_pass, check_labels, read_only,
                  weighted_loss_and_grad)
 from .seeding import STAGE_MASK_BATCHES, STAGE_MASK_INIT, STAGE_PARTITION, rng_for
 from .tasks import Checkpoints
@@ -251,16 +251,17 @@ def _bind_pool(spec: ModelSpec, inputs: np.ndarray, labels: np.ndarray | None,
     """The objective's `pool`, checked and made once per step: the `_row_pool` rows and
     labels, each gathered row's weight 1 / (batches of its task * rows of its batch) from
     `batch_rows`, each visible task's batch lengths in gather order, the batches' flat row
-    index, and what each call refills: a theta buffer and its `nn.bind_weighted` binding,
-    a gather buffer, and three float64 and one bool buffer of theta's length."""
+    index, and what each call refills: a theta buffer and its feature-major `nn.bind_pass`
+    binding, a gather buffer, and four float64 and one bool buffer of theta's length."""
     weights = np.repeat([1.0 / (len(task) * n) for task in batch_rows for n in task],
                         [n for task in batch_rows for n in task])
     if len(rows) != len(weights):
         raise ContractError(f"{len(weights)} row weights for {len(rows)} batch rows")
     theta = np.empty(spec.parameter_count)
-    return (inputs, labels, weights, rows, theta, bind_weighted(spec, theta, len(rows)),
+    return (inputs, labels, weights, rows, theta,
+            bind_pass(spec, theta, {(len(rows),)}, feature_major=True),
             np.empty((len(rows), inputs.shape[1])),
-            (*np.empty((3, theta.size)), np.empty(theta.size, bool)))
+            (*np.empty((4, theta.size)), np.empty(theta.size, bool)))
 
 
 def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: SequentialState,
@@ -284,7 +285,7 @@ def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: Sequenti
     and spec are checked once per step, the strategy by `MergePlan`.
     """
     pool_inputs, pool_labels, weights, rows, theta, bound, gathered, buffers = pool
-    m, rest, scratch, positive = buffers  # the soft mask, 1 - m, and scratch
+    m, rest, scratch, total, positive = buffers  # the soft mask, 1 - m, scratch, the gradient
     # mode="raise" would copy `out` through a buffer; the rows index the pool
     inputs = np.take(pool_inputs, rows, axis=0, out=gathered, mode="clip")
     labels = None if objective == "entropy" else np.take(pool_labels, rows)
@@ -304,7 +305,7 @@ def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: Sequenti
         theta += tau_j.values
         direction = np.negative(tau_seq, out=scratch)
     np.add(theta_pre.values, theta, out=theta)
-    data_loss, grad = weighted_loss_and_grad(spec, bound, inputs, labels, weights)
+    data_loss, grad = weighted_loss_and_grad(spec, bound, inputs, labels, weights, total)
     sig_grad = np.multiply(m, rest, out=rest)
     # np.mean's bits without its overhead
     loss = data_loss + l1_weight * float(m.sum() / m.size)

@@ -6,21 +6,22 @@ holds its spec, which gives its length and each layer's span. Every routine
 here but the in-place `sgd_step` is a pure function of its inputs: same spec,
 parameters, and data give bit-identical logits, losses, and gradients.
 
-Every forward and backward pass lives here. `forward` and `loss_and_grad` run
-row-major, on (rows, features) batches, through one kernel with an optional
-task axis, on which `loss_and_grad` trains T models at once: (T, rows,
-features) stacks against (T, P) parameters, one np.matmul per layer.
-`weighted_loss_and_grad`, the mask objective's data term, runs feature-major,
-on (features, rows) blocks of ROW_BLOCK rows: the layers are 5 to 32 features
-wide at the default size, and numpy's per-call cost on rows that narrow, in
-the bias add, the activation and the loss kernel, outweighed their
-arithmetic; feature-major, each of those calls spans a block's rows. Both
-kernels run in loops that bind once (`bind_training`, `bind_weighted`) the
-`layer_views` of the parameters they update or refill in place, a gradient
-buffer, and activation and backward buffers with views per batch shape, which
-every product is written into: at a width of 256, glibc trimmed the arrays that
-each step allocated when freed, and faulted them in again. Each call overwrites
-its gradient and views; a caller that keeps them must copy them.
+Every forward and backward pass is one kernel, `_forward_acts` and `_backward`,
+row-major on (rows, features) batches with an optional task axis, on which
+`loss_and_grad` trains T models at once: (T, rows, features) stacks against (T, P)
+parameters, one np.matmul per layer. `weighted_loss_and_grad`, the mask
+objective's data term, runs it on blocks of ROW_BLOCK rows through feature-major
+buffers, the transposed views of C-contiguous (features, rows) arrays: the layers
+are 5 to 32 features wide at the default size, and numpy's per-call cost on rows
+that narrow, in the bias add, the activation and the loss kernel, outweighed their
+arithmetic; feature-major, each of those calls spans a block's rows, and numpy
+writes a product into such a view by the BLAS call of the transposed product. Each
+loop binds once (`bind_pass`) the `layer_views` of the parameters it updates or
+refills in place, a gradient buffer, and activation and backward buffers with
+views per batch shape, which every product is written into: at a width of 256,
+glibc trimmed the arrays that each step allocated when freed, and faulted them in
+again. Each call overwrites its gradient and views; a caller that keeps them must
+copy them.
 """
 from __future__ import annotations
 
@@ -210,9 +211,9 @@ def _loss_and_dlogits(logits: np.ndarray, at: np.ndarray | None
     p[label], with gradient p - onehot(label); with `at=None` it is the prediction
     entropy H = -sum p log p, with gradient -p * (log p + H). The softmax is
     computed once, shifted by the column maximum, and p keeps the logits' layout.
-    A row-major caller passes `z.swapaxes(-1, -2)`, a view, so each reduction runs
-    along one of z's contiguous rows. Callers scale the gradient columns by their
-    reduction (a mean, or weights).
+    The kernel passes `z.swapaxes(-1, -2)` of its (*shape, classes) logits z, a view:
+    row-major, each reduction runs along one of z's contiguous rows. Callers scale the
+    gradient columns by their reduction (a mean, or weights).
 
     Cross-entropy reads only the label entries, so an infinite logit elsewhere stays
     out: -(shifted[label] - log(total)) and p[label] -= 1 on a flat view of p are the
@@ -234,11 +235,35 @@ def _loss_and_dlogits(logits: np.ndarray, at: np.ndarray | None
     return np.negative(losses, out=losses), p
 
 
-def _pass_buffers(spec: ModelSpec, shapes, feature_major: bool) -> dict:
-    """Per shape, C-contiguous leading views of one set of buffers sized for the largest:
-    each layer's output, and per layer after the first its dz, alternating between two
-    buffers (one, with one hidden layer), and the scratch of `_activation_grad`;
-    (*shape, features) views row-major, (features, *shape) feature-major."""
+def _backward(spec: ModelSpec, layers: list, grads: list, acts: list, dz: np.ndarray,
+              backs: list):
+    """The exact gradient with respect to the parameters that `layers` view, written over
+    every entry of their gradient views `grads`, from `_forward_acts`'s acts and dz,
+    dL/dlogits in the logits' view; each earlier dz goes through the views in `backs`."""
+    for idx in range(len(layers) - 1, -1, -1):
+        (w, _), (grad_w, grad_b) = layers[idx], grads[idx]
+        np.matmul(acts[idx].swapaxes(-1, -2), dz, out=grad_w)
+        dz.sum(axis=-2, out=grad_b)
+        if idx > 0:
+            dz = np.matmul(dz, w.swapaxes(-1, -2), out=backs[idx][0])
+            _activation_grad(spec, dz, acts[idx], backs[idx][1])
+
+
+def bind_pass(spec: ModelSpec, values: np.ndarray, shapes, feature_major: bool) -> tuple:
+    """What a loop binds once for its kernel: the layer views of the (P,) or (T, P) `values`
+    it updates or refills in place, one gradient buffer and its views, and per shape an
+    entry of views of one set of buffers sized for the largest.
+
+    Shapes are the batch shapes of `loss_and_grad`, (rows,) or (T, rows), or feature-major
+    the (rows,) of `weighted_loss_and_grad`, which binds its blocks of at most ROW_BLOCK
+    rows. An entry holds each row's flat position of class 0 in the logits' memory and
+    the step between classes, each layer's output, and per layer after the first its dz,
+    alternating between two buffers (one, with one hidden layer), and the scratch of
+    `_activation_grad`: (*shape, features) views, C-contiguous or feature-major.
+    """
+    if feature_major:
+        shapes = {(min(ROW_BLOCK, rows - lo),) for rows, in shapes
+                  for lo in range(0, rows, ROW_BLOCK)}
     size = max((int(np.prod(shape)) for shape in shapes), default=0)
     widest = max(spec.hidden_dims, default=0)
     outs = [np.empty(size * fo) for _, fo in spec.layer_dims]
@@ -247,110 +272,67 @@ def _pass_buffers(spec: ModelSpec, shapes, feature_major: bool) -> dict:
 
     def view(buf: np.ndarray, shape: tuple, width: int) -> np.ndarray:
         lead = buf[: int(np.prod(shape)) * width]
-        return lead.reshape((width, *shape) if feature_major else (*shape, width))
+        return lead.reshape(width, *shape).T if feature_major else lead.reshape(*shape, width)
 
-    return {shape: ([view(out, shape, fo) for out, (_, fo) in zip(outs, spec.layer_dims)],
-                    [None] + [(view(dzs[idx % len(dzs)], shape, fi), view(scratch, shape, fi))
-                              for idx, (fi, _) in enumerate(spec.layer_dims) if idx > 0])
-            for shape in shapes}
+    def entry(shape: tuple) -> tuple:
+        views = [view(out, shape, fo) for out, (_, fo) in zip(outs, spec.layer_dims)]
+        *lead, step = (stride // 8 for stride in views[-1].strides)  # float64 entries
+        return (sum(i * s for i, s in zip(np.indices(shape, sparse=True), lead)), step, views,
+                [None] + [(view(dzs[idx % len(dzs)], shape, fi), view(scratch, shape, fi))
+                          for idx, (fi, _) in enumerate(spec.layer_dims) if idx > 0])
 
-
-def bind_training(spec: ModelSpec, values: np.ndarray, batch_shapes) -> tuple:
-    """What a training loop binds once for `loss_and_grad`: the layer views of the (P,)
-    or (T, P) `values` it updates in place, one gradient buffer and its views, and per
-    batch shape, (rows,) or (T, rows), each row's flat offset in the row-major logits and
-    the views of one set of `_pass_buffers`."""
     grad = np.empty(values.shape)
-    views = _pass_buffers(spec, batch_shapes, feature_major=False)
-    shapes = {shape: (spec.num_classes * np.arange(np.prod(shape, dtype=int)).reshape(shape),
-                      *views[shape]) for shape in batch_shapes}
-    return layer_views(spec, values), grad, layer_views(spec, grad), shapes
+    return layer_views(spec, values), grad, layer_views(spec, grad), {s: entry(s) for s in shapes}
 
 
 def loss_and_grad(spec: ModelSpec, bound: tuple, inputs: np.ndarray, labels: np.ndarray
                   ) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean cross-entropy of the row-major pass and its exact gradient with respect to
-    the flat parameters of `spec` that `bound`, from `bind_training`, views; a (T, P)
+    the flat parameters of `spec` that `bound`, from `bind_pass`, views; a (T, P)
     stack with (T, rows, features) inputs and (T, rows) labels gives T losses and a
     (T, P) gradient. The gradient is the bound buffer, which the next call overwrites.
 
     The training step's kernel checks nothing: its loop checks the inputs and labels
     once, and the parameters' finiteness after its last step.
     """
-    layers, grad, grads, shapes = bound
-    offsets, outs, backs = shapes[labels.shape]
+    layers, grad, grads, entries = bound
+    offsets, step, outs, backs = entries[labels.shape]
     acts = _forward_acts(spec, layers, inputs, outs)
-    losses, dz = _loss_and_dlogits(acts[-1].swapaxes(-1, -2), offsets + labels)
-    dz = dz.swapaxes(-1, -2)
+    losses, dz = _loss_and_dlogits(acts[-1].swapaxes(-1, -2), offsets + step * labels)
     # the mean, not a 1/n row weight: `dz / n` and `dz * (1 / n)` differ in the last bit
     dz /= labels.shape[-1]
-    for idx in range(len(layers) - 1, -1, -1):  # every entry of the gradient is overwritten
-        (w, _), (grad_w, grad_b) = layers[idx], grads[idx]
-        np.matmul(acts[idx].swapaxes(-1, -2), dz, out=grad_w)
-        dz.sum(axis=-2, out=grad_b)
-        if idx > 0:
-            dz = np.matmul(dz, w.swapaxes(-1, -2), out=backs[idx][0])
-            _activation_grad(spec, dz, acts[idx], backs[idx][1])
+    _backward(spec, layers, grads, acts, dz.swapaxes(-1, -2), backs)
     # np.mean's bits without its overhead; one model's loss is a np.float64, a float
     return losses.sum(axis=-1) / labels.shape[-1], grad
 
 
-def bind_weighted(spec: ModelSpec, values: np.ndarray, rows: int) -> tuple:
-    """What a mask step binds once for `weighted_loss_and_grad` on `rows` rows: the layer
-    views of the (P,) `values` it refills, a gradient buffer and its views, the views of
-    one set of `_pass_buffers` per ROW_BLOCK block width, and per layer a (fan_in,
-    fan_out) view of one weight-gradient product buffer."""
-    grad = np.empty(spec.parameter_count)
-    product = np.empty(max(fi * fo for fi, fo in spec.layer_dims))
-    widths = {(min(ROW_BLOCK, rows - lo),) for lo in range(0, rows, ROW_BLOCK)}
-    return (layer_views(spec, values), grad, layer_views(spec, grad),
-            _pass_buffers(spec, widths, feature_major=True),
-            [product[: fi * fo].reshape(fi, fo) for fi, fo in spec.layer_dims])
-
-
 def weighted_loss_and_grad(spec: ModelSpec, bound: tuple, inputs: np.ndarray,
-                           labels: np.ndarray | None, weights: np.ndarray
+                           labels: np.ndarray | None, weights: np.ndarray, total: np.ndarray
                            ) -> tuple[float, np.ndarray]:
-    """sum(weights * per-row loss) over (rows, features) inputs, and its exact
-    gradient with respect to the flat parameters of `spec` that `bound`, from
-    `bind_weighted` for as many rows, views. The gradient is the bound buffer, which
-    the next call overwrites.
-
-    The loss is cross-entropy with labels and the prediction entropy with
-    `labels=None`. The pass is the feature-major one of the module docstring;
-    its sums run in another order than a row-major per-batch loop, so its
-    results differ from one in the last bits.
+    """sum(weights * per-row loss) over (rows, features) inputs, and its exact gradient
+    with respect to the flat parameters of `spec` that `bound`, a feature-major
+    `bind_pass` for as many rows, views, summed block by block into `total`, a buffer of
+    their shape, which it returns. The loss is cross-entropy with labels and the
+    prediction entropy with `labels=None`. Its sums run in another order than a row-major
+    per-batch loop, so its results differ from one in the last bits.
 
     The mask objective's kernel checks nothing: `calm.optimize_mask` checks the
     labels of its row pool once per step.
     """
-    layers, grad, grads, blocks, products = bound
-    columns = inputs.T  # (features, rows), a view
+    layers, grad, grads, entries = bound
     loss = 0.0
-    grad.fill(0.0)  # += from zeros: a written first block keeps -0.0
-    for start in range(0, columns.shape[1], ROW_BLOCK):
-        cols = slice(start, start + ROW_BLOCK)
-        acts = [columns[:, cols]]
-        outs, backs = blocks[acts[0].shape[1:]]
-        for idx, (w, b) in enumerate(layers):
-            z = np.matmul(w.T, acts[-1], out=outs[idx])
-            z += b[:, None]
-            if idx < len(layers) - 1:
-                _activate(spec, z)
-            acts.append(z)
-        # column j's label sits at label * width + j of the C-contiguous (classes, width) z
-        at = None if labels is None else labels[cols] * z.shape[1] + np.arange(z.shape[1])
-        losses, dz = _loss_and_dlogits(acts[-1], at)
-        loss += float(losses @ weights[cols])
-        dz *= weights[cols]
-        for idx in range(len(layers) - 1, -1, -1):
-            (w, _), (grad_w, grad_b) = layers[idx], grads[idx]
-            grad_w += np.matmul(acts[idx], dz.T, out=products[idx])
-            grad_b += dz.sum(axis=1)
-            if idx > 0:
-                dz = np.matmul(w, dz, out=backs[idx][0])
-                _activation_grad(spec, dz, acts[idx], backs[idx][1])
-    return loss, grad
+    total.fill(0.0)  # += from zeros: a -0.0 of the first block's gradient sums to +0.0
+    for start in range(0, len(inputs), ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
+        offsets, step, outs, backs = entries[weights[block].shape]
+        acts = _forward_acts(spec, layers, inputs[block], outs)
+        at = None if labels is None else offsets + step * labels[block]
+        losses, dz = _loss_and_dlogits(acts[-1].swapaxes(-1, -2), at)
+        loss += float(losses @ weights[block])
+        dz *= weights[block]
+        _backward(spec, layers, grads, acts, dz.swapaxes(-1, -2), backs)
+        total += grad
+    return loss, total
 
 
 def sgd_step(values: np.ndarray, grad: np.ndarray, learning_rate: float) -> None:

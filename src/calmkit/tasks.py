@@ -18,7 +18,7 @@ their shapes and batch boundaries, so each step is one `loss_and_grad` call for
 all T models, each keeping its own seeded row order and the bits of training it
 alone. STACK_PARAMS bounds the stack, as a stack of wide models outgrows the
 cache and the memory that training one of them needs. Each run binds its buffers
-once (`nn.bind_training`); each step overwrites them, and `sgd_step` its gradient.
+once (`nn.bind_pass`); each step overwrites them, and `sgd_step` its gradient.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import (ContractError, ModelSpec, ParamVector, bind_training, check_labels, forward,
+from .nn import (ContractError, ModelSpec, ParamVector, bind_pass, check_labels, forward,
                  init_params, loss_and_grad, read_only, sgd_step)
 from .seeding import STAGE_DATA, STAGE_FINETUNE, STAGE_INIT, STAGE_PRETRAIN, rng_for
 
@@ -177,11 +177,8 @@ def generate_family(family: TaskFamily) -> list[TaskData]:
         return frame
 
     shared_frame = complement_frame()
-    counts = {
-        "train": _split_counts(family.train_per_task, classes),
-        "unlabeled": _split_counts(family.unlabeled_per_task, classes),
-        "test": _split_counts(family.test_per_task, classes),
-    }
+    counts = {name: _split_counts(getattr(family, f"{name}_per_task"), classes)
+              for name in ("train", "unlabeled", "test")}
     tasks = []
     for t in range(family.num_tasks):
         center = anchor + t * family.task_offset * direction
@@ -198,14 +195,14 @@ def generate_family(family: TaskFamily) -> list[TaskData]:
             per_class = sum(counts[name][c] for name in counts)
             draws = means[c] + family.noise_sigma * rng.standard_normal((per_class, d))
             pos = 0
-            for name in ("train", "unlabeled", "test"):
+            for name in counts:
                 k = counts[name][c]
                 splits[name][0].append(draws[pos : pos + k])
                 splits[name][1].append(np.full(k, c, dtype=np.int64))
                 pos += k
 
         shuffled = {}
-        for name in ("train", "unlabeled", "test"):
+        for name in counts:
             inputs = np.concatenate(splits[name][0])
             labels = np.concatenate(splits[name][1])
             perm = rng.permutation(inputs.shape[0])
@@ -228,7 +225,7 @@ def _sgd_train(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray, labels: 
     """Minibatch SGD on `values` in place: (P,) values on (n, d) inputs and (n,) labels in
     the row order of rngs[0], or a (T, P) stack on (T, n, d) and (T, n), model t in the
     order of rngs[t]. Each step is one `loss_and_grad` call and one `sgd_step` per model,
-    through views bound once per run: `nn.bind_training`'s and each model's gradient row,
+    through views bound once per run: `nn.bind_pass`'s and each model's gradient row,
     which its `sgd_step` consumes."""
     if inputs.shape[-1] != spec.input_dim:
         raise ContractError(f"inputs have {inputs.shape[-1]} features, not {spec.input_dim}")
@@ -236,8 +233,8 @@ def _sgd_train(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray, labels: 
     n = inputs.shape[-2]
     # rows are drawn as indices into the flattened stack: one plain row gather per step
     flat_inputs, flat_labels = inputs.reshape(-1, spec.input_dim), labels.reshape(-1)
-    bound = bind_training(spec, values, {(*labels.shape[:-1], min(batch_size, n - lo))
-                                         for lo in range(0, n, batch_size)})
+    bound = bind_pass(spec, values, {(*labels.shape[:-1], min(batch_size, n - lo))
+                                     for lo in range(0, n, batch_size)}, feature_major=False)
     models = list(zip(values.reshape(len(rngs), -1), bound[1].reshape(len(rngs), -1)))
     head = bound[1][..., spec.layer_offsets()[-1][0] :]
     # numpy's overflow warnings are silenced: a step that goes non-finite leaves every

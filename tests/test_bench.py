@@ -266,11 +266,11 @@ def test_merge_rejects_credible_sets_of_another_sampling_config(key, value, tmp_
 @pytest.mark.parametrize("command,key,value,stage", [
     ("merge", "seed", "3", "gen-tasks"),
     ("eval", "family.cluster_sep", "1.7", "gen-tasks"),
-    ("sample", "train.hidden_dims", "8", "finetune"),
+    ("sample", "train.hidden_dims", "8", "pretrain"),
     ("finetune", "train.activation", "tanh", "pretrain"),
     ("merge", "train.finetune_lr", "0.02", "finetune"),
     ("sample", "train.finetune_epochs", "5", "finetune"),
-    ("eval", "train.pretrain_epochs", "3", "finetune"),
+    ("eval", "train.pretrain_epochs", "3", "pretrain"),
     ("eval", "sampling.rate", "0.5", "sample"),
     ("eval", "sampling.objective", "entropy", "sample"),
     ("eval", "plan.l1_weight", "3", "merge"),
@@ -286,6 +286,16 @@ def test_stages_reject_artifacts_made_under_another_config(command, key, value, 
     err = capsys.readouterr().err
     assert f"made with {key} = " in err and f"run {stage} again" in err
     assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("key,value", [("train.finetune_lr", "0.02"),
+                                       ("train.head_mode", "per_task")])
+def test_finetune_reads_a_pretrained_file_made_under_another_finetune_config(key, value,
+                                                                            tmp_path):
+    # the pretrained file records only the train keys that pretraining reads
+    for command in ("gen-tasks", "pretrain"):
+        assert _cli(command, tmp_path, TINY) == 0
+    assert _cli("finetune", tmp_path, {**TINY, key: value}) == 0
 
 
 def test_a_stage_writes_under_any_config_and_the_next_reader_compares(tmp_path, capsys):

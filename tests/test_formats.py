@@ -14,6 +14,7 @@ from calmkit.bench import cli
 from calmkit.bench.config import build_config
 from calmkit.bench.formats import (
     FormatError,
+    check_made,
     load_checkpoint,
     load_credible_sets,
     load_tasks,
@@ -21,7 +22,7 @@ from calmkit.bench.formats import (
     save_credible_sets,
     save_tasks,
 )
-from calmkit.bench.runner import DATASETS_FILE, PRETRAINED_FILE
+from calmkit.bench.runner import DATASETS_FILE, MASKS_FILE, PRETRAINED_FILE
 from calmkit.sampling import CredibleSet
 from calmkit.tasks import generate_family, model_spec
 
@@ -164,6 +165,33 @@ def test_each_kind_records_the_keys_of_the_stages_that_made_it(files):
     assert sections("masks") == ["seed", "method", "family", "train", "sampling", "plan",
                                  "ties"]
     assert all("report" not in keys(kind) for kind in KINDS)
+
+
+def test_a_pretrained_file_records_only_the_train_keys_that_pretraining_reads(tmp_path):
+    path = tmp_path / PRETRAINED_FILE
+    save_checkpoint(path, "pretrain", CONFIG, {"pretrained": np.zeros(COUNT)})
+    raw = path.read_bytes()
+    keys = [line.split(" = ")[0] for line in raw[14:_header_end(raw)].decode().splitlines()[1:]]
+    assert [key for key in keys if key.startswith("train.")] == [
+        "train.hidden_dims", "train.activation", "train.pretrain_epochs", "train.pretrain_lr",
+        "train.batch_size"]
+    assert check_made(path, "pretrain", load_checkpoint(path)[1],
+                      build_config({**SMALL, "seed": "4", "train.activation": "tanh",
+                                    "train.finetune_lr": "0.02"})) is None
+
+
+@pytest.mark.parametrize("changed, key, stage", [
+    # `method` comes first in the config, but fine-tuning comes before the merge
+    ({"method": "ta", "train.finetune_lr": "0.02"}, "train.finetune_lr", "finetune"),
+    ({"plan.mask_lr": "7", "train.pretrain_lr": "0.2"}, "train.pretrain_lr", "pretrain"),
+    ({"train.head_mode": "per_task", "seed": "5"}, "seed", "gen-tasks"),
+    ({"ties.scale": "0.5", "sampling.rate": "0.5"}, "sampling.rate", "sample"),
+    ({"method": "ta"}, "method", "merge"),
+])
+def test_check_made_names_the_first_stage_to_run_again(changed, key, stage):
+    config = build_config({**SMALL, "seed": "4", "train.activation": "tanh", **changed})
+    with pytest.raises(FormatError, match=f"made with {key} = .*; run {stage} again$"):
+        check_made(MASKS_FILE, "merge", CONFIG, config)
 
 
 def _with_header(raw: bytes, old: bytes, new: bytes) -> bytes:

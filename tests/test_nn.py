@@ -13,8 +13,7 @@ from calmkit.nn import (
     ParamVector,
     _loss_and_dlogits,
     bind,
-    bind_training,
-    bind_weighted,
+    bind_pass,
     forward,
     init_params,
     layer_views,
@@ -86,7 +85,8 @@ def mean_reduction_loss_and_grad(spec, values, inputs, labels):
 
 def bound_loss_and_grad(spec, values, inputs, labels):
     """`loss_and_grad` through a binding of `values` made as the training loop makes one."""
-    return loss_and_grad(spec, bind_training(spec, values, {labels.shape}), inputs, labels)
+    return loss_and_grad(spec, bind_pass(spec, values, {labels.shape}, feature_major=False),
+                         inputs, labels)
 
 
 def label_positions(logits, labels):
@@ -418,7 +418,7 @@ class TestBoundKernels:
         spec, values, inputs, labels = step_case(stack, activation, classes)
         theirs = values.copy()
         lead = labels.shape[:-1]
-        bound = bind_training(spec, values, {(*lead, 16), (*lead, 2)})
+        bound = bind_pass(spec, values, {(*lead, 16), (*lead, 2)}, feature_major=False)
         ref_bound = reference.bind_training(spec, theirs, {(*lead, 16), (*lead, 2)})
         for epoch in range(2):
             for lo in range(0, 50, 16):
@@ -438,19 +438,21 @@ class TestBoundKernels:
                                       2 * ROW_BLOCK + 1])
     @pytest.mark.parametrize("objective", ["cross_entropy", "entropy"])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_the_mask_pass_matches_the_allocating_kernel(self, rows, objective, activation):
-        spec, values, inputs, labels = step_case(2, activation, 5, rows)
+    @pytest.mark.parametrize("classes", [2, 5, 17])
+    def test_the_mask_pass_matches_the_allocating_kernel(self, rows, objective, activation,
+                                                         classes):
+        spec, values, inputs, labels = step_case(2, activation, classes, rows)
         labels = labels[0] if objective == "cross_entropy" else None
         weights = np.random.default_rng(rows).uniform(0.0, 1.0 / rows, size=rows)
-        # as the mask step binds it: a parameter buffer, refilled in place
-        theta = np.empty(spec.parameter_count)
-        bound = bind_weighted(spec, theta, rows)
+        # as the mask step binds it: a parameter buffer, refilled in place, and a total
+        theta, total = np.empty(spec.parameter_count), np.empty(spec.parameter_count)
+        bound = bind_pass(spec, theta, {(rows,)}, feature_major=True)
         for model in values:
             np.copyto(theta, model)
-            loss, grad = weighted_loss_and_grad(spec, bound, inputs[0], labels, weights)
+            loss, grad = weighted_loss_and_grad(spec, bound, inputs[0], labels, weights, total)
             ref_loss, ref_grad = reference.weighted_loss_and_grad(
                 spec, layer_views(spec, model), inputs[0], labels, weights)
-            assert grad is bound[1]
+            assert grad is total
             assert loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
 
     @pytest.mark.parametrize("hidden", [(), (6,), (6, 7, 5)])
@@ -465,8 +467,8 @@ class TestBoundKernels:
             spec, reference.bind_training(spec, values, {labels.shape}), inputs, labels)
         assert loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
         weights = rng.uniform(0.0, 1.0 / 40, size=40)
-        loss, grad = weighted_loss_and_grad(spec, bind_weighted(spec, values, 40), inputs,
-                                            labels, weights)
+        loss, grad = weighted_loss_and_grad(spec, bind_pass(spec, values, {(40,)}, True),
+                                            inputs, labels, weights, np.empty(values.shape))
         ref_loss, ref_grad = reference.weighted_loss_and_grad(spec, layer_views(spec, values),
                                                               inputs, labels, weights)
         assert loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
@@ -480,8 +482,8 @@ class TestBoundKernels:
             spec, reference.bind_training(spec, values, {labels.shape}), inputs, labels)
         assert np.isfinite(loss) and loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
         weights = np.full(40, 1.0 / 40)
-        loss, grad = weighted_loss_and_grad(spec, bind_weighted(spec, values, 40), inputs,
-                                            labels, weights)
+        loss, grad = weighted_loss_and_grad(spec, bind_pass(spec, values, {(40,)}, True),
+                                            inputs, labels, weights, np.empty(values.shape))
         ref_loss, ref_grad = reference.weighted_loss_and_grad(spec, layer_views(spec, values),
                                                               inputs, labels, weights)
         assert np.isfinite(loss) and loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
@@ -502,7 +504,7 @@ class TestAllocationFreeSteps:
         values = np.stack([init_params(WIDE, seed).values for seed in range(2)])
         # a stack of two 512-row batches: each layer's output spans ROW_BLOCK rows
         inputs, labels = rng.standard_normal((2, 512, 4)), rng.integers(0, 3, size=(2, 512))
-        bound = bind_training(WIDE, values, {labels.shape})
+        bound = bind_pass(WIDE, values, {labels.shape}, feature_major=False)
 
         def step():
             _, grad = loss_and_grad(WIDE, bound, inputs, labels)

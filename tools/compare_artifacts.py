@@ -9,10 +9,11 @@ with one BLAS/OpenMP thread set before numpy loads. The worker runs
 `branches/`, `run_experiment` at config seeds 0-3 for each of `BRANCHES`, the
 configs that reach the kernels' other branches (tanh, the entropy and
 supervised mask objectives, the other merge strategies, per-task heads, EMS
-sampling), plus one `WIDE` (256, 256) run at seed 0; each run in its own
-directory under the side's output directory. The `run_experiment` runs also
-report the objective and density traces, which show a change in the last bit
-of any iteration where the rounded masks do not.
+sampling, a linear model and a (32, 32, 32) one), plus one `WIDE` (256, 256)
+run at seed 0; each run in its own directory under the side's output
+directory. The `run_experiment` runs also report the objective and density
+traces, which show a change in the last bit of any iteration where the
+rounded masks do not.
 The sides run at the same time; their times do not matter here.
 
 After its runs, each worker loads every container it wrote with its own tree's
@@ -69,6 +70,11 @@ BRANCHES = {
     "only_complement": {"plan.strategy": "only_complement"},
     "per_task": {"train.head_mode": "per_task"},
     "ems": {"sampling.mode": "ems"},
+    # no hidden layer writes no dz buffer; three alternate between two. At lr 0.05 the
+    # deep model misses the accuracy floor on some tasks
+    "linear": {"train.hidden_dims": ""},
+    "deep": {"train.hidden_dims": "32,32,32", "train.pretrain_lr": "0.02",
+             "train.finetune_lr": "0.02"},
 }
 # one BLAS-bound run at seed 0; the default lr 0.05 misses the accuracy floor at (256, 256)
 WIDE = {"train.hidden_dims": "256,256", "train.pretrain_lr": "0.02", "train.finetune_lr": "0.02"}
