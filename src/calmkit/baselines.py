@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -74,14 +75,15 @@ def weight_average(models: list[ParamVector]) -> ParamVector:
     return ParamVector(mean, first.spec)
 
 
-def task_arithmetic(theta_pre: ParamVector, task_vectors: list[TaskVector],
+def task_arithmetic(theta_pre: ParamVector, task_vectors: Iterable[TaskVector],
                     scale: float = 0.3) -> ParamVector:
-    """theta_pre + scale * sum(task vectors)."""
+    """theta_pre + scale * sum(task vectors), read once from any iterable; none gives a
+    copy of theta_pre."""
     if scale <= 0.0:
         raise ContractError(f"scale must be positive, got {scale}")
-    if not task_vectors:
+    total = ordered_sum(tv.values for tv in task_vectors)
+    if total is None:
         return ParamVector(theta_pre.values.copy(), theta_pre.spec)
-    total = ordered_sum([tv.values for tv in task_vectors])
     return ParamVector(theta_pre.values + scale * total, theta_pre.spec)
 
 
@@ -115,16 +117,15 @@ def ties_elect_sign(task_vectors: list[TaskVector]) -> np.ndarray:
     return elected
 
 
-def ties_merge(theta_pre: ParamVector, task_vectors: list[TaskVector],
+def ties_merge(theta_pre: ParamVector, task_vectors: Iterable[TaskVector],
                config: TiesConfig = TiesConfig()) -> ParamVector:
-    """Trim each task vector, elect a sign per coordinate, average the agreeing
-    entries (disjoint merge), and add the scaled result to theta_pre."""
-    if not task_vectors:
-        raise ContractError("ties_merge needs at least one task vector")
+    """Trim each task vector as it is read, elect a sign per coordinate, average the
+    agreeing entries (disjoint merge), and add the scaled result to theta_pre."""
     trimmed = [ties_trim(tv, config.trim_fraction) for tv in task_vectors]
+    if not trimmed:
+        raise ContractError("ties_merge needs at least one task vector")
     elected = ties_elect_sign(trimmed)
-    agree_sum = np.zeros(theta_pre.size)
-    agree_count = np.zeros(theta_pre.size)
+    agree_sum, agree_count = np.zeros((2, theta_pre.size))
     for tv in trimmed:
         agrees = (np.sign(tv.values).astype(np.int8) == elected) & (elected != 0)
         agree_sum[agrees] += tv.values[agrees]

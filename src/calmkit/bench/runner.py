@@ -109,7 +109,8 @@ def load_models(config: ExperimentConfig, path: Path, names: list[str]) -> list[
     check_made(path, stage, made, config)
     if sorted(vectors) != sorted(names):
         raise FormatError(f"{path}: expected vectors {names}, got {sorted(vectors)}")
-    return [bind(model_spec(made.family, made.train), vectors[name]) for name in names]
+    # the loader's arrays are fresh: ParamVector wraps them, where bind would copy them
+    return [ParamVector(vectors[name], model_spec(made.family, made.train)) for name in names]
 
 
 def load_checkpoints(config: ExperimentConfig, workdir: Path) -> Checkpoints:
@@ -163,8 +164,8 @@ def merge_with_method(config: ExperimentConfig, tasks: list[TaskData], ckpt: Che
         data, objective = _mask_training_data(config, tasks, credible)
         result = sequential_merge(ckpt, config.plan, data, objective=objective)
         return result.merged, result
-    taus = [task_vector(ckpt.finetuned[t], ckpt.pretrained, task_id=t)
-            for t in range(ckpt.num_tasks)]
+    taus = (task_vector(ckpt.finetuned[t], ckpt.pretrained, task_id=t)
+            for t in range(ckpt.num_tasks))
     if config.method == "ta":
         return task_arithmetic(ckpt.pretrained, taus, config.plan.lambda_efficient), None
     return ties_merge(ckpt.pretrained, taus, config.ties), None

@@ -15,10 +15,11 @@ features) pool with a row span per task, builds the row weights of the
 gathered rows, and allocates one flat buffer of the batches' row indices, of
 which each task's batches are a view, and buffers of the gathered inputs, of
 theta with its `nn.bind_pass` binding, and of the objective's mask-length
-intermediates. Each iteration draws into the index buffer in place, and the
-objective gathers the rows with one `np.take` over it and refills the other
-buffers in place; so the views and the returned gradient hold one iteration's
-values only, and a wrapper of the objective that keeps them must copy them.
+intermediates, and fills one with the merge direction. Each iteration draws into
+the index buffer in place, and the objective gathers the rows with one `np.take`
+over it and refills the other buffers in place; so the views and the returned
+gradient hold one iteration's values only, and a wrapper of the objective that
+keeps them must copy them.
 The data term is one weighted pass, `nn.weighted_loss_and_grad`, over those
 rows: each row weighs 1 / (batches of its task * rows of its batch), the
 per-task mean over batches of the per-batch mean; every batch of a task has
@@ -42,11 +43,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .baselines import TaskVector, ordered_sum, task_vector
+from .baselines import TaskVector, task_vector
 from .nn import (ContractError, ModelSpec, ParamVector, bind_pass, check_labels, read_only,
                  weighted_loss_and_grad)
 from .seeding import STAGE_MASK_BATCHES, STAGE_MASK_INIT, STAGE_PARTITION, rng_for
@@ -185,12 +186,15 @@ def partition(task_ids: Sequence[int], num_sequential: int, seed: int = 0) -> Me
     return MergePlan(efficient_set=efficient, sequential_set=sequential, seed=seed)
 
 
-def efficient_merge(theta_pre: ParamVector, bulk: Sequence[TaskVector],
+def efficient_merge(theta_pre: ParamVector, bulk: Iterable[TaskVector],
                     scale: float = 0.3) -> SequentialState:
-    """Task-arithmetic base vector scale * sum(bulk); empty bulk gives the zero vector."""
-    values = scale * ordered_sum([tv.values for tv in bulk]) if bulk else np.zeros(theta_pre.size)
-    visible = tuple(tv.task_id for tv in bulk)
-    return SequentialState(TaskVector(values, task_id="merged"), visible)
+    """Task-arithmetic base scale * sum(bulk), in one pass over any iterable; none: zeros."""
+    total, visible = np.zeros(theta_pre.size), []
+    for tv in bulk:
+        total += tv.values
+        visible.append(tv.task_id)
+    total *= scale  # the bits of scale * total
+    return SequentialState(TaskVector(total, task_id="merged"), tuple(visible))
 
 
 def masked_merge(tau_seq: TaskVector, tau_j: TaskVector, mask: BinaryMask,
@@ -247,21 +251,29 @@ def _row_pool(visible_tasks: Sequence[int], task_data: TaskExamples, objective: 
 
 
 def _bind_pool(spec: ModelSpec, inputs: np.ndarray, labels: np.ndarray | None,
-               batch_rows: Sequence[Sequence[int]], rows: np.ndarray) -> tuple:
+               batch_rows: Sequence[Sequence[int]], rows: np.ndarray, state: SequentialState,
+               tau_j: TaskVector, strategy: str) -> tuple:
     """The objective's `pool`, checked and made once per step: the `_row_pool` rows and
     labels, each gathered row's weight 1 / (batches of its task * rows of its batch) from
     `batch_rows`, each visible task's batch lengths in gather order, the batches' flat row
     index, and what each call refills: a theta buffer and its feature-major `nn.bind_pass`
-    binding, a gather buffer, and four float64 and one bool buffer of theta's length."""
+    binding, a gather buffer, three float64 and one bool buffer of theta's length; and the
+    strategy's merge direction, tau_j - tau_seq, tau_j or -tau_seq, fixed for the step."""
     weights = np.repeat([1.0 / (len(task) * n) for task in batch_rows for n in task],
                         [n for task in batch_rows for n in task])
     if len(rows) != len(weights):
         raise ContractError(f"{len(weights)} row weights for {len(rows)} batch rows")
-    theta = np.empty(spec.parameter_count)
+    theta, m, rest, total, direction = np.empty((5, spec.parameter_count))
+    if strategy == "both":
+        np.subtract(tau_j.values, state.tau_seq.values, out=direction)
+    elif strategy == "only_mask":
+        np.copyto(direction, tau_j.values)
+    else:
+        np.negative(state.tau_seq.values, out=direction)
     return (inputs, labels, weights, rows, theta,
             bind_pass(spec, theta, {(len(rows),)}, feature_major=True),
             np.empty((len(rows), inputs.shape[1])),
-            (*np.empty((4, theta.size)), np.empty(theta.size, bool)))
+            (m, rest, total, direction, np.empty(theta.size, bool)))
 
 
 def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: SequentialState,
@@ -277,15 +289,15 @@ def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: Sequenti
     count; an unnormalized sum would bury the data signal. The gradient chains
     the parameter gradient through the merge direction and sigmoid'(r).
 
-    `pool`, from `_bind_pool`, holds the rows and labels of `_row_pool`, their row
-    weights and the batches' row indices, flat in gather order, which the weighted
-    pass gathers into the pool's buffer; `task_batches` holds each task's view of
-    them, for wrappers. Theta, the mask-length intermediates and the returned
-    gradient are the pool's buffers, which the next call overwrites. r, the objective
-    and spec are checked once per step, the strategy by `MergePlan`.
+    `pool`, from `_bind_pool` for this step, holds the rows and labels of `_row_pool`,
+    their row weights and the batches' row indices, flat in gather order, which the
+    weighted pass gathers into the pool's buffer, and the merge direction; `task_batches`
+    holds each task's view of them, for wrappers. Theta, the mask-length intermediates
+    and the returned gradient are the pool's buffers, which the next call overwrites.
+    r, the objective and spec are checked once per step, the strategy by `MergePlan`.
     """
     pool_inputs, pool_labels, weights, rows, theta, bound, gathered, buffers = pool
-    m, rest, scratch, total, positive = buffers  # the soft mask, 1 - m, scratch, the gradient
+    m, rest, total, direction, positive = buffers  # total: m * tau_j until the pass zeroes it
     # mode="raise" would copy `out` through a buffer; the rows index the pool
     inputs = np.take(pool_inputs, rows, axis=0, out=gathered, mode="clip")
     labels = None if objective == "entropy" else np.take(pool_labels, rows)
@@ -295,15 +307,12 @@ def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: Sequenti
     # theta_pre + tau, tau of the strategy's masked merge, with the operands in order
     if strategy == "both":
         np.multiply(rest, tau_seq, out=theta)
-        theta += np.multiply(m, tau_j.values, out=scratch)
-        direction = np.subtract(tau_j.values, tau_seq, out=scratch)
+        theta += np.multiply(m, tau_j.values, out=total)
     elif strategy == "only_mask":
         np.add(tau_seq, np.multiply(m, tau_j.values, out=theta), out=theta)
-        direction = tau_j.values
     else:
         np.multiply(rest, tau_seq, out=theta)
         theta += tau_j.values
-        direction = np.negative(tau_seq, out=scratch)
     np.add(theta_pre.values, theta, out=theta)
     data_loss, grad = weighted_loss_and_grad(spec, bound, inputs, labels, weights, total)
     sig_grad = np.multiply(m, rest, out=rest)
@@ -362,7 +371,8 @@ def optimize_mask(spec: ModelSpec, theta_pre: ParamVector, state: SequentialStat
                            for (first, _), w in zip(spans.values(), widths)])
     views = np.split(rows, np.cumsum([per_task * w for w in widths])[:-1])
     task_batches = {t: v.reshape(per_task, w) for t, v, w in zip(spans, views, widths)}
-    pool = _bind_pool(spec, inputs, labels, [[w] * per_task for w in widths], rows)
+    pool = _bind_pool(spec, inputs, labels, [[w] * per_task for w in widths], rows, state,
+                      tau_j, plan.strategy)
     # per run of consecutive tasks with drawn sets of one size n: a read-only row of
     # arange(n) per batch, their shuffles, each batch's first row and the run's view
     draws, end = [], 0
@@ -398,24 +408,18 @@ def sequential_merge(checkpoints: Checkpoints, plan: MergePlan, examples: TaskEx
                      objective: str = "cross_entropy") -> MergeResult:
     """Run the full merge: bulk task arithmetic, then one mask per sequential task.
 
-    `examples` maps task id to the (inputs, labels-or-None) arrays the mask
-    objective trains on. Returns the merged parameters and, per sequential
-    step, the binary mask with its objective and density traces.
+    `examples` maps task id to the (inputs, labels-or-None) arrays the mask objective
+    trains on. Returns the merged parameters and, per sequential step, the binary mask
+    with its objective and density traces. Each task vector is built where it is used.
     """
-    spec = checkpoints.spec
-    theta_pre = checkpoints.pretrained
+    spec, theta_pre = checkpoints.spec, checkpoints.pretrained
     all_ids = set(range(checkpoints.num_tasks))
     if set(plan.efficient_set) | set(plan.sequential_set) != all_ids:
-        raise ContractError(
-            "plan task sets must cover exactly the checkpoint tasks "
-            f"{sorted(all_ids)}"
-        )
-    taus = {
-        t: task_vector(checkpoints.finetuned[t], theta_pre, task_id=t) for t in sorted(all_ids)
-    }
+        raise ContractError("plan task sets must cover exactly the checkpoint tasks "
+                            f"{sorted(all_ids)}")
 
-    state = efficient_merge(theta_pre, [taus[t] for t in plan.efficient_set],
-                            plan.lambda_efficient)
+    state = efficient_merge(theta_pre, (task_vector(checkpoints.finetuned[t], theta_pre, task_id=t)
+                                        for t in plan.efficient_set), plan.lambda_efficient)
     steps: list[StepArtifact] = []
     carried: RealMask | None = None
     for step_idx, j in enumerate(plan.sequential_set):
@@ -425,13 +429,14 @@ def sequential_merge(checkpoints: Checkpoints, plan: MergePlan, examples: TaskEx
                              rng_for(plan.seed, STAGE_MASK_INIT, step_idx))
         else:
             init = carried
+        tau_j = task_vector(checkpoints.finetuned[j], theta_pre, task_id=j)
         step = optimize_mask(
-            spec, theta_pre, state, taus[j], examples, init, plan,
+            spec, theta_pre, state, tau_j, examples, init, plan,
             rng_for(plan.seed, STAGE_MASK_BATCHES, step_idx), objective,
         )
         steps.append(step)
         carried = step.real_mask
-        state = SequentialState(masked_merge(state.tau_seq, taus[j], step.mask, plan.strategy),
+        state = SequentialState(masked_merge(state.tau_seq, tau_j, step.mask, plan.strategy),
                                 state.visible_tasks)
 
     merged = ParamVector(theta_pre.values + state.tau_seq.values, spec)

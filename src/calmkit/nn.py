@@ -17,11 +17,11 @@ that narrow, in the bias add, the activation and the loss kernel, outweighed the
 arithmetic; feature-major, each of those calls spans a block's rows, and numpy
 writes a product into such a view by the BLAS call of the transposed product. Each
 loop binds once (`bind_pass`) the `layer_views` of the parameters it updates or
-refills in place, a gradient buffer, and activation and backward buffers with
-views per batch shape, which every product is written into: at a width of 256,
-glibc trimmed the arrays that each step allocated when freed, and faulted them in
-again. Each call overwrites its gradient and views; a caller that keeps them must
-copy them.
+refills in place, a gradient buffer, and layer-output buffers, each dz written over
+the activation it consumed, with views per batch shape, which every product is
+written into: at a width of 256, glibc trimmed the arrays that each step allocated
+when freed, and faulted them in again. Each call overwrites its gradient and views;
+a caller that keeps them must copy them.
 """
 from __future__ import annotations
 
@@ -142,16 +142,6 @@ def _activate(spec: ModelSpec, z: np.ndarray):
         np.tanh(z, out=z)
 
 
-def _activation_grad(spec: ModelSpec, dz: np.ndarray, a: np.ndarray, scratch: np.ndarray):
-    """dz times the activation's derivative at output a, in place, through `scratch` of
-    a's shape (bool for relu): the bits of `dz *= a > 0.0` or `dz *= 1.0 - a * a`."""
-    if spec.activation == "relu":
-        dz *= np.greater(a, 0.0, out=scratch)
-    else:
-        np.multiply(a, a, out=scratch)
-        dz *= np.subtract(1.0, scratch, out=scratch)
-
-
 def _forward_acts(spec: ModelSpec, layers: list, inputs: np.ndarray, outs=None) -> list:
     """Per-layer post-activation values through the `layer_views` of the parameters;
     acts[0] is the input, acts[-1] the logits.
@@ -236,17 +226,22 @@ def _loss_and_dlogits(logits: np.ndarray, at: np.ndarray | None
 
 
 def _backward(spec: ModelSpec, layers: list, grads: list, acts: list, dz: np.ndarray,
-              backs: list):
+              scratch: list):
     """The exact gradient with respect to the parameters that `layers` view, written over
     every entry of their gradient views `grads`, from `_forward_acts`'s acts and dz,
-    dL/dlogits in the logits' view; each earlier dz goes through the views in `backs`."""
+    dL/dlogits in the logits' view. Once a layer's weight gradient has read its input
+    activation a, and a's derivative, `a > 0.0` or `1.0 - a * a`, is in the layer's view
+    in `scratch` (bool for relu), the earlier dz is written over a, read by nothing else."""
     for idx in range(len(layers) - 1, -1, -1):
-        (w, _), (grad_w, grad_b) = layers[idx], grads[idx]
-        np.matmul(acts[idx].swapaxes(-1, -2), dz, out=grad_w)
+        (w, _), (grad_w, grad_b), a = layers[idx], grads[idx], acts[idx]
+        np.matmul(a.swapaxes(-1, -2), dz, out=grad_w)
         dz.sum(axis=-2, out=grad_b)
         if idx > 0:
-            dz = np.matmul(dz, w.swapaxes(-1, -2), out=backs[idx][0])
-            _activation_grad(spec, dz, acts[idx], backs[idx][1])
+            derivative = (np.greater(a, 0.0, out=scratch[idx]) if spec.activation == "relu"
+                          else np.subtract(1.0, np.multiply(a, a, out=scratch[idx]),
+                                           out=scratch[idx]))
+            dz = np.matmul(dz, w.swapaxes(-1, -2), out=a)
+            dz *= derivative
 
 
 def bind_pass(spec: ModelSpec, values: np.ndarray, shapes, feature_major: bool) -> tuple:
@@ -257,18 +252,17 @@ def bind_pass(spec: ModelSpec, values: np.ndarray, shapes, feature_major: bool) 
     Shapes are the batch shapes of `loss_and_grad`, (rows,) or (T, rows), or feature-major
     the (rows,) of `weighted_loss_and_grad`, which binds its blocks of at most ROW_BLOCK
     rows. An entry holds each row's flat position of class 0 in the logits' memory and
-    the step between classes, each layer's output, and per layer after the first its dz,
-    alternating between two buffers (one, with one hidden layer), and the scratch of
-    `_activation_grad`: (*shape, features) views, C-contiguous or feature-major.
+    the step between classes, each layer's output, and per layer after the first the
+    scratch of `_backward`, which writes each dz over a hidden layer's output:
+    (*shape, features) views, C-contiguous or feature-major.
     """
     if feature_major:
         shapes = {(min(ROW_BLOCK, rows - lo),) for rows, in shapes
                   for lo in range(0, rows, ROW_BLOCK)}
     size = max((int(np.prod(shape)) for shape in shapes), default=0)
-    widest = max(spec.hidden_dims, default=0)
     outs = [np.empty(size * fo) for _, fo in spec.layer_dims]
-    dzs = [np.empty(size * widest) for _ in spec.hidden_dims[:2]]
-    scratch = np.empty(size * widest, bool if spec.activation == "relu" else np.float64)
+    scratch = np.empty(size * max(spec.hidden_dims, default=0),
+                       bool if spec.activation == "relu" else np.float64)
 
     def view(buf: np.ndarray, shape: tuple, width: int) -> np.ndarray:
         lead = buf[: int(np.prod(shape)) * width]
@@ -278,8 +272,7 @@ def bind_pass(spec: ModelSpec, values: np.ndarray, shapes, feature_major: bool) 
         views = [view(out, shape, fo) for out, (_, fo) in zip(outs, spec.layer_dims)]
         *lead, step = (stride // 8 for stride in views[-1].strides)  # float64 entries
         return (sum(i * s for i, s in zip(np.indices(shape, sparse=True), lead)), step, views,
-                [None] + [(view(dzs[idx % len(dzs)], shape, fi), view(scratch, shape, fi))
-                          for idx, (fi, _) in enumerate(spec.layer_dims) if idx > 0])
+                [None] + [view(scratch, shape, fi) for fi, _ in spec.layer_dims[1:]])
 
     grad = np.empty(values.shape)
     return layer_views(spec, values), grad, layer_views(spec, grad), {s: entry(s) for s in shapes}
@@ -296,12 +289,12 @@ def loss_and_grad(spec: ModelSpec, bound: tuple, inputs: np.ndarray, labels: np.
     once, and the parameters' finiteness after its last step.
     """
     layers, grad, grads, entries = bound
-    offsets, step, outs, backs = entries[labels.shape]
+    offsets, step, outs, scratch = entries[labels.shape]
     acts = _forward_acts(spec, layers, inputs, outs)
     losses, dz = _loss_and_dlogits(acts[-1].swapaxes(-1, -2), offsets + step * labels)
     # the mean, not a 1/n row weight: `dz / n` and `dz * (1 / n)` differ in the last bit
     dz /= labels.shape[-1]
-    _backward(spec, layers, grads, acts, dz.swapaxes(-1, -2), backs)
+    _backward(spec, layers, grads, acts, dz.swapaxes(-1, -2), scratch)
     # np.mean's bits without its overhead; one model's loss is a np.float64, a float
     return losses.sum(axis=-1) / labels.shape[-1], grad
 
@@ -324,13 +317,13 @@ def weighted_loss_and_grad(spec: ModelSpec, bound: tuple, inputs: np.ndarray,
     total.fill(0.0)  # += from zeros: a -0.0 of the first block's gradient sums to +0.0
     for start in range(0, len(inputs), ROW_BLOCK):
         block = slice(start, start + ROW_BLOCK)
-        offsets, step, outs, backs = entries[weights[block].shape]
+        offsets, step, outs, scratch = entries[weights[block].shape]
         acts = _forward_acts(spec, layers, inputs[block], outs)
         at = None if labels is None else offsets + step * labels[block]
         losses, dz = _loss_and_dlogits(acts[-1].swapaxes(-1, -2), at)
         loss += float(losses @ weights[block])
         dz *= weights[block]
-        _backward(spec, layers, grads, acts, dz.swapaxes(-1, -2), backs)
+        _backward(spec, layers, grads, acts, dz.swapaxes(-1, -2), scratch)
         total += grad
     return loss, total
 

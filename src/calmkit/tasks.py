@@ -13,12 +13,12 @@ tasks share the same label set, so a single classifier head serves every task
 and the whole parameter vector participates in merging.
 
 The pipeline generate -> pretrain -> finetune is a deterministic function of
-(TaskFamily, TrainConfig). Fine-tuning is one stacked loop: the tasks share
-their shapes and batch boundaries, so each step is one `loss_and_grad` call for
-all T models, each keeping its own seeded row order and the bits of training it
-alone. STACK_PARAMS bounds the stack, as a stack of wide models outgrows the
-cache and the memory that training one of them needs. Each run binds its buffers
-once (`nn.bind_pass`); each step overwrites them, and `sgd_step` its gradient.
+(TaskFamily, TrainConfig). Fine-tuning is one stacked loop: the tasks share their shapes
+and batch boundaries, so each step is one `loss_and_grad` call for all T models, each
+keeping its own seeded row order and the bits of training it alone. STACK_PARAMS bounds
+the stack, as a stack of wide models outgrows the cache and the memory that training one
+of them needs. Each run binds its buffers once (`nn.bind_pass`), each dz written over
+the output it consumed; each step overwrites them, and `sgd_step` its gradient.
 """
 from __future__ import annotations
 

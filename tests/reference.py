@@ -323,7 +323,8 @@ def optimize_mask(spec, theta_pre, state, tau_j, task_data, init, plan, rng,
         rows = np.concatenate([idx for t in state.visible_tasks for idx in task_batches[t]])
         loss, grad_r = consensus_objective(
             spec, theta_pre, state, tau_j, RealMask(r).r, task_batches, plan.l1_weight,
-            plan.strategy, objective, _bind_pool(spec, inputs, labels, batch_rows, rows),
+            plan.strategy, objective,
+            _bind_pool(spec, inputs, labels, batch_rows, rows, state, tau_j, plan.strategy),
         )
         objective_trace[it] = loss
         r = r - plan.mask_lr * grad_r

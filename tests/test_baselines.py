@@ -98,6 +98,14 @@ class TestTaskArithmetic:
         with pytest.raises(ContractError):
             task_arithmetic(pv(np.zeros(4)), [], scale=0.0)
 
+    def test_a_generator_gives_the_bits_of_a_list(self):
+        rng = np.random.default_rng(3)
+        pre, vectors = pv(rng.standard_normal(4)), rng.standard_normal((5, 4))
+        listed = task_arithmetic(pre, [TaskVector(v) for v in vectors], scale=0.3)
+        generated = task_arithmetic(pre, (TaskVector(v) for v in vectors), scale=0.3)
+        assert generated.values.tobytes() == listed.values.tobytes()
+        assert task_arithmetic(pre, iter([])).values.tobytes() == pre.values.tobytes()
+
 
 class TestTiesTrim:
     def test_full_fraction_is_identity(self):
@@ -215,6 +223,18 @@ class TestTiesMerge:
     def test_empty_task_list_rejected(self):
         with pytest.raises(ContractError):
             ties_merge(pv(np.zeros(4)), [])
+        with pytest.raises(ContractError, match="at least one"):
+            ties_merge(pv(np.zeros(4)), iter([]))
+
+    @pytest.mark.parametrize("trim_fraction", [0.25, 0.5, 1.0])
+    def test_a_generator_gives_the_bits_of_a_list(self, trim_fraction):
+        # each vector is trimmed as it is read, so a generator never holds them all
+        rng = np.random.default_rng(8)
+        pre, vectors = pv(rng.standard_normal(4)), rng.standard_normal((8, 4))
+        config = TiesConfig(trim_fraction=trim_fraction, scale=0.3)
+        listed = ties_merge(pre, [TaskVector(v, t) for t, v in enumerate(vectors)], config)
+        generated = ties_merge(pre, (TaskVector(v, t) for t, v in enumerate(vectors)), config)
+        assert generated.values.tobytes() == listed.values.tobytes()
 
     def test_invalid_config(self):
         with pytest.raises(ContractError):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -111,7 +112,7 @@ def objective_on_batches(spec, theta_pre, state, tau_j, mask, batches, l1_weight
     index = {t: np.split(rows[first:first + n], np.cumsum([len(x) for x, _ in batches[t]])[:-1])
              for t, (first, n) in spans.items()}
     pool = _bind_pool(spec, inputs, labels, [[len(x) for x, _ in batches[t]] for t in spans],
-                      rows)
+                      rows, state, tau_j, strategy)
     return consensus_objective(spec, theta_pre, state, tau_j, mask.r, index, l1_weight,
                                strategy, objective, pool)
 
@@ -406,7 +407,7 @@ class TestConsensusObjective:
         # checked once per step, where the pool is bound, not on every objective call
         with pytest.raises(ContractError, match="row weights"):
             _bind_pool(SPEC, inputs, labels, [[n - 1] for _, n in spans.values()],
-                       np.arange(len(inputs)))
+                       np.arange(len(inputs)), state, tau_j, "both")
 
     def test_loss_includes_normalized_l1(self):
         theta_pre, state, tau_j, batches = small_setup()
@@ -762,6 +763,35 @@ class TestSequentialMerge:
         b = sequential_merge(ckpt, carried, credible)
         # second step starts from the first step's final mask instead of a fresh init
         assert not np.array_equal(a.steps[1].real_mask.r, b.steps[1].real_mask.r)
+
+    def test_task_vectors_are_built_where_they_are_used(self):
+        # 8 tasks of a (256, 256) model, 7 in the bulk and one sequential step: beside its
+        # step's pool and the step's three mask-length vectors (the initial r, r and the
+        # rounded mask), the merge holds at most 3 task vectors at once (the bulk sum and
+        # the step's tau_j, or the bulk sum and two summands), not all 8
+        wide = ModelSpec(4, (256, 256), 3)
+        rng = np.random.default_rng(11)
+        pre = init_params(wide, 0)
+        ckpt = Checkpoints(wide, pre, tuple(
+            bind(wide, pre.values + 0.01 * rng.standard_normal(wide.parameter_count))
+            for _ in range(8)))
+        data = {t: (rng.standard_normal((40, 4)), rng.integers(0, 3, size=40)) for t in range(8)}
+        plan = MergePlan((0, 1, 2, 4, 5, 6, 7), (3,), iterations_per_task=2, batch_size=16)
+        inputs, labels, _ = _row_pool(range(8), data, "cross_entropy")
+        state = SequentialState(TaskVector(np.zeros(wide.parameter_count)), tuple(range(8)))
+        peaks = []
+        for call in (
+                lambda: _bind_pool(wide, inputs, labels, [[16, 16]] * 8, np.zeros(256, int),
+                                   state, state.tau_seq, plan.strategy),
+                lambda: sequential_merge(ckpt, plan, data)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        pool, merge = peaks
+        assert merge < pool + (3 + 3) * pre.values.nbytes
 
 
 class TestSigmoid:

@@ -455,10 +455,12 @@ class TestBoundKernels:
             assert grad is total
             assert loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("hidden", [(), (6,), (6, 7, 5)])
-    def test_each_depth_matches_the_allocating_kernels(self, hidden):
-        # no hidden layer writes no dz, one writes one buffer, three alternate two
-        spec = ModelSpec(4, hidden, 3)
+    def test_each_depth_matches_the_allocating_kernels(self, hidden, activation):
+        # with no hidden layer no dz is written over an activation; with three, each
+        # dz is written over the hidden output that the layer before it consumed
+        spec = ModelSpec(4, hidden, 3, activation)
         rng = np.random.default_rng(len(hidden))
         values = init_params(spec, 9).values.copy()
         inputs, labels = rng.standard_normal((40, 4)), rng.integers(0, 3, size=40)
@@ -550,6 +552,21 @@ class TestAllocationFreeSteps:
         finally:
             tracemalloc.stop()
         assert len(calls) == 3 and peaks[0] < BLOCK_BYTES
+
+    def test_a_wide_binding_holds_only_outputs_scratch_and_gradient(self):
+        # feature-major over two blocks, ROW_BLOCK rows and 476: sized for the larger;
+        # the backward pass writes each dz over an output, so no dz buffer is bound
+        theta = np.empty(WIDE.parameter_count)
+        tracemalloc.start()
+        try:
+            bind_pass(WIDE, theta, {(ROW_BLOCK + 476,)}, feature_major=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = ROW_BLOCK * sum(fo for _, fo in WIDE.layer_dims) * 8
+        scratch = ROW_BLOCK * max(WIDE.hidden_dims)  # bool, for relu
+        # the views and each entry's row offsets take a few tens of KB
+        assert outputs + scratch + theta.nbytes <= peak < outputs + scratch + theta.nbytes + 2**16
 
 
 class TestSgdStep:

@@ -70,8 +70,9 @@ BRANCHES = {
     "only_complement": {"plan.strategy": "only_complement"},
     "per_task": {"train.head_mode": "per_task"},
     "ems": {"sampling.mode": "ems"},
-    # no hidden layer writes no dz buffer; three alternate between two. At lr 0.05 the
-    # deep model misses the accuracy floor on some tasks
+    # no hidden layer writes no dz over an activation; three write each dz over the
+    # activation it consumed. At lr 0.05 the deep model misses the accuracy floor on
+    # some tasks
     "linear": {"train.hidden_dims": ""},
     "deep": {"train.hidden_dims": "32,32,32", "train.pretrain_lr": "0.02",
              "train.finetune_lr": "0.02"},

@@ -18,7 +18,9 @@ BLAS and `nproc`.
 Per size and side the output holds the median and interquartile range of the
 pretrain, finetune and merge wall times, and of the worker's minor page faults
 and system CPU seconds over each of them; the worker's peak RSS once it has
-trained and sampled; and sha256 prefixes of the pretrained and fine-tuned
+trained and sampled, and again after its merges; the peak of what one more,
+untimed merge allocates, by tracemalloc, which the process-wide RSS peak hides
+when training set it; and sha256 prefixes of the pretrained and fine-tuned
 checkpoints, of every step's binary mask and of the merged parameters, so sides
 can be compared bit for bit. Each side after the first is also compared with
 the first: the largest relative difference of any `objective_trace` value, and,
@@ -36,6 +38,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -86,9 +89,25 @@ def _timed(fn, *args):
                     "sys_s": after.ru_stime - before.ru_stime}
 
 
+def _peak_rss_mb() -> float:
+    """The worker's peak RSS so far; ru_maxrss is in KiB on Linux."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def _traced(fn, *args):
+    """fn(*args), and the peak MB that tracemalloc traced over the call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def worker(hidden: str):
     """Generate the tasks, then answer one command per stdin line: 'train' trains the
-    pipeline once, 'sample' samples from the last training, 'run' merges once."""
+    pipeline once, 'sample' samples from the last training, 'run' merges once, 'trace'
+    merges once under tracemalloc."""
     import numpy as np
 
     from calmkit.bench.config import build_config
@@ -127,14 +146,15 @@ def worker(hidden: str):
                 # (inputs, pseudo-labels) pairs: sequential_merge takes them in every tree
                 examples = {t: (tasks[t].unlabeled_inputs[cs.indices], cs.pseudo_labels)
                             for t, cs in stage_sample(config, workdir, tasks, ckpt).items()}
-                # the peak of generate, the trainings and sample; ru_maxrss is in KiB on Linux
-                print(json.dumps({"setup_peak_rss_mb":
-                                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}),
-                      flush=True)
-            elif command == "run":
-                result, usage = _timed(sequential_merge, ckpt, config.plan, examples)
+                # the peak of generate, the trainings and sample
+                print(json.dumps({"setup_peak_rss_mb": _peak_rss_mb()}), flush=True)
+            elif command in ("run", "trace"):
+                measure = _timed if command == "run" else _traced
+                result, usage = measure(sequential_merge, ckpt, config.plan, examples)
                 print(json.dumps({
-                    **{f"merge_{key}": value for key, value in usage.items()},
+                    **({f"merge_{key}": value for key, value in usage.items()}
+                       if command == "run" else {"merge_traced_peak_mb": usage}),
+                    "merge_peak_rss_mb": _peak_rss_mb(),
                     "masks_sha": _sha(b"".join(step.mask.m.tobytes() for step in result.steps)),
                     "merged_sha": _sha(result.merged.values.tobytes()),
                     # floats print with repr, so the traces round-trip exactly
@@ -214,6 +234,7 @@ def measure(sides: dict[str, str], hidden: str, repeats: int) -> dict:
         trains = _alternate(procs, "train", repeats)
         peaks = {name: _ask(proc, "sample") for name, proc in procs.items()}
         runs = _alternate(procs, "run", repeats)
+        traces = {name: _ask(proc, "trace") for name, proc in procs.items()}
     finally:
         for proc in procs.values():
             proc.stdin.close()
@@ -224,8 +245,11 @@ def measure(sides: dict[str, str], hidden: str, repeats: int) -> dict:
     for name in names:
         checkpoints = _one(trains[name], ("parameters", "pretrained_sha", "checkpoints_sha"),
                            f"{name} at {hidden}: checkpoints")
-        outputs = _one(runs[name], ("masks_sha", "merged_sha"), f"{name} at {hidden}: merges")
+        outputs = _one(runs[name] + [traces[name]], ("masks_sha", "merged_sha"),
+                       f"{name} at {hidden}: merges")
         out[name] = {**envs[name], **peaks[name], **checkpoints, **outputs,
+                     "merge_peak_rss_mb": runs[name][-1]["merge_peak_rss_mb"],
+                     "merge_traced_peak_mb": traces[name]["merge_traced_peak_mb"],
                      **{f"{region}_{key}": _quartiles([r[f"{region}_{key}"] for r in replies])
                         for region, replies in (("pretrain", trains[name]),
                                                 ("finetune", trains[name]),
@@ -257,7 +281,9 @@ def main(argv=None):
                               f"sys {side[f'{region}_sys_s']['median']:.3f} s)"
                               for region in REGIONS)
             print(f"({hidden}) {side['parameters']:>9,} params  {name:>8}: {times}  peak RSS "
-                  f"{side['setup_peak_rss_mb']:.0f} MB  pretrained {side['pretrained_sha']}  "
+                  f"{side['setup_peak_rss_mb']:.1f} MB, {side['merge_peak_rss_mb']:.1f} MB after "
+                  f"the merges  merge traced peak {side['merge_traced_peak_mb']:.1f} MB  "
+                  f"pretrained {side['pretrained_sha']}  "
                   f"checkpoints {side['checkpoints_sha']}  masks {side['masks_sha']}  "
                   f"merged {side['merged_sha']}", file=sys.stderr, flush=True)
             for other, diff in ((k[3:], v) for k, v in side.items() if k.startswith("vs_")):
