@@ -1,8 +1,8 @@
 """Reference merging rules: weight averaging, task arithmetic, ties-merging.
 
 All three are deterministic elementwise reductions over flat parameter
-vectors. Sums always run in list-index order, so repeated calls are
-bit-reproducible.
+vectors; a task vector is a read-only float64 array of the parameters' length.
+Sums always run in list-index order, so repeated calls are bit-reproducible.
 """
 from __future__ import annotations
 
@@ -13,24 +13,6 @@ from typing import Iterable
 import numpy as np
 
 from .nn import ContractError, ParamVector, read_only
-
-
-@dataclass(frozen=True)
-class TaskVector:
-    """Difference between a fine-tuned and the pretrained parameter vector."""
-
-    values: np.ndarray
-    task_id: int | str = ""
-
-    def __post_init__(self):
-        values = read_only(self.values, np.float64)
-        if values.ndim != 1:
-            raise ContractError(f"task vector must be 1-D, got shape {values.shape}")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def size(self) -> int:
-        return int(self.values.size)
 
 
 @dataclass(frozen=True)
@@ -56,11 +38,11 @@ def ordered_sum(arrays) -> np.ndarray:
     return total
 
 
-def task_vector(theta_ft: ParamVector, theta_pre: ParamVector, task_id: int | str = "") -> TaskVector:
-    """theta_ft - theta_pre, elementwise."""
+def task_vector(theta_ft: ParamVector, theta_pre: ParamVector) -> np.ndarray:
+    """theta_ft - theta_pre, elementwise, as a read-only vector."""
     if theta_ft.spec != theta_pre.spec:
         raise ContractError("fine-tuned and pretrained vectors are bound to different specs")
-    return TaskVector(theta_ft.values - theta_pre.values, task_id=task_id)
+    return read_only(theta_ft.values - theta_pre.values, np.float64)
 
 
 def weight_average(models: list[ParamVector]) -> ParamVector:
@@ -75,34 +57,35 @@ def weight_average(models: list[ParamVector]) -> ParamVector:
     return ParamVector(mean, first.spec)
 
 
-def task_arithmetic(theta_pre: ParamVector, task_vectors: Iterable[TaskVector],
+def task_arithmetic(theta_pre: ParamVector, task_vectors: Iterable[np.ndarray],
                     scale: float = 0.3) -> ParamVector:
     """theta_pre + scale * sum(task vectors), read once from any iterable; none gives a
     copy of theta_pre."""
     if scale <= 0.0:
         raise ContractError(f"scale must be positive, got {scale}")
-    total = ordered_sum(tv.values for tv in task_vectors)
+    total = ordered_sum(task_vectors)
     if total is None:
         return ParamVector(theta_pre.values.copy(), theta_pre.spec)
     return ParamVector(theta_pre.values + scale * total, theta_pre.spec)
 
 
-def ties_trim(tv: TaskVector, trim_fraction: float) -> TaskVector:
-    """Keep the ceil(trim_fraction * n) largest-magnitude entries, zero the rest.
+def ties_trim(tv: np.ndarray, trim_fraction: float) -> np.ndarray:
+    """Keep the ceil(trim_fraction * n) largest-magnitude entries, zero the rest, in a
+    new read-only vector.
 
     Magnitude ties at the cut are broken in favor of the lower index. trim_fraction
     lies in (0, 1], as `TiesConfig` checks.
     """
     n = tv.size
     k = min(n, math.ceil(trim_fraction * n))
-    order = np.argsort(-np.abs(tv.values), kind="stable")
+    order = np.argsort(-np.abs(tv), kind="stable")
     trimmed = np.zeros(n)
     keep = order[:k]
-    trimmed[keep] = tv.values[keep]
-    return TaskVector(trimmed, task_id=tv.task_id)
+    trimmed[keep] = tv[keep]
+    return read_only(trimmed, np.float64)
 
 
-def ties_elect_sign(task_vectors: list[TaskVector]) -> np.ndarray:
+def ties_elect_sign(task_vectors: list[np.ndarray]) -> np.ndarray:
     """Per-coordinate sign carrying the larger total magnitude.
 
     Returns an int8 vector in {-1, 0, +1}: 0 only where every entry is zero,
@@ -110,14 +93,14 @@ def ties_elect_sign(task_vectors: list[TaskVector]) -> np.ndarray:
     """
     if not task_vectors:
         raise ContractError("ties_elect_sign needs at least one task vector")
-    pos = ordered_sum(np.maximum(tv.values, 0.0) for tv in task_vectors)
-    neg = ordered_sum(np.maximum(-tv.values, 0.0) for tv in task_vectors)
+    pos = ordered_sum(np.maximum(tv, 0.0) for tv in task_vectors)
+    neg = ordered_sum(np.maximum(-tv, 0.0) for tv in task_vectors)
     elected = np.where(pos >= neg, 1, -1).astype(np.int8)
     elected[(pos == 0.0) & (neg == 0.0)] = 0
     return elected
 
 
-def ties_merge(theta_pre: ParamVector, task_vectors: Iterable[TaskVector],
+def ties_merge(theta_pre: ParamVector, task_vectors: Iterable[np.ndarray],
                config: TiesConfig = TiesConfig()) -> ParamVector:
     """Trim each task vector as it is read, elect a sign per coordinate, average the
     agreeing entries (disjoint merge), and add the scaled result to theta_pre."""
@@ -127,8 +110,8 @@ def ties_merge(theta_pre: ParamVector, task_vectors: Iterable[TaskVector],
     elected = ties_elect_sign(trimmed)
     agree_sum, agree_count = np.zeros((2, theta_pre.size))
     for tv in trimmed:
-        agrees = (np.sign(tv.values).astype(np.int8) == elected) & (elected != 0)
-        agree_sum[agrees] += tv.values[agrees]
+        agrees = (np.sign(tv).astype(np.int8) == elected) & (elected != 0)
+        agree_sum[agrees] += tv[agrees]
         agree_count[agrees] += 1.0
     merged = theta_pre.values.copy()
     touched = agree_count > 0

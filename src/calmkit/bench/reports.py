@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..calm import BinaryMask
 from ..nn import ModelSpec, ParamVector
 from ..tasks import TaskData, accuracy
 
@@ -28,25 +27,24 @@ def evaluate(spec: ModelSpec, theta: ParamVector, tasks: Sequence[TaskData]) -> 
     return per_task, float(per_task.mean())
 
 
-def layer_density(mask: BinaryMask, spec: ModelSpec) -> list[float]:
-    """Fraction of ones in each layer's span of a mask over the parameters of `spec`."""
-    return [float(np.mean(mask.m[start : start + length]))
+def layer_density(mask: np.ndarray, spec: ModelSpec) -> list[float]:
+    """Fraction of True in each layer's span of a bool mask over the parameters of `spec`."""
+    return [float(np.mean(mask[start : start + length]))
             for start, length in spec.layer_offsets()]
 
 
-def magnitude_overlap(mask: BinaryMask, tau: np.ndarray,
+def magnitude_overlap(mask: np.ndarray, tau: np.ndarray,
                       k_percents: Sequence[float] = (1.0, 5.0, 10.0, 20.0, 50.0)) -> list[tuple[float, float]]:
-    """For each k, the fraction of active mask coordinates ranked in the top k%
+    """For each k, the fraction of a bool mask's True coordinates ranked in the top k%
     of |tau| magnitude across all coordinates."""
     tau = np.asarray(tau, dtype=np.float64)
     n = tau.size
     order = np.argsort(-np.abs(tau), kind="stable")
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
-    active = mask.m == 1.0
-    if not np.any(active):
+    if not np.any(mask):
         return [(float(k), 0.0) for k in k_percents]
-    return [(float(k), float(np.mean(rank[active] < max(1, math.ceil(k / 100.0 * n)))))
+    return [(float(k), float(np.mean(rank[mask] < max(1, math.ceil(k / 100.0 * n)))))
             for k in k_percents]
 
 

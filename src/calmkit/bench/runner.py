@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from ..baselines import task_arithmetic, task_vector, ties_merge, weight_average
-from ..calm import STRATEGIES, BinaryMask, MergeResult, sequential_merge
+from ..calm import STRATEGIES, MergeResult, sequential_merge
 from ..nn import ParamVector, bind
 from ..sampling import CredibleSet, audit_accuracy, score_pool, select_cb_ems, select_ems
 from ..tasks import Checkpoints, TaskData, finetune_all, generate_family, model_spec
@@ -164,8 +164,7 @@ def merge_with_method(config: ExperimentConfig, tasks: list[TaskData], ckpt: Che
         data, objective = _mask_training_data(config, tasks, credible)
         result = sequential_merge(ckpt, config.plan, data, objective=objective)
         return result.merged, result
-    taus = (task_vector(ckpt.finetuned[t], ckpt.pretrained, task_id=t)
-            for t in range(ckpt.num_tasks))
+    taus = (task_vector(ckpt.finetuned[t], ckpt.pretrained) for t in range(ckpt.num_tasks))
     if config.method == "ta":
         return task_arithmetic(ckpt.pretrained, taus, config.plan.lambda_efficient), None
     return ties_merge(ckpt.pretrained, taus, config.ties), None
@@ -183,7 +182,7 @@ def stage_merge(config: ExperimentConfig, workdir: Path, tasks: list[TaskData],
             masks = {}
             for idx, step in enumerate(result.steps):
                 key = f"step{idx:02d}_task{step.task_id:02d}"
-                masks.update({key: step.mask.m, f"{key}.density_trace": step.density_trace,
+                masks.update({key: step.mask, f"{key}.density_trace": step.density_trace,
                               f"{key}.objective_trace": step.objective_trace})
             save_checkpoint(workdir / MASKS_FILE, "merge", config, masks)
         else:
@@ -195,7 +194,7 @@ def stage_evaluate(config: ExperimentConfig, workdir: Path, tasks: list[TaskData
                    ckpt: Checkpoints, merged: ParamVector,
                    credible: Mapping[int, CredibleSet]) -> ReportBundle:
     """Evaluate the merged model and write its reports; the mask diagnostics come from
-    the masks file that stage_merge persisted."""
+    the masks file that stage_merge persisted, whose masks must hold only 0.0 and 1.0."""
     with _stage("evaluate"):
         per_task, average = evaluate(ckpt.spec, merged, tasks)
         bundle = ReportBundle(
@@ -212,7 +211,9 @@ def stage_evaluate(config: ExperimentConfig, workdir: Path, tasks: list[TaskData
             stage, made, vectors = load_checkpoint(path)
             check_made(path, stage, made, config)
         for key in [key for key in vectors if "." not in key]:  # the masks, not their traces
-            task_id, mask = int(key.rsplit("task", 1)[1]), BinaryMask(vectors[key])
+            task_id, mask = int(key.rsplit("task", 1)[1]), vectors[key] == 1.0
+            if not np.all(mask | (vectors[key] == 0.0)):
+                raise FormatError(f"{path}: mask {key!r} holds entries other than 0.0 and 1.0")
             if "density_trace" in config.report:
                 bundle.density_traces[key] = vectors[f"{key}.density_trace"]
             if "objective_trace" in config.report:
@@ -220,8 +221,8 @@ def stage_evaluate(config: ExperimentConfig, workdir: Path, tasks: list[TaskData
             if "layer_density" in config.report:
                 bundle.layer_densities[key] = layer_density(mask, ckpt.spec)
             if "magnitude_overlap" in config.report:
-                tau = task_vector(ckpt.finetuned[task_id], ckpt.pretrained, task_id=task_id)
-                bundle.magnitude_overlaps[key] = magnitude_overlap(mask, tau.values)
+                tau = task_vector(ckpt.finetuned[task_id], ckpt.pretrained)
+                bundle.magnitude_overlaps[key] = magnitude_overlap(mask, tau)
         write_report(bundle, workdir)
     return bundle
 
@@ -312,8 +313,8 @@ def ablation_suite(config: ExperimentConfig, suite: str, workdir: Path) -> list[
         j = step.task_id
         pre = ckpt.pretrained.values
         tau_bulk = step.tau_seq_before
-        tau_seq = task_vector(ckpt.finetuned[j], ckpt.pretrained).values
-        mask = step.mask.m
+        tau_seq = task_vector(ckpt.finetuned[j], ckpt.pretrained)
+        mask = step.mask
         configurations = [
             ("pre", pre.copy()),
             ("pre+tau_bulk", pre + tau_bulk),

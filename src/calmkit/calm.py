@@ -7,7 +7,8 @@ the current merged vector survives. The mask is relaxed to sigmoid(r) during
 optimization, trained against the summed cross-entropy of every visible
 task's credible samples plus an L1 sparsity term, and rounded once at the
 end, so the final update copies every coordinate verbatim from exactly one
-source.
+source. Task vectors, the mask logits r and the rounded bool mask are plain arrays,
+read-only where they are made.
 
 Each sequential step computes once what its iterations share: it checks and
 stacks the visible tasks' credible rows and labels into one row-major (rows,
@@ -47,7 +48,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .baselines import TaskVector, task_vector
+from .baselines import task_vector
 from .nn import (ContractError, ModelSpec, ParamVector, bind_pass, check_labels, read_only,
                  weighted_loss_and_grad)
 from .seeding import STAGE_MASK_BATCHES, STAGE_MASK_INIT, STAGE_PARTITION, rng_for
@@ -104,50 +105,22 @@ class MergePlan:
 
 
 @dataclass(frozen=True)
-class RealMask:
-    """Trainable real vector r, the mask's logits; the soft mask is sigmoid(r)."""
-
-    r: np.ndarray
-
-    def __post_init__(self):
-        r = read_only(self.r, np.float64)
-        if r.ndim != 1 or not np.all(np.isfinite(r)):
-            raise ContractError("real mask must be a finite 1-D vector")
-        object.__setattr__(self, "r", r)
-
-
-@dataclass(frozen=True)
-class BinaryMask:
-    """Hard mask with entries exactly 0.0 or 1.0."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        m = read_only(self.m, np.float64)
-        if m.ndim != 1 or not np.all((m == 0.0) | (m == 1.0)):
-            raise ContractError("binary mask entries must be exactly 0 or 1")
-        object.__setattr__(self, "m", m)
-
-    @property
-    def density(self) -> float:
-        return float(np.mean(self.m))
-
-
-@dataclass(frozen=True)
 class SequentialState:
     """Current merged task vector and the tasks visible to the objective."""
 
-    tau_seq: TaskVector
+    tau_seq: np.ndarray
     visible_tasks: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class StepArtifact:
-    """Everything recorded at one sequential step."""
+    """Everything recorded at one sequential step: its task, the last visible one, the
+    rounded bool mask and the logits r it rounds, the traces, and the merged vector the
+    step started from."""
 
     task_id: int
-    mask: BinaryMask
-    real_mask: RealMask
+    mask: np.ndarray
+    real_mask: np.ndarray
     objective_trace: np.ndarray
     density_trace: np.ndarray
     tau_seq_before: np.ndarray
@@ -156,9 +129,7 @@ class StepArtifact:
 @dataclass(frozen=True)
 class MergeResult:
     merged: ParamVector
-    final_tau: TaskVector
     steps: tuple[StepArtifact, ...]
-    plan: MergePlan
 
 
 def sigmoid(x: np.ndarray, out: tuple | None = None) -> np.ndarray:
@@ -186,20 +157,21 @@ def partition(task_ids: Sequence[int], num_sequential: int, seed: int = 0) -> Me
     return MergePlan(efficient_set=efficient, sequential_set=sequential, seed=seed)
 
 
-def efficient_merge(theta_pre: ParamVector, bulk: Iterable[TaskVector],
-                    scale: float = 0.3) -> SequentialState:
-    """Task-arithmetic base scale * sum(bulk), in one pass over any iterable; none: zeros."""
-    total, visible = np.zeros(theta_pre.size), []
-    for tv in bulk:
-        total += tv.values
-        visible.append(tv.task_id)
+def efficient_merge(theta_pre: ParamVector, bulk: Iterable[np.ndarray],
+                    scale: float = 0.3) -> np.ndarray:
+    """Task-arithmetic base scale * sum(bulk), read-only, in one pass over any iterable;
+    none: zeros."""
+    total = np.zeros(theta_pre.size)
+    for tau in bulk:
+        total += tau
     total *= scale  # the bits of scale * total
-    return SequentialState(TaskVector(total, task_id="merged"), tuple(visible))
+    return read_only(total, np.float64)
 
 
-def masked_merge(tau_seq: TaskVector, tau_j: TaskVector, mask: BinaryMask,
-                 strategy: str = "both") -> TaskVector:
-    """Combine the current merged vector with an incoming task vector under a binary mask.
+def masked_merge(tau_seq: np.ndarray, tau_j: np.ndarray, mask: np.ndarray,
+                 strategy: str = "both") -> np.ndarray:
+    """Combine the current merged vector with an incoming task vector under a bool mask m,
+    into a new read-only vector.
 
     both:            (1 - m) * tau_seq + m * tau_j
     only_mask:       tau_seq + m * tau_j
@@ -208,20 +180,16 @@ def masked_merge(tau_seq: TaskVector, tau_j: TaskVector, mask: BinaryMask,
     With strategy 'both' each output coordinate is copied bit-exactly from one
     of the two sources.
     """
-    if tau_seq.size != tau_j.size:
-        raise ContractError(
-            f"task vectors have mismatched lengths {tau_seq.size} and {tau_j.size}"
-        )
-    m = mask.m
-    if m.shape != tau_seq.values.shape:
-        raise ContractError(f"mask length {m.size} does not match task vectors {tau_seq.size}")
+    if tau_seq.shape != tau_j.shape or mask.shape != tau_seq.shape:
+        raise ContractError(f"task vectors of shapes {tau_seq.shape} and {tau_j.shape} "
+                            f"and a mask of shape {mask.shape} do not match")
     if strategy == "both":
-        merged = np.where(m == 1.0, tau_j.values, tau_seq.values)
+        merged = np.where(mask, tau_j, tau_seq)
     elif strategy == "only_mask":
-        merged = tau_seq.values + m * tau_j.values
+        merged = tau_seq + mask * tau_j
     else:
-        merged = (1.0 - m) * tau_seq.values + tau_j.values
-    return TaskVector(merged, task_id="merged")
+        merged = (1.0 - mask) * tau_seq + tau_j
+    return read_only(merged, np.float64)
 
 
 TaskExamples = Mapping[int, tuple[np.ndarray, np.ndarray | None]]
@@ -252,7 +220,7 @@ def _row_pool(visible_tasks: Sequence[int], task_data: TaskExamples, objective: 
 
 def _bind_pool(spec: ModelSpec, inputs: np.ndarray, labels: np.ndarray | None,
                batch_rows: Sequence[Sequence[int]], rows: np.ndarray, state: SequentialState,
-               tau_j: TaskVector, strategy: str) -> tuple:
+               tau_j: np.ndarray, strategy: str) -> tuple:
     """The objective's `pool`, checked and made once per step: the `_row_pool` rows and
     labels, each gathered row's weight 1 / (batches of its task * rows of its batch) from
     `batch_rows`, each visible task's batch lengths in gather order, the batches' flat row
@@ -265,11 +233,11 @@ def _bind_pool(spec: ModelSpec, inputs: np.ndarray, labels: np.ndarray | None,
         raise ContractError(f"{len(weights)} row weights for {len(rows)} batch rows")
     theta, m, rest, total, direction = np.empty((5, spec.parameter_count))
     if strategy == "both":
-        np.subtract(tau_j.values, state.tau_seq.values, out=direction)
+        np.subtract(tau_j, state.tau_seq, out=direction)
     elif strategy == "only_mask":
-        np.copyto(direction, tau_j.values)
+        np.copyto(direction, tau_j)
     else:
-        np.negative(state.tau_seq.values, out=direction)
+        np.negative(state.tau_seq, out=direction)
     return (inputs, labels, weights, rows, theta,
             bind_pass(spec, theta, {(len(rows),)}, feature_major=True),
             np.empty((len(rows), inputs.shape[1])),
@@ -277,7 +245,7 @@ def _bind_pool(spec: ModelSpec, inputs: np.ndarray, labels: np.ndarray | None,
 
 
 def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: SequentialState,
-                        tau_j: TaskVector, r: np.ndarray,
+                        tau_j: np.ndarray, r: np.ndarray,
                         task_batches: Mapping[int, np.ndarray], l1_weight: float,
                         strategy: str, objective: str,
                         pool: tuple) -> tuple[float, np.ndarray]:
@@ -303,16 +271,16 @@ def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: Sequenti
     labels = None if objective == "entropy" else np.take(pool_labels, rows)
     sigmoid(r, out=(m, rest, positive))
     np.subtract(1.0, m, out=rest)
-    tau_seq = state.tau_seq.values
+    tau_seq = state.tau_seq
     # theta_pre + tau, tau of the strategy's masked merge, with the operands in order
     if strategy == "both":
         np.multiply(rest, tau_seq, out=theta)
-        theta += np.multiply(m, tau_j.values, out=total)
+        theta += np.multiply(m, tau_j, out=total)
     elif strategy == "only_mask":
-        np.add(tau_seq, np.multiply(m, tau_j.values, out=theta), out=theta)
+        np.add(tau_seq, np.multiply(m, tau_j, out=theta), out=theta)
     else:
         np.multiply(rest, tau_seq, out=theta)
-        theta += tau_j.values
+        theta += tau_j
     np.add(theta_pre.values, theta, out=theta)
     data_loss, grad = weighted_loss_and_grad(spec, bound, inputs, labels, weights, total)
     sig_grad = np.multiply(m, rest, out=rest)
@@ -325,22 +293,23 @@ def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: Sequenti
     return loss, grad
 
 
-def init_mask(n: int, init_active_fraction: float, rng: np.random.Generator,
-              magnitude: float = INIT_MAGNITUDE) -> RealMask:
-    """Seeded init: max(1, floor(fraction * n)) coordinates at +magnitude, rest at -magnitude."""
+def init_mask(n: int, init_active_fraction: float, rng: np.random.Generator) -> np.ndarray:
+    """Seeded read-only logits r: max(1, floor(fraction * n)) coordinates at
+    +INIT_MAGNITUDE, the rest at -INIT_MAGNITUDE."""
     active = max(1, int(np.floor(init_active_fraction * n)))
-    r = np.full(n, -magnitude)
-    r[rng.choice(n, size=active, replace=False)] = magnitude
-    return RealMask(r)
+    r = np.full(n, -INIT_MAGNITUDE)
+    r[rng.choice(n, size=active, replace=False)] = INIT_MAGNITUDE
+    return read_only(r, np.float64)
 
 
-def binarize(mask: RealMask) -> BinaryMask:
-    """Round sigmoid(r): 1 where sigmoid(r) >= 0.5 (equivalently r >= 0), else 0."""
-    return BinaryMask(np.where(mask.r >= 0.0, 1.0, 0.0))
+def binarize(r: np.ndarray) -> np.ndarray:
+    """Round sigmoid(r) into a read-only bool mask: True where sigmoid(r) >= 0.5
+    (equivalently r >= 0)."""
+    return read_only(r >= 0.0, bool)
 
 
 def optimize_mask(spec: ModelSpec, theta_pre: ParamVector, state: SequentialState,
-                  tau_j: TaskVector, task_data: TaskExamples, init: RealMask,
+                  tau_j: np.ndarray, task_data: TaskExamples, init: np.ndarray,
                   plan: MergePlan, rng: np.random.Generator,
                   objective: str = "cross_entropy") -> StepArtifact:
     """First-order descent on r, then the rounded mask of tau_j's step.
@@ -354,10 +323,11 @@ def optimize_mask(spec: ModelSpec, theta_pre: ParamVector, state: SequentialStat
     iteration overwrites the other tasks' views, in visible order, with the
     first entries of one `rng.permuted` row of arange(n) per batch, one call per
     run of tasks with sets of one size: a wrapper of the objective that keeps
-    them must copy them. r is updated in place and checked to be finite once,
-    by the final `RealMask`. The objective trace holds the pre-step loss per
-    iteration; the density trace holds the rounded-mask density before the
-    first and after every step.
+    them must copy them. r, a copy of `init`, is updated in place and checked to
+    be finite once, after the last iteration. The step's task is the last
+    visible task. The objective trace holds the pre-step loss per iteration; the
+    density trace holds the rounded-mask density before the first and after
+    every step.
     """
     if theta_pre.spec != spec:
         raise ContractError(f"theta_pre is bound to {theta_pre.spec}, not to {spec}")
@@ -383,7 +353,7 @@ def optimize_mask(spec: ModelSpec, theta_pre: ParamVector, state: SequentialStat
             draws.append((np.broadcast_to(np.arange(n), (len(firsts), n)),
                           np.empty((len(firsts), n), np.int64), firsts,
                           rows[end - len(firsts) * k : end].reshape(-1, k)))
-    r = init.r.copy()
+    r = init.copy()
     objective_trace = np.zeros(plan.iterations_per_task)
     density_trace = np.zeros(plan.iterations_per_task + 1)
     # exactly np.mean(r >= 0.0): an exact count over the same size
@@ -399,9 +369,10 @@ def optimize_mask(spec: ModelSpec, theta_pre: ParamVector, state: SequentialStat
         grad_r *= plan.mask_lr
         r -= grad_r
         density_trace[it + 1] = np.count_nonzero(r >= 0.0) / r.size
-    real = RealMask(r)
-    return StepArtifact(tau_j.task_id, binarize(real), real, objective_trace, density_trace,
-                        state.tau_seq.values)
+    if not np.all(np.isfinite(r)):
+        raise ContractError("mask logits r must be finite")
+    return StepArtifact(state.visible_tasks[-1], binarize(r), read_only(r, np.float64),
+                        objective_trace, density_trace, state.tau_seq)
 
 
 def sequential_merge(checkpoints: Checkpoints, plan: MergePlan, examples: TaskExamples,
@@ -409,7 +380,7 @@ def sequential_merge(checkpoints: Checkpoints, plan: MergePlan, examples: TaskEx
     """Run the full merge: bulk task arithmetic, then one mask per sequential task.
 
     `examples` maps task id to the (inputs, labels-or-None) arrays the mask objective
-    trains on. Returns the merged parameters and, per sequential step, the binary mask
+    trains on. Returns the merged parameters and, per sequential step, the bool mask
     with its objective and density traces. Each task vector is built where it is used.
     """
     spec, theta_pre = checkpoints.spec, checkpoints.pretrained
@@ -418,10 +389,11 @@ def sequential_merge(checkpoints: Checkpoints, plan: MergePlan, examples: TaskEx
         raise ContractError("plan task sets must cover exactly the checkpoint tasks "
                             f"{sorted(all_ids)}")
 
-    state = efficient_merge(theta_pre, (task_vector(checkpoints.finetuned[t], theta_pre, task_id=t)
-                                        for t in plan.efficient_set), plan.lambda_efficient)
+    bulk = (task_vector(checkpoints.finetuned[t], theta_pre) for t in plan.efficient_set)
+    state = SequentialState(efficient_merge(theta_pre, bulk, plan.lambda_efficient),
+                            plan.efficient_set)
     steps: list[StepArtifact] = []
-    carried: RealMask | None = None
+    carried: np.ndarray | None = None
     for step_idx, j in enumerate(plan.sequential_set):
         state = SequentialState(state.tau_seq, state.visible_tasks + (j,))
         if carried is None or plan.reinit_mask_per_task:
@@ -429,7 +401,7 @@ def sequential_merge(checkpoints: Checkpoints, plan: MergePlan, examples: TaskEx
                              rng_for(plan.seed, STAGE_MASK_INIT, step_idx))
         else:
             init = carried
-        tau_j = task_vector(checkpoints.finetuned[j], theta_pre, task_id=j)
+        tau_j = task_vector(checkpoints.finetuned[j], theta_pre)
         step = optimize_mask(
             spec, theta_pre, state, tau_j, examples, init, plan,
             rng_for(plan.seed, STAGE_MASK_BATCHES, step_idx), objective,
@@ -439,5 +411,4 @@ def sequential_merge(checkpoints: Checkpoints, plan: MergePlan, examples: TaskEx
         state = SequentialState(masked_merge(state.tau_seq, tau_j, step.mask, plan.strategy),
                                 state.visible_tasks)
 
-    merged = ParamVector(theta_pre.values + state.tau_seq.values, spec)
-    return MergeResult(merged=merged, final_tau=state.tau_seq, steps=tuple(steps), plan=plan)
+    return MergeResult(ParamVector(theta_pre.values + state.tau_seq, spec), tuple(steps))

@@ -3,7 +3,6 @@ import numpy as np
 
 from calmkit import nn
 from calmkit.calm import (
-    RealMask,
     StepArtifact,
     _bind_pool,
     _row_pool,
@@ -11,7 +10,7 @@ from calmkit.calm import (
     consensus_objective,
 )
 from calmkit.nn import (ROW_BLOCK, ContractError, ModelSpec, _loss_and_dlogits, check_labels,
-                        layer_views)
+                        layer_views, read_only)
 from calmkit.tasks import (
     Checkpoints,
     TaskData,
@@ -297,11 +296,17 @@ def build_checkpoints(family: TaskFamily, config: TrainConfig = TrainConfig(),
     return tasks, finetune_all(spec, theta_pre, tasks, config, family.seed)
 
 
+def finite(r: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(r)):
+        raise ContractError("mask logits r must be finite")
+    return r
+
+
 def optimize_mask(spec, theta_pre, state, tau_j, task_data, init, plan, rng,
                   objective="cross_entropy") -> StepArtifact:
     """`calm.optimize_mask` as a loop that builds every iteration's batches anew: one
     list of drawn batches per task, merged with the undrawn whole sets, concatenated
-    into the gather's row index, a `RealMask` check of r before every objective call,
+    into the gather's row index, a finiteness check of r before every objective call,
     and a new r per step. The library's in-place iterations must match it bit for bit,
     the generator's final state included."""
     inputs, labels, spans = _row_pool(state.visible_tasks, task_data, objective)
@@ -312,7 +317,7 @@ def optimize_mask(spec, theta_pre, state, tau_j, task_data, init, plan, rng,
     whole = {t: [first + np.arange(n)] * per_task
              for t, (first, n) in spans.items() if n <= k}
     orders = {n: np.broadcast_to(np.arange(n), (per_task, n)) for _, n in spans.values() if n > k}
-    r = init.r.copy()
+    r = init.copy()
     objective_trace = np.zeros(plan.iterations_per_task)
     density_trace = np.zeros(plan.iterations_per_task + 1)
     density_trace[0] = np.mean(r >= 0.0)
@@ -322,13 +327,12 @@ def optimize_mask(spec, theta_pre, state, tau_j, task_data, init, plan, rng,
         task_batches = {**whole, **batches}
         rows = np.concatenate([idx for t in state.visible_tasks for idx in task_batches[t]])
         loss, grad_r = consensus_objective(
-            spec, theta_pre, state, tau_j, RealMask(r).r, task_batches, plan.l1_weight,
+            spec, theta_pre, state, tau_j, finite(r), task_batches, plan.l1_weight,
             plan.strategy, objective,
             _bind_pool(spec, inputs, labels, batch_rows, rows, state, tau_j, plan.strategy),
         )
         objective_trace[it] = loss
         r = r - plan.mask_lr * grad_r
         density_trace[it + 1] = np.mean(r >= 0.0)
-    real = RealMask(r)
-    return StepArtifact(tau_j.task_id, binarize(real), real, objective_trace, density_trace,
-                        state.tau_seq.values)
+    return StepArtifact(state.visible_tasks[-1], binarize(finite(r)), read_only(r, np.float64),
+                        objective_trace, density_trace, state.tau_seq)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from calmkit.baselines import (
-    TaskVector,
     TiesConfig,
     ordered_sum,
     task_arithmetic,
@@ -25,11 +24,12 @@ def pv(values):
 class TestTaskVector:
     def test_identical_models_give_zero(self):
         theta = pv([1.0, 2.0, 3.0, 4.0])
-        assert np.array_equal(task_vector(theta, theta).values, np.zeros(4))
+        assert np.array_equal(task_vector(theta, theta), np.zeros(4))
 
     def test_componentwise_difference(self):
         tv = task_vector(pv([1.5, 1.0, 0.0, 0.0]), pv([1.0, 2.0, 0.0, 0.0]))
-        assert np.array_equal(tv.values, np.array([0.5, -1.0, 0.0, 0.0]))
+        assert np.array_equal(tv, np.array([0.5, -1.0, 0.0, 0.0]))
+        assert tv.dtype == np.float64 and not tv.flags.writeable
 
     def test_reconstructs_finetuned_exactly(self):
         # dyadic entries keep the subtraction exact, so the additive-inverse
@@ -38,7 +38,7 @@ class TestTaskVector:
         pre = pv(rng.integers(-4096, 4096, size=4) / 1024.0)
         ft = pv(rng.integers(-4096, 4096, size=4) / 1024.0)
         tv = task_vector(ft, pre)
-        assert np.array_equal(pre.values + tv.values, ft.values)
+        assert np.array_equal(pre.values + tv, ft.values)
 
     def test_spec_mismatch(self):
         other = bind(ModelSpec(1, (), 3), np.zeros(6))
@@ -79,19 +79,19 @@ class TestTaskArithmetic:
 
     def test_opposite_vectors_cancel(self):
         pre = pv([1.0, 2.0, 3.0, 4.0])
-        tau = TaskVector(np.array([0.5, -1.0, 2.0, 0.0]))
-        neg = TaskVector(-tau.values)
+        tau = np.array([0.5, -1.0, 2.0, 0.0])
+        neg = -tau
         merged = task_arithmetic(pre, [tau, neg], scale=0.3)
         assert np.array_equal(merged.values, pre.values)
 
     def test_linearity_in_task_vectors(self):
         rng = np.random.default_rng(2)
         pre = pv(rng.standard_normal(4))
-        t1 = TaskVector(rng.standard_normal(4))
-        t2 = TaskVector(rng.standard_normal(4))
+        t1 = rng.standard_normal(4)
+        t2 = rng.standard_normal(4)
         lam = 0.3
-        combined = task_arithmetic(pre, [TaskVector(t1.values + t2.values)], scale=lam)
-        sequential = task_arithmetic(pre, [t1], scale=lam).values + lam * t2.values
+        combined = task_arithmetic(pre, [t1 + t2], scale=lam)
+        sequential = task_arithmetic(pre, [t1], scale=lam).values + lam * t2
         assert np.allclose(combined.values, sequential, rtol=0, atol=1e-15)
 
     def test_nonpositive_scale_rejected(self):
@@ -101,47 +101,48 @@ class TestTaskArithmetic:
     def test_a_generator_gives_the_bits_of_a_list(self):
         rng = np.random.default_rng(3)
         pre, vectors = pv(rng.standard_normal(4)), rng.standard_normal((5, 4))
-        listed = task_arithmetic(pre, [TaskVector(v) for v in vectors], scale=0.3)
-        generated = task_arithmetic(pre, (TaskVector(v) for v in vectors), scale=0.3)
+        listed = task_arithmetic(pre, list(vectors), scale=0.3)
+        generated = task_arithmetic(pre, (v for v in vectors), scale=0.3)
         assert generated.values.tobytes() == listed.values.tobytes()
         assert task_arithmetic(pre, iter([])).values.tobytes() == pre.values.tobytes()
 
 
 class TestTiesTrim:
     def test_full_fraction_is_identity(self):
-        tau = TaskVector(np.array([3.0, -1.0, 0.5, -2.0]))
-        assert np.array_equal(ties_trim(tau, 1.0).values, tau.values)
+        tau = np.array([3.0, -1.0, 0.5, -2.0])
+        assert np.array_equal(ties_trim(tau, 1.0), tau)
 
     def test_half_fraction_sorted_oracle(self):
-        tau = TaskVector(np.array([3.0, -1.0, 0.5, -2.0]))
+        tau = np.array([3.0, -1.0, 0.5, -2.0])
         trimmed = ties_trim(tau, 0.5)
         # sort-by-magnitude oracle: keep the ceil(0.5 * 4) = 2 largest |entries|
-        magnitudes = sorted(enumerate(np.abs(tau.values)), key=lambda p: (-p[1], p[0]))
+        magnitudes = sorted(enumerate(np.abs(tau)), key=lambda p: (-p[1], p[0]))
         keep = {i for i, _ in magnitudes[:2]}
-        expected = np.array([v if i in keep else 0.0 for i, v in enumerate(tau.values)])
-        assert np.array_equal(trimmed.values, expected)
-        assert np.array_equal(trimmed.values, np.array([3.0, 0.0, 0.0, -2.0]))
+        expected = np.array([v if i in keep else 0.0 for i, v in enumerate(tau)])
+        assert np.array_equal(trimmed, expected)
+        assert np.array_equal(trimmed, np.array([3.0, 0.0, 0.0, -2.0]))
 
     def test_nonzero_count_is_ceil(self):
         rng = np.random.default_rng(3)
         values = rng.standard_normal(11)
         assert np.all(values != 0.0)
         for fraction in (0.1, 0.2, 0.5, 0.75, 1.0):
-            trimmed = ties_trim(TaskVector(values), fraction)
-            assert np.count_nonzero(trimmed.values) == int(np.ceil(fraction * 11))
+            trimmed = ties_trim(values, fraction)
+            assert np.count_nonzero(trimmed) == int(np.ceil(fraction * 11))
 
     def test_kept_entries_bit_exact_and_never_larger(self):
         rng = np.random.default_rng(4)
         values = rng.standard_normal(40)
-        trimmed = ties_trim(TaskVector(values), 0.3)
-        kept = trimmed.values != 0.0
-        assert np.array_equal(trimmed.values[kept], values[kept])
-        assert np.all(np.abs(trimmed.values) <= np.abs(values))
+        trimmed = ties_trim(values, 0.3)
+        kept = trimmed != 0.0
+        assert np.array_equal(trimmed[kept], values[kept])
+        assert np.all(np.abs(trimmed) <= np.abs(values))
 
     def test_magnitude_tie_keeps_lower_index(self):
-        tau = TaskVector(np.array([1.0, -1.0, 1.0, 0.5]))
+        tau = np.array([1.0, -1.0, 1.0, 0.5])
         trimmed = ties_trim(tau, 0.5)
-        assert np.array_equal(trimmed.values, np.array([1.0, -1.0, 0.0, 0.0]))
+        assert np.array_equal(trimmed, np.array([1.0, -1.0, 0.0, 0.0]))
+        assert not trimmed.flags.writeable
 
 
 @pytest.mark.parametrize("size", [709, 71_000, 1_000_000])
@@ -161,25 +162,25 @@ def test_ordered_sum_is_the_stacked_sum_bit_for_bit(size, count):
 
 class TestTiesElectSign:
     def test_single_vector_elects_its_signs(self):
-        tau = TaskVector(np.array([2.0, -3.0, 0.0, 1.0]))
+        tau = np.array([2.0, -3.0, 0.0, 1.0])
         assert np.array_equal(ties_elect_sign([tau]), np.array([1, -1, 0, 1], dtype=np.int8))
 
     def test_mass_sum_oracle(self):
         # coordinate 0 entries {+1, +1, -3}: negative mass 3 beats positive 2
-        vectors = [TaskVector(np.array([1.0, 0.0, 0.0, 0.0])),
-                   TaskVector(np.array([1.0, 0.0, 0.0, 0.0])),
-                   TaskVector(np.array([-3.0, 0.0, 0.0, 0.0]))]
+        vectors = [np.array([1.0, 0.0, 0.0, 0.0]),
+                   np.array([1.0, 0.0, 0.0, 0.0]),
+                   np.array([-3.0, 0.0, 0.0, 0.0])]
         assert ties_elect_sign(vectors)[0] == -1
 
     def test_negation_antisymmetry(self):
         rng = np.random.default_rng(5)
-        vectors = [TaskVector(rng.standard_normal(30)) for _ in range(4)]
-        negated = [TaskVector(-tv.values) for tv in vectors]
+        vectors = [rng.standard_normal(30) for _ in range(4)]
+        negated = [-tv for tv in vectors]
         assert np.array_equal(ties_elect_sign(negated), -ties_elect_sign(vectors))
 
     def test_exact_tie_elects_positive(self):
-        vectors = [TaskVector(np.array([2.0, 0.0, 0.0, 0.0])),
-                   TaskVector(np.array([-2.0, 0.0, 0.0, 0.0]))]
+        vectors = [np.array([2.0, 0.0, 0.0, 0.0]),
+                   np.array([-2.0, 0.0, 0.0, 0.0])]
         assert ties_elect_sign(vectors)[0] == 1
 
 
@@ -192,31 +193,31 @@ class TestTiesMerge:
         assert np.allclose(merged.values, ft.values, rtol=0, atol=1e-15)
 
     def test_disjoint_mean_oracle(self):
-        vectors = [TaskVector(np.array([2.0, 0.0, 0.0, 0.0])),
-                   TaskVector(np.array([4.0, 0.0, 0.0, 0.0])),
-                   TaskVector(np.array([-5.0, 0.0, 0.0, 0.0]))]
+        vectors = [np.array([2.0, 0.0, 0.0, 0.0]),
+                   np.array([4.0, 0.0, 0.0, 0.0]),
+                   np.array([-5.0, 0.0, 0.0, 0.0])]
         pre = pv(np.zeros(4))
         merged = ties_merge(pre, vectors, TiesConfig(trim_fraction=1.0, scale=1.0))
         # positive mass 6 > negative 5, elected +, disjoint mean of {2, 4} = 3
         assert merged.values[0] == 3.0
 
     def test_disjoint_mean_negative_election(self):
-        vectors = [TaskVector(np.array([2.0, 0.0, 0.0, 0.0])),
-                   TaskVector(np.array([-5.0, 0.0, 0.0, 0.0]))]
+        vectors = [np.array([2.0, 0.0, 0.0, 0.0]),
+                   np.array([-5.0, 0.0, 0.0, 0.0])]
         merged = ties_merge(pv(np.zeros(4)), vectors, TiesConfig(trim_fraction=1.0, scale=1.0))
         assert merged.values[0] == -5.0
 
     def test_agreeing_signs_full_trim_is_plain_mean(self):
         rng = np.random.default_rng(7)
         base = np.abs(rng.standard_normal(4)) + 0.1
-        vectors = [TaskVector(base * s) for s in (1.0, 2.0, 3.0)]
+        vectors = [base * s for s in (1.0, 2.0, 3.0)]
         merged = ties_merge(pv(np.zeros(4)), vectors, TiesConfig(trim_fraction=1.0, scale=1.0))
         assert np.allclose(merged.values, base * 2.0, rtol=0, atol=1e-15)
 
     def test_untouched_coordinates_equal_pretrained_exactly(self):
         pre = pv([0.1, 0.2, 0.3, 0.4])
-        vectors = [TaskVector(np.array([5.0, 0.0, 0.0, 0.0])),
-                   TaskVector(np.array([4.0, 0.0, 0.0, 0.0]))]
+        vectors = [np.array([5.0, 0.0, 0.0, 0.0]),
+                   np.array([4.0, 0.0, 0.0, 0.0])]
         merged = ties_merge(pre, vectors, TiesConfig(trim_fraction=0.25, scale=0.3))
         assert np.array_equal(merged.values[1:], pre.values[1:])
 
@@ -232,8 +233,8 @@ class TestTiesMerge:
         rng = np.random.default_rng(8)
         pre, vectors = pv(rng.standard_normal(4)), rng.standard_normal((8, 4))
         config = TiesConfig(trim_fraction=trim_fraction, scale=0.3)
-        listed = ties_merge(pre, [TaskVector(v, t) for t, v in enumerate(vectors)], config)
-        generated = ties_merge(pre, (TaskVector(v, t) for t, v in enumerate(vectors)), config)
+        listed = ties_merge(pre, list(vectors), config)
+        generated = ties_merge(pre, (v for v in vectors), config)
         assert generated.values.tobytes() == listed.values.tobytes()
 
     def test_invalid_config(self):

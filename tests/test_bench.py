@@ -227,6 +227,23 @@ def test_order_suite_that_draws_batches_keeps_its_hashes(tmp_path):
     assert _sha((tmp_path / "summary.csv").read_bytes()) == "8c09e378c3d13111"
 
 
+# sha256 prefixes of summary.csv and of every masks file, traces included, on
+# ORDER_DRAWS: the strategy suite runs the only_mask and only_complement merges, and
+# the components suite its arithmetic, on masks trained on drawn batches. Captured
+# with masks held as float64 0/1 vectors, before they were bool arrays
+DRAWING_SUITES = {"strategy": ("2cdbeae7cfada8bc", "11d854ace0d582ea"),
+                  "components": ("fef320f54213f25a", "565f1a86a47e7af0")}
+
+
+@pytest.mark.parametrize("suite", sorted(DRAWING_SUITES))
+def test_suites_that_draw_batches_keep_their_hashes(suite, tmp_path):
+    ablation_suite(build_config(ORDER_DRAWS), suite, tmp_path)
+    masks = sorted(tmp_path.rglob(MASKS_FILE))
+    summary_sha, masks_sha = DRAWING_SUITES[suite]
+    assert _sha(b"".join(path.read_bytes() for path in masks)) == masks_sha
+    assert _sha((tmp_path / "summary.csv").read_bytes()) == summary_sha
+
+
 def test_order_suite_samples_once(tmp_path, monkeypatch):
     calls = []
     score_pool = runner.score_pool
@@ -356,3 +373,19 @@ def test_checkpoints_without_every_finetuned_model_are_a_format_error(tmp_path, 
     assert _cli("sample", tmp_path, TINY) == 2
     assert "finetuned_00" in capsys.readouterr().err
 
+
+
+def test_a_loaded_mask_entry_other_than_0_or_1_is_a_stage_error(tmp_path, capsys):
+    entries = {**TINY, "report": "accuracy,layer_density"}
+    _staged(tmp_path, entries)
+    assert _cli("merge", tmp_path, entries) == 0
+    path = tmp_path / MASKS_FILE
+    stage, made, vectors = load_checkpoint(path)
+    key = min(name for name in vectors if "." not in name)
+    vectors[key][0] = 0.5
+    save_checkpoint(path, stage, made, vectors)  # a valid header and CRC
+    capsys.readouterr()
+    assert _cli("eval", tmp_path, entries) == 2
+    err = capsys.readouterr().err
+    assert f"mask {key!r} holds entries other than 0.0 and 1.0" in err
+    assert "Traceback" not in err

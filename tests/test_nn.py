@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from calmkit import calm
-from calmkit.baselines import TaskVector
 from calmkit.calm import MergePlan, SequentialState, init_mask
 from calmkit.nn import (
     ROW_BLOCK,
@@ -526,8 +525,8 @@ class TestAllocationFreeSteps:
         rng = np.random.default_rng(5)
         size = WIDE.parameter_count
         theta_pre = init_params(WIDE, 5)
-        state = SequentialState(TaskVector(0.01 * rng.standard_normal(size), "merged"), (0,))
-        tau_j = TaskVector(0.01 * rng.standard_normal(size), 0)
+        state = SequentialState(0.01 * rng.standard_normal(size), (0,))
+        tau_j = 0.01 * rng.standard_normal(size)
         # two drawn 600-row batches a step: a block of ROW_BLOCK rows and one of 176
         data = {0: (rng.standard_normal((1500, 4)), rng.integers(0, 3, size=1500))}
         plan = MergePlan((), (0,), iterations_per_task=3, batches_per_task=2, batch_size=600)

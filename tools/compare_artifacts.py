@@ -13,7 +13,7 @@ sampling, a linear model and a (32, 32, 32) one), plus one `WIDE` (256, 256)
 run at seed 0; each run in its own directory under the side's output
 directory. The `run_experiment` runs also report the objective and density
 traces, which show a change in the last bit of any iteration where the
-rounded masks do not.
+rounded masks do not, and the masks' layer densities and magnitude overlaps.
 The sides run at the same time; their times do not matter here.
 
 After its runs, each worker loads every container it wrote with its own tree's
@@ -58,8 +58,9 @@ import numpy as np
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 DEFAULT_SEEDS = 32
 ORDER_SEEDS = 10
-# report.csv and report.txt as on the default config, plus one CSV per trace
-TRACED_REPORT = "accuracy, density_trace, objective_trace"
+# report.csv and report.txt as on the default config, plus one CSV per trace and the
+# two mask diagnostics that read the rounded masks
+TRACED_REPORT = "accuracy, density_trace, objective_trace, layer_density, magnitude_overlap"
 BRANCH_SEEDS = 4
 # the default config's other kernel branches, each run at config seeds 0 to BRANCH_SEEDS - 1
 BRANCHES = {

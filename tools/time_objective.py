@@ -21,8 +21,9 @@ and system CPU seconds over each of them; the worker's peak RSS once it has
 trained and sampled, and again after its merges; the peak of what one more,
 untimed merge allocates, by tracemalloc, which the process-wide RSS peak hides
 when training set it; and sha256 prefixes of the pretrained and fine-tuned
-checkpoints, of every step's binary mask and of the merged parameters, so sides
-can be compared bit for bit. Each side after the first is also compared with
+checkpoints, of every step's binary mask (as float64 0/1 bytes, whether the tree
+returns a bool mask or a float one) and of the merged parameters, so sides can be
+compared bit for bit. Each side after the first is also compared with
 the first: the largest relative difference of any `objective_trace` value, and,
 per step, the coordinates where the binary masks differ. The main process
 imports neither numpy nor calmkit.
@@ -65,6 +66,19 @@ REGIONS = ("pretrain", "finetune", "merge")
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _mask01(mask):
+    """A step's mask as float64 0/1, from a bool array or from a holder of that float64
+    array in `.m` (the mask type of older trees), so every tree's masks digest alike."""
+    import numpy as np
+
+    return np.asarray(getattr(mask, "m", mask), dtype=np.float64)
+
+
+def masks_sha(masks) -> str:
+    """The sha256 prefix of the masks' float64 0/1 bytes, in order."""
+    return _sha(b"".join(_mask01(mask).tobytes() for mask in masks))
 
 
 def _blas() -> str:
@@ -155,11 +169,11 @@ def worker(hidden: str):
                     **({f"merge_{key}": value for key, value in usage.items()}
                        if command == "run" else {"merge_traced_peak_mb": usage}),
                     "merge_peak_rss_mb": _peak_rss_mb(),
-                    "masks_sha": _sha(b"".join(step.mask.m.tobytes() for step in result.steps)),
+                    "masks_sha": masks_sha(step.mask for step in result.steps),
                     "merged_sha": _sha(result.merged.values.tobytes()),
                     # floats print with repr, so the traces round-trip exactly
                     "objective_traces": [step.objective_trace.tolist() for step in result.steps],
-                    "masks_hex": [np.packbits(step.mask.m == 1.0).tobytes().hex()
+                    "masks_hex": [np.packbits(_mask01(step.mask) == 1.0).tobytes().hex()
                                   for step in result.steps],
                 }), flush=True)
             else:
