@@ -59,14 +59,13 @@ def weight_average(models: list[ParamVector]) -> ParamVector:
 
 def task_arithmetic(theta_pre: ParamVector, task_vectors: Iterable[np.ndarray],
                     scale: float = 0.3) -> ParamVector:
-    """theta_pre + scale * sum(task vectors), read once from any iterable; none gives a
-    copy of theta_pre."""
+    """theta_pre + scale * ordered_sum(task vectors), read once from any iterable, the sum
+    CALM's bulk merge scales too; none gives a copy of theta_pre, its own bits."""
     if scale <= 0.0:
         raise ContractError(f"scale must be positive, got {scale}")
     total = ordered_sum(task_vectors)
-    if total is None:
-        return ParamVector(theta_pre.values.copy(), theta_pre.spec)
-    return ParamVector(theta_pre.values + scale * total, theta_pre.spec)
+    values = theta_pre.values.copy() if total is None else theta_pre.values + scale * total
+    return ParamVector(values, theta_pre.spec)
 
 
 def ties_trim(tv: np.ndarray, trim_fraction: float) -> np.ndarray:

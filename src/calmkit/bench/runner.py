@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from ..baselines import task_arithmetic, task_vector, ties_merge, weight_average
-from ..calm import STRATEGIES, MergeResult, sequential_merge
+from ..calm import STRATEGIES, MergeResult, efficient_merge, sequential_merge
 from ..nn import ParamVector, bind
 from ..sampling import CredibleSet, audit_accuracy, score_pool, select_cb_ems, select_ems
 from ..tasks import Checkpoints, TaskData, finetune_all, generate_family, model_spec
@@ -312,7 +312,9 @@ def ablation_suite(config: ExperimentConfig, suite: str, workdir: Path) -> list[
         step = result.steps[0]
         j = step.task_id
         pre = ckpt.pretrained.values
-        tau_bulk = step.tau_seq_before
+        # the bulk vector that the merge started from, bit for bit
+        taus = (task_vector(ckpt.finetuned[t], ckpt.pretrained) for t in point.plan.efficient_set)
+        tau_bulk = efficient_merge(ckpt.pretrained, taus, point.plan.lambda_efficient)
         tau_seq = task_vector(ckpt.finetuned[j], ckpt.pretrained)
         mask = step.mask
         configurations = [

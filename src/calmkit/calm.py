@@ -16,11 +16,18 @@ features) pool with a row span per task, builds the row weights of the
 gathered rows, and allocates one flat buffer of the batches' row indices, of
 which each task's batches are a view, and buffers of the gathered inputs, of
 theta with its `nn.bind_pass` binding, and of the objective's mask-length
-intermediates, and fills one with the merge direction. Each iteration draws into
-the index buffer in place, and the objective gathers the rows with one `np.take`
-over it and refills the other buffers in place; so the views and the returned
-gradient hold one iteration's values only, and a wrapper of the objective that
-keeps them must copy them.
+intermediates. Each iteration draws into the index buffer in place, and the
+objective gathers the rows with one `np.take` over it and refills the other
+buffers in place; so the views and the returned gradient hold one iteration's
+values only, and a wrapper of the objective that keeps them must copy them.
+A step holds four mask-length float64 buffers beside r: theta, m, total and the
+binding's spare. Each holds one value over part of a call, as `consensus_objective`
+lists, so the merge direction is computed in every call rather than kept. A step
+binds a second block slot, whose blocks run on `nn`'s helper thread, when the
+process may run on two CPUs and the second block is large enough to gain from it
+(`nn.HELPER_MACS`); the slot's buffers take several mask-length vectors, and the
+step pays for one of them by sharing m with the spare and computing sigmoid(r)
+again after the pass (and it binds a second spare for three or more blocks).
 The data term is one weighted pass, `nn.weighted_loss_and_grad`, over those
 rows: each row weighs 1 / (batches of its task * rows of its batch), the
 per-task mean over batches of the per-batch mean; every batch of a task has
@@ -42,15 +49,16 @@ promise its stream across numpy versions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
 from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .baselines import task_vector
-from .nn import (ContractError, ModelSpec, ParamVector, bind_pass, check_labels, read_only,
-                 weighted_loss_and_grad)
+from .baselines import ordered_sum, task_vector
+from .nn import (HELPER_MACS, ROW_BLOCK, ContractError, ModelSpec, ParamVector, bind_pass,
+                 check_labels, read_only, weighted_loss_and_grad)
 from .seeding import STAGE_MASK_BATCHES, STAGE_MASK_INIT, STAGE_PARTITION, rng_for
 from .tasks import Checkpoints
 
@@ -114,16 +122,22 @@ class SequentialState:
 
 @dataclass(frozen=True)
 class StepArtifact:
-    """Everything recorded at one sequential step: its task, the last visible one, the
-    rounded bool mask and the logits r it rounds, the traces, and the merged vector the
-    step started from."""
+    """What one sequential step records.
+
+    task_id: the step's task, the last visible one.
+    mask: the rounded read-only bool mask.
+    real_mask: the read-only logits r that the mask rounds, from `optimize_mask`;
+        `sequential_merge` keeps them only when the next step starts from them
+        (`plan.reinit_mask_per_task` false), and holds None in their place otherwise.
+    objective_trace: the pre-step objective per iteration.
+    density_trace: the rounded mask's density before the first and after every step.
+    """
 
     task_id: int
     mask: np.ndarray
-    real_mask: np.ndarray
+    real_mask: np.ndarray | None
     objective_trace: np.ndarray
     density_trace: np.ndarray
-    tau_seq_before: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -159,13 +173,10 @@ def partition(task_ids: Sequence[int], num_sequential: int, seed: int = 0) -> Me
 
 def efficient_merge(theta_pre: ParamVector, bulk: Iterable[np.ndarray],
                     scale: float = 0.3) -> np.ndarray:
-    """Task-arithmetic base scale * sum(bulk), read-only, in one pass over any iterable;
-    none: zeros."""
-    total = np.zeros(theta_pre.size)
-    for tau in bulk:
-        total += tau
-    total *= scale  # the bits of scale * total
-    return read_only(total, np.float64)
+    """Task arithmetic's update scale * ordered_sum(bulk), read-only, in one pass over any
+    iterable; none: zeros."""
+    total = ordered_sum(bulk)
+    return read_only(np.zeros(theta_pre.size) if total is None else scale * total, np.float64)
 
 
 def masked_merge(tau_seq: np.ndarray, tau_j: np.ndarray, mask: np.ndarray,
@@ -219,29 +230,30 @@ def _row_pool(visible_tasks: Sequence[int], task_data: TaskExamples, objective: 
 
 
 def _bind_pool(spec: ModelSpec, inputs: np.ndarray, labels: np.ndarray | None,
-               batch_rows: Sequence[Sequence[int]], rows: np.ndarray, state: SequentialState,
-               tau_j: np.ndarray, strategy: str) -> tuple:
+               batch_rows: Sequence[Sequence[int]], rows: np.ndarray) -> tuple:
     """The objective's `pool`, checked and made once per step: the `_row_pool` rows and
     labels, each gathered row's weight 1 / (batches of its task * rows of its batch) from
-    `batch_rows`, each visible task's batch lengths in gather order, the batches' flat row
-    index, and what each call refills: a theta buffer and its feature-major `nn.bind_pass`
-    binding, a gather buffer, three float64 and one bool buffer of theta's length; and the
-    strategy's merge direction, tau_j - tau_seq, tau_j or -tau_seq, fixed for the step."""
+    `batch_rows`, the batches' flat row index, and what each call refills: a theta buffer
+    and its feature-major `nn.bind_pass` binding, a gather buffer, and the float64 m,
+    total and the binding's first spare, and a bool buffer, of theta's length.
+
+    The binding holds a second block slot when the process may run on two CPUs (by
+    `os.sched_getaffinity`, where the platform has it) and the pass's second block has at
+    least HELPER_MACS forward multiply-adds."""
     weights = np.repeat([1.0 / (len(task) * n) for task in batch_rows for n in task],
                         [n for task in batch_rows for n in task])
     if len(rows) != len(weights):
         raise ContractError(f"{len(weights)} row weights for {len(rows)} batch rows")
-    theta, m, rest, total, direction = np.empty((5, spec.parameter_count))
-    if strategy == "both":
-        np.subtract(tau_j, state.tau_seq, out=direction)
-    elif strategy == "only_mask":
-        np.copyto(direction, tau_j)
-    else:
-        np.negative(state.tau_seq, out=direction)
-    return (inputs, labels, weights, rows, theta,
-            bind_pass(spec, theta, {(len(rows),)}, feature_major=True),
-            np.empty((len(rows), inputs.shape[1])),
-            (m, rest, total, direction, np.empty(theta.size, bool)))
+    theta, total = np.empty((2, spec.parameter_count))
+    second = min(ROW_BLOCK, len(rows) - ROW_BLOCK) * sum(fi * fo for fi, fo in spec.layer_dims)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    slots = 2 if second >= HELPER_MACS and cpus >= 2 else 1
+    bound = bind_pass(spec, theta, {(len(rows),)}, feature_major=True, slots=slots)
+    spare = bound[1][0][0]  # the binding's first spare gradient buffer
+    # at the sizes that bind two slots a mask-length vector outweighs a second sigmoid
+    m = spare if slots == 2 else np.empty(theta.size)
+    return (inputs, labels, weights, rows, theta, bound, np.empty((len(rows), inputs.shape[1])),
+            (m, total, spare, np.empty(theta.size, bool)))
 
 
 def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: SequentialState,
@@ -255,42 +267,48 @@ def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: Sequenti
     its supplied batches) + l1_weight * mean(sigmoid(r)). The L1 pressure is
     normalized per coordinate so l1_weight stays meaningful at any parameter
     count; an unnormalized sum would bury the data signal. The gradient chains
-    the parameter gradient through the merge direction and sigmoid'(r).
+    the parameter gradient through the strategy's merge direction, tau_j - tau_seq,
+    tau_j or -tau_seq, and sigmoid'(r) = (1 - m) * m.
 
     `pool`, from `_bind_pool` for this step, holds the rows and labels of `_row_pool`,
     their row weights and the batches' row indices, flat in gather order, which the
-    weighted pass gathers into the pool's buffer, and the merge direction; `task_batches`
-    holds each task's view of them, for wrappers. Theta, the mask-length intermediates
-    and the returned gradient are the pool's buffers, which the next call overwrites.
-    r, the objective and spec are checked once per step, the strategy by `MergePlan`.
+    weighted pass gathers into the pool's buffer; `task_batches` holds each task's view
+    of them, for wrappers. The mask-length buffers, overwritten by every call: m holds
+    m = sigmoid(r); total is scratch until the pass and then holds the returned
+    gradient; theta the parameters until the pass has read them; the spare the
+    gradient of the pass's later blocks, and then the direction and (1 - m) * m. With
+    two block slots, m is the spare, and after the pass m is computed again into
+    theta. r, the objective and spec are checked once per step, the strategy by
+    `MergePlan`.
     """
     pool_inputs, pool_labels, weights, rows, theta, bound, gathered, buffers = pool
-    m, rest, total, direction, positive = buffers  # total: m * tau_j until the pass zeroes it
+    m, total, spare, positive = buffers
     # mode="raise" would copy `out` through a buffer; the rows index the pool
     inputs = np.take(pool_inputs, rows, axis=0, out=gathered, mode="clip")
     labels = None if objective == "entropy" else np.take(pool_labels, rows)
-    sigmoid(r, out=(m, rest, positive))
-    np.subtract(1.0, m, out=rest)
+    sigmoid(r, out=(m, total, positive))
     tau_seq = state.tau_seq
     # theta_pre + tau, tau of the strategy's masked merge, with the operands in order
-    if strategy == "both":
-        np.multiply(rest, tau_seq, out=theta)
-        theta += np.multiply(m, tau_j, out=total)
-    elif strategy == "only_mask":
+    if strategy == "only_mask":
         np.add(tau_seq, np.multiply(m, tau_j, out=theta), out=theta)
     else:
-        np.multiply(rest, tau_seq, out=theta)
-        theta += tau_j
+        np.multiply(np.subtract(1.0, m, out=total), tau_seq, out=theta)
+        theta += np.multiply(m, tau_j, out=total) if strategy == "both" else tau_j
     np.add(theta_pre.values, theta, out=theta)
-    data_loss, grad = weighted_loss_and_grad(spec, bound, inputs, labels, weights, total)
-    sig_grad = np.multiply(m, rest, out=rest)
     # np.mean's bits without its overhead
-    loss = data_loss + l1_weight * float(m.sum() / m.size)
-    grad *= direction
+    l1 = l1_weight * float(m.sum() / m.size)
+    data_loss, grad = weighted_loss_and_grad(spec, bound, inputs, labels, weights, total)
+    if m is spare:  # the pass wrote its second block's gradient over m
+        m = sigmoid(r, out=(theta, spare, positive))
+    if strategy == "both":
+        grad *= np.subtract(tau_j, tau_seq, out=spare)
+    else:
+        grad *= tau_j if strategy == "only_mask" else np.negative(tau_seq, out=spare)
+    sig_grad = np.multiply(np.subtract(1.0, m, out=spare), m, out=spare)
     grad *= sig_grad
     sig_grad *= l1_weight / theta_pre.size  # the bits of (l1_weight / size) * sig_grad
     grad += sig_grad
-    return loss, grad
+    return data_loss + l1, grad
 
 
 def init_mask(n: int, init_active_fraction: float, rng: np.random.Generator) -> np.ndarray:
@@ -323,11 +341,11 @@ def optimize_mask(spec: ModelSpec, theta_pre: ParamVector, state: SequentialStat
     iteration overwrites the other tasks' views, in visible order, with the
     first entries of one `rng.permuted` row of arange(n) per batch, one call per
     run of tasks with sets of one size: a wrapper of the objective that keeps
-    them must copy them. r, a copy of `init`, is updated in place and checked to
-    be finite once, after the last iteration. The step's task is the last
-    visible task. The objective trace holds the pre-step loss per iteration; the
-    density trace holds the rounded-mask density before the first and after
-    every step.
+    them must copy them. r is `init` when the caller hands over a writeable array,
+    else a copy of it; it is updated in place and checked to be finite once, after
+    the last iteration. The step's task is the last visible task. The objective
+    trace holds the pre-step loss per iteration; the density trace holds the
+    rounded-mask density before the first and after every step.
     """
     if theta_pre.spec != spec:
         raise ContractError(f"theta_pre is bound to {theta_pre.spec}, not to {spec}")
@@ -341,8 +359,7 @@ def optimize_mask(spec: ModelSpec, theta_pre: ParamVector, state: SequentialStat
                            for (first, _), w in zip(spans.values(), widths)])
     views = np.split(rows, np.cumsum([per_task * w for w in widths])[:-1])
     task_batches = {t: v.reshape(per_task, w) for t, v, w in zip(spans, views, widths)}
-    pool = _bind_pool(spec, inputs, labels, [[w] * per_task for w in widths], rows, state,
-                      tau_j, plan.strategy)
+    pool = _bind_pool(spec, inputs, labels, [[w] * per_task for w in widths], rows)
     # per run of consecutive tasks with drawn sets of one size n: a read-only row of
     # arange(n) per batch, their shuffles, each batch's first row and the run's view
     draws, end = [], 0
@@ -353,7 +370,7 @@ def optimize_mask(spec: ModelSpec, theta_pre: ParamVector, state: SequentialStat
             draws.append((np.broadcast_to(np.arange(n), (len(firsts), n)),
                           np.empty((len(firsts), n), np.int64), firsts,
                           rows[end - len(firsts) * k : end].reshape(-1, k)))
-    r = init.copy()
+    r = init if init.flags.writeable else init.copy()
     objective_trace = np.zeros(plan.iterations_per_task)
     density_trace = np.zeros(plan.iterations_per_task + 1)
     # exactly np.mean(r >= 0.0): an exact count over the same size
@@ -372,7 +389,7 @@ def optimize_mask(spec: ModelSpec, theta_pre: ParamVector, state: SequentialStat
     if not np.all(np.isfinite(r)):
         raise ContractError("mask logits r must be finite")
     return StepArtifact(state.visible_tasks[-1], binarize(r), read_only(r, np.float64),
-                        objective_trace, density_trace, state.tau_seq)
+                        objective_trace, density_trace)
 
 
 def sequential_merge(checkpoints: Checkpoints, plan: MergePlan, examples: TaskExamples,
@@ -396,18 +413,21 @@ def sequential_merge(checkpoints: Checkpoints, plan: MergePlan, examples: TaskEx
     carried: np.ndarray | None = None
     for step_idx, j in enumerate(plan.sequential_set):
         state = SequentialState(state.tau_seq, state.visible_tasks + (j,))
-        if carried is None or plan.reinit_mask_per_task:
-            init = init_mask(theta_pre.size, plan.init_active_fraction,
-                             rng_for(plan.seed, STAGE_MASK_INIT, step_idx))
-        else:
-            init = carried
+        # a fresh init is writeable, and the step updates it in place; the read-only r
+        # that the last step keeps, when carried, the step copies
+        init = carried if carried is not None else init_mask(
+            theta_pre.size, plan.init_active_fraction,
+            rng_for(plan.seed, STAGE_MASK_INIT, step_idx)).copy()
         tau_j = task_vector(checkpoints.finetuned[j], theta_pre)
         step = optimize_mask(
             spec, theta_pre, state, tau_j, examples, init, plan,
             rng_for(plan.seed, STAGE_MASK_BATCHES, step_idx), objective,
         )
+        if plan.reinit_mask_per_task:
+            step = replace(step, real_mask=None)
+        else:
+            carried = step.real_mask
         steps.append(step)
-        carried = step.real_mask
         state = SequentialState(masked_merge(state.tau_seq, tau_j, step.mask, plan.strategy),
                                 state.visible_tasks)
 

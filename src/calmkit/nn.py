@@ -22,10 +22,20 @@ the activation it consumed, with views per batch shape, which every product is
 written into: at a width of 256, glibc trimmed the arrays that each step allocated
 when freed, and faulted them in again. Each call overwrites its gradient and views;
 a caller that keeps them must copy them.
+
+The weighted pass's blocks are independent, so a binding may hold a second slot of
+layer-output and scratch buffers, and the pass then runs every second block on one
+helper thread while the caller runs the block before it; numpy's BLAS calls and
+loops release the GIL. The helper is one daemon thread, started on first use; it
+holds no job between jobs, and an exception in its block is raised in the caller.
+Each block writes its own gradient buffer, and the caller sums the blocks' losses
+and gradients in block order, so the results are the bits of the one-thread pass.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,6 +45,21 @@ ACTIVATIONS = ("relu", "tanh")
 # 0.222 s, 71k params 6.16/5.77/5.86/5.60 s; at 1.07M params one objective call on
 # 1,792 rows took 0.39 s at 384 rows and 0.33-0.37 s at 1,024.
 ROW_BLOCK = 1024
+# The least forward multiply-adds, rows * sum(fan_in * fan_out), of a weighted pass's
+# second block at which the mask step binds a second block slot (`calm._bind_pool`).
+# sequential_merge, default config, 16 inputs and 5 classes, second slot on against
+# off: medians of 7-9 alternating repeats, one BLAS thread, 2-vCPU Xeon VM. The
+# second block holds 768 rows at step 0 and 1,024 at step 1. Each run gained 20-40%
+# when the host left the second CPU free, and little or lost when it did not:
+#   hidden     params   2nd-block MACs   merge time
+#   (32,)         709   0.52M / 0.69M    +9%, +16%
+#   (64,)       1,413   1.03M / 1.38M    +13%, +10%
+#   (128,)      2,821   2.06M / 2.75M    +3%, -1%, -22%
+#   (64, 64)    5,573   4.18M / 5.57M    -1%, -1%, +2%, -27%
+#   (96, 96)   11,429   8.63M / 11.5M    -1%, +8%, -35%
+#   (128, 128) 19,333   14.6M / 19.5M    -23%, -38%, -31%
+#   (256, 256) 71,429   54.5M / 72.6M    -40%
+HELPER_MACS = 1_600_000
 
 
 class ContractError(ValueError):
@@ -244,9 +269,10 @@ def _backward(spec: ModelSpec, layers: list, grads: list, acts: list, dz: np.nda
             dz *= derivative
 
 
-def bind_pass(spec: ModelSpec, values: np.ndarray, shapes, feature_major: bool) -> tuple:
+def bind_pass(spec: ModelSpec, values: np.ndarray, shapes, feature_major: bool,
+              slots: int = 1) -> tuple:
     """What a loop binds once for its kernel: the layer views of the (P,) or (T, P) `values`
-    it updates or refills in place, one gradient buffer and its views, and per shape an
+    it updates or refills in place, gradient buffers and their views, and per shape an
     entry of views of one set of buffers sized for the largest.
 
     Shapes are the batch shapes of `loss_and_grad`, (rows,) or (T, rows), or feature-major
@@ -255,27 +281,94 @@ def bind_pass(spec: ModelSpec, values: np.ndarray, shapes, feature_major: bool) 
     the step between classes, each layer's output, and per layer after the first the
     scratch of `_backward`, which writes each dz over a hidden layer's output:
     (*shape, features) views, C-contiguous or feature-major.
+
+    Row-major: (layers, gradient, its views, entries). Feature-major: (layers, spares,
+    one entries per slot, the last total), with `slots` sets of buffers, one per block
+    that runs at once, and the spare gradient buffers of the blocks after the first:
+    one per slot, but none beyond the blocks after the first, and at least one.
     """
+    blocks = 1
     if feature_major:
+        blocks = max((-(-rows // ROW_BLOCK) for rows, in shapes), default=1)
         shapes = {(min(ROW_BLOCK, rows - lo),) for rows, in shapes
                   for lo in range(0, rows, ROW_BLOCK)}
     size = max((int(np.prod(shape)) for shape in shapes), default=0)
-    outs = [np.empty(size * fo) for _, fo in spec.layer_dims]
-    scratch = np.empty(size * max(spec.hidden_dims, default=0),
-                       bool if spec.activation == "relu" else np.float64)
 
     def view(buf: np.ndarray, shape: tuple, width: int) -> np.ndarray:
         lead = buf[: int(np.prod(shape)) * width]
         return lead.reshape(width, *shape).T if feature_major else lead.reshape(*shape, width)
 
-    def entry(shape: tuple) -> tuple:
-        views = [view(out, shape, fo) for out, (_, fo) in zip(outs, spec.layer_dims)]
-        *lead, step = (stride // 8 for stride in views[-1].strides)  # float64 entries
-        return (sum(i * s for i, s in zip(np.indices(shape, sparse=True), lead)), step, views,
-                [None] + [view(scratch, shape, fi) for fi, _ in spec.layer_dims[1:]])
+    def entries() -> dict:
+        outs = [np.empty(size * fo) for _, fo in spec.layer_dims]
+        scratch = np.empty(size * max(spec.hidden_dims, default=0),
+                           bool if spec.activation == "relu" else np.float64)
 
-    grad = np.empty(values.shape)
-    return layer_views(spec, values), grad, layer_views(spec, grad), {s: entry(s) for s in shapes}
+        def entry(shape: tuple) -> tuple:
+            views = [view(out, shape, fo) for out, (_, fo) in zip(outs, spec.layer_dims)]
+            *lead, step = (stride // 8 for stride in views[-1].strides)  # float64 entries
+            return (sum(i * s for i, s in zip(np.indices(shape, sparse=True), lead)), step,
+                    views, [None] + [view(scratch, shape, fi) for fi, _ in spec.layer_dims[1:]])
+
+        return {s: entry(s) for s in shapes}
+
+    def gradient() -> tuple:
+        grad = np.empty(values.shape)
+        return grad, layer_views(spec, grad)
+
+    if not feature_major:
+        return layer_views(spec, values), *gradient(), entries()
+    spares = [gradient() for _ in range(max(1, min(slots, blocks - 1)))]
+    return layer_views(spec, values), spares, [entries() for _ in range(slots)], [None, None]
+
+
+class _Helper(threading.Thread):
+    """The helper thread: runs the job it is handed and hands back its result or its
+    exception, one job at a time. It drops the job before it signals, so that between
+    jobs it holds nothing of a finished job, nor of the buffers that the job wrote."""
+
+    def __init__(self):
+        super().__init__(name="calmkit-block-helper", daemon=True)
+        self.job = self.result = None
+        # locks used as signals: `handed` is released when a job is handed over, `done`
+        # when it has run
+        self.handed, self.done = threading.Lock(), threading.Lock()
+        self.handed.acquire()
+        self.done.acquire()
+
+    def run(self):
+        while True:
+            self.handed.acquire()
+            try:
+                self.result = self.job(), None
+            except BaseException as error:  # raised again in the caller
+                self.result = None, error
+            self.job = None
+            self.done.release()
+
+
+_HELPER: list[_Helper] = []  # the one helper, once started
+_HELPER_LOCK = threading.Lock()  # held for each pair: the helper takes one job at a time
+
+
+def _run_beside(first, second) -> list:
+    """[first(), second()]: `second` runs on the helper, one daemon thread started here on
+    first use (and again in a forked child, where it does not run), while `first` runs
+    on the calling thread. An exception in either is raised here, once both have ended."""
+    with _HELPER_LOCK:
+        if not _HELPER or not _HELPER[0].is_alive():
+            _HELPER[:] = [_Helper()]
+            _HELPER[0].start()
+        helper = _HELPER[0]
+        helper.job = second
+        helper.handed.release()
+        try:
+            result = first()
+        finally:
+            helper.done.acquire()
+            (other, error), helper.result = helper.result, None
+    if error is not None:
+        raise error
+    return [result, other]
 
 
 def loss_and_grad(spec: ModelSpec, bound: tuple, inputs: np.ndarray, labels: np.ndarray
@@ -309,22 +402,44 @@ def weighted_loss_and_grad(spec: ModelSpec, bound: tuple, inputs: np.ndarray,
     prediction entropy with `labels=None`. Its sums run in another order than a row-major
     per-batch loop, so its results differ from one in the last bits.
 
+    Block 0 writes its gradient into `total`, and each later block into the binding's
+    spares in turn; with two slots, blocks run in pairs, the second of a pair on the
+    helper thread. Losses and gradients are summed in block order, the gradient from
+    0.0 + block 0's: a -0.0 of it sums to +0.0. The binding keeps the views of the last
+    `total`, so a loop that passes one buffer binds them once.
+
     The mask objective's kernel checks nothing: `calm.optimize_mask` checks the
     labels of its row pool once per step.
     """
-    layers, grad, grads, entries = bound
-    loss = 0.0
-    total.fill(0.0)  # += from zeros: a -0.0 of the first block's gradient sums to +0.0
-    for start in range(0, len(inputs), ROW_BLOCK):
-        block = slice(start, start + ROW_BLOCK)
-        offsets, step, outs, scratch = entries[weights[block].shape]
-        acts = _forward_acts(spec, layers, inputs[block], outs)
-        at = None if labels is None else offsets + step * labels[block]
+    layers, spares, slots, last = bound
+    if last[0] is not total:
+        last[:] = total, layer_views(spec, total)
+
+    def target(b: int) -> tuple:
+        """Where block b writes its gradient, and its views: block 0 into total, each later
+        block into the spares in turn."""
+        return last if b == 0 else spares[(b - 1) % len(spares)]
+
+    def block(b: int, slot: int) -> float:
+        rows = slice(b * ROW_BLOCK, (b + 1) * ROW_BLOCK)
+        offsets, step, outs, scratch = slots[slot][weights[rows].shape]
+        acts = _forward_acts(spec, layers, inputs[rows], outs)
+        at = None if labels is None else offsets + step * labels[rows]
         losses, dz = _loss_and_dlogits(acts[-1].swapaxes(-1, -2), at)
-        loss += float(losses @ weights[block])
-        dz *= weights[block]
-        _backward(spec, layers, grads, acts, dz.swapaxes(-1, -2), scratch)
-        total += grad
+        part = float(losses @ weights[rows])
+        dz *= weights[rows]
+        _backward(spec, layers, target(b)[1], acts, dz.swapaxes(-1, -2), scratch)
+        return part
+
+    loss, blocks = 0.0, -(-len(inputs) // ROW_BLOCK)
+    for first in range(0, blocks, len(slots)):
+        if len(slots) == 2 and first + 1 < blocks:
+            parts = _run_beside(partial(block, first, 0), partial(block, first + 1, 1))
+        else:
+            parts = [block(first, 0)]
+        for b, part in enumerate(parts, first):
+            loss += part
+            total += target(b)[0] if b else 0.0
     return loss, total
 
 

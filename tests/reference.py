@@ -329,10 +329,10 @@ def optimize_mask(spec, theta_pre, state, tau_j, task_data, init, plan, rng,
         loss, grad_r = consensus_objective(
             spec, theta_pre, state, tau_j, finite(r), task_batches, plan.l1_weight,
             plan.strategy, objective,
-            _bind_pool(spec, inputs, labels, batch_rows, rows, state, tau_j, plan.strategy),
+            _bind_pool(spec, inputs, labels, batch_rows, rows),
         )
         objective_trace[it] = loss
         r = r - plan.mask_lr * grad_r
         density_trace[it + 1] = np.mean(r >= 0.0)
     return StepArtifact(state.visible_tasks[-1], binarize(finite(r)), read_only(r, np.float64),
-                        objective_trace, density_trace, state.tau_seq)
+                        objective_trace, density_trace)

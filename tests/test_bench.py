@@ -2,9 +2,11 @@
 configs are checked when they are resolved, and each stage reads what the stage
 before it persisted."""
 import hashlib
+import threading
 
 import pytest
 
+from calmkit import nn
 from calmkit.bench import cli
 from calmkit.bench import config as config_module
 from calmkit.bench import runner
@@ -192,6 +194,15 @@ def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert not workdir.exists()
 
 
+def test_a_default_run_starts_no_thread(tmp_path, monkeypatch):
+    # as in a fresh process, with no helper thread started; at the default size the
+    # mask pass's blocks are below the floor that binds a second block slot
+    monkeypatch.setattr(nn, "_HELPER", [])
+    before = threading.active_count()
+    run_experiment(build_config({}), tmp_path)
+    assert threading.active_count() == before and nn._HELPER == []
+
+
 # sha256 prefixes of summary.csv on TINY, captured before the suites shared one sweep
 SUITE_SUMMARIES = {
     "sampling_rate": "5775a019a2bccd1d",
@@ -233,15 +244,29 @@ def test_order_suite_that_draws_batches_keeps_its_hashes(tmp_path):
 # with masks held as float64 0/1 vectors, before they were bool arrays
 DRAWING_SUITES = {"strategy": ("2cdbeae7cfada8bc", "11d854ace0d582ea"),
                   "components": ("fef320f54213f25a", "565f1a86a47e7af0")}
+# and the sha256 prefix of each parameter vector the suite evaluates, in order: the
+# strategy suite's three merges, and the components suite's six configurations, which
+# its summary pins only to the resolution of the accuracies
+EVALUATED = {"strategy": ["a9896e0f666e447a", "b50dfe3df2a37616", "80d55b3f20be8626"],
+             "components": ["4b14ea5ce58bde40", "ef47b1c93a410ceb", "3288d79a731af2b0",
+                            "6cc2a169aee14ee1", "abcf98a555f6b255", "409d978b0e98cc96"]}
 
 
 @pytest.mark.parametrize("suite", sorted(DRAWING_SUITES))
-def test_suites_that_draw_batches_keep_their_hashes(suite, tmp_path):
+def test_suites_that_draw_batches_keep_their_hashes(suite, tmp_path, monkeypatch):
+    evaluated, evaluate = [], runner.evaluate
+
+    def hashed(spec, params, tasks):
+        evaluated.append(_sha(params.values.tobytes()))
+        return evaluate(spec, params, tasks)
+
+    monkeypatch.setattr(runner, "evaluate", hashed)
     ablation_suite(build_config(ORDER_DRAWS), suite, tmp_path)
     masks = sorted(tmp_path.rglob(MASKS_FILE))
     summary_sha, masks_sha = DRAWING_SUITES[suite]
     assert _sha(b"".join(path.read_bytes() for path in masks)) == masks_sha
     assert _sha((tmp_path / "summary.csv").read_bytes()) == summary_sha
+    assert evaluated == EVALUATED[suite]
 
 
 def test_order_suite_samples_once(tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
+import os
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calmkit import calm
+from calmkit import calm, nn
 from calmkit.baselines import task_arithmetic, task_vector
 from calmkit.calm import (
     MergePlan,
@@ -110,7 +112,7 @@ def objective_on_batches(spec, theta_pre, state, tau_j, r, batches, l1_weight,
     index = {t: np.split(rows[first:first + n], np.cumsum([len(x) for x, _ in batches[t]])[:-1])
              for t, (first, n) in spans.items()}
     pool = _bind_pool(spec, inputs, labels, [[len(x) for x, _ in batches[t]] for t in spans],
-                      rows, state, tau_j, strategy)
+                      rows)
     return consensus_objective(spec, theta_pre, state, tau_j, r, index, l1_weight,
                                strategy, objective, pool)
 
@@ -413,7 +415,7 @@ class TestConsensusObjective:
         # checked once per step, where the pool is bound, not on every objective call
         with pytest.raises(ContractError, match="row weights"):
             _bind_pool(SPEC, inputs, labels, [[n - 1] for _, n in spans.values()],
-                       np.arange(len(inputs)), state, tau_j, "both")
+                       np.arange(len(inputs)))
 
     def test_loss_includes_normalized_l1(self):
         theta_pre, state, tau_j, batches = small_setup()
@@ -525,8 +527,7 @@ class TestOptimizeMask:
         assert step.task_id == ref.task_id
         for a, b in [(step.mask, ref.mask), (step.real_mask, ref.real_mask),
                      (step.objective_trace, ref.objective_trace),
-                     (step.density_trace, ref.density_trace),
-                     (step.tau_seq_before, ref.tau_seq_before)]:
+                     (step.density_trace, ref.density_trace)]:
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
         assert same_state(ours, theirs)
 
@@ -695,12 +696,12 @@ class TestSequentialMerge:
         result = sequential_merge(ckpt, plan, credible)
         taus = {t: task_vector(ckpt.finetuned[t], ckpt.pretrained)
                 for t in range(family.num_tasks)}
-        tau = None
+        tau = efficient_merge(ckpt.pretrained, [taus[t] for t in plan.efficient_set],
+                              plan.lambda_efficient)
         for step, j in zip(result.steps, plan.sequential_set):
             assert step.task_id == j
-            before = step.tau_seq_before
-            after = masked_merge(before, taus[j], step.mask, "both")
-            assert np.all((after == before) | (after == taus[j]))
+            after = masked_merge(tau, taus[j], step.mask, "both")
+            assert np.all((after == tau) | (after == taus[j]))
             tau = after
         assert np.array_equal(result.merged.values, ckpt.pretrained.values + tau)
 
@@ -765,8 +766,11 @@ class TestSequentialMerge:
         carried = replace(base, reinit_mask_per_task=False)
         a = sequential_merge(ckpt, base, credible)
         b = sequential_merge(ckpt, carried, credible)
-        # second step starts from the first step's final mask instead of a fresh init
-        assert not np.array_equal(a.steps[1].real_mask, b.steps[1].real_mask)
+        # second step starts from the first step's final mask instead of a fresh init;
+        # the merge keeps each step's r only when the next step starts from it
+        assert all(step.real_mask is None for step in a.steps)
+        assert all(np.array_equal(binarize(step.real_mask), step.mask) for step in b.steps)
+        assert not np.array_equal(a.steps[1].objective_trace, b.steps[1].objective_trace)
 
     def test_task_vectors_are_built_where_they_are_used(self):
         # 8 tasks of a (256, 256) model, 7 in the bulk and one sequential step: beside its
@@ -785,8 +789,7 @@ class TestSequentialMerge:
         state = SequentialState(np.zeros(wide.parameter_count), tuple(range(8)))
         peaks = []
         for call in (
-                lambda: _bind_pool(wide, inputs, labels, [[16, 16]] * 8, np.zeros(256, int),
-                                   state, state.tau_seq, plan.strategy),
+                lambda: _bind_pool(wide, inputs, labels, [[16, 16]] * 8, np.zeros(256, int)),
                 lambda: sequential_merge(ckpt, plan, data)):
             tracemalloc.start()
             try:
@@ -796,6 +799,123 @@ class TestSequentialMerge:
                 tracemalloc.stop()
         pool, merge = peaks
         assert merge < pool + (3 + 3) * pre.values.nbytes
+
+
+def force_helper(monkeypatch, on: bool):
+    """Bind a second block slot at every pass of two or more blocks, or at none, by the
+    floor and the CPU count that `_bind_pool` reads."""
+    monkeypatch.setattr(calm, "HELPER_MACS", 0 if on else 10**18)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if on else {0})
+
+
+def counted_pairs(monkeypatch) -> list:
+    """One entry per pair of blocks that `nn._run_beside` runs, from now on."""
+    ran, run_beside = [], nn._run_beside
+
+    def counting(first, second):
+        ran.append(2)
+        return run_beside(first, second)
+
+    monkeypatch.setattr(nn, "_run_beside", counting)
+    return ran
+
+
+@pytest.fixture(scope="module")
+def three_tasks():
+    """Checkpoints of three tasks and 1,000 labeled rows per task, more than any batch."""
+    spec = ModelSpec(4, (6,), 3)
+    rng = np.random.default_rng(21)
+    pre = init_params(spec, 0)
+    ckpt = Checkpoints(spec, pre, tuple(
+        bind(spec, pre.values + 0.3 * rng.standard_normal(spec.parameter_count))
+        for _ in range(3)))
+    return ckpt, {t: (rng.standard_normal((1000, 4)), rng.integers(0, 3, size=1000))
+                  for t in range(3)}
+
+
+# (batches_per_task, batch_size) whose pools, of two then three visible tasks, make
+# one block at each step, two, and three then four
+BLOCK_PLANS = {1: (2, 128), 2: (2, 300), 3: (3, 400)}
+
+
+class TestHelperThread:
+    """Forced on and off, the second block slot gives byte-equal merges."""
+
+    @pytest.mark.parametrize("blocks", sorted(BLOCK_PLANS))
+    @pytest.mark.parametrize("strategy", calm.STRATEGIES)
+    @pytest.mark.parametrize("objective", calm.OBJECTIVES)
+    def test_the_helper_keeps_every_bit(self, three_tasks, blocks, strategy, objective,
+                                        monkeypatch):
+        ckpt, data = three_tasks
+        if objective == "entropy":
+            data = {t: (x, None) for t, (x, _) in data.items()}
+        per_task, k = BLOCK_PLANS[blocks]
+        plan = MergePlan((0,), (1, 2), iterations_per_task=3, batches_per_task=per_task,
+                         batch_size=k, strategy=strategy, mask_lr=1e4)
+        results, pairs = [], []
+        for on in (False, True):
+            force_helper(monkeypatch, on)
+            ran = counted_pairs(monkeypatch)
+            results.append(sequential_merge(ckpt, plan, data, objective))
+            pairs.append(len(ran))
+        off, on = results
+        # 3 iterations at each of two steps whose pools make 1 and 1, 2 and 2, or 3 and
+        # 4 blocks: 0 and 0, 1 and 1, or 1 and 2 pairs a call
+        assert pairs == [0, {1: 0, 2: 6, 3: 9}[blocks]]
+        assert off.merged.values.tobytes() == on.merged.values.tobytes()
+        for a, b in zip(off.steps, on.steps, strict=True):
+            for x, y in [(a.mask, b.mask), (a.objective_trace, b.objective_trace),
+                         (a.density_trace, b.density_trace)]:
+                assert x.tobytes() == y.tobytes()
+
+    def test_a_steps_buffers_die_when_the_step_returns(self, three_tasks, monkeypatch):
+        ckpt, data = three_tasks
+        force_helper(monkeypatch, True)
+        refs, alive = [], []
+        objective, optimize = calm.consensus_objective, calm.optimize_mask
+
+        def keeping(*args):
+            # theta, total, the spare and the second slot's first layer output
+            pool = args[-1]
+            outs = next(iter(pool[5][2][1].values()))[2]
+            refs[:] = map(weakref.ref, (pool[4], *pool[7][1:3], outs[0].base))
+            return objective(*args)
+
+        def checked(*args, **kwargs):
+            step = optimize(*args, **kwargs)
+            alive.append([ref() is not None for ref in refs])
+            return step
+
+        monkeypatch.setattr(calm, "consensus_objective", keeping)
+        monkeypatch.setattr(calm, "optimize_mask", checked)
+        ran = counted_pairs(monkeypatch)
+        sequential_merge(ckpt, MergePlan((0,), (1, 2), iterations_per_task=2, batch_size=300),
+                         data)
+        assert ran and alive == [[False] * 4] * 2
+
+    def test_merge_memory_does_not_grow_with_the_sequential_steps(self):
+        # 8 tasks of a (256, 256) model: the last step sees every task at 2 sequential steps
+        # and at 7, so each step's pool is as large; the merge keeps each step's bool mask
+        # and traces, an eighth of a vector, and neither its r nor the merged vector it
+        # started from
+        wide = ModelSpec(4, (256, 256), 3)
+        rng = np.random.default_rng(12)
+        pre = init_params(wide, 0)
+        ckpt = Checkpoints(wide, pre, tuple(
+            bind(wide, pre.values + 0.01 * rng.standard_normal(wide.parameter_count))
+            for _ in range(8)))
+        data = {t: (rng.standard_normal((40, 4)), rng.integers(0, 3, size=40)) for t in range(8)}
+        peaks = {}
+        for steps in (2, 7):
+            plan = replace(partition(range(8), steps, seed=0), iterations_per_task=2,
+                           batch_size=16)
+            tracemalloc.start()
+            try:
+                sequential_merge(ckpt, plan, data)
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[7] - peaks[2] <= pre.values.nbytes
 
 
 class TestSigmoid:

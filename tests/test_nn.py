@@ -1,9 +1,11 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from calmkit import calm
+from calmkit import calm, nn
 from calmkit.calm import MergePlan, SequentialState, init_mask
 from calmkit.nn import (
     ROW_BLOCK,
@@ -488,6 +490,102 @@ class TestBoundKernels:
         ref_loss, ref_grad = reference.weighted_loss_and_grad(spec, layer_views(spec, values),
                                                               inputs, labels, weights)
         assert np.isfinite(loss) and loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
+
+
+class TestHelperThread:
+    """A binding with a second block slot runs every second block of the weighted pass on
+    the helper thread, with the bits of the one-slot pass."""
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        """One entry per pair of blocks run beside each other, from now on."""
+        ran, run_beside = [], nn._run_beside
+
+        def counting(first, second):
+            ran.append(2)
+            return run_beside(first, second)
+
+        monkeypatch.setattr(nn, "_run_beside", counting)
+        return ran
+
+    @pytest.mark.parametrize("rows", [1, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1, 4 * ROW_BLOCK + 3])
+    @pytest.mark.parametrize("objective", ["cross_entropy", "entropy"])
+    def test_two_slots_give_the_bits_of_one(self, rows, objective, monkeypatch):
+        spec, values, inputs, labels = step_case(None, "tanh", 5, rows)
+        labels = labels if objective == "cross_entropy" else None
+        weights = np.random.default_rng(rows).uniform(0.0, 1.0 / rows, size=rows)
+        ran = self.counted(monkeypatch)
+        results = []
+        for slots in (1, 2):
+            bound = bind_pass(spec, values, {(rows,)}, feature_major=True, slots=slots)
+            loss, grad = weighted_loss_and_grad(spec, bound, inputs, labels, weights,
+                                                np.empty(values.shape))
+            results.append((loss, grad.tobytes()))
+        assert results[0] == results[1]
+        assert ran == [2] * (-(-rows // ROW_BLOCK) // 2)
+
+    @pytest.mark.parametrize("where", ["caller", "helper"])
+    def test_an_exception_in_either_block_reaches_the_caller(self, where, monkeypatch):
+        # a label far outside the logits of the first row (the caller's block) or of the
+        # last (the helper's): the loss kernel's label lookup raises IndexError
+        rows = ROW_BLOCK + 10
+        spec, values, inputs, labels = step_case(None, "relu", 5, rows)
+        weights = np.full(rows, 1.0 / rows)
+        bound = bind_pass(spec, values, {(rows,)}, feature_major=True, slots=2)
+        total = np.empty(values.shape)
+        bad = labels.copy()
+        bad[0 if where == "caller" else -1] = 10**9
+        ran = self.counted(monkeypatch)
+        with pytest.raises(IndexError):
+            weighted_loss_and_grad(spec, bound, inputs, bad, weights, total)
+        # the helper serves the next call, which gives the one-slot bits
+        loss, grad = weighted_loss_and_grad(spec, bound, inputs, labels, weights, total)
+        ref_loss, ref_grad = weighted_loss_and_grad(
+            spec, bind_pass(spec, values, {(rows,)}, True), inputs, labels, weights,
+            np.empty(values.shape))
+        assert loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
+        assert ran == [2, 2]
+
+    def test_callers_on_several_threads_share_the_helper(self):
+        # four threads, more than the host's cores, each with its own two-slot binding,
+        # at a switch interval that interleaves them often: every call keeps its bits
+        rows = ROW_BLOCK + 100
+        spec, values, inputs, labels = step_case(None, "relu", 5, rows)
+        weights = np.full(rows, 1.0 / rows)
+        ref_loss, ref_grad = weighted_loss_and_grad(
+            spec, bind_pass(spec, values, {(rows,)}, True), inputs, labels, weights,
+            np.empty(values.shape))
+        same = []
+
+        def caller():
+            bound = bind_pass(spec, values, {(rows,)}, feature_major=True, slots=2)
+            total = np.empty(values.shape)
+            for _ in range(20):
+                loss, grad = weighted_loss_and_grad(spec, bound, inputs, labels, weights, total)
+                same.append(loss == ref_loss and grad.tobytes() == ref_grad.tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert same == [True] * 80
+
+    def test_the_helper_is_one_daemon_thread(self):
+        rows = ROW_BLOCK + 10
+        spec, values, inputs, labels = step_case(None, "relu", 5, rows)
+        bound = bind_pass(spec, values, {(rows,)}, feature_major=True, slots=2)
+        for _ in range(3):
+            weighted_loss_and_grad(spec, bound, inputs, labels, np.full(rows, 1.0 / rows),
+                                   np.empty(values.shape))
+        helpers = [t for t in threading.enumerate() if isinstance(t, nn._Helper)]
+        assert helpers == nn._HELPER and len(helpers) == 1 and helpers[0].daemon
 
 
 # one (256, ROW_BLOCK) float64 block: what a width-256 layer's output over a block takes

@@ -23,10 +23,11 @@ untimed merge allocates, by tracemalloc, which the process-wide RSS peak hides
 when training set it; and sha256 prefixes of the pretrained and fine-tuned
 checkpoints, of every step's binary mask (as float64 0/1 bytes, whether the tree
 returns a bool mask or a float one) and of the merged parameters, so sides can be
-compared bit for bit. Each side after the first is also compared with
-the first: the largest relative difference of any `objective_trace` value, and,
-per step, the coordinates where the binary masks differ. The main process
-imports neither numpy nor calmkit.
+compared bit for bit; and the worker's thread count after its merges, 2 where a merge
+ran blocks of its mask objective on calmkit's helper thread, else 1. Each side after
+the first is also compared with the first: the largest relative difference of any
+`objective_trace` value, and, per step, the coordinates where the binary masks
+differ. The main process imports neither numpy nor calmkit.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 from time import perf_counter
@@ -169,6 +171,7 @@ def worker(hidden: str):
                     **({f"merge_{key}": value for key, value in usage.items()}
                        if command == "run" else {"merge_traced_peak_mb": usage}),
                     "merge_peak_rss_mb": _peak_rss_mb(),
+                    "threads": threading.active_count(),
                     "masks_sha": masks_sha(step.mask for step in result.steps),
                     "merged_sha": _sha(result.merged.values.tobytes()),
                     # floats print with repr, so the traces round-trip exactly
@@ -264,6 +267,7 @@ def measure(sides: dict[str, str], hidden: str, repeats: int) -> dict:
         out[name] = {**envs[name], **peaks[name], **checkpoints, **outputs,
                      "merge_peak_rss_mb": runs[name][-1]["merge_peak_rss_mb"],
                      "merge_traced_peak_mb": traces[name]["merge_traced_peak_mb"],
+                     "threads_after_merge": traces[name]["threads"],
                      **{f"{region}_{key}": _quartiles([r[f"{region}_{key}"] for r in replies])
                         for region, replies in (("pretrain", trains[name]),
                                                 ("finetune", trains[name]),
@@ -297,6 +301,7 @@ def main(argv=None):
             print(f"({hidden}) {side['parameters']:>9,} params  {name:>8}: {times}  peak RSS "
                   f"{side['setup_peak_rss_mb']:.1f} MB, {side['merge_peak_rss_mb']:.1f} MB after "
                   f"the merges  merge traced peak {side['merge_traced_peak_mb']:.1f} MB  "
+                  f"threads {side['threads_after_merge']}  "
                   f"pretrained {side['pretrained_sha']}  "
                   f"checkpoints {side['checkpoints_sha']}  masks {side['masks_sha']}  "
                   f"merged {side['merged_sha']}", file=sys.stderr, flush=True)
