@@ -54,7 +54,8 @@ class SamplingConfig:
 
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """A resolved experiment; `build_config` draws the plan's seeded task partition."""
+    """A resolved experiment; `build_config` draws the plan's sequence from the seed when
+    the config names none."""
 
     seed: int = 0
     method: str = "calm"
@@ -106,14 +107,14 @@ def _schema() -> dict[str, tuple[str | None, str, Any]]:
     """key -> (section, field, parser); section None targets ExperimentConfig itself.
 
     The keys are each section's fields that have a default, in field order. The
-    sections' seeds are not keys, as they follow the top-level seed; plan.num_sequential,
-    which sizes the seeded partition, comes first in the plan section.
+    sections' seeds are not keys, as they follow the top-level seed; plan.sequential_set,
+    whose default is drawn from the seed, comes first in the plan section.
     """
     keys: dict[str, tuple[str | None, str, Any]] = {}
     for section, cls in ((None, ExperimentConfig), ("family", TaskFamily), ("train", TrainConfig),
                          ("sampling", SamplingConfig), ("plan", MergePlan), ("ties", TiesConfig)):
         if section == "plan":
-            keys["plan.num_sequential"] = ("plan", "num_sequential", int)
+            keys["plan.sequential_set"] = ("plan", "sequential_set", _int_tuple)
         for f in fields(cls):
             if f.default is not MISSING and not (section and f.name == "seed"):
                 keys[f"{section}.{f.name}" if section else f.name] = (section, f.name,
@@ -175,11 +176,10 @@ def build_config(entries: dict[str, str]) -> ExperimentConfig:
         model_spec(built["family"], built["train"])
     except ContractError as exc:
         raise ConfigError(f"train: {exc}") from exc
-    plan_fields = sections["plan"]
-    num_sequential = plan_fields.pop("num_sequential", 2)
-    try:
-        plan = replace(partition(range(built["family"].num_tasks), num_sequential, seed=seed),
-                       **plan_fields)
+    num_tasks = built["family"].num_tasks
+    try:  # a config that names no sequence takes the seeded partition's first 2 tasks
+        plan = replace(partition(range(num_tasks), min(2, num_tasks), seed), **sections["plan"])
+        plan.bulk_set(num_tasks)
     except ContractError as exc:
         raise ConfigError(f"plan: {exc}") from exc
     return ExperimentConfig(**sections[None], plan=plan, **built)
@@ -187,7 +187,7 @@ def build_config(entries: dict[str, str]) -> ExperimentConfig:
 
 def apply_overrides(config: ExperimentConfig, overrides: dict[str, Any]) -> ExperimentConfig:
     """Re-resolve a config with extra `key = value` pairs on top; values may be text or
-    typed, and the plan's partition is drawn again."""
+    typed, and the resolved plan.sequential_set holds unless they name it."""
     merged = dict(config_entries(config))
     merged.update({key: _format_value(value) for key, value in overrides.items()})
     return build_config(merged)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 from typing import Mapping
 
@@ -263,6 +262,9 @@ def ablation_suite(config: ExperimentConfig, suite: str, workdir: Path) -> list[
     """Sweep one axis with everything else fixed; returns one record per point."""
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; valid suites: {', '.join(SUITES)}")
+    if suite == "components" and not config.plan.sequential_set:
+        raise ConfigError("the components suite merges plan.sequential_set's first task; "
+                          "the set is empty")
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     config = apply_overrides(config, {"method": "calm"})
@@ -291,12 +293,10 @@ def ablation_suite(config: ExperimentConfig, suite: str, workdir: Path) -> list[
         rows = [list(columns)] + [[r[c] for c in columns] for r in records]
 
     elif suite == "order":
-        task_ids = range(config.family.num_tasks)
-        for pair in itertools.permutations(task_ids, config.plan.num_sequential):
-            eff = tuple(t for t in task_ids if t not in pair)
-            point = replace(config, plan=replace(config.plan, efficient_set=eff,
-                                                 sequential_set=pair))
-            record = run_point(point, "order_" + "_".join(str(t) for t in pair))
+        for pair in itertools.permutations(range(config.family.num_tasks),
+                                           config.plan.num_sequential):
+            record = run_point(apply_overrides(config, {"plan.sequential_set": pair}),
+                               "order_" + "_".join(str(t) for t in pair))
             record["sequence"] = pair
             records.append(record)
         accs = np.array([r["average_accuracy"] for r in records])
@@ -307,13 +307,14 @@ def ablation_suite(config: ExperimentConfig, suite: str, workdir: Path) -> list[
         rows.append(["std", float(accs.std())])
 
     else:  # components
-        point = apply_overrides(config, {"plan.num_sequential": 1})
+        point = apply_overrides(config, {"plan.sequential_set": config.plan.sequential_set[:1]})
         _, result = stage_merge(point, workdir, tasks, ckpt, credible)
         step = result.steps[0]
         j = step.task_id
         pre = ckpt.pretrained.values
         # the bulk vector that the merge started from, bit for bit
-        taus = (task_vector(ckpt.finetuned[t], ckpt.pretrained) for t in point.plan.efficient_set)
+        taus = (task_vector(ckpt.finetuned[t], ckpt.pretrained)
+                for t in point.plan.bulk_set(ckpt.num_tasks))
         tau_bulk = efficient_merge(ckpt.pretrained, taus, point.plan.lambda_efficient)
         tau_seq = task_vector(ckpt.finetuned[j], ckpt.pretrained)
         mask = step.mask

@@ -50,7 +50,7 @@ promise its stream across numpy versions.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
@@ -70,10 +70,10 @@ INIT_MAGNITUDE = 4.595  # sigmoid(+-4.595) ~= 0.99 / 0.01
 
 @dataclass(frozen=True)
 class MergePlan:
-    """Task partition plus every hyperparameter of the sequential merge, each checked here
-    once: the merge's functions take the scale, strategy and mask fraction as checked."""
+    """The ordered sequential tasks plus every hyperparameter of the sequential merge, each
+    checked here once: the merge's functions take the scale, strategy and mask fraction as
+    checked. The bulk set is every other task, from `bulk_set`."""
 
-    efficient_set: tuple[int, ...]
     sequential_set: tuple[int, ...]
     lambda_efficient: float = 0.3
     l1_weight: float = 1.0
@@ -87,11 +87,7 @@ class MergePlan:
     reinit_mask_per_task: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "efficient_set", tuple(int(t) for t in self.efficient_set))
         object.__setattr__(self, "sequential_set", tuple(int(t) for t in self.sequential_set))
-        overlap = set(self.efficient_set) & set(self.sequential_set)
-        if overlap:
-            raise ContractError(f"efficient and sequential sets overlap on {sorted(overlap)}")
         if not 0.0 < self.lambda_efficient < np.inf:
             raise ContractError("lambda_efficient must be positive and finite")
         if not 0.0 <= self.l1_weight < np.inf:
@@ -111,6 +107,15 @@ class MergePlan:
     def num_sequential(self) -> int:
         return len(self.sequential_set)
 
+    def bulk_set(self, num_tasks: int) -> tuple[int, ...]:
+        """The ascending ids of the tasks outside the sequence, whose tasks must be distinct
+        ids in [0, num_tasks)."""
+        named = set(self.sequential_set)
+        if len(named) != self.num_sequential or not named <= set(range(num_tasks)):
+            raise ContractError(f"sequential_set must hold distinct task ids in [0, "
+                                f"{num_tasks}), got {self.sequential_set}")
+        return tuple(t for t in range(num_tasks) if t not in named)
+
 
 @dataclass(frozen=True)
 class SequentialState:
@@ -126,16 +131,12 @@ class StepArtifact:
 
     task_id: the step's task, the last visible one.
     mask: the rounded read-only bool mask.
-    real_mask: the read-only logits r that the mask rounds, from `optimize_mask`;
-        `sequential_merge` keeps them only when the next step starts from them
-        (`plan.reinit_mask_per_task` false), and holds None in their place otherwise.
     objective_trace: the pre-step objective per iteration.
     density_trace: the rounded mask's density before the first and after every step.
     """
 
     task_id: int
     mask: np.ndarray
-    real_mask: np.ndarray | None
     objective_trace: np.ndarray
     density_trace: np.ndarray
 
@@ -166,9 +167,7 @@ def partition(task_ids: Sequence[int], num_sequential: int, seed: int = 0) -> Me
             f"num_sequential must lie in [0, {len(ids)}], got {num_sequential}"
         )
     perm = rng_for(seed, STAGE_PARTITION).permutation(len(ids))
-    sequential = tuple(ids[i] for i in perm[:num_sequential])
-    efficient = tuple(t for t in ids if t not in sequential)
-    return MergePlan(efficient_set=efficient, sequential_set=sequential, seed=seed)
+    return MergePlan(tuple(ids[i] for i in perm[:num_sequential]), seed=seed)
 
 
 def efficient_merge(theta_pre: ParamVector, bulk: Iterable[np.ndarray],
@@ -388,8 +387,7 @@ def optimize_mask(spec: ModelSpec, theta_pre: ParamVector, state: SequentialStat
         density_trace[it + 1] = np.count_nonzero(r >= 0.0) / r.size
     if not np.all(np.isfinite(r)):
         raise ContractError("mask logits r must be finite")
-    return StepArtifact(state.visible_tasks[-1], binarize(r), read_only(r, np.float64),
-                        objective_trace, density_trace)
+    return StepArtifact(state.visible_tasks[-1], binarize(r), objective_trace, density_trace)
 
 
 def sequential_merge(checkpoints: Checkpoints, plan: MergePlan, examples: TaskExamples,
@@ -401,32 +399,23 @@ def sequential_merge(checkpoints: Checkpoints, plan: MergePlan, examples: TaskEx
     with its objective and density traces. Each task vector is built where it is used.
     """
     spec, theta_pre = checkpoints.spec, checkpoints.pretrained
-    all_ids = set(range(checkpoints.num_tasks))
-    if set(plan.efficient_set) | set(plan.sequential_set) != all_ids:
-        raise ContractError("plan task sets must cover exactly the checkpoint tasks "
-                            f"{sorted(all_ids)}")
-
-    bulk = (task_vector(checkpoints.finetuned[t], theta_pre) for t in plan.efficient_set)
-    state = SequentialState(efficient_merge(theta_pre, bulk, plan.lambda_efficient),
-                            plan.efficient_set)
+    bulk_set = plan.bulk_set(checkpoints.num_tasks)
+    bulk = (task_vector(checkpoints.finetuned[t], theta_pre) for t in bulk_set)
+    state = SequentialState(efficient_merge(theta_pre, bulk, plan.lambda_efficient), bulk_set)
     steps: list[StepArtifact] = []
-    carried: np.ndarray | None = None
+    r: np.ndarray | None = None
     for step_idx, j in enumerate(plan.sequential_set):
         state = SequentialState(state.tau_seq, state.visible_tasks + (j,))
-        # a fresh init is writeable, and the step updates it in place; the read-only r
-        # that the last step keeps, when carried, the step copies
-        init = carried if carried is not None else init_mask(
-            theta_pre.size, plan.init_active_fraction,
-            rng_for(plan.seed, STAGE_MASK_INIT, step_idx)).copy()
+        # a fresh init is writeable, and the step updates it in place; without
+        # reinit_mask_per_task, the next step goes on from the same r
+        if r is None or plan.reinit_mask_per_task:
+            r = init_mask(theta_pre.size, plan.init_active_fraction,
+                          rng_for(plan.seed, STAGE_MASK_INIT, step_idx)).copy()
         tau_j = task_vector(checkpoints.finetuned[j], theta_pre)
         step = optimize_mask(
-            spec, theta_pre, state, tau_j, examples, init, plan,
+            spec, theta_pre, state, tau_j, examples, r, plan,
             rng_for(plan.seed, STAGE_MASK_BATCHES, step_idx), objective,
         )
-        if plan.reinit_mask_per_task:
-            step = replace(step, real_mask=None)
-        else:
-            carried = step.real_mask
         steps.append(step)
         state = SequentialState(masked_merge(state.tau_seq, tau_j, step.mask, plan.strategy),
                                 state.visible_tasks)

@@ -10,7 +10,7 @@ from calmkit.calm import (
     consensus_objective,
 )
 from calmkit.nn import (ROW_BLOCK, ContractError, ModelSpec, _loss_and_dlogits, check_labels,
-                        layer_views, read_only)
+                        layer_views)
 from calmkit.tasks import (
     Checkpoints,
     TaskData,
@@ -303,12 +303,12 @@ def finite(r: np.ndarray) -> np.ndarray:
 
 
 def optimize_mask(spec, theta_pre, state, tau_j, task_data, init, plan, rng,
-                  objective="cross_entropy") -> StepArtifact:
+                  objective="cross_entropy") -> tuple[StepArtifact, np.ndarray]:
     """`calm.optimize_mask` as a loop that builds every iteration's batches anew: one
     list of drawn batches per task, merged with the undrawn whole sets, concatenated
     into the gather's row index, a finiteness check of r before every objective call,
-    and a new r per step. The library's in-place iterations must match it bit for bit,
-    the generator's final state included."""
+    and a new r per step; returns the step's artifact and its final r. The library's
+    in-place iterations must match it bit for bit, the generator's final state included."""
     inputs, labels, spans = _row_pool(state.visible_tasks, task_data, objective)
     if labels is not None:
         check_labels(labels, spec.num_classes)
@@ -334,5 +334,5 @@ def optimize_mask(spec, theta_pre, state, tau_j, task_data, init, plan, rng,
         objective_trace[it] = loss
         r = r - plan.mask_lr * grad_r
         density_trace[it + 1] = np.mean(r >= 0.0)
-    return StepArtifact(state.visible_tasks[-1], binarize(finite(r)), read_only(r, np.float64),
-                        objective_trace, density_trace)
+    return StepArtifact(state.visible_tasks[-1], binarize(finite(r)), objective_trace,
+                        density_trace), r

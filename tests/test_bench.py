@@ -2,7 +2,11 @@
 configs are checked when they are resolved, and each stage reads what the stage
 before it persisted."""
 import hashlib
+import re
+import shutil
+import struct
 import threading
+import zlib
 
 import pytest
 
@@ -11,10 +15,11 @@ from calmkit.bench import cli
 from calmkit.bench import config as config_module
 from calmkit.bench import runner
 from calmkit.bench.config import MAX_TASKS, build_config
-from calmkit.bench.formats import load_checkpoint, load_credible_sets, save_checkpoint
+from calmkit.bench.formats import MAGIC, load_checkpoint, load_credible_sets, save_checkpoint
 from calmkit.bench.runner import (
     CHECKPOINTS_FILE,
     CREDIBLE_FILE,
+    DATASETS_FILE,
     MASKS_FILE,
     MERGED_FILE,
     PRETRAINED_FILE,
@@ -112,9 +117,10 @@ def test_default_config_staged_reports_keep_their_hashes(tmp_path):
         assert _sha((tmp_path / "report.csv").read_bytes()) == digest, method
     # the calm merge's files: binarize rounds r at exactly 0, so a reordered sum can
     # flip a mask coordinate without moving any accuracy in report.csv. The files'
-    # bytes (version 1: 985c13132e5385ab and 4c0b1c72d2680eeb), then their payloads
-    assert _sha((tmp_path / MASKS_FILE).read_bytes()) == "74cd41a45703d418"
-    assert _sha((tmp_path / MERGED_FILE).read_bytes()) == "3a35f38de663e30f"
+    # bytes (version 1: 985c13132e5385ab and 4c0b1c72d2680eeb; with plan.num_sequential
+    # in the header: 74cd41a45703d418 and 3a35f38de663e30f), then their payloads
+    assert _sha((tmp_path / MASKS_FILE).read_bytes()) == "4e321953d101d885"
+    assert _sha((tmp_path / MERGED_FILE).read_bytes()) == "f74492dffe9d4ba0"
     assert _masks_sha([tmp_path / MASKS_FILE]) == "c74d6fa22a4fa707"
     merged = load_checkpoint(tmp_path / MERGED_FILE)[2]["merged"]
     assert _sha(merged.tobytes()) == "6427c4d4d7d71ad6"
@@ -122,7 +128,8 @@ def test_default_config_staged_reports_keep_their_hashes(tmp_path):
 
 def test_default_config_text_keeps_its_hash(tmp_path, capsys):
     assert _cli("report", tmp_path, None, "--defaults") == 0
-    assert _sha(capsys.readouterr().out.encode()) == "03f9f002a7b88c7e"
+    # with plan.num_sequential in place of plan.sequential_set: 03f9f002a7b88c7e
+    assert _sha(capsys.readouterr().out.encode()) == "af8b3b39999380e6"
 
 
 @pytest.mark.parametrize("key,value", [
@@ -155,6 +162,10 @@ def test_default_config_text_keeps_its_hash(tmp_path, capsys):
     ("family.task_offset", "inf"),
     ("train.hidden_dims", "0"),
     ("train.activation", "bogus"),
+    ("plan.sequential_set", "1, 1"),
+    ("plan.sequential_set", "8"),
+    ("plan.sequential_set", "-1"),
+    ("plan.sequential_set", "x"),
 ])
 def test_invalid_plan_and_ties_values_are_config_errors(key, value, tmp_path, capsys):
     assert _cli("gen-tasks", tmp_path, {key: value}) == 1
@@ -232,8 +243,9 @@ def test_order_suite_that_draws_batches_keeps_its_hashes(tmp_path):
     ablation_suite(build_config(ORDER_DRAWS), "order", tmp_path)
     masks = sorted(tmp_path.glob(f"order_*/{MASKS_FILE}"))
     assert len(masks) == 6
-    # the files (format version 1: 70bf54b5d2649eb3), then their masks
-    assert _sha(b"".join(path.read_bytes() for path in masks)) == "c96da41b838230fb"
+    # the files (format version 1: 70bf54b5d2649eb3; with plan.num_sequential in the
+    # header: c96da41b838230fb), then their masks
+    assert _sha(b"".join(path.read_bytes() for path in masks)) == "9125ca21acaaa6e4"
     assert _masks_sha(masks) == "1983186110b3594c"
     assert _sha((tmp_path / "summary.csv").read_bytes()) == "8c09e378c3d13111"
 
@@ -241,9 +253,10 @@ def test_order_suite_that_draws_batches_keeps_its_hashes(tmp_path):
 # sha256 prefixes of summary.csv and of every masks file, traces included, on
 # ORDER_DRAWS: the strategy suite runs the only_mask and only_complement merges, and
 # the components suite its arithmetic, on masks trained on drawn batches. Captured
-# with masks held as float64 0/1 vectors, before they were bool arrays
-DRAWING_SUITES = {"strategy": ("2cdbeae7cfada8bc", "11d854ace0d582ea"),
-                  "components": ("fef320f54213f25a", "565f1a86a47e7af0")}
+# with masks held as float64 0/1 vectors, before they were bool arrays; the masks
+# files read 11d854ace0d582ea and 565f1a86a47e7af0 with plan.num_sequential in the header
+DRAWING_SUITES = {"strategy": ("2cdbeae7cfada8bc", "76af48e6e9adbe3e"),
+                  "components": ("fef320f54213f25a", "e427cf45bf07f2d0")}
 # and the sha256 prefix of each parameter vector the suite evaluates, in order: the
 # strategy suite's three merges, and the components suite's six configurations, which
 # its summary pins only to the resolution of the accuracies
@@ -267,6 +280,38 @@ def test_suites_that_draw_batches_keep_their_hashes(suite, tmp_path, monkeypatch
     assert _sha(b"".join(path.read_bytes() for path in masks)) == masks_sha
     assert _sha((tmp_path / "summary.csv").read_bytes()) == summary_sha
     assert evaluated == EVALUATED[suite]
+
+
+def test_each_order_point_is_rebuilt_from_its_own_config(tmp_path, capsys):
+    suite = tmp_path / "suite"
+    ablation_suite(build_config(ORDER_DRAWS), "order", suite)
+    points = sorted(suite.glob("order_*"))
+    configs = [point / "config.resolved.txt" for point in points]
+    assert len({_sha(path.read_bytes()) for path in configs}) == len(points) == 6
+    for point, config in zip(points, configs):
+        rebuilt = tmp_path / point.name
+        rebuilt.mkdir()
+        for name in (DATASETS_FILE, PRETRAINED_FILE, CHECKPOINTS_FILE, CREDIBLE_FILE):
+            shutil.copyfile(suite / name, rebuilt / name)
+        for command in ("merge", "report"):
+            assert _cli(command, rebuilt, None, "--config", str(config)) == 0
+        for name in (MERGED_FILE, MASKS_FILE, "report.csv"):
+            assert (rebuilt / name).read_bytes() == (point / name).read_bytes(), name
+    edited = tmp_path / "edited.cfg"
+    edited.write_text(re.sub("plan.sequential_set = .*", "plan.sequential_set = 2, 1",
+                             configs[0].read_text()))
+    capsys.readouterr()
+    assert _cli("eval", tmp_path / points[0].name, None, "--config", str(edited)) == 2
+    assert ("made with plan.sequential_set = 0, 1, but the config gives 2, 1; run merge again"
+            in capsys.readouterr().err)
+
+
+def test_components_suite_without_a_sequential_task_is_a_config_error(tmp_path, capsys):
+    entries = {**TINY, "plan.sequential_set": ""}
+    assert _cli("ablate", tmp_path, entries, "--suite", "components") == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "plan.sequential_set" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_order_suite_samples_once(tmp_path, monkeypatch):
@@ -364,6 +409,26 @@ def test_a_merge_without_masks_removes_the_stale_masks(tmp_path):
     assert not (tmp_path / MASKS_FILE).exists()
     assert _cli("report", tmp_path, avg) == 0
     assert set(_reports(tmp_path)) == {"report.txt", "report.csv"}
+
+
+def test_a_merge_file_that_records_plan_num_sequential_is_a_format_error(tmp_path, capsys):
+    # the key that sized the seeded sequence before plan.sequential_set named it
+    _staged(tmp_path, TINY)
+    assert _cli("merge", tmp_path, TINY) == 0
+    path = tmp_path / MERGED_FILE
+    raw = path.read_bytes()
+    start = len(MAGIC) + 2
+    (length,) = struct.unpack_from("<I", raw, start)
+    header = re.sub(rb"plan\.sequential_set = [^\n]*", b"plan.num_sequential = 2",
+                    raw[start + 4 : start + 4 + length])
+    body = (raw[:start] + struct.pack("<I", len(header)) + header
+            + raw[start + 4 + length : -4])
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))  # a valid CRC
+    capsys.readouterr()
+    assert _cli("eval", tmp_path, TINY) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "'plan.num_sequential'" in err
+    assert "Traceback" not in err
 
 
 def test_finetune_floor_miss_is_a_stage_error(tmp_path, capsys):

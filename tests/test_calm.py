@@ -187,34 +187,37 @@ class TestPartition:
     def test_empty_sequential(self):
         plan = partition(range(5), 0, seed=3)
         assert plan.sequential_set == ()
-        assert plan.efficient_set == (0, 1, 2, 3, 4)
+        assert plan.bulk_set(5) == (0, 1, 2, 3, 4)
 
     def test_all_sequential(self):
         plan = partition(range(4), 4, seed=3)
-        assert plan.efficient_set == ()
+        assert plan.bulk_set(4) == ()
         assert sorted(plan.sequential_set) == [0, 1, 2, 3]
 
     def test_deterministic(self):
         a = partition(range(8), 2, seed=7)
         b = partition(range(8), 2, seed=7)
         assert a.sequential_set == b.sequential_set
-        assert a.efficient_set == b.efficient_set
+        assert a.bulk_set(8) == tuple(t for t in range(8) if t not in a.sequential_set)
 
     def test_too_many_sequential(self):
         with pytest.raises(ContractError):
             partition(range(3), 4, seed=0)
 
+    @pytest.mark.parametrize("sequence", [(1, 1), (3,), (-1,), (0, 2, 0)])
+    def test_sequential_tasks_must_be_distinct_ids_in_range(self, sequence):
+        with pytest.raises(ContractError, match="distinct task ids in \\[0, 3\\)"):
+            MergePlan(sequence).bulk_set(3)
+
     def test_plan_invariants(self):
         with pytest.raises(ContractError):
-            MergePlan(efficient_set=(0, 1), sequential_set=(1, 2))
+            MergePlan((1,), l1_weight=-0.1)
         with pytest.raises(ContractError):
-            MergePlan((0,), (1,), l1_weight=-0.1)
+            MergePlan((1,), iterations_per_task=0)
         with pytest.raises(ContractError):
-            MergePlan((0,), (1,), iterations_per_task=0)
+            MergePlan((1,), init_active_fraction=1.0)
         with pytest.raises(ContractError):
-            MergePlan((0,), (1,), init_active_fraction=1.0)
-        with pytest.raises(ContractError):
-            MergePlan((0,), (1,), strategy="neither")
+            MergePlan((1,), strategy="neither")
 
     def test_default_hyperparameters(self):
         plan = partition(range(4), 1, seed=0)
@@ -430,17 +433,18 @@ class TestOptimizeMask:
         theta_pre, state, tau_j, batches = small_setup()
         task_data = {t: bs[0] for t, bs in batches.items()}
         init = seeded_mask(9)
-        plan = MergePlan((0,), (1,), iterations_per_task=5, batch_size=64)
+        plan = MergePlan((1,), iterations_per_task=5, batch_size=64)
         object.__setattr__(plan, "mask_lr", 0.0)  # MergePlan rejects it; optimize_mask does not
-        result = optimize_mask(SPEC, theta_pre, state, tau_j, task_data, init, plan,
-                               np.random.default_rng(0))
-        assert np.array_equal(result.real_mask, init)
+        r = init.copy()  # writeable: the step updates it in place
+        optimize_mask(SPEC, theta_pre, state, tau_j, task_data, r, plan,
+                      np.random.default_rng(0))
+        assert np.array_equal(r, init)
 
     def test_full_batch_objective_non_increasing(self):
         theta_pre, state, tau_j, batches = small_setup(seed=5)
         task_data = {t: bs[0] for t, bs in batches.items()}
         init = seeded_mask(9)
-        plan = MergePlan((0,), (1,), mask_lr=0.5, iterations_per_task=40,
+        plan = MergePlan((1,), mask_lr=0.5, iterations_per_task=40,
                          batches_per_task=1, batch_size=1000)
         result = optimize_mask(SPEC, theta_pre, state, tau_j, task_data, init, plan,
                                np.random.default_rng(0))
@@ -462,7 +466,7 @@ class TestOptimizeMask:
     def test_density_trace_shape_and_range(self):
         theta_pre, state, tau_j, batches = small_setup()
         task_data = {t: bs[0] for t, bs in batches.items()}
-        plan = MergePlan((0,), (1,), iterations_per_task=7, batch_size=64)
+        plan = MergePlan((1,), iterations_per_task=7, batch_size=64)
         result = optimize_mask(SPEC, theta_pre, state, tau_j, task_data,
                                seeded_mask(0), plan, np.random.default_rng(0))
         assert result.density_trace.shape == (8,)
@@ -481,7 +485,7 @@ class TestOptimizeMask:
         size = st.one_of(st.just(k), st.just(k + 1), st.integers(1, 3 * k + 4))
         sizes = dict(reversed(list(enumerate(data.draw(st.lists(size, min_size=1,
                                                                 max_size=4))))))
-        plan = MergePlan((), (len(sizes),), iterations_per_task=iterations,
+        plan = MergePlan((len(sizes),), iterations_per_task=iterations,
                          batches_per_task=batches_per_task, batch_size=k)
         ours, theirs = np.random.Generator(generator(seed)), np.random.Generator(generator(seed))
         drawn, firsts = recorded_batches(sizes, plan, ours), first_rows(sizes)
@@ -517,15 +521,16 @@ class TestOptimizeMask:
         state = SequentialState(values.standard_normal(N) * 0.3, visible)
         tau_j = values.standard_normal(N) * 0.3
         init = init_mask(N, 0.1, values)
-        plan = MergePlan((), (len(sizes),), iterations_per_task=iterations,
+        plan = MergePlan((len(sizes),), iterations_per_task=iterations,
                          batches_per_task=batches_per_task, batch_size=k, mask_lr=mask_lr,
                          strategy=strategy)
         ours, theirs = np.random.Generator(generator(seed)), np.random.Generator(generator(seed))
-        args = (SPEC, init_params(SPEC, 0), state, tau_j, task_data, init, plan)
-        step = optimize_mask(*args, ours, objective)
-        ref = reference_optimize_mask(*args, theirs, objective)
+        args = (SPEC, init_params(SPEC, 0), state, tau_j, task_data)
+        r = init.copy()  # writeable: the step updates it in place
+        step = optimize_mask(*args, r, plan, ours, objective)
+        ref, ref_r = reference_optimize_mask(*args, init, plan, theirs, objective)
         assert step.task_id == ref.task_id
-        for a, b in [(step.mask, ref.mask), (step.real_mask, ref.real_mask),
+        for a, b in [(step.mask, ref.mask), (r, ref_r),
                      (step.objective_trace, ref.objective_trace),
                      (step.density_trace, ref.density_trace)]:
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -536,7 +541,7 @@ class TestOptimizeMask:
         # sets under, at, just above and well above a batch of 8, and above a batch of
         # 1, visible out of id order
         sizes = {3: 40, 0: 5, 2: 9, 1: 8}
-        plan = MergePlan((), (4,), iterations_per_task=6, batches_per_task=3, batch_size=k)
+        plan = MergePlan((4,), iterations_per_task=6, batches_per_task=3, batch_size=k)
         drawn = recorded_batches(sizes, plan, np.random.default_rng(7))
         firsts = first_rows(sizes)
         for batches in drawn:
@@ -554,7 +559,7 @@ class TestOptimizeMask:
         # rows' inclusion counts once scaled by their variance without replacement,
         # B k (n - k) / (n (n - 1)); 27.877 is the 0.999 quantile of chi-square(9)
         n, k, critical = 10, 4, 27.877
-        plan = MergePlan((), (1,), iterations_per_task=400, batches_per_task=5, batch_size=k)
+        plan = MergePlan((1,), iterations_per_task=400, batches_per_task=5, batch_size=k)
         drawn = recorded_batches({1: 3, 0: n}, plan, np.random.default_rng(2024))
         rows = np.array([idx for batches in drawn for idx in batches[0]]) - 3
         b = len(rows)
@@ -575,7 +580,7 @@ class TestOptimizeMask:
         undrawn = np.random.default_rng(3).permutation(30)[8]
         labels = np.zeros(30, dtype=np.int64)
         labels[undrawn] = SPEC.num_classes
-        plan = MergePlan((), (1,), iterations_per_task=1, batches_per_task=1, batch_size=8)
+        plan = MergePlan((1,), iterations_per_task=1, batches_per_task=1, batch_size=8)
 
         def never(*args):
             raise AssertionError("the objective ran")
@@ -597,7 +602,7 @@ class TestOptimizeMask:
             objective, match = "hinge", "objective must be one of"
         else:  # the same parameter count, another activation
             theta_pre = init_params(replace(SPEC, activation="relu"), 0)
-        plan = MergePlan((), (1,), iterations_per_task=1, batches_per_task=1, batch_size=8)
+        plan = MergePlan((1,), iterations_per_task=1, batches_per_task=1, batch_size=8)
         rng = np.random.default_rng(3)
         with pytest.raises(ContractError, match=match):
             optimize_mask(SPEC, theta_pre, state, tau_j,
@@ -607,7 +612,7 @@ class TestOptimizeMask:
 
     def test_missing_visible_task_is_named(self):
         theta_pre, state, tau_j, batches = small_setup()
-        plan = MergePlan((0,), (1,), iterations_per_task=2)
+        plan = MergePlan((1,), iterations_per_task=2)
         with pytest.raises(ContractError, match="task 1"):
             optimize_mask(SPEC, theta_pre, state, tau_j, {0: batches[0][0]},
                           seeded_mask(0), plan, np.random.default_rng(0))
@@ -615,7 +620,7 @@ class TestOptimizeMask:
     def test_empty_credible_set_is_an_error(self):
         theta_pre, state, tau_j, batches = small_setup()
         task_data = {0: batches[0][0], 1: (np.zeros((0, 3)), np.zeros(0, dtype=np.int64))}
-        plan = MergePlan((0,), (1,), iterations_per_task=2)
+        plan = MergePlan((1,), iterations_per_task=2)
         with pytest.raises(ContractError, match="task 1 has an empty"):
             optimize_mask(SPEC, theta_pre, state, tau_j, task_data, seeded_mask(0),
                           plan, np.random.default_rng(0))
@@ -623,7 +628,7 @@ class TestOptimizeMask:
     def test_cross_entropy_needs_labels(self):
         theta_pre, state, tau_j, batches = small_setup()
         task_data = {0: batches[0][0], 1: (batches[1][0][0], None)}
-        plan = MergePlan((0,), (1,), iterations_per_task=2)
+        plan = MergePlan((1,), iterations_per_task=2)
         with pytest.raises(ContractError, match="needs labels"):
             optimize_mask(SPEC, theta_pre, state, tau_j, task_data, seeded_mask(0),
                           plan, np.random.default_rng(0))
@@ -633,7 +638,7 @@ class TestOptimizeMask:
         theta_pre, state, tau_j, batches = small_setup()
         tau_j = tau_j * 1e3
         task_data = {t: bs[0] for t, bs in batches.items()}
-        plan = MergePlan((0,), (1,), mask_lr=1e308, iterations_per_task=3)
+        plan = MergePlan((1,), mask_lr=1e308, iterations_per_task=3)
         with np.errstate(over="ignore"), pytest.raises(ContractError, match="finite"):
             optimize_mask(SPEC, theta_pre, state, tau_j, task_data, seeded_mask(0),
                           plan, np.random.default_rng(0))
@@ -696,7 +701,7 @@ class TestSequentialMerge:
         result = sequential_merge(ckpt, plan, credible)
         taus = {t: task_vector(ckpt.finetuned[t], ckpt.pretrained)
                 for t in range(family.num_tasks)}
-        tau = efficient_merge(ckpt.pretrained, [taus[t] for t in plan.efficient_set],
+        tau = efficient_merge(ckpt.pretrained, [taus[t] for t in plan.bulk_set(len(taus))],
                               plan.lambda_efficient)
         for step, j in zip(result.steps, plan.sequential_set):
             assert step.task_id == j
@@ -741,13 +746,14 @@ class TestSequentialMerge:
 
         monkeypatch.setattr(calm, "consensus_objective", counting)
         sequential_merge(ckpt, plan, credible)
-        visible = [len(plan.efficient_set) + 1] * 3 + [len(plan.efficient_set) + 2] * 3
+        bulk = len(plan.bulk_set(family.num_tasks))
+        visible = [bulk + 1] * 3 + [bulk + 2] * 3
         assert counts == [[3] * v for v in visible]
 
     def test_plan_must_cover_checkpoint_tasks(self, mini_pipeline):
         family, tasks, ckpt, credible = mini_pipeline
-        plan = MergePlan(efficient_set=(0, 1), sequential_set=())
-        with pytest.raises(ContractError):
+        plan = MergePlan((family.num_tasks,))
+        with pytest.raises(ContractError, match="distinct task ids"):
             sequential_merge(ckpt, plan, credible)
 
     def test_density_traces_within_unit_interval(self, mini_pipeline):
@@ -766,10 +772,10 @@ class TestSequentialMerge:
         carried = replace(base, reinit_mask_per_task=False)
         a = sequential_merge(ckpt, base, credible)
         b = sequential_merge(ckpt, carried, credible)
-        # second step starts from the first step's final mask instead of a fresh init;
-        # the merge keeps each step's r only when the next step starts from it
-        assert all(step.real_mask is None for step in a.steps)
-        assert all(np.array_equal(binarize(step.real_mask), step.mask) for step in b.steps)
+        # second step starts from the first step's final mask instead of a fresh init
+        assert np.array_equal(a.steps[0].mask, b.steps[0].mask)
+        assert b.steps[1].density_trace[0] == b.steps[0].density_trace[-1]
+        assert a.steps[1].density_trace[0] == a.steps[0].density_trace[0]
         assert not np.array_equal(a.steps[1].objective_trace, b.steps[1].objective_trace)
 
     def test_task_vectors_are_built_where_they_are_used(self):
@@ -784,7 +790,7 @@ class TestSequentialMerge:
             bind(wide, pre.values + 0.01 * rng.standard_normal(wide.parameter_count))
             for _ in range(8)))
         data = {t: (rng.standard_normal((40, 4)), rng.integers(0, 3, size=40)) for t in range(8)}
-        plan = MergePlan((0, 1, 2, 4, 5, 6, 7), (3,), iterations_per_task=2, batch_size=16)
+        plan = MergePlan((3,), iterations_per_task=2, batch_size=16)
         inputs, labels, _ = _row_pool(range(8), data, "cross_entropy")
         state = SequentialState(np.zeros(wide.parameter_count), tuple(range(8)))
         peaks = []
@@ -850,7 +856,7 @@ class TestHelperThread:
         if objective == "entropy":
             data = {t: (x, None) for t, (x, _) in data.items()}
         per_task, k = BLOCK_PLANS[blocks]
-        plan = MergePlan((0,), (1, 2), iterations_per_task=3, batches_per_task=per_task,
+        plan = MergePlan((1, 2), iterations_per_task=3, batches_per_task=per_task,
                          batch_size=k, strategy=strategy, mask_lr=1e4)
         results, pairs = [], []
         for on in (False, True):
@@ -889,7 +895,7 @@ class TestHelperThread:
         monkeypatch.setattr(calm, "consensus_objective", keeping)
         monkeypatch.setattr(calm, "optimize_mask", checked)
         ran = counted_pairs(monkeypatch)
-        sequential_merge(ckpt, MergePlan((0,), (1, 2), iterations_per_task=2, batch_size=300),
+        sequential_merge(ckpt, MergePlan((1, 2), iterations_per_task=2, batch_size=300),
                          data)
         assert ran and alive == [[False] * 4] * 2
 

@@ -65,6 +65,21 @@ class TestTally:
                                                   "report.csv: 0 of 1 differ on same"]
 
 
+    def test_a_container_whose_arrays_all_match_differs_in_its_header_only(self, tmp_path):
+        parent = {"a/merged.calmckpt": "1", "b/merged.calmckpt": "1", "c/merged.calmckpt": "1"}
+        change = {"a/merged.calmckpt": "2", "b/merged.calmckpt": "2", "c/merged.calmckpt": "1"}
+        payloads = {"parent": {rel: {"merged": "m"} for rel in parent},
+                    "change": {"a/merged.calmckpt": {"merged": "m"},
+                               "b/merged.calmckpt": {"merged": "x"},
+                               "c/merged.calmckpt": {"merged": "m"}}}
+        roots = sides(tmp_path, parent, change)
+        assert compare_artifacts.compare(roots, payloads) == [
+            "a/merged.calmckpt: change differs from parent in its header only",
+            "b/merged.calmckpt: change differs from parent",
+        ]
+        assert compare_artifacts.tally(roots, payloads=payloads) == [
+            "merged.calmckpt: 2 of 3 differ (1 header only)"]
+
     def test_one_line_per_workload_group(self, tmp_path):
         parent = {"default/seed00/report.csv": "1", "order/seed00/summary.csv": "s",
                   "branches/tanh/seed00/report.csv": "t", "branches/wide/seed00/report.csv": "w"}

@@ -627,7 +627,7 @@ class TestAllocationFreeSteps:
         tau_j = 0.01 * rng.standard_normal(size)
         # two drawn 600-row batches a step: a block of ROW_BLOCK rows and one of 176
         data = {0: (rng.standard_normal((1500, 4)), rng.integers(0, 3, size=1500))}
-        plan = MergePlan((), (0,), iterations_per_task=3, batches_per_task=2, batch_size=600)
+        plan = MergePlan((0,), iterations_per_task=3, batches_per_task=2, batch_size=600)
         calls, peaks = [], []
 
         def objective(*args, **kwargs):

@@ -27,14 +27,17 @@ the same relative path: masks, checkpoints, credible sets and reports alike.
 The script lists each file whose bytes differ or that one side lacks, then
 tallies them per file name (`credible.calmcred: 602 of 602 differ`), so a
 stated change reads as one line per kind of artifact, and per workload group
-(`branches/: 0 of 319 differ`). A file in `STATED_MISSING` that a later side
-lacks is tallied as stated, not as differing. The payload tally compares the
-arrays of every container both sides wrote (`payload: 0 of 7685 arrays
-differ`) and names each array that only one side has, without counting it as
-differing. The script exits 1 if any file or array differs and 0 if none
-does. When an average accuracy differs, it
-also prints, per workload and side, each seed's paired change from the first side (report.csv's average for `default`, summary.csv's
-mean for `order`), and the mean paired difference with its standard error:
+(`branches/: 0 of 319 differ`). A differing container whose arrays all match
+the first side's differs in its header only, and is tallied so as well
+(`merged.calmckpt: 629 of 629 differ (629 header only)`). A file in
+`STATED_MISSING` that a later side lacks is tallied as stated, not as
+differing. The payload tally compares the arrays of every container both sides
+wrote (`payload: 0 of 7685 arrays differ`) and names each array that only one
+side has, without counting it as differing. The script exits 1 if any file or
+array differs and 0 if none does. When an average accuracy differs, it also
+prints, per workload and side, each seed's paired change from the first side
+(report.csv's average for `default`, summary.csv's mean for `order`), and the
+mean paired difference with its standard error:
 the check for a change that alters the batch stream on purpose. The outputs are
 kept under `--workdir` when it is given, and deleted otherwise.
 """
@@ -84,6 +87,7 @@ WIDE = {"train.hidden_dims": "256,256", "train.pretrain_lr": "0.02", "train.fine
 # credible sets, which format version 2 no longer copies into each point
 STATED_MISSING = ("order/*/order_*/credible.calmcred",)
 STATED = "missing as stated"
+HEADER_ONLY = "in its header only"
 # the loader of each container, by suffix
 LOADERS = {".calmdata": "load_tasks", ".calmckpt": "load_checkpoint",
            ".calmcred": "load_credible_sets"}
@@ -149,11 +153,15 @@ def _files(root: Path) -> dict[str, Path]:
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
-def _statuses(roots: dict[str, Path]) -> dict[str, dict[str, str | None]]:
+def _statuses(roots: dict[str, Path], payloads: Mapping | None = None
+              ) -> dict[str, dict[str, str | None]]:
     """Per side after the first: every file that it or the first side wrote, and how it
-    differs from the first side's file (None when the bytes are the same)."""
+    differs from the first side's file (None when the bytes are the same); with the
+    sides' `payload_digests`, a container whose arrays all match differs in its header
+    only."""
     names = list(roots)
     first = _files(roots[names[0]])
+    payloads = payloads or {name: {} for name in names}
     out = {}
     for name in names[1:]:
         other = _files(roots[name])
@@ -166,16 +174,19 @@ def _statuses(roots: dict[str, Path]) -> dict[str, dict[str, str | None]]:
             elif rel not in first:
                 status[rel] = f"missing on {names[0]}"
             elif first[rel].read_bytes() != other[rel].read_bytes():
-                status[rel] = f"{name} differs from {names[0]}"
+                arrays = payloads[names[0]].get(rel)
+                header_only = arrays is not None and arrays == payloads[name].get(rel)
+                status[rel] = f"{name} differs from {names[0]}" + (
+                    f" {HEADER_ONLY}" if header_only else "")
             else:
                 status[rel] = None
         out[name] = status
     return out
 
 
-def compare(roots: dict[str, Path]) -> list[str]:
+def compare(roots: dict[str, Path], payloads: Mapping | None = None) -> list[str]:
     """One line per file that differs from the first side's, or that a side lacks."""
-    return [f"{rel}: {why}" for status in _statuses(roots).values()
+    return [f"{rel}: {why}" for status in _statuses(roots, payloads).values()
             for rel, why in status.items() if why not in (None, STATED)]
 
 
@@ -184,21 +195,25 @@ def workload(rel: str) -> str:
     return rel.split("/")[0] + "/"
 
 
-def tally(roots: dict[str, Path], key=lambda rel: PurePosixPath(rel).name) -> list[str]:
+def tally(roots: dict[str, Path], key=lambda rel: PurePosixPath(rel).name,
+          payloads: Mapping | None = None) -> list[str]:
     """Per file name, or per other `key` of the relative path, such as `workload`, how
-    many of the files of that kind differ or are missing: one line per kind, with the
-    side named when there are more than two."""
-    statuses = _statuses(roots)
+    many of the files of that kind differ or are missing, and of those how many differ
+    in their header only: one line per kind, with the side named when there are more
+    than two."""
+    statuses = _statuses(roots, payloads)
     lines = []
     for name, status in statuses.items():
-        total, differ, stated = Counter(), Counter(), Counter()
+        total, differ, stated, header = Counter(), Counter(), Counter(), Counter()
         for rel, why in status.items():
             kind = key(rel)
             total[kind] += 1
             differ[kind] += why not in (None, STATED)
             stated[kind] += why == STATED
+            header[kind] += bool(why and why.endswith(HEADER_ONLY))
         side = f" on {name}" if len(statuses) > 1 else ""
         lines += [f"{kind}: {differ[kind]} of {total[kind]} differ{side}"
+                  + (f" ({header[kind]} header only)" if header[kind] else "")
                   + (f" ({stated[kind]} missing as stated)" if stated[kind] else "")
                   for kind in sorted(total)]
     return lines
@@ -294,10 +309,11 @@ def main(argv=None) -> int:
         if failed:
             print(f"worker failed on {', '.join(failed)}", file=sys.stderr)
             return 2
-        lines = compare(roots)
-        kinds = tally(roots) + tally(roots, workload)
-        arrays, payload = compare_payloads(
-            {name: json.loads(_payload_file(root).read_text()) for name, root in roots.items()})
+        payloads = {name: json.loads(_payload_file(root).read_text())
+                    for name, root in roots.items()}
+        lines = compare(roots, payloads)
+        kinds = tally(roots, payloads=payloads) + tally(roots, workload, payloads)
+        arrays, payload = compare_payloads(payloads)
         accuracy = paired_accuracy(roots)
         count = len(_files(roots[next(iter(roots))]))
     for line in lines + arrays + kinds + payload + accuracy:
