@@ -49,7 +49,6 @@ promise its stream across numpy versions.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Mapping, Sequence
@@ -58,7 +57,7 @@ import numpy as np
 
 from .baselines import ordered_sum, task_vector
 from .nn import (HELPER_MACS, ROW_BLOCK, ContractError, ModelSpec, ParamVector, bind_pass,
-                 check_labels, read_only, weighted_loss_and_grad)
+                 check_labels, helper_slots, read_only, weighted_loss_and_grad)
 from .seeding import STAGE_MASK_BATCHES, STAGE_MASK_INIT, STAGE_PARTITION, rng_for
 from .tasks import Checkpoints
 
@@ -234,19 +233,13 @@ def _bind_pool(spec: ModelSpec, inputs: np.ndarray, labels: np.ndarray | None,
     labels, each gathered row's weight 1 / (batches of its task * rows of its batch) from
     `batch_rows`, the batches' flat row index, and what each call refills: a theta buffer
     and its feature-major `nn.bind_pass` binding, a gather buffer, and the float64 m,
-    total and the binding's first spare, and a bool buffer, of theta's length.
-
-    The binding holds a second block slot when the process may run on two CPUs (by
-    `os.sched_getaffinity`, where the platform has it) and the pass's second block has at
-    least HELPER_MACS forward multiply-adds."""
+    total and the binding's first spare, and a bool buffer, of theta's length."""
     weights = np.repeat([1.0 / (len(task) * n) for task in batch_rows for n in task],
                         [n for task in batch_rows for n in task])
     if len(rows) != len(weights):
         raise ContractError(f"{len(weights)} row weights for {len(rows)} batch rows")
     theta, total = np.empty((2, spec.parameter_count))
-    second = min(ROW_BLOCK, len(rows) - ROW_BLOCK) * sum(fi * fo for fi, fo in spec.layer_dims)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    slots = 2 if second >= HELPER_MACS and cpus >= 2 else 1
+    slots = helper_slots(spec, min(ROW_BLOCK, len(rows) - ROW_BLOCK), HELPER_MACS)
     bound = bind_pass(spec, theta, {(len(rows),)}, feature_major=True, slots=slots)
     spare = bound[1][0][0]  # the binding's first spare gradient buffer
     # at the sizes that bind two slots a mask-length vector outweighs a second sigmoid

@@ -27,12 +27,15 @@ The weighted pass's blocks are independent, so a binding may hold a second slot 
 layer-output and scratch buffers, and the pass then runs every second block on one
 helper thread while the caller runs the block before it; numpy's BLAS calls and
 loops release the GIL. The helper is one daemon thread, started on first use; it
-holds no job between jobs, and an exception in its block is raised in the caller.
+holds no job between jobs, and an exception in its job is raised in the caller.
 Each block writes its own gradient buffer, and the caller sums the blocks' losses
-and gradients in block order, so the results are the bits of the one-thread pass.
+and gradients in block order, so the results are the bits of the one-thread pass. A
+stack's models are as independent: `loss_and_grad` runs a two-slot binding's second half
+of them on the helper, each model's products keeping their shapes, strides and bits.
 """
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass
 from functools import partial
@@ -45,21 +48,35 @@ ACTIVATIONS = ("relu", "tanh")
 # 0.222 s, 71k params 6.16/5.77/5.86/5.60 s; at 1.07M params one objective call on
 # 1,792 rows took 0.39 s at 384 rows and 0.33-0.37 s at 1,024.
 ROW_BLOCK = 1024
-# The least forward multiply-adds, rows * sum(fan_in * fan_out), of a weighted pass's
-# second block at which the mask step binds a second block slot (`calm._bind_pool`).
-# sequential_merge, default config, 16 inputs and 5 classes, second slot on against
-# off: medians of 7-9 alternating repeats, one BLAS thread, 2-vCPU Xeon VM. The
-# second block holds 768 rows at step 0 and 1,024 at step 1. Each run gained 20-40%
-# when the host left the second CPU free, and little or lost when it did not:
-#   hidden     params   2nd-block MACs   merge time
-#   (32,)         709   0.52M / 0.69M    +9%, +16%
-#   (64,)       1,413   1.03M / 1.38M    +13%, +10%
-#   (128,)      2,821   2.06M / 2.75M    +3%, -1%, -22%
-#   (64, 64)    5,573   4.18M / 5.57M    -1%, -1%, +2%, -27%
-#   (96, 96)   11,429   8.63M / 11.5M    -1%, +8%, -35%
-#   (128, 128) 19,333   14.6M / 19.5M    -23%, -38%, -31%
-#   (256, 256) 71,429   54.5M / 72.6M    -40%
+# The least forward multiply-adds, rows * sum(fan_in * fan_out), of a pass's second part
+# at which `helper_slots` gives it a second slot: a weighted pass's second block, 768 rows
+# at step 0 of a default-config sequential_merge and 1,024 at step 1, or a training stack's
+# second half, 4 models' 64-row batches in a fine-tune of the default 8 tasks. Slot on
+# against off, % of the time per run; medians of 7-9 alternating repeats, one BLAS thread,
+# 2-vCPU Xeon VM. Runs gained when the host left the second CPU free, and little or lost
+# when it did not; the fine-tune lost or was mixed below 10.5M, so it takes its own floor:
+#   hidden     params   2nd block MACs   merge            half MACs   finetune
+#   (32,)         709   0.52M / 0.69M    +9 +16           0.17M       +40 +20 +49
+#   (64,)       1,413   1.03M / 1.38M    +13 +10          0.34M       +1 +35 +27
+#   (128,)      2,821   2.06M / 2.75M    +3 -1 -22        0.69M       +26 +19 +27
+#   (64, 64)    5,573   4.18M / 5.57M    -1 -1 +2 -27     1.39M       +14 +22 +22 +23
+#   (96, 96)   11,429   8.63M / 11.5M    -1 +8 -35
+#   (128, 128) 19,333   14.6M / 19.5M    -23 -38 -31      4.88M       +3 +11 -13 +4 +11 +6
+#   (144, 144) 24,053                                     6.08M       +2 +11
+#   (160, 160) 29,285                                     7.41M       0 -25 -4 +6
+#   (176, 176) 35,029                                     8.88M       -26 +5 +2
+#   (192, 192) 41,285                                     10.5M       -22 -28 -27
+#   (256, 256) 71,429   54.5M / 72.6M    -40              18.2M       -35 -32 -30 -33
 HELPER_MACS = 1_600_000
+STACK_HELPER_MACS = 10_000_000
+
+
+def helper_slots(spec: ModelSpec, rows: int, floor: int) -> int:
+    """2, a pass's second part on the helper, when the process may run on two CPUs (by
+    `os.sched_getaffinity`, where the platform has it) and the `rows` rows of that part
+    take at least `floor` forward multiply-adds; else 1."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return 2 if rows * sum(fi * fo for fi, fo in spec.layer_dims) >= floor and cpus >= 2 else 1
 
 
 class ContractError(ValueError):
@@ -282,10 +299,11 @@ def bind_pass(spec: ModelSpec, values: np.ndarray, shapes, feature_major: bool,
     scratch of `_backward`, which writes each dz over a hidden layer's output:
     (*shape, features) views, C-contiguous or feature-major.
 
-    Row-major: (layers, gradient, its views, entries). Feature-major: (layers, spares,
-    one entries per slot, the last total), with `slots` sets of buffers, one per block
-    that runs at once, and the spare gradient buffers of the blocks after the first:
-    one per slot, but none beyond the blocks after the first, and at least one.
+    Row-major: (layers, gradient, its views, entries, halves), with two `slots` the bindings
+    and slices of the first ceil(T / 2) of T >= 2 models and of the rest. Feature-major:
+    (layers, spares, one entries per slot, the last total), with `slots` sets of buffers,
+    one per block that runs at once, and the spare gradient buffers of the blocks after the
+    first: one per slot, but none beyond the blocks after the first, and at least one.
     """
     blocks = 1
     if feature_major:
@@ -315,16 +333,26 @@ def bind_pass(spec: ModelSpec, values: np.ndarray, shapes, feature_major: bool,
         grad = np.empty(values.shape)
         return grad, layer_views(spec, grad)
 
+    def models(bound: tuple, part: slice) -> tuple:  # part's views of bound, as a binding
+        grad = bound[1][part]
+        return (layer_views(spec, values[part]), grad, layer_views(spec, grad),
+                {(len(grad), *shape[1:]): (offsets[: len(grad)], step, [o[part] for o in outs],
+                                           [None] + [s[part] for s in scratch[1:]])
+                 for shape, (offsets, step, outs, scratch) in bound[3].items()}, ()), part
+
     if not feature_major:
-        return layer_views(spec, values), *gradient(), entries()
+        bound = layer_views(spec, values), *gradient(), entries(), ()
+        half = slice(-(-len(values) // 2))  # the first ceil(T / 2) models: the caller's
+        return bound if slots == 1 else (
+            *bound[:4], [models(bound, part) for part in (half, slice(half.stop, None))])
     spares = [gradient() for _ in range(max(1, min(slots, blocks - 1)))]
     return layer_views(spec, values), spares, [entries() for _ in range(slots)], [None, None]
 
 
 class _Helper(threading.Thread):
-    """The helper thread: runs the job it is handed and hands back its result or its
-    exception, one job at a time. It drops the job before it signals, so that between
-    jobs it holds nothing of a finished job, nor of the buffers that the job wrote."""
+    """The helper thread: runs the job it is handed under the numpy error state handed with
+    it, and hands back its result or its exception, one job at a time. It drops the job
+    before it signals: between jobs it holds nothing of a job, nor of the buffers it wrote."""
 
     def __init__(self):
         super().__init__(name="calmkit-block-helper", daemon=True)
@@ -339,7 +367,8 @@ class _Helper(threading.Thread):
         while True:
             self.handed.acquire()
             try:
-                self.result = self.job(), None
+                with np.errstate(**self.job[1]):  # the caller's: each thread holds its own
+                    self.result = self.job[0](), None
             except BaseException as error:  # raised again in the caller
                 self.result = None, error
             self.job = None
@@ -348,23 +377,29 @@ class _Helper(threading.Thread):
 
 _HELPER: list[_Helper] = []  # the one helper, once started
 _HELPER_LOCK = threading.Lock()  # held for each pair: the helper takes one job at a time
+_PAIRED: set[int] = set()  # the idents of the two threads that run the current pair
 
 
 def _run_beside(first, second) -> list:
     """[first(), second()]: `second` runs on the helper, one daemon thread started here on
     first use (and again in a forked child, where it does not run), while `first` runs
-    on the calling thread. An exception in either is raised here, once both have ended."""
+    on the calling thread, both under its numpy error state. An exception in either is
+    raised here, once both have ended. A job of a pair that calls this runs both itself."""
+    if threading.get_ident() in _PAIRED:
+        return [first(), second()]
     with _HELPER_LOCK:
         if not _HELPER or not _HELPER[0].is_alive():
             _HELPER[:] = [_Helper()]
             _HELPER[0].start()
         helper = _HELPER[0]
-        helper.job = second
+        _PAIRED.update((threading.get_ident(), helper.ident))
+        helper.job = second, np.geterr()
         helper.handed.release()
         try:
             result = first()
         finally:
             helper.done.acquire()
+            _PAIRED.clear()
             (other, error), helper.result = helper.result, None
     if error is not None:
         raise error
@@ -381,7 +416,11 @@ def loss_and_grad(spec: ModelSpec, bound: tuple, inputs: np.ndarray, labels: np.
     The training step's kernel checks nothing: its loop checks the inputs and labels
     once, and the parameters' finiteness after its last step.
     """
-    layers, grad, grads, entries = bound
+    layers, grad, grads, entries, halves = bound
+    if halves:
+        parts = _run_beside(*(partial(loss_and_grad, spec, half, inputs[part], labels[part])
+                              for half, part in halves))
+        return np.concatenate([losses for losses, _ in parts]), grad
     offsets, step, outs, scratch = entries[labels.shape]
     acts = _forward_acts(spec, layers, inputs, outs)
     losses, dz = _loss_and_dlogits(acts[-1].swapaxes(-1, -2), offsets + step * labels)

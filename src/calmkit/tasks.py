@@ -18,7 +18,9 @@ and batch boundaries, so each step is one `loss_and_grad` call for all T models,
 keeping its own seeded row order and the bits of training it alone. STACK_PARAMS bounds
 the stack, as a stack of wide models outgrows the cache and the memory that training one
 of them needs. Each run binds its buffers once (`nn.bind_pass`), each dz written over
-the output it consumed; each step overwrites them, and `sgd_step` its gradient.
+the output it consumed; each step overwrites them, and `sgd_step` its gradient. With two
+slots (`nn.helper_slots`), `loss_and_grad` trains a stack's second half on the helper
+thread, the loop and every `sgd_step` staying on the calling thread.
 """
 from __future__ import annotations
 
@@ -26,15 +28,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import (ContractError, ModelSpec, ParamVector, bind_pass, check_labels, forward,
-                 init_params, loss_and_grad, read_only, sgd_step)
+from .nn import (STACK_HELPER_MACS, ContractError, ModelSpec, ParamVector, bind_pass,
+                 check_labels, forward, helper_slots, init_params, loss_and_grad, read_only,
+                 sgd_step)
 from .seeding import STAGE_DATA, STAGE_FINETUNE, STAGE_INIT, STAGE_PRETRAIN, rng_for
 
-# Most parameters in one fine-tuning stack: finetune_all trains its tasks in groups of T
-# with T * parameter_count <= STACK_PARAMS, so all 8 default tasks share one stack at 709
-# and 71k parameters, and at 1.07M each task trains alone. At 1.07M, one BLAS thread, two
-# alternating runs each: one 8-task stack fine-tuned in 34.1/39.1 s with a 259 MB peak RSS,
-# one task per stack in 27.3/32.0 s with 131 MB.
+# Most parameters in one fine-tuning stack, or in each half of one that binds two slots
+# (`nn.helper_slots`): finetune_all trains its tasks in groups of T with T * parameter_count
+# <= STACK_PARAMS per half, so all 8 default tasks share one stack at 709 and 71k
+# parameters, and at 1.07M two tasks train beside each other. At 1.07M, one BLAS thread,
+# alternating runs: one 8-task stack fine-tuned in 34.1/39.1 s with a 259 MB peak RSS, one
+# task per stack in 27.3/32.0 s with 131 MB; in BENCH_23.json (medians of 5) two tasks
+# beside each other took 14.5 s with a 280 MB worker peak, one task per stack 22.9 s, 265 MB.
 STACK_PARAMS = 2**20
 
 
@@ -233,8 +238,9 @@ def _sgd_train(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray, labels: 
     n = inputs.shape[-2]
     # rows are drawn as indices into the flattened stack: one plain row gather per step
     flat_inputs, flat_labels = inputs.reshape(-1, spec.input_dim), labels.reshape(-1)
+    slots = helper_slots(spec, len(rngs) // 2 * min(batch_size, n), STACK_HELPER_MACS)
     bound = bind_pass(spec, values, {(*labels.shape[:-1], min(batch_size, n - lo))
-                                     for lo in range(0, n, batch_size)}, feature_major=False)
+                                     for lo in range(0, n, batch_size)}, False, slots)
     models = list(zip(values.reshape(len(rngs), -1), bound[1].reshape(len(rngs), -1)))
     head = bound[1][..., spec.layer_offsets()[-1][0] :]
     # numpy's overflow warnings are silenced: a step that goes non-finite leaves every
@@ -298,6 +304,8 @@ def finetune_all(spec: ModelSpec, theta_pre: ParamVector, tasks: list[TaskData],
     each model must reach the accuracy floor on its own test split, checked in task order."""
     finetuned = []
     group = max(1, STACK_PARAMS // spec.parameter_count)
+    rows = min([config.batch_size] + [len(task.train_inputs) for task in tasks])
+    group *= helper_slots(spec, group * rows, STACK_HELPER_MACS)
     for lo in range(0, len(tasks), group):
         stack = tasks[lo : lo + group]
         trained = finetune(spec, theta_pre, stack, config.finetune_epochs, config.finetune_lr,

@@ -1,7 +1,9 @@
-"""Reference helpers that the tests compare the library against."""
+"""Reference helpers that the tests compare the library against, and the helpers with
+which they force and count the helper thread's pairs."""
 import numpy as np
 
-from calmkit import nn
+from calmkit import calm, nn
+from calmkit import tasks as tasks_module
 from calmkit.calm import (
     StepArtifact,
     _bind_pool,
@@ -336,3 +338,26 @@ def optimize_mask(spec, theta_pre, state, tau_j, task_data, init, plan, rng,
         density_trace[it + 1] = np.mean(r >= 0.0)
     return StepArtifact(state.visible_tasks[-1], binarize(finite(r)), objective_trace,
                         density_trace), r
+
+
+def force_helper(monkeypatch, on: bool):
+    """Replace `nn.helper_slots` where the mask pass and the training loop call it: two
+    slots for every pass that has a second part, a block of the weighted pass or a stack's
+    second half, or one slot for every pass."""
+    def slots(spec, rows, floor):
+        return 2 if on and rows > 0 else 1
+
+    monkeypatch.setattr(calm, "helper_slots", slots)
+    monkeypatch.setattr(tasks_module, "helper_slots", slots)
+
+
+def counted_pairs(monkeypatch) -> list:
+    """One entry per pair of jobs that `nn._run_beside` runs, from now on."""
+    ran, run_beside = [], nn._run_beside
+
+    def counting(first, second):
+        ran.append(2)
+        return run_beside(first, second)
+
+    monkeypatch.setattr(nn, "_run_beside", counting)
+    return ran

@@ -207,10 +207,13 @@ def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
 
 def test_a_default_run_starts_no_thread(tmp_path, monkeypatch):
     # as in a fresh process, with no helper thread started; at the default size the
-    # mask pass's blocks are below the floor that binds a second block slot
+    # mask pass's blocks and the fine-tune stack's halves are below the floor that binds
+    # a second slot, in the one-shot run and in the staged finetune command
     monkeypatch.setattr(nn, "_HELPER", [])
     before = threading.active_count()
-    run_experiment(build_config({}), tmp_path)
+    run_experiment(build_config({}), tmp_path / "run")
+    for command in ("gen-tasks", "pretrain", "finetune"):
+        assert _cli(command, tmp_path / "staged") == 0
     assert threading.active_count() == before and nn._HELPER == []
 
 

@@ -1,4 +1,3 @@
-import os
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calmkit import calm, nn
+from calmkit import calm
 from calmkit.baselines import task_arithmetic, task_vector
 from calmkit.calm import (
     MergePlan,
@@ -36,7 +35,8 @@ from calmkit.nn import (
 )
 from calmkit.sampling import score_pool, select_cb_ems
 from calmkit.tasks import Checkpoints, TaskFamily, TrainConfig
-from reference import _backward, _forward_acts, build_checkpoints, cross_entropy, softmax
+from reference import (_backward, _forward_acts, build_checkpoints, counted_pairs, cross_entropy,
+                       force_helper, softmax)
 from reference import optimize_mask as reference_optimize_mask
 from reference import sigmoid as reference_sigmoid
 
@@ -805,25 +805,6 @@ class TestSequentialMerge:
                 tracemalloc.stop()
         pool, merge = peaks
         assert merge < pool + (3 + 3) * pre.values.nbytes
-
-
-def force_helper(monkeypatch, on: bool):
-    """Bind a second block slot at every pass of two or more blocks, or at none, by the
-    floor and the CPU count that `_bind_pool` reads."""
-    monkeypatch.setattr(calm, "HELPER_MACS", 0 if on else 10**18)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if on else {0})
-
-
-def counted_pairs(monkeypatch) -> list:
-    """One entry per pair of blocks that `nn._run_beside` runs, from now on."""
-    ran, run_beside = [], nn._run_beside
-
-    def counting(first, second):
-        ran.append(2)
-        return run_beside(first, second)
-
-    monkeypatch.setattr(nn, "_run_beside", counting)
-    return ran
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import os
 import sys
 import threading
 import tracemalloc
@@ -16,6 +17,7 @@ from calmkit.nn import (
     bind,
     bind_pass,
     forward,
+    helper_slots,
     init_params,
     layer_views,
     loss_and_grad,
@@ -496,25 +498,13 @@ class TestHelperThread:
     """A binding with a second block slot runs every second block of the weighted pass on
     the helper thread, with the bits of the one-slot pass."""
 
-    @staticmethod
-    def counted(monkeypatch) -> list:
-        """One entry per pair of blocks run beside each other, from now on."""
-        ran, run_beside = [], nn._run_beside
-
-        def counting(first, second):
-            ran.append(2)
-            return run_beside(first, second)
-
-        monkeypatch.setattr(nn, "_run_beside", counting)
-        return ran
-
     @pytest.mark.parametrize("rows", [1, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1, 4 * ROW_BLOCK + 3])
     @pytest.mark.parametrize("objective", ["cross_entropy", "entropy"])
     def test_two_slots_give_the_bits_of_one(self, rows, objective, monkeypatch):
         spec, values, inputs, labels = step_case(None, "tanh", 5, rows)
         labels = labels if objective == "cross_entropy" else None
         weights = np.random.default_rng(rows).uniform(0.0, 1.0 / rows, size=rows)
-        ran = self.counted(monkeypatch)
+        ran = reference.counted_pairs(monkeypatch)
         results = []
         for slots in (1, 2):
             bound = bind_pass(spec, values, {(rows,)}, feature_major=True, slots=slots)
@@ -535,7 +525,7 @@ class TestHelperThread:
         total = np.empty(values.shape)
         bad = labels.copy()
         bad[0 if where == "caller" else -1] = 10**9
-        ran = self.counted(monkeypatch)
+        ran = reference.counted_pairs(monkeypatch)
         with pytest.raises(IndexError):
             weighted_loss_and_grad(spec, bound, inputs, bad, weights, total)
         # the helper serves the next call, which gives the one-slot bits
@@ -577,6 +567,49 @@ class TestHelperThread:
         assert not any(thread.is_alive() for thread in threads)
         assert same == [True] * 80
 
+    def test_two_slots_take_two_cpus_and_the_floor(self, monkeypatch):
+        # the default (32,) MLP's fine-tune halves, 4 models of 64 rows, stay below both
+        # floors; a (256, 256) MLP's reach them, on two CPUs only
+        small, wide = ModelSpec(16, (32,), 5), ModelSpec(16, (256, 256), 5)
+        for floor in (nn.HELPER_MACS, nn.STACK_HELPER_MACS):
+            floor_rows = -(-floor // sum(fi * fo for fi, fo in small.layer_dims))
+            for cpus, expected in (({0, 1}, [1, 1, 2, 2]), ({0}, [1, 1, 1, 1])):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+                assert [helper_slots(small, 4 * 64, floor),
+                        helper_slots(small, floor_rows - 1, floor),
+                        helper_slots(small, floor_rows, floor),
+                        helper_slots(wide, 4 * 64, floor)] == expected
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert helper_slots(wide, 4 * 64, nn.HELPER_MACS) == 1
+
+    @pytest.mark.parametrize("where", ["caller", "helper"])
+    def test_a_job_that_runs_a_pair_runs_it_itself(self, where):
+        # the helper takes one pair at a time: a pair run from a job of a pair, on the
+        # calling thread or on the helper, must not wait for the pair that runs it
+        ran = []
+
+        def job(name):
+            ran.append((name, threading.get_ident()))
+            return name
+
+        def pair():
+            ran.append(("pair", threading.get_ident()))
+            return nn._run_beside(lambda: job("a"), lambda: job("b"))
+
+        jobs = (pair, lambda: "other") if where == "caller" else (lambda: "other", pair)
+        results = []
+        thread = threading.Thread(target=lambda: results.append(nn._run_beside(*jobs)),
+                                  daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        nested = ["a", "b"]
+        assert results == [[nested, "other"] if where == "caller" else ["other", nested]]
+        (_, runner), *inner = ran
+        assert [name for name, _ in inner] == ["a", "b"]
+        assert {ident for _, ident in inner} == {runner}
+        assert (runner == thread.ident) == (where == "caller")
+
     def test_the_helper_is_one_daemon_thread(self):
         rows = ROW_BLOCK + 10
         spec, values, inputs, labels = step_case(None, "relu", 5, rows)
@@ -598,12 +631,14 @@ class TestAllocationFreeSteps:
     what it bound: tracemalloc's peak over later steps stays below one block, which the
     kernels that allocated every step reached several times over."""
 
-    def test_a_training_step_allocates_no_block(self):
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_a_training_step_allocates_no_block(self, slots):
         rng = np.random.default_rng(3)
         values = np.stack([init_params(WIDE, seed).values for seed in range(2)])
-        # a stack of two 512-row batches: each layer's output spans ROW_BLOCK rows
+        # a stack of two 512-row batches: each layer's output spans ROW_BLOCK rows; with
+        # two slots each model is a half, one on the helper thread
         inputs, labels = rng.standard_normal((2, 512, 4)), rng.integers(0, 3, size=(2, 512))
-        bound = bind_pass(WIDE, values, {labels.shape}, feature_major=False)
+        bound = bind_pass(WIDE, values, {labels.shape}, feature_major=False, slots=slots)
 
         def step():
             _, grad = loss_and_grad(WIDE, bound, inputs, labels)

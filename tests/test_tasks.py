@@ -1,8 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 
 from calmkit import tasks as tasks_module
-from calmkit.nn import ContractError, ModelSpec
+from calmkit.nn import ContractError, ModelSpec, bind_pass, loss_and_grad
 from calmkit.seeding import STAGE_FINETUNE, rng_for
 from calmkit.tasks import (
     TaskData,
@@ -16,7 +18,8 @@ from calmkit.tasks import (
     pretrain,
 )
 from reference import _sgd_train as reference_sgd_train
-from reference import bind_training, build_checkpoints, loss_and_grad
+from reference import bind_training, build_checkpoints, counted_pairs, force_helper
+from reference import loss_and_grad as reference_loss_and_grad
 
 
 def held_out(spec, params, task):
@@ -237,8 +240,8 @@ def per_task_finetune(spec, theta_pre, task, epochs, lr, batch_size, seed, head_
         perm = rng.permutation(n)
         for lo in range(0, n, batch_size):
             idx = perm[lo : lo + batch_size]
-            _, grad = loss_and_grad(spec, bind_training(spec, values, {idx.shape}),
-                                    task.train_inputs[idx], task.train_labels[idx])
+            _, grad = reference_loss_and_grad(spec, bind_training(spec, values, {idx.shape}),
+                                              task.train_inputs[idx], task.train_labels[idx])
             if head_mode == "per_task":
                 grad[head_start:] = 0.0
             values = values - lr * grad
@@ -327,6 +330,128 @@ class TestStackedFinetune:
         config = TrainConfig(hidden_dims=(8,), finetune_epochs=0, accuracy_floor=floor)
         with pytest.raises(ContractError, match=f"task {failing[0]} fine-tuned accuracy"):
             finetune_all(spec, theta_pre, tasks, config, 13)
+
+
+def recorded_steps(monkeypatch) -> list:
+    """(losses bytes, thread ident) of each `loss_and_grad` call and (None, thread ident) of
+    each `sgd_step` call that the training loop makes, from now on."""
+    steps, kernel, step = [], tasks_module.loss_and_grad, tasks_module.sgd_step
+
+    def recording_kernel(*args):
+        losses, grad = kernel(*args)
+        steps.append((np.asarray(losses).tobytes(), threading.get_ident()))
+        return losses, grad
+
+    def recording_step(*args):
+        steps.append((None, threading.get_ident()))
+        return step(*args)
+
+    monkeypatch.setattr(tasks_module, "loss_and_grad", recording_kernel)
+    monkeypatch.setattr(tasks_module, "sgd_step", recording_step)
+    return steps
+
+
+def off_and_on(monkeypatch, train) -> list:
+    """(result, recorded steps, pairs run) of train() with the second slot forced off,
+    then on."""
+    runs, steps, pairs = [], recorded_steps(monkeypatch), counted_pairs(monkeypatch)
+    for on in (False, True):
+        force_helper(monkeypatch, on)
+        runs.append((train(), steps[:], len(pairs)))
+        del steps[:], pairs[:]
+    return runs
+
+
+class TestTwoSlots:
+    """Forced on and off, a stack trained in two halves, the second on the helper thread,
+    gives byte-equal checkpoints and losses."""
+
+    @pytest.mark.parametrize("num_tasks,activation,head_mode", [
+        (2, "relu", "shared"),
+        (3, "relu", "shared"),
+        (3, "tanh", "shared"),
+        (3, "relu", "per_task"),
+        (8, "tanh", "shared"),
+        (8, "relu", "per_task"),
+    ])
+    def test_halves_keep_every_bit(self, num_tasks, activation, head_mode, monkeypatch):
+        tasks, spec, config, theta_pre = _stack_case(num_tasks, 5, activation, head_mode)
+        (off, off_steps, off_pairs), (on, on_steps, on_pairs) = off_and_on(
+            monkeypatch, lambda: finetune(spec, theta_pre, tasks, config.finetune_epochs,
+                                          0.05, config.batch_size, 13, head_mode))
+        # 3 epochs of two batches: one pair a step
+        assert (off_pairs, on_pairs) == (0, 6)
+        assert [ft.values.tobytes() for ft in off] == [ft.values.tobytes() for ft in on]
+        assert off_steps == on_steps and len(off_steps) == 6 * (1 + num_tasks)
+
+    def test_several_stacks_bound_each_half(self, monkeypatch):
+        tasks, spec, config, theta_pre = _stack_case(5, 5)
+        monkeypatch.setattr(tasks_module, "STACK_PARAMS", 2 * spec.parameter_count + 1)
+        groups, fine_tune = [], tasks_module.finetune
+
+        def recorded(spec, theta_pre, stack, *args):
+            groups.append([t.task_id for t in stack])
+            return fine_tune(spec, theta_pre, stack, *args)
+
+        monkeypatch.setattr(tasks_module, "finetune", recorded)
+        (off, off_steps, _), (on, on_steps, on_pairs) = off_and_on(
+            monkeypatch, lambda: finetune_all(spec, theta_pre, tasks, config, 13))
+        # with two slots STACK_PARAMS bounds each half: two models a half, and the last
+        # model trains alone on the calling thread
+        assert groups == [[0, 1], [2, 3], [4], [0, 1, 2, 3], [4]]
+        assert on_pairs == 6
+        assert ([ft.values.tobytes() for ft in off.finetuned]
+                == [ft.values.tobytes() for ft in on.finetuned])
+        # the same losses, stacked in other groups
+        off_losses, on_losses = (np.sort(np.frombuffer(b"".join(loss for loss, _ in steps if loss)))
+                                 for steps in (off_steps, on_steps))
+        assert off_losses.size == 5 * 6 and off_losses.tobytes() == on_losses.tobytes()
+
+    def test_the_hooked_kernels_run_on_the_calling_thread(self, monkeypatch):
+        tasks, spec, config, theta_pre = _stack_case(8, 5)
+        force_helper(monkeypatch, True)
+        steps, pairs = recorded_steps(monkeypatch), counted_pairs(monkeypatch)
+        finetune(spec, theta_pre, tasks, config.finetune_epochs, 0.05, config.batch_size, 13)
+        assert pairs and {ident for _, ident in steps} == {threading.get_ident()}
+
+    def test_an_exception_in_the_helpers_half_reaches_the_caller(self, monkeypatch):
+        # a label far outside the logits of the last model, in the helper's half: the loss
+        # kernel's label lookup raises IndexError
+        tasks, spec, config, theta_pre = _stack_case(3, 5)
+        inputs = np.stack([t.train_inputs[:64] for t in tasks])
+        labels = np.stack([t.train_labels[:64] for t in tasks])
+        values = np.tile(theta_pre.values, (3, 1))
+        bound = bind_pass(spec, values, {labels.shape}, feature_major=False, slots=2)
+        bad = labels.copy()
+        bad[-1, -1] = 10**9
+        pairs = counted_pairs(monkeypatch)
+        with pytest.raises(IndexError):
+            loss_and_grad(spec, bound, inputs, bad)
+        # the helper serves the next call, which gives the one-slot bits
+        losses, grad = loss_and_grad(spec, bound, inputs, labels)
+        ref_losses, ref_grad = loss_and_grad(
+            spec, bind_pass(spec, values, {labels.shape}, feature_major=False), inputs, labels)
+        assert pairs == [2, 2]
+        assert losses.tobytes() == ref_losses.tobytes() and grad.tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_diverging_learning_rate_raises(self, monkeypatch):
+        # and the helper's half runs under the loop's numpy error state: no overflow
+        # warning, which this test raises, leaves either thread
+        tasks, spec, config, theta_pre = _stack_case(3, 5)
+        force_helper(monkeypatch, True)
+        pairs = counted_pairs(monkeypatch)
+        with pytest.raises(ContractError, match="training diverged"):
+            finetune(spec, theta_pre, tasks, 2, 1e300, 64, 13)
+        assert pairs
+
+    def test_pretraining_runs_no_pair(self, monkeypatch):
+        # one model: no second half to run beside it
+        tasks, spec, config, _ = _stack_case(3, 5)
+        force_helper(monkeypatch, True)
+        pairs = counted_pairs(monkeypatch)
+        pretrain(spec, tasks, epochs=2, seed=13)
+        assert pairs == []
 
 
 class TestPipelineReproducibility:

@@ -23,8 +23,9 @@ untimed merge allocates, by tracemalloc, which the process-wide RSS peak hides
 when training set it; and sha256 prefixes of the pretrained and fine-tuned
 checkpoints, of every step's binary mask (as float64 0/1 bytes, whether the tree
 returns a bool mask or a float one) and of the merged parameters, so sides can be
-compared bit for bit; and the worker's thread count after its merges, 2 where a merge
-ran blocks of its mask objective on calmkit's helper thread, else 1. Each side after
+compared bit for bit; and the worker's thread count after its first training and after
+its merges, 2 once a fine-tune ran half of its stack or a merge ran blocks of its mask
+objective on calmkit's helper thread, else 1. Each side after
 the first is also compared with the first: the largest relative difference of any
 `objective_trace` value, and, per step, the coordinates where the binary masks
 differ. The main process imports neither numpy nor calmkit.
@@ -157,6 +158,7 @@ def worker(hidden: str):
                     "pretrained_sha": _sha(theta_pre.values.tobytes()),
                     "checkpoints_sha": _sha(b"".join(ft.values.tobytes()
                                                      for ft in ckpt.finetuned)),
+                    "threads": threading.active_count(),
                 }), flush=True)
             elif command == "sample":
                 # (inputs, pseudo-labels) pairs: sequential_merge takes them in every tree
@@ -267,6 +269,7 @@ def measure(sides: dict[str, str], hidden: str, repeats: int) -> dict:
         out[name] = {**envs[name], **peaks[name], **checkpoints, **outputs,
                      "merge_peak_rss_mb": runs[name][-1]["merge_peak_rss_mb"],
                      "merge_traced_peak_mb": traces[name]["merge_traced_peak_mb"],
+                     "threads_after_finetune": trains[name][0]["threads"],
                      "threads_after_merge": traces[name]["threads"],
                      **{f"{region}_{key}": _quartiles([r[f"{region}_{key}"] for r in replies])
                         for region, replies in (("pretrain", trains[name]),
@@ -301,7 +304,8 @@ def main(argv=None):
             print(f"({hidden}) {side['parameters']:>9,} params  {name:>8}: {times}  peak RSS "
                   f"{side['setup_peak_rss_mb']:.1f} MB, {side['merge_peak_rss_mb']:.1f} MB after "
                   f"the merges  merge traced peak {side['merge_traced_peak_mb']:.1f} MB  "
-                  f"threads {side['threads_after_merge']}  "
+                  f"threads {side['threads_after_finetune']}/{side['threads_after_merge']} "
+                  f"after the first training/the merges  "
                   f"pretrained {side['pretrained_sha']}  "
                   f"checkpoints {side['checkpoints_sha']}  masks {side['masks_sha']}  "
                   f"merged {side['merged_sha']}", file=sys.stderr, flush=True)
