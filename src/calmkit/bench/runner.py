@@ -259,7 +259,8 @@ _SWEEPS = {
 
 
 def ablation_suite(config: ExperimentConfig, suite: str, workdir: Path) -> list[dict]:
-    """Sweep one axis with everything else fixed; returns one record per point."""
+    """Sweep one axis with everything else fixed; returns one record per point. Each point
+    merges in its own directory, which records its config."""
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; valid suites: {', '.join(SUITES)}")
     if suite == "components" and not config.plan.sequential_set:
@@ -271,15 +272,17 @@ def ablation_suite(config: ExperimentConfig, suite: str, workdir: Path) -> list[
     tasks, ckpt, credible = _shared_pipeline(config, workdir)
     records: list[dict] = []
 
+    def point_dir(point_config: ExperimentConfig, label: str) -> Path:
+        (workdir / label).mkdir(parents=True, exist_ok=True)
+        (workdir / label / "config.resolved.txt").write_text(config_text(point_config))
+        return workdir / label
+
     def run_point(point_config: ExperimentConfig, label: str) -> dict:
-        point_dir = workdir / label
-        point_dir.mkdir(parents=True, exist_ok=True)
-        (point_dir / "config.resolved.txt").write_text(config_text(point_config))
-        point_credible = credible
+        directory, point_credible = point_dir(point_config, label), credible
         if point_config.sampling != config.sampling:
-            point_credible = stage_sample(point_config, point_dir, tasks, ckpt)
-        merged, _ = stage_merge(point_config, point_dir, tasks, ckpt, point_credible)
-        bundle = stage_evaluate(point_config, point_dir, tasks, ckpt, merged, point_credible)
+            point_credible = stage_sample(point_config, directory, tasks, ckpt)
+        merged, _ = stage_merge(point_config, directory, tasks, ckpt, point_credible)
+        bundle = stage_evaluate(point_config, directory, tasks, ckpt, merged, point_credible)
         return {"label": label, "average_accuracy": bundle.average_accuracy,
                 "audit_accuracy": bundle.extras["pseudo_label_audit_accuracy"],
                 "bundle": bundle}
@@ -308,7 +311,7 @@ def ablation_suite(config: ExperimentConfig, suite: str, workdir: Path) -> list[
 
     else:  # components
         point = apply_overrides(config, {"plan.sequential_set": config.plan.sequential_set[:1]})
-        _, result = stage_merge(point, workdir, tasks, ckpt, credible)
+        _, result = stage_merge(point, point_dir(point, "components"), tasks, ckpt, credible)
         step = result.steps[0]
         j = step.task_id
         pre = ckpt.pretrained.values

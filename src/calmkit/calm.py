@@ -20,14 +20,12 @@ intermediates. Each iteration draws into the index buffer in place, and the
 objective gathers the rows with one `np.take` over it and refills the other
 buffers in place; so the views and the returned gradient hold one iteration's
 values only, and a wrapper of the objective that keeps them must copy them.
-A step holds four mask-length float64 buffers beside r: theta, m, total and the
-binding's spare. Each holds one value over part of a call, as `consensus_objective`
-lists, so the merge direction is computed in every call rather than kept. A step
-binds a second block slot, whose blocks run on `nn`'s helper thread, when the
-process may run on two CPUs and the second block is large enough to gain from it
-(`nn.HELPER_MACS`); the slot's buffers take several mask-length vectors, and the
-step pays for one of them by sharing m with the spare and computing sigmoid(r)
-again after the pass (and it binds a second spare for three or more blocks).
+A step holds four mask-length float64 buffers beside r: theta, m, and the binding's
+total and spare. Each holds one value over part of a call, as `consensus_objective`
+lists, so the merge direction is computed in every call rather than kept. A binding
+with a second block slot (`nn.bind_pass`), whose blocks run on `nn`'s helper thread,
+takes several mask-length vectors more; the step pays for one of them by sharing m with
+the spare and computing sigmoid(r) again after the pass.
 The data term is one weighted pass, `nn.weighted_loss_and_grad`, over those
 rows: each row weighs 1 / (batches of its task * rows of its batch), the
 per-task mean over batches of the per-batch mean; every batch of a task has
@@ -56,8 +54,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .baselines import ordered_sum, task_vector
-from .nn import (HELPER_MACS, ROW_BLOCK, ContractError, ModelSpec, ParamVector, bind_pass,
-                 check_labels, helper_slots, read_only, weighted_loss_and_grad)
+from .nn import (ContractError, ModelSpec, ParamVector, bind_pass, check_labels, read_only,
+                 weighted_loss_and_grad)
 from .seeding import STAGE_MASK_BATCHES, STAGE_MASK_INIT, STAGE_PARTITION, rng_for
 from .tasks import Checkpoints
 
@@ -232,18 +230,17 @@ def _bind_pool(spec: ModelSpec, inputs: np.ndarray, labels: np.ndarray | None,
     """The objective's `pool`, checked and made once per step: the `_row_pool` rows and
     labels, each gathered row's weight 1 / (batches of its task * rows of its batch) from
     `batch_rows`, the batches' flat row index, and what each call refills: a theta buffer
-    and its feature-major `nn.bind_pass` binding, a gather buffer, and the float64 m,
-    total and the binding's first spare, and a bool buffer, of theta's length."""
+    and its feature-major `nn.bind_pass` binding, a gather buffer, and the float64 m, and
+    the binding's total and first spare, and a bool buffer, of theta's length."""
     weights = np.repeat([1.0 / (len(task) * n) for task in batch_rows for n in task],
                         [n for task in batch_rows for n in task])
     if len(rows) != len(weights):
         raise ContractError(f"{len(weights)} row weights for {len(rows)} batch rows")
-    theta, total = np.empty((2, spec.parameter_count))
-    slots = helper_slots(spec, min(ROW_BLOCK, len(rows) - ROW_BLOCK), HELPER_MACS)
-    bound = bind_pass(spec, theta, {(len(rows),)}, feature_major=True, slots=slots)
-    spare = bound[1][0][0]  # the binding's first spare gradient buffer
+    theta = np.empty(spec.parameter_count)
+    bound = bind_pass(spec, theta, {(len(rows),)}, feature_major=True)
+    (total, _), (spare, _) = bound[1][:2]  # the pass's gradient and its first spare
     # at the sizes that bind two slots a mask-length vector outweighs a second sigmoid
-    m = spare if slots == 2 else np.empty(theta.size)
+    m = spare if len(bound[2]) == 2 else np.empty(theta.size)
     return (inputs, labels, weights, rows, theta, bound, np.empty((len(rows), inputs.shape[1])),
             (m, total, spare, np.empty(theta.size, bool)))
 
@@ -289,7 +286,7 @@ def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: Sequenti
     np.add(theta_pre.values, theta, out=theta)
     # np.mean's bits without its overhead
     l1 = l1_weight * float(m.sum() / m.size)
-    data_loss, grad = weighted_loss_and_grad(spec, bound, inputs, labels, weights, total)
+    data_loss, grad = weighted_loss_and_grad(spec, bound, inputs, labels, weights)
     if m is spare:  # the pass wrote its second block's gradient over m
         m = sigmoid(r, out=(theta, spare, positive))
     if strategy == "both":

@@ -53,30 +53,33 @@ ROW_BLOCK = 1024
 # at step 0 of a default-config sequential_merge and 1,024 at step 1, or a training stack's
 # second half, 4 models' 64-row batches in a fine-tune of the default 8 tasks. Slot on
 # against off, % of the time per run; medians of 7-9 alternating repeats, one BLAS thread,
-# 2-vCPU Xeon VM. Runs gained when the host left the second CPU free, and little or lost
-# when it did not; the fine-tune lost or was mixed below 10.5M, so it takes its own floor:
-#   hidden     params   2nd block MACs   merge            half MACs   finetune
-#   (32,)         709   0.52M / 0.69M    +9 +16           0.17M       +40 +20 +49
-#   (64,)       1,413   1.03M / 1.38M    +13 +10          0.34M       +1 +35 +27
-#   (128,)      2,821   2.06M / 2.75M    +3 -1 -22        0.69M       +26 +19 +27
-#   (64, 64)    5,573   4.18M / 5.57M    -1 -1 +2 -27     1.39M       +14 +22 +22 +23
-#   (96, 96)   11,429   8.63M / 11.5M    -1 +8 -35
-#   (128, 128) 19,333   14.6M / 19.5M    -23 -38 -31      4.88M       +3 +11 -13 +4 +11 +6
-#   (144, 144) 24,053                                     6.08M       +2 +11
-#   (160, 160) 29,285                                     7.41M       0 -25 -4 +6
-#   (176, 176) 35,029                                     8.88M       -26 +5 +2
-#   (192, 192) 41,285                                     10.5M       -22 -28 -27
-#   (256, 256) 71,429   54.5M / 72.6M    -40              18.2M       -35 -32 -30 -33
-HELPER_MACS = 1_600_000
-STACK_HELPER_MACS = 10_000_000
+# 2-vCPU Xeon VM; from (96, 96) to (192, 192) each row's last run is BENCH_24.json's. Runs
+# gained when the host left the second CPU free. The fine-tune gained in every run from
+# 10.5M and the merge from 14.6M, and below both lost or were mixed: the floor is the
+# fine-tune's. The default's parts take at most 0.69M and (256, 256)'s at least 18.2M.
+#   hidden     params  2nd block   merge                    half   finetune
+#   (32,)         709  0.52/0.69M  +9 +16                   0.17M  +40 +20 +49
+#   (64,)       1,413  1.03/1.38M  +13 +10                  0.34M  +1 +35 +27
+#   (128,)      2,821  2.06/2.75M  +3 -1 -22                0.69M  +26 +19 +27
+#   (64, 64)    5,573  4.18/5.57M  -1 -1 +2 -27             1.39M  +14 +22 +22 +23
+#   (96, 96)   11,429  8.63/11.5M  -1 +8 -35 -14 -1 -23     2.88M  -2 +6 +18
+#   (112, 112) 15,125  11.4/15.3M  -1 -26                   3.81M  +26 +14
+#   (128, 128) 19,333  14.6/19.5M  -23 -38 -31 -39 -35 -32  4.88M  +3 +11 -13 +4 +11 +6 -9 -16 -3
+#   (144, 144) 24,053                                       6.08M  +2 +11
+#   (160, 160) 29,285  22.2/29.7M  -40 -33 -31              7.41M  0 -25 -4 +6 -13 -16 -24
+#   (176, 176) 35,029                                       8.88M  -26 +5 +2
+#   (192, 192) 41,285  31.4/41.9M  -26 -37 -31              10.5M  -22 -28 -27 -21 -25 -24
+#   (256, 256) 71,429  54.5/72.6M  -40                      18.2M  -35 -32 -30 -33
+HELPER_MACS = 10_000_000
 
 
-def helper_slots(spec: ModelSpec, rows: int, floor: int) -> int:
+def helper_slots(spec: ModelSpec, rows: int) -> int:
     """2, a pass's second part on the helper, when the process may run on two CPUs (by
     `os.sched_getaffinity`, where the platform has it) and the `rows` rows of that part
-    take at least `floor` forward multiply-adds; else 1."""
+    take at least HELPER_MACS forward multiply-adds; else 1."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return 2 if rows * sum(fi * fo for fi, fo in spec.layer_dims) >= floor and cpus >= 2 else 1
+    macs = rows * sum(fi * fo for fi, fo in spec.layer_dims)
+    return 2 if macs >= HELPER_MACS and cpus >= 2 else 1
 
 
 class ContractError(ValueError):
@@ -286,8 +289,7 @@ def _backward(spec: ModelSpec, layers: list, grads: list, acts: list, dz: np.nda
             dz *= derivative
 
 
-def bind_pass(spec: ModelSpec, values: np.ndarray, shapes, feature_major: bool,
-              slots: int = 1) -> tuple:
+def bind_pass(spec: ModelSpec, values: np.ndarray, shapes, feature_major: bool) -> tuple:
     """What a loop binds once for its kernel: the layer views of the (P,) or (T, P) `values`
     it updates or refills in place, gradient buffers and their views, and per shape an
     entry of views of one set of buffers sized for the largest.
@@ -299,17 +301,22 @@ def bind_pass(spec: ModelSpec, values: np.ndarray, shapes, feature_major: bool,
     scratch of `_backward`, which writes each dz over a hidden layer's output:
     (*shape, features) views, C-contiguous or feature-major.
 
-    Row-major: (layers, gradient, its views, entries, halves), with two `slots` the bindings
-    and slices of the first ceil(T / 2) of T >= 2 models and of the rest. Feature-major:
-    (layers, spares, one entries per slot, the last total), with `slots` sets of buffers,
-    one per block that runs at once, and the spare gradient buffers of the blocks after the
-    first: one per slot, but none beyond the blocks after the first, and at least one.
+    The binding takes the slots that `helper_slots` gives the pass's second part: the
+    floor(T / 2) models of the largest row-major (T, rows) shape after the first half, or
+    the feature-major pass's second block. Row-major: (layers, gradient, its views,
+    entries, halves), with two slots the bindings and slices of the first ceil(T / 2)
+    models and of the rest. Feature-major: (layers, gradients, one entries per slot), the
+    gradient buffers and their views: the first block's, then the spares of the blocks
+    after it, one per slot but none beyond those blocks, and at least one.
     """
-    blocks = 1
     if feature_major:
-        blocks = max((-(-rows // ROW_BLOCK) for rows, in shapes), default=1)
+        most = max((rows for rows, in shapes), default=0)
+        blocks, second = -(-most // ROW_BLOCK), min(ROW_BLOCK, most - ROW_BLOCK)
         shapes = {(min(ROW_BLOCK, rows - lo),) for rows, in shapes
                   for lo in range(0, rows, ROW_BLOCK)}
+    else:
+        second = max((shape[0] // 2 * shape[1] for shape in shapes if len(shape) == 2), default=0)
+    slots = helper_slots(spec, second)
     size = max((int(np.prod(shape)) for shape in shapes), default=0)
 
     def view(buf: np.ndarray, shape: tuple, width: int) -> np.ndarray:
@@ -345,8 +352,8 @@ def bind_pass(spec: ModelSpec, values: np.ndarray, shapes, feature_major: bool,
         half = slice(-(-len(values) // 2))  # the first ceil(T / 2) models: the caller's
         return bound if slots == 1 else (
             *bound[:4], [models(bound, part) for part in (half, slice(half.stop, None))])
-    spares = [gradient() for _ in range(max(1, min(slots, blocks - 1)))]
-    return layer_views(spec, values), spares, [entries() for _ in range(slots)], [None, None]
+    grads = [gradient() for _ in range(1 + max(1, min(slots, blocks - 1)))]
+    return layer_views(spec, values), grads, [entries() for _ in range(slots)]
 
 
 class _Helper(threading.Thread):
@@ -432,32 +439,26 @@ def loss_and_grad(spec: ModelSpec, bound: tuple, inputs: np.ndarray, labels: np.
 
 
 def weighted_loss_and_grad(spec: ModelSpec, bound: tuple, inputs: np.ndarray,
-                           labels: np.ndarray | None, weights: np.ndarray, total: np.ndarray
+                           labels: np.ndarray | None, weights: np.ndarray
                            ) -> tuple[float, np.ndarray]:
     """sum(weights * per-row loss) over (rows, features) inputs, and its exact gradient
     with respect to the flat parameters of `spec` that `bound`, a feature-major
-    `bind_pass` for as many rows, views, summed block by block into `total`, a buffer of
-    their shape, which it returns. The loss is cross-entropy with labels and the
+    `bind_pass` for as many rows, views. The loss is cross-entropy with labels and the
     prediction entropy with `labels=None`. Its sums run in another order than a row-major
-    per-batch loop, so its results differ from one in the last bits.
+    per-batch loop, so its results differ from one in the last bits. The gradient is the
+    binding's first gradient buffer, which the next call overwrites.
 
-    Block 0 writes its gradient into `total`, and each later block into the binding's
+    Block 0 writes its gradient into that buffer, and each later block into the binding's
     spares in turn; with two slots, blocks run in pairs, the second of a pair on the
     helper thread. Losses and gradients are summed in block order, the gradient from
-    0.0 + block 0's: a -0.0 of it sums to +0.0. The binding keeps the views of the last
-    `total`, so a loop that passes one buffer binds them once.
+    0.0 + block 0's: a -0.0 of it sums to +0.0.
 
     The mask objective's kernel checks nothing: `calm.optimize_mask` checks the
     labels of its row pool once per step.
     """
-    layers, spares, slots, last = bound
-    if last[0] is not total:
-        last[:] = total, layer_views(spec, total)
-
-    def target(b: int) -> tuple:
-        """Where block b writes its gradient, and its views: block 0 into total, each later
-        block into the spares in turn."""
-        return last if b == 0 else spares[(b - 1) % len(spares)]
+    layers, grads, slots = bound
+    blocks = -(-len(inputs) // ROW_BLOCK)
+    targets = grads[:1] + [grads[1 + b % (len(grads) - 1)] for b in range(blocks - 1)]
 
     def block(b: int, slot: int) -> float:
         rows = slice(b * ROW_BLOCK, (b + 1) * ROW_BLOCK)
@@ -467,10 +468,10 @@ def weighted_loss_and_grad(spec: ModelSpec, bound: tuple, inputs: np.ndarray,
         losses, dz = _loss_and_dlogits(acts[-1].swapaxes(-1, -2), at)
         part = float(losses @ weights[rows])
         dz *= weights[rows]
-        _backward(spec, layers, target(b)[1], acts, dz.swapaxes(-1, -2), scratch)
+        _backward(spec, layers, targets[b][1], acts, dz.swapaxes(-1, -2), scratch)
         return part
 
-    loss, blocks = 0.0, -(-len(inputs) // ROW_BLOCK)
+    loss, total = 0.0, grads[0][0]
     for first in range(0, blocks, len(slots)):
         if len(slots) == 2 and first + 1 < blocks:
             parts = _run_beside(partial(block, first, 0), partial(block, first + 1, 1))
@@ -478,7 +479,7 @@ def weighted_loss_and_grad(spec: ModelSpec, bound: tuple, inputs: np.ndarray,
             parts = [block(first, 0)]
         for b, part in enumerate(parts, first):
             loss += part
-            total += target(b)[0] if b else 0.0
+            total += targets[b][0] if b else 0.0
     return loss, total
 
 

@@ -18,8 +18,8 @@ and batch boundaries, so each step is one `loss_and_grad` call for all T models,
 keeping its own seeded row order and the bits of training it alone. STACK_PARAMS bounds
 the stack, as a stack of wide models outgrows the cache and the memory that training one
 of them needs. Each run binds its buffers once (`nn.bind_pass`), each dz written over
-the output it consumed; each step overwrites them, and `sgd_step` its gradient. With two
-slots (`nn.helper_slots`), `loss_and_grad` trains a stack's second half on the helper
+the output it consumed; each step overwrites them, and `sgd_step` its gradient. Where the
+binding takes two slots, `loss_and_grad` trains a stack's second half on the helper
 thread, the loop and every `sgd_step` staying on the calling thread.
 """
 from __future__ import annotations
@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import (STACK_HELPER_MACS, ContractError, ModelSpec, ParamVector, bind_pass,
-                 check_labels, forward, helper_slots, init_params, loss_and_grad, read_only,
-                 sgd_step)
+from . import nn
+from .nn import ContractError, ModelSpec, ParamVector, forward, loss_and_grad, read_only, sgd_step
 from .seeding import STAGE_DATA, STAGE_FINETUNE, STAGE_INIT, STAGE_PRETRAIN, rng_for
 
 # Most parameters in one fine-tuning stack, or in each half of one that binds two slots
@@ -234,13 +233,12 @@ def _sgd_train(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray, labels: 
     which its `sgd_step` consumes."""
     if inputs.shape[-1] != spec.input_dim:
         raise ContractError(f"inputs have {inputs.shape[-1]} features, not {spec.input_dim}")
-    check_labels(labels, spec.num_classes)
+    nn.check_labels(labels, spec.num_classes)
     n = inputs.shape[-2]
     # rows are drawn as indices into the flattened stack: one plain row gather per step
     flat_inputs, flat_labels = inputs.reshape(-1, spec.input_dim), labels.reshape(-1)
-    slots = helper_slots(spec, len(rngs) // 2 * min(batch_size, n), STACK_HELPER_MACS)
-    bound = bind_pass(spec, values, {(*labels.shape[:-1], min(batch_size, n - lo))
-                                     for lo in range(0, n, batch_size)}, False, slots)
+    bound = nn.bind_pass(spec, values, {(*labels.shape[:-1], min(batch_size, n - lo))
+                                        for lo in range(0, n, batch_size)}, False)
     models = list(zip(values.reshape(len(rngs), -1), bound[1].reshape(len(rngs), -1)))
     head = bound[1][..., spec.layer_offsets()[-1][0] :]
     # numpy's overflow warnings are silenced: a step that goes non-finite leaves every
@@ -267,7 +265,7 @@ def pretrain(spec: ModelSpec, tasks: list[TaskData], epochs: int,
 
     A zero epoch budget returns the initialization unchanged.
     """
-    values = np.array(init_params(spec, rng_for(seed, STAGE_INIT)).values)
+    values = np.array(nn.init_params(spec, rng_for(seed, STAGE_INIT)).values)
     _sgd_train(spec, values, np.concatenate([t.train_inputs for t in tasks]),
                np.concatenate([t.train_labels for t in tasks]), epochs, lr, batch_size,
                [rng_for(seed, STAGE_PRETRAIN)])
@@ -305,7 +303,7 @@ def finetune_all(spec: ModelSpec, theta_pre: ParamVector, tasks: list[TaskData],
     finetuned = []
     group = max(1, STACK_PARAMS // spec.parameter_count)
     rows = min([config.batch_size] + [len(task.train_inputs) for task in tasks])
-    group *= helper_slots(spec, group * rows, STACK_HELPER_MACS)
+    group *= nn.helper_slots(spec, group * rows)
     for lo in range(0, len(tasks), group):
         stack = tasks[lo : lo + group]
         trained = finetune(spec, theta_pre, stack, config.finetune_epochs, config.finetune_lr,

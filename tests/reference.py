@@ -2,8 +2,7 @@
 which they force and count the helper thread's pairs."""
 import numpy as np
 
-from calmkit import calm, nn
-from calmkit import tasks as tasks_module
+from calmkit import nn
 from calmkit.calm import (
     StepArtifact,
     _bind_pool,
@@ -341,14 +340,10 @@ def optimize_mask(spec, theta_pre, state, tau_j, task_data, init, plan, rng,
 
 
 def force_helper(monkeypatch, on: bool):
-    """Replace `nn.helper_slots` where the mask pass and the training loop call it: two
-    slots for every pass that has a second part, a block of the weighted pass or a stack's
-    second half, or one slot for every pass."""
-    def slots(spec, rows, floor):
-        return 2 if on and rows > 0 else 1
-
-    monkeypatch.setattr(calm, "helper_slots", slots)
-    monkeypatch.setattr(tasks_module, "helper_slots", slots)
+    """Replace `nn.helper_slots`, which `nn.bind_pass` and `finetune_all` ask: two slots for
+    every pass that has a second part, a block of the weighted pass or a stack's second
+    half, or one slot for every pass."""
+    monkeypatch.setattr(nn, "helper_slots", lambda spec, rows: 2 if on and rows > 0 else 1)
 
 
 def counted_pairs(monkeypatch) -> list:

@@ -285,19 +285,25 @@ def test_suites_that_draw_batches_keep_their_hashes(suite, tmp_path, monkeypatch
     assert evaluated == EVALUATED[suite]
 
 
+def _rebuild(suite, point, rebuilt, *commands):
+    """Run `commands` under the point's recorded config in `rebuilt`, beside copies of the
+    four files that the suite's points share."""
+    rebuilt.mkdir()
+    for name in (DATASETS_FILE, PRETRAINED_FILE, CHECKPOINTS_FILE, CREDIBLE_FILE):
+        shutil.copyfile(suite / name, rebuilt / name)
+    for command in commands:
+        assert _cli(command, rebuilt, None, "--config", str(point / "config.resolved.txt")) == 0
+
+
 def test_each_order_point_is_rebuilt_from_its_own_config(tmp_path, capsys):
     suite = tmp_path / "suite"
     ablation_suite(build_config(ORDER_DRAWS), "order", suite)
     points = sorted(suite.glob("order_*"))
     configs = [point / "config.resolved.txt" for point in points]
     assert len({_sha(path.read_bytes()) for path in configs}) == len(points) == 6
-    for point, config in zip(points, configs):
+    for point in points:
         rebuilt = tmp_path / point.name
-        rebuilt.mkdir()
-        for name in (DATASETS_FILE, PRETRAINED_FILE, CHECKPOINTS_FILE, CREDIBLE_FILE):
-            shutil.copyfile(suite / name, rebuilt / name)
-        for command in ("merge", "report"):
-            assert _cli(command, rebuilt, None, "--config", str(config)) == 0
+        _rebuild(suite, point, rebuilt, "merge", "report")
         for name in (MERGED_FILE, MASKS_FILE, "report.csv"):
             assert (rebuilt / name).read_bytes() == (point / name).read_bytes(), name
     edited = tmp_path / "edited.cfg"
@@ -307,6 +313,20 @@ def test_each_order_point_is_rebuilt_from_its_own_config(tmp_path, capsys):
     assert _cli("eval", tmp_path / points[0].name, None, "--config", str(edited)) == 2
     assert ("made with plan.sequential_set = 0, 1, but the config gives 2, 1; run merge again"
             in capsys.readouterr().err)
+
+
+def test_the_components_point_is_rebuilt_from_its_own_config(tmp_path):
+    # the one-step merge runs in components/, under the config recorded there, and
+    # leaves no merge file in the suite's root, which records no config
+    suite, config = tmp_path / "suite", build_config(ORDER_DRAWS)
+    ablation_suite(config, "components", suite)
+    assert not (suite / MERGED_FILE).exists() and not (suite / MASKS_FILE).exists()
+    point = suite / "components"
+    first = config.plan.sequential_set[0]
+    assert f"plan.sequential_set = {first}\n" in (point / "config.resolved.txt").read_text()
+    _rebuild(suite, point, tmp_path / "rebuilt", "merge")
+    for name in (MERGED_FILE, MASKS_FILE):
+        assert (tmp_path / "rebuilt" / name).read_bytes() == (point / name).read_bytes(), name
 
 
 def test_components_suite_without_a_sequential_task_is_a_config_error(tmp_path, capsys):

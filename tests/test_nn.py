@@ -447,15 +447,15 @@ class TestBoundKernels:
         spec, values, inputs, labels = step_case(2, activation, classes, rows)
         labels = labels[0] if objective == "cross_entropy" else None
         weights = np.random.default_rng(rows).uniform(0.0, 1.0 / rows, size=rows)
-        # as the mask step binds it: a parameter buffer, refilled in place, and a total
-        theta, total = np.empty(spec.parameter_count), np.empty(spec.parameter_count)
+        # as the mask step binds it: a parameter buffer, refilled in place
+        theta = np.empty(spec.parameter_count)
         bound = bind_pass(spec, theta, {(rows,)}, feature_major=True)
         for model in values:
             np.copyto(theta, model)
-            loss, grad = weighted_loss_and_grad(spec, bound, inputs[0], labels, weights, total)
+            loss, grad = weighted_loss_and_grad(spec, bound, inputs[0], labels, weights)
             ref_loss, ref_grad = reference.weighted_loss_and_grad(
                 spec, layer_views(spec, model), inputs[0], labels, weights)
-            assert grad is total
+            assert grad is bound[1][0][0]
             assert loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -473,7 +473,7 @@ class TestBoundKernels:
         assert loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
         weights = rng.uniform(0.0, 1.0 / 40, size=40)
         loss, grad = weighted_loss_and_grad(spec, bind_pass(spec, values, {(40,)}, True),
-                                            inputs, labels, weights, np.empty(values.shape))
+                                            inputs, labels, weights)
         ref_loss, ref_grad = reference.weighted_loss_and_grad(spec, layer_views(spec, values),
                                                               inputs, labels, weights)
         assert loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
@@ -488,7 +488,7 @@ class TestBoundKernels:
         assert np.isfinite(loss) and loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
         weights = np.full(40, 1.0 / 40)
         loss, grad = weighted_loss_and_grad(spec, bind_pass(spec, values, {(40,)}, True),
-                                            inputs, labels, weights, np.empty(values.shape))
+                                            inputs, labels, weights)
         ref_loss, ref_grad = reference.weighted_loss_and_grad(spec, layer_views(spec, values),
                                                               inputs, labels, weights)
         assert np.isfinite(loss) and loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
@@ -506,10 +506,10 @@ class TestHelperThread:
         weights = np.random.default_rng(rows).uniform(0.0, 1.0 / rows, size=rows)
         ran = reference.counted_pairs(monkeypatch)
         results = []
-        for slots in (1, 2):
-            bound = bind_pass(spec, values, {(rows,)}, feature_major=True, slots=slots)
-            loss, grad = weighted_loss_and_grad(spec, bound, inputs, labels, weights,
-                                                np.empty(values.shape))
+        for on in (False, True):
+            reference.force_helper(monkeypatch, on)
+            bound = bind_pass(spec, values, {(rows,)}, feature_major=True)
+            loss, grad = weighted_loss_and_grad(spec, bound, inputs, labels, weights)
             results.append((loss, grad.tobytes()))
         assert results[0] == results[1]
         assert ran == [2] * (-(-rows // ROW_BLOCK) // 2)
@@ -521,43 +521,43 @@ class TestHelperThread:
         rows = ROW_BLOCK + 10
         spec, values, inputs, labels = step_case(None, "relu", 5, rows)
         weights = np.full(rows, 1.0 / rows)
-        bound = bind_pass(spec, values, {(rows,)}, feature_major=True, slots=2)
-        total = np.empty(values.shape)
+        reference.force_helper(monkeypatch, True)
+        bound = bind_pass(spec, values, {(rows,)}, feature_major=True)
         bad = labels.copy()
         bad[0 if where == "caller" else -1] = 10**9
         ran = reference.counted_pairs(monkeypatch)
         with pytest.raises(IndexError):
-            weighted_loss_and_grad(spec, bound, inputs, bad, weights, total)
+            weighted_loss_and_grad(spec, bound, inputs, bad, weights)
         # the helper serves the next call, which gives the one-slot bits
-        loss, grad = weighted_loss_and_grad(spec, bound, inputs, labels, weights, total)
+        loss, grad = weighted_loss_and_grad(spec, bound, inputs, labels, weights)
+        reference.force_helper(monkeypatch, False)
         ref_loss, ref_grad = weighted_loss_and_grad(
-            spec, bind_pass(spec, values, {(rows,)}, True), inputs, labels, weights,
-            np.empty(values.shape))
+            spec, bind_pass(spec, values, {(rows,)}, True), inputs, labels, weights)
         assert loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
         assert ran == [2, 2]
 
-    def test_callers_on_several_threads_share_the_helper(self):
+    def test_callers_on_several_threads_share_the_helper(self, monkeypatch):
         # four threads, more than the host's cores, each with its own two-slot binding,
         # at a switch interval that interleaves them often: every call keeps its bits
         rows = ROW_BLOCK + 100
         spec, values, inputs, labels = step_case(None, "relu", 5, rows)
         weights = np.full(rows, 1.0 / rows)
+        reference.force_helper(monkeypatch, False)
         ref_loss, ref_grad = weighted_loss_and_grad(
-            spec, bind_pass(spec, values, {(rows,)}, True), inputs, labels, weights,
-            np.empty(values.shape))
+            spec, bind_pass(spec, values, {(rows,)}, True), inputs, labels, weights)
+        reference.force_helper(monkeypatch, True)
+        bounds = [bind_pass(spec, values, {(rows,)}, feature_major=True) for _ in range(4)]
         same = []
 
-        def caller():
-            bound = bind_pass(spec, values, {(rows,)}, feature_major=True, slots=2)
-            total = np.empty(values.shape)
+        def caller(bound):
             for _ in range(20):
-                loss, grad = weighted_loss_and_grad(spec, bound, inputs, labels, weights, total)
+                loss, grad = weighted_loss_and_grad(spec, bound, inputs, labels, weights)
                 same.append(loss == ref_loss and grad.tobytes() == ref_grad.tobytes())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=caller) for _ in range(4)]
+            threads = [threading.Thread(target=caller, args=(bound,)) for bound in bounds]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -568,19 +568,46 @@ class TestHelperThread:
         assert same == [True] * 80
 
     def test_two_slots_take_two_cpus_and_the_floor(self, monkeypatch):
-        # the default (32,) MLP's fine-tune halves, 4 models of 64 rows, stay below both
-        # floors; a (256, 256) MLP's reach them, on two CPUs only
+        # the benchmark's sizes at both sides of the floor: the default (32,) MLP's largest
+        # second part, a mask pass's second block of 1,024 rows at 672 multiply-adds a row
+        # (0.69M), stays below it; (256, 256)'s smallest, a fine-tune half of 4 models'
+        # 64-row batches at 70,912 (18.2M), reaches it, on two CPUs only
         small, wide = ModelSpec(16, (32,), 5), ModelSpec(16, (256, 256), 5)
-        for floor in (nn.HELPER_MACS, nn.STACK_HELPER_MACS):
-            floor_rows = -(-floor // sum(fi * fo for fi, fo in small.layer_dims))
-            for cpus, expected in (({0, 1}, [1, 1, 2, 2]), ({0}, [1, 1, 1, 1])):
-                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-                assert [helper_slots(small, 4 * 64, floor),
-                        helper_slots(small, floor_rows - 1, floor),
-                        helper_slots(small, floor_rows, floor),
-                        helper_slots(wide, 4 * 64, floor)] == expected
+        floor_rows = -(-nn.HELPER_MACS // sum(fi * fo for fi, fo in small.layer_dims))
+        for cpus, expected in (({0, 1}, [1, 1, 2, 2]), ({0}, [1, 1, 1, 1])):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            assert [helper_slots(small, ROW_BLOCK), helper_slots(small, floor_rows - 1),
+                    helper_slots(small, floor_rows), helper_slots(wide, 4 * 64)] == expected
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert helper_slots(wide, 4 * 64, nn.HELPER_MACS) == 1
+        assert helper_slots(wide, 4 * 64) == 1
+
+    @pytest.mark.parametrize("cpus", [{0, 1}, {0}])
+    def test_a_binding_takes_two_slots_exactly_where_helper_slots_gives_them(self, cpus,
+                                                                             monkeypatch):
+        # feature-major the second block's rows, min(ROW_BLOCK, rows - ROW_BLOCK), and
+        # row-major a stack's second half, floor(T / 2) models of its largest batch; one
+        # slot with no second block or at T = 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        floor_rows = -(-nn.HELPER_MACS // sum(fi * fo for fi, fo in WIDE.layer_dims))
+        assert floor_rows < ROW_BLOCK
+        taken = []
+        for rows in (1, ROW_BLOCK, ROW_BLOCK + floor_rows - 1, ROW_BLOCK + floor_rows,
+                     3 * ROW_BLOCK + 5):
+            bound = bind_pass(WIDE, np.empty(WIDE.parameter_count), {(rows,)}, True)
+            second = min(ROW_BLOCK, rows - ROW_BLOCK)
+            assert len(bound[2]) == (helper_slots(WIDE, second) if rows > ROW_BLOCK else 1)
+            taken.append(len(bound[2]))
+        for models in (1, 2, 3, 5):
+            values = np.empty((models, WIDE.parameter_count))
+            for rows in (floor_rows // (models // 2 or 1) - 1, floor_rows):
+                bound = bind_pass(WIDE, values, {(models, rows), (models, 3)}, False)
+                two = models > 1 and helper_slots(WIDE, models // 2 * rows) == 2
+                assert len(bound[4]) == (2 if two else 0)
+                taken.append(2 if two else 1)
+        assert taken == ([1, 1, 1, 2, 2] + [1, 1] + [1, 2] * 3 if len(cpus) == 2
+                         else [1] * 13)
+        bound = bind_pass(WIDE, np.empty(WIDE.parameter_count), {(floor_rows,)}, False)
+        assert bound[4] == ()
 
     @pytest.mark.parametrize("where", ["caller", "helper"])
     def test_a_job_that_runs_a_pair_runs_it_itself(self, where):
@@ -610,13 +637,13 @@ class TestHelperThread:
         assert {ident for _, ident in inner} == {runner}
         assert (runner == thread.ident) == (where == "caller")
 
-    def test_the_helper_is_one_daemon_thread(self):
+    def test_the_helper_is_one_daemon_thread(self, monkeypatch):
         rows = ROW_BLOCK + 10
         spec, values, inputs, labels = step_case(None, "relu", 5, rows)
-        bound = bind_pass(spec, values, {(rows,)}, feature_major=True, slots=2)
+        reference.force_helper(monkeypatch, True)
+        bound = bind_pass(spec, values, {(rows,)}, feature_major=True)
         for _ in range(3):
-            weighted_loss_and_grad(spec, bound, inputs, labels, np.full(rows, 1.0 / rows),
-                                   np.empty(values.shape))
+            weighted_loss_and_grad(spec, bound, inputs, labels, np.full(rows, 1.0 / rows))
         helpers = [t for t in threading.enumerate() if isinstance(t, nn._Helper)]
         assert helpers == nn._HELPER and len(helpers) == 1 and helpers[0].daemon
 
@@ -632,13 +659,14 @@ class TestAllocationFreeSteps:
     kernels that allocated every step reached several times over."""
 
     @pytest.mark.parametrize("slots", [1, 2])
-    def test_a_training_step_allocates_no_block(self, slots):
+    def test_a_training_step_allocates_no_block(self, slots, monkeypatch):
         rng = np.random.default_rng(3)
         values = np.stack([init_params(WIDE, seed).values for seed in range(2)])
         # a stack of two 512-row batches: each layer's output spans ROW_BLOCK rows; with
         # two slots each model is a half, one on the helper thread
         inputs, labels = rng.standard_normal((2, 512, 4)), rng.integers(0, 3, size=(2, 512))
-        bound = bind_pass(WIDE, values, {labels.shape}, feature_major=False, slots=slots)
+        reference.force_helper(monkeypatch, slots == 2)
+        bound = bind_pass(WIDE, values, {labels.shape}, feature_major=False)
 
         def step():
             _, grad = loss_and_grad(WIDE, bound, inputs, labels)
@@ -685,9 +713,11 @@ class TestAllocationFreeSteps:
             tracemalloc.stop()
         assert len(calls) == 3 and peaks[0] < BLOCK_BYTES
 
-    def test_a_wide_binding_holds_only_outputs_scratch_and_gradient(self):
-        # feature-major over two blocks, ROW_BLOCK rows and 476: sized for the larger;
-        # the backward pass writes each dz over an output, so no dz buffer is bound
+    def test_a_wide_binding_holds_only_outputs_scratch_and_gradient(self, monkeypatch):
+        # feature-major over two blocks, ROW_BLOCK rows and 476, in one slot: sized for the
+        # larger, with the pass's gradient and one spare; the backward pass writes each dz
+        # over an output, so no dz buffer is bound
+        reference.force_helper(monkeypatch, False)
         theta = np.empty(WIDE.parameter_count)
         tracemalloc.start()
         try:
@@ -698,7 +728,8 @@ class TestAllocationFreeSteps:
         outputs = ROW_BLOCK * sum(fo for _, fo in WIDE.layer_dims) * 8
         scratch = ROW_BLOCK * max(WIDE.hidden_dims)  # bool, for relu
         # the views and each entry's row offsets take a few tens of KB
-        assert outputs + scratch + theta.nbytes <= peak < outputs + scratch + theta.nbytes + 2**16
+        gradients = 2 * theta.nbytes
+        assert outputs + scratch + gradients <= peak < outputs + scratch + gradients + 2**16
 
 
 class TestSgdStep:

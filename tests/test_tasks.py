@@ -421,7 +421,8 @@ class TestTwoSlots:
         inputs = np.stack([t.train_inputs[:64] for t in tasks])
         labels = np.stack([t.train_labels[:64] for t in tasks])
         values = np.tile(theta_pre.values, (3, 1))
-        bound = bind_pass(spec, values, {labels.shape}, feature_major=False, slots=2)
+        force_helper(monkeypatch, True)
+        bound = bind_pass(spec, values, {labels.shape}, feature_major=False)
         bad = labels.copy()
         bad[-1, -1] = 10**9
         pairs = counted_pairs(monkeypatch)
@@ -429,6 +430,7 @@ class TestTwoSlots:
             loss_and_grad(spec, bound, inputs, bad)
         # the helper serves the next call, which gives the one-slot bits
         losses, grad = loss_and_grad(spec, bound, inputs, labels)
+        force_helper(monkeypatch, False)
         ref_losses, ref_grad = loss_and_grad(
             spec, bind_pass(spec, values, {labels.shape}, feature_major=False), inputs, labels)
         assert pairs == [2, 2]

@@ -1,14 +1,16 @@
-"""Time training and the CALM sequential merge at three model sizes, for one or more
+"""Time training and the CALM sequential merge at several model sizes, for one or more
 source trees.
 
     python tools/time_objective.py --src parent=/path/to/parent/src --src change=src \
         --repeats 5 --out BENCH_3.json
 
+`--sizes` takes any hidden_dims, such as `96,96`; it defaults to `SIZES`.
+
 For each model size, one worker process per source tree imports calmkit from
 that tree and generates the same tasks in a temporary directory, and then
 waits. The main process asks the workers, in an order that alternates between
-repeats, first for one timed training sample (`TRAININGS` of the size's
-trainings, each a pretrain and then a finetune, timed as their mean) each,
+repeats, first for one timed training sample (the mean of `TRAININGS` trainings
+at (32,) and of one elsewhere, each a pretrain and then a finetune) each,
 `--repeats` times, and then, after each worker has sampled its credible sets,
 for one timed `sequential_merge` each, `--repeats` times, so that slow and
 fast phases of the host fall on every side alike. Every worker runs with one
@@ -17,7 +19,8 @@ BLAS and `nproc`.
 
 Per size and side the output holds the median and interquartile range of the
 pretrain, finetune and merge wall times, and of the worker's minor page faults
-and system CPU seconds over each of them; the worker's peak RSS once it has
+and system CPU seconds over each of them, each beside its first repeat, which
+pays for what the repeats after it find warm; the worker's peak RSS once it has
 trained and sampled, and again after its merges; the peak of what one more,
 untimed merge allocates, by tracemalloc, which the process-wide RSS peak hides
 when training set it; and sha256 prefixes of the pretrained and fine-tuned
@@ -46,20 +49,16 @@ import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
-# hidden_dims -> config entries; the wide models train at lr 0.02, as the
-# default lr 0.05 misses the fine-tune accuracy floor at (256, 256)
-SIZES = {
-    "32": {},
-    "256,256": {"train.pretrain_lr": "0.02", "train.finetune_lr": "0.02"},
-    "1024,1024": {"train.pretrain_lr": "0.02", "train.finetune_lr": "0.02"},
-}
+# the default sizes, as hidden_dims
+SIZES = ("32", "256,256", "1024,1024")
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-# Trainings per timed sample, whose mean the sample reports. One 709-parameter
-# training takes 0.3 s, within the host's noise. Two sides on one tree, --repeats 5,
-# two runs each, 2-vCPU Xeon: at 1 training the pretrain/finetune IQRs were
-# 0.015-0.068/0.008-0.031 s on medians of 0.19/0.12 s; at 10, 0.004-0.035/0.003-0.019 s,
-# with the sides' medians within 0.009/0.002 s of each other.
-TRAININGS = {"32": 10, "256,256": 1, "1024,1024": 1}
+# Trainings per timed sample at (32,), whose mean the sample reports; every other size
+# trains once per sample. One 709-parameter training takes 0.3 s, within the host's
+# noise. Two sides on one tree, --repeats 5, two runs each, 2-vCPU Xeon: at 1 training
+# the pretrain/finetune IQRs were 0.015-0.068/0.008-0.031 s on medians of 0.19/0.12 s;
+# at 10, 0.004-0.035/0.003-0.019 s, with the sides' medians within 0.009/0.002 s of each
+# other.
+TRAININGS = 10
 # What each timed region records, as the suffix of its key: wall seconds, minor page
 # faults (ru_minflt) and system CPU seconds (ru_stime); faults and system time show
 # the kernel's share, as when the heap is trimmed and then faulted in again.
@@ -82,6 +81,24 @@ def _mask01(mask):
 def masks_sha(masks) -> str:
     """The sha256 prefix of the masks' float64 0/1 bytes, in order."""
     return _sha(b"".join(_mask01(mask).tobytes() for mask in masks))
+
+
+def hidden_size(text: str) -> str:
+    """`text`, comma-separated positive hidden widths, in the form SIZES writes them."""
+    try:
+        widths = [int(width) for width in text.split(",")]
+    except ValueError:
+        widths = [0]
+    if min(widths) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not comma-separated positive widths")
+    return ",".join(map(str, widths))
+
+
+def size_entries(hidden: str) -> dict[str, str]:
+    """The config entries of a size: every size but (32,) trains at lr 0.02, as the
+    default lr 0.05 misses the fine-tune accuracy floor at (256, 256)."""
+    lrs = {} if hidden == "32" else {"train.pretrain_lr": "0.02", "train.finetune_lr": "0.02"}
+    return {"train.hidden_dims": hidden, **lrs}
 
 
 def _blas() -> str:
@@ -131,7 +148,8 @@ def worker(hidden: str):
     from calmkit.bench.runner import stage_finetune, stage_generate, stage_pretrain, stage_sample
     from calmkit.calm import sequential_merge
 
-    config = build_config({"train.hidden_dims": hidden, **SIZES[hidden]})
+    config = build_config(size_entries(hidden))
+    trainings = TRAININGS if hidden == "32" else 1
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         tasks = stage_generate(config, workdir)
@@ -144,7 +162,7 @@ def worker(hidden: str):
             if command == "train":
                 totals = {f"{stage}_{key}": 0.0 for stage in ("pretrain", "finetune")
                           for key in USAGE}
-                for _ in range(TRAININGS[hidden]):
+                for _ in range(trainings):
                     theta_pre, pretrain_usage = _timed(stage_pretrain, config, workdir, tasks)
                     ckpt, finetune_usage = _timed(stage_finetune, config, workdir, tasks,
                                                   theta_pre)
@@ -153,7 +171,7 @@ def worker(hidden: str):
                         for key, value in usage.items():
                             totals[f"{stage}_{key}"] += value
                 print(json.dumps({
-                    **{key: total / TRAININGS[hidden] for key, total in totals.items()},
+                    **{key: total / trainings for key, total in totals.items()},
                     "parameters": ckpt.spec.parameter_count,
                     "pretrained_sha": _sha(theta_pre.values.tobytes()),
                     "checkpoints_sha": _sha(b"".join(ft.values.tobytes()
@@ -206,7 +224,8 @@ def _ask(proc: subprocess.Popen, command: str) -> dict:
 
 def _quartiles(values: list[float]) -> dict:
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": q2, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
+    return {"median": q2, "q1": q1, "q3": q3, "iqr": q3 - q1, "first": values[0],
+            "runs": values}
 
 
 def _compare(first: dict, other: dict) -> dict:
@@ -285,7 +304,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", action="append", required=True, metavar="NAME=DIR",
                         help="a source tree holding calmkit; give it once per side")
-    parser.add_argument("--sizes", nargs="+", default=list(SIZES), choices=list(SIZES))
+    parser.add_argument("--sizes", nargs="+", default=list(SIZES), type=hidden_size,
+                        metavar="HIDDEN", help="hidden_dims, such as 96,96")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", type=Path, help="write the results here as JSON")
     args = parser.parse_args(argv)
@@ -297,9 +317,12 @@ def main(argv=None):
         results[hidden] = measure(sides, hidden, args.repeats)
         for name, side in results[hidden].items():
             times = "  ".join(f"{region} {side[f'{region}_s']['median']:.3f} s (IQR "
-                              f"{side[f'{region}_s']['iqr']:.3f}, "
-                              f"{side[f'{region}_minflt']['median']:,.0f} faults, "
-                              f"sys {side[f'{region}_sys_s']['median']:.3f} s)"
+                              f"{side[f'{region}_s']['iqr']:.3f}, first "
+                              f"{side[f'{region}_s']['first']:.3f} s; "
+                              f"{side[f'{region}_minflt']['median']:,.0f} faults, first "
+                              f"{side[f'{region}_minflt']['first']:,.0f}; "
+                              f"sys {side[f'{region}_sys_s']['median']:.3f} s, first "
+                              f"{side[f'{region}_sys_s']['first']:.3f} s)"
                               for region in REGIONS)
             print(f"({hidden}) {side['parameters']:>9,} params  {name:>8}: {times}  peak RSS "
                   f"{side['setup_peak_rss_mb']:.1f} MB, {side['merge_peak_rss_mb']:.1f} MB after "
