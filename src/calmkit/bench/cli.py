@@ -127,10 +127,9 @@ def _run_command(args: argparse.Namespace) -> int:
         print(f"wrote {workdir / DATASETS_FILE}")
         return 0
     if args.command == "ablate":
-        records = ablation_suite(config, args.suite, workdir)
-        accs = np.array([r["average_accuracy"] for r in records])
+        accuracies = ablation_suite(config, args.suite, workdir)
         print((workdir / "summary.csv").read_text(), end="")
-        print(f"{len(records)} points, mean accuracy {accs.mean():.4f}")
+        print(f"{len(accuracies)} points, mean accuracy {np.mean(accuracies):.4f}")
         return 0
 
     tasks = load_dataset(config, workdir)

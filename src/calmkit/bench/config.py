@@ -3,8 +3,8 @@
 A config is a plain text document of `key = value` lines with `#` comments.
 Keys are dotted paths into the sections below; unknown keys are rejected with
 the list of valid ones. Every key has a documented default, so the empty
-document is a complete default experiment. The integer keys that size the
-data and the model stay below 2^32, and `family.num_tasks` at most MAX_TASKS.
+document is a complete default experiment. Every integer key but `seed`, which
+lies in [0, 2^63), stays below 2^32, and `family.num_tasks` at most MAX_TASKS.
 The `plan.*` and `ties.*` sections parse straight into `MergePlan` and
 `TiesConfig`, so their checks run when the config is resolved.
 """
@@ -27,10 +27,6 @@ SUITES = ("sampling_rate", "strategy", "order", "reg_coef", "lr", "components")
 # The most tasks a family may have, checked as the key parses: the pipeline trains,
 # samples and merges each task in turn, and `partition` permutes every task id.
 MAX_TASKS = 1024
-# The integer keys that size the data and the model, each at most 2^32 - 1.
-U32_KEYS = ("family.num_tasks", "family.classes_per_task", "family.input_dim",
-            "family.train_per_task", "family.unlabeled_per_task", "family.test_per_task",
-            "train.hidden_dims")
 
 
 class ConfigError(ValueError):
@@ -157,8 +153,8 @@ def build_config(entries: dict[str, str]) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: cannot parse {raw!r} ({exc})") from exc
         most = MAX_TASKS if key == "family.num_tasks" else 2**32 - 1
-        if key in U32_KEYS and max(value if isinstance(value, tuple) else (value,),
-                                   default=0) > most:
+        if parser in (int, _int_tuple) and key != "seed" and max(
+                value if isinstance(value, tuple) else (value,), default=0) > most:
             raise ConfigError(f"key {key!r}: {raw!r} exceeds the maximum {most}")
         sections[section][name] = value
     seed = sections[None].get("seed", 0)

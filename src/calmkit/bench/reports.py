@@ -56,10 +56,8 @@ class ReportBundle:
     task_ids: tuple[int, ...]
     per_task_accuracy: np.ndarray
     average_accuracy: float
-    layer_densities: dict[str, list[float]] = field(default_factory=dict)
-    density_traces: dict[str, np.ndarray] = field(default_factory=dict)
-    objective_traces: dict[str, np.ndarray] = field(default_factory=dict)
-    magnitude_overlaps: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
+    # report token -> mask key -> (index, value) rows: a layer, iteration or top percent
+    diagnostics: dict[str, dict[str, list[tuple]]] = field(default_factory=dict)
     extras: dict[str, float] = field(default_factory=dict)
 
 
@@ -89,19 +87,15 @@ def write_report(bundle: ReportBundle, directory: Path):
         lines.append(f"  {key}: {value:.4f}")
     (directory / "report.txt").write_text("\n".join(lines) + "\n")
 
-    for name, columns, series in (
-        ("layer_density", ("layer", "density"), bundle.layer_densities),
-        ("density_trace", ("iteration", "value"), bundle.density_traces),
-        ("objective_trace", ("iteration", "value"), bundle.objective_traces),
-        ("magnitude_overlap", ("top_percent", "proportion"), bundle.magnitude_overlaps),
-    ):
+    for name, columns in (("layer_density", ("layer", "density")),
+                          ("density_trace", ("iteration", "value")),
+                          ("objective_trace", ("iteration", "value")),
+                          ("magnitude_overlap", ("top_percent", "proportion"))):
         path = directory / f"{name}.csv"
+        series = bundle.diagnostics.get(name)
         if not series:
             path.unlink(missing_ok=True)
             continue
         rows = [["step", *columns]]
-        for step, values in series.items():
-            # overlaps are (k, proportion) pairs; the others hold one value per index
-            pairs = values if name == "magnitude_overlap" else enumerate(values)
-            rows += [[step, a, float(b)] for a, b in pairs]
+        rows += [[step, a, float(b)] for step, pairs in series.items() for a, b in pairs]
         path.write_text(_csv_lines(rows))

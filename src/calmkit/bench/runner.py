@@ -4,8 +4,9 @@ An experiment runs generate -> pretrain -> finetune -> sample -> merge ->
 evaluate, persisting every stage's artifacts into one working directory; each
 loader checks the config its file records against the running one. Any stage
 failure is wrapped in StageError carrying the stage name. Ablation suites
-rebuild the shared pipeline once and sweep a single axis; a point samples again,
-into its own directory, only when its sampling section differs from the shared one.
+rebuild the shared pipeline once and sweep a single axis. Every point runs
+stage_merge and stage_evaluate in its own directory, which records its config, and
+samples again there only when its sampling section differs from the shared one.
 """
 from __future__ import annotations
 
@@ -213,15 +214,17 @@ def stage_evaluate(config: ExperimentConfig, workdir: Path, tasks: list[TaskData
             task_id, mask = int(key.rsplit("task", 1)[1]), vectors[key] == 1.0
             if not np.all(mask | (vectors[key] == 0.0)):
                 raise FormatError(f"{path}: mask {key!r} holds entries other than 0.0 and 1.0")
-            if "density_trace" in config.report:
-                bundle.density_traces[key] = vectors[f"{key}.density_trace"]
-            if "objective_trace" in config.report:
-                bundle.objective_traces[key] = vectors[f"{key}.objective_trace"]
-            if "layer_density" in config.report:
-                bundle.layer_densities[key] = layer_density(mask, ckpt.spec)
-            if "magnitude_overlap" in config.report:
-                tau = task_vector(ckpt.finetuned[task_id], ckpt.pretrained)
-                bundle.magnitude_overlaps[key] = magnitude_overlap(mask, tau)
+            for token in dict.fromkeys(config.report):  # each once, in order
+                if token == "layer_density":
+                    rows = enumerate(layer_density(mask, ckpt.spec))
+                elif token == "magnitude_overlap":
+                    rows = magnitude_overlap(mask, task_vector(ckpt.finetuned[task_id],
+                                                               ckpt.pretrained))
+                elif token != "accuracy":  # a trace, stored beside its mask
+                    rows = enumerate(vectors[f"{key}.{token}"])
+                else:
+                    continue
+                bundle.diagnostics.setdefault(token, {})[key] = list(rows)
         write_report(bundle, workdir)
     return bundle
 
@@ -244,13 +247,16 @@ def run_experiment(config: ExperimentConfig, workdir: Path) -> ReportBundle:
     return stage_evaluate(config, workdir, tasks, ckpt, merged, credible)
 
 
-# one-axis suites: config key, summary.csv columns (the first is the swept value),
-# and the (label, value) points drawn from the base config
+# one-axis suites: config key, summary.csv columns (the first is the swept value, a
+# sequence's ids joined by "_"), and the (label, value) points drawn from the base config
 _SWEEPS = {
     "sampling_rate": ("sampling.rate", ("rate", "average_accuracy", "audit_accuracy"),
                       lambda c: [(f"rate_{k / 10:.1f}", k / 10) for k in range(1, 11)]),
     "strategy": ("plan.strategy", ("strategy", "average_accuracy"),
                  lambda c: [(f"strategy_{s}", s) for s in STRATEGIES]),
+    "order": ("plan.sequential_set", ("sequence", "average_accuracy"),
+              lambda c: [("order_" + "_".join(map(str, p)), p) for p in itertools.permutations(
+                  range(c.family.num_tasks), c.plan.num_sequential)]),
     "reg_coef": ("plan.l1_weight", ("l1_weight", "average_accuracy"),
                  lambda c: [(f"reg_{v}", v) for v in (0.5, 1.0, 2.0)]),
     "lr": ("plan.mask_lr", ("mask_lr", "average_accuracy"),
@@ -258,89 +264,62 @@ _SWEEPS = {
 }
 
 
-def ablation_suite(config: ExperimentConfig, suite: str, workdir: Path) -> list[dict]:
-    """Sweep one axis with everything else fixed; returns one record per point. Each point
-    merges in its own directory, which records its config."""
+def ablation_suite(config: ExperimentConfig, suite: str, workdir: Path) -> list[float]:
+    """Sweep one axis with everything else fixed; returns the average accuracy of each
+    summary row but `order`'s mean and std. Each point runs stage_merge and
+    stage_evaluate in its own directory, which records its config."""
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; valid suites: {', '.join(SUITES)}")
-    if suite == "components" and not config.plan.sequential_set:
-        raise ConfigError("the components suite merges plan.sequential_set's first task; "
+    if suite in ("order", "components") and not config.plan.sequential_set:
+        raise ConfigError(f"the {suite} suite merges the tasks of plan.sequential_set; "
                           "the set is empty")
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     config = apply_overrides(config, {"method": "calm"})
     tasks, ckpt, credible = _shared_pipeline(config, workdir)
-    records: list[dict] = []
 
-    def point_dir(point_config: ExperimentConfig, label: str) -> Path:
-        (workdir / label).mkdir(parents=True, exist_ok=True)
-        (workdir / label / "config.resolved.txt").write_text(config_text(point_config))
-        return workdir / label
-
-    def run_point(point_config: ExperimentConfig, label: str) -> dict:
-        directory, point_credible = point_dir(point_config, label), credible
+    def run_point(point_config: ExperimentConfig, label: str
+                  ) -> tuple[ReportBundle, MergeResult | None]:
+        directory, point_credible = workdir / label, credible
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / "config.resolved.txt").write_text(config_text(point_config))
         if point_config.sampling != config.sampling:
             point_credible = stage_sample(point_config, directory, tasks, ckpt)
-        merged, _ = stage_merge(point_config, directory, tasks, ckpt, point_credible)
-        bundle = stage_evaluate(point_config, directory, tasks, ckpt, merged, point_credible)
-        return {"label": label, "average_accuracy": bundle.average_accuracy,
-                "audit_accuracy": bundle.extras["pseudo_label_audit_accuracy"],
-                "bundle": bundle}
+        merged, result = stage_merge(point_config, directory, tasks, ckpt, point_credible)
+        return stage_evaluate(point_config, directory, tasks, ckpt, merged,
+                              point_credible), result
 
     if suite in _SWEEPS:
         key, columns, points = _SWEEPS[suite]
+        rows = [list(columns)]
         for label, value in points(config):
-            record = run_point(apply_overrides(config, {key: value}), label)
-            record[columns[0]] = value
-            records.append(record)
-        rows = [list(columns)] + [[r[c] for c in columns] for r in records]
+            bundle, _ = run_point(apply_overrides(config, {key: value}), label)
+            cell = "_".join(map(str, value)) if isinstance(value, tuple) else value
+            rows.append([cell, bundle.average_accuracy,
+                         bundle.extras["pseudo_label_audit_accuracy"]][:len(columns)])
 
-    elif suite == "order":
-        for pair in itertools.permutations(range(config.family.num_tasks),
-                                           config.plan.num_sequential):
-            record = run_point(apply_overrides(config, {"plan.sequential_set": pair}),
-                               "order_" + "_".join(str(t) for t in pair))
-            record["sequence"] = pair
-            records.append(record)
-        accs = np.array([r["average_accuracy"] for r in records])
-        rows = [["sequence", "average_accuracy"]]
-        rows += [["_".join(str(t) for t in r["sequence"]), r["average_accuracy"]]
-                 for r in records]
-        rows.append(["mean", float(accs.mean())])
-        rows.append(["std", float(accs.std())])
-
-    else:  # components
+    else:  # components: the one-step point's merged vector, then its parts
         point = apply_overrides(config, {"plan.sequential_set": config.plan.sequential_set[:1]})
-        _, result = stage_merge(point, point_dir(point, "components"), tasks, ckpt, credible)
-        step = result.steps[0]
-        j = step.task_id
+        bundle, result = run_point(point, "components")
+        j, mask = result.steps[0].task_id, result.steps[0].mask
         pre = ckpt.pretrained.values
         # the bulk vector that the merge started from, bit for bit
         taus = (task_vector(ckpt.finetuned[t], ckpt.pretrained)
                 for t in point.plan.bulk_set(ckpt.num_tasks))
         tau_bulk = efficient_merge(ckpt.pretrained, taus, point.plan.lambda_efficient)
         tau_seq = task_vector(ckpt.finetuned[j], ckpt.pretrained)
-        mask = step.mask
-        configurations = [
-            ("pre", pre.copy()),
-            ("pre+tau_bulk", pre + tau_bulk),
-            ("pre+(1-M)*tau_bulk", pre + (1.0 - mask) * tau_bulk),
-            ("pre+tau_seq", pre + tau_seq),
-            ("pre+M*tau_seq", pre + mask * tau_seq),
-            ("pre+(1-M)*tau_bulk+M*tau_seq", result.merged.values.copy()),
-        ]
         rows = [["configuration", "average_accuracy", "target_task_accuracy"]]
-        for label, values in configurations:
-            theta = bind(ckpt.spec, values)
-            per_task, average = evaluate(ckpt.spec, theta, tasks)
-            records.append({
-                "label": label,
-                "average_accuracy": average,
-                "target_task": j,
-                "target_accuracy": float(per_task[j]),
-                "per_task": per_task,
-            })
+        for label, values in [("pre", pre), ("pre+tau_bulk", pre + tau_bulk),
+                              ("pre+(1-M)*tau_bulk", pre + (1.0 - mask) * tau_bulk),
+                              ("pre+tau_seq", pre + tau_seq),
+                              ("pre+M*tau_seq", pre + mask * tau_seq)]:
+            per_task, average = evaluate(ckpt.spec, bind(ckpt.spec, values), tasks)
             rows.append([label, average, float(per_task[j])])
+        rows.append(["pre+(1-M)*tau_bulk+M*tau_seq", bundle.average_accuracy,
+                     float(bundle.per_task_accuracy[j])])
 
+    accuracies = [row[1] for row in rows[1:]]
+    if suite == "order":
+        rows += [["mean", float(np.mean(accuracies))], ["std", float(np.std(accuracies))]]
     (workdir / "summary.csv").write_text(_csv_lines(rows))
-    return records
+    return accuracies

@@ -179,6 +179,13 @@ def test_invalid_plan_and_ties_values_are_config_errors(key, value, tmp_path, ca
     ("family.input_dim", str(2**32)),
     ("family.test_per_task", str(2**32)),
     ("train.hidden_dims", f"32, {2**32}"),
+    ("train.pretrain_epochs", str(2**32)),
+    ("train.finetune_epochs", str(2**32)),
+    ("train.batch_size", str(2**32)),
+    ("plan.sequential_set", f"0, {2**32}"),
+    ("plan.iterations_per_task", "100000000000000000000"),
+    ("plan.batches_per_task", "100000000000000000000"),
+    ("plan.batch_size", str(2**32)),
 ])
 def test_integer_keys_past_their_maximum_fail_before_the_partition(key, value, tmp_path,
                                                                    capsys, monkeypatch):
@@ -262,10 +269,11 @@ DRAWING_SUITES = {"strategy": ("2cdbeae7cfada8bc", "76af48e6e9adbe3e"),
                   "components": ("fef320f54213f25a", "e427cf45bf07f2d0")}
 # and the sha256 prefix of each parameter vector the suite evaluates, in order: the
 # strategy suite's three merges, and the components suite's six configurations, which
-# its summary pins only to the resolution of the accuracies
+# its summary pins only to the resolution of the accuracies: its point's merged vector,
+# evaluated first as the point's report, then the five parts of it
 EVALUATED = {"strategy": ["a9896e0f666e447a", "b50dfe3df2a37616", "80d55b3f20be8626"],
-             "components": ["4b14ea5ce58bde40", "ef47b1c93a410ceb", "3288d79a731af2b0",
-                            "6cc2a169aee14ee1", "abcf98a555f6b255", "409d978b0e98cc96"]}
+             "components": ["409d978b0e98cc96", "4b14ea5ce58bde40", "ef47b1c93a410ceb",
+                            "3288d79a731af2b0", "6cc2a169aee14ee1", "abcf98a555f6b255"]}
 
 
 @pytest.mark.parametrize("suite", sorted(DRAWING_SUITES))
@@ -324,14 +332,16 @@ def test_the_components_point_is_rebuilt_from_its_own_config(tmp_path):
     point = suite / "components"
     first = config.plan.sequential_set[0]
     assert f"plan.sequential_set = {first}\n" in (point / "config.resolved.txt").read_text()
-    _rebuild(suite, point, tmp_path / "rebuilt", "merge")
-    for name in (MERGED_FILE, MASKS_FILE):
+    _rebuild(suite, point, tmp_path / "rebuilt", "merge", "report")
+    for name in (MERGED_FILE, MASKS_FILE, "report.csv"):
         assert (tmp_path / "rebuilt" / name).read_bytes() == (point / name).read_bytes(), name
 
 
-def test_components_suite_without_a_sequential_task_is_a_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("suite", ["order", "components"])
+def test_components_suite_without_a_sequential_task_is_a_config_error(suite, tmp_path,
+                                                                     capsys):
     entries = {**TINY, "plan.sequential_set": ""}
-    assert _cli("ablate", tmp_path, entries, "--suite", "components") == 1
+    assert _cli("ablate", tmp_path, entries, "--suite", suite) == 1
     err = capsys.readouterr().err
     assert "configuration error" in err and "plan.sequential_set" in err
     assert not any(tmp_path.iterdir())
@@ -346,11 +356,18 @@ def test_order_suite_samples_once(tmp_path, monkeypatch):
         return score_pool(*args, **kwargs)
 
     monkeypatch.setattr(runner, "score_pool", counted)
-    records = ablation_suite(build_config(TINY), "order", tmp_path)
+    accuracies = ablation_suite(build_config(TINY), "order", tmp_path)
     assert len(calls) == int(TINY["family.num_tasks"])  # one pass, one call per task
-    assert len(records) == 6
+    assert len(accuracies) == 6
     assert (tmp_path / CREDIBLE_FILE).exists()
     assert not list(tmp_path.glob(f"*/{CREDIBLE_FILE}"))
+
+
+def test_ablate_prints_the_summary_then_the_mean_of_its_points(tmp_path, capsys):
+    assert _cli("ablate", tmp_path, TINY, "--suite", "order") == 0
+    summary = (tmp_path / "summary.csv").read_text()
+    mean = float(summary.splitlines()[-2].removeprefix("mean,"))
+    assert capsys.readouterr().out == summary + f"6 points, mean accuracy {mean:.4f}\n"
 
 
 def test_merge_reads_the_persisted_credible_sets(tmp_path, monkeypatch):

@@ -10,10 +10,11 @@ with one BLAS/OpenMP thread set before numpy loads. The worker runs
 configs that reach the kernels' other branches (tanh, the entropy and
 supervised mask objectives, the other merge strategies, per-task heads, EMS
 sampling, a linear model and a (32, 32, 32) one), plus one `WIDE` (256, 256)
-run at seed 0; each run in its own directory under the side's output
-directory. The `run_experiment` runs also report the objective and density
-traces, which show a change in the last bit of any iteration where the
-rounded masks do not, and the masks' layer densities and magnitude overlaps.
+run at seed 0, and under `suites/` every other ablation suite (`SUITES`) at
+config seed 0; each run in its own directory under the side's output
+directory. The `run_experiment` and `suites/` runs also report the objective
+and density traces, which show a change in the last bit of any iteration where
+the rounded masks do not, and the masks' layer densities and magnitude overlaps.
 The sides run at the same time; their times do not matter here.
 
 After its runs, each worker loads every container it wrote with its own tree's
@@ -83,6 +84,8 @@ BRANCHES = {
 }
 # one BLAS-bound run at seed 0; the default lr 0.05 misses the accuracy floor at (256, 256)
 WIDE = {"train.hidden_dims": "256,256", "train.pretrain_lr": "0.02", "train.finetune_lr": "0.02"}
+# the ablation suites besides `order`, each run once at config seed 0
+SUITES = ("sampling_rate", "strategy", "reg_coef", "lr", "components")
 # files a later side may lack on purpose: the order points read the suite's shared
 # credible sets, which format version 2 no longer copies into each point
 STATED_MISSING = ("order/*/order_*/credible.calmcred",)
@@ -109,6 +112,8 @@ def worker(out: str):
     for name, seed, overrides in runs:
         config = build_config({"seed": str(seed), "report": TRACED_REPORT, **overrides})
         run_experiment(config, Path(out, "branches", name, f"seed{seed:02d}"))
+    for suite in SUITES:
+        ablation_suite(build_config({"report": TRACED_REPORT}), suite, Path(out, "suites", suite))
     _payload_file(out).write_text(json.dumps(payload_digests(Path(out))))
 
 
@@ -320,7 +325,7 @@ def main(argv=None) -> int:
         print(line)
     print(f"{len(lines)} differing files of {count} and {len(arrays)} differing arrays "
           f"({DEFAULT_SEEDS} default and {ORDER_SEEDS} order config seeds, {len(BRANCHES)} "
-          f"branches at {BRANCH_SEEDS} and one wide run)")
+          f"branches at {BRANCH_SEEDS}, one wide run and {len(SUITES)} suites/ at seed 0)")
     return 1 if lines or arrays else 0
 
 
