@@ -1,7 +1,7 @@
 """Reference merging rules: weight averaging, task arithmetic, ties-merging.
 
-All three are deterministic elementwise reductions over flat parameter
-vectors; a task vector is a read-only float64 array of the parameters' length.
+All three are deterministic elementwise reductions over models, read-only (P,)
+float64 arrays, and return one; a task vector is a read-only array of that length.
 Sums always run in list-index order, so repeated calls are bit-reproducible.
 """
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .nn import ContractError, ParamVector, read_only
+from .nn import ContractError, read_only
 
 
 @dataclass(frozen=True)
@@ -38,34 +38,27 @@ def ordered_sum(arrays) -> np.ndarray:
     return total
 
 
-def task_vector(theta_ft: ParamVector, theta_pre: ParamVector) -> np.ndarray:
+def task_vector(theta_ft: np.ndarray, theta_pre: np.ndarray) -> np.ndarray:
     """theta_ft - theta_pre, elementwise, as a read-only vector."""
-    if theta_ft.spec != theta_pre.spec:
-        raise ContractError("fine-tuned and pretrained vectors are bound to different specs")
-    return read_only(theta_ft.values - theta_pre.values, np.float64)
+    return read_only(theta_ft - theta_pre, np.float64)
 
 
-def weight_average(models: list[ParamVector]) -> ParamVector:
-    """Elementwise arithmetic mean of the given parameter vectors."""
+def weight_average(models: list[np.ndarray]) -> np.ndarray:
+    """Elementwise arithmetic mean of the given models."""
     if not models:
         raise ContractError("weight_average needs at least one model")
-    first = models[0]
-    for m in models[1:]:
-        if m.spec != first.spec:
-            raise ContractError("all models must be bound to the same spec")
-    mean = ordered_sum([m.values for m in models]) / len(models)
-    return ParamVector(mean, first.spec)
+    return read_only(ordered_sum(models) / len(models), np.float64)
 
 
-def task_arithmetic(theta_pre: ParamVector, task_vectors: Iterable[np.ndarray],
-                    scale: float = 0.3) -> ParamVector:
+def task_arithmetic(theta_pre: np.ndarray, task_vectors: Iterable[np.ndarray],
+                    scale: float = 0.3) -> np.ndarray:
     """theta_pre + scale * ordered_sum(task vectors), read once from any iterable, the sum
     CALM's bulk merge scales too; none gives a copy of theta_pre, its own bits."""
     if scale <= 0.0:
         raise ContractError(f"scale must be positive, got {scale}")
     total = ordered_sum(task_vectors)
-    values = theta_pre.values.copy() if total is None else theta_pre.values + scale * total
-    return ParamVector(values, theta_pre.spec)
+    return read_only(theta_pre.copy() if total is None else theta_pre + scale * total,
+                     np.float64)
 
 
 def ties_trim(tv: np.ndarray, trim_fraction: float) -> np.ndarray:
@@ -99,8 +92,8 @@ def ties_elect_sign(task_vectors: list[np.ndarray]) -> np.ndarray:
     return elected
 
 
-def ties_merge(theta_pre: ParamVector, task_vectors: Iterable[np.ndarray],
-               config: TiesConfig = TiesConfig()) -> ParamVector:
+def ties_merge(theta_pre: np.ndarray, task_vectors: Iterable[np.ndarray],
+               config: TiesConfig = TiesConfig()) -> np.ndarray:
     """Trim each task vector as it is read, elect a sign per coordinate, average the
     agreeing entries (disjoint merge), and add the scaled result to theta_pre."""
     trimmed = [ties_trim(tv, config.trim_fraction) for tv in task_vectors]
@@ -112,7 +105,7 @@ def ties_merge(theta_pre: ParamVector, task_vectors: Iterable[np.ndarray],
         agrees = (np.sign(tv).astype(np.int8) == elected) & (elected != 0)
         agree_sum[agrees] += tv[agrees]
         agree_count[agrees] += 1.0
-    merged = theta_pre.values.copy()
+    merged = theta_pre.copy()
     touched = agree_count > 0
     merged[touched] += config.scale * (agree_sum[touched] / agree_count[touched])
-    return ParamVector(merged, theta_pre.spec)
+    return read_only(merged, np.float64)

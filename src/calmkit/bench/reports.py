@@ -16,11 +16,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..nn import ModelSpec, ParamVector
+from ..nn import ModelSpec
 from ..tasks import TaskData, accuracy
 
 
-def evaluate(spec: ModelSpec, theta: ParamVector, tasks: Sequence[TaskData]) -> tuple[np.ndarray, float]:
+def evaluate(spec: ModelSpec, theta: np.ndarray, tasks: Sequence[TaskData]) -> tuple[np.ndarray, float]:
     """Held-out accuracy per task, on its test split, and the unweighted mean."""
     per_task = np.array([accuracy(spec, theta, task.test_inputs, task.test_labels)
                          for task in tasks])

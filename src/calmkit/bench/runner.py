@@ -19,7 +19,7 @@ import numpy as np
 
 from ..baselines import task_arithmetic, task_vector, ties_merge, weight_average
 from ..calm import STRATEGIES, MergeResult, efficient_merge, sequential_merge
-from ..nn import ParamVector, bind
+from ..nn import read_only
 from ..sampling import CredibleSet, audit_accuracy, score_pool, select_cb_ems, select_ems
 from ..tasks import Checkpoints, TaskData, finetune_all, generate_family, model_spec
 from .config import ExperimentConfig, SUITES, ConfigError, apply_overrides, config_text
@@ -69,7 +69,7 @@ def stage_generate(config: ExperimentConfig, workdir: Path) -> list[TaskData]:
     return tasks
 
 
-def stage_pretrain(config: ExperimentConfig, workdir: Path, tasks: list[TaskData]) -> ParamVector:
+def stage_pretrain(config: ExperimentConfig, workdir: Path, tasks: list[TaskData]) -> np.ndarray:
     # looked up at call time, so a wrapper installed on calmkit.tasks.pretrain sees the call
     from ..tasks import pretrain
 
@@ -78,19 +78,18 @@ def stage_pretrain(config: ExperimentConfig, workdir: Path, tasks: list[TaskData
         theta_pre = pretrain(spec, tasks, config.train.pretrain_epochs,
                              config.train.pretrain_lr, config.train.batch_size,
                              config.family.seed)
-        save_checkpoint(workdir / PRETRAINED_FILE, "pretrain", config,
-                        {"pretrained": theta_pre.values})
+        save_checkpoint(workdir / PRETRAINED_FILE, "pretrain", config, {"pretrained": theta_pre})
     return theta_pre
 
 
 def stage_finetune(config: ExperimentConfig, workdir: Path, tasks: list[TaskData],
-                   theta_pre: ParamVector) -> Checkpoints:
+                   theta_pre: np.ndarray) -> Checkpoints:
     with _stage("finetune"):
         ckpt = finetune_all(model_spec(config.family, config.train), theta_pre, tasks,
                             config.train, config.family.seed)
-        vectors = {"pretrained": ckpt.pretrained.values}
+        vectors = {"pretrained": ckpt.pretrained}
         for t, ft in enumerate(ckpt.finetuned):
-            vectors[f"finetuned_{t:02d}"] = ft.values
+            vectors[f"finetuned_{t:02d}"] = ft
         save_checkpoint(workdir / CHECKPOINTS_FILE, "finetune", config, vectors)
     return ckpt
 
@@ -103,14 +102,14 @@ def load_dataset(config: ExperimentConfig, workdir: Path) -> list[TaskData]:
     return tasks
 
 
-def load_models(config: ExperimentConfig, path: Path, names: list[str]) -> list[ParamVector]:
-    """The models a stage persisted under `names`, all the file holds, of the config's spec."""
+def load_models(config: ExperimentConfig, path: Path, names: list[str]) -> list[np.ndarray]:
+    """The models a stage persisted under `names`, all the file holds, of the config's spec:
+    the loader's fresh arrays, made read-only, whose length it checked against the header's."""
     stage, made, vectors = load_checkpoint(path)
     check_made(path, stage, made, config)
     if sorted(vectors) != sorted(names):
         raise FormatError(f"{path}: expected vectors {names}, got {sorted(vectors)}")
-    # the loader's arrays are fresh: ParamVector wraps them, where bind would copy them
-    return [ParamVector(vectors[name], model_spec(made.family, made.train)) for name in names]
+    return [read_only(vectors[name], np.float64) for name in names]
 
 
 def load_checkpoints(config: ExperimentConfig, workdir: Path) -> Checkpoints:
@@ -118,7 +117,7 @@ def load_checkpoints(config: ExperimentConfig, workdir: Path) -> Checkpoints:
     names = [f"finetuned_{t:02d}" for t in range(config.family.num_tasks)]
     pretrained, *finetuned = load_models(config, workdir / CHECKPOINTS_FILE,
                                          ["pretrained", *names])
-    return Checkpoints(pretrained.spec, pretrained, tuple(finetuned))
+    return Checkpoints(model_spec(config.family, config.train), pretrained, tuple(finetuned))
 
 
 def stage_sample(config: ExperimentConfig, workdir: Path, tasks: list[TaskData],
@@ -157,7 +156,7 @@ def _mask_training_data(config: ExperimentConfig, tasks: list[TaskData],
 
 def merge_with_method(config: ExperimentConfig, tasks: list[TaskData], ckpt: Checkpoints,
                       credible: Mapping[int, CredibleSet]
-                      ) -> tuple[ParamVector, MergeResult | None]:
+                      ) -> tuple[np.ndarray, MergeResult | None]:
     if config.method == "avg":
         return weight_average(list(ckpt.finetuned)), None
     if config.method == "calm":
@@ -172,12 +171,12 @@ def merge_with_method(config: ExperimentConfig, tasks: list[TaskData], ckpt: Che
 
 def stage_merge(config: ExperimentConfig, workdir: Path, tasks: list[TaskData],
                 ckpt: Checkpoints, credible: Mapping[int, CredibleSet]
-                ) -> tuple[ParamVector, MergeResult | None]:
+                ) -> tuple[np.ndarray, MergeResult | None]:
     """Merge and persist the model; the masks file holds this merge's masks and their
     traces, or is absent."""
     with _stage("merge"):
         merged, result = merge_with_method(config, tasks, ckpt, credible)
-        save_checkpoint(workdir / MERGED_FILE, "merge", config, {"merged": merged.values})
+        save_checkpoint(workdir / MERGED_FILE, "merge", config, {"merged": merged})
         if result is not None and result.steps:
             masks = {}
             for idx, step in enumerate(result.steps):
@@ -191,7 +190,7 @@ def stage_merge(config: ExperimentConfig, workdir: Path, tasks: list[TaskData],
 
 
 def stage_evaluate(config: ExperimentConfig, workdir: Path, tasks: list[TaskData],
-                   ckpt: Checkpoints, merged: ParamVector,
+                   ckpt: Checkpoints, merged: np.ndarray,
                    credible: Mapping[int, CredibleSet]) -> ReportBundle:
     """Evaluate the merged model and write its reports; the mask diagnostics come from
     the masks file that stage_merge persisted, whose masks must hold only 0.0 and 1.0."""
@@ -302,7 +301,7 @@ def ablation_suite(config: ExperimentConfig, suite: str, workdir: Path) -> list[
         point = apply_overrides(config, {"plan.sequential_set": config.plan.sequential_set[:1]})
         bundle, result = run_point(point, "components")
         j, mask = result.steps[0].task_id, result.steps[0].mask
-        pre = ckpt.pretrained.values
+        pre = ckpt.pretrained
         # the bulk vector that the merge started from, bit for bit
         taus = (task_vector(ckpt.finetuned[t], ckpt.pretrained)
                 for t in point.plan.bulk_set(ckpt.num_tasks))
@@ -313,7 +312,7 @@ def ablation_suite(config: ExperimentConfig, suite: str, workdir: Path) -> list[
                               ("pre+(1-M)*tau_bulk", pre + (1.0 - mask) * tau_bulk),
                               ("pre+tau_seq", pre + tau_seq),
                               ("pre+M*tau_seq", pre + mask * tau_seq)]:
-            per_task, average = evaluate(ckpt.spec, bind(ckpt.spec, values), tasks)
+            per_task, average = evaluate(ckpt.spec, values, tasks)
             rows.append([label, average, float(per_task[j])])
         rows.append(["pre+(1-M)*tau_bulk+M*tau_seq", bundle.average_accuracy,
                      float(bundle.per_task_accuracy[j])])

@@ -54,8 +54,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .baselines import ordered_sum, task_vector
-from .nn import (ContractError, ModelSpec, ParamVector, bind_pass, check_labels, read_only,
-                 weighted_loss_and_grad)
+from .nn import ContractError, ModelSpec, bind_pass, check_labels, read_only, weighted_loss_and_grad
 from .seeding import STAGE_MASK_BATCHES, STAGE_MASK_INIT, STAGE_PARTITION, rng_for
 from .tasks import Checkpoints
 
@@ -140,7 +139,7 @@ class StepArtifact:
 
 @dataclass(frozen=True)
 class MergeResult:
-    merged: ParamVector
+    merged: np.ndarray
     steps: tuple[StepArtifact, ...]
 
 
@@ -167,7 +166,7 @@ def partition(task_ids: Sequence[int], num_sequential: int, seed: int = 0) -> Me
     return MergePlan(tuple(ids[i] for i in perm[:num_sequential]), seed=seed)
 
 
-def efficient_merge(theta_pre: ParamVector, bulk: Iterable[np.ndarray],
+def efficient_merge(theta_pre: np.ndarray, bulk: Iterable[np.ndarray],
                     scale: float = 0.3) -> np.ndarray:
     """Task arithmetic's update scale * ordered_sum(bulk), read-only, in one pass over any
     iterable; none: zeros."""
@@ -245,7 +244,7 @@ def _bind_pool(spec: ModelSpec, inputs: np.ndarray, labels: np.ndarray | None,
             (m, total, spare, np.empty(theta.size, bool)))
 
 
-def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: SequentialState,
+def consensus_objective(spec: ModelSpec, theta_pre: np.ndarray, state: SequentialState,
                         tau_j: np.ndarray, r: np.ndarray,
                         task_batches: Mapping[int, np.ndarray], l1_weight: float,
                         strategy: str, objective: str,
@@ -283,7 +282,7 @@ def consensus_objective(spec: ModelSpec, theta_pre: ParamVector, state: Sequenti
     else:
         np.multiply(np.subtract(1.0, m, out=total), tau_seq, out=theta)
         theta += np.multiply(m, tau_j, out=total) if strategy == "both" else tau_j
-    np.add(theta_pre.values, theta, out=theta)
+    np.add(theta_pre, theta, out=theta)
     # np.mean's bits without its overhead
     l1 = l1_weight * float(m.sum() / m.size)
     data_loss, grad = weighted_loss_and_grad(spec, bound, inputs, labels, weights)
@@ -315,29 +314,26 @@ def binarize(r: np.ndarray) -> np.ndarray:
     return read_only(r >= 0.0, bool)
 
 
-def optimize_mask(spec: ModelSpec, theta_pre: ParamVector, state: SequentialState,
+def optimize_mask(spec: ModelSpec, theta_pre: np.ndarray, state: SequentialState,
                   tau_j: np.ndarray, task_data: TaskExamples, init: np.ndarray,
                   plan: MergePlan, rng: np.random.Generator,
                   objective: str = "cross_entropy") -> StepArtifact:
     """First-order descent on r, then the rounded mask of tau_j's step.
 
-    The step is checked once, before it draws: theta_pre's spec here, the
-    objective and the visible tasks' credible rows in `_row_pool`, which stacks
-    the rows into one pool, and the pool's labels against the spec's classes.
-    Every batch of a task has min(n, batch_size) rows, so the pool binding, the
-    flat buffer of row indices and each task's (batches_per_task, rows) view of
-    it are made once, the whole set written in when n <= batch_size. Each
-    iteration overwrites the other tasks' views, in visible order, with the
-    first entries of one `rng.permuted` row of arange(n) per batch, one call per
-    run of tasks with sets of one size: a wrapper of the objective that keeps
-    them must copy them. r is `init` when the caller hands over a writeable array,
-    else a copy of it; it is updated in place and checked to be finite once, after
-    the last iteration. The step's task is the last visible task. The objective
-    trace holds the pre-step loss per iteration; the density trace holds the
-    rounded-mask density before the first and after every step.
+    The step is checked once, before it draws: the objective and the visible tasks'
+    credible rows in `_row_pool`, which stacks the rows into one pool, and the pool's
+    labels against the spec's classes. Every batch of a task has min(n, batch_size)
+    rows, so the pool binding, the flat buffer of row indices and each task's
+    (batches_per_task, rows) view of it are made once, the whole set written in when
+    n <= batch_size. Each iteration overwrites the other tasks' views, in visible
+    order, with the first entries of one `rng.permuted` row of arange(n) per batch, one
+    call per run of tasks with sets of one size: a wrapper of the objective that keeps
+    them must copy them. r is `init` when the caller hands over a writeable array, else a
+    copy of it; it is updated in place and checked to be finite once, after the last
+    iteration. The step's task is the last visible task. The objective trace holds the
+    pre-step loss per iteration; the density trace holds the rounded-mask density before
+    the first and after every step.
     """
-    if theta_pre.spec != spec:
-        raise ContractError(f"theta_pre is bound to {theta_pre.spec}, not to {spec}")
     inputs, labels, spans = _row_pool(state.visible_tasks, task_data, objective)
     if labels is not None:
         check_labels(labels, spec.num_classes)
@@ -385,8 +381,9 @@ def sequential_merge(checkpoints: Checkpoints, plan: MergePlan, examples: TaskEx
     """Run the full merge: bulk task arithmetic, then one mask per sequential task.
 
     `examples` maps task id to the (inputs, labels-or-None) arrays the mask objective
-    trains on. Returns the merged parameters and, per sequential step, the bool mask
-    with its objective and density traces. Each task vector is built where it is used.
+    trains on. Returns the merged model, a read-only (P,) array, and, per sequential
+    step, the bool mask with its objective and density traces. Each task vector is built
+    where it is used.
     """
     spec, theta_pre = checkpoints.spec, checkpoints.pretrained
     bulk_set = plan.bulk_set(checkpoints.num_tasks)
@@ -410,4 +407,4 @@ def sequential_merge(checkpoints: Checkpoints, plan: MergePlan, examples: TaskEx
         state = SequentialState(masked_merge(state.tau_seq, tau_j, step.mask, plan.strategy),
                                 state.visible_tasks)
 
-    return MergeResult(ParamVector(theta_pre.values + state.tau_seq, spec), tuple(steps))
+    return MergeResult(read_only(theta_pre + state.tau_seq, np.float64), tuple(steps))

@@ -1,10 +1,10 @@
 """Minimal dense classifier with exact reverse-mode gradients.
 
-A model is a flat float64 parameter vector bound to a :class:`ModelSpec`, so
-merging code can treat checkpoints as points in R^n; a :class:`ParamVector`
-holds its spec, which gives its length and each layer's span. Every routine
-here but the in-place `sgd_step` is a pure function of its inputs: same spec,
-parameters, and data give bit-identical logits, losses, and gradients.
+A model is a read-only (P,) float64 array, P the `parameter_count` of the
+:class:`ModelSpec` passed beside it, which gives each layer's span, so merging code
+can treat checkpoints as points in R^P. Every routine here but the in-place `sgd_step`
+is a pure function of its inputs: same spec, parameters, and data give bit-identical
+logits, losses, and gradients.
 
 Every forward and backward pass is one kernel, `_forward_acts` and `_backward`,
 row-major on (rows, features) batches with an optional task axis, on which
@@ -138,38 +138,14 @@ class ModelSpec:
         return self._derived[1]
 
 
-@dataclass(frozen=True)
-class ParamVector:
-    """Flat float64 parameter vector of one spec: parameter_count entries."""
-
-    values: np.ndarray
-    spec: ModelSpec
-
-    def __post_init__(self):
-        values = read_only(self.values, np.float64)
-        if values.shape != (self.spec.parameter_count,):
-            raise ContractError(f"expected {self.spec.parameter_count} parameters for spec, "
-                                f"got shape {values.shape}")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def size(self) -> int:
-        return int(self.values.size)
-
-
-def bind(spec: ModelSpec, values: np.ndarray) -> ParamVector:
-    """A copy of a flat vector as the parameters of `spec`, validating its length."""
-    return ParamVector(np.array(values, dtype=np.float64), spec)
-
-
-def init_params(spec: ModelSpec, seed) -> ParamVector:
+def init_params(spec: ModelSpec, seed) -> np.ndarray:
     """Seeded uniform init in +-sqrt(6/(fan_in+fan_out)) per layer; biases zero."""
     rng = np.random.default_rng(seed)
     values = np.zeros(spec.parameter_count)
     for (start, _), (fi, fo) in zip(spec.layer_offsets(), spec.layer_dims):
         limit = np.sqrt(6.0 / (fi + fo))
         values[start : start + fi * fo] = rng.uniform(-limit, limit, size=fi * fo)
-    return bind(spec, values)
+    return read_only(values, np.float64)
 
 
 def layer_views(spec: ModelSpec, values: np.ndarray):
@@ -205,18 +181,16 @@ def _forward_acts(spec: ModelSpec, layers: list, inputs: np.ndarray, outs=None) 
     return acts
 
 
-def forward(spec: ModelSpec, params: ParamVector, inputs: np.ndarray) -> np.ndarray:
-    """Raw logits (B x num_classes); no softmax applied."""
+def forward(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Raw logits (B x num_classes) of the (P,) `params` of `spec`; no softmax applied."""
     inputs = np.asarray(inputs, dtype=np.float64)
-    if params.spec != spec:
-        raise ContractError(f"parameter vector is bound to {params.spec}, not to {spec}")
     if inputs.ndim != 2:
         raise ContractError(f"inputs must be 2-D (batch, features), got shape {inputs.shape}")
     if inputs.shape[1] != spec.input_dim:
         raise ContractError(
             f"inputs axis 1 has {inputs.shape[1]} features, spec.input_dim is {spec.input_dim}"
         )
-    return _forward_acts(spec, layer_views(spec, params.values), inputs)[-1]
+    return _forward_acts(spec, layer_views(spec, params), inputs)[-1]
 
 
 def check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:

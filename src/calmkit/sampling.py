@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import ContractError, ModelSpec, ParamVector, forward, prediction_entropy, read_only
+from .nn import ContractError, ModelSpec, forward, prediction_entropy, read_only
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class CredibleSet:
         return len(self.indices)
 
 
-def score_pool(spec: ModelSpec, params: ParamVector, inputs: np.ndarray) -> PoolScores:
+def score_pool(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> PoolScores:
     """Entropy and argmax pseudo-label per pool row; argmax ties go to the lowest class."""
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] == 0:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .nn import ContractError, ModelSpec, ParamVector, forward, loss_and_grad, read_only, sgd_step
+from .nn import ContractError, ModelSpec, forward, loss_and_grad, read_only, sgd_step
 from .seeding import STAGE_DATA, STAGE_FINETUNE, STAGE_INIT, STAGE_PRETRAIN, rng_for
 
 # Most parameters in one fine-tuning stack, or in each half of one that binds two slots
@@ -146,15 +146,13 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class Checkpoints:
-    """The shared pretrained model and one fine-tuned model per task."""
+    """The shared pretrained model and one fine-tuned model per task, each a read-only
+    (P,) array of `spec`: a fine-tuned row is a view of its fine-tune stack, or the array
+    the loader made."""
 
     spec: ModelSpec
-    pretrained: ParamVector
-    finetuned: tuple[ParamVector, ...]
-
-    def __post_init__(self):
-        if any(p.spec != self.spec for p in (self.pretrained, *self.finetuned)):
-            raise ContractError("all checkpoints must be bound to the same spec")
+    pretrained: np.ndarray
+    finetuned: tuple[np.ndarray, ...]
 
     @property
     def num_tasks(self) -> int:
@@ -216,7 +214,7 @@ def generate_family(family: TaskFamily) -> list[TaskData]:
     return tasks
 
 
-def accuracy(spec: ModelSpec, params: ParamVector, inputs: np.ndarray,
+def accuracy(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
              labels: np.ndarray) -> float:
     """Fraction of argmax predictions on the inputs' rows that match their labels."""
     predicted = np.argmax(forward(spec, params, inputs), axis=1)
@@ -260,34 +258,33 @@ def _sgd_train(spec: ModelSpec, values: np.ndarray, inputs: np.ndarray, labels: 
 
 
 def pretrain(spec: ModelSpec, tasks: list[TaskData], epochs: int,
-             lr: float = 0.1, batch_size: int = 64, seed: int = 0) -> ParamVector:
+             lr: float = 0.1, batch_size: int = 64, seed: int = 0) -> np.ndarray:
     """Train a fresh seeded init on the pooled train splits of every task.
 
     A zero epoch budget returns the initialization unchanged.
     """
-    values = np.array(nn.init_params(spec, rng_for(seed, STAGE_INIT)).values)
+    values = np.array(nn.init_params(spec, rng_for(seed, STAGE_INIT)))
     _sgd_train(spec, values, np.concatenate([t.train_inputs for t in tasks]),
                np.concatenate([t.train_labels for t in tasks]), epochs, lr, batch_size,
                [rng_for(seed, STAGE_PRETRAIN)])
-    return ParamVector(values, spec)
+    return read_only(values, np.float64)
 
 
-def finetune(spec: ModelSpec, theta_pre: ParamVector, tasks: list[TaskData], epochs: int,
+def finetune(spec: ModelSpec, theta_pre: np.ndarray, tasks: list[TaskData], epochs: int,
              lr: float = 0.1, batch_size: int = 64, seed: int = 0,
-             head_mode: str = "shared") -> list[ParamVector]:
-    """Continue training theta_pre on each task's train split, all in one stack.
+             head_mode: str = "shared") -> list[np.ndarray]:
+    """Continue training theta_pre on each task's train split, all in one stack; each
+    model is a read-only row of it.
 
     head_mode 'per_task' freezes the classifier head so the task vector only
     touches the backbone, mimicking setups whose heads never fine-tune.
     """
-    if theta_pre.spec != spec:
-        raise ContractError("theta_pre is not bound to this spec")
-    values = np.tile(theta_pre.values, (len(tasks), 1))
+    values = np.tile(theta_pre, (len(tasks), 1))
     _sgd_train(spec, values, np.stack([t.train_inputs for t in tasks]),
                np.stack([t.train_labels for t in tasks]), epochs, lr, batch_size,
                [rng_for(seed, STAGE_FINETUNE, t.task_id) for t in tasks],
                freeze_head=(head_mode == "per_task"))
-    return [ParamVector(row, spec) for row in values]
+    return list(read_only(values, np.float64))
 
 
 def model_spec(family: TaskFamily, config: TrainConfig) -> ModelSpec:
@@ -296,7 +293,7 @@ def model_spec(family: TaskFamily, config: TrainConfig) -> ModelSpec:
                      config.activation)
 
 
-def finetune_all(spec: ModelSpec, theta_pre: ParamVector, tasks: list[TaskData],
+def finetune_all(spec: ModelSpec, theta_pre: np.ndarray, tasks: list[TaskData],
                  config: TrainConfig, seed: int) -> Checkpoints:
     """Fine-tune theta_pre on every task, in stacks of at most STACK_PARAMS parameters;
     each model must reach the accuracy floor on its own test split, checked in task order."""

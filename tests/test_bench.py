@@ -7,10 +7,12 @@ import shutil
 import struct
 import threading
 import zlib
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from calmkit import nn
+from calmkit import baselines, calm, nn, tasks
 from calmkit.bench import cli
 from calmkit.bench import config as config_module
 from calmkit.bench import runner
@@ -95,6 +97,55 @@ def test_persisted_mask_diagnostics_match_the_one_shot_run(tmp_path):
                              "density_trace.csv", "objective_trace.csv",
                              "magnitude_overlap.csv"}
     assert evaluated == reported == _reports(tmp_path / "one")
+
+
+@pytest.fixture(scope="module")
+def tiny_calm(tmp_path_factory):
+    """A one-shot calm run of TINY: its config, directory, tasks, loaded checkpoints and
+    credible sets."""
+    config, workdir = build_config(TINY), tmp_path_factory.mktemp("tiny_calm")
+    run_experiment(config, workdir)
+    return SimpleNamespace(config=config, workdir=workdir,
+                           tasks=runner.load_dataset(config, workdir),
+                           ckpt=runner.load_checkpoints(config, workdir),
+                           credible=runner.load_credible(config, workdir))
+
+
+def _taus(ckpt):
+    return [baselines.task_vector(ft, ckpt.pretrained) for ft in ckpt.finetuned]
+
+
+# every route that makes or loads a model, and the models it gives on the tiny_calm run
+MODEL_ROUTES = {
+    "init_params": lambda run: [nn.init_params(run.ckpt.spec, 0)],
+    "pretrain": lambda run: [tasks.pretrain(run.ckpt.spec, run.tasks, 2)],
+    "finetune_all": lambda run: list(tasks.finetune_all(
+        run.ckpt.spec, run.ckpt.pretrained, run.tasks, run.config.train, 0).finetuned),
+    "load_models pretrained": lambda run: runner.load_models(
+        run.config, run.workdir / PRETRAINED_FILE, ["pretrained"]),
+    "load_models checkpoints": lambda run: runner.load_models(
+        run.config, run.workdir / CHECKPOINTS_FILE,
+        ["pretrained", *(f"finetuned_{t:02d}" for t in range(3))]),
+    "load_models merged": lambda run: runner.load_models(
+        run.config, run.workdir / MERGED_FILE, ["merged"]),
+    "weight_average": lambda run: [baselines.weight_average(list(run.ckpt.finetuned))],
+    "task_arithmetic": lambda run: [baselines.task_arithmetic(run.ckpt.pretrained,
+                                                              _taus(run.ckpt))],
+    "ties_merge": lambda run: [baselines.ties_merge(run.ckpt.pretrained, _taus(run.ckpt))],
+    "sequential_merge": lambda run: [calm.sequential_merge(
+        run.ckpt, run.config.plan,
+        runner._mask_training_data(run.config, run.tasks, run.credible)[0]).merged],
+}
+
+
+@pytest.mark.parametrize("route", sorted(MODEL_ROUTES))
+def test_every_model_is_a_read_only_contiguous_float64_vector_of_its_spec(route, tiny_calm):
+    models = MODEL_ROUTES[route](tiny_calm)
+    assert models
+    for model in models:
+        assert isinstance(model, np.ndarray) and model.dtype == np.float64
+        assert model.shape == (tiny_calm.ckpt.spec.parameter_count,)
+        assert model.flags.c_contiguous and not model.flags.writeable
 
 
 def test_default_config_staged_reports_keep_their_hashes(tmp_path):
@@ -281,7 +332,7 @@ def test_suites_that_draw_batches_keep_their_hashes(suite, tmp_path, monkeypatch
     evaluated, evaluate = [], runner.evaluate
 
     def hashed(spec, params, tasks):
-        evaluated.append(_sha(params.values.tobytes()))
+        evaluated.append(_sha(params.tobytes()))
         return evaluate(spec, params, tasks)
 
     monkeypatch.setattr(runner, "evaluate", hashed)

@@ -109,6 +109,21 @@ def test_order_points_without_credible_sets_are_stated_not_differing(tmp_path):
     ]
 
 
+def test_the_components_point_s_reports_are_stated_as_added(tmp_path):
+    # a parent whose components point ran no stage_evaluate wrote none of its reports
+    shared = {"suites/components/summary.csv": "s",
+              "suites/components/components/merged.calmckpt": "m"}
+    added = {f"suites/components/components/{name}": "r" for name in (
+        "report.csv", "report.txt", "layer_density.csv", "density_trace.csv",
+        "objective_trace.csv", "magnitude_overlap.csv")}
+    roots = sides(tmp_path, shared, {**shared, **added, "suites/lr/report.csv": "r"})
+    # a file added anywhere else still counts
+    assert compare_artifacts.compare(roots) == ["suites/lr/report.csv: missing on parent"]
+    assert compare_artifacts.tally(roots, compare_artifacts.workload) == [
+        "suites/: 1 of 9 differ (6 added as stated)"]
+    assert "report.csv: 1 of 2 differ (1 added as stated)" in compare_artifacts.tally(roots)
+
+
 def test_leaves_are_every_array_by_its_path():
     import numpy as np
 

@@ -232,6 +232,14 @@ def _first_value(raw: bytes, name: bytes) -> int:
     return raw.index(name) + len(name) + 2 + 1 + 2 * 8
 
 
+def _one_value_short(raw: bytes, name: bytes) -> bytes:
+    """`raw` without the last value of `name`, its file's last array, with the array's one
+    dimension and the CRC rewritten to agree."""
+    at = raw.index(name) + len(name) + 2 + 1
+    (count,) = struct.unpack_from("<Q", raw, at)
+    return _with_crc(raw[:at] + struct.pack("<Q", count - 1) + raw[at + 8 : -12])
+
+
 @pytest.mark.parametrize("file, command, old, new", [
     # the first byte of the first vector name: not UTF-8
     (PRETRAINED_FILE, "finetune", b"pretrained", b"\xff"),
@@ -241,6 +249,9 @@ def _first_value(raw: bytes, name: bytes) -> int:
     (DATASETS_FILE, "pretrain", b"family.classes_per_task = 2", b"family.classes_per_task = 9"),
     # a NaN train input
     (DATASETS_FILE, "pretrain", b"task00.train_inputs", None),
+    # a model one value short of its header's spec: the loader's length check is the only
+    # one a loaded model meets
+    (PRETRAINED_FILE, "finetune", b"pretrained", _one_value_short),
 ])
 def test_corrupt_files_exit_2_through_the_cli(file, command, old, new, tmp_path, capsys):
     entries = [arg for key, value in SMALL.items() for arg in (f"--{key}", value)]
@@ -251,6 +262,8 @@ def test_corrupt_files_exit_2_through_the_cli(file, command, old, new, tmp_path,
     raw = path.read_bytes()
     if new is None:
         path.write_bytes(_patched(raw, _first_value(raw, old), struct.pack("<d", np.nan)))
+    elif callable(new):
+        path.write_bytes(new(raw, old))
     else:
         path.write_bytes(_patched(raw, raw.index(old), new))
     capsys.readouterr()

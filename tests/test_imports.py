@@ -1,6 +1,7 @@
 """Every name that a calmkit module imports is used in that module, by an `ast` walk in
 place of a linter. An import line marked `# noqa: F401` is exempt: `cli.py` keeps two so
-that the benchmark's hooks find them, and `from __future__` imports bind nothing."""
+that the benchmark's hooks find them, and a `from __future__` import is a compiler
+directive, not a name to use."""
 import ast
 from pathlib import Path
 

@@ -12,9 +12,7 @@ from calmkit.nn import (
     ROW_BLOCK,
     ContractError,
     ModelSpec,
-    ParamVector,
     _loss_and_dlogits,
-    bind,
     bind_pass,
     forward,
     helper_slots,
@@ -100,7 +98,7 @@ def label_positions(logits, labels):
 
 
 def zero_params(spec):
-    return bind(spec, np.zeros(spec.parameter_count))
+    return np.zeros(spec.parameter_count)
 
 
 def finite_diff(f, x, h=1e-4):
@@ -133,21 +131,6 @@ class TestSpecAndParams:
         with pytest.raises(ContractError):
             ModelSpec(4, (4,), 3, activation="gelu")
 
-    def test_bind_length_check(self):
-        spec = ModelSpec(2, (), 2)
-        with pytest.raises(ContractError):
-            bind(spec, np.zeros(spec.parameter_count + 1))
-
-    def test_param_vector_length_must_match_its_spec(self):
-        spec = ModelSpec(1, (), 2)  # 4 parameters
-        with pytest.raises(ContractError):
-            ParamVector(np.zeros(3), spec)
-
-    def test_values_are_frozen(self):
-        params = zero_params(ModelSpec(2, (), 2))
-        with pytest.raises(ValueError):
-            params.values[0] = 1.0
-
 
 class TestForward:
     def test_zero_weights_give_zero_logits(self):
@@ -158,7 +141,7 @@ class TestForward:
     def test_single_linear_layer_by_hand(self):
         # W = [[1, -1]] (one input, two classes), zero bias, input [2] -> [2, -2]
         spec = ModelSpec(1, (), 2)
-        params = bind(spec, np.array([1.0, -1.0, 0.0, 0.0]))
+        params = np.array([1.0, -1.0, 0.0, 0.0])
         logits = forward(spec, params, np.array([[2.0]]))
         assert np.array_equal(logits, np.array([[2.0, -2.0]]))
 
@@ -166,19 +149,13 @@ class TestForward:
         spec = ModelSpec(6, (5, 4), 3)
         params = init_params(spec, 7)
         inputs = np.ones((2, 6))
-        expected = forward_oracle(spec, params.values, inputs)
+        expected = forward_oracle(spec, params, inputs)
         assert np.allclose(forward(spec, params, inputs), expected, rtol=0, atol=1e-12)
 
     def test_dimension_mismatch_names_axis(self):
         spec = ModelSpec(3, (), 2)
         with pytest.raises(ContractError, match="axis 1"):
             forward(spec, zero_params(spec), np.ones((2, 4)))
-
-    def test_unbound_params_rejected(self):
-        spec_a = ModelSpec(3, (), 2)
-        spec_b = ModelSpec(3, (), 3)
-        with pytest.raises(ContractError, match="bound to"):
-            forward(spec_b, zero_params(spec_a), np.ones((1, 3)))
 
     def test_deterministic(self):
         spec = ModelSpec(4, (6,), 3, activation="tanh")
@@ -258,7 +235,7 @@ class TestLossAndGrad:
         # bias-only toy: zero inputs, the two labels balance exactly
         spec = ModelSpec(1, (), 2)
         inputs, labels = np.zeros((2, 1)), np.array([0, 1])
-        _, grad = bound_loss_and_grad(spec, zero_params(spec).values, inputs, labels)
+        _, grad = bound_loss_and_grad(spec, zero_params(spec), inputs, labels)
         assert np.allclose(grad, 0.0, rtol=0, atol=1e-15)
 
     def test_matches_finite_differences_tanh(self):
@@ -266,12 +243,12 @@ class TestLossAndGrad:
         rng = np.random.default_rng(23)
         params = init_params(spec, 23)
         inputs, labels = rng.standard_normal((8, 5)), rng.integers(0, 4, size=8)
-        _, analytic = bound_loss_and_grad(spec, params.values, inputs, labels)
+        _, analytic = bound_loss_and_grad(spec, params, inputs, labels)
 
         def f(values):
-            return cross_entropy(forward(spec, bind(spec, values), inputs), labels)
+            return cross_entropy(forward(spec, values, inputs), labels)
 
-        numeric = finite_diff(f, params.values.copy())
+        numeric = finite_diff(f, params.copy())
         rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-6)
         assert rel.max() < 1e-4
 
@@ -280,11 +257,11 @@ class TestLossAndGrad:
         rng = np.random.default_rng(29)
         params = init_params(spec, 29)
         inputs, labels = rng.standard_normal((16, 3)), rng.integers(0, 3, size=16)
-        loss, grad = bound_loss_and_grad(spec, params.values, inputs, labels)
+        loss, grad = bound_loss_and_grad(spec, params, inputs, labels)
         assert grad @ grad > 0.0
-        stepped = params.values.copy()
+        stepped = params.copy()
         sgd_step(stepped, grad, 1e-3)
-        new_loss = cross_entropy(forward(spec, bind(spec, stepped), inputs), labels)
+        new_loss = cross_entropy(forward(spec, stepped, inputs), labels)
         assert new_loss < loss
 
     def test_loss_equals_forward_cross_entropy(self):
@@ -292,7 +269,7 @@ class TestLossAndGrad:
         rng = np.random.default_rng(31)
         params = init_params(spec, 31)
         inputs, labels = rng.standard_normal((10, 4)), rng.integers(0, 3, size=10)
-        loss, _ = bound_loss_and_grad(spec, params.values, inputs, labels)
+        loss, _ = bound_loss_and_grad(spec, params, inputs, labels)
         direct = cross_entropy(forward(spec, params, inputs), labels)
         assert loss == direct
 
@@ -303,8 +280,8 @@ class TestLossAndGrad:
         rng = np.random.default_rng(41)
         params = init_params(spec, 41)
         inputs, labels = rng.standard_normal((10, 4)), rng.integers(0, 3, size=10)
-        got_loss, got_grad = bound_loss_and_grad(spec, params.values, inputs, labels)
-        loss, grad = mean_reduction_loss_and_grad(spec, params.values, inputs, labels)
+        got_loss, got_grad = bound_loss_and_grad(spec, params, inputs, labels)
+        loss, grad = mean_reduction_loss_and_grad(spec, params, inputs, labels)
         assert got_loss == loss
         assert got_grad.tobytes() == grad.tobytes()
 
@@ -319,8 +296,8 @@ class TestLossAndGrad:
         params = init_params(spec, 7)
         inputs = 3.0 * rng.standard_normal((rows, 4))
         labels = rng.integers(0, classes, size=rows)
-        got_loss, got_grad = bound_loss_and_grad(spec, params.values, inputs, labels)
-        loss, grad = mean_reduction_loss_and_grad(spec, params.values, inputs, labels)
+        got_loss, got_grad = bound_loss_and_grad(spec, params, inputs, labels)
+        loss, grad = mean_reduction_loss_and_grad(spec, params, inputs, labels)
         assert got_loss == loss
         assert got_grad.tobytes() == grad.tobytes()
         assert got_loss == cross_entropy(forward(spec, params, inputs), labels)
@@ -330,7 +307,7 @@ class TestLossAndGrad:
     def test_a_stack_gives_each_model_the_bits_of_its_own_pass(self, activation, classes):
         spec = ModelSpec(4, (6, 5), classes, activation=activation)
         rng = np.random.default_rng(classes)
-        values = np.stack([init_params(spec, seed).values for seed in range(3)])
+        values = np.stack([init_params(spec, seed) for seed in range(3)])
         inputs = rng.standard_normal((3, 10, 4))
         labels = rng.integers(0, classes, size=(3, 10))
         losses, grads = bound_loss_and_grad(spec, values, inputs, labels)
@@ -345,8 +322,8 @@ class TestLossAndGrad:
         rng = np.random.default_rng(37)
         params = init_params(spec, 37)
         inputs, labels = rng.standard_normal((6, 4)), rng.integers(0, 3, size=6)
-        loss_a, grad_a = bound_loss_and_grad(spec, params.values, inputs, labels)
-        loss_b, grad_b = bound_loss_and_grad(spec, params.values, inputs, labels)
+        loss_a, grad_a = bound_loss_and_grad(spec, params, inputs, labels)
+        loss_b, grad_b = bound_loss_and_grad(spec, params, inputs, labels)
         assert loss_a == loss_b
         assert np.array_equal(grad_a, grad_b)
 
@@ -404,7 +381,7 @@ def step_case(stack, activation, classes, rows=50):
     spec = ModelSpec(4, (6, 5), classes, activation=activation)
     rng = np.random.default_rng(classes + rows)
     lead = () if stack is None else (stack,)
-    values = np.stack([init_params(spec, seed).values for seed in range(stack or 1)])
+    values = np.stack([init_params(spec, seed) for seed in range(stack or 1)])
     return (spec, values.reshape(*lead, -1), 2.0 * rng.standard_normal((*lead, rows, 4)),
             rng.integers(0, classes, size=(*lead, rows)))
 
@@ -465,7 +442,7 @@ class TestBoundKernels:
         # dz is written over the hidden output that the layer before it consumed
         spec = ModelSpec(4, hidden, 3, activation)
         rng = np.random.default_rng(len(hidden))
-        values = init_params(spec, 9).values.copy()
+        values = init_params(spec, 9).copy()
         inputs, labels = rng.standard_normal((40, 4)), rng.integers(0, 3, size=40)
         loss, grad = bound_loss_and_grad(spec, values, inputs, labels)
         ref_loss, ref_grad = reference.loss_and_grad(
@@ -661,7 +638,7 @@ class TestAllocationFreeSteps:
     @pytest.mark.parametrize("slots", [1, 2])
     def test_a_training_step_allocates_no_block(self, slots, monkeypatch):
         rng = np.random.default_rng(3)
-        values = np.stack([init_params(WIDE, seed).values for seed in range(2)])
+        values = np.stack([init_params(WIDE, seed) for seed in range(2)])
         # a stack of two 512-row batches: each layer's output spans ROW_BLOCK rows; with
         # two slots each model is a half, one on the helper thread
         inputs, labels = rng.standard_normal((2, 512, 4)), rng.integers(0, 3, size=(2, 512))
@@ -772,12 +749,12 @@ class TestGradientExactnessSweep:
             params = init_params(spec, int(rng.integers(0, 10_000)))
             inputs = rng.standard_normal((5, spec.input_dim))
             labels = rng.integers(0, spec.num_classes, size=5)
-            _, analytic = bound_loss_and_grad(spec, params.values, inputs, labels)
+            _, analytic = bound_loss_and_grad(spec, params, inputs, labels)
 
             def f(values, spec=spec, inputs=inputs, labels=labels):
-                return cross_entropy(forward(spec, bind(spec, values), inputs), labels)
+                return cross_entropy(forward(spec, values, inputs), labels)
 
-            numeric = finite_diff(f, params.values.copy())
+            numeric = finite_diff(f, params.copy())
             rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-6)
             worst = max(worst, rel.max())
         assert worst < 1e-4

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calmkit.nn import ContractError, ModelSpec, _loss_and_dlogits, bind, forward, init_params
+from calmkit.nn import ContractError, ModelSpec, _loss_and_dlogits, forward, init_params
 from calmkit.sampling import (
     CredibleSet,
     PoolScores,
@@ -29,7 +29,7 @@ def logit_model(c):
     spec = identity_spec(c)
     values = np.zeros(spec.parameter_count)
     values[: c * c] = np.eye(c).reshape(-1)
-    return spec, bind(spec, values)
+    return spec, values
 
 
 def scored_from_entropy(entropies, labels=None):
@@ -77,7 +77,7 @@ class TestScorePool:
 
     def test_overflowing_logits_are_rejected(self):
         spec, params = logit_model(3)
-        big = bind(spec, params.values * 1e10)  # finite parameters, logits of 1e310
+        big = params * 1e10  # finite parameters, logits of 1e310
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ContractError, match="logits"):
             score_pool(spec, big, np.full((2, 3), 1e300))

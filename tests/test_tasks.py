@@ -168,11 +168,11 @@ class TestPretrain:
         spec = ModelSpec(SMALL.input_dim, (8,), SMALL.classes_per_task)
         a = pretrain(spec, tasks, epochs=0, seed=5)
         b = pretrain(spec, tasks, epochs=0, seed=5)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
         from calmkit.nn import init_params
         from calmkit.seeding import STAGE_INIT, rng_for
         reference = init_params(spec, rng_for(5, STAGE_INIT))
-        assert np.array_equal(a.values, reference.values)
+        assert np.array_equal(a, reference)
 
     def test_default_budget_above_chance_everywhere(self, default_pipeline):
         family, tasks, ckpt = default_pipeline
@@ -194,7 +194,7 @@ class TestFinetune:
         spec = ModelSpec(SMALL.input_dim, (8,), SMALL.classes_per_task)
         theta_pre = pretrain(spec, tasks, epochs=2, seed=5)
         for theta_ft in finetune(spec, theta_pre, tasks, epochs=0, seed=5):
-            assert theta_ft.values.tobytes() == theta_pre.values.tobytes()
+            assert theta_ft.tobytes() == theta_pre.tobytes()
 
     def test_own_task_accuracy_floor(self, default_pipeline):
         family, tasks, ckpt = default_pipeline
@@ -216,7 +216,7 @@ class TestFinetune:
     def test_nontrivial_task_vectors(self, default_pipeline):
         family, tasks, ckpt = default_pipeline
         for ft in ckpt.finetuned:
-            assert np.linalg.norm(ft.values - ckpt.pretrained.values) > 0.0
+            assert np.linalg.norm(ft - ckpt.pretrained) > 0.0
 
     def test_per_task_head_mode_freezes_head(self):
         tasks = generate_family(SMALL)
@@ -225,14 +225,14 @@ class TestFinetune:
         theta_ft, = finetune(spec, theta_pre, tasks[:1], epochs=5, seed=5,
                              head_mode="per_task")
         head_start = spec.layer_offsets()[-1][0]
-        assert np.array_equal(theta_ft.values[head_start:], theta_pre.values[head_start:])
-        assert not np.array_equal(theta_ft.values[:head_start], theta_pre.values[:head_start])
+        assert np.array_equal(theta_ft[head_start:], theta_pre[head_start:])
+        assert not np.array_equal(theta_ft[:head_start], theta_pre[:head_start])
 
 
 def per_task_finetune(spec, theta_pre, task, epochs, lr, batch_size, seed, head_mode):
     """The reference: fine-tune one task alone, with a gathered batch, a gradient of the
     reference kernel bound anew and an out-of-place step per batch."""
-    values = theta_pre.values
+    values = theta_pre
     rng = rng_for(seed, STAGE_FINETUNE, task.task_id)
     head_start = spec.layer_offsets()[-1][0]
     n = len(task.train_inputs)
@@ -278,7 +278,7 @@ class TestStackedFinetune:
         for task, theta_ft in zip(tasks, stacked):
             reference = per_task_finetune(spec, theta_pre, task, config.finetune_epochs, 0.05,
                                           config.batch_size, 13, head_mode)
-            assert theta_ft.values.tobytes() == reference.tobytes()
+            assert theta_ft.tobytes() == reference.tobytes()
 
     def test_bounded_stacks_split_the_tasks_and_keep_the_bits(self, monkeypatch):
         tasks, spec, config, theta_pre = _stack_case(3, 5)
@@ -295,7 +295,7 @@ class TestStackedFinetune:
         for task, theta_ft in zip(tasks, ckpt.finetuned):
             reference = per_task_finetune(spec, theta_pre, task, config.finetune_epochs,
                                           config.finetune_lr, config.batch_size, 13, "shared")
-            assert theta_ft.values.tobytes() == reference.tobytes()
+            assert theta_ft.tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("num_tasks", [None, 1, 3])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -307,7 +307,7 @@ class TestStackedFinetune:
         stack = np.stack if num_tasks else np.concatenate
         inputs, labels = (stack([t.train_inputs for t in tasks]),
                           stack([t.train_labels for t in tasks]))
-        values = np.tile(theta_pre.values, (num_tasks, 1)) if num_tasks else theta_pre.values
+        values = np.tile(theta_pre, (num_tasks, 1)) if num_tasks else theta_pre
         ours, theirs = values.copy(), values.copy()
         for side, train in ((ours, tasks_module._sgd_train), (theirs, reference_sgd_train)):
             train(spec, side, inputs, labels, 3, 0.05, config.batch_size,
@@ -381,7 +381,7 @@ class TestTwoSlots:
                                           0.05, config.batch_size, 13, head_mode))
         # 3 epochs of two batches: one pair a step
         assert (off_pairs, on_pairs) == (0, 6)
-        assert [ft.values.tobytes() for ft in off] == [ft.values.tobytes() for ft in on]
+        assert [ft.tobytes() for ft in off] == [ft.tobytes() for ft in on]
         assert off_steps == on_steps and len(off_steps) == 6 * (1 + num_tasks)
 
     def test_several_stacks_bound_each_half(self, monkeypatch):
@@ -400,8 +400,8 @@ class TestTwoSlots:
         # model trains alone on the calling thread
         assert groups == [[0, 1], [2, 3], [4], [0, 1, 2, 3], [4]]
         assert on_pairs == 6
-        assert ([ft.values.tobytes() for ft in off.finetuned]
-                == [ft.values.tobytes() for ft in on.finetuned])
+        assert ([ft.tobytes() for ft in off.finetuned]
+                == [ft.tobytes() for ft in on.finetuned])
         # the same losses, stacked in other groups
         off_losses, on_losses = (np.sort(np.frombuffer(b"".join(loss for loss, _ in steps if loss)))
                                  for steps in (off_steps, on_steps))
@@ -420,7 +420,7 @@ class TestTwoSlots:
         tasks, spec, config, theta_pre = _stack_case(3, 5)
         inputs = np.stack([t.train_inputs[:64] for t in tasks])
         labels = np.stack([t.train_labels[:64] for t in tasks])
-        values = np.tile(theta_pre.values, (3, 1))
+        values = np.tile(theta_pre, (3, 1))
         force_helper(monkeypatch, True)
         bound = bind_pass(spec, values, {labels.shape}, feature_major=False)
         bad = labels.copy()
@@ -464,9 +464,9 @@ class TestPipelineReproducibility:
                              accuracy_floor=0.3)
         _, a = build_checkpoints(family, config)
         _, b = build_checkpoints(family, config)
-        assert np.array_equal(a.pretrained.values, b.pretrained.values)
+        assert np.array_equal(a.pretrained, b.pretrained)
         for fa, fb in zip(a.finetuned, b.finetuned):
-            assert np.array_equal(fa.values, fb.values)
+            assert np.array_equal(fa, fb)
 
     def test_floor_violation_reported(self):
         family = TaskFamily(num_tasks=2, train_per_task=60, unlabeled_per_task=60,

@@ -1,5 +1,5 @@
-"""tools/time_objective.py's mask digest, on hand-made masks, and its arguments; no
-worker runs."""
+"""tools/time_objective.py's mask and model digests, on hand-made masks and models, and
+its arguments; no worker runs."""
 import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
@@ -23,6 +23,14 @@ def test_every_mask_form_gives_the_same_digest():
     assert digest == time_objective.masks_sha(floats) == time_objective.masks_sha(holders)
     assert digest == time_objective._sha(b"".join(values.tobytes() for values in floats))
     assert digest != time_objective.masks_sha(masks[:2])
+
+
+def test_a_model_array_and_an_older_tree_s_holder_give_the_same_bytes():
+    # a tree's models are read-only (P,) arrays, or, in older trees, holders of one
+    model = np.random.default_rng(1).standard_normal(709)
+    model.flags.writeable = False
+    assert time_objective._model_bytes(model) == model.tobytes()
+    assert time_objective._model_bytes(SimpleNamespace(values=model)) == model.tobytes()
 
 
 @pytest.mark.parametrize("size", ["96,,96", "x", "0", "64,-1", "", "1.5"])

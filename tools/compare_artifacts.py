@@ -31,16 +31,16 @@ stated change reads as one line per kind of artifact, and per workload group
 (`branches/: 0 of 319 differ`). A differing container whose arrays all match
 the first side's differs in its header only, and is tallied so as well
 (`merged.calmckpt: 629 of 629 differ (629 header only)`). A file in
-`STATED_MISSING` that a later side lacks is tallied as stated, not as
-differing. The payload tally compares the arrays of every container both sides
-wrote (`payload: 0 of 7685 arrays differ`) and names each array that only one
-side has, without counting it as differing. The script exits 1 if any file or
-array differs and 0 if none does. When an average accuracy differs, it also
-prints, per workload and side, each seed's paired change from the first side
-(report.csv's average for `default`, summary.csv's mean for `order`), and the
-mean paired difference with its standard error:
-the check for a change that alters the batch stream on purpose. The outputs are
-kept under `--workdir` when it is given, and deleted otherwise.
+`STATED_MISSING` that a later side lacks, or in `STATED_ADDED` that only a later
+side has, is tallied as stated, not as differing. The payload tally compares the
+arrays of every container both sides wrote (`payload: 0 of 7685 arrays differ`)
+and names each array that only one side has, without counting it as differing.
+The script exits 1 if any file or array differs and 0 if none does. When an
+average accuracy differs, it also prints, per workload and side, each seed's
+paired change from the first side (report.csv's average for `default`,
+summary.csv's mean for `order`), and the mean paired difference with its
+standard error: the check for a change that alters the batch stream on purpose.
+The outputs are kept under `--workdir` when it is given, and deleted otherwise.
 """
 from __future__ import annotations
 
@@ -89,7 +89,12 @@ SUITES = ("sampling_rate", "strategy", "reg_coef", "lr", "components")
 # files a later side may lack on purpose: the order points read the suite's shared
 # credible sets, which format version 2 no longer copies into each point
 STATED_MISSING = ("order/*/order_*/credible.calmcred",)
-STATED = "missing as stated"
+# files a later side may add on purpose: the reports of the components point, which
+# trees whose components point ran no stage_evaluate do not write
+STATED_ADDED = tuple(f"suites/components/components/{name}" for name in (
+    "report.csv", "report.txt", "layer_density.csv", "density_trace.csv",
+    "objective_trace.csv", "magnitude_overlap.csv"))
+STATED = ("missing as stated", "added as stated")
 HEADER_ONLY = "in its header only"
 # the loader of each container, by suffix
 LOADERS = {".calmdata": "load_tasks", ".calmckpt": "load_checkpoint",
@@ -173,7 +178,9 @@ def _statuses(roots: dict[str, Path], payloads: Mapping | None = None
         status: dict[str, str | None] = {}
         for rel in sorted(first.keys() | other.keys()):
             if rel not in other and any(PurePosixPath(rel).match(p) for p in STATED_MISSING):
-                status[rel] = STATED
+                status[rel] = STATED[0]
+            elif rel not in first and any(PurePosixPath(rel).match(p) for p in STATED_ADDED):
+                status[rel] = STATED[1]
             elif rel not in other:
                 status[rel] = f"missing on {name}"
             elif rel not in first:
@@ -192,7 +199,7 @@ def _statuses(roots: dict[str, Path], payloads: Mapping | None = None
 def compare(roots: dict[str, Path], payloads: Mapping | None = None) -> list[str]:
     """One line per file that differs from the first side's, or that a side lacks."""
     return [f"{rel}: {why}" for status in _statuses(roots, payloads).values()
-            for rel, why in status.items() if why not in (None, STATED)]
+            for rel, why in status.items() if why not in (None, *STATED)]
 
 
 def workload(rel: str) -> str:
@@ -209,17 +216,20 @@ def tally(roots: dict[str, Path], key=lambda rel: PurePosixPath(rel).name,
     statuses = _statuses(roots, payloads)
     lines = []
     for name, status in statuses.items():
-        total, differ, stated, header = Counter(), Counter(), Counter(), Counter()
+        total, differ, header = Counter(), Counter(), Counter()
+        stated = {why: Counter() for why in STATED}
         for rel, why in status.items():
             kind = key(rel)
             total[kind] += 1
-            differ[kind] += why not in (None, STATED)
-            stated[kind] += why == STATED
+            differ[kind] += why not in (None, *STATED)
+            if why in stated:
+                stated[why][kind] += 1
             header[kind] += bool(why and why.endswith(HEADER_ONLY))
         side = f" on {name}" if len(statuses) > 1 else ""
         lines += [f"{kind}: {differ[kind]} of {total[kind]} differ{side}"
                   + (f" ({header[kind]} header only)" if header[kind] else "")
-                  + (f" ({stated[kind]} missing as stated)" if stated[kind] else "")
+                  + "".join(f" ({count[kind]} {why})" for why, count in stated.items()
+                            if count[kind])
                   for kind in sorted(total)]
     return lines
 

@@ -78,6 +78,12 @@ def _mask01(mask):
     return np.asarray(getattr(mask, "m", mask), dtype=np.float64)
 
 
+def _model_bytes(model) -> bytes:
+    """A model's float64 bytes, from a (P,) array or from a holder of that array in
+    `.values` (the model type of older trees), so every tree's models digest alike."""
+    return getattr(model, "values", model).tobytes()
+
+
 def masks_sha(masks) -> str:
     """The sha256 prefix of the masks' float64 0/1 bytes, in order."""
     return _sha(b"".join(_mask01(mask).tobytes() for mask in masks))
@@ -173,9 +179,8 @@ def worker(hidden: str):
                 print(json.dumps({
                     **{key: total / trainings for key, total in totals.items()},
                     "parameters": ckpt.spec.parameter_count,
-                    "pretrained_sha": _sha(theta_pre.values.tobytes()),
-                    "checkpoints_sha": _sha(b"".join(ft.values.tobytes()
-                                                     for ft in ckpt.finetuned)),
+                    "pretrained_sha": _sha(_model_bytes(theta_pre)),
+                    "checkpoints_sha": _sha(b"".join(map(_model_bytes, ckpt.finetuned))),
                     "threads": threading.active_count(),
                 }), flush=True)
             elif command == "sample":
@@ -193,7 +198,7 @@ def worker(hidden: str):
                     "merge_peak_rss_mb": _peak_rss_mb(),
                     "threads": threading.active_count(),
                     "masks_sha": masks_sha(step.mask for step in result.steps),
-                    "merged_sha": _sha(result.merged.values.tobytes()),
+                    "merged_sha": _sha(_model_bytes(result.merged)),
                     # floats print with repr, so the traces round-trip exactly
                     "objective_traces": [step.objective_trace.tolist() for step in result.steps],
                     "masks_hex": [np.packbits(_mask01(step.mask) == 1.0).tobytes().hex()
