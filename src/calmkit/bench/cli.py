@@ -59,18 +59,16 @@ from .runner import (
 )
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", type=Path, default=None,
+def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)  # every subcommand's parent
+    common.add_argument("--config", type=Path, default=None,
                         help="experiment config file (key = value lines)")
-    parser.add_argument("--workdir", type=Path,
+    common.add_argument("--workdir", type=Path,
                         default=Path(os.environ.get("CALMKIT_WORKDIR", "calm_runs")),
                         help="artifact directory (default: $CALMKIT_WORKDIR or ./calm_runs)")
     for key in CONFIG_KEYS:
-        parser.add_argument(f"--{key}", dest=f"cfg:{key}", metavar="VALUE", default=None,
+        common.add_argument(f"--{key}", dest=f"cfg:{key}", metavar="VALUE", default=None,
                             help=argparse.SUPPRESS)
-
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="calm-bench",
         description=("Reproducible desk-scale model merging benchmark. Any config key "
@@ -88,8 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report": "rewrite the reports of the merged model from persisted artifacts",
     }
     for name, description in descriptions.items():
-        p = sub.add_parser(name, help=description)
-        _add_common(p)
+        p = sub.add_parser(name, help=description, parents=[common])
         if name == "ablate":
             p.add_argument("--suite", required=True,
                            help=f"one of: {', '.join(SUITES)}")

@@ -50,15 +50,15 @@ def magnitude_overlap(mask: np.ndarray, tau: np.ndarray,
 
 @dataclass
 class ReportBundle:
-    """Per-method accuracy table plus optional mask diagnostics."""
+    """Per-method accuracy table, the mean pseudo-label audit, and optional mask diagnostics."""
 
     method: str
     task_ids: tuple[int, ...]
     per_task_accuracy: np.ndarray
     average_accuracy: float
+    pseudo_label_audit_accuracy: float
     # report token -> mask key -> (index, value) rows: a layer, iteration or top percent
     diagnostics: dict[str, dict[str, list[tuple]]] = field(default_factory=dict)
-    extras: dict[str, float] = field(default_factory=dict)
 
 
 def _csv_lines(rows: list[list]) -> str:
@@ -83,8 +83,7 @@ def write_report(bundle: ReportBundle, directory: Path):
     for t, a in zip(bundle.task_ids, bundle.per_task_accuracy):
         lines.append(f"  task {t:>2d}: {a:.4f}")
     lines.append(f"  average: {bundle.average_accuracy:.4f}")
-    for key, value in sorted(bundle.extras.items()):
-        lines.append(f"  {key}: {value:.4f}")
+    lines.append(f"  pseudo_label_audit_accuracy: {bundle.pseudo_label_audit_accuracy:.4f}")
     (directory / "report.txt").write_text("\n".join(lines) + "\n")
 
     for name, columns in (("layer_density", ("layer", "density")),

@@ -125,12 +125,13 @@ def stage_sample(config: ExperimentConfig, workdir: Path, tasks: list[TaskData],
     with _stage("sample"):
         credible: dict[int, CredibleSet] = {}
         for task in tasks:
-            scored = score_pool(ckpt.spec, ckpt.finetuned[task.task_id], task.unlabeled_inputs)
+            scored = score_pool(ckpt.spec, ckpt.finetuned[task.task_id],
+                                task.unlabeled_inputs, task.task_id)
             if config.sampling.mode == "ems":
-                credible[task.task_id] = select_ems(scored, config.sampling.rate, task.task_id)
+                credible[task.task_id] = select_ems(scored, config.sampling.rate)
             else:
-                credible[task.task_id] = select_cb_ems(
-                    scored, config.sampling.rate, config.family.classes_per_task, task.task_id)
+                credible[task.task_id] = select_cb_ems(scored, config.sampling.rate,
+                                                       config.family.classes_per_task)
         save_credible_sets(workdir / CREDIBLE_FILE, config, credible)
     return credible
 
@@ -147,11 +148,11 @@ def _mask_training_data(config: ExperimentConfig, tasks: list[TaskData],
                         credible: Mapping[int, CredibleSet]):
     """What the mask objective trains on, per the sampling.objective arm."""
     if config.sampling.objective == "pseudo":
-        return ({t: (tasks[t].unlabeled_inputs[cs.indices], cs.pseudo_labels)
-                 for t, cs in credible.items()}, "cross_entropy")
+        return {t: (tasks[t].unlabeled_inputs[cs.indices], cs.pseudo_labels)
+                for t, cs in credible.items()}
     if config.sampling.objective == "supervised":
-        return {t.task_id: (t.unlabeled_inputs, t.audit_labels) for t in tasks}, "cross_entropy"
-    return {t.task_id: (t.unlabeled_inputs, None) for t in tasks}, "entropy"
+        return {t.task_id: (t.unlabeled_inputs, t.audit_labels) for t in tasks}
+    return {t.task_id: (t.unlabeled_inputs, None) for t in tasks}
 
 
 def merge_with_method(config: ExperimentConfig, tasks: list[TaskData], ckpt: Checkpoints,
@@ -160,8 +161,7 @@ def merge_with_method(config: ExperimentConfig, tasks: list[TaskData], ckpt: Che
     if config.method == "avg":
         return weight_average(list(ckpt.finetuned)), None
     if config.method == "calm":
-        data, objective = _mask_training_data(config, tasks, credible)
-        result = sequential_merge(ckpt, config.plan, data, objective=objective)
+        result = sequential_merge(ckpt, config.plan, _mask_training_data(config, tasks, credible))
         return result.merged, result
     taus = (task_vector(ckpt.finetuned[t], ckpt.pretrained) for t in range(ckpt.num_tasks))
     if config.method == "ta":
@@ -201,9 +201,9 @@ def stage_evaluate(config: ExperimentConfig, workdir: Path, tasks: list[TaskData
             task_ids=tuple(t.task_id for t in tasks),
             per_task_accuracy=per_task,
             average_accuracy=average,
+            pseudo_label_audit_accuracy=float(np.mean(
+                [audit_accuracy(credible[t.task_id], t.audit_labels) for t in tasks])),
         )
-        audits = [audit_accuracy(credible[t.task_id], t.audit_labels) for t in tasks]
-        bundle.extras["pseudo_label_audit_accuracy"] = float(np.mean(audits))
         path = workdir / MASKS_FILE
         vectors = {}
         if set(config.report) - {"accuracy"} and path.exists():  # a mask diagnostic
@@ -295,7 +295,7 @@ def ablation_suite(config: ExperimentConfig, suite: str, workdir: Path) -> list[
             bundle, _ = run_point(apply_overrides(config, {key: value}), label)
             cell = "_".join(map(str, value)) if isinstance(value, tuple) else value
             rows.append([cell, bundle.average_accuracy,
-                         bundle.extras["pseudo_label_audit_accuracy"]][:len(columns)])
+                         bundle.pseudo_label_audit_accuracy][:len(columns)])
 
     else:  # components: the one-step point's merged vector, then its parts
         point = apply_overrides(config, {"plan.sequential_set": config.plan.sequential_set[:1]})

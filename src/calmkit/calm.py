@@ -4,11 +4,11 @@ Tasks are split into a bulk set merged cheaply by task arithmetic and an
 ordered remainder merged one at a time. Each sequential step learns a binary
 mask deciding, per parameter coordinate, whether the incoming task vector or
 the current merged vector survives. The mask is relaxed to sigmoid(r) during
-optimization, trained against the summed cross-entropy of every visible
-task's credible samples plus an L1 sparsity term, and rounded once at the
-end, so the final update copies every coordinate verbatim from exactly one
-source. Task vectors, the mask logits r and the rounded bool mask are plain arrays,
-read-only where they are made.
+optimization, trained against the summed data loss of every visible task's credible
+samples (the objective follows the labels: cross-entropy on them, or prediction entropy
+when no task has any) plus an L1 sparsity term, and rounded once at the end, so the final
+update copies every coordinate verbatim from exactly one source. Task vectors, the mask
+logits r and the rounded bool mask are plain arrays, read-only where they are made.
 
 Each sequential step computes once what its iterations share: it checks and
 stacks the visible tasks' credible rows and labels into one row-major (rows,
@@ -59,7 +59,6 @@ from .seeding import STAGE_MASK_BATCHES, STAGE_MASK_INIT, STAGE_PARTITION, rng_f
 from .tasks import Checkpoints
 
 STRATEGIES = ("both", "only_mask", "only_complement")
-OBJECTIVES = ("cross_entropy", "entropy")
 
 INIT_MAGNITUDE = 4.595  # sigmoid(+-4.595) ~= 0.99 / 0.01
 
@@ -201,11 +200,9 @@ def masked_merge(tau_seq: np.ndarray, tau_j: np.ndarray, mask: np.ndarray,
 TaskExamples = Mapping[int, tuple[np.ndarray, np.ndarray | None]]
 
 
-def _row_pool(visible_tasks: Sequence[int], task_data: TaskExamples, objective: str):
-    """The visible tasks' credible rows as one row-major float64 pool: (inputs, labels or
-    None, {task: (first row, rows)}), checked once per step."""
-    if objective not in OBJECTIVES:
-        raise ContractError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+def _row_pool(visible_tasks: Sequence[int], task_data: TaskExamples):
+    """The visible tasks' credible rows as one row-major float64 pool: (inputs, labels, or
+    None when no task has any, {task: (first row, rows)}), checked once per step."""
     inputs, labels, spans = [], [], {}
     for t in visible_tasks:
         if t not in task_data:
@@ -213,14 +210,15 @@ def _row_pool(visible_tasks: Sequence[int], task_data: TaskExamples, objective: 
         x, y = task_data[t]
         if len(x) == 0:
             raise ContractError(f"visible task {t} has an empty batch")
-        if objective == "cross_entropy" and y is None:
-            raise ContractError("cross_entropy objective needs labels")
         spans[t] = (sum(map(len, inputs)), len(x))
         inputs.append(x)
         labels.append(y)
     x = np.concatenate(inputs).astype(np.float64, copy=False)
-    if objective == "entropy":
+    unlabelled = [y is None for y in labels]
+    if all(unlabelled):
         return x, None, spans
+    if any(unlabelled):
+        raise ContractError("the objective needs labels on every visible task or on none")
     return x, np.concatenate(labels).astype(np.int64, copy=False), spans
 
 
@@ -247,8 +245,7 @@ def _bind_pool(spec: ModelSpec, inputs: np.ndarray, labels: np.ndarray | None,
 def consensus_objective(spec: ModelSpec, theta_pre: np.ndarray, state: SequentialState,
                         tau_j: np.ndarray, r: np.ndarray,
                         task_batches: Mapping[int, np.ndarray], l1_weight: float,
-                        strategy: str, objective: str,
-                        pool: tuple) -> tuple[float, np.ndarray]:
+                        strategy: str, pool: tuple) -> tuple[float, np.ndarray]:
     """Soft-mask objective and its exact gradient with respect to r.
 
     Loss = sum over visible tasks of the task's mean data loss (averaged over
@@ -266,14 +263,13 @@ def consensus_objective(spec: ModelSpec, theta_pre: np.ndarray, state: Sequentia
     gradient; theta the parameters until the pass has read them; the spare the
     gradient of the pass's later blocks, and then the direction and (1 - m) * m. With
     two block slots, m is the spare, and after the pass m is computed again into
-    theta. r, the objective and spec are checked once per step, the strategy by
-    `MergePlan`.
+    theta. r, the rows and spec are checked once per step, the strategy by `MergePlan`.
     """
     pool_inputs, pool_labels, weights, rows, theta, bound, gathered, buffers = pool
     m, total, spare, positive = buffers
     # mode="raise" would copy `out` through a buffer; the rows index the pool
     inputs = np.take(pool_inputs, rows, axis=0, out=gathered, mode="clip")
-    labels = None if objective == "entropy" else np.take(pool_labels, rows)
+    labels = None if pool_labels is None else np.take(pool_labels, rows)
     sigmoid(r, out=(m, total, positive))
     tau_seq = state.tau_seq
     # theta_pre + tau, tau of the strategy's masked merge, with the operands in order
@@ -316,13 +312,12 @@ def binarize(r: np.ndarray) -> np.ndarray:
 
 def optimize_mask(spec: ModelSpec, theta_pre: np.ndarray, state: SequentialState,
                   tau_j: np.ndarray, task_data: TaskExamples, init: np.ndarray,
-                  plan: MergePlan, rng: np.random.Generator,
-                  objective: str = "cross_entropy") -> StepArtifact:
+                  plan: MergePlan, rng: np.random.Generator) -> StepArtifact:
     """First-order descent on r, then the rounded mask of tau_j's step.
 
-    The step is checked once, before it draws: the objective and the visible tasks'
-    credible rows in `_row_pool`, which stacks the rows into one pool, and the pool's
-    labels against the spec's classes. Every batch of a task has min(n, batch_size)
+    The step is checked once, before it draws: the visible tasks' credible rows and
+    labels in `_row_pool`, which stacks them into one pool, and the pool's labels against
+    the spec's classes. Every batch of a task has min(n, batch_size)
     rows, so the pool binding, the flat buffer of row indices and each task's
     (batches_per_task, rows) view of it are made once, the whole set written in when
     n <= batch_size. Each iteration overwrites the other tasks' views, in visible
@@ -334,7 +329,7 @@ def optimize_mask(spec: ModelSpec, theta_pre: np.ndarray, state: SequentialState
     pre-step loss per iteration; the density trace holds the rounded-mask density before
     the first and after every step.
     """
-    inputs, labels, spans = _row_pool(state.visible_tasks, task_data, objective)
+    inputs, labels, spans = _row_pool(state.visible_tasks, task_data)
     if labels is not None:
         check_labels(labels, spec.num_classes)
     k, per_task = plan.batch_size, plan.batches_per_task
@@ -365,7 +360,7 @@ def optimize_mask(spec: ModelSpec, theta_pre: np.ndarray, state: SequentialState
             rng.permuted(order, axis=1, out=shuffled)
             np.add(shuffled[:, :k], firsts, out=view)
         loss, grad_r = consensus_objective(spec, theta_pre, state, tau_j, r, task_batches,
-                                           plan.l1_weight, plan.strategy, objective, pool)
+                                           plan.l1_weight, plan.strategy, pool)
         objective_trace[it] = loss
         # the bits of r - mask_lr * grad_r
         grad_r *= plan.mask_lr
@@ -376,14 +371,14 @@ def optimize_mask(spec: ModelSpec, theta_pre: np.ndarray, state: SequentialState
     return StepArtifact(state.visible_tasks[-1], binarize(r), objective_trace, density_trace)
 
 
-def sequential_merge(checkpoints: Checkpoints, plan: MergePlan, examples: TaskExamples,
-                     objective: str = "cross_entropy") -> MergeResult:
+def sequential_merge(checkpoints: Checkpoints, plan: MergePlan,
+                     examples: TaskExamples) -> MergeResult:
     """Run the full merge: bulk task arithmetic, then one mask per sequential task.
 
     `examples` maps task id to the (inputs, labels-or-None) arrays the mask objective
-    trains on. Returns the merged model, a read-only (P,) array, and, per sequential
-    step, the bool mask with its objective and density traces. Each task vector is built
-    where it is used.
+    trains on, with labels for every task or none. Returns the merged model, a read-only
+    (P,) array, and, per sequential step, the bool mask with its objective and density
+    traces. Each task vector is built where it is used.
     """
     spec, theta_pre = checkpoints.spec, checkpoints.pretrained
     bulk_set = plan.bulk_set(checkpoints.num_tasks)
@@ -401,7 +396,7 @@ def sequential_merge(checkpoints: Checkpoints, plan: MergePlan, examples: TaskEx
         tau_j = task_vector(checkpoints.finetuned[j], theta_pre)
         step = optimize_mask(
             spec, theta_pre, state, tau_j, examples, r, plan,
-            rng_for(plan.seed, STAGE_MASK_BATCHES, step_idx), objective,
+            rng_for(plan.seed, STAGE_MASK_BATCHES, step_idx),
         )
         steps.append(step)
         state = SequentialState(masked_merge(state.tau_seq, tau_j, step.mask, plan.strategy),

@@ -303,14 +303,14 @@ def finite(r: np.ndarray) -> np.ndarray:
     return r
 
 
-def optimize_mask(spec, theta_pre, state, tau_j, task_data, init, plan, rng,
-                  objective="cross_entropy") -> tuple[StepArtifact, np.ndarray]:
+def optimize_mask(spec, theta_pre, state, tau_j, task_data, init, plan,
+                  rng) -> tuple[StepArtifact, np.ndarray]:
     """`calm.optimize_mask` as a loop that builds every iteration's batches anew: one
     list of drawn batches per task, merged with the undrawn whole sets, concatenated
     into the gather's row index, a finiteness check of r before every objective call,
     and a new r per step; returns the step's artifact and its final r. The library's
     in-place iterations must match it bit for bit, the generator's final state included."""
-    inputs, labels, spans = _row_pool(state.visible_tasks, task_data, objective)
+    inputs, labels, spans = _row_pool(state.visible_tasks, task_data)
     if labels is not None:
         check_labels(labels, spec.num_classes)
     k, per_task = plan.batch_size, plan.batches_per_task
@@ -329,8 +329,7 @@ def optimize_mask(spec, theta_pre, state, tau_j, task_data, init, plan, rng,
         rows = np.concatenate([idx for t in state.visible_tasks for idx in task_batches[t]])
         loss, grad_r = consensus_objective(
             spec, theta_pre, state, tau_j, finite(r), task_batches, plan.l1_weight,
-            plan.strategy, objective,
-            _bind_pool(spec, inputs, labels, batch_rows, rows),
+            plan.strategy, _bind_pool(spec, inputs, labels, batch_rows, rows),
         )
         objective_trace[it] = loss
         r = r - plan.mask_lr * grad_r

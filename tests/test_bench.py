@@ -134,7 +134,7 @@ MODEL_ROUTES = {
     "ties_merge": lambda run: [baselines.ties_merge(run.ckpt.pretrained, _taus(run.ckpt))],
     "sequential_merge": lambda run: [calm.sequential_merge(
         run.ckpt, run.config.plan,
-        runner._mask_training_data(run.config, run.tasks, run.credible)[0]).merged],
+        runner._mask_training_data(run.config, run.tasks, run.credible)).merged],
 }
 
 

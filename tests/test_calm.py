@@ -99,27 +99,27 @@ def small_setup(seed=0):
 
 
 def objective_on_batches(spec, theta_pre, state, tau_j, r, batches, l1_weight,
-                         strategy="both", objective="cross_entropy"):
+                         strategy="both"):
     """consensus_objective on (inputs, labels) batches: each task's batches are stacked
     into the step's row pool, in order, so the flat row index is arange(rows), and each
     batch becomes the view of its rows' indices there."""
     data = {t: (np.concatenate([x for x, _ in bs]),
                 None if bs[0][1] is None else np.concatenate([y for _, y in bs]))
             for t, bs in batches.items()}
-    inputs, labels, spans = _row_pool(state.visible_tasks, data, objective)
+    inputs, labels, spans = _row_pool(state.visible_tasks, data)
     rows = np.arange(len(inputs))
     index = {t: np.split(rows[first:first + n], np.cumsum([len(x) for x, _ in batches[t]])[:-1])
              for t, (first, n) in spans.items()}
     pool = _bind_pool(spec, inputs, labels, [[len(x) for x, _ in batches[t]] for t in spans],
                       rows)
     return consensus_objective(spec, theta_pre, state, tau_j, r, index, l1_weight,
-                               strategy, objective, pool)
+                               strategy, pool)
 
 
-def per_batch_objective(spec, theta_pre, state, tau_j, r, task_batches, l1_weight,
-                        strategy, objective):
-    """The objective as a loop of one forward/backward pass per batch, each
-    batch's mean loss averaged over its task's batches and summed over tasks."""
+def per_batch_objective(spec, theta_pre, state, tau_j, r, task_batches, l1_weight, strategy):
+    """The objective as a loop of one forward/backward pass per batch, each batch's mean
+    loss (cross-entropy, or entropy where it has no labels) averaged over its task's
+    batches and summed over tasks."""
     m = sigmoid(r)
     tau_seq = state.tau_seq
     if strategy == "both":
@@ -138,7 +138,7 @@ def per_batch_objective(spec, theta_pre, state, tau_j, r, task_batches, l1_weigh
             acts = _forward_acts(spec, layer_views(spec, theta), inputs)
             n = len(inputs)
             p = softmax(acts[-1])
-            if objective == "cross_entropy":
+            if labels is not None:
                 loss = cross_entropy(acts[-1], labels)
                 dz = p.copy()
                 dz[np.arange(n), labels] -= 1.0
@@ -176,8 +176,8 @@ def mini_pipeline():
                                                         accuracy_floor=0.8))
     credible = {}
     for t in tasks:
-        scores = score_pool(ckpt.spec, ckpt.finetuned[t.task_id], t.unlabeled_inputs)
-        cs = select_cb_ems(scores, 0.9, family.classes_per_task, task_id=t.task_id)
+        scores = score_pool(ckpt.spec, ckpt.finetuned[t.task_id], t.unlabeled_inputs, t.task_id)
+        cs = select_cb_ems(scores, 0.9, family.classes_per_task)
         credible[t.task_id] = (t.unlabeled_inputs[cs.indices], cs.pseudo_labels)
     return family, tasks, ckpt, credible
 
@@ -318,19 +318,19 @@ class TestConsensusObjective:
         assert np.array_equal(grad, (1.0 / N) * (m * (1.0 - m)))
 
     @pytest.mark.parametrize("strategy", ["both", "only_mask", "only_complement"])
-    @pytest.mark.parametrize("objective", ["cross_entropy", "entropy"])
-    def test_gradient_matches_finite_differences(self, strategy, objective):
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_gradient_matches_finite_differences(self, strategy, labelled):
         theta_pre, state, tau_j, batches = small_setup(seed=3)
-        if objective == "entropy":
+        if not labelled:
             batches = {t: [(x, None) for x, _ in bs] for t, bs in batches.items()}
         rng = np.random.default_rng(17)
         r0 = rng.uniform(-2.0, 2.0, size=N)
         _, grad = objective_on_batches(SPEC, theta_pre, state, tau_j, r0,
-                                       batches, 1.0, strategy, objective)
+                                       batches, 1.0, strategy)
 
         def f(r):
             loss, _ = objective_on_batches(SPEC, theta_pre, state, tau_j, r,
-                                           batches, 1.0, strategy, objective)
+                                           batches, 1.0, strategy)
             return loss
 
         h = 1e-4
@@ -345,8 +345,8 @@ class TestConsensusObjective:
 
     @pytest.mark.parametrize("case", sorted(ROW_CASES))
     @pytest.mark.parametrize("strategy", ["both", "only_mask", "only_complement"])
-    @pytest.mark.parametrize("objective", ["cross_entropy", "entropy"])
-    def test_stacked_pass_matches_the_per_batch_loop(self, case, strategy, objective):
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_stacked_pass_matches_the_per_batch_loop(self, case, strategy, labelled):
         spec = ModelSpec(3, (8, 6), 3, activation="relu")
         rng = np.random.default_rng(43)
         theta_pre = init_params(spec, 43)
@@ -354,22 +354,22 @@ class TestConsensusObjective:
         tau_j = rng.standard_normal(n) * 0.3
         sizes = ROW_CASES[case]
         batches = {t: [(rng.standard_normal((rows, 3)),
-                        rng.integers(0, 3, size=rows) if objective == "cross_entropy" else None)
+                        rng.integers(0, 3, size=rows) if labelled else None)
                        for rows in per_batch]
                    for t, per_batch in sizes.items()}
         state = SequentialState(rng.standard_normal(n) * 0.3, tuple(sizes))
         mask = rng.uniform(-2.0, 2.0, size=n)
         loss, grad = objective_on_batches(spec, theta_pre, state, tau_j, mask, batches, 1.0,
-                                          strategy, objective)
+                                          strategy)
         ref_loss, ref_grad = per_batch_objective(spec, theta_pre, state, tau_j, mask,
-                                                 batches, 1.0, strategy, objective)
+                                                 batches, 1.0, strategy)
         np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
         np.testing.assert_allclose(grad, ref_grad, rtol=1e-12)
 
-    @pytest.mark.parametrize("objective", ["cross_entropy", "entropy"])
+    @pytest.mark.parametrize("labelled", [True, False])
     @pytest.mark.parametrize("classes", [8, 12])
     def test_feature_major_pass_matches_the_per_batch_loop_at_many_classes(self, classes,
-                                                                          objective):
+                                                                          labelled):
         # from 8 classes the per-batch loop sums each row's classes pairwise, the
         # feature-major pass left to right; both must give the same objective
         spec = ModelSpec(12, (16, 10), classes, activation="relu")
@@ -379,16 +379,14 @@ class TestConsensusObjective:
         tau_j = rng.standard_normal(n) * 0.3
         sizes = ROW_CASES["several_blocks"]
         batches = {t: [(2.0 * rng.standard_normal((rows, 12)),
-                        rng.integers(0, classes, size=rows)
-                        if objective == "cross_entropy" else None)
+                        rng.integers(0, classes, size=rows) if labelled else None)
                        for rows in per_batch]
                    for t, per_batch in sizes.items()}
         state = SequentialState(rng.standard_normal(n) * 0.3, tuple(sizes))
         mask = rng.uniform(-2.0, 2.0, size=n)
-        loss, grad = objective_on_batches(spec, theta_pre, state, tau_j, mask, batches, 1.0,
-                                          "both", objective)
+        loss, grad = objective_on_batches(spec, theta_pre, state, tau_j, mask, batches, 1.0)
         ref_loss, ref_grad = per_batch_objective(spec, theta_pre, state, tau_j, mask,
-                                                 batches, 1.0, "both", objective)
+                                                 batches, 1.0, "both")
         np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
         # a coordinate near zero is a sum of cancelling terms: its rounding error is
         # measured against the gradient's scale, not against its own size
@@ -413,7 +411,7 @@ class TestConsensusObjective:
         theta_pre, state, tau_j, batches = small_setup()
         data = {t: (np.concatenate([x for x, _ in bs]), np.concatenate([y for _, y in bs]))
                 for t, bs in batches.items()}
-        inputs, labels, spans = _row_pool(state.visible_tasks, data, "cross_entropy")
+        inputs, labels, spans = _row_pool(state.visible_tasks, data)
         # checked once per step, where the pool is bound, not on every objective call
         with pytest.raises(ContractError, match="row weights"):
             _bind_pool(SPEC, inputs, labels, [[n - 1] for _, n in spans.values()],
@@ -501,9 +499,9 @@ class TestOptimizeMask:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data(), seed=st.integers(0, 2**32), batches_per_task=st.integers(1, 3),
            iterations=st.integers(1, 4), strategy=st.sampled_from(calm.STRATEGIES),
-           objective=st.sampled_from(calm.OBJECTIVES), mask_lr=st.sampled_from([1.0, 1e3]))
+           labelled=st.booleans(), mask_lr=st.sampled_from([1.0, 1e3]))
     def test_step_equals_the_per_iteration_reference_bit_for_bit(
-            self, generator, data, seed, batches_per_task, iterations, strategy, objective,
+            self, generator, data, seed, batches_per_task, iterations, strategy, labelled,
             mask_lr):
         # sets under, at, just above and well above the batch size, visible out of id order
         # in runs of 1 to 4 consecutive tasks whose sets have the same size
@@ -515,7 +513,7 @@ class TestOptimizeMask:
         sizes = [n for _, n in sorted(zip(visible, in_visible_order))]
         values = np.random.default_rng(seed)
         task_data = {t: (values.standard_normal((n, 3)),
-                         None if objective == "entropy" else values.integers(0, 3, n))
+                         values.integers(0, 3, n) if labelled else None)
                      for t, n in enumerate(sizes)}
         state = SequentialState(values.standard_normal(N) * 0.3, visible)
         tau_j = values.standard_normal(N) * 0.3
@@ -526,8 +524,8 @@ class TestOptimizeMask:
         ours, theirs = np.random.Generator(generator(seed)), np.random.Generator(generator(seed))
         args = (SPEC, init_params(SPEC, 0), state, tau_j, task_data)
         r = init.copy()  # writeable: the step updates it in place
-        step = optimize_mask(*args, r, plan, ours, objective)
-        ref, ref_r = reference_optimize_mask(*args, init, plan, theirs, objective)
+        step = optimize_mask(*args, r, plan, ours)
+        ref, ref_r = reference_optimize_mask(*args, init, plan, theirs)
         assert step.task_id == ref.task_id
         for a, b in [(step.mask, ref.mask), (r, ref_r),
                      (step.objective_trace, ref.objective_trace),
@@ -591,18 +589,6 @@ class TestOptimizeMask:
                           seeded_mask(0), plan, rng)
         assert same_state(rng, np.random.default_rng(3))
 
-    def test_a_bad_objective_fails_before_the_first_draw(self):
-        # one set of 30 rows, drawn 8 at a time; the step is checked once, before it draws
-        theta_pre, state, tau_j, _ = small_setup()
-        state = SequentialState(state.tau_seq, (0,))
-        plan = MergePlan((1,), iterations_per_task=1, batches_per_task=1, batch_size=8)
-        rng = np.random.default_rng(3)
-        with pytest.raises(ContractError, match="objective must be one of"):
-            optimize_mask(SPEC, theta_pre, state, tau_j,
-                          {0: (np.zeros((30, 3)), np.zeros(30, dtype=np.int64))},
-                          seeded_mask(0), plan, rng, "hinge")
-        assert same_state(rng, np.random.default_rng(3))
-
     def test_missing_visible_task_is_named(self):
         theta_pre, state, tau_j, batches = small_setup()
         plan = MergePlan((1,), iterations_per_task=2)
@@ -618,13 +604,18 @@ class TestOptimizeMask:
             optimize_mask(SPEC, theta_pre, state, tau_j, task_data, seeded_mask(0),
                           plan, np.random.default_rng(0))
 
-    def test_cross_entropy_needs_labels(self):
+    @pytest.mark.parametrize("unlabelled", [0, 1])
+    def test_labels_on_only_some_tasks_fail_before_the_first_draw(self, unlabelled):
+        # sets of 30 and 6 rows, the first drawn 8 at a time; the step is checked once,
+        # before it draws
         theta_pre, state, tau_j, batches = small_setup()
-        task_data = {0: batches[0][0], 1: (batches[1][0][0], None)}
-        plan = MergePlan((1,), iterations_per_task=2)
-        with pytest.raises(ContractError, match="needs labels"):
-            optimize_mask(SPEC, theta_pre, state, tau_j, task_data, seeded_mask(0),
-                          plan, np.random.default_rng(0))
+        task_data = {0: (np.zeros((30, 3)), np.zeros(30, dtype=np.int64)), 1: batches[1][0]}
+        task_data[unlabelled] = (task_data[unlabelled][0], None)
+        plan = MergePlan((1,), iterations_per_task=2, batches_per_task=1, batch_size=8)
+        rng = np.random.default_rng(3)
+        with pytest.raises(ContractError, match="needs labels on every visible task or on none"):
+            optimize_mask(SPEC, theta_pre, state, tau_j, task_data, seeded_mask(0), plan, rng)
+        assert same_state(rng, np.random.default_rng(3))
 
     def test_overflowing_mask_is_an_error(self):
         # a 1e3-scaled task vector makes |grad r| ~ 20, so the first step overflows r
@@ -784,7 +775,7 @@ class TestSequentialMerge:
             for _ in range(8)))
         data = {t: (rng.standard_normal((40, 4)), rng.integers(0, 3, size=40)) for t in range(8)}
         plan = MergePlan((3,), iterations_per_task=2, batch_size=16)
-        inputs, labels, _ = _row_pool(range(8), data, "cross_entropy")
+        inputs, labels, _ = _row_pool(range(8), data)
         state = SequentialState(np.zeros(wide.parameter_count), tuple(range(8)))
         peaks = []
         for call in (
@@ -823,11 +814,11 @@ class TestHelperThread:
 
     @pytest.mark.parametrize("blocks", sorted(BLOCK_PLANS))
     @pytest.mark.parametrize("strategy", calm.STRATEGIES)
-    @pytest.mark.parametrize("objective", calm.OBJECTIVES)
-    def test_the_helper_keeps_every_bit(self, three_tasks, blocks, strategy, objective,
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_the_helper_keeps_every_bit(self, three_tasks, blocks, strategy, labelled,
                                         monkeypatch):
         ckpt, data = three_tasks
-        if objective == "entropy":
+        if not labelled:
             data = {t: (x, None) for t, (x, _) in data.items()}
         per_task, k = BLOCK_PLANS[blocks]
         plan = MergePlan((1, 2), iterations_per_task=3, batches_per_task=per_task,
@@ -836,7 +827,7 @@ class TestHelperThread:
         for on in (False, True):
             force_helper(monkeypatch, on)
             ran = counted_pairs(monkeypatch)
-            results.append(sequential_merge(ckpt, plan, data, objective))
+            results.append(sequential_merge(ckpt, plan, data))
             pairs.append(len(ran))
         off, on = results
         # 3 iterations at each of two steps whose pools make 1 and 1, 2 and 2, or 3 and

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from calmkit.nn import ContractError, ModelSpec, _loss_and_dlogits, forward, init_params
 from calmkit.sampling import (
     CredibleSet,
-    PoolScores,
     audit_accuracy,
     score_pool,
     select_cb_ems,
@@ -33,11 +32,29 @@ def logit_model(c):
 
 
 def scored_from_entropy(entropies, labels=None):
+    """The scored pool of these entropies and pseudo-labels, as `score_pool` returns it."""
     labels = labels if labels is not None else [0] * len(entropies)
-    return PoolScores(entropies, labels)
+    return CredibleSet(0, np.arange(len(entropies)), entropies, labels)
 
 
 class TestScorePool:
+    def test_the_pool_is_the_credible_set_of_every_row_and_selections_a_subset(self):
+        spec, params = logit_model(3)
+        inputs = np.random.default_rng(9).standard_normal((12, 3)) * 3.0
+        scored = score_pool(spec, params, inputs, task_id=5)
+        assert isinstance(scored, CredibleSet)
+        assert scored.task_id == 5 and len(scored) == 12
+        assert scored.indices.tolist() == list(range(12))
+        ems, cb_ems = select_ems(scored, 0.5), select_cb_ems(scored, 0.5, num_classes=3)
+        # a selection from a selection indexes through the first one's pool indices
+        for cset, source in ((ems, scored), (cb_ems, scored), (select_ems(cb_ems, 0.5), cb_ems)):
+            assert cset.task_id == 5 and 0 < len(cset) < len(source)
+            assert np.all(np.diff(cset.indices) > 0)
+            assert np.isin(cset.indices, source.indices).all()
+            rows = np.searchsorted(source.indices, cset.indices)
+            assert cset.entropies.tolist() == source.entropies[rows].tolist()
+            assert cset.pseudo_labels.tolist() == source.pseudo_labels[rows].tolist()
+
     def test_confident_sample(self):
         spec, params = logit_model(3)
         scored = score_pool(spec, params, np.array([[60.0, 0.0, 0.0]]))
@@ -134,7 +151,7 @@ class TestSelectEms:
 
 class TestSelectCbEms:
     def test_per_class_sort_oracle(self):
-        scored = PoolScores([0.9, 0.2, 0.5, 0.7], [0, 0, 1, 1])
+        scored = scored_from_entropy([0.9, 0.2, 0.5, 0.7], [0, 0, 1, 1])
         cset = select_cb_ems(scored, 0.5, num_classes=2)
         assert sorted(cset.indices.tolist()) == [1, 2]
 
@@ -233,7 +250,7 @@ def test_selection_matches_the_object_sort(data, mode, rate, num_classes):
     used = data.draw(st.integers(1, num_classes))
     labels = data.draw(st.lists(st.integers(0, used - 1), min_size=n, max_size=n))
     expected = object_sort_selection(entropies, labels, rate, num_classes, mode)
-    scores = PoolScores(entropies, labels)
+    scores = scored_from_entropy(entropies, labels)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         if not expected:
