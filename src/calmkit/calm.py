@@ -14,18 +14,15 @@ Each sequential step computes once what its iterations share: it checks and
 stacks the visible tasks' credible rows and labels into one row-major (rows,
 features) pool with a row span per task, builds the row weights of the
 gathered rows, and allocates one flat buffer of the batches' row indices, of
-which each task's batches are a view, and buffers of the gathered inputs, of
-theta with its `nn.bind_pass` binding, and of the objective's mask-length
-intermediates. Each iteration draws into the index buffer in place, and the
+which each task's batches are a view, and buffers of the gathered inputs and of
+theta with its `nn.bind_pass` binding, whose buffers also hold the objective's
+mask-length intermediates. Each iteration draws into the index buffer in place, and the
 objective gathers the rows with one `np.take` over it and refills the other
 buffers in place; so the views and the returned gradient hold one iteration's
 values only, and a wrapper of the objective that keeps them must copy them.
-A step holds four mask-length float64 buffers beside r: theta, m, and the binding's
+A step holds three mask-length float64 buffers beside r: theta, and the binding's
 total and spare. Each holds one value over part of a call, as `consensus_objective`
-lists, so the merge direction is computed in every call rather than kept. A binding
-with a second block slot (`nn.bind_pass`), whose blocks run on `nn`'s helper thread,
-takes several mask-length vectors more; the step pays for one of them by sharing m with
-the spare and computing sigmoid(r) again after the pass.
+lists, so m = sigmoid(r) and the merge direction are computed in every call, not kept.
 The data term is one weighted pass, `nn.weighted_loss_and_grad`, over those
 rows: each row weighs 1 / (batches of its task * rows of its batch), the
 per-task mean over batches of the per-batch mean; every batch of a task has
@@ -143,15 +140,14 @@ class MergeResult:
 
 
 def sigmoid(x: np.ndarray, out: tuple | None = None) -> np.ndarray:
-    """1 / (1 + e) at x >= 0, else e / (1 + e), e = exp(-|x|); written into out[0], with
-    out[1] and the bool out[2] as scratch, or into arrays allocated without `out`."""
+    """exp(min(x, 0)) / (1 + exp(-|x|)), written into out[0] with out[1] as scratch, or into
+    arrays allocated without `out`. It has the bits of 1 / (1 + e) at x >= 0 and of
+    e / (1 + e) below, e = exp(-|x|): exp(min(x, 0)) is exactly 1 at x >= 0 (either zero
+    and +inf included) and exactly e below, where min(x, 0) = x = -|x|."""
     x = np.asarray(x, dtype=np.float64)
-    e, d, positive = out or (np.empty_like(x), np.empty_like(x), np.empty(x.shape, bool))
-    np.exp(np.negative(np.abs(x, out=e), out=e), out=e)
-    np.add(1.0, e, out=d)
-    np.divide(e, d, out=e)
-    np.copyto(e, np.divide(1.0, d, out=d), where=np.greater_equal(x, 0, out=positive))
-    return e
+    e, d = out or (np.empty_like(x), np.empty_like(x))
+    np.add(1.0, np.exp(np.negative(np.abs(x, out=d), out=d), out=d), out=d)
+    return np.divide(np.exp(np.minimum(x, 0.0, out=e), out=e), d, out=e)
 
 
 def partition(task_ids: Sequence[int], num_sequential: int, seed: int = 0) -> MergePlan:
@@ -227,19 +223,15 @@ def _bind_pool(spec: ModelSpec, inputs: np.ndarray, labels: np.ndarray | None,
     """The objective's `pool`, checked and made once per step: the `_row_pool` rows and
     labels, each gathered row's weight 1 / (batches of its task * rows of its batch) from
     `batch_rows`, the batches' flat row index, and what each call refills: a theta buffer
-    and its feature-major `nn.bind_pass` binding, a gather buffer, and the float64 m, and
-    the binding's total and first spare, and a bool buffer, of theta's length."""
+    and its feature-major `nn.bind_pass` binding, whose first gradient buffer (total) and
+    first spare the objective also uses, and a gather buffer."""
     weights = np.repeat([1.0 / (len(task) * n) for task in batch_rows for n in task],
                         [n for task in batch_rows for n in task])
     if len(rows) != len(weights):
         raise ContractError(f"{len(weights)} row weights for {len(rows)} batch rows")
     theta = np.empty(spec.parameter_count)
     bound = bind_pass(spec, theta, {(len(rows),)}, feature_major=True)
-    (total, _), (spare, _) = bound[1][:2]  # the pass's gradient and its first spare
-    # at the sizes that bind two slots a mask-length vector outweighs a second sigmoid
-    m = spare if len(bound[2]) == 2 else np.empty(theta.size)
-    return (inputs, labels, weights, rows, theta, bound, np.empty((len(rows), inputs.shape[1])),
-            (m, total, spare, np.empty(theta.size, bool)))
+    return (inputs, labels, weights, rows, theta, bound, np.empty((len(rows), inputs.shape[1])))
 
 
 def consensus_objective(spec: ModelSpec, theta_pre: np.ndarray, state: SequentialState,
@@ -258,19 +250,20 @@ def consensus_objective(spec: ModelSpec, theta_pre: np.ndarray, state: Sequentia
     `pool`, from `_bind_pool` for this step, holds the rows and labels of `_row_pool`,
     their row weights and the batches' row indices, flat in gather order, which the
     weighted pass gathers into the pool's buffer; `task_batches` holds each task's view
-    of them, for wrappers. The mask-length buffers, overwritten by every call: m holds
-    m = sigmoid(r); total is scratch until the pass and then holds the returned
-    gradient; theta the parameters until the pass has read them; the spare the
-    gradient of the pass's later blocks, and then the direction and (1 - m) * m. With
-    two block slots, m is the spare, and after the pass m is computed again into
-    theta. r, the rows and spec are checked once per step, the strategy by `MergePlan`.
+    of them, for wrappers. The mask-length buffers, overwritten by every call, are the
+    binding's first gradient buffer (total), its first spare and theta. The spare holds
+    m = sigmoid(r) until the pass, which may write its later blocks' gradients there;
+    total is scratch until the pass and then holds the returned gradient; theta holds the
+    parameters until the pass has read them, and then m again; the spare then holds the
+    direction and (1 - m) * m. r, the rows and spec are checked once per step, the
+    strategy by `MergePlan`.
     """
-    pool_inputs, pool_labels, weights, rows, theta, bound, gathered, buffers = pool
-    m, total, spare, positive = buffers
+    pool_inputs, pool_labels, weights, rows, theta, bound, gathered = pool
+    (total, _), (spare, _) = bound[1][:2]
     # mode="raise" would copy `out` through a buffer; the rows index the pool
     inputs = np.take(pool_inputs, rows, axis=0, out=gathered, mode="clip")
     labels = None if pool_labels is None else np.take(pool_labels, rows)
-    sigmoid(r, out=(m, total, positive))
+    m = sigmoid(r, out=(spare, total))
     tau_seq = state.tau_seq
     # theta_pre + tau, tau of the strategy's masked merge, with the operands in order
     if strategy == "only_mask":
@@ -282,8 +275,7 @@ def consensus_objective(spec: ModelSpec, theta_pre: np.ndarray, state: Sequentia
     # np.mean's bits without its overhead
     l1 = l1_weight * float(m.sum() / m.size)
     data_loss, grad = weighted_loss_and_grad(spec, bound, inputs, labels, weights)
-    if m is spare:  # the pass wrote its second block's gradient over m
-        m = sigmoid(r, out=(theta, spare, positive))
+    m = sigmoid(r, out=(theta, spare))
     if strategy == "both":
         grad *= np.subtract(tau_j, tau_seq, out=spare)
     else:

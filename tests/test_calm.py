@@ -28,6 +28,7 @@ from calmkit.nn import (
     ROW_BLOCK,
     ContractError,
     ModelSpec,
+    bind_pass,
     forward,
     init_params,
     layer_views,
@@ -848,8 +849,9 @@ class TestHelperThread:
         def keeping(*args):
             # theta, total, the spare and the second slot's first layer output
             pool = args[-1]
+            (total, _), (spare, _) = pool[5][1][:2]
             outs = next(iter(pool[5][2][1].values()))[2]
-            refs[:] = map(weakref.ref, (pool[4], *pool[7][1:3], outs[0].base))
+            refs[:] = map(weakref.ref, (pool[4], total, spare, outs[0].base))
             return objective(*args)
 
         def checked(*args, **kwargs):
@@ -863,6 +865,30 @@ class TestHelperThread:
         sequential_merge(ckpt, MergePlan((1, 2), iterations_per_task=2, batch_size=300),
                          data)
         assert ran and alive == [[False] * 4] * 2
+
+    def test_a_one_slot_pool_holds_only_theta_the_gather_buffer_and_the_binding(
+            self, monkeypatch):
+        # at a (256, 256) spec with one slot, the objective's m lives in the binding's
+        # spare: beside the binding, theta and the gather buffer, binding the pool
+        # allocates only the row weights, less than a bool buffer of theta's length
+        force_helper(monkeypatch, False)
+        wide = ModelSpec(4, (256, 256), 3)
+        rng = np.random.default_rng(13)
+        inputs, labels = rng.standard_normal((320, 4)), rng.integers(0, 3, size=320)
+        rows, theta = np.zeros(256, int), np.empty(wide.parameter_count)
+        peaks = []
+        for call in (
+                lambda: _bind_pool(wide, inputs, labels, [[16, 16]] * 8, rows),
+                lambda: bind_pass(wide, theta, {(len(rows),)}, feature_major=True)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        pool, binding = peaks
+        gathered = np.empty((len(rows), inputs.shape[1]))
+        assert pool - binding - theta.nbytes - gathered.nbytes < wide.parameter_count
 
     def test_merge_memory_does_not_grow_with_the_sequential_steps(self):
         # 8 tasks of a (256, 256) model: the last step sees every task at 2 sequential steps
@@ -902,6 +928,20 @@ class TestSigmoid:
 
     def test_keeps_the_bits_of_the_boolean_mask_formula(self):
         rng = np.random.default_rng(709)
-        x = np.concatenate([rng.standard_normal(709), rng.uniform(-800.0, 800.0, 100_000),
-                            [0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0]])
-        assert sigmoid(x).tobytes() == reference_sigmoid(x).tobytes()
+        # logits of mixed signs, then a 1e-5 and a half of them positive, as r reads at
+        # a step's start and later
+        patterns = [np.concatenate([rng.standard_normal(709),
+                                    rng.uniform(-800.0, 800.0, 100_000),
+                                    [0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0,
+                                     np.inf, -np.inf]])]
+        for positive in (1e-5, 0.5):
+            x = -rng.uniform(0.0, 30.0, 100_000)
+            flipped = rng.choice(x.size, int(positive * x.size), replace=False)
+            x[flipped] = -x[flipped]
+            patterns.append(x)
+        for x in patterns:
+            want = reference_sigmoid(x).tobytes()
+            assert sigmoid(x).tobytes() == want
+            out = (np.empty_like(x), np.empty_like(x))
+            assert sigmoid(x, out=out) is out[0]
+            assert out[0].tobytes() == want

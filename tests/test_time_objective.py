@@ -56,3 +56,44 @@ def test_any_size_resolves_and_only_32_keeps_the_default_lr():
 def test_the_quartiles_keep_the_first_repeat():
     summary = time_objective._quartiles([0.9, 0.2, 0.3, 0.25, 0.22])
     assert summary["first"] == 0.9 and summary["median"] == 0.25
+
+
+class StubSpeed:
+    """A `HostSpeed` stand-in: one sample before the region, one added inside it, and a
+    fixed factor over the samples it is asked about."""
+
+    FACTOR = 1.25
+
+    def __init__(self):
+        self.samples, self.entered, self.since = [1e-4], 0, None
+
+    def __enter__(self):
+        self.entered += 1
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def factor(self, since: int) -> float:
+        self.since = since
+        return self.FACTOR
+
+
+def test_a_timed_region_records_its_seconds_times_the_probe_s_factor(monkeypatch):
+    def never(*args):
+        raise AssertionError("a worker was started")
+
+    monkeypatch.setattr(time_objective, "_start", never)
+    speed = StubSpeed()
+    result, usage = time_objective._timed(speed, lambda x: speed.samples.append(x) or x, 2e-4)
+    assert result == 2e-4 and speed.entered == 1
+    # the factor covers the samples taken from the region's start on
+    assert speed.since == 1
+    assert set(usage) == set(time_objective.USAGE)
+    assert usage["corrected_s"] == usage["s"] * StubSpeed.FACTOR
+
+
+def test_the_probe_is_perfbench_s_host_speed():
+    speed = time_objective._host_speed()
+    assert type(speed).__name__ == "HostSpeed" and speed.samples == []
+    assert speed.factor(0) == 1.0

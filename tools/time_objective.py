@@ -15,13 +15,18 @@ at (32,) and of one elsewhere, each a pretrain and then a finetune) each,
 for one timed `sequential_merge` each, `--repeats` times, so that slow and
 fast phases of the host fall on every side alike. Every worker runs with one
 BLAS/OpenMP thread, set before numpy loads, and reports numpy's version, its
-BLAS and `nproc`.
+BLAS and `nproc`, the CPUs its affinity allows, as `nn.helper_slots` counts them.
+Each timed region runs under perfbench's `HostSpeed` probe, imported from
+`perfbench/worker.py`, which corrects its wall time for the host's speed. The raw
+time stays the primary one: the probe runs in the timed process, so work that a
+change moves onto calmkit's helper thread can slow the probe and be read as host
+slowness, which the correction then credits to the change.
 
 Per size and side the output holds the median and interquartile range of the
-pretrain, finetune and merge wall times, and of the worker's minor page faults
-and system CPU seconds over each of them, each beside its first repeat, which
-pays for what the repeats after it find warm; the worker's peak RSS once it has
-trained and sampled, and again after its merges; the peak of what one more,
+pretrain, finetune and merge wall times, raw and corrected, and of the worker's
+minor page faults and system CPU seconds over each of them, each beside its first
+repeat, which pays for what the repeats after it find warm; the worker's peak RSS
+once it has trained and sampled, and again after its merges; the peak of what one more,
 untimed merge allocates, by tracemalloc, which the process-wide RSS peak hides
 when training set it; and sha256 prefixes of the pretrained and fine-tuned
 checkpoints, of every step's binary mask (as float64 0/1 bytes, whether the tree
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import resource
@@ -46,9 +52,11 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 
+PERFBENCH_WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 # the default sizes, as hidden_dims
 SIZES = ("32", "256,256", "1024,1024")
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -59,10 +67,11 @@ PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS"
 # at 10, 0.004-0.035/0.003-0.019 s, with the sides' medians within 0.009/0.002 s of each
 # other.
 TRAININGS = 10
-# What each timed region records, as the suffix of its key: wall seconds, minor page
-# faults (ru_minflt) and system CPU seconds (ru_stime); faults and system time show
-# the kernel's share, as when the heap is trimmed and then faulted in again.
-USAGE = ("s", "minflt", "sys_s")
+# What each timed region records, as the suffix of its key: wall seconds, raw and
+# corrected for the host's speed, minor page faults (ru_minflt) and system CPU seconds
+# (ru_stime); faults and system time show the kernel's share, as when the heap is
+# trimmed and then faulted in again.
+USAGE = ("s", "corrected_s", "minflt", "sys_s")
 REGIONS = ("pretrain", "finetune", "merge")
 
 
@@ -117,15 +126,27 @@ def _blas() -> str:
         return "unknown"
 
 
-def _timed(fn, *args):
-    """fn(*args), and its wall seconds, the worker's minor page faults and its system
-    CPU seconds over the call, under the keys of USAGE."""
-    before = resource.getrusage(resource.RUSAGE_SELF)
-    start = perf_counter()
-    result = fn(*args)
-    seconds = perf_counter() - start
-    after = resource.getrusage(resource.RUSAGE_SELF)
-    return result, {"s": seconds, "minflt": after.ru_minflt - before.ru_minflt,
+def _host_speed():
+    """A `HostSpeed` probe, from perfbench's worker as it stands."""
+    spec = importlib.util.spec_from_file_location("perfbench_worker", PERFBENCH_WORKER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.HostSpeed()
+
+
+def _timed(speed, fn, *args):
+    """fn(*args) under the `HostSpeed` probe `speed`, and its wall seconds, those times
+    the probe's factor over the call, the worker's minor page faults and its system CPU
+    seconds over the call, under the keys of USAGE."""
+    with speed:
+        since = len(speed.samples)
+        before = resource.getrusage(resource.RUSAGE_SELF)
+        start = perf_counter()
+        result = fn(*args)
+        seconds = perf_counter() - start
+        after = resource.getrusage(resource.RUSAGE_SELF)
+    return result, {"s": seconds, "corrected_s": seconds * speed.factor(since),
+                    "minflt": after.ru_minflt - before.ru_minflt,
                     "sys_s": after.ru_stime - before.ru_stime}
 
 
@@ -156,11 +177,12 @@ def worker(hidden: str):
 
     config = build_config(size_entries(hidden))
     trainings = TRAININGS if hidden == "32" else 1
+    speed = _host_speed()
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         tasks = stage_generate(config, workdir)
         print(json.dumps({
-            "numpy": np.__version__, "blas": _blas(), "nproc": os.cpu_count(),
+            "numpy": np.__version__, "blas": _blas(), "nproc": len(os.sched_getaffinity(0)),
             "threads": {key: os.environ.get(key) for key in PINNED},
         }), flush=True)
         for line in sys.stdin:
@@ -169,8 +191,9 @@ def worker(hidden: str):
                 totals = {f"{stage}_{key}": 0.0 for stage in ("pretrain", "finetune")
                           for key in USAGE}
                 for _ in range(trainings):
-                    theta_pre, pretrain_usage = _timed(stage_pretrain, config, workdir, tasks)
-                    ckpt, finetune_usage = _timed(stage_finetune, config, workdir, tasks,
+                    theta_pre, pretrain_usage = _timed(speed, stage_pretrain, config, workdir,
+                                                       tasks)
+                    ckpt, finetune_usage = _timed(speed, stage_finetune, config, workdir, tasks,
                                                   theta_pre)
                     for stage, usage in (("pretrain", pretrain_usage),
                                          ("finetune", finetune_usage)):
@@ -190,7 +213,7 @@ def worker(hidden: str):
                 # the peak of generate, the trainings and sample
                 print(json.dumps({"setup_peak_rss_mb": _peak_rss_mb()}), flush=True)
             elif command in ("run", "trace"):
-                measure = _timed if command == "run" else _traced
+                measure = partial(_timed, speed) if command == "run" else _traced
                 result, usage = measure(sequential_merge, ckpt, config.plan, examples)
                 print(json.dumps({
                     **({f"merge_{key}": value for key, value in usage.items()}
@@ -323,13 +346,16 @@ def main(argv=None):
         for name, side in results[hidden].items():
             times = "  ".join(f"{region} {side[f'{region}_s']['median']:.3f} s (IQR "
                               f"{side[f'{region}_s']['iqr']:.3f}, first "
-                              f"{side[f'{region}_s']['first']:.3f} s; "
+                              f"{side[f'{region}_s']['first']:.3f} s; corrected "
+                              f"{side[f'{region}_corrected_s']['median']:.3f} s, IQR "
+                              f"{side[f'{region}_corrected_s']['iqr']:.3f}; "
                               f"{side[f'{region}_minflt']['median']:,.0f} faults, first "
                               f"{side[f'{region}_minflt']['first']:,.0f}; "
                               f"sys {side[f'{region}_sys_s']['median']:.3f} s, first "
                               f"{side[f'{region}_sys_s']['first']:.3f} s)"
                               for region in REGIONS)
-            print(f"({hidden}) {side['parameters']:>9,} params  {name:>8}: {times}  peak RSS "
+            print(f"({hidden}) {side['parameters']:>9,} params  {name:>8} on {side['nproc']} "
+                  f"CPUs: {times}  peak RSS "
                   f"{side['setup_peak_rss_mb']:.1f} MB, {side['merge_peak_rss_mb']:.1f} MB after "
                   f"the merges  merge traced peak {side['merge_traced_peak_mb']:.1f} MB  "
                   f"threads {side['threads_after_finetune']}/{side['threads_after_merge']} "
