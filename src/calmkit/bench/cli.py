@@ -36,7 +36,7 @@ from .config import (
     parse_entries,
 )
 from .formats import FormatError
-# wrapped by name in perfbench/tracing.py HOOKS; the runner's loaders call them
+# imported only so that perfbench/tracing.py HOOKS resolve (ROADMAP item 7)
 from .formats import load_checkpoint, load_tasks  # noqa: F401
 from .runner import (
     CHECKPOINTS_FILE,
@@ -117,9 +117,9 @@ def _run_command(args: argparse.Namespace) -> int:
         return 0
     config = resolve_config(args)
     workdir = Path(args.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
 
     if args.command == "gen-tasks":
+        workdir.mkdir(parents=True, exist_ok=True)
         stage_generate(config, workdir)
         print(f"wrote {workdir / DATASETS_FILE}")
         return 0

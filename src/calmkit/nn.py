@@ -24,10 +24,11 @@ when freed, and faulted them in again. Each call overwrites its gradient and vie
 a caller that keeps them must copy them.
 
 The weighted pass's blocks are independent, so a binding may hold a second slot of
-layer-output and scratch buffers, and the pass then runs every second block on one
+layer-output and scratch buffers, and the pass then runs every second block on a
 helper thread while the caller runs the block before it; numpy's BLAS calls and
-loops release the GIL. The helper is one daemon thread, started on first use; it
-holds no job between jobs, and an exception in its job is raised in the caller.
+loops release the GIL. Each pair of blocks starts its own helper, joined before the
+pair returns and running under the caller's numpy error state, so no thread outlives
+a pair; an exception in the helper's block is raised in the caller.
 Each block writes its own gradient buffer, and the caller sums the blocks' losses
 and gradients in block order, so the results are the bits of the one-thread pass. A
 stack's models are as independent: `loss_and_grad` runs a two-slot binding's second half
@@ -330,61 +331,28 @@ def bind_pass(spec: ModelSpec, values: np.ndarray, shapes, feature_major: bool) 
     return layer_views(spec, values), grads, [entries() for _ in range(slots)]
 
 
-class _Helper(threading.Thread):
-    """The helper thread: runs the job it is handed under the numpy error state handed with
-    it, and hands back its result or its exception, one job at a time. It drops the job
-    before it signals: between jobs it holds nothing of a job, nor of the buffers it wrote."""
-
-    def __init__(self):
-        super().__init__(name="calmkit-block-helper", daemon=True)
-        self.job = self.result = None
-        # locks used as signals: `handed` is released when a job is handed over, `done`
-        # when it has run
-        self.handed, self.done = threading.Lock(), threading.Lock()
-        self.handed.acquire()
-        self.done.acquire()
-
-    def run(self):
-        while True:
-            self.handed.acquire()
-            try:
-                with np.errstate(**self.job[1]):  # the caller's: each thread holds its own
-                    self.result = self.job[0](), None
-            except BaseException as error:  # raised again in the caller
-                self.result = None, error
-            self.job = None
-            self.done.release()
-
-
-_HELPER: list[_Helper] = []  # the one helper, once started
-_HELPER_LOCK = threading.Lock()  # held for each pair: the helper takes one job at a time
-_PAIRED: set[int] = set()  # the idents of the two threads that run the current pair
-
-
 def _run_beside(first, second) -> list:
-    """[first(), second()]: `second` runs on the helper, one daemon thread started here on
-    first use (and again in a forked child, where it does not run), while `first` runs
-    on the calling thread, both under its numpy error state. An exception in either is
-    raised here, once both have ended. A job of a pair that calls this runs both itself."""
-    if threading.get_ident() in _PAIRED:
-        return [first(), second()]
-    with _HELPER_LOCK:
-        if not _HELPER or not _HELPER[0].is_alive():
-            _HELPER[:] = [_Helper()]
-            _HELPER[0].start()
-        helper = _HELPER[0]
-        _PAIRED.update((threading.get_ident(), helper.ident))
-        helper.job = second, np.geterr()
-        helper.handed.release()
+    """[first(), second()]: `second` runs on a daemon thread that this call starts and
+    joins before it returns, under the caller's numpy error state, while `first` runs on
+    the calling thread. An exception in either is raised here, once both have ended."""
+    state, other = np.geterr(), [None, None]
+
+    def helper():
         try:
-            result = first()
-        finally:
-            helper.done.acquire()
-            _PAIRED.clear()
-            (other, error), helper.result = helper.result, None
-    if error is not None:
-        raise error
-    return [result, other]
+            with np.errstate(**state):  # the caller's: each thread holds its own
+                other[0] = second()
+        except BaseException as error:  # raised again in the caller
+            other[1] = error
+
+    thread = threading.Thread(target=helper, name="calmkit-block-helper", daemon=True)
+    thread.start()
+    try:
+        result = first()
+    finally:
+        thread.join()
+    if other[1] is not None:
+        raise other[1]
+    return [result, other[0]]
 
 
 def loss_and_grad(spec: ModelSpec, bound: tuple, inputs: np.ndarray, labels: np.ndarray
@@ -423,7 +391,7 @@ def weighted_loss_and_grad(spec: ModelSpec, bound: tuple, inputs: np.ndarray,
     binding's first gradient buffer, which the next call overwrites.
 
     Block 0 writes its gradient into that buffer, and each later block into the binding's
-    spares in turn; with two slots, blocks run in pairs, the second of a pair on the
+    spares in turn; with two slots, blocks run in pairs, the second of a pair on its
     helper thread. Losses and gradients are summed in block order, the gradient from
     0.0 + block 0's: a -0.0 of it sums to +0.0.
 

@@ -19,7 +19,7 @@ keeping its own seeded row order and the bits of training it alone. STACK_PARAMS
 the stack, as a stack of wide models outgrows the cache and the memory that training one
 of them needs. Each run binds its buffers once (`nn.bind_pass`), each dz written over
 the output it consumed; each step overwrites them, and `sgd_step` its gradient. Where the
-binding takes two slots, `loss_and_grad` trains a stack's second half on the helper
+binding takes two slots, `loss_and_grad` trains a stack's second half on a helper
 thread, the loop and every `sgd_step` staying on the calling thread.
 """
 from __future__ import annotations

@@ -28,6 +28,7 @@ from calmkit.bench.runner import (
     ablation_suite,
     run_experiment,
 )
+import reference
 
 # the small config the benchmark's own tests run on
 TINY = {
@@ -264,15 +265,26 @@ def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
 
 
 def test_a_default_run_starts_no_thread(tmp_path, monkeypatch):
-    # as in a fresh process, with no helper thread started; at the default size the
-    # mask pass's blocks and the fine-tune stack's halves are below the floor that binds
-    # a second slot, in the one-shot run and in the staged finetune command
-    monkeypatch.setattr(nn, "_HELPER", [])
+    # at the default size the mask pass's blocks and the fine-tune stack's halves are
+    # below the floor that binds a second slot, in the one-shot run and in the staged
+    # finetune command: no pair runs, so no helper thread starts
+    ran = reference.counted_pairs(monkeypatch)
     before = threading.active_count()
     run_experiment(build_config({}), tmp_path / "run")
+    assert ran == []
     for command in ("gen-tasks", "pretrain", "finetune"):
         assert _cli(command, tmp_path / "staged") == 0
-    assert threading.active_count() == before and nn._HELPER == []
+    assert ran == [] and threading.active_count() == before
+
+
+@pytest.mark.parametrize("command", ["report", "eval", "merge"])
+def test_a_command_on_a_missing_workdir_creates_nothing(command, tmp_path, capsys):
+    # only gen-tasks makes the directory it writes; a command that reads first fails
+    # with the missing file and leaves no empty directory behind
+    workdir = tmp_path / "missing" / "run"
+    assert _cli(command, workdir, TINY) == 2
+    assert DATASETS_FILE in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
 
 
 # sha256 prefixes of summary.csv on TINY, captured before the suites shared one sweep

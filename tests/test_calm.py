@@ -29,7 +29,6 @@ from calmkit.nn import (
     ContractError,
     ModelSpec,
     bind_pass,
-    forward,
     init_params,
     layer_views,
 )

@@ -1,13 +1,16 @@
-"""Every name that a calmkit module imports is used in that module, by an `ast` walk in
-place of a linter. An import line marked `# noqa: F401` is exempt: `cli.py` keeps two so
-that the benchmark's hooks find them, and a `from __future__` import is a compiler
-directive, not a name to use."""
+"""Every name that a calmkit module, a tool or a test module imports is used in that
+module, by an `ast` walk in place of a linter. An import line marked `# noqa: F401` is
+exempt: `cli.py` keeps two so that the benchmark's hooks find them, and a `from
+__future__` import is a compiler directive, not a name to use."""
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "calmkit"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "calmkit"
+WALKED = sorted([*SRC.rglob("*.py"), *(ROOT / "tools").glob("*.py"),
+                 *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -27,7 +30,9 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
+# a package module's id is its path in the package, a tool's or a test's its path in the repo
+@pytest.mark.parametrize("path", WALKED, ids=lambda p: str(
+    p.relative_to(SRC if p.is_relative_to(SRC) else ROOT)))
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == []
 

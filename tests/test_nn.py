@@ -1,6 +1,8 @@
 import os
+import signal
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -505,7 +507,7 @@ class TestHelperThread:
         ran = reference.counted_pairs(monkeypatch)
         with pytest.raises(IndexError):
             weighted_loss_and_grad(spec, bound, inputs, bad, weights)
-        # the helper serves the next call, which gives the one-slot bits
+        # the next call runs a pair of its own, which gives the one-slot bits
         loss, grad = weighted_loss_and_grad(spec, bound, inputs, labels, weights)
         reference.force_helper(monkeypatch, False)
         ref_loss, ref_grad = weighted_loss_and_grad(
@@ -513,9 +515,10 @@ class TestHelperThread:
         assert loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
         assert ran == [2, 2]
 
-    def test_callers_on_several_threads_share_the_helper(self, monkeypatch):
-        # four threads, more than the host's cores, each with its own two-slot binding,
-        # at a switch interval that interleaves them often: every call keeps its bits
+    def test_callers_on_several_threads_keep_the_one_slot_bits(self, monkeypatch):
+        # four threads, more than the host's cores, each with its own two-slot binding and
+        # so its own pairs, at a switch interval that interleaves them often: every call
+        # keeps the one-slot bits
         rows = ROW_BLOCK + 100
         spec, values, inputs, labels = step_case(None, "relu", 5, rows)
         weights = np.full(rows, 1.0 / rows)
@@ -587,9 +590,10 @@ class TestHelperThread:
         assert bound[4] == ()
 
     @pytest.mark.parametrize("where", ["caller", "helper"])
-    def test_a_job_that_runs_a_pair_runs_it_itself(self, where):
-        # the helper takes one pair at a time: a pair run from a job of a pair, on the
-        # calling thread or on the helper, must not wait for the pair that runs it
+    def test_a_job_of_a_pair_runs_a_pair_of_its_own(self, where):
+        # a pair run from a job of a pair, on the calling thread or on the helper, starts
+        # a helper of its own: its first job runs on the thread that ran the outer job,
+        # its second on another, and neither waits for the pair that runs it
         ran = []
 
         def job(name):
@@ -609,20 +613,57 @@ class TestHelperThread:
         assert not thread.is_alive()
         nested = ["a", "b"]
         assert results == [[nested, "other"] if where == "caller" else ["other", nested]]
-        (_, runner), *inner = ran
-        assert [name for name, _ in inner] == ["a", "b"]
-        assert {ident for _, ident in inner} == {runner}
-        assert (runner == thread.ident) == (where == "caller")
+        idents = dict(ran)
+        assert sorted(idents) == ["a", "b", "pair"]
+        assert idents["a"] == idents["pair"] != idents["b"]
+        assert (idents["pair"] == thread.ident) == (where == "caller")
 
-    def test_the_helper_is_one_daemon_thread(self, monkeypatch):
+    def test_no_helper_outlives_its_pair(self, monkeypatch):
+        # three two-slot weighted passes and a two-slot training step each join the
+        # helpers they start
         rows = ROW_BLOCK + 10
         spec, values, inputs, labels = step_case(None, "relu", 5, rows)
+        _, stack, stack_inputs, stack_labels = step_case(2, "relu", 5)
         reference.force_helper(monkeypatch, True)
+        ran = reference.counted_pairs(monkeypatch)
+        before = threading.active_count()
         bound = bind_pass(spec, values, {(rows,)}, feature_major=True)
         for _ in range(3):
             weighted_loss_and_grad(spec, bound, inputs, labels, np.full(rows, 1.0 / rows))
-        helpers = [t for t in threading.enumerate() if isinstance(t, nn._Helper)]
-        assert helpers == nn._HELPER and len(helpers) == 1 and helpers[0].daemon
+        bound = bind_pass(spec, stack, {stack_labels.shape}, feature_major=False)
+        loss_and_grad(spec, bound, stack_inputs, stack_labels)
+        assert ran == [2] * 4
+        assert threading.active_count() == before
+        assert not [t for t in threading.enumerate() if t.name == "calmkit-block-helper"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_runs_its_own_pairs(self, monkeypatch):
+        # a child forked after a two-slot pass inherits no helper; its own pass starts and
+        # joins one, and exits 0 only with the parent's bits
+        rows = ROW_BLOCK + 10
+        spec, values, inputs, labels = step_case(None, "tanh", 5, rows)
+        weights = np.full(rows, 1.0 / rows)
+        reference.force_helper(monkeypatch, True)
+        ran = reference.counted_pairs(monkeypatch)
+        bound = bind_pass(spec, values, {(rows,)}, feature_major=True)
+        loss, grad = weighted_loss_and_grad(spec, bound, inputs, labels, weights)
+        expected = (loss, grad.tobytes())
+        pid = os.fork()
+        if pid == 0:  # the child: never returns into the test runner
+            code = 1
+            try:
+                loss, grad = weighted_loss_and_grad(spec, bound, inputs, labels, weights)
+                code = 0 if (loss, grad.tobytes()) == expected and ran == [2, 2] else 3
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while (waited := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if waited[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert waited[0] == pid and os.waitstatus_to_exitcode(waited[1]) == 0
+        assert ran == [2]
 
 
 # one (256, ROW_BLOCK) float64 block: what a width-256 layer's output over a block takes

@@ -428,7 +428,7 @@ class TestTwoSlots:
         pairs = counted_pairs(monkeypatch)
         with pytest.raises(IndexError):
             loss_and_grad(spec, bound, inputs, bad)
-        # the helper serves the next call, which gives the one-slot bits
+        # the next call runs a pair of its own, which gives the one-slot bits
         losses, grad = loss_and_grad(spec, bound, inputs, labels)
         force_helper(monkeypatch, False)
         ref_losses, ref_grad = loss_and_grad(

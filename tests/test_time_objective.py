@@ -1,5 +1,5 @@
-"""tools/time_objective.py's mask and model digests, on hand-made masks and models, and
-its arguments; no worker runs."""
+"""tools/time_objective.py's mask and model digests, on hand-made masks and models, its
+pair counter, on a stub module, and its arguments; no worker runs."""
 import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
@@ -97,3 +97,17 @@ def test_the_probe_is_perfbench_s_host_speed():
     speed = time_objective._host_speed()
     assert type(speed).__name__ == "HostSpeed" and speed.samples == []
     assert speed.factor(0) == 1.0
+
+
+def test_the_pair_counter_wraps_run_beside_and_an_older_tree_counts_none(monkeypatch):
+    def never(*args):
+        raise AssertionError("a worker was started")
+
+    monkeypatch.setattr(time_objective, "_start", never)
+    stub = SimpleNamespace(_run_beside=lambda first, second: [first(), second()])
+    pairs = time_objective.count_pairs(stub)
+    assert pairs == []
+    assert stub._run_beside(lambda: "a", lambda: "b") == ["a", "b"]
+    assert stub._run_beside(lambda: 1, lambda: 2) == [1, 2]
+    assert len(pairs) == 2
+    assert time_objective.count_pairs(SimpleNamespace()) is None

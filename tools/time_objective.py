@@ -31,12 +31,13 @@ untimed merge allocates, by tracemalloc, which the process-wide RSS peak hides
 when training set it; and sha256 prefixes of the pretrained and fine-tuned
 checkpoints, of every step's binary mask (as float64 0/1 bytes, whether the tree
 returns a bool mask or a float one) and of the merged parameters, so sides can be
-compared bit for bit; and the worker's thread count after its first training and after
-its merges, 2 once a fine-tune ran half of its stack or a merge ran blocks of its mask
-objective on calmkit's helper thread, else 1. Each side after
-the first is also compared with the first: the largest relative difference of any
-`objective_trace` value, and, per step, the coordinates where the binary masks
-differ. The main process imports neither numpy nor calmkit.
+compared bit for bit; and the pairs of jobs that calmkit's `nn._run_beside` ran, the
+second of each on a helper thread, per training and in one merge: a fine-tune's pair
+runs the halves of a step's stack, and a merge's two blocks of its mask objective. A
+tree without `nn._run_beside` records none. Each side after the first is also compared
+with the first: the largest relative difference of any `objective_trace` value, and,
+per step, the coordinates where the binary masks differ. The main process imports
+neither numpy nor calmkit.
 """
 from __future__ import annotations
 
@@ -50,7 +51,6 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import threading
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -165,12 +165,29 @@ def _traced(fn, *args):
         tracemalloc.stop()
 
 
+def count_pairs(nn) -> list | None:
+    """A list that gains an entry for each pair of jobs that `nn._run_beside` runs from
+    now on, which this wraps in the module `nn`; None for a tree without it."""
+    run_beside = getattr(nn, "_run_beside", None)
+    if run_beside is None:
+        return None
+    pairs = []
+
+    def counting(first, second):
+        pairs.append(None)
+        return run_beside(first, second)
+
+    nn._run_beside = counting
+    return pairs
+
+
 def worker(hidden: str):
     """Generate the tasks, then answer one command per stdin line: 'train' trains the
     pipeline once, 'sample' samples from the last training, 'run' merges once, 'trace'
     merges once under tracemalloc."""
     import numpy as np
 
+    from calmkit import nn
     from calmkit.bench.config import build_config
     from calmkit.bench.runner import stage_finetune, stage_generate, stage_pretrain, stage_sample
     from calmkit.calm import sequential_merge
@@ -178,6 +195,7 @@ def worker(hidden: str):
     config = build_config(size_entries(hidden))
     trainings = TRAININGS if hidden == "32" else 1
     speed = _host_speed()
+    pairs = count_pairs(nn)
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         tasks = stage_generate(config, workdir)
@@ -190,6 +208,7 @@ def worker(hidden: str):
             if command == "train":
                 totals = {f"{stage}_{key}": 0.0 for stage in ("pretrain", "finetune")
                           for key in USAGE}
+                start = len(pairs or ())
                 for _ in range(trainings):
                     theta_pre, pretrain_usage = _timed(speed, stage_pretrain, config, workdir,
                                                        tasks)
@@ -204,7 +223,8 @@ def worker(hidden: str):
                     "parameters": ckpt.spec.parameter_count,
                     "pretrained_sha": _sha(_model_bytes(theta_pre)),
                     "checkpoints_sha": _sha(b"".join(map(_model_bytes, ckpt.finetuned))),
-                    "threads": threading.active_count(),
+                    # every training runs the same pairs
+                    "helper_pairs": None if pairs is None else (len(pairs) - start) // trainings,
                 }), flush=True)
             elif command == "sample":
                 # (inputs, pseudo-labels) pairs: sequential_merge takes them in every tree
@@ -214,12 +234,13 @@ def worker(hidden: str):
                 print(json.dumps({"setup_peak_rss_mb": _peak_rss_mb()}), flush=True)
             elif command in ("run", "trace"):
                 measure = partial(_timed, speed) if command == "run" else _traced
+                start = len(pairs or ())
                 result, usage = measure(sequential_merge, ckpt, config.plan, examples)
                 print(json.dumps({
                     **({f"merge_{key}": value for key, value in usage.items()}
                        if command == "run" else {"merge_traced_peak_mb": usage}),
                     "merge_peak_rss_mb": _peak_rss_mb(),
-                    "threads": threading.active_count(),
+                    "helper_pairs": None if pairs is None else len(pairs) - start,
                     "masks_sha": masks_sha(step.mask for step in result.steps),
                     "merged_sha": _sha(_model_bytes(result.merged)),
                     # floats print with repr, so the traces round-trip exactly
@@ -316,8 +337,8 @@ def measure(sides: dict[str, str], hidden: str, repeats: int) -> dict:
         out[name] = {**envs[name], **peaks[name], **checkpoints, **outputs,
                      "merge_peak_rss_mb": runs[name][-1]["merge_peak_rss_mb"],
                      "merge_traced_peak_mb": traces[name]["merge_traced_peak_mb"],
-                     "threads_after_finetune": trains[name][0]["threads"],
-                     "threads_after_merge": traces[name]["threads"],
+                     "helper_pairs_per_training": trains[name][0]["helper_pairs"],
+                     "helper_pairs_per_merge": traces[name]["helper_pairs"],
                      **{f"{region}_{key}": _quartiles([r[f"{region}_{key}"] for r in replies])
                         for region, replies in (("pretrain", trains[name]),
                                                 ("finetune", trains[name]),
@@ -358,8 +379,8 @@ def main(argv=None):
                   f"CPUs: {times}  peak RSS "
                   f"{side['setup_peak_rss_mb']:.1f} MB, {side['merge_peak_rss_mb']:.1f} MB after "
                   f"the merges  merge traced peak {side['merge_traced_peak_mb']:.1f} MB  "
-                  f"threads {side['threads_after_finetune']}/{side['threads_after_merge']} "
-                  f"after the first training/the merges  "
+                  f"helper pairs {side['helper_pairs_per_training']}/"
+                  f"{side['helper_pairs_per_merge']} per training/merge  "
                   f"pretrained {side['pretrained_sha']}  "
                   f"checkpoints {side['checkpoints_sha']}  masks {side['masks_sha']}  "
                   f"merged {side['merged_sha']}", file=sys.stderr, flush=True)
