@@ -27,13 +27,11 @@ class TiesConfig:
             raise ContractError(f"scale must be positive and finite, got {self.scale}")
 
 
-def ordered_sum(arrays) -> np.ndarray:
-    """Sum of equal-length vectors, from any iterable, in index order: a running sum from
-    zeros, bit for bit numpy's sum of their stack along axis 0 (all -0.0 sums to +0.0)."""
-    total = None
+def ordered_sum(arrays, size: int) -> np.ndarray:
+    """Sum of `size`-length vectors from any iterable, in index order, run from np.zeros(size),
+    the sum of none: bit for bit numpy's sum of their stack on axis 0 (all -0.0 sums to +0.0)."""
+    total = np.zeros(size)
     for values in arrays:
-        if total is None:
-            total = np.zeros(np.shape(values))
         total += values
     return total
 
@@ -47,18 +45,16 @@ def weight_average(models: list[np.ndarray]) -> np.ndarray:
     """Elementwise arithmetic mean of the given models."""
     if not models:
         raise ContractError("weight_average needs at least one model")
-    return read_only(ordered_sum(models) / len(models), np.float64)
+    return read_only(ordered_sum(models, models[0].size) / len(models), np.float64)
 
 
 def task_arithmetic(theta_pre: np.ndarray, task_vectors: Iterable[np.ndarray],
                     scale: float = 0.3) -> np.ndarray:
     """theta_pre + scale * ordered_sum(task vectors), read once from any iterable, the sum
-    CALM's bulk merge scales too; none gives a copy of theta_pre, its own bits."""
+    CALM's bulk merge scales too; none gives theta_pre + 0.0, whose -0.0 entries are +0.0."""
     if scale <= 0.0:
         raise ContractError(f"scale must be positive, got {scale}")
-    total = ordered_sum(task_vectors)
-    return read_only(theta_pre.copy() if total is None else theta_pre + scale * total,
-                     np.float64)
+    return read_only(theta_pre + scale * ordered_sum(task_vectors, theta_pre.size), np.float64)
 
 
 def ties_trim(tv: np.ndarray, trim_fraction: float) -> np.ndarray:
@@ -85,8 +81,8 @@ def ties_elect_sign(task_vectors: list[np.ndarray]) -> np.ndarray:
     """
     if not task_vectors:
         raise ContractError("ties_elect_sign needs at least one task vector")
-    pos = ordered_sum(np.maximum(tv, 0.0) for tv in task_vectors)
-    neg = ordered_sum(np.maximum(-tv, 0.0) for tv in task_vectors)
+    pos = ordered_sum((np.maximum(tv, 0.0) for tv in task_vectors), task_vectors[0].size)
+    neg = ordered_sum((np.maximum(-tv, 0.0) for tv in task_vectors), task_vectors[0].size)
     elected = np.where(pos >= neg, 1, -1).astype(np.int8)
     elected[(pos == 0.0) & (neg == 0.0)] = 0
     return elected

@@ -10,12 +10,13 @@ The `plan.*` and `ties.*` sections parse straight into `MergePlan` and
 """
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any
 
 from ..baselines import TiesConfig
-from ..calm import MergePlan, partition
+from ..calm import MergePlan
 from ..nn import ContractError
+from ..seeding import STAGE_PARTITION, rng_for
 from ..tasks import TaskFamily, TrainConfig, model_spec
 
 METHODS = ("avg", "ta", "ties", "calm")
@@ -25,7 +26,7 @@ REPORT_TOKENS = ("accuracy", "layer_density", "density_trace", "objective_trace"
                  "magnitude_overlap")
 SUITES = ("sampling_rate", "strategy", "order", "reg_coef", "lr", "components")
 # The most tasks a family may have, checked as the key parses: the pipeline trains,
-# samples and merges each task in turn, and `partition` permutes every task id.
+# samples and merges each task in turn, and `build_config` permutes every task id.
 MAX_TASKS = 1024
 
 
@@ -173,8 +174,9 @@ def build_config(entries: dict[str, str]) -> ExperimentConfig:
     except ContractError as exc:
         raise ConfigError(f"train: {exc}") from exc
     num_tasks = built["family"].num_tasks
-    try:  # a config that names no sequence takes the seeded partition's first 2 tasks
-        plan = replace(partition(range(num_tasks), min(2, num_tasks), seed), **sections["plan"])
+    draw = rng_for(seed, STAGE_PARTITION).permutation(num_tasks)[:2]
+    try:  # a config that names no sequence takes the first 2 ids of the seeded permutation
+        plan = MergePlan(**{"sequential_set": draw, **sections["plan"]}, seed=seed)
         plan.bulk_set(num_tasks)
     except ContractError as exc:
         raise ConfigError(f"plan: {exc}") from exc

@@ -5,7 +5,9 @@ a u32 byte length and the text header, a u32 array count and the named typed
 arrays, then a CRC32 (u32, little-endian) over every preceding byte. An array
 is a u16 byte length and its UTF-8 name, a 2-byte dtype (`f8` or `i8`, values
 little-endian), a u8 dimension count and u64 dimensions, then its values in
-row-major order, so save/load round-trips are bit-exact. Float arrays are finite.
+row-major order, so save/load round-trips are bit-exact. Float arrays are finite;
+integer arrays are non-empty, labels and pseudo-labels in [0, `family.classes_per_task`)
+and credible indices in [0, `family.unlabeled_per_task`), strictly ascending per task.
 
 The header's first line is the stage that made the file; the other lines are,
 in `config_text` form, the config keys of that stage and the stages before it
@@ -87,17 +89,19 @@ def check_made(path: Path, stage: str, made: ExperimentConfig, config: Experimen
 
 
 def _expect(arrays: Mapping[str, np.ndarray], layout: Mapping[str, tuple]):
-    """Arrays named as in `layout` and in its order, each of its dtype kind and shape
-    (None: 1-D of any length), the float ones finite."""
+    """Arrays named as in `layout` and in its order, each of its dtype kind, shape (None: 1-D
+    of any length) and bound: the float ones finite, the integer ones non-empty in [0, top)."""
     if list(arrays) != list(layout):
         raise FormatError(f"holds arrays {list(arrays)}, expected {list(layout)}")
-    for name, (kind, shape) in layout.items():
+    for name, (kind, shape, top) in layout.items():
         values = arrays[name]
         if values.dtype.kind != kind or values.shape != (shape or values.shape[:1]):
             raise FormatError(f"array {name!r} is {values.dtype} of shape {values.shape}, "
                               f"expected {kind}8 of shape {shape or '(any,)'}")
         if kind == "f" and not np.all(np.isfinite(values)):
             raise FormatError(f"array {name!r} contains non-finite values")
+        if kind == "i" and not (values.size and 0 <= values.min() and values.max() < top):
+            raise FormatError(f"array {name!r} is empty or holds values outside [0, {top})")
 
 
 def _write(path: Path, stage: str, config: ExperimentConfig, arrays: Mapping[str, np.ndarray],
@@ -175,7 +179,7 @@ def _task_layout(config: ExperimentConfig, names) -> dict[str, tuple]:
     family = config.family
     shapes = []
     for rows in (family.train_per_task, family.test_per_task, family.unlabeled_per_task):
-        shapes += [("f", (rows, family.input_dim)), ("i", (rows,))]
+        shapes += [("f", (rows, family.input_dim), None), ("i", (rows,), family.classes_per_task)]
     return {f"task{t:02d}.{name}": shape for t in range(family.num_tasks)
             for name, shape in zip(_TASK_ARRAYS, shapes)}
 
@@ -195,7 +199,7 @@ def load_tasks(path: Path) -> tuple[ExperimentConfig, list[TaskData]]:
 
 def _vector_layout(config: ExperimentConfig, names) -> dict[str, tuple]:
     count = model_spec(config.family, config.train).parameter_count
-    return {name: ("f", None if "." in name else (count,)) for name in names}
+    return {name: ("f", None if "." in name else (count,), None) for name in names}
 
 
 def save_checkpoint(path: Path, stage: str, config: ExperimentConfig,
@@ -211,8 +215,10 @@ def load_checkpoint(path: Path) -> tuple[str, ExperimentConfig, dict[str, np.nda
 
 
 def _credible_layout(config: ExperimentConfig, names) -> dict[str, tuple]:
-    return {f"task{t:02d}.{name}": ("f" if name == "entropies" else "i", None)
-            for t in range(config.family.num_tasks) for name in _CREDIBLE_ARRAYS}
+    kinds = (("i", None, config.family.unlabeled_per_task), ("f", None, None),
+             ("i", None, config.family.classes_per_task))
+    return {f"task{t:02d}.{name}": kind for t in range(config.family.num_tasks)
+            for name, kind in zip(_CREDIBLE_ARRAYS, kinds)}
 
 
 def save_credible_sets(path: Path, config: ExperimentConfig, credible: Mapping[int, CredibleSet]):

@@ -52,7 +52,7 @@ import numpy as np
 
 from .baselines import ordered_sum, task_vector
 from .nn import ContractError, ModelSpec, bind_pass, check_labels, read_only, weighted_loss_and_grad
-from .seeding import STAGE_MASK_BATCHES, STAGE_MASK_INIT, STAGE_PARTITION, rng_for
+from .seeding import STAGE_MASK_BATCHES, STAGE_MASK_INIT, rng_for
 from .tasks import Checkpoints
 
 STRATEGIES = ("both", "only_mask", "only_complement")
@@ -150,23 +150,11 @@ def sigmoid(x: np.ndarray, out: tuple | None = None) -> np.ndarray:
     return np.divide(np.exp(np.minimum(x, 0.0, out=e), out=e), d, out=e)
 
 
-def partition(task_ids: Sequence[int], num_sequential: int, seed: int = 0) -> MergePlan:
-    """Uniformly random seeded choice of the sequential tasks and their order."""
-    ids = tuple(int(t) for t in task_ids)
-    if not 0 <= num_sequential <= len(ids):
-        raise ContractError(
-            f"num_sequential must lie in [0, {len(ids)}], got {num_sequential}"
-        )
-    perm = rng_for(seed, STAGE_PARTITION).permutation(len(ids))
-    return MergePlan(tuple(ids[i] for i in perm[:num_sequential]), seed=seed)
-
-
 def efficient_merge(theta_pre: np.ndarray, bulk: Iterable[np.ndarray],
                     scale: float = 0.3) -> np.ndarray:
     """Task arithmetic's update scale * ordered_sum(bulk), read-only, in one pass over any
     iterable; none: zeros."""
-    total = ordered_sum(bulk)
-    return read_only(np.zeros(theta_pre.size) if total is None else scale * total, np.float64)
+    return read_only(scale * ordered_sum(bulk, theta_pre.size), np.float64)
 
 
 def masked_merge(tau_seq: np.ndarray, tau_j: np.ndarray, mask: np.ndarray,
@@ -227,8 +215,6 @@ def _bind_pool(spec: ModelSpec, inputs: np.ndarray, labels: np.ndarray | None,
     first spare the objective also uses, and a gather buffer."""
     weights = np.repeat([1.0 / (len(task) * n) for task in batch_rows for n in task],
                         [n for task in batch_rows for n in task])
-    if len(rows) != len(weights):
-        raise ContractError(f"{len(weights)} row weights for {len(rows)} batch rows")
     theta = np.empty(spec.parameter_count)
     bound = bind_pass(spec, theta, {(len(rows),)}, feature_major=True)
     return (inputs, labels, weights, rows, theta, bound, np.empty((len(rows), inputs.shape[1])))

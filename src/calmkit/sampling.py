@@ -35,9 +35,9 @@ class CredibleSet:
             object.__setattr__(self, name, read_only(getattr(self, name), dtype))
         rows = self.indices.shape[:1]
         if (self.indices.ndim != 1 or self.entropies.shape != rows
-                or self.pseudo_labels.shape != rows):
+                or self.pseudo_labels.shape != rows or np.any(np.diff(self.indices) <= 0)):
             raise ContractError("a credible set holds one entropy and pseudo-label per "
-                                "selected index")
+                                "selected index, the indices strictly ascending")
 
     def __len__(self) -> int:
         return len(self.indices)

@@ -97,6 +97,9 @@ class TestTaskArithmetic:
         generated = task_arithmetic(pre, (v for v in vectors), scale=0.3)
         assert generated.tobytes() == listed.tobytes()
         assert task_arithmetic(pre, iter([])).tobytes() == pre.tobytes()
+        # theta_pre + 0.0: a -0.0 entry of theta_pre reads +0.0
+        assert task_arithmetic(pv(np.array([-0.0, 1.0])), []).tobytes() == pv(
+            np.array([0.0, 1.0])).tobytes()
 
 
 class TestTiesTrim:
@@ -138,7 +141,7 @@ class TestTiesTrim:
 
 
 @pytest.mark.parametrize("size", [709, 71_000, 1_000_000])
-@pytest.mark.parametrize("count", [1, 2, 3, 8, 17])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 8, 17])
 def test_ordered_sum_is_the_stacked_sum_bit_for_bit(size, count):
     # signed zeros and infinities included: +0.0 + -0.0, -0.0 + -0.0 and inf - inf
     rng = np.random.default_rng(size + count)
@@ -148,8 +151,9 @@ def test_ordered_sum_is_the_stacked_sum_bit_for_bit(size, count):
         values[at[:10]], values[at[10:20]] = 0.0, -0.0
         values[at[20:30]], values[at[30:]] = np.inf, -np.inf
     with np.errstate(invalid="ignore"):
-        expected = np.sum(np.stack(arrays), axis=0)
-        assert ordered_sum(iter(arrays)).tobytes() == expected.tobytes()
+        # no arrays sum to np.zeros(size)'s bytes, which np.stack cannot take
+        expected = np.sum(np.stack(arrays), axis=0) if arrays else np.zeros(size)
+        assert ordered_sum(iter(arrays), size).tobytes() == expected.tobytes()
 
 
 class TestTiesElectSign:

@@ -7,6 +7,7 @@ import shutil
 import struct
 import threading
 import zlib
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,9 +16,11 @@ import pytest
 from calmkit import baselines, calm, nn, tasks
 from calmkit.bench import cli
 from calmkit.bench import config as config_module
+from calmkit.bench import formats
 from calmkit.bench import runner
 from calmkit.bench.config import MAX_TASKS, build_config
-from calmkit.bench.formats import MAGIC, load_checkpoint, load_credible_sets, save_checkpoint
+from calmkit.bench.formats import (MAGIC, load_checkpoint, load_credible_sets, load_tasks,
+                                   save_checkpoint, save_credible_sets, save_tasks)
 from calmkit.bench.runner import (
     CHECKPOINTS_FILE,
     CREDIBLE_FILE,
@@ -244,10 +247,19 @@ def test_integer_keys_past_their_maximum_fail_before_the_partition(key, value, t
     def never(*args, **kwargs):
         raise AssertionError("the partition was drawn")
 
-    monkeypatch.setattr(config_module, "partition", never)
+    monkeypatch.setattr(config_module, "rng_for", never)
     assert _cli("gen-tasks", tmp_path, {key: value}) == 1
     assert "exceeds the maximum" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_the_default_sequence_is_the_seeded_draw():
+    # the first 2 ids of rng_for(seed, STAGE_PARTITION).permutation(num_tasks), pinned
+    assert build_config({}).plan.sequential_set == (6, 4)
+    assert build_config({"seed": "7"}).plan.sequential_set == (1, 2)
+    first, again = (build_config({"seed": "7", "family.num_tasks": "5"}) for _ in range(2))
+    assert first.plan == again.plan and first.plan.bulk_set(5) == tuple(
+        t for t in range(5) if t not in first.plan.sequential_set)
 
 
 def test_the_largest_family_resolves():
@@ -581,4 +593,65 @@ def test_a_loaded_mask_entry_other_than_0_or_1_is_a_stage_error(tmp_path, capsys
     assert _cli("eval", tmp_path, entries) == 2
     err = capsys.readouterr().err
     assert f"mask {key!r} holds entries other than 0.0 and 1.0" in err
+    assert "Traceback" not in err
+
+
+def _save_unchecked(monkeypatch, save, *args):
+    """`save` without the container's array checks, as a faulty stage would write: a
+    valid header and CRC around arrays that the loader must reject."""
+    with monkeypatch.context() as patched:
+        patched.setattr(formats, "_expect", lambda arrays, layout: None)
+        save(*args)
+
+
+@pytest.mark.parametrize("name", ["test_labels", "audit_labels"])
+def test_a_label_out_of_range_is_a_format_error(name, tmp_path, capsys, monkeypatch):
+    _staged(tmp_path, TINY)
+    assert _cli("merge", tmp_path, TINY) == 0
+    path = tmp_path / DATASETS_FILE
+    made, loaded = load_tasks(path)
+    loaded[0] = replace(loaded[0], **{name: np.full_like(getattr(loaded[0], name), 9)})
+    _save_unchecked(monkeypatch, save_tasks, path, made, loaded)
+    capsys.readouterr()
+    assert _cli("report", tmp_path, TINY) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: corrupt file: array 'task00.{name}' is empty or holds values outside " \
+           "[0, 5)" in err
+    assert "Traceback" not in err
+
+
+# each fault of task 0's credible set, the command that reads it first and what it says
+CREDIBLE_FAULTS = {
+    "negative_index": ("merge", lambda cs: {"indices": np.r_[-1, cs.indices[1:]]},
+                       "array 'task00.indices' is empty or holds values outside [0, 40)"),
+    "repeated_index": ("merge", lambda cs: {"indices": np.r_[cs.indices[:1], cs.indices[:-1]]},
+                       "the indices strictly ascending"),
+    "empty_set": ("eval", lambda cs: {name: getattr(cs, name)[:0] for name in
+                                      ("indices", "entropies", "pseudo_labels")},
+                  "array 'task00.indices' is empty or holds values outside [0, 40)"),
+    "pseudo_label_past_the_classes": (
+        "eval", lambda cs: {"pseudo_labels": np.r_[7, cs.pseudo_labels[1:]]},
+        "array 'task00.pseudo_labels' is empty or holds values outside [0, 5)"),
+    "index_past_the_pool": ("merge", lambda cs: {"indices": np.r_[cs.indices[:-1], 40]},
+                            "array 'task00.indices' is empty or holds values outside [0, 40)"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CREDIBLE_FAULTS))
+def test_a_malformed_credible_set_is_a_format_error(fault, tmp_path, capsys, monkeypatch):
+    command, change, says = CREDIBLE_FAULTS[fault]
+    entries = {**TINY, "method": "ta"}
+    _staged(tmp_path, entries)
+    assert _cli("merge", tmp_path, entries) == 0
+    path = tmp_path / CREDIBLE_FILE
+    made, credible = load_credible_sets(path)
+    sets = {t: SimpleNamespace(**{name: getattr(cs, name) for name in
+                                  ("indices", "entropies", "pseudo_labels")})
+            for t, cs in credible.items()}
+    vars(sets[0]).update(change(credible[0]))
+    _save_unchecked(monkeypatch, save_credible_sets, path, made, sets)
+    capsys.readouterr()
+    assert _cli(command, tmp_path, entries) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: corrupt file: " in err and says in err
     assert "Traceback" not in err

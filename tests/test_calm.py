@@ -20,7 +20,6 @@ from calmkit.calm import (
     init_mask,
     masked_merge,
     optimize_mask,
-    partition,
     sequential_merge,
     sigmoid,
 )
@@ -184,24 +183,14 @@ def mini_pipeline():
 
 class TestPartition:
     def test_empty_sequential(self):
-        plan = partition(range(5), 0, seed=3)
+        plan = MergePlan(())
         assert plan.sequential_set == ()
         assert plan.bulk_set(5) == (0, 1, 2, 3, 4)
 
     def test_all_sequential(self):
-        plan = partition(range(4), 4, seed=3)
+        plan = MergePlan((0, 2, 1, 3))
         assert plan.bulk_set(4) == ()
         assert sorted(plan.sequential_set) == [0, 1, 2, 3]
-
-    def test_deterministic(self):
-        a = partition(range(8), 2, seed=7)
-        b = partition(range(8), 2, seed=7)
-        assert a.sequential_set == b.sequential_set
-        assert a.bulk_set(8) == tuple(t for t in range(8) if t not in a.sequential_set)
-
-    def test_too_many_sequential(self):
-        with pytest.raises(ContractError):
-            partition(range(3), 4, seed=0)
 
     @pytest.mark.parametrize("sequence", [(1, 1), (3,), (-1,), (0, 2, 0)])
     def test_sequential_tasks_must_be_distinct_ids_in_range(self, sequence):
@@ -219,7 +208,7 @@ class TestPartition:
             MergePlan((1,), strategy="neither")
 
     def test_default_hyperparameters(self):
-        plan = partition(range(4), 1, seed=0)
+        plan = MergePlan((3,))
         assert plan.lambda_efficient == 0.3
         assert plan.l1_weight == 1.0
         assert plan.iterations_per_task == 100
@@ -406,16 +395,6 @@ class TestConsensusObjective:
         with pytest.raises(ContractError, match="task 1"):
             objective_on_batches(SPEC, theta_pre, state, tau_j, seeded_mask(0),
                                  batches, 1.0)
-
-    def test_row_weights_must_cover_the_gathered_rows(self):
-        theta_pre, state, tau_j, batches = small_setup()
-        data = {t: (np.concatenate([x for x, _ in bs]), np.concatenate([y for _, y in bs]))
-                for t, bs in batches.items()}
-        inputs, labels, spans = _row_pool(state.visible_tasks, data)
-        # checked once per step, where the pool is bound, not on every objective call
-        with pytest.raises(ContractError, match="row weights"):
-            _bind_pool(SPEC, inputs, labels, [[n - 1] for _, n in spans.values()],
-                       np.arange(len(inputs)))
 
     def test_loss_includes_normalized_l1(self):
         theta_pre, state, tau_j, batches = small_setup()
@@ -671,7 +650,7 @@ class TestInitMask:
 class TestSequentialMerge:
     def test_no_sequential_tasks_equals_task_arithmetic(self, mini_pipeline):
         family, tasks, ckpt, credible = mini_pipeline
-        plan = partition(range(family.num_tasks), 0, seed=2)
+        plan = MergePlan((), seed=2)
         result = sequential_merge(ckpt, plan, credible)
         taus = [task_vector(ckpt.finetuned[t], ckpt.pretrained) for t in range(family.num_tasks)]
         reference = task_arithmetic(ckpt.pretrained, taus, plan.lambda_efficient)
@@ -680,8 +659,7 @@ class TestSequentialMerge:
 
     def test_every_coordinate_comes_from_a_source(self, mini_pipeline):
         family, tasks, ckpt, credible = mini_pipeline
-        plan = replace(partition(range(family.num_tasks), 2, seed=2),
-                         iterations_per_task=10)
+        plan = MergePlan((2, 0), iterations_per_task=10, seed=2)
         result = sequential_merge(ckpt, plan, credible)
         taus = {t: task_vector(ckpt.finetuned[t], ckpt.pretrained)
                 for t in range(family.num_tasks)}
@@ -696,8 +674,7 @@ class TestSequentialMerge:
 
     def test_bit_reproducible(self, mini_pipeline):
         family, tasks, ckpt, credible = mini_pipeline
-        plan = replace(partition(range(family.num_tasks), 1, seed=4),
-                         iterations_per_task=8)
+        plan = MergePlan((1,), iterations_per_task=8, seed=4)
         a = sequential_merge(ckpt, plan, credible)
         b = sequential_merge(ckpt, plan, credible)
         assert np.array_equal(a.merged, b.merged)
@@ -707,8 +684,7 @@ class TestSequentialMerge:
 
     def test_missing_credible_set_is_an_error(self, mini_pipeline):
         family, tasks, ckpt, credible = mini_pipeline
-        plan = replace(partition(range(family.num_tasks), 1, seed=4),
-                         iterations_per_task=2)
+        plan = MergePlan((1,), iterations_per_task=2, seed=4)
         partial = dict(credible)
         del partial[plan.sequential_set[0]]
         with pytest.raises(ContractError, match=f"task {plan.sequential_set[0]}"):
@@ -718,8 +694,7 @@ class TestSequentialMerge:
         # the call and batch counts a tracer reads from (state, task_batches): positional
         # arguments 2 and 5, or keyword
         family, tasks, ckpt, credible = mini_pipeline
-        plan = replace(partition(range(family.num_tasks), 2, seed=4), iterations_per_task=3,
-                       batches_per_task=3)
+        plan = MergePlan((1, 0), iterations_per_task=3, batches_per_task=3, seed=4)
         counts = []
 
         def counting(*args, **kwargs):
@@ -742,8 +717,7 @@ class TestSequentialMerge:
 
     def test_density_traces_within_unit_interval(self, mini_pipeline):
         family, tasks, ckpt, credible = mini_pipeline
-        plan = replace(partition(range(family.num_tasks), 2, seed=5),
-                         iterations_per_task=12)
+        plan = MergePlan((2, 1), iterations_per_task=12, seed=5)
         result = sequential_merge(ckpt, plan, credible)
         for step in result.steps:
             assert np.all((step.density_trace >= 0.0) & (step.density_trace <= 1.0))
@@ -751,8 +725,7 @@ class TestSequentialMerge:
 
     def test_carry_over_mask_flag(self, mini_pipeline):
         family, tasks, ckpt, credible = mini_pipeline
-        base = replace(partition(range(family.num_tasks), 2, seed=6),
-                         iterations_per_task=5)
+        base = MergePlan((2, 0), iterations_per_task=5, seed=6)
         carried = replace(base, reinit_mask_per_task=False)
         a = sequential_merge(ckpt, base, credible)
         b = sequential_merge(ckpt, carried, credible)
@@ -903,8 +876,8 @@ class TestHelperThread:
         data = {t: (rng.standard_normal((40, 4)), rng.integers(0, 3, size=40)) for t in range(8)}
         peaks = {}
         for steps in (2, 7):
-            plan = replace(partition(range(8), steps, seed=0), iterations_per_task=2,
-                           batch_size=16)
+            plan = MergePlan((6, 4, 5, 0, 3, 7, 1)[:steps], iterations_per_task=2,
+                             batch_size=16)
             tracemalloc.start()
             try:
                 sequential_merge(ckpt, plan, data)

@@ -57,7 +57,7 @@ def _credible(path):
     rng = np.random.default_rng(1)
     credible = {}
     for t, rows in ((0, 3), (1, 2)):
-        credible[t] = CredibleSet(t, rng.permutation(6)[:rows], rng.uniform(0, 1, rows),
+        credible[t] = CredibleSet(t, np.sort(rng.permutation(6)[:rows]), rng.uniform(0, 1, rows),
                                   rng.integers(0, 2, rows))
     save_credible_sets(path, CONFIG, credible)
 

@@ -271,6 +271,9 @@ def test_credible_set_needs_one_row_per_index():
         CredibleSet(0, np.array([0, 1]), np.array([0.1]), np.array([0, 1]))
     with pytest.raises(ContractError):
         CredibleSet(0, np.array([0, 1]), np.array([0.1, 0.2]), np.array([0]))
+    for indices in ([1, 1], [2, 1]):  # pool rows, strictly ascending
+        with pytest.raises(ContractError, match="strictly ascending"):
+            CredibleSet(0, np.array(indices), np.array([0.1, 0.2]), np.array([0, 1]))
 
 
 class TestCredibleSetImmutability:

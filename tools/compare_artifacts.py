@@ -9,12 +9,13 @@ with one BLAS/OpenMP thread set before numpy loads. The worker runs
 `branches/`, `run_experiment` at config seeds 0-3 for each of `BRANCHES`, the
 configs that reach the kernels' other branches (tanh, the entropy and
 supervised mask objectives, the other merge strategies, per-task heads, EMS
-sampling, a linear model and a (32, 32, 32) one), plus one `WIDE` (256, 256)
-run at seed 0, and under `suites/` every other ablation suite (`SUITES`) at
-config seed 0; each run in its own directory under the side's output
-directory. The `run_experiment` and `suites/` runs also report the objective
-and density traces, which show a change in the last bit of any iteration where
-the rounded masks do not, and the masks' layer densities and magnitude overlaps.
+sampling, a linear model, a (32, 32, 32) one and the avg, ta and ties merges),
+plus one `WIDE` (256, 256) run at seed 0, and under `suites/` every other
+ablation suite (`SUITES`) at config seed 0; each run in its own directory
+under the side's output directory. The `run_experiment` and `suites/` runs
+also report the objective and density traces, which show a change in the last
+bit of any iteration where the rounded masks do not, and the masks' layer
+densities and magnitude overlaps.
 The sides run at the same time; their times do not matter here.
 
 After its runs, each worker loads every container it wrote with its own tree's
@@ -81,6 +82,10 @@ BRANCHES = {
     "linear": {"train.hidden_dims": ""},
     "deep": {"train.hidden_dims": "32,32,32", "train.pretrain_lr": "0.02",
              "train.finetune_lr": "0.02"},
+    # the baselines, whose sums CALM's bulk merge shares
+    "avg": {"method": "avg"},
+    "ta": {"method": "ta"},
+    "ties": {"method": "ties"},
 }
 # one BLAS-bound run at seed 0; the default lr 0.05 misses the accuracy floor at (256, 256)
 WIDE = {"train.hidden_dims": "256,256", "train.pretrain_lr": "0.02", "train.finetune_lr": "0.02"}
